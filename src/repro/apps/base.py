@@ -132,8 +132,7 @@ class FluidApp:
         collect structured metrics and a Perfetto-loadable trace from
         any backend (see docs/telemetry.md).  ``backend_options``
         forwards extra constructor knobs to the real-time executors
-        (e.g. ``{"fallback_interval": 0.002}`` to bench the legacy
-        polling wake cadence); it is ignored on the simulator, whose
+        (e.g. ``{"slots": 2}``); it is ignored on the simulator, whose
         knobs are explicit parameters here.
 
         ``scheduler`` selects a :mod:`repro.sched` ready-queue

@@ -46,8 +46,7 @@ _log = logging.getLogger("repro.bench")
 
 
 def collect_figure6_rows(only_app=None, quick=False, telemetry=None,
-                         fluid_backend="sim", repeat=1,
-                         backend_options=None, scheduler=None,
+                         fluid_backend="sim", repeat=1, scheduler=None,
                          autotune=None):
     """Run the Figure-6 matrix; return the list of BenchRow objects."""
     rows = []
@@ -65,8 +64,6 @@ def collect_figure6_rows(only_app=None, quick=False, telemetry=None,
                 extra["autotune"] = autotune
             if fluid_backend != "sim":
                 extra["backend"] = fluid_backend
-                if backend_options:
-                    extra["backend_options"] = dict(backend_options)
             # Telemetry instruments the first fluid run only: one bus
             # records one executor's clock, so artifacts stay coherent.
             if telemetry is not None and not telemetry_used:
@@ -228,20 +225,10 @@ def run_matrix(args, telemetry=None) -> int:
                                         workers=args.workers,
                                         repeat=repeat)
         else:
-            backend_options = {}
-            if args.legacy_polling:
-                # The pre-event-driven runtime: no data-cell wake
-                # subscriptions, guards re-check on every poll tick.
-                backend_options["event_wakeups"] = False
-                backend_options["fallback_interval"] = 0.002
-            if args.fallback_interval is not None:
-                backend_options["fallback_interval"] = (
-                    args.fallback_interval)
             rows = collect_figure6_rows(args.app, quick=args.quick,
                                         telemetry=telemetry,
                                         fluid_backend=args.fluid_backend,
                                         repeat=repeat,
-                                        backend_options=backend_options,
                                         scheduler=args.scheduler,
                                         autotune=args.autotune)
     finally:
@@ -312,14 +299,6 @@ def main(argv=None) -> int:
                         help="fluid runs per workload; rows record the "
                              "mean (default 1 on the simulator, 5 on the "
                              "wall-clock fluid backends)")
-    parser.add_argument("--fallback-interval", type=float, default=None,
-                        help="thread-backend guard fallback wait in "
-                             "seconds (thread matrix only)")
-    parser.add_argument("--legacy-polling", action="store_true",
-                        help="run the thread matrix with event wakeups "
-                             "disabled and a poll-tick fallback — the "
-                             "pre-event-driven runtime, for before/after "
-                             "baselines (pair with --no-valve-memo)")
     parser.add_argument("--scheduler", default=None, metavar="SPEC",
                         help="repro.sched discipline for the matrix's fluid "
                              "runs (e.g. edf, priority, "
@@ -362,10 +341,6 @@ def main(argv=None) -> int:
                              "debug level)")
     args = parser.parse_args(argv)
 
-    if ((args.legacy_polling or args.fallback_interval is not None)
-            and args.fluid_backend != "thread"):
-        parser.error("--legacy-polling/--fallback-interval are thread-"
-                     "backend knobs; use --fluid-backend thread")
     if (args.save_baseline or args.compare) and args.sweep:
         parser.error("--save-baseline/--compare do not apply to --sweep")
     if args.save_baseline and args.backend in ("thread", "process"):

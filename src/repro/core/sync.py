@@ -24,11 +24,8 @@ def _is_done(target: SyncTarget, executor) -> bool:
         return target.state is TaskState.COMPLETE
     if isinstance(target, FluidRegion):
         return target.complete
-    if executor is not None and hasattr(executor, "_submissions"):
-        return all(region.complete
-                   for region, _after in executor._submissions)
-    if executor is not None and hasattr(executor, "_runs"):
-        return all(run.done for run in executor._runs)
+    if executor is not None:
+        return executor.context.all_done
     raise SchedulerError("sync() with no target needs an executor")
 
 

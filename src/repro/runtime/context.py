@@ -1,29 +1,56 @@
-"""Per-run state shared by every backend: :class:`RunContext`.
+"""Per-run state and the region lifecycle: :class:`RunContext`.
 
-Historically each executor owned exactly one run: submissions, region
-completion bookkeeping, the telemetry binding, the autotuner position
-and (on the thread backend) guard threads and wake events all lived as
-executor attributes, which is why executors are single-shot.  A
-long-lived service that multiplexes many concurrent runs over one
-shared backend pool needs that state split out per run.
+One context per logical ``run()`` — a batch of regions with
+inter-region ``after`` dependencies — holding everything that must be
+isolated between concurrent runs.  The single-shot executors own one;
+:class:`~repro.runtime.thread_pool.SharedThreadPool` hosts many at once;
+:class:`repro.service.FluidService` creates one per admitted request (or
+request batch).
 
-:class:`RunContext` is that split: one context per logical ``run()`` —
-a batch of regions with inter-region ``after`` dependencies — holding
-everything that must be isolated between concurrent runs.  The one-shot
-executors build a single private context; :class:`~repro.runtime.thread_pool.SharedThreadPool`
-hosts many at once; :class:`repro.service.FluidService` creates one per
-admitted request (or request batch).
+The context is also the single owner of the *region lifecycle* (PAPER.md
+§6.2, docs/runtime-semantics.md "Region lifecycle"): which region may
+launch, what launching does, when a region is done and what done emits,
+which queued task may still run, and what is still pending.  Drivers —
+the simulator, the thread pool, the process executor — call it and
+differ only in how time passes and where bodies run.  The context takes
+no lock of its own: the driver calls it under whatever serializes its
+Coordinator calls (the pool lock, or a single-threaded control loop).
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+import time
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
+from ..core.count import UpdateSink
 from ..core.errors import SchedulerError
+from ..core.guard import Coordinator, GuardHost
 from ..core.region import FluidRegion
 from ..core.states import TaskState
+from ..core.task import FluidTask
+
+#: States a task awaits a re-run in, and those a task picked from the
+#: ready queue may start a body from.
+_RERUNNABLE = (TaskState.WAITING, TaskState.DEP_STALLED)
+_STARTABLE = (TaskState.START_CHECK,) + _RERUNNABLE
+
+
+def emit_memo_summary(bus, region: FluidRegion) -> None:
+    """Publish one region's valve-memoization totals as a telemetry event.
+
+    Memo-answered ``check()`` calls intentionally publish no per-call
+    valve event (nothing was recomputed); this runs once at region
+    completion so the skipped work is still observable —
+    MetricsRegistry folds the event into the ``valve.checks.evaluated``
+    and ``valve.checks.skipped`` counters.
+    """
+    evaluated = sum(valve.checks for valve in region.valves)
+    skipped = sum(valve.checks_skipped for valve in region.valves)
+    bus.emit("valve", region.name, "", "memo",
+             data={"evaluated": evaluated, "skipped": skipped,
+                   "valves": len(region.valves)})
 
 
 class RegionRun:
@@ -37,7 +64,7 @@ class RegionRun:
         self.index = index
         self.region = region
         self.after = after
-        self.coordinator: Optional[object] = None
+        self.coordinator: Optional[Coordinator] = None
         self.launched = False
         self.done = False
         self.launch_time = 0.0
@@ -46,10 +73,9 @@ class RegionRun:
 class RunContext:
     """Everything one run owns: regions, wake events, errors, telemetry.
 
-    The context is a passive container — the hosting pool/executor
-    mutates it under its own lock.  Fields that only the thread-based
-    pool uses (``run_events``, ``threads``, ``active_guards``) stay
-    empty on the simulator and process backends.
+    Fields that only the thread-based pool uses (``run_events``,
+    ``threads``, ``active_guards``) stay empty on the simulator and
+    process backends.
     """
 
     _labels = itertools.count(1)
@@ -68,8 +94,15 @@ class RunContext:
         self.modulation = modulation
         self.cancel_first_runs = cancel_first_runs
         self.runs: List[RegionRun] = []
-        #: id(region) -> Coordinator, one per launched region.
-        self.coordinators: Dict[int, object] = {}
+        #: The driver, set by :meth:`bind`: where guard callbacks go and
+        #: where time comes from (``host.now()``), the sink launched
+        #: regions publish count updates through, and the SchedLab
+        #: policy ordering Coordinator fan-out.
+        self.host: Optional[GuardHost] = None
+        self.sink: Optional[UpdateSink] = None
+        self.policy: Optional[object] = None
+        #: id(task) -> the RegionRun it belongs to (launched regions).
+        self._task_run: Dict[int, RegionRun] = {}
         #: id(task) -> threading.Event poked by schedule_run (thread pool).
         self.run_events: Dict[int, threading.Event] = {}
         #: Guard threads serving this context (thread pool); joined on
@@ -77,12 +110,10 @@ class RunContext:
         self.threads: List[threading.Thread] = []
         #: Live guard threads still inside their main loop.
         self.active_guards = 0
-        #: First body error (TaskBodyError on the thread pool, any
-        #: executor error on one-shot pools); surfaced to the waiter /
-        #: service future.
+        #: First error of the run (a TaskBodyError, or any executor
+        #: error on one-shot pools); surfaced to the waiter / service
+        #: future.
         self.body_error: Optional[Exception] = None
-        #: Pool-clock time at which the context was started.
-        self.epoch = 0.0
         #: Set when the context is cancelled (shutdown, timeout, error):
         #: guards drain instead of starting new work.
         self.stopped = False
@@ -94,6 +125,64 @@ class RunContext:
         #: Must be cheap and non-blocking — the service uses it to hop
         #: back onto the asyncio loop via ``call_soon_threadsafe``.
         self.on_finished: Optional[Callable[["RunContext"], None]] = None
+
+    @classmethod
+    def for_executor(cls, label: str, *, telemetry: Optional[object],
+                     autotune: Optional[object],
+                     modulation: Optional[object],
+                     cancel_first_runs: bool) -> "RunContext":
+        """The context of a single-shot executor, built from its options.
+
+        Resolves the ``autotune`` spec (closed-loop SLO autotuning,
+        :mod:`repro.tuning`) and binds the tuner to the run's bus; a
+        tuner needs a bus to hear feedback events, so an enabled tuner
+        implies at least a lightweight Telemetry.  Imports are lazy:
+        repro.tuning and repro.telemetry reach back into repro.runtime
+        at import time.
+        """
+        from ..tuning import make_autotuner
+
+        autotuner = make_autotuner(autotune)
+        if autotuner is not None and telemetry is None:
+            from ..telemetry import Telemetry
+            telemetry = Telemetry(metrics=False, chrome=False)
+        ctx = cls(label=label, telemetry=telemetry, autotuner=autotuner,
+                  modulation=modulation, cancel_first_runs=cancel_first_runs)
+        if autotuner is not None:
+            autotuner.bind(ctx.bus)
+        return ctx
+
+    def make_scheduler(self, spec: Optional[object], *,
+                       policy: Optional[object], point: str, workers: int):
+        """The ready-queue discipline (:mod:`repro.sched`) for this run.
+
+        ``spec`` is a Scheduler instance or spec string; None builds the
+        paper-faithful FCFS, which reproduces the pre-scheduler runtime
+        decision for decision (the SchedLab ``policy`` tie-breaks
+        through it unchanged at ``point``).  Imported lazily: repro.sched
+        pulls in repro.telemetry, which reaches back into repro.runtime
+        at import time.
+        """
+        from ..sched import make_scheduler
+
+        return make_scheduler(spec).bind(policy=policy, bus=self.bus,
+                                         point=point, workers=workers)
+
+    def bind(self, host: GuardHost, *, time_scale: float,
+             sink: Optional[UpdateSink] = None,
+             policy: Optional[object] = None) -> None:
+        """Attach the driver that will run this context.
+
+        ``time_scale`` converts ``host.now()`` units to trace
+        microseconds (1e6 on the wall-clock drivers; 1.0 on the
+        simulator, so one virtual cost unit renders as one Perfetto
+        microsecond).
+        """
+        self.host = host
+        self.sink = sink
+        self.policy = policy
+        if self.telemetry is not None:
+            self.telemetry.bind_clock(host.now, time_scale)
 
     # ------------------------------------------------------------ regions
 
@@ -111,33 +200,169 @@ class RunContext:
             f"region {region.name!r} given as an 'after' dependency was "
             "never submitted to this run")
 
+    def run_of(self, task: FluidTask) -> RegionRun:
+        """The launched region run ``task`` belongs to."""
+        return self._task_run[id(task)]
+
     @property
     def regions(self) -> List[FluidRegion]:
         return [run.region for run in self.runs]
 
     @property
-    def submissions(self) -> List[Tuple[FluidRegion, Tuple[FluidRegion, ...]]]:
-        """Legacy view used by ``sync()`` and executor facades."""
-        return [(run.region, run.after) for run in self.runs]
-
-    @property
     def all_done(self) -> bool:
         return all(run.done for run in self.runs)
 
+    # ---------------------------------------------------- region lifecycle
+
+    def launchable(self) -> Iterator[RegionRun]:
+        """Unlaunched regions whose ``after`` set is done, in submission
+        order — FCFS region admission (Section 6.2).  A driver with an
+        admission limit stops consuming when it is full."""
+        for run in self.runs:
+            if not run.launched and \
+                    all(self.run_for(dep).done for dep in run.after):
+                yield run
+
+    def launch(self, run: RegionRun) -> Coordinator:
+        """Launch one region; the driver then starts each task's guard.
+
+        Finalizes the graph, routes the region's count updates, dynamic
+        spawns and telemetry to this run's driver, builds the region's
+        Coordinator, attaches the autotuner (after finalize, so valves
+        exist; before any start check, so the inherited position lands
+        before the first verdict) and enters every task into INIT.
+        """
+        region = run.region
+        graph = region.finalize()
+        if self.sink is not None:
+            region.bind_sink(self.sink)
+        region.dynamic_host = self.host
+        region.telemetry = self.bus
+        run.launched = True
+        run.launch_time = self.host.now()
+        run.coordinator = Coordinator(
+            self.host, graph, modulation=self.modulation,
+            cancel_first_runs=self.cancel_first_runs,
+            policy=self.policy, telemetry=self.bus)
+        if self.autotuner is not None:
+            self.autotuner.attach_region(region)
+        self._emit(region, "", "launch", f"{len(graph)} tasks")
+        for task in graph:
+            self._enter_init(run, task)
+        return run.coordinator
+
+    def admit_dynamic_task(self, region: FluidRegion,
+                           task: FluidTask) -> RegionRun:
+        """A running task spawned ``task`` (dynamic graphs, Section 8)."""
+        run = self.run_for(region)
+        self._enter_init(run, task)
+        self._emit(region, task.name, "spawn", "dynamic")
+        return run
+
+    def _enter_init(self, run: RegionRun, task: FluidTask) -> None:
+        self._task_run[id(task)] = run
+        task.stats.enter(TaskState.INIT, self.host.now())
+
+    def task_completed(self, task: FluidTask) -> bool:
+        """Region-done bookkeeping behind ``GuardHost.task_completed``.
+
+        Returns True when this completion finished the task's region:
+        its makespan (measured from its own launch, so time spent
+        waiting on ``after`` predecessors is excluded) and stats are
+        closed, and ``sched/region-done`` plus the region's one
+        ``valve/memo`` summary are emitted.
+        """
+        run = self._task_run[id(task)]
+        region = run.region
+        if run.done or not region.complete:
+            return False
+        now = self.host.now()
+        run.done = True
+        region.stats.makespan = now - run.launch_time
+        for sibling in region.tasks:
+            sibling.stats.finish(now)
+        self._emit(region, "", "region-done",
+                   f"makespan={region.stats.makespan:.3f}")
+        if self.bus is not None:
+            emit_memo_summary(self.bus, region)
+        return True
+
+    def _emit(self, region: FluidRegion, task: str, name: str,
+              detail: str) -> None:
+        if self.bus is not None:
+            self.bus.emit("sched", region.name, task, name,
+                          data={"detail": detail})
+
+    # --------------------------------------------------------- ready queue
+
+    def pick_ready(self, scheduler, queued: set,
+                   worker: int) -> Optional[FluidTask]:
+        """The scheduler's next pick that may still start a body.
+
+        ``queued`` is the driver's id-set of tasks sitting in
+        ``scheduler``.  Picks that went stale while queued are dropped:
+        tasks that completed or started meanwhile, re-runs whose
+        descendants all completed, and START_CHECK tasks whose
+        non-monotone valve (e.g. convergence) flipped back off — a later
+        count update re-checks those.  Returns None when the queue is
+        empty or the discipline declines to pick.
+        """
+        while scheduler.pending():
+            task = scheduler.pick(now=self.host.now(), worker=worker)
+            if task is None:
+                return None
+            queued.discard(id(task))
+            if task.state not in _STARTABLE:
+                continue
+            if self.skip_pointless_rerun(task):
+                continue
+            if task.state is TaskState.START_CHECK and \
+                    not task.start_valves_satisfied():
+                continue
+            return task
+        return None
+
+    def skip_pointless_rerun(self, task: FluidTask) -> bool:
+        """Early termination before the body even starts (Section 6.1)."""
+        if not task.is_leaf and task.state in _RERUNNABLE and \
+                task.descendants_complete():
+            self._task_run[id(task)].coordinator.skip_rerun(task)
+            return True
+        return False
+
     # ------------------------------------------------------------ lifetime
+
+    def fail(self, error: Exception) -> None:
+        """Record the run's first error for the waiter to surface."""
+        if self.body_error is None:
+            self.body_error = error
+
+    def finish(self) -> None:
+        """Mark the context finished and fire ``on_finished``."""
+        self.finished.set()
+        if self.on_finished is not None:
+            self.on_finished(self)
+
+    def record_run(self, scheduler: Optional[object], workers: int) -> None:
+        """End-of-run telemetry folds: tuner and scheduler snapshots,
+        then the run's makespan over ``workers`` execution resources."""
+        if self.telemetry is not None:
+            now = self.host.now()
+            self.telemetry.record_autotuner(self.autotuner)
+            self.telemetry.record_scheduler(scheduler)
+            self.telemetry.run_finished(now, workers, now=now)
 
     def join(self, timeout: Optional[float] = None) -> None:
         """Join this context's guard threads (one deadline overall)."""
         if not self.threads:
             return
-        import time as _time
-        deadline = (_time.perf_counter() + timeout
+        deadline = (time.perf_counter() + timeout
                     if timeout is not None else None)
         for thread in self.threads:
             if deadline is None:
                 thread.join()
             else:
-                remaining = deadline - _time.perf_counter()
+                remaining = deadline - time.perf_counter()
                 if remaining <= 0:
                     break
                 thread.join(remaining)
@@ -150,8 +375,13 @@ class RunContext:
                 lines.append(f"{run.region.name}=unlaunched")
                 continue
             for task in run.region.tasks:
-                if task.state is not TaskState.COMPLETE:
-                    lines.append(
-                        f"{run.region.name}/{task.name}={task.state}")
+                if task.state is TaskState.COMPLETE:
+                    continue
+                line = f"{run.region.name}/{task.name}={task.state}"
+                if task.state is TaskState.START_CHECK:
+                    valves = [f"{valve.name}={valve.check()}"
+                              for valve in task.spec.start_valves]
+                    line += f" valves={valves}"
+                lines.append(line)
         return "; ".join(lines) or \
             "all tasks complete (region bookkeeping?)"

@@ -10,11 +10,15 @@ result in the evaluation is normalized.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence
 
 from ..core.count import ImmediateSink
+from ..core.errors import SchedulerError
 from ..core.region import FluidRegion
 from ..core.stats import RegionStats
+
+if TYPE_CHECKING:
+    from .context import RunContext
 
 
 class RunResult:
@@ -41,30 +45,28 @@ class RunResult:
 
 
 class Executor:
-    """Interface implemented by the simulator and thread backends."""
+    """A single-shot driver of one :class:`~repro.runtime.context.RunContext`.
+
+    Subclasses build ``self.context`` in their constructor and implement
+    :meth:`run`; the region lifecycle itself lives in the context.
+    """
+
+    #: The run this executor drives (submissions, completion, telemetry).
+    context: "RunContext"
+    _started = False
 
     def submit(self, region: FluidRegion,
                after: Iterable[FluidRegion] = ()) -> FluidRegion:
-        raise NotImplementedError
+        self.context.submit(region, after)
+        return region
 
     def run(self) -> RunResult:
         raise NotImplementedError
 
-
-def emit_memo_summary(bus, region: FluidRegion) -> None:
-    """Publish one region's valve-memoization totals as a telemetry event.
-
-    Memo-answered ``check()`` calls intentionally publish no per-call
-    valve event (nothing was recomputed); the executors call this once
-    at region completion so the skipped work is still observable —
-    MetricsRegistry folds the event into the ``valve.checks.evaluated``
-    and ``valve.checks.skipped`` counters.
-    """
-    evaluated = sum(valve.checks for valve in region.valves)
-    skipped = sum(valve.checks_skipped for valve in region.valves)
-    bus.emit("valve", region.name, "", "memo",
-             data={"evaluated": evaluated, "skipped": skipped,
-                   "valves": len(region.valves)})
+    def _start_once(self) -> None:
+        if self._started:
+            raise SchedulerError("executors are single-shot; build a new one")
+        self._started = True
 
 
 #: Names accepted by :func:`make_executor` (and the bench ``--backend``
@@ -93,8 +95,6 @@ def make_executor(backend: str, **kwargs) -> Executor:
         from .process_backend import ProcessExecutor
 
         return ProcessExecutor(**kwargs)
-    from ..core.errors import SchedulerError
-
     raise SchedulerError(
         f"unknown backend {backend!r}; expected one of {', '.join(BACKENDS)}")
 

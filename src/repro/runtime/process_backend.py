@@ -7,7 +7,10 @@ processes *does* the work while the parent process keeps *deciding* —
 every valve check, Figure-5 transition and re-execution decision goes
 through the same :class:`~repro.core.guard.Coordinator` as the
 simulator and the thread backend, serialized in the parent's single
-control loop.
+control loop.  The region lifecycle is
+:class:`~repro.runtime.context.RunContext`'s and the worker processes
+are :class:`~repro.runtime.worker_pool.PersistentProcessPool`'s; this
+module is the wire protocol between them.
 
 Division of labour
 ------------------
@@ -17,7 +20,7 @@ parent (control loop)
     state machine, end-quality evaluation, early termination,
     modulation.  Owns the authoritative ``FluidData``/``Count`` objects.
 
-workers (forked processes)
+workers (forked processes, leased from a pool)
     Execute task bodies serially against their own copies of the region
     objects.  Inputs/outputs/counts are (re)installed from parent
     snapshots at dispatch; count updates and payload writes are
@@ -50,17 +53,21 @@ segment per payload (see ``core/data.py`` for the read/write contract).
 The arena covers the dispatch direction only; worker flushes still use
 :func:`~repro.core.data.export_payload` ownership-transfer segments.
 
-Persistent pools
-----------------
+Worker pools
+------------
 
-With ``pool=`` a :class:`~repro.runtime.worker_pool.PersistentProcessPool`,
-the executor leases long-lived workers instead of forking its own:
+The executor leases its workers from a
+:class:`~repro.runtime.worker_pool.PersistentProcessPool`.  With
+``pool=`` that is a long-lived pool shared by a sequence of executors:
 ``FluidService`` and windowed ``repro.stream`` pipelines stop paying a
-fork per request/window.  Pool workers fork *before* any region exists,
-so each region must provide a picklable ``remote_factory`` (see
-:class:`~repro.core.region.FluidRegion`); the factory is installed once
-per run.  A worker that crashes mid-run is respawned and its in-flight
-tasks are re-dispatched instead of failing the run.
+fork per request/window.  Without it — fork-per-run — the executor forks
+a private pool at ``run()``, after submission, and closes it on exit.
+Either way a region carrying a picklable ``remote_factory`` (see
+:class:`~repro.core.region.FluidRegion`) is installed in every worker
+once per run, and a worker that crashes running it is respawned and its
+in-flight tasks re-dispatched; a closure-only region is inherited by the
+private pool's fork (a shared pool, forked before it existed, refuses
+it), and a worker that dies running it fails the run.
 
 Data crosses the boundary as picklable snapshots
 (:func:`~repro.core.data.export_payload`); large numpy payloads ride
@@ -80,9 +87,8 @@ snapshots are taken at dispatch time.
 
 Requirements and limits (see docs/runtime-semantics.md for the matrix):
 
-* ``fork`` start method (POSIX only) — bodies are closures, inherited
-  rather than pickled (pool mode rebuilds them from the region's
-  ``remote_factory`` instead);
+* ``fork`` start method (POSIX only) — closure bodies are inherited,
+  never pickled;
 * honest guard tuples — a body may only read/write the cells declared
   in its ``inputs``/``outputs`` (already a Fluid rule; here it is what
   makes snapshot installation correct);
@@ -94,24 +100,25 @@ Requirements and limits (see docs/runtime-semantics.md for the matrix):
 
 from __future__ import annotations
 
-import logging
+import contextlib
 import os
 import pickle
 import queue as queue_module
 import time
 import traceback
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.count import RecordingSink
 from ..core.data import (PayloadArena, arena_detach_all, import_payload,
                          payload_nbytes)
 from ..core.errors import SchedulerError, TaskBodyError
-from ..core.guard import Coordinator, GuardHost, ModulationPolicy
+from ..core.guard import GuardHost, ModulationPolicy
 from ..core.region import FluidRegion
 from ..core.states import TaskState
 from ..core.task import FluidTask, TaskContext
 from .context import RegionRun, RunContext
-from .executor import Executor, RunResult, emit_memo_summary
+from .executor import Executor, RunResult
+from .worker_pool import PersistentProcessPool, pool_blob
 
 #: Worker -> parent message kinds.
 _PROGRESS, _FINISHED, _CANCELLED, _ERROR = "progress", "finished", "cancelled", "error"
@@ -130,31 +137,34 @@ _RECLAIM_GRACE = 2.0
 #: otherwise respawn forever).
 _MAX_RESPAWNS = 3
 
-logger = logging.getLogger(__name__)
+#: Default upper bound on one control-loop block.  The loop is woken by
+#: events — worker messages arriving on the outbox, or a busy worker's
+#: process sentinel closing — so this only bounds how stale the deadline
+#: check can get.
+_FALLBACK_INTERVAL = 0.1
 
 
 class _WorkerLoop:
-    """Worker-side run loop, shared by forked and pooled workers.
+    """Worker-side run loop.
 
-    A forked (single-shot) worker resolves regions out of its inherited
-    copy of the executor state via ``resolve``; a pool worker forked
-    before any region existed rebuilds them from ``("install", ...)``
-    factory blobs instead.  Either way the loop serves ``("runs", ...)``
-    batches serially, streaming chunk-boundary flushes back on the
-    shared outbox as 7-tuples::
+    A region is rebuilt from its ``("install", ...)`` factory blob when
+    the parent sent one, else taken from ``inherited`` — the regions the
+    worker kept from its fork, by run index.  The loop serves
+    ``("runs", ...)`` batches serially, streaming chunk-boundary flushes
+    back on the shared outbox as 7-tuples::
 
         (kind, slot, dispatch_id, region_index, task_index,
          records_or_excrepr, payloads_or_traceback)
     """
 
     def __init__(self, slot: int, outbox, cancel_flags,
-                 resolve: Optional[Callable[[int], FluidRegion]] = None):
+                 inherited: Sequence[FluidRegion] = ()):
         self.slot = slot
         self.outbox = outbox
         self.cancel_flags = cancel_flags
         self.sink = RecordingSink()
         self.regions: Dict[int, FluidRegion] = {}
-        self._resolve = resolve
+        self._inherited = inherited
 
     def serve(self, inbox) -> None:
         while True:
@@ -193,13 +203,13 @@ class _WorkerLoop:
     def _region(self, region_index: int) -> FluidRegion:
         region = self.regions.get(region_index)
         if region is None:
-            if self._resolve is None:
+            if region_index >= len(self._inherited):
                 raise RuntimeError(
                     f"no region installed at index {region_index}")
             # The worker's forked copy finalizes independently; build()
             # must therefore be structurally deterministic (the graphs
             # in this repo all are).
-            region = self._resolve(region_index)
+            region = self._inherited[region_index]
             region.finalize()
             region.bind_sink(self.sink)
             self.regions[region_index] = region
@@ -288,17 +298,12 @@ class ProcessExecutor(Executor, GuardHost):
         Minimum seconds between a worker's mid-run publications of count
         updates and payload snapshots.  Smaller values tighten the
         approximation granularity at the cost of more IPC.
-    poll_interval / timeout:
-        Legacy control-loop wakeup period (now only the timed-``get``
-        granularity of the non-event fallback path) and the overall
-        wall-clock deadline, as in
+    timeout:
+        Overall wall-clock deadline, as in
         :class:`~repro.runtime.thread_backend.ThreadExecutor`.
     fallback_interval:
-        Upper bound on one control-loop block.  The loop is woken by
-        events — worker messages arriving on the outbox, or a busy
-        worker's process sentinel closing — so this only bounds how
-        stale the deadline check can get; default
-        ``max(poll_interval * 20, 0.1)``.
+        Upper bound on one control-loop block (the loop is woken by
+        events; this only bounds how stale the deadline check can get).
     batch_size:
         Maximum ready tasks coalesced into one worker round-trip.  The
         parent only batches when more tasks are queued than workers are
@@ -310,15 +315,15 @@ class ProcessExecutor(Executor, GuardHost):
         shared-memory segment per payload.
     pool:
         A :class:`~repro.runtime.worker_pool.PersistentProcessPool` to
-        lease workers from instead of forking a private pool.  Requires
-        every submitted region to carry a picklable ``remote_factory``.
-        The executor stays single-shot; the pool outlives it.
+        lease workers from; every submitted region must then carry a
+        picklable ``remote_factory``.  The executor stays single-shot;
+        the pool outlives it.  Without it the executor forks a private
+        pool at ``run()`` and closes it on exit.
     """
 
     def __init__(self, workers: Optional[int] = None,
                  modulation: Optional[ModulationPolicy] = None,
-                 poll_interval: float = 0.005,
-                 fallback_interval: Optional[float] = None,
+                 fallback_interval: float = _FALLBACK_INTERVAL,
                  timeout: float = 60.0,
                  cancel_first_runs: bool = False,
                  flush_interval: float = 0.01,
@@ -328,41 +333,37 @@ class ProcessExecutor(Executor, GuardHost):
                  autotune: Optional[object] = None,
                  batch_size: int = 8,
                  payload_arena: bool = True,
-                 pool: Optional[object] = None):
+                 pool: Optional[PersistentProcessPool] = None):
         if workers is not None and workers < 1:
             raise SchedulerError("need at least one worker process")
         if batch_size < 1:
             raise SchedulerError("batch_size must be at least 1")
-        self._pool = pool
         if pool is not None:
             self.workers = pool.workers
+            self._open_pool = lambda: contextlib.nullcontext(pool)
         else:
             self.workers = workers or (os.cpu_count() or 1)
+            # Fork-per-run: forked at run(), after submission, so the
+            # workers inherit closure-only regions; closed on exit.
+            self._open_pool = lambda: PersistentProcessPool(
+                workers=self.workers, name="fluid-worker",
+                inherit=self.context.regions)
         self.modulation = modulation
         self.batch_size = batch_size
         self.payload_arena = payload_arena
-        # Closed-loop SLO autotuning (repro.tuning): parent-side, like
-        # the guards — valves live in the parent, so actuations need no
-        # IPC.  A tuner needs a bus, hence the lightweight Telemetry.
-        # Imported lazily for the same cycle reason as repro.sched.
-        from ..tuning import make_autotuner
-        self.autotuner = make_autotuner(autotune)
-        if self.autotuner is not None and telemetry is None:
-            from ..telemetry import Telemetry
-            telemetry = Telemetry(metrics=False, chrome=False)
-        #: Optional repro.telemetry.Telemetry; every publish point is in
-        #: the parent control loop, which is single-threaded, so the bus
-        #: serialization contract holds.  Workers fork before any region
-        #: launches and never see the bus.
-        self.telemetry = telemetry
-        self._bus = telemetry.bus if telemetry is not None else None
-        if self.autotuner is not None:
-            self.autotuner.bind(self._bus)
+        # Autotuning is parent-side, like the guards — valves live in
+        # the parent, so actuations need no IPC.  Every telemetry
+        # publish point is in the parent control loop, which is
+        # single-threaded, so the bus serialization contract holds;
+        # workers never see the bus.
+        self.context = RunContext.for_executor(
+            "process-run", telemetry=telemetry, autotune=autotune,
+            modulation=modulation, cancel_first_runs=cancel_first_runs)
+        self.telemetry = self.context.telemetry
+        self.autotuner = self.context.autotuner
+        self._bus = self.context.bus
         self.cancel_first_runs = cancel_first_runs
-        self.poll_interval = poll_interval
-        self.fallback_interval = (fallback_interval
-                                  if fallback_interval is not None
-                                  else max(poll_interval * 20, 0.1))
+        self.fallback_interval = fallback_interval
         self.timeout = timeout
         self.flush_interval = flush_interval
         #: SchedLab schedule policy: chooses which ready task is
@@ -370,24 +371,10 @@ class ProcessExecutor(Executor, GuardHost):
         #: signal fan-out (all in the parent's control loop, so these
         #: decisions are deterministic even though body timing is not).
         self.policy = policy
-        #: repro.sched discipline ordering the ready queue; the default
-        #: FCFS reproduces the historical dispatch order (including the
-        #: SchedLab "dispatch"-point policy choice) bit for bit.
-        #: Imported lazily: repro.sched pulls in repro.telemetry, which
-        #: reaches back into repro.runtime at import time.
-        from ..sched import make_scheduler
-
-        self.scheduler = make_scheduler(scheduler).bind(
-            policy=policy, bus=self._bus, point="dispatch",
-            workers=self.workers)
-        # Per-run state (submissions, completion bookkeeping, telemetry
-        # and autotuner binding) lives in a RunContext, shared shape
-        # with the other backends; this single-shot executor owns one.
-        self._ctx = RunContext(
-            telemetry=telemetry, autotuner=self.autotuner,
-            modulation=modulation, cancel_first_runs=cancel_first_runs,
-            label="process-run")
-        self._task_run: Dict[int, RegionRun] = {}
+        self.scheduler = self.context.make_scheduler(
+            scheduler, policy=policy, point="dispatch", workers=self.workers)
+        #: The leased pool, for the duration of run().
+        self._pool: Optional[PersistentProcessPool] = None
         self._task_index: Dict[int, Tuple[int, int]] = {}
         self._queued: set = set()
         self._idle: List[int] = []
@@ -404,72 +391,52 @@ class ProcessExecutor(Executor, GuardHost):
         #: whose version is unchanged is skipped at dispatch — the
         #: worker's copy already holds identical content.
         self._shipped: Dict[int, Dict[Tuple[int, str], int]] = {}
-        #: Pool mode: pickled region factories by run index, re-sent to
-        #: respawned workers.
+        #: Pickled factories of the launched regions that carry one, by
+        #: run index: installed in every worker, re-sent to respawned
+        #: ones.  A region absent from here is closure-only.
         self._region_blobs: Dict[int, bytes] = {}
         self._respawns: Dict[int, int] = {}
-        self._dispatch_counter = 0
-        #: Created lazily on the first arena-eligible export, so code
-        #: paths that never ship a large array never touch shared
-        #: memory (and unit tests may drive _start_pool/_shutdown bare).
+        #: Created lazily on the first arena-eligible export, so runs
+        #: that never ship a large array never touch shared memory.
         self._arena: Optional[PayloadArena] = None
-        self._leased = False
         self._epoch = 0.0
-        self._started = False
-        self._error: Optional[Exception] = None
-        self._context = None
-        self._processes: List = []
-        self._inboxes: List = []
-        self._outbox = None
-        self._cancel_flags = None
 
     # ------------------------------------------------------------- public
 
-    @property
-    def _runs(self) -> List[RegionRun]:
-        """Per-run region bookkeeping (``sync()`` duck-types on it)."""
-        return self._ctx.runs
-
-    def submit(self, region: FluidRegion,
-               after: Iterable[FluidRegion] = ()) -> FluidRegion:
-        self._ctx.submit(region, tuple(after))
-        return region
-
     def run(self) -> RunResult:
-        if self._started:
-            raise SchedulerError("executors are single-shot; build a new one")
-        self._started = True
-        if not self._runs:
+        self._start_once()
+        ctx = self.context
+        if not ctx.runs:
             return RunResult(0.0, [])
-        self._start_pool()
-        self._epoch = time.perf_counter()
-        if self.telemetry is not None:
-            self.telemetry.bind_clock(self.now, 1e6)
-        deadline = self._epoch + self.timeout
-        try:
-            while True:
-                self._try_launches()
-                self._check_start_valves()
-                self._dispatch_ready()
-                if self._error is not None:
-                    raise self._error
-                if all(run.done for run in self._runs):
-                    break
-                self._drain_events()
-                self._check_workers()
-                if time.perf_counter() > deadline:
-                    raise SchedulerError(
-                        f"process backend timed out after {self.timeout}s: "
-                        + self._diagnose())
-        finally:
-            self._shutdown()
-            if self.telemetry is not None:
-                self.telemetry.record_autotuner(self.autotuner)
-                self.telemetry.record_scheduler(self.scheduler)
-                self.telemetry.run_finished(self.now(), self.workers,
-                                            now=self.now())
-        makespan = time.perf_counter() - self._epoch
-        return RunResult(makespan, [run.region for run in self._runs])
+        with self._open_pool() as pool:
+            # Lease before the clock starts: waiting for another run to
+            # release a shared pool must not consume this run's timeout.
+            self._pool = pool.lease()
+            self._idle = list(range(self.workers))
+            self._slot_ids = {slot: [] for slot in range(self.workers)}
+            self._epoch = time.perf_counter()
+            ctx.bind(self, time_scale=1e6, policy=self.policy)
+            deadline = self._epoch + self.timeout
+            try:
+                while True:
+                    for run in ctx.launchable():
+                        self._launch_region(run)
+                    self._check_start_valves()
+                    self._dispatch_ready()
+                    if ctx.body_error is not None:
+                        raise ctx.body_error
+                    if ctx.all_done:
+                        break
+                    self._drain_events()
+                    self._check_workers()
+                    if time.perf_counter() > deadline:
+                        raise SchedulerError(
+                            "process backend timed out after "
+                            f"{self.timeout}s: {self._diagnose()}")
+            finally:
+                self._release_pool()
+                ctx.record_run(self.scheduler, self.workers)
+        return RunResult(self.now(), ctx.regions)
 
     # ---------------------------------------------------------- GuardHost
 
@@ -491,25 +458,13 @@ class ProcessExecutor(Executor, GuardHost):
             # may finish before noticing the flag on every backend), so
             # the overwritten run simply completes and the parent-side
             # guard disposes of the result.
-            self._cancel_flags[entry[1]] = dispatch_id
+            self._pool.cancel_flags[entry[1]] = dispatch_id
 
     def task_completed(self, task: FluidTask) -> None:
-        run = self._task_run[id(task)]
-        if not run.done and run.region.complete:
-            run.done = True
-            run.region.stats.makespan = self.now() - run.launch_time
-            for sibling in run.region.tasks:
-                sibling.stats.finish(self.now())
-            if self._bus is not None:
-                self._bus.emit(
-                    "sched", run.region.name, "", "region-done",
-                    data={"detail":
-                          f"makespan={run.region.stats.makespan:.3f}"})
-                emit_memo_summary(self._bus, run.region)
+        self.context.task_completed(task)
 
     def task_failed(self, task: FluidTask, error: Exception) -> None:
-        if self._error is None:
-            self._error = error
+        self.context.fail(error)
 
     def admit_dynamic_task(self, region: FluidRegion,
                            task: FluidTask) -> None:  # pragma: no cover
@@ -517,101 +472,10 @@ class ProcessExecutor(Executor, GuardHost):
             "the process backend does not support dynamic task graphs: "
             "a spawned body would exist only in the worker process")
 
-    # ----------------------------------------------------- pool lifecycle
+    # ------------------------------------------------------- leased pool
 
-    def _start_pool(self) -> None:
-        if self._pool is not None:
-            # Lease before run() starts the clock: waiting for another
-            # context to release the pool must not consume this run's
-            # timeout budget.
-            self._pool.lease()
-            self._leased = True
-            self._context = self._pool.context
-            self._outbox = self._pool.outbox
-            self._cancel_flags = self._pool.cancel_flags
-            # Alias (never copy) the pool's lists: respawn() swaps the
-            # crashed slot's entries in place and the executor must
-            # observe the fresh process and inbox.
-            self._inboxes = self._pool.inboxes
-            self._processes = self._pool.processes
-            self._idle = list(range(self.workers))
-            self._slot_ids = {slot: [] for slot in range(self.workers)}
-            return
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise SchedulerError(
-                "the process backend needs the 'fork' start method "
-                "(task bodies are closures and cannot be pickled); "
-                "use the thread backend on this platform")
-        context = multiprocessing.get_context("fork")
-        self._context = context
-        self._outbox = context.Queue()
-        # "q" (int64), not "b": the flag carries a dispatch_id.
-        self._cancel_flags = context.Array("q", self.workers, lock=False)
-        for slot in range(self.workers):
-            inbox = context.Queue()
-            process = context.Process(
-                target=self._worker_main, args=(slot, inbox),
-                name=f"fluid-worker-{slot}", daemon=True)
-            self._inboxes.append(inbox)
-            self._processes.append(process)
-        # Fork only after every queue exists and before the first put
-        # spawns a feeder thread (forking a multi-threaded parent is
-        # where fork-based pools go wrong).
-        for process in self._processes:
-            process.start()
-        self._idle = list(range(self.workers))
-        self._slot_ids = {slot: [] for slot in range(self.workers)}
-
-    def _shutdown(self) -> None:
-        try:
-            if self._pool is not None:
-                if self._leased:
-                    self._reclaim_pool()
-                return
-            for inbox in self._inboxes:
-                try:
-                    inbox.put_nowait(None)
-                except (ValueError, OSError, queue_module.Full):
-                    pass  # queue already closed/broken or worker gone
-                except Exception:
-                    logger.exception(
-                        "unexpected error sending worker shutdown")
-            # One deadline covers the whole pool: joining N workers
-            # sequentially with a per-process timeout used to stall
-            # shutdown for N x timeout when the pool was wedged.
-            # Workers that miss the graceful window are terminated in
-            # one pass, then killed in one pass, each pass sharing a
-            # single (shorter) deadline.
-            self._join_all(self._processes, 0.5)
-            stragglers = [p for p in self._processes if p.is_alive()]
-            for process in stragglers:
-                process.terminate()
-            self._join_all(stragglers, 0.5)
-            stubborn = [p for p in stragglers if p.is_alive()]
-            for process in stubborn:  # pragma: no cover - stubborn worker
-                process.kill()
-            self._join_all(stubborn, 0.5)
-            self._discard_pending_events()
-            for channel in self._inboxes + ([self._outbox]
-                                            if self._outbox else []):
-                try:
-                    channel.cancel_join_thread()
-                    channel.close()
-                except (ValueError, OSError):
-                    pass  # already closed
-                except Exception:
-                    logger.exception("unexpected error closing worker queue")
-        finally:
-            # After worker teardown/reclaim: queued items may still
-            # reference arena slots until then.
-            if self._arena is not None:
-                self._arena.close()
-                self._arena = None
-
-    def _reclaim_pool(self) -> None:
-        """Return leased workers to the pool in a reusable state.
+    def _release_pool(self) -> None:
+        """Return the leased workers to the pool in a reusable state.
 
         Cancels anything still in flight, waits briefly for the workers
         to come back, respawns the wedged or dead ones, and resets every
@@ -622,16 +486,16 @@ class ProcessExecutor(Executor, GuardHost):
         try:
             for slot, ids in self._slot_ids.items():
                 if ids:
-                    self._cancel_flags[slot] = _CANCEL_ALL
+                    pool.cancel_flags[slot] = _CANCEL_ALL
 
             def busy() -> List[int]:
                 return [slot for slot, ids in self._slot_ids.items()
-                        if ids and self._processes[slot].is_alive()]
+                        if ids and pool.processes[slot].is_alive()]
 
             deadline = time.perf_counter() + _RECLAIM_GRACE
             while busy() and time.perf_counter() < deadline:
                 try:
-                    message = self._outbox.get(timeout=0.05)
+                    message = pool.outbox.get(timeout=0.05)
                 except (queue_module.Empty, OSError, ValueError):
                     continue
                 if not message:
@@ -646,11 +510,11 @@ class ProcessExecutor(Executor, GuardHost):
                         ids.remove(dispatch_id)
             for slot in range(self.workers):
                 if self._slot_ids.get(slot) or \
-                        not self._processes[slot].is_alive():
+                        not pool.processes[slot].is_alive():
                     pool.respawn(slot)
                     self._slot_ids[slot] = []
-                self._cancel_flags[slot] = 0
-            for inbox in self._inboxes:
+                pool.cancel_flags[slot] = 0
+            for inbox in pool.inboxes:
                 try:
                     inbox.put_nowait(("reset",))
                 except Exception:  # pragma: no cover - torn-down queue
@@ -659,26 +523,18 @@ class ProcessExecutor(Executor, GuardHost):
             self._inflight.clear()
             self._task_dispatch.clear()
         finally:
-            self._leased = False
             pool.release()
-
-    @staticmethod
-    def _join_all(processes, timeout: float) -> None:
-        """Join ``processes`` under one shared deadline (not per-join)."""
-        deadline = time.perf_counter() + timeout
-        for process in processes:
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                return
-            process.join(timeout=remaining)
+            # After the workers were reclaimed: queued items may still
+            # reference arena slots until then.
+            if self._arena is not None:
+                self._arena.close()
+                self._arena = None
 
     def _discard_pending_events(self) -> None:
         """Drop unapplied events, releasing any shared-memory payloads."""
-        if self._outbox is None:
-            return
         while True:
             try:
-                message = self._outbox.get_nowait()
+                message = self._pool.outbox.get_nowait()
             except (queue_module.Empty, OSError, ValueError):
                 return
             if message and message[0] in (_PROGRESS, _FINISHED, _CANCELLED):
@@ -687,23 +543,23 @@ class ProcessExecutor(Executor, GuardHost):
 
     def _check_workers(self) -> None:
         for slot, ids in list(self._slot_ids.items()):
-            if not ids:
+            process = self._pool.processes[slot]
+            if not ids or process.is_alive():
                 continue
-            process = self._processes[slot]
-            if process.is_alive():
-                continue
-            if self._pool is not None:
-                self._respawn_slot(slot)
-                continue
-            task = self._inflight[ids[0]][0]
-            run = self._task_run[id(task)]
-            raise SchedulerError(
-                f"worker {slot} died (exit code {process.exitcode}) "
-                f"while running {run.region.name}/{task.name}")
+            for dispatch_id in ids:
+                # A closure-only region exists nowhere but in the dead
+                # worker's fork; only installed regions can be replayed.
+                task = self._inflight[dispatch_id][0]
+                run = self.context.run_of(task)
+                if run.index not in self._region_blobs:
+                    raise SchedulerError(
+                        f"worker {slot} died (exit code {process.exitcode}) "
+                        f"while running {run.region.name}/{task.name}")
+            self._respawn_slot(slot)
 
     def _respawn_slot(self, slot: int) -> None:
-        """Replace a crashed pool worker and re-dispatch its tasks."""
-        process = self._processes[slot]
+        """Replace a crashed worker and re-dispatch its tasks."""
+        process = self._pool.processes[slot]
         self._respawns[slot] = self._respawns.get(slot, 0) + 1
         if self._respawns[slot] > _MAX_RESPAWNS:
             raise SchedulerError(
@@ -728,18 +584,18 @@ class ProcessExecutor(Executor, GuardHost):
         # event; nothing shipped to this slot can be trusted.
         self._shipped.pop(slot, None)
         self._pool.respawn(slot)
-        self._cancel_flags[slot] = 0
-        self._install_blobs(slot)
+        self._pool.cancel_flags[slot] = 0
+        for region_index, blob in self._region_blobs.items():
+            self._pool.inboxes[slot].put(("install", region_index, blob))
         redispatch: List[FluidTask] = []
         for task in tasks:
             if task.state is TaskState.COMPLETE:
                 continue  # completed by a cascade while in flight
-            run = self._task_run[id(task)]
             if task.cancel_requested:
                 # The worker died before acknowledging the cancellation;
                 # resolve it parent-side exactly as a _CANCELLED reply
                 # would have.
-                run.coordinator.body_cancelled(task)
+                self.context.run_of(task).coordinator.body_cancelled(task)
                 continue
             if task.state is TaskState.RUNNING:
                 redispatch.append(task)
@@ -750,61 +606,28 @@ class ProcessExecutor(Executor, GuardHost):
         elif slot not in self._idle:
             self._idle.append(slot)
 
-    def _install_blobs(self, slot: int) -> None:
-        """(Re)send every launched region's factory to one pool worker."""
-        for region_index, blob in self._region_blobs.items():
-            self._inboxes[slot].put(("install", region_index, blob))
-
     # ------------------------------------------------- admission/dispatch
-
-    def _try_launches(self) -> None:
-        for run in self._runs:
-            if run.launched:
-                continue
-            if any(not self._run_for(dep).done for dep in run.after):
-                continue
-            run.launched = True
-            self._launch_region(run)
-
-    def _run_for(self, region: FluidRegion) -> RegionRun:
-        return self._ctx.run_for(region)
 
     def _launch_region(self, run: RegionRun) -> None:
         region = run.region
-        graph = region.finalize()
-        region.telemetry = self._bus
-        if self._pool is not None:
-            from .worker_pool import pool_blob
-
-            blob = pool_blob(region)
-            if blob is None:
-                raise SchedulerError(
-                    f"region {region.name!r} cannot run on a persistent "
-                    "pool: it has no picklable remote_factory (pool "
-                    "workers fork before regions exist; see "
-                    "docs/runtime-semantics.md)")
+        blob = pool_blob(region)
+        if blob is not None:
             self._region_blobs[run.index] = blob
-            for inbox in self._inboxes:
+            for inbox in self._pool.inboxes:
                 inbox.put(("install", run.index, blob))
-        run.launch_time = self.now()
-        run.coordinator = Coordinator(self, graph, modulation=self.modulation,
-                                      cancel_first_runs=self.cancel_first_runs,
-                                      policy=self.policy, telemetry=self._bus)
-        if self.autotuner is not None:
-            # Parent-side, before any task reaches START_CHECK, so the
-            # inherited position lands before the first valve verdict.
-            self.autotuner.attach_region(region)
-        if self._bus is not None:
-            self._bus.emit("sched", region.name, "", "launch",
-                           data={"detail": f"{len(graph)} tasks"})
+        elif region not in self._pool.inherited:
+            raise SchedulerError(
+                f"region {region.name!r} cannot run on a persistent "
+                "pool: it has no picklable remote_factory (pool "
+                "workers fork before regions exist; see "
+                "docs/runtime-semantics.md)")
+        self.context.launch(run)
         for task_index, task in enumerate(region.tasks):
-            self._task_run[id(task)] = run
             self._task_index[id(task)] = (run.index, task_index)
-            task.stats.enter(TaskState.INIT, self.now())
             task.transition(TaskState.START_CHECK, self.now())
 
     def _check_start_valves(self) -> None:
-        for run in self._runs:
+        for run in self.context.runs:
             if not run.launched or run.done:
                 continue
             for task in run.region.tasks:
@@ -833,50 +656,23 @@ class ProcessExecutor(Executor, GuardHost):
                              -(-len(self._queued) //
                                max(1, len(self._idle)))))
             batch: List[FluidTask] = []
-            declined = False
-            while len(batch) < cap and self.scheduler.pending():
-                task = self.scheduler.pick(now=self.now(), worker=slot)
+            task = None
+            while len(batch) < cap:
+                task = self.context.pick_ready(self.scheduler, self._queued,
+                                               slot)
                 if task is None:
-                    declined = True
                     break
-                self._queued.discard(id(task))
-                if task.state not in (TaskState.START_CHECK,
-                                      TaskState.WAITING,
-                                      TaskState.DEP_STALLED):
-                    continue  # completed (or started) while queued
-                if self._skip_pointless_rerun(task):
-                    continue
-                if task.state is TaskState.START_CHECK and \
-                        not task.start_valves_satisfied():
-                    continue  # non-monotone valve flipped back off
                 batch.append(task)
             if batch:
                 self._send_batch(slot, batch)
-            if declined:
-                break
-
-    def _skip_pointless_rerun(self, task: FluidTask) -> bool:
-        """Early termination before the body even starts (Section 6.1)."""
-        if not task.is_leaf and \
-                task.state in (TaskState.WAITING, TaskState.DEP_STALLED) and \
-                task.descendants_complete():
-            self._task_run[id(task)].coordinator.skip_rerun(task)
-            return True
-        return False
-
-    def _next_dispatch_id(self) -> int:
-        if self._pool is not None:
-            # Pool-global ids: unique across leases, so a stale message
-            # from a previous lease can never alias a live dispatch.
-            return self._pool.next_dispatch_id()
-        self._dispatch_counter += 1
-        return self._dispatch_counter
+            if task is None:
+                break  # queue drained, or the discipline declined
 
     def _send_batch(self, slot: int, tasks: List[FluidTask],
                     fresh: bool = True) -> None:
         if fresh:
             self._idle.remove(slot)
-            self._cancel_flags[slot] = 0  # slot was idle: flag is stale
+            self._pool.cancel_flags[slot] = 0  # slot was idle: flag is stale
         shipped = self._shipped.setdefault(slot, {})
         ids = self._slot_ids.setdefault(slot, [])
         items = []
@@ -885,9 +681,11 @@ class ProcessExecutor(Executor, GuardHost):
         # item installs its payloads, the worker-local copy is fresher.
         produced: set = set()
         for task in tasks:
-            dispatch_id = self._next_dispatch_id()
+            # Pool-global ids: unique across leases, so a stale message
+            # from a previous lease can never alias a live dispatch.
+            dispatch_id = self._pool.next_dispatch_id()
             region_index, task_index = self._task_index[id(task)]
-            region = self._runs[region_index].region
+            region = task.region
             self._inflight[dispatch_id] = (task, slot)
             self._task_dispatch[id(task)] = dispatch_id
             ids.append(dispatch_id)
@@ -931,16 +729,13 @@ class ProcessExecutor(Executor, GuardHost):
                     data={"bytes": sum(payload_nbytes(handle)
                                        for handle in payloads.values()),
                           "cells": len(payloads), "skipped": skipped})
-        self._inboxes[slot].put(("runs", self.flush_interval, items))
+        self._pool.inboxes[slot].put(("runs", self.flush_interval, items))
         if self._bus is not None:
-            first_region = self._runs[
-                self._task_index[id(tasks[0])][0]].region
-            self._bus.emit("worker", first_region.name, "", "batch",
+            self._bus.emit("worker", tasks[0].region.name, "", "batch",
                            data={"slot": slot, "size": len(items)})
         if fresh:
             for task in tasks:
-                region = self._runs[self._task_index[id(task)][0]].region
-                self._maybe_kill_worker(region, task, slot)
+                self._maybe_kill_worker(task.region, task, slot)
 
     def _export_cell(self, key: Tuple[int, str], data) -> object:
         """Export one cell for dispatch, through the arena when it fits."""
@@ -958,14 +753,14 @@ class ProcessExecutor(Executor, GuardHost):
                            slot: int) -> None:
         """SchedLab fault injection: SIGKILL the worker a task was just
         dispatched to, exercising the parent's dead-worker detection
-        (``_check_workers`` surfaces it as a SchedulerError, or as a
-        respawn in pool mode)."""
+        (``_check_workers`` respawns it, or fails the run when the
+        region was closure-only)."""
         fault_plan = getattr(region, "fault_plan", None)
         if fault_plan is None or not fault_plan.should_kill_worker(task):
             return
         import signal
 
-        process = self._processes[slot]
+        process = self._pool.processes[slot]
         if process.is_alive() and process.pid:
             os.kill(process.pid, signal.SIGKILL)
             process.join(timeout=1.0)
@@ -977,7 +772,7 @@ class ProcessExecutor(Executor, GuardHost):
             return
         while True:
             try:
-                message = self._outbox.get_nowait()
+                message = self._pool.outbox.get_nowait()
             except queue_module.Empty:
                 return
             self._apply_event(message)
@@ -985,29 +780,29 @@ class ProcessExecutor(Executor, GuardHost):
     def _await_activity(self) -> bool:
         """Block until something happened: a worker message landed on the
         outbox, or a busy worker's process died (its sentinel became
-        ready).  Event-driven — the old timed-``get`` spin remains only
-        as a fallback for interpreters whose ``Queue`` lacks the
-        ``_reader`` connection.  Returns True when the outbox may hold
-        messages; the ``fallback_interval`` bound keeps the caller's
-        deadline check live even if no event ever arrives."""
-        reader = getattr(self._outbox, "_reader", None)
+        ready).  Event-driven — a timed ``get`` remains only as a
+        fallback for interpreters whose ``Queue`` lacks the ``_reader``
+        connection.  Returns True when the outbox may hold messages; the
+        ``fallback_interval`` bound keeps the caller's deadline check
+        live even if no event ever arrives."""
+        outbox = self._pool.outbox
+        reader = getattr(outbox, "_reader", None)
         if reader is None:
             # ``Queue._reader`` is a private CPython detail (the read
             # end of the queue's pipe); spawn-only platforms, alternate
             # interpreters or a future CPython may not expose it.  Fall
-            # back to a timed get(): correctness is identical, wakeups
-            # are poll-granular instead of event-driven, and a dead
-            # worker is noticed by _check_workers rather than by its
-            # sentinel.
+            # back to a timed get(): correctness is identical, but a
+            # dead worker is noticed by _check_workers at the next
+            # fallback tick rather than by its sentinel.
             try:
-                message = self._outbox.get(timeout=self.poll_interval)
+                message = outbox.get(timeout=self.fallback_interval)
             except queue_module.Empty:
                 return False
             self._apply_event(message)
             return True
         from multiprocessing.connection import wait as connection_wait
 
-        sentinels = [self._processes[slot].sentinel
+        sentinels = [self._pool.processes[slot].sentinel
                      for slot, ids in self._slot_ids.items() if ids]
         try:
             ready = connection_wait([reader] + sentinels,
@@ -1028,7 +823,7 @@ class ProcessExecutor(Executor, GuardHost):
                     handle.discard()
             return
         task = entry[0]
-        run = self._runs[region_index]
+        run = self.context.runs[region_index]
         if self._bus is not None:
             if kind in (_PROGRESS, _FINISHED) and message[6]:
                 self._bus.emit(
@@ -1065,11 +860,11 @@ class ProcessExecutor(Executor, GuardHost):
         if shipped is not None:
             for data in task.spec.outputs:
                 shipped.pop((region_index, data.name), None)
-        if self._cancel_flags[slot] == dispatch_id:
+        if self._pool.cancel_flags[slot] == dispatch_id:
             # Only the cancelled dispatch's own terminal clears the
             # flag: a flag re-aimed at a batch-mate must survive until
             # the worker reaches that item.
-            self._cancel_flags[slot] = 0
+            self._pool.cancel_flags[slot] = 0
         if not ids:
             # The whole batch is accounted for; the worker is idle.
             self._idle.append(slot)
@@ -1113,27 +908,13 @@ class ProcessExecutor(Executor, GuardHost):
         for name, value in records:
             region.counts[name].replay(value)
 
-    # ------------------------------------------------------------- worker
-
-    def _worker_main(self, slot: int, inbox) -> None:
-        """Entry point of one forked worker: run bodies, stream updates."""
-        loop = _WorkerLoop(slot, self._outbox, self._cancel_flags,
-                           resolve=lambda index: self._runs[index].region)
-        loop.serve(inbox)
-
     # ------------------------------------------------------------- debug
 
     def _diagnose(self) -> str:
-        lines = []
-        for run in self._runs:
-            if run.done:
-                continue
-            for task in run.region.tasks:
-                if task.state is not TaskState.COMPLETE:
-                    lines.append(f"{run.region.name}/{task.name}={task.state}")
         busy = ", ".join(
             f"worker{slot}=" + ",".join(
                 self._inflight[did][0].name
                 for did in ids if did in self._inflight)
             for slot, ids in sorted(self._slot_ids.items()) if ids)
-        return "; ".join(lines) + (f" [busy: {busy}]" if busy else "")
+        return self.context.pending_description() + \
+            (f" [busy: {busy}]" if busy else "")

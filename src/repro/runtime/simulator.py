@@ -17,17 +17,20 @@ to data "from the future".
 
 Region scheduling is first-come-first-serve (Section 6.2): submitted
 regions are admitted in order, as soon as their predecessor regions have
-completed and an admission slot is free.
+completed and an admission slot is free.  The region lifecycle itself —
+launch, region-done, the validated ready-queue pick — is
+:class:`~repro.runtime.context.RunContext`'s; this driver adds virtual
+time, cores and the per-chunk visibility rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..core.count import Count, UpdateSink
 from ..core.errors import SchedulerError, TaskBodyError
-from ..core.guard import Coordinator, GuardHost, ModulationPolicy
+from ..core.guard import GuardHost, ModulationPolicy
 from ..core.region import FluidRegion
 from ..core.states import TaskState
 from ..core.task import FluidTask
@@ -126,31 +129,23 @@ class SimExecutor(Executor, GuardHost):
         if telemetry is None and trace:
             from ..telemetry import Telemetry
             telemetry = Telemetry(metrics=False, chrome=False)
-        # Closed-loop SLO autotuning (repro.tuning): needs a bus to hear
-        # feedback events, so an enabled tuner implies at least a
-        # lightweight Telemetry.  Lazy import, like repro.sched below.
-        from ..tuning import make_autotuner
-        self.autotuner = make_autotuner(autotune)
-        if self.autotuner is not None and telemetry is None:
-            from ..telemetry import Telemetry
-            telemetry = Telemetry(metrics=False, chrome=False)
-        self.telemetry = telemetry
-        self._bus = telemetry.bus if telemetry is not None else None
-        if self.autotuner is not None:
-            self.autotuner.bind(self._bus)
+        # Per-run state and the region lifecycle live in a RunContext —
+        # the same container the shared thread pool multiplexes many of;
+        # the single-shot simulator owns exactly one.
+        self.context = RunContext.for_executor(
+            "sim-run", telemetry=telemetry, autotune=autotune,
+            modulation=modulation, cancel_first_runs=cancel_first_runs)
+        self.telemetry = self.context.telemetry
+        self.autotuner = self.context.autotuner
+        self._bus = self.context.bus
         self.trace: Optional[Trace] = (
-            telemetry.trace if telemetry is not None else None)
+            self.telemetry.trace if self.telemetry is not None else None)
         #: SchedLab schedule policy: tie-breaks among simultaneous
         #: events, core allocation among ready tasks, and watcher wake
         #: order.  None keeps the historical deterministic FIFO order.
         self.policy = policy
-        #: Ready-queue discipline (repro.sched): a Scheduler instance or
-        #: spec string; None builds the paper-faithful FCFS, which
-        #: reproduces the pre-scheduler runtime decision-for-decision
-        #: (the SchedLab policy tie-breaks through it unchanged).
-        from ..sched import make_scheduler
-        self.scheduler = make_scheduler(scheduler).bind(
-            policy=policy, bus=self._bus, point="core", workers=cores)
+        self.scheduler = self.context.make_scheduler(
+            scheduler, policy=policy, point="core", workers=cores)
 
         self._queue = EventQueue(policy)
         self._now = 0.0
@@ -160,17 +155,7 @@ class SimExecutor(Executor, GuardHost):
         self._task_core: Dict[int, int] = {}
         self._queued: Set[int] = set()
         self._pending_updates: Optional[List[Tuple[Count, Any]]] = None
-        self._sink = _BufferingSink(self)
-        # Per-run state (submissions, completion bookkeeping, telemetry
-        # and autotuner binding) lives in a RunContext — the same
-        # container the shared thread pool multiplexes many of; the
-        # single-shot simulator owns exactly one.
-        self._ctx = RunContext(
-            telemetry=telemetry, autotuner=self.autotuner,
-            modulation=modulation, cancel_first_runs=cancel_first_runs,
-            label="sim-run")
         self._active_regions = 0
-        self._task_region: Dict[int, RegionRun] = {}
         # count id -> {task id -> task}; a dict (not a set) so wakeup order
         # is insertion order, keeping runs deterministic.
         self._watchers: Dict[int, Dict[int, FluidTask]] = {}
@@ -181,27 +166,14 @@ class SimExecutor(Executor, GuardHost):
         # single hottest line under cProfile.
         self._chunk_keys: Dict[int, str] = {}
         self._guards_launched = 0
-        self._started = False
 
     # ------------------------------------------------------------- public
 
-    @property
-    def _runs(self) -> List[RegionRun]:
-        """Per-run region bookkeeping (``sync()`` duck-types on it)."""
-        return self._ctx.runs
-
-    def submit(self, region: FluidRegion,
-               after: Iterable[FluidRegion] = ()) -> FluidRegion:
-        self._ctx.submit(region, tuple(after))
-        return region
-
     def run(self) -> SimResult:
-        if self._started:
-            raise SchedulerError("executors are single-shot; build a new one")
-        self._started = True
-        if self.telemetry is not None:
-            # One virtual cost unit renders as one Perfetto microsecond.
-            self.telemetry.bind_clock(lambda: self._now, 1.0)
+        self._start_once()
+        ctx = self.context
+        ctx.bind(self, time_scale=1.0, sink=_BufferingSink(self),
+                 policy=self.policy)
         try:
             self._try_admissions()
             queue = self._queue
@@ -210,19 +182,14 @@ class SimExecutor(Executor, GuardHost):
                 self._now = time
                 callback()
         finally:
-            if self.telemetry is not None:
-                self.telemetry.record_autotuner(self.autotuner)
-                self.telemetry.record_scheduler(self.scheduler)
-                self.telemetry.run_finished(self._now, self.cores,
-                                            now=self._now)
-        incomplete = [run.region.name for run in self._runs if not run.done]
+            ctx.record_run(self.scheduler, self.cores)
+        incomplete = [run.region.name for run in ctx.runs if not run.done]
         if incomplete:
             raise SchedulerError(
                 "simulation drained with incomplete regions "
-                f"{incomplete}: {self._diagnose()}")
-        overhead = sum(run.region.stats.overhead_time for run in self._runs)
-        return SimResult(self._now, [run.region for run in self._runs],
-                         overhead, self.trace)
+                f"{incomplete}: {ctx.pending_description()}")
+        overhead = sum(region.stats.overhead_time for region in ctx.regions)
+        return SimResult(self._now, ctx.regions, overhead, self.trace)
 
     # -------------------------------------------------------- GuardHost
 
@@ -233,37 +200,24 @@ class SimExecutor(Executor, GuardHost):
         self._acquire_core_or_queue(task)
 
     def task_completed(self, task: FluidTask) -> None:
-        run = self._task_region[id(task)]
-        if not run.done and run.region.complete:
-            self._finish_region(run)
+        if self.context.task_completed(task):
+            self._active_regions -= 1
+            self._try_admissions()
 
     def admit_dynamic_task(self, region: FluidRegion,
                            task: FluidTask) -> None:
-        """A running task spawned ``task`` (dynamic graphs, Section 8)."""
-        run = self._run_for(region)
-        self._task_region[id(task)] = run
-        task.stats.enter(TaskState.INIT, self._now)
-        launch = self.overheads.guard_launch_cost(self._guards_launched)
-        self._guards_launched += 1
-        region.stats.overhead_time += launch
-        self._queue.push(self._now + launch,
-                         lambda: self._enter_start_check(task),
-                         key=f"start:{task.name}")
-        self._record("spawn", region.name, task.name, "dynamic")
+        self.context.admit_dynamic_task(region, task)
+        self._launch_guard(region, task)
 
     # ------------------------------------------------------- admission
 
     def _try_admissions(self) -> None:
-        # FCFS: regions are considered strictly in submission order; a
-        # region whose predecessors are unfinished blocks the ones behind
-        # it only if the slot limit is reached.
-        for run in self._runs:
-            if run.launched:
-                continue
+        # A region whose predecessors are unfinished blocks the ones
+        # behind it only if the slot limit is reached.
+        for run in self.context.launchable():
             if self._active_regions >= self.max_active_regions:
                 break
-            if any(not self._run_for(dep).done for dep in run.after):
-                continue
+            # Admitted now, launched once the setup cost has elapsed.
             run.launched = True
             self._active_regions += 1
             setup = self.overheads.region_setup
@@ -272,48 +226,18 @@ class SimExecutor(Executor, GuardHost):
                              lambda run=run: self._launch_region(run),
                              key=f"launch:{run.region.name}")
 
-    def _run_for(self, region: FluidRegion) -> RegionRun:
-        return self._ctx.run_for(region)
-
     def _launch_region(self, run: RegionRun) -> None:
-        region = run.region
-        graph = region.finalize()
-        region.bind_sink(self._sink)
-        region.dynamic_host = self
-        region.telemetry = self._bus
-        run.launch_time = self._now
-        run.coordinator = Coordinator(
-            self, graph, modulation=self.modulation,
-            cancel_first_runs=self.cancel_first_runs,
-            policy=self.policy, telemetry=self._bus)
-        if self.autotuner is not None:
-            # After finalize (valves exist), before the first start
-            # check — the inherited position lands before any verdict.
-            self.autotuner.attach_region(region)
-        for task in graph:
-            self._task_region[id(task)] = run
-            task.stats.enter(TaskState.INIT, self._now)
-            launch = self.overheads.guard_launch_cost(self._guards_launched)
-            self._guards_launched += 1
-            region.stats.overhead_time += launch
-            self._queue.push(
-                self._now + launch,
-                lambda task=task: self._enter_start_check(task),
-                key=f"start:{task.name}")
-        self._record("launch", region.name, "", f"{len(graph)} tasks")
+        self.context.launch(run)
+        for task in run.region.graph:
+            self._launch_guard(run.region, task)
 
-    def _finish_region(self, run: RegionRun) -> None:
-        run.done = True
-        self._active_regions -= 1
-        run.region.stats.makespan = self._now - run.launch_time
-        for task in run.region.tasks:
-            task.stats.finish(self._now)
-        self._record("region-done", run.region.name, "",
-                     f"makespan={run.region.stats.makespan:.3f}")
-        if self._bus is not None:
-            from .executor import emit_memo_summary
-            emit_memo_summary(self._bus, run.region)
-        self._try_admissions()
+    def _launch_guard(self, region: FluidRegion, task: FluidTask) -> None:
+        launch = self.overheads.guard_launch_cost(self._guards_launched)
+        self._guards_launched += 1
+        region.stats.overhead_time += launch
+        self._queue.push(self._now + launch,
+                         lambda: self._enter_start_check(task),
+                         key=f"start:{task.name}")
 
     # ----------------------------------------------------------- guards
 
@@ -340,8 +264,7 @@ class SimExecutor(Executor, GuardHost):
     def _check_start(self, task: FluidTask) -> None:
         if task.state is not TaskState.START_CHECK:
             return
-        run = self._task_region[id(task)]
-        run.region.stats.overhead_time += (
+        self.context.run_of(task).region.stats.overhead_time += (
             self.overheads.valve_check * max(1, len(task.spec.start_valves)))
         if task.start_valves_satisfied():
             self._acquire_core_or_queue(task)
@@ -351,7 +274,7 @@ class SimExecutor(Executor, GuardHost):
     def _acquire_core_or_queue(self, task: FluidTask) -> None:
         if id(task) in self._queued:
             return
-        if self._skip_pointless_rerun(task):
+        if self.context.skip_pointless_rerun(task):
             return
         if self._free_core_ids:
             self._begin_run(task)
@@ -361,34 +284,12 @@ class SimExecutor(Executor, GuardHost):
 
     def _release_core(self, finished: FluidTask) -> None:
         self._free_core_ids.append(self._task_core.pop(id(finished)))
-        while self._free_core_ids and self.scheduler.pending():
-            task = self.scheduler.pick(now=self._now,
-                                       worker=self._free_core_ids[-1])
+        while self._free_core_ids:
+            task = self.context.pick_ready(self.scheduler, self._queued,
+                                           self._free_core_ids[-1])
             if task is None:
                 break
-            self._queued.discard(id(task))
-            if task.state not in (TaskState.START_CHECK, TaskState.WAITING,
-                                  TaskState.DEP_STALLED):
-                continue  # completed (or started) while queued
-            if self._skip_pointless_rerun(task):
-                continue
-            if task.state is TaskState.START_CHECK and \
-                    not task.start_valves_satisfied():
-                # A non-monotone valve (e.g. convergence) flipped back off
-                # while the task sat in the queue; a later count update
-                # will re-check it.
-                continue
             self._begin_run(task)
-
-    def _skip_pointless_rerun(self, task: FluidTask) -> bool:
-        """Early termination before the body even starts (Section 6.1)."""
-        if not task.is_leaf and \
-                task.state in (TaskState.WAITING, TaskState.DEP_STALLED) and \
-                task.descendants_complete():
-            run = self._task_region[id(task)]
-            run.coordinator.skip_rerun(task)
-            return True
-        return False
 
     # ------------------------------------------------------------- body
 
@@ -403,8 +304,8 @@ class SimExecutor(Executor, GuardHost):
         if key not in self._chunk_keys:
             self._chunk_keys[key] = f"chunk:{task.name}"
         if self._bus is not None:
-            self._record("run", task.region.name if task.region else "",
-                         task.name, f"attempt={task.run_index}")
+            self._bus.emit("sched", task.region.name, task.name, "run",
+                           data={"detail": f"attempt={task.run_index}"})
         self._advance(task)
 
     def _advance(self, task: FluidTask) -> None:
@@ -412,8 +313,7 @@ class SimExecutor(Executor, GuardHost):
         if task.cancel_requested:
             self._generators.pop(id(task), None)
             self._release_core(task)
-            run = self._task_region[id(task)]
-            run.coordinator.body_cancelled(task)
+            self.context.run_of(task).coordinator.body_cancelled(task)
             return
         generator = self._generators[id(task)]
         self._pending_updates = []
@@ -448,7 +348,7 @@ class SimExecutor(Executor, GuardHost):
         self._generators.pop(id(task), None)
         self._release_core(task)
         task.transition(TaskState.END_CHECK, self._now)
-        run = self._task_region[id(task)]
+        run = self.context.run_of(task)
         run.region.stats.overhead_time += self.overheads.end_check
 
         def finish():
@@ -489,25 +389,3 @@ class SimExecutor(Executor, GuardHost):
             to_wake = [to_wake[i] for i in permutation]
         for task in to_wake:
             self._recheck(task)
-
-    # ------------------------------------------------------------ trace
-
-    def _record(self, event: str, region: str, task: str, detail: str) -> None:
-        if self._bus is not None:
-            self._bus.emit("sched", region, task, event, ts=self._now,
-                           data={"detail": detail})
-
-    # ------------------------------------------------------------ debug
-
-    def _diagnose(self) -> str:
-        lines = []
-        for run in self._runs:
-            if run.done:
-                continue
-            for task in run.region.tasks:
-                if task.state is not TaskState.COMPLETE:
-                    valves = [f"{v.name}={v.check()}"
-                              for v in task.spec.start_valves]
-                    lines.append(f"{run.region.name}/{task.name} in "
-                                 f"{task.state} valves={valves}")
-        return "; ".join(lines) or "no pending tasks (admission stall?)"

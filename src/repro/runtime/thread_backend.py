@@ -1,7 +1,7 @@
 """The real-thread backend: one guard thread per Fluid task.
 
 This backend mirrors the paper's implementation strategy directly: every
-task gets its own guard thread that polls start valves, runs the body,
+task gets its own guard thread that checks start valves, runs the body,
 evaluates end conditions, and sleeps in W/D until signalled.  Under
 CPython the GIL serializes the actual computation, so this backend
 demonstrates *semantics* under genuine preemption and asynchrony — the
@@ -12,62 +12,47 @@ All guard decisions go through the same :class:`~repro.core.guard.Coordinator`
 as the simulator, serialized by a per-pool lock, so the two backends
 cannot diverge semantically.
 
-Since the service refactor the guard machinery lives in
+The guard machinery lives in
 :class:`~repro.runtime.thread_pool.SharedThreadPool`, which hosts many
 concurrent :class:`~repro.runtime.context.RunContext` runs over one
-shared slot gate.  :class:`ThreadExecutor` is the historical single-shot
-facade: one private pool, one context, the same public API and error
-surface as ever — and, unlike the historical implementation, it joins
-its guard threads on every exit path, so back-to-back runs no longer
-leak threads.
+shared slot gate.  :class:`ThreadExecutor` is the single-shot facade:
+one private pool, one context; it joins its guard threads on every exit
+path, so back-to-back runs do not leak threads.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Iterable, List, Optional, Tuple
+from typing import Optional
 
-from ..core.errors import SchedulerError
-from ..core.region import FluidRegion
 from .context import RunContext
 from .executor import Executor, RunResult
-from .thread_pool import SharedThreadPool
+from .thread_pool import FALLBACK_INTERVAL, SharedThreadPool
 
 
 class ThreadExecutor(Executor):
     """Executes regions with one OS guard thread per task (single-shot)."""
 
     def __init__(self, modulation: Optional[object] = None,
-                 poll_interval: float = 0.002,
-                 fallback_interval: Optional[float] = None,
+                 fallback_interval: float = FALLBACK_INTERVAL,
                  timeout: float = 60.0,
                  cancel_first_runs: bool = False,
                  policy: Optional[object] = None,
                  telemetry: Optional[object] = None,
-                 event_wakeups: bool = True,
                  scheduler: Optional[object] = None,
                  slots: Optional[int] = None,
                  autotune: Optional[object] = None):
         self.modulation = modulation
-        # Closed-loop SLO autotuning (repro.tuning): needs a bus, so an
-        # enabled tuner implies at least a lightweight Telemetry.  The
-        # tuner's callback runs at bus publish points — all under the
-        # pool lock, so its state needs no locking of its own.
-        from ..tuning import make_autotuner
-        self.autotuner = make_autotuner(autotune)
-        if self.autotuner is not None and telemetry is None:
-            from ..telemetry import Telemetry
-            telemetry = Telemetry(metrics=False, chrome=False)
-        #: Optional repro.telemetry.Telemetry; all publish points run
-        #: under the pool lock, satisfying the bus serialization
-        #: contract.
-        self.telemetry = telemetry
-        self._bus = telemetry.bus if telemetry is not None else None
-        if self.autotuner is not None:
-            self.autotuner.bind(self._bus)
+        # The autotuner's callback and every telemetry publish point run
+        # under the pool lock, so neither needs locking of its own (the
+        # bus serialization contract).
+        self.context = RunContext.for_executor(
+            "thread-run", telemetry=telemetry, autotune=autotune,
+            modulation=modulation, cancel_first_runs=cancel_first_runs)
+        self.telemetry = self.context.telemetry
+        self.autotuner = self.context.autotuner
         self.cancel_first_runs = cancel_first_runs
-        self.poll_interval = poll_interval
         self.timeout = timeout
+        self.fallback_interval = fallback_interval
         #: SchedLab schedule policy.  Real threads cannot be ordered
         #: deterministically, so the policy contributes (a) seeded
         #: jitter at wake/publish points and (b) deterministic fan-out
@@ -76,58 +61,25 @@ class ThreadExecutor(Executor):
         self.slots = slots if slots is not None else 4
         self._pool = SharedThreadPool(
             slots=self.slots, scheduler=scheduler, policy=policy,
-            bus=self._bus, poll_interval=poll_interval,
-            fallback_interval=fallback_interval,
-            event_wakeups=event_wakeups, name="thread-backend")
+            bus=self.context.bus, fallback_interval=fallback_interval,
+            name="thread-backend")
         #: Optional repro.sched discipline gating RUNNING entry behind
-        #: ``slots`` concurrent run slots; ``None`` (default) keeps the
-        #: historical ungated behaviour.
+        #: ``slots`` concurrent run slots; ``None`` (default) leaves
+        #: RUNNING entry ungated.
         self.scheduler = self._pool.scheduler
         #: Pool-wide stop event; also interrupts injected jitter sleeps
         #: (SchedLab relies on setting this directly in tests).
         self._stop = self._pool._stop
-        self._ctx = RunContext(
-            telemetry=telemetry, autotuner=self.autotuner,
-            modulation=modulation, cancel_first_runs=cancel_first_runs,
-            label="thread-run")
-        self._started = False
-
-    # Historical knobs, now owned by the pool but still part of the
-    # executor's public surface.
-
-    @property
-    def fallback_interval(self) -> float:
-        return self._pool.fallback_interval
-
-    @fallback_interval.setter
-    def fallback_interval(self, value: float) -> None:
-        self._pool.fallback_interval = value
-
-    @property
-    def event_wakeups(self) -> bool:
-        return self._pool.event_wakeups
-
-    @property
-    def _submissions(self) -> List[Tuple[FluidRegion, Tuple[FluidRegion, ...]]]:
-        """Legacy per-run submission view (``sync()`` duck-types on it)."""
-        return self._ctx.submissions
 
     # ------------------------------------------------------------- public
 
-    def submit(self, region: FluidRegion,
-               after: Iterable[FluidRegion] = ()) -> FluidRegion:
-        self._ctx.submit(region, after)
-        return region
-
     def run(self) -> RunResult:
-        if self._started:
-            raise SchedulerError("executors are single-shot; build a new one")
-        self._started = True
+        self._start_once()
         pool = self._pool
         pool.reset_epoch()
         try:
-            pool.start(self._ctx)
-            pool.wait(self._ctx, self.timeout)
+            pool.start(self.context)
+            pool.wait(self.context, self.timeout)
         finally:
             # Stop and *join* the guard threads on every exit path
             # (normal, timeout or body error): a long-lived process
@@ -135,21 +87,11 @@ class ThreadExecutor(Executor):
             # leaked daemon thread per task.  Also releases guards
             # parked in an injected jitter delay.
             pool.shutdown(join_timeout=min(self.timeout, 5.0))
-            if self.telemetry is not None:
-                self.telemetry.record_autotuner(self.autotuner)
-                self.telemetry.record_scheduler(self.scheduler)
-                # One worker: the GIL serializes the actual computation.
-                self.telemetry.run_finished(self.now(), 1, now=self.now())
-        makespan = time.perf_counter() - pool._epoch
-        return RunResult(makespan, self._ctx.regions)
+            # One worker: the GIL serializes the actual computation.
+            self.context.record_run(self.scheduler, 1)
+        return RunResult(pool.now(), self.context.regions)
 
     # ----------------------------------------------------------- plumbing
 
-    def now(self) -> float:
-        return self._pool.now()
-
     def _sleep_jitter(self, point: str) -> None:
         self._pool._sleep_jitter(point)
-
-    def _diagnose(self) -> str:
-        return self._ctx.pending_description()

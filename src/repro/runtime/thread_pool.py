@@ -1,19 +1,16 @@
 """A shared, long-lived thread-backend pool hosting many concurrent runs.
 
-:class:`SharedThreadPool` is the multi-run generalization of the
-historical ``ThreadExecutor``: the pool owns everything that can be
-shared safely — the lock/condition pair, the stop event, the run-slot
-gate and its ``repro.sched`` discipline, the wall clock — while every
-run's private state (regions, wake events, coordinators, autotuner,
-telemetry binding, guard threads, errors) lives in a
-:class:`~repro.runtime.context.RunContext`.
+The pool owns everything that can be shared safely — the lock/condition
+pair, the stop event, the run-slot gate and its ``repro.sched``
+discipline, the wall clock — while every run's private state and its
+region lifecycle live in a :class:`~repro.runtime.context.RunContext`.
 
 One pool can therefore serve an arbitrary stream of contexts
 concurrently — the substrate for :class:`repro.service.FluidService` —
 and the single-shot :class:`~repro.runtime.thread_backend.ThreadExecutor`
-is now a thin facade over a private pool with exactly one context.
+is a thin facade over a private pool with exactly one context.
 
-Concurrency contract (unchanged from the single-run backend):
+Concurrency contract:
 
 * every Coordinator call, state transition and count publish happens
   under the pool lock, so regions from different contexts can never
@@ -39,7 +36,11 @@ from ..core.region import FluidRegion
 from ..core.states import TaskState
 from ..core.task import FluidTask
 from .context import RunContext
-from .executor import emit_memo_summary
+
+#: Upper bound on one guard wait.  Guards are woken by events — count
+#: publishes, data-cell bumps, scheduled re-runs and task completions all
+#: notify the pool condition — so the timed wait is a pure safety net.
+FALLBACK_INTERVAL = 0.05
 
 
 class _PoolSink(UpdateSink):
@@ -99,9 +100,7 @@ class SharedThreadPool:
                  scheduler: Optional[object] = None,
                  policy: Optional[object] = None,
                  bus: Optional[object] = None,
-                 poll_interval: float = 0.002,
-                 fallback_interval: Optional[float] = None,
-                 event_wakeups: bool = True,
+                 fallback_interval: float = FALLBACK_INTERVAL,
                  name: str = "pool"):
         if slots < 1:
             raise SchedulerError("thread pool needs at least one slot")
@@ -109,15 +108,7 @@ class SharedThreadPool:
         self.slots = slots
         self.policy = policy
         self.bus = bus
-        self.poll_interval = poll_interval
-        #: Guards are woken by events — count publishes, data-cell bumps
-        #: (Coordinator.enable_update_wakeups), scheduled re-runs and
-        #: task completions all notify the condition — so the timed
-        #: waits are a pure safety net.
-        self.fallback_interval = (fallback_interval
-                                  if fallback_interval is not None
-                                  else max(poll_interval * 25, 0.05))
-        self.event_wakeups = event_wakeups
+        self.fallback_interval = fallback_interval
         self.scheduler = None
         if scheduler is not None:
             from ..sched import make_scheduler
@@ -159,12 +150,11 @@ class SharedThreadPool:
         predecessors complete (event-driven, from the completing guard).
         An empty context finishes immediately.
         """
-        if ctx.telemetry is not None:
-            ctx.telemetry.bind_clock(self.now, 1e6)
+        ctx.bind(_ContextHost(self, ctx), time_scale=1e6, sink=self._sink,
+                 policy=self.policy)
         with self._lock:
             if self._closed:
                 raise SchedulerError(f"thread pool {self.name!r} is shut down")
-            ctx.epoch = self.now()
             self._contexts.append(ctx)
             self._try_launches(ctx)
             self._maybe_finish(ctx)
@@ -254,46 +244,21 @@ class SharedThreadPool:
             self._condition.notify_all()
 
     def _try_launches(self, ctx: RunContext) -> None:
-        """Launch every region whose ``after`` set is done (lock held)."""
+        """Launch every region whose ``after`` set is done and spawn its
+        guard threads (lock held, so no guard runs before its region is
+        fully launched)."""
         if ctx.stopped:
             return
-        for run in ctx.runs:
-            if run.launched:
-                continue
-            if any(not ctx.run_for(dep).done for dep in run.after):
-                continue
-            run.launched = True
-            run.launch_time = self.now()
-            self._launch_region(ctx, run.region)
-
-    def _launch_region(self, ctx: RunContext, region: FluidRegion) -> None:
-        """Finalize a region and spawn its guard threads (lock held)."""
-        graph = region.finalize()
-        region.bind_sink(self._sink)
-        host = _ContextHost(self, ctx)
-        region.dynamic_host = host
-        region.telemetry = ctx.bus
-        coordinator = Coordinator(host, graph, modulation=ctx.modulation,
-                                  cancel_first_runs=ctx.cancel_first_runs,
-                                  policy=self.policy, telemetry=ctx.bus)
-        if self.event_wakeups:
+        for run in ctx.launchable():
+            coordinator = ctx.launch(run)
             coordinator.enable_update_wakeups()
-        ctx.coordinators[id(region)] = coordinator
-        if ctx.autotuner is not None:
-            # Under the pool lock, before any guard thread starts: the
-            # inherited position lands before the first start check.
-            ctx.autotuner.attach_region(region)
-        if ctx.bus is not None:
-            ctx.bus.emit("sched", region.name, "", "launch",
-                         data={"detail": f"{len(graph)} tasks"})
-        for task in graph:
-            task.stats.enter(TaskState.INIT, self.now())
-            ctx.run_events[id(task)] = threading.Event()
-            self._spawn_guard(ctx, task, coordinator)
+            for task in run.region.graph:
+                self._spawn_guard(ctx, task, coordinator)
 
     def _spawn_guard(self, ctx: RunContext, task: FluidTask,
                      coordinator: Coordinator) -> None:
         """Create, track and start one guard thread (lock held)."""
+        ctx.run_events[id(task)] = threading.Event()
         thread = threading.Thread(
             target=self._guard_main, args=(ctx, task, coordinator),
             name=f"guard-{task.region.name}-{task.name}", daemon=True)
@@ -303,39 +268,18 @@ class SharedThreadPool:
 
     def _admit_dynamic_task(self, ctx: RunContext, region: FluidRegion,
                             task: FluidTask) -> None:
-        """A running task spawned ``task`` (dynamic graphs, Section 8).
-
-        Called from a guard thread mid-body (outside the lock); guard
+        """Called from a guard thread mid-body (outside the lock); guard
         creation is itself thread-safe."""
-        coordinator = ctx.coordinators[id(region)]
         with self._lock:
-            task.stats.enter(TaskState.INIT, self.now())
-            ctx.run_events[id(task)] = threading.Event()
-            if self.event_wakeups:
-                coordinator.enable_update_wakeups()
-            if ctx.bus is not None:
-                ctx.bus.emit("sched", region.name, task.name, "spawn",
-                             data={"detail": "dynamic"})
+            coordinator = ctx.admit_dynamic_task(region, task).coordinator
+            coordinator.enable_update_wakeups()
             self._spawn_guard(ctx, task, coordinator)
 
     def _task_completed(self, ctx: RunContext, task: FluidTask) -> None:
-        """Region-completion bookkeeping + dependent-region launches
-        (lock held, via the context host)."""
-        region = task.region
-        if region.complete:
-            run = ctx.run_for(region)
-            if not run.done:
-                run.done = True
-                region.stats.makespan = self.now() - ctx.epoch
-                for sibling in region.tasks:
-                    sibling.stats.finish(self.now())
-                if ctx.bus is not None:
-                    ctx.bus.emit(
-                        "sched", region.name, "", "region-done",
-                        data={"detail":
-                              f"makespan={region.stats.makespan:.3f}"})
-                    emit_memo_summary(ctx.bus, region)
-                self._try_launches(ctx)
+        """A finished region may unblock dependents (lock held, via the
+        context host)."""
+        if ctx.task_completed(task):
+            self._try_launches(ctx)
         self._condition.notify_all()
 
     def _maybe_finish(self, ctx: RunContext) -> None:
@@ -350,14 +294,13 @@ class SharedThreadPool:
             return
         if not ctx.stopped and not ctx.all_done:
             return
-        ctx.finished.set()
         if ctx in self._contexts:
             self._contexts.remove(ctx)
         self._condition.notify_all()
-        if ctx.on_finished is not None:
-            # Contract: cheap and non-blocking (e.g. call_soon_threadsafe);
-            # runs under the pool lock in the finishing thread.
-            ctx.on_finished(ctx)
+        # on_finished contract: cheap and non-blocking (e.g.
+        # call_soon_threadsafe); runs under the pool lock in the
+        # finishing thread.
+        ctx.finish()
 
     # ------------------------------------------------------- slot gating
 
@@ -537,8 +480,7 @@ class SharedThreadPool:
                                   task.run_index, exc)
             error.__cause__ = exc
             with self._lock:
-                if ctx.body_error is None:
-                    ctx.body_error = error
+                ctx.fail(error)
                 self._condition.notify_all()
             # Fail fast: cancel the rest of the context so its guards
             # drain instead of stalling on data the failed body will

@@ -1,22 +1,27 @@
-"""Persistent worker pools: forked processes that outlive one executor.
+"""Worker processes for the process backend: :class:`PersistentProcessPool`.
 
-:class:`~repro.runtime.process_backend.ProcessExecutor` is single-shot:
-it forks its workers, runs its regions, and tears the pool down.  That
-is the right lifecycle for one batch run, but ``FluidService`` and the
-windowed ``repro.stream`` pipelines build a fresh process context per
-request/window — paying a fork, a scheduler warm-up and a pool teardown
-every time, which swamps small task bodies.
+The pool is the single owner of worker processes — forking them,
+respawning a crashed one, and the join → terminate → kill teardown.
+:class:`~repro.runtime.process_backend.ProcessExecutor` only ever
+*leases* workers: from a long-lived pool shared by a sequence of
+executors (``FluidService`` requests, ``repro.stream`` windows — the
+loky / ``concurrent.futures`` reuse pattern, which stops paying a fork
+per run), or — fork-per-run — from a private pool it forks at ``run()``
+and closes on exit.
 
-A :class:`PersistentProcessPool` is the standard reuse pattern (loky,
-``concurrent.futures``): fork a set of generic workers once, then
-*lease* them to a sequence of one-shot executors.  Because the workers
-fork before any region exists, they cannot inherit task-body closures;
-each region must instead provide a picklable ``remote_factory`` —
-``(callable, args, kwargs)`` with a module-level callable that rebuilds
-a structurally identical region (see
-:class:`~repro.core.region.FluidRegion`).  :func:`pool_blob` checks a
-region's factory for picklability so callers can fall back to the
-fork-per-run path before committing.
+How a worker obtains a region is decided per region, by what the region
+carries:
+
+* a picklable ``remote_factory`` — ``(callable, args, kwargs)`` with a
+  module-level callable that rebuilds a structurally identical region
+  (see :class:`~repro.core.region.FluidRegion`) — is *installed* in
+  every worker, so it runs on any pool and survives a worker respawn;
+* a closure-only region can only be *inherited*: the workers must have
+  been forked after it existed (``inherit=``, i.e. a private pool), and
+  a worker that dies running it fails the run.
+
+:func:`pool_blob` checks a region's factory for picklability so callers
+can decide before committing a region to a shared pool.
 
 Lifecycle contract
 ------------------
@@ -27,12 +32,12 @@ Lifecycle contract
   executor resets every worker's region/arena caches before releasing.
 * ``respawn(slot)`` — replaces a crashed worker with a fresh process
   *and a fresh inbox* (items queued to the dead worker must not replay
-  on its replacement), swapping both into the shared lists in place so
-  a leasing executor's aliases stay live.
+  on its replacement), swapping both into the pool's lists in place.
 * ``next_dispatch_id()`` — pool-global dispatch ids, unique across
   leases, so stale messages from a previous lease can never alias a
   live dispatch.
-* ``close()`` — terminates the workers; idempotent.
+* ``close()`` — shuts the workers down under one shared deadline per
+  pass; idempotent.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ import pickle
 import queue as queue_module
 import threading
 import time
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from ..core.errors import SchedulerError
 from ..core.region import FluidRegion
@@ -55,7 +60,7 @@ def pool_blob(region: FluidRegion) -> Optional[bytes]:
     """Pickle a region's ``remote_factory`` for pool-worker installation.
 
     Returns None when the region has no factory or the factory does not
-    pickle — the caller's cue to fall back to fork-per-run dispatch.
+    pickle — such a region can only be inherited by a private pool.
     """
     factory = getattr(region, "remote_factory", None)
     if factory is None:
@@ -66,11 +71,12 @@ def pool_blob(region: FluidRegion) -> Optional[bytes]:
         return None
 
 
-def _pool_worker_main(slot: int, inbox, outbox, cancel_flags) -> None:
-    """Entry point of one pooled worker (module-level: survives fork)."""
+def _pool_worker_main(slot: int, inbox, outbox, cancel_flags,
+                      inherited: Sequence[FluidRegion]) -> None:
+    """Entry point of one worker: run bodies, stream updates back."""
     from .process_backend import _WorkerLoop
 
-    _WorkerLoop(slot, outbox, cancel_flags).serve(inbox)
+    _WorkerLoop(slot, outbox, cancel_flags, inherited).serve(inbox)
 
 
 class PersistentProcessPool:
@@ -82,26 +88,34 @@ class PersistentProcessPool:
         Pool size; defaults to ``os.cpu_count()``.
     name:
         Prefix for the worker process names (diagnostics).
+    inherit:
+        Regions that already exist and whose task-body closures the
+        workers keep from the fork, addressed by position (the region's
+        index in its run).  Empty for a shared pool, whose workers fork
+        before any region exists.
     """
 
     def __init__(self, workers: Optional[int] = None,
-                 name: str = "fluid-pool"):
+                 name: str = "fluid-pool",
+                 inherit: Sequence[FluidRegion] = ()):
         import multiprocessing
 
         if workers is not None and workers < 1:
             raise SchedulerError("need at least one worker process")
         if "fork" not in multiprocessing.get_all_start_methods():
             raise SchedulerError(
-                "persistent pools need the 'fork' start method "
-                "(POSIX only); use the thread backend on this platform")
+                "the process backend needs the 'fork' start method "
+                "(POSIX only: closure task bodies cannot be pickled); "
+                "use the thread backend on this platform")
         self.workers = workers or (os.cpu_count() or 1)
         self.name = name
+        self.inherited = tuple(inherit)
         self.context = multiprocessing.get_context("fork")
         self.outbox = self.context.Queue()
         # "q" (int64): the flag carries a dispatch_id (or -1 for all).
         self.cancel_flags = self.context.Array("q", self.workers, lock=False)
-        #: Leasing executors alias these lists; respawn() mutates them
-        #: in place so the aliases observe replacements.
+        #: respawn() swaps a slot's entries in place, so a leasing
+        #: executor must index these lists afresh, never copy them.
         self.inboxes: List = []
         self.processes: List = []
         self._lease_lock = threading.Lock()
@@ -112,15 +126,17 @@ class PersistentProcessPool:
             inbox = self.context.Queue()
             self.inboxes.append(inbox)
             self.processes.append(self._make_process(slot, inbox))
-        # Fork only after every queue exists (same discipline as the
-        # single-shot executor): no feeder threads at fork time.
+        # Fork only after every queue exists and before the first put
+        # spawns a feeder thread (forking a multi-threaded parent is
+        # where fork-based pools go wrong).
         for process in self.processes:
             process.start()
 
     def _make_process(self, slot: int, inbox):
         return self.context.Process(
             target=_pool_worker_main,
-            args=(slot, inbox, self.outbox, self.cancel_flags),
+            args=(slot, inbox, self.outbox, self.cancel_flags,
+                  self.inherited),
             name=f"{self.name}-{slot}", daemon=True)
 
     # -- leasing -----------------------------------------------------------
@@ -169,7 +185,6 @@ class PersistentProcessPool:
             pass  # already closed
         inbox = self.context.Queue()
         process = self._make_process(slot, inbox)
-        # In-place swap: leasing executors alias these lists.
         self.inboxes[slot] = inbox
         self.processes[slot] = process
         process.start()
@@ -188,6 +203,11 @@ class PersistentProcessPool:
                 pass  # queue already closed/broken or worker gone
             except Exception:
                 logger.exception("unexpected error sending pool shutdown")
+        # One deadline covers the whole pool: joining N workers
+        # sequentially with a per-process timeout would stall close()
+        # for N x timeout when the pool is wedged.  Workers that miss
+        # the graceful window are terminated in one pass, then killed
+        # in one pass, each pass sharing a single deadline.
         self._join_all(self.processes, 0.5)
         stragglers = [p for p in self.processes if p.is_alive()]
         for process in stragglers:
@@ -208,6 +228,7 @@ class PersistentProcessPool:
 
     @staticmethod
     def _join_all(processes, timeout: float) -> None:
+        """Join ``processes`` under one shared deadline (not per-join)."""
         deadline = time.perf_counter() + timeout
         for process in processes:
             remaining = deadline - time.perf_counter()

@@ -4,8 +4,8 @@ The thread backend has a genuinely shared pool
 (:class:`repro.runtime.thread_pool.SharedThreadPool`): one lock, one
 slot gate, one scheduler, many concurrent contexts.  The simulator and
 process backends are single-shot by construction (virtual time only
-advances inside ``run()``; a forked worker pool belongs to one parent
-control loop), so :class:`OneShotPool` adapts them: each admitted
+advances inside ``run()``; leased workers belong to one parent control
+loop at a time), so :class:`OneShotPool` adapts them: each admitted
 :class:`~repro.runtime.context.RunContext` is executed on a fresh
 executor, dispatched onto a small pool of dispatcher threads that
 bounds how many run at once.
@@ -39,8 +39,9 @@ class OneShotPool:
     Process contexts whose regions all provide a picklable
     ``remote_factory`` share one lazily-forked
     :class:`~repro.runtime.worker_pool.PersistentProcessPool` instead
-    of forking a fresh worker set per request; fork-only regions keep
-    the historical per-request pool.
+    of forking a fresh worker set per request; a context with a
+    closure-only region runs fork-per-run (its executor forks a private
+    pool at ``run()``).
     """
 
     def __init__(self, backend: str, workers: int = 2,
@@ -64,8 +65,8 @@ class OneShotPool:
         self.name = name
         #: Lazily-forked persistent worker pool for process contexts
         #: whose regions all carry a picklable ``remote_factory``; None
-        #: until the first such context (or forever, for sim / legacy
-        #: fork-only regions).
+        #: until the first such context (or forever, for sim and
+        #: closure-only regions).
         self._process_pool = None
 
     def now(self) -> float:
@@ -76,7 +77,6 @@ class OneShotPool:
             if self._closed:
                 raise SchedulerError(
                     f"one-shot {self.backend} pool is shut down")
-        ctx.epoch = self.now()
         self._dispatchers.submit(self._run, ctx)
 
     def stop_context(self, ctx: RunContext) -> None:
@@ -96,11 +96,10 @@ class OneShotPool:
     # ------------------------------------------------------------ internal
 
     def _acquire_pool(self, ctx: RunContext):
-        """Persistent worker pool for this context, or None for a fork.
+        """Shared worker pool for this context, or None (fork-per-run).
 
         Only process contexts whose regions *all* carry a picklable
-        ``remote_factory`` can ride the pool; anything else keeps the
-        historical fork-per-request executor.  The pool's exclusive
+        ``remote_factory`` can ride the shared pool.  The pool's exclusive
         lease serializes concurrent process contexts — deliberate: the
         pool is sized to the physical cores, and two forked pools
         racing for them was oversubscription, not concurrency.
@@ -138,16 +137,11 @@ class OneShotPool:
             if pool is not None:
                 options["pool"] = pool
             executor = make_executor(self.backend, **options)
-            for run in ctx.runs:
-                executor.submit(run.region, after=run.after)
+            # The executor drives this context's own region records, so
+            # launch and region-done land where the service reads them.
+            executor.context.runs = ctx.runs
             executor.run()
-            for run in ctx.runs:
-                run.launched = True
-                run.done = run.region.complete
         except Exception as error:
-            if ctx.body_error is None:
-                ctx.body_error = error
+            ctx.fail(error)
         finally:
-            ctx.finished.set()
-            if ctx.on_finished is not None:
-                ctx.on_finished(ctx)
+            ctx.finish()

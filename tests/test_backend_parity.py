@@ -9,6 +9,7 @@ re-execution counts everywhere.  Includes a hypothesis sweep over random
 layered DAGs.
 """
 
+import pytest
 from hypothesis import given, settings
 
 from repro import ProcessExecutor, SimExecutor, ThreadExecutor
@@ -292,3 +293,122 @@ class TestMemoizationParity:
         assert skipped_off == 0
         assert skipped_on > 0
         assert checks_on < checks_off
+
+
+# ------------------------------------------------------ region lifecycle
+
+def make_sleeper(name, seconds):
+    """One task that takes ``seconds`` of wall clock *and* the same
+    amount of virtual time (module-level, so a shared pool accepts it)."""
+    import time
+
+    from repro import FluidRegion
+
+    class _Sleeper(FluidRegion):
+        def build(self):
+            out = self.add_data("out", 0)
+
+            def body(ctx):
+                time.sleep(seconds)
+                out.write(1)
+                yield seconds * 1000.0
+
+            self.add_task("nap", body, outputs=[out])
+
+    region = _Sleeper(name)
+    region.remote_factory = (make_sleeper, (name, seconds), {})
+    return region
+
+
+def _lifecycle_executors():
+    from repro.runtime import PersistentProcessPool
+
+    def shared_pool(telemetry):
+        pool = PersistentProcessPool(workers=2)
+        return (ProcessExecutor(timeout=60, pool=pool, telemetry=telemetry),
+                pool.close)
+
+    return {
+        "sim": lambda t: (SimExecutor(cores=4, telemetry=t), None),
+        "thread": lambda t: (ThreadExecutor(timeout=30, telemetry=t), None),
+        "process-private": lambda t: (
+            ProcessExecutor(workers=2, timeout=60, telemetry=t), None),
+        "process-shared": shared_pool,
+    }
+
+
+class TestLifecycleParity:
+    """Launch and region-done have one owner (RunContext), so every
+    backend emits the same per-region lifecycle for an ``after`` chain."""
+
+    @pytest.mark.parametrize("backend", sorted(_lifecycle_executors()))
+    def test_after_chain_lifecycle(self, backend):
+        from repro.telemetry import Telemetry
+
+        telemetry = Telemetry(chrome=False)
+        events = []
+        telemetry.bus.subscribe(events.append)
+        first, second = make_sleeper("a", 0.2), make_sleeper("b", 0.05)
+        executor, cleanup = _lifecycle_executors()[backend](telemetry)
+        try:
+            executor.submit(first)
+            executor.submit(second, after=[first])
+            executor.run()
+        finally:
+            if cleanup is not None:
+                cleanup()
+        lifecycle = [(event.region, event.name) for event in events
+                     if event.kind == "sched"]
+        assert lifecycle == [
+            ("a", "launch"), ("a", "run"), ("a", "region-done"),
+            ("b", "launch"), ("b", "run"), ("b", "region-done")]
+        memo = [event.region for event in events
+                if (event.kind, event.name) == ("valve", "memo")]
+        assert memo == ["a", "b"]
+        # Makespans are measured from each region's own launch: the
+        # dependent region does not inherit its predecessor's 0.2 s
+        # (the thread backend used to measure from context start).
+        assert second.stats.makespan < first.stats.makespan
+        run_b = executor.context.run_for(second)
+        assert run_b.launch_time >= first.stats.makespan
+
+
+class TestOptionsCensus:
+    def test_constructor_options_are_pinned(self):
+        """Every independently settable constructor value of the runtime
+        and service entry points; a new knob is a deliberate diff here."""
+        import inspect
+
+        from repro.runtime import PersistentProcessPool, SharedThreadPool
+        from repro.service import FluidService
+
+        census = {cls.__name__: list(inspect.signature(cls).parameters)
+                  for cls in (SimExecutor, ThreadExecutor, SharedThreadPool,
+                              ProcessExecutor, PersistentProcessPool,
+                              FluidService)}
+        assert census == {
+            "SimExecutor": [
+                "cores", "overheads", "modulation", "max_active_regions",
+                "cancel_first_runs", "trace", "policy", "telemetry",
+                "scheduler", "autotune"],
+            "ThreadExecutor": [
+                "modulation", "fallback_interval", "timeout",
+                "cancel_first_runs", "policy", "telemetry", "scheduler",
+                "slots", "autotune"],
+            "SharedThreadPool": [
+                "slots", "scheduler", "policy", "bus", "fallback_interval",
+                "name"],
+            "ProcessExecutor": [
+                "workers", "modulation", "fallback_interval", "timeout",
+                "cancel_first_runs", "flush_interval", "policy",
+                "telemetry", "scheduler", "autotune", "batch_size",
+                "payload_arena", "pool"],
+            # inherit= is data, not a mode: the regions a private pool's
+            # workers keep from their fork.
+            "PersistentProcessPool": ["workers", "name", "inherit"],
+            "FluidService": [
+                "backend", "slots", "scheduler", "queue_capacity",
+                "discipline", "max_concurrency", "capacity_curves",
+                "latency_slo", "batch_max", "batch_cost_threshold",
+                "request_timeout", "telemetry", "backend_options", "name"],
+        }

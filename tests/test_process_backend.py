@@ -343,26 +343,25 @@ class TestSharedMemoryRegions:
 
 
 class TestShutdownDeadline:
-    def test_hung_workers_share_one_shutdown_deadline(self):
-        # Satellite regression: _shutdown joined each worker for 0.5s
+    def test_hung_workers_share_one_shutdown_deadline(self, monkeypatch):
+        # Satellite regression: teardown joined each worker for 0.5s
         # sequentially, so a wedged 4-worker pool took >= 2s to tear
-        # down.  The graceful pass now shares one 0.5s deadline and
-        # stragglers are terminated in one batch.
-        executor = ProcessExecutor(workers=4, timeout=30)
+        # down.  The graceful pass shares one 0.5s deadline and
+        # stragglers are terminated in one batch.  The pool owns worker
+        # teardown (the executor's private pool closes the same way).
+        from repro.runtime import worker_pool
 
-        def hung_worker(slot, inbox):
+        def hung_worker(*_args):
             while True:  # pragma: no cover - runs in the forked child
                 time.sleep(60)
 
-        executor._worker_main = hung_worker
-        executor._start_pool()
-        assert all(process.is_alive() for process in executor._processes)
+        monkeypatch.setattr(worker_pool, "_pool_worker_main", hung_worker)
+        pool = worker_pool.PersistentProcessPool(workers=4)
+        assert all(pool.alive())
         start = time.perf_counter()
-        executor._shutdown()
+        pool.close()
         elapsed = time.perf_counter() - start
-        assert all(not process.is_alive()
-                   for process in executor._processes), \
-            "hung workers survived shutdown"
+        assert not any(pool.alive()), "hung workers survived shutdown"
         assert elapsed < 1.8, \
             f"shutdown took {elapsed:.2f}s; the graceful join must " \
             "share one deadline across workers, not 0.5s each"

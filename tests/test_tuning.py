@@ -2,13 +2,8 @@
 
 ``repro.tuning`` grew from a module into a package (offline tuner +
 online autotuner + controllers); the offline API these tests exercise
-must stay importable from the package root, and the old
-``repro.tuning.legacy`` shim must keep working with a deprecation
-warning.
+must stay importable from the package root.
 """
-
-import importlib
-import sys
 
 import pytest
 
@@ -40,15 +35,6 @@ class TestPackageLayout:
                      "make_controller", "TuningError"):
             assert hasattr(tuning, name), name
             assert name in tuning.__all__, name
-
-    def test_legacy_shim_warns_and_reexports(self):
-        sys.modules.pop("repro.tuning.legacy", None)
-        with pytest.warns(DeprecationWarning,
-                          match="repro.tuning.legacy is deprecated"):
-            legacy = importlib.import_module("repro.tuning.legacy")
-        assert legacy.ThresholdTuner is ThresholdTuner
-        assert legacy.TuningResult is TuningResult
-        assert legacy.ValveSelector is ValveSelector
 
 
 class TestValidation:

@@ -179,13 +179,29 @@ class TestRespawn:
             "process.worker_respawns", 0) >= 1
 
     def test_non_pool_executor_still_fails_on_dead_worker(self, tmp_path):
+        # Closure-only: the region exists nowhere but in the private
+        # pool's forks, so a replacement worker could not run it.
         from repro.core.errors import SchedulerError
 
         region = make_crasher_region(str(tmp_path / "never-retried"))
+        region.remote_factory = None
         executor = ProcessExecutor(workers=2, timeout=60)
         executor.submit(region)
         with pytest.raises(SchedulerError, match="died"):
             executor.run()
+
+    def test_private_pool_respawns_for_a_factory_region(self, tmp_path):
+        # Respawn-or-fail follows the region (does it carry a factory
+        # blob?), not whether the pool is shared or private.
+        telemetry = Telemetry()
+        region = make_crasher_region(str(tmp_path / "crashed-once"))
+        executor = ProcessExecutor(workers=2, timeout=60,
+                                   telemetry=telemetry)
+        executor.submit(region)
+        executor.run()
+        assert region.output("out") == 42
+        assert telemetry.metrics.counters.get(
+            "process.worker_respawns", 0) == 1
 
 
 # ------------------------------------------------- batched-dispatch parity
@@ -291,16 +307,11 @@ class TestAwaitActivityFallback:
         for event-driven wakeups; interpreters without it must fall back
         to timed-get polling with identical results."""
         region = make_pid_region(name="noreader", tasks=4)
-        executor = ProcessExecutor(workers=2, timeout=60)
-        original = executor._start_pool
-
-        def start_and_hide_reader():
-            original()
-            executor._outbox = _NoReaderOutbox(executor._outbox)
-
-        executor._start_pool = start_and_hide_reader
-        executor.submit(region)
-        executor.run()
+        with PersistentProcessPool(workers=2) as pool:
+            pool.outbox = _NoReaderOutbox(pool.outbox)
+            executor = ProcessExecutor(timeout=60, pool=pool)
+            executor.submit(region)
+            executor.run()
         pids = {region.output(f"pid_{index}") for index in range(4)}
         assert pids and all(pid > 0 for pid in pids)
 

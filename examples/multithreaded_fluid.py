@@ -29,7 +29,7 @@ def main():
               f"{fluid.makespan:9.0f} | "
               f"{fluid.makespan / baseline.makespan:14.3f}")
 
-    print("\nreal-thread backend (one guard thread per task):")
+    print("\nreal-thread backend (bodies on a 4-worker pool):")
     region = Pipeline("threads-demo")
     executor = ThreadExecutor(timeout=30)
     executor.submit(region)

@@ -2,8 +2,9 @@
 
 * :class:`SimExecutor` — deterministic discrete-event simulation in
   virtual time (all performance experiments);
-* :class:`ThreadExecutor` — one guard thread per task, real preemption
-  (semantic validation; GIL-bound, see DESIGN.md);
+* :class:`ThreadExecutor` — bodies on ``slots`` pooled threads drawn
+  from one ready queue, waiting tasks as wait-set records; real
+  preemption (semantic validation; GIL-bound, see DESIGN.md);
 * :class:`ProcessExecutor` — task bodies on a pool of forked worker
   processes, true parallelism on real cores; guard decisions stay in
   the parent process;

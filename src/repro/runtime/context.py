@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import itertools
 import threading
-import time
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..core.count import UpdateSink
+from ..core.count import Count, UpdateSink
 from ..core.errors import SchedulerError
 from ..core.guard import Coordinator, GuardHost
 from ..core.region import FluidRegion
@@ -70,13 +69,55 @@ class RegionRun:
         self.launch_time = 0.0
 
 
-class RunContext:
-    """Everything one run owns: regions, wake events, errors, telemetry.
+class WaitSet:
+    """Tasks parked in START_CHECK, indexed by what can open their valves.
 
-    Fields that only the thread-based pool uses (``run_events``,
-    ``threads``, ``active_guards``) stay empty on the simulator and
-    process backends.
+    A record is the task itself.  ``by_count`` files it under every
+    count its start valves declare in ``Valve.watched_counts`` (count id
+    -> {task id -> task}; dicts, so re-check order is insertion order);
+    ``polled`` holds the records with a valve that declares no count (an
+    opaque ``PredicateValve``, a ``DataFinalValve``), which only a
+    data-cell bump or finalisation can open.  Whoever publishes a count
+    or bumps a cell re-evaluates just the records filed under it.
     """
+
+    __slots__ = ("records", "by_count", "polled")
+
+    def __init__(self):
+        self.records: Dict[int, FluidTask] = {}
+        self.by_count: Dict[int, Dict[int, FluidTask]] = {}
+        self.polled: Dict[int, FluidTask] = {}
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def park(self, task: FluidTask) -> None:
+        key = id(task)
+        self.records[key] = task
+        for valve in task.spec.start_valves:
+            counts = valve.watched_counts
+            if not counts:
+                self.polled[key] = task
+            for count in counts:
+                self.by_count.setdefault(id(count), {})[key] = task
+
+    def discard(self, task: FluidTask) -> None:
+        key = id(task)
+        if self.records.pop(key, None) is None:
+            return
+        self.polled.pop(key, None)
+        for valve in task.spec.start_valves:
+            for count in valve.watched_counts:
+                self.by_count[id(count)].pop(key, None)
+
+    def watching(self, count: Count) -> Tuple[FluidTask, ...]:
+        """The parked records a publish of ``count`` must re-evaluate."""
+        tasks = self.by_count.get(id(count))
+        return tuple(tasks.values()) if tasks else ()
+
+
+class RunContext:
+    """Everything one run owns: regions, wait set, errors, telemetry."""
 
     _labels = itertools.count(1)
 
@@ -103,25 +144,20 @@ class RunContext:
         self.policy: Optional[object] = None
         #: id(task) -> the RegionRun it belongs to (launched regions).
         self._task_run: Dict[int, RegionRun] = {}
-        #: id(task) -> threading.Event poked by schedule_run (thread pool).
-        self.run_events: Dict[int, threading.Event] = {}
-        #: Guard threads serving this context (thread pool); joined on
-        #: completion so runs do not leak threads.
-        self.threads: List[threading.Thread] = []
-        #: Live guard threads still inside their main loop.
-        self.active_guards = 0
+        #: Tasks parked on their start valves (event-driven drivers).
+        self.waiting = WaitSet()
         #: First error of the run (a TaskBodyError, or any executor
         #: error on one-shot pools); surfaced to the waiter / service
         #: future.
         self.body_error: Optional[Exception] = None
         #: Set when the context is cancelled (shutdown, timeout, error):
-        #: guards drain instead of starting new work.
+        #: running bodies drain and no new work starts.
         self.stopped = False
-        #: Set once every region is done (or the context stopped) and
-        #: all guards have exited.
+        #: Set once every region is done, or the context stopped and its
+        #: last running body left its worker.
         self.finished = threading.Event()
         #: Called exactly once when ``finished`` is set, from the thread
-        #: that finished the context (a guard thread on the thread pool).
+        #: that finished the context (a pool worker on the thread pool).
         #: Must be cheap and non-blocking — the service uses it to hop
         #: back onto the asyncio loop via ``call_soon_threadsafe``.
         self.on_finished: Optional[Callable[["RunContext"], None]] = None
@@ -300,27 +336,31 @@ class RunContext:
         """The scheduler's next pick that may still start a body.
 
         ``queued`` is the driver's id-set of tasks sitting in
-        ``scheduler``.  Picks that went stale while queued are dropped:
-        tasks that completed or started meanwhile, re-runs whose
-        descendants all completed, and START_CHECK tasks whose
-        non-monotone valve (e.g. convergence) flipped back off — a later
-        count update re-checks those.  Returns None when the queue is
-        empty or the discipline declines to pick.
+        ``scheduler``; picks that went stale while queued are dropped
+        (:meth:`may_start`).  Returns None when the queue is empty or
+        the discipline declines to pick.
         """
         while scheduler.pending():
             task = scheduler.pick(now=self.host.now(), worker=worker)
             if task is None:
                 return None
             queued.discard(id(task))
-            if task.state not in _STARTABLE:
-                continue
-            if self.skip_pointless_rerun(task):
-                continue
-            if task.state is TaskState.START_CHECK and \
-                    not task.start_valves_satisfied():
-                continue
-            return task
+            if self.may_start(task):
+                return task
         return None
+
+    def may_start(self, task: FluidTask) -> bool:
+        """May a task picked from a ready queue still start a body?
+
+        Not if it went stale while queued: it completed or started
+        meanwhile, it is a re-run whose descendants all completed, or it
+        sits in START_CHECK and a non-monotone valve (e.g. convergence)
+        flipped back off — a later count update re-checks that one.
+        """
+        if task.state not in _STARTABLE or self.skip_pointless_rerun(task):
+            return False
+        return task.state is not TaskState.START_CHECK or \
+            task.start_valves_satisfied()
 
     def skip_pointless_rerun(self, task: FluidTask) -> bool:
         """Early termination before the body even starts (Section 6.1)."""
@@ -353,19 +393,9 @@ class RunContext:
             self.telemetry.run_finished(now, workers, now=now)
 
     def join(self, timeout: Optional[float] = None) -> None:
-        """Join this context's guard threads (one deadline overall)."""
-        if not self.threads:
-            return
-        deadline = (time.perf_counter() + timeout
-                    if timeout is not None else None)
-        for thread in self.threads:
-            if deadline is None:
-                thread.join()
-            else:
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    break
-                thread.join(remaining)
+        """No-op, kept for callers written against per-task guard
+        threads: workers belong to the pool, whose ``shutdown()`` joins
+        them."""
 
     def pending_description(self) -> str:
         """Human-readable list of incomplete tasks, for diagnostics."""

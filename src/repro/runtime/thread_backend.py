@@ -1,22 +1,23 @@
-"""The real-thread backend: one guard thread per Fluid task.
+"""The real-thread backend: task bodies on ``slots`` pooled OS threads.
 
-This backend mirrors the paper's implementation strategy directly: every
-task gets its own guard thread that checks start valves, runs the body,
-evaluates end conditions, and sleeps in W/D until signalled.  Under
-CPython the GIL serializes the actual computation, so this backend
-demonstrates *semantics* under genuine preemption and asynchrony — the
-performance experiments use the virtual-time simulator instead (see
-DESIGN.md, substitution table).
+The paper gives every task its own guard thread; this backend keeps the
+guard's *decisions* (check start valves, run the body, evaluate end
+conditions, wait in W/D until signalled) and drops the thread: waiting
+tasks are records, runnable ones sit in a ready queue, and ``slots``
+workers run bodies.  Under CPython the GIL serializes the actual
+computation, so this backend demonstrates *semantics* under genuine
+preemption and asynchrony — the performance experiments use the
+virtual-time simulator instead (see DESIGN.md, substitution table).
 
 All guard decisions go through the same :class:`~repro.core.guard.Coordinator`
 as the simulator, serialized by a per-pool lock, so the two backends
 cannot diverge semantically.
 
-The guard machinery lives in
+The machinery lives in
 :class:`~repro.runtime.thread_pool.SharedThreadPool`, which hosts many
 concurrent :class:`~repro.runtime.context.RunContext` runs over one
-shared slot gate.  :class:`ThreadExecutor` is the single-shot facade:
-one private pool, one context; it joins its guard threads on every exit
+ready queue.  :class:`ThreadExecutor` is the single-shot facade: one
+private pool, one context; it joins the pool's workers on every exit
 path, so back-to-back runs do not leak threads.
 """
 
@@ -30,7 +31,7 @@ from .thread_pool import FALLBACK_INTERVAL, SharedThreadPool
 
 
 class ThreadExecutor(Executor):
-    """Executes regions with one OS guard thread per task (single-shot)."""
+    """Executes regions on a private ``slots``-worker pool (single-shot)."""
 
     def __init__(self, modulation: Optional[object] = None,
                  fallback_interval: float = FALLBACK_INTERVAL,
@@ -41,7 +42,6 @@ class ThreadExecutor(Executor):
                  scheduler: Optional[object] = None,
                  slots: Optional[int] = None,
                  autotune: Optional[object] = None):
-        self.modulation = modulation
         # The autotuner's callback and every telemetry publish point run
         # under the pool lock, so neither needs locking of its own (the
         # bus serialization contract).
@@ -50,28 +50,23 @@ class ThreadExecutor(Executor):
             modulation=modulation, cancel_first_runs=cancel_first_runs)
         self.telemetry = self.context.telemetry
         self.autotuner = self.context.autotuner
-        self.cancel_first_runs = cancel_first_runs
         self.timeout = timeout
-        self.fallback_interval = fallback_interval
-        #: SchedLab schedule policy.  Real threads cannot be ordered
-        #: deterministically, so the policy contributes (a) seeded
-        #: jitter at wake/publish points and (b) deterministic fan-out
-        #: order inside the Coordinator (which runs under the lock).
-        self.policy = policy
-        self.slots = slots if slots is not None else 4
+        # ``policy`` is a SchedLab schedule policy.  Real threads cannot
+        # be ordered deterministically, so it contributes seeded jitter
+        # at wake/publish points, the ready-queue tie-break, and the
+        # fan-out order inside the Coordinator (which runs under the
+        # lock).
         self._pool = SharedThreadPool(
-            slots=self.slots, scheduler=scheduler, policy=policy,
-            bus=self.context.bus, fallback_interval=fallback_interval,
-            name="thread-backend")
-        #: Optional repro.sched discipline gating RUNNING entry behind
-        #: ``slots`` concurrent run slots; ``None`` (default) leaves
-        #: RUNNING entry ungated.
+            slots=4 if slots is None else slots, scheduler=scheduler,
+            policy=policy, bus=self.context.bus,
+            fallback_interval=fallback_interval, name="thread-backend")
+        #: The repro.sched discipline ordering the ready queue the
+        #: ``slots`` workers drain (``scheduler=None`` is FCFS).
         self.scheduler = self._pool.scheduler
         #: Pool-wide stop event; also interrupts injected jitter sleeps
         #: (SchedLab relies on setting this directly in tests).
         self._stop = self._pool._stop
-
-    # ------------------------------------------------------------- public
+        self._sleep_jitter = self._pool._sleep_jitter
 
     def run(self) -> RunResult:
         self._start_once()
@@ -81,17 +76,12 @@ class ThreadExecutor(Executor):
             pool.start(self.context)
             pool.wait(self.context, self.timeout)
         finally:
-            # Stop and *join* the guard threads on every exit path
-            # (normal, timeout or body error): a long-lived process
-            # running executors back-to-back must not accumulate one
-            # leaked daemon thread per task.  Also releases guards
-            # parked in an injected jitter delay.
+            # Stop and *join* the workers on every exit path (normal,
+            # timeout or body error): a long-lived process running
+            # executors back-to-back must not accumulate leaked daemon
+            # threads.  Also releases a worker parked in an injected
+            # jitter delay.
             pool.shutdown(join_timeout=min(self.timeout, 5.0))
             # One worker: the GIL serializes the actual computation.
             self.context.record_run(self.scheduler, 1)
         return RunResult(pool.now(), self.context.regions)
-
-    # ----------------------------------------------------------- plumbing
-
-    def _sleep_jitter(self, point: str) -> None:
-        self._pool._sleep_jitter(point)

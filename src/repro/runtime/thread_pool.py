@@ -1,99 +1,115 @@
 """A shared, long-lived thread-backend pool hosting many concurrent runs.
 
-The pool owns everything that can be shared safely — the lock/condition
-pair, the stop event, the run-slot gate and its ``repro.sched``
-discipline, the wall clock — while every run's private state and its
-region lifecycle live in a :class:`~repro.runtime.context.RunContext`.
+The paper gives every task a guard thread (Figure 5) and notes that "a
+thread-pool will clearly mitigate these overheads" (Section 3.3); this
+is that pool.  A task has no thread of its own:
 
-One pool can therefore serve an arbitrary stream of contexts
-concurrently — the substrate for :class:`repro.service.FluidService` —
-and the single-shot :class:`~repro.runtime.thread_backend.ThreadExecutor`
-is a thin facade over a private pool with exactly one context.
+* a task waiting on its start valves is a *record* in its context's
+  :class:`~repro.runtime.context.WaitSet`, filed under the counts its
+  valves declare;
+* the thread that publishes a count, or bumps / finalises a data cell,
+  re-evaluates only the records filed under it and pushes the ones that
+  became runnable onto the pool's one ready queue — a ``repro.sched``
+  discipline spanning every active context (``None`` is the
+  paper-faithful FCFS the simulator and process driver get);
+* ``slots`` long-lived workers pull from that queue and run bodies, so
+  at most ``slots`` bodies run at once.  A re-execution is an enqueue,
+  early termination a dropped pick, cancellation a cleared wait set.
 
-Concurrency contract:
-
-* every Coordinator call, state transition and count publish happens
-  under the pool lock, so regions from different contexts can never
-  observe each other's half-applied updates;
-* counts/valves are per-region objects reached only through that
-  region's tasks, so contexts are isolated by construction — the lock
-  only serializes, it never shares state between them;
-* guard threads are tracked per context and joined when the context
-  finishes or the pool shuts down (long-lived services must not leak a
-  thread per request).
+One pool serves an arbitrary stream of
+:class:`~repro.runtime.context.RunContext` runs concurrently — the
+substrate for :class:`repro.service.FluidService`; the single-shot
+:class:`~repro.runtime.thread_backend.ThreadExecutor` is a facade over
+a private pool with one context.  Every Coordinator call, transition,
+valve check and count publish happens under the pool lock; counts and
+valves are per-region objects, so the lock only serializes contexts.
+See docs/runtime-semantics.md, "The thread driver".
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..core.count import Count, UpdateSink
 from ..core.errors import SchedulerError, TaskBodyError
-from ..core.guard import Coordinator, GuardHost
+from ..core.guard import GuardHost
 from ..core.region import FluidRegion
 from ..core.states import TaskState
-from ..core.task import FluidTask
-from .context import RunContext
+from ..core.task import FluidTask, TaskContext
+from .context import RunContext, WaitSet
 
-#: Upper bound on one guard wait.  Guards are woken by events — count
-#: publishes, data-cell bumps, scheduled re-runs and task completions all
-#: notify the pool condition — so the timed wait is a pure safety net.
+#: Upper bound on an idle worker's wait while some record is parked.
+#: Records are re-evaluated by events — count publishes, data-cell bumps
+#: and finalisations — so the timed wait is a pure safety net for valves
+#: over state nothing announces (and for injected valve faults).
 FALLBACK_INTERVAL = 0.05
 
 
-class _PoolSink(UpdateSink):
-    """Dispatches count updates under the pool lock and wakes guards."""
-
-    def __init__(self, pool: "SharedThreadPool"):
-        self.pool = pool
-
-    def count_updated(self, count: Count, value) -> None:
-        self.pool._sleep_jitter("publish")
-        with self.pool._lock:
-            count.dispatch(value)
-            self.pool._condition.notify_all()
-
-
-class _ContextHost(GuardHost):
-    """Routes one context's Coordinator callbacks into the shared pool."""
-
-    __slots__ = ("pool", "ctx")
+class _ContextHost(GuardHost, UpdateSink):
+    """One context's door into the shared pool: its Coordinator
+    callbacks, count publishes and data-cell bumps all arrive here
+    already knowing whose wait set they concern."""
 
     def __init__(self, pool: "SharedThreadPool", ctx: RunContext):
         self.pool = pool
         self.ctx = ctx
-
-    def now(self) -> float:
-        return self.pool.now()
+        self.now = pool.now
+        #: Bodies of this context currently on a worker; a stopped
+        #: context finishes when it reaches zero.
+        self.running = 0
 
     def schedule_run(self, task: FluidTask) -> None:
-        # Called with the pool lock held (Coordinator serialization
-        # contract): setting the event and notifying under the same
-        # lock closes the lost-wakeup window.
-        self.ctx.run_events[id(task)].set()
-        self.pool._condition.notify_all()
+        # Lock held (Coordinator serialization contract).
+        self.pool._enqueue(self.ctx, task)
+
+    def count_updated(self, count: Count, value) -> None:
+        pool = self.pool
+        pool._sleep_jitter("publish")
+        with pool._lock:
+            count.dispatch(value)
+            for task in self.ctx.waiting.watching(count):
+                pool._recheck(self.ctx, task)
 
     def cell_updated(self, data) -> None:
-        self.pool._cell_updated()
+        """A body bumped (or a finished run finalised) a data cell:
+        re-poll the records no count can open.  The emptiness test runs
+        without the lock — a record is parked under the lock *before*
+        its first valve check, so a bump that misses it here happened
+        before that check read the cell."""
+        polled = self.ctx.waiting.polled
+        if polled:
+            with self.pool._lock:
+                for task in tuple(polled.values()):
+                    self.pool._recheck(self.ctx, task)
 
     def task_completed(self, task: FluidTask) -> None:
-        self.pool._task_completed(self.ctx, task)
+        """A finished region may unblock dependents or finish the
+        context (lock held)."""
+        # A completion cascade can retire a task still in START_CHECK.
+        self.ctx.waiting.discard(task)
+        if self.ctx.task_completed(task):
+            self.pool._try_launches(self.ctx)
+            self.pool._maybe_finish(self.ctx)
 
     def admit_dynamic_task(self, region: FluidRegion,
                            task: FluidTask) -> None:
-        self.pool._admit_dynamic_task(self.ctx, region, task)
+        """Called from a worker mid-body (outside the lock)."""
+        with self.pool._lock:
+            run = self.ctx.admit_dynamic_task(region, task)
+            run.coordinator.enable_update_wakeups()
+            self.pool._admit(self.ctx, task)
 
 
 class SharedThreadPool:
-    """Hosts concurrent :class:`RunContext` runs over one guard-thread
-    substrate with shared run-slot gating.
-
-    ``slots``/``scheduler`` gate RUNNING entry exactly as on the
-    single-run backend, except the gate now spans every active context:
-    the scheduler sees one merged ready queue, which is what makes the
-    pool a genuinely *shared* backend rather than N private executors.
+    """Hosts concurrent :class:`RunContext` runs: ``slots`` workers
+    drain one ``scheduler``-ordered ready queue merged across every
+    active context, which is what makes the pool a genuinely *shared*
+    backend rather than N private executors.  Submissions are never
+    sheddable: dropping a Fluid task would deadlock its region, so a
+    bounded scheduler parks overflow instead (see
+    repro.sched.BoundedScheduler).
     """
 
     def __init__(self, slots: int = 4,
@@ -104,29 +120,30 @@ class SharedThreadPool:
                  name: str = "pool"):
         if slots < 1:
             raise SchedulerError("thread pool needs at least one slot")
+        # Imported lazily: repro.sched pulls in repro.telemetry, which
+        # reaches back into repro.runtime at import time.
+        from ..sched import make_scheduler
+
         self.name = name
         self.slots = slots
         self.policy = policy
-        self.bus = bus
         self.fallback_interval = fallback_interval
-        self.scheduler = None
-        if scheduler is not None:
-            from ..sched import make_scheduler
-
-            self.scheduler = make_scheduler(scheduler).bind(
-                policy=policy, bus=bus, point="core", workers=slots)
-        self._slots_free = slots
-        #: id(task) -> slot reserved by _grant_slots, unclaimed so far.
-        self._granted: set = set()
-        #: id(task) currently parked in the scheduler's ready queue.
-        self._slot_queued: set = set()
+        self.scheduler = make_scheduler(scheduler).bind(
+            policy=policy, bus=bus, point="core", workers=slots)
+        #: id(task) -> its context, for every task in the ready queue.
+        self._queued: Dict[int, RunContext] = {}
         self._lock = threading.RLock()
-        self._condition = threading.Condition(self._lock)
+        #: Workers with nothing to pick wait on ``_idle`` (one notify
+        #: per enqueue); ``wait()`` callers on ``_done``, notified only
+        #: when a context finishes or fails.
+        self._idle = threading.Condition(self._lock)
+        self._done = threading.Condition(self._lock)
+        #: Set by ``shutdown()``: workers exit, ``start()`` refuses,
+        #: in-flight jitter sleeps are interrupted.
         self._stop = threading.Event()
         self._epoch = time.perf_counter()
         self._contexts: List[RunContext] = []
-        self._sink = _PoolSink(self)
-        self._closed = False
+        self._workers: List[threading.Thread] = []
 
     # ------------------------------------------------------------- clock
 
@@ -147,23 +164,49 @@ class SharedThreadPool:
         """Admit a context: launch its dependency-free regions now.
 
         Regions with ``after`` dependencies launch as their
-        predecessors complete (event-driven, from the completing guard).
-        An empty context finishes immediately.
+        predecessors complete (from the completing worker).  An empty
+        context finishes immediately.
         """
-        ctx.bind(_ContextHost(self, ctx), time_scale=1e6, sink=self._sink,
-                 policy=self.policy)
+        host = _ContextHost(self, ctx)
+        ctx.bind(host, time_scale=1e6, sink=host, policy=self.policy)
+        self._start_workers()
         with self._lock:
-            if self._closed:
+            if self._stop.is_set():
                 raise SchedulerError(f"thread pool {self.name!r} is shut down")
             self._contexts.append(ctx)
             self._try_launches(ctx)
             self._maybe_finish(ctx)
+            if ctx.waiting and not self._queued:
+                # Parked records but nothing runnable: an idle worker
+                # must trade its untimed wait for the timed safety net.
+                self._idle.notify()
+
+    def _start_workers(self) -> None:
+        """Bring up all ``slots`` workers on the pool's first ``start()``.
+
+        ``Thread.start()`` hands the GIL to the new thread until it
+        blocks, so *where* a worker starts decides what it overtakes.
+        Never lazily from a publish: it would run the just-opened
+        consumer to completion before its producer is finalised (a
+        spurious re-execution of a fully-closed chain).  And outside
+        the pool lock, so each worker has parked itself idle before the
+        first context launches instead of queueing on the lock.
+        """
+        with self._lock:
+            if self._workers or self._stop.is_set():
+                return
+            workers = self._workers = [threading.Thread(
+                target=self._worker_main, args=(index,),
+                name=f"{self.name}-worker-{index}", daemon=True)
+                for index in range(self.slots)]
+        for worker in workers:
+            worker.start()
 
     def wait(self, ctx: RunContext, timeout: float) -> None:
         """Block until ``ctx`` finishes; surface errors like ``run()``.
 
         Raises the first recorded :class:`TaskBodyError` as soon as it
-        lands (without waiting for sibling guards to drain) and
+        lands (without waiting for sibling bodies to drain) and
         :class:`SchedulerError` on timeout.  Used by the single-shot
         facade; the async service listens on ``ctx.on_finished``
         instead.
@@ -180,46 +223,54 @@ class SharedThreadPool:
                     raise SchedulerError(
                         f"thread backend timed out after {timeout}s: "
                         + ctx.pending_description())
-                self._condition.wait(min(self.fallback_interval, remaining))
+                self._done.wait(remaining)
 
     def stop_context(self, ctx: RunContext) -> None:
-        """Cancel a context: request body cancellation and drain guards.
+        """Cancel a context: clear its wait set, request cancellation
+        of its running bodies.
 
-        Guards notice ``ctx.stopped`` at their next wake and exit; the
-        context finishes (and fires ``on_finished``) once the last one
-        is gone.
+        Its queued tasks become dropped picks.  The context finishes
+        (and fires ``on_finished``) at once when no body of its own is
+        on a worker, else when the last one leaves at its next chunk
+        boundary.
         """
         with self._lock:
             if ctx.finished.is_set() or ctx.stopped:
                 return
             ctx.stopped = True
+            ctx.waiting = WaitSet()
             for run in ctx.runs:
                 if not run.launched:
                     continue
                 for task in run.region.tasks:
                     if task.state is not TaskState.COMPLETE:
                         task.cancel_requested = True
-            self._condition.notify_all()
             self._maybe_finish(ctx)
 
-    def shutdown(self, join_timeout: float = 5.0) -> None:
-        """Stop every context, wake jitter sleeps, join all guards.
+    def stop_all(self) -> None:
+        """Cancel every active context."""
+        with self._lock:
+            for ctx in tuple(self._contexts):
+                self.stop_context(ctx)
 
-        One deadline covers all joins; guards are cooperative (bodies
-        cancel at chunk boundaries) so stragglers past the deadline are
-        daemonic and cannot wedge interpreter exit.  Idempotent.
+    def shutdown(self, join_timeout: float = 5.0) -> None:
+        """Stop every context, wake jitter sleeps, join the workers.
+
+        One deadline covers all joins; bodies cancel cooperatively at
+        chunk boundaries, so a straggler past the deadline is daemonic
+        and cannot wedge interpreter exit.  Idempotent.
         """
         with self._lock:
-            self._closed = True
-            contexts = list(self._contexts)
-        for ctx in contexts:
-            self.stop_context(ctx)
-        self._stop.set()
-        with self._lock:
-            self._condition.notify_all()
+            self.stop_all()
+            self._stop.set()
+            workers, self._workers = self._workers, []
+            self._idle.notify_all()
         deadline = time.perf_counter() + join_timeout
-        for ctx in contexts:
-            ctx.join(max(0.0, deadline - time.perf_counter()))
+        for worker in workers:
+            # (A worker a racing first start() has yet to start is not
+            # alive; it exits on its own as soon as it does start.)
+            if worker.is_alive():
+                worker.join(max(0.0, deadline - time.perf_counter()))
 
     # ----------------------------------------------------------- plumbing
 
@@ -236,255 +287,176 @@ class SharedThreadPool:
         if delay > 0.0:
             self._stop.wait(delay)
 
-    def _cell_updated(self) -> None:
-        """A task body bumped (or finalized) a watched data cell: poke
-        guards blocked in START_CHECK/W so valves over data contents
-        are re-checked now, not at the next fallback tick."""
-        with self._lock:
-            self._condition.notify_all()
-
     def _try_launches(self, ctx: RunContext) -> None:
-        """Launch every region whose ``after`` set is done and spawn its
-        guard threads (lock held, so no guard runs before its region is
-        fully launched)."""
+        """Launch every region whose ``after`` set is done and admit its
+        tasks (lock held, so no body runs before its region is fully
+        launched)."""
         if ctx.stopped:
             return
         for run in ctx.launchable():
             coordinator = ctx.launch(run)
-            coordinator.enable_update_wakeups()
             for task in run.region.graph:
-                self._spawn_guard(ctx, task, coordinator)
+                self._admit(ctx, task)
+            if ctx.waiting.polled:
+                # Only polled records care about cell bumps; a region
+                # without one is never wired, so its bodies' writes call
+                # back into nothing.  (No body of the region can bump a
+                # cell before the lock is released.)
+                coordinator.enable_update_wakeups()
 
-    def _spawn_guard(self, ctx: RunContext, task: FluidTask,
-                     coordinator: Coordinator) -> None:
-        """Create, track and start one guard thread (lock held)."""
-        ctx.run_events[id(task)] = threading.Event()
-        thread = threading.Thread(
-            target=self._guard_main, args=(ctx, task, coordinator),
-            name=f"guard-{task.region.name}-{task.name}", daemon=True)
-        ctx.threads.append(thread)
-        ctx.active_guards += 1
-        thread.start()
+    def _admit(self, ctx: RunContext, task: FluidTask) -> None:
+        """INIT -> START_CHECK (lock held).  The record is parked
+        *before* its first valve check — see ``cell_updated``."""
+        task.transition(TaskState.START_CHECK, self.now())
+        ctx.waiting.park(task)
+        self._recheck(ctx, task)
 
-    def _admit_dynamic_task(self, ctx: RunContext, region: FluidRegion,
-                            task: FluidTask) -> None:
-        """Called from a guard thread mid-body (outside the lock); guard
-        creation is itself thread-safe."""
-        with self._lock:
-            coordinator = ctx.admit_dynamic_task(region, task).coordinator
-            coordinator.enable_update_wakeups()
-            self._spawn_guard(ctx, task, coordinator)
+    def _recheck(self, ctx: RunContext, task: FluidTask) -> None:
+        """Re-evaluate one parked record (lock held); a satisfied one
+        joins the ready queue.  It stays parked until its body starts:
+        a non-monotone valve may flip back off while it is queued."""
+        if id(task) not in self._queued and task.start_valves_satisfied():
+            self._enqueue(ctx, task)
 
-    def _task_completed(self, ctx: RunContext, task: FluidTask) -> None:
-        """A finished region may unblock dependents (lock held, via the
-        context host)."""
-        if ctx.task_completed(task):
-            self._try_launches(ctx)
-        self._condition.notify_all()
+    def _enqueue(self, ctx: RunContext, task: FluidTask) -> None:
+        """``task`` may run — a first run or a re-execution — as soon as
+        a worker is free (lock held)."""
+        self._queued[id(task)] = ctx
+        self.scheduler.submit(task, now=self.now())
+        self._idle.notify()
 
     def _maybe_finish(self, ctx: RunContext) -> None:
-        """Finish the context once nothing is left to do (lock held).
-
-        The completing guard itself still holds ``active_guards`` > 0
-        when the last region completes, so the finish lands in that
-        guard's exit path — after ``_task_completed`` already launched
-        any dependent regions, which keeps the check race-free.
-        """
-        if ctx.finished.is_set() or ctx.active_guards > 0:
+        """Finish the context once nothing is left to do (lock held):
+        every region done, or stopped with no body still on a worker."""
+        idle = not ctx.host.running if ctx.stopped else ctx.all_done
+        if ctx.finished.is_set() or not idle:
             return
-        if not ctx.stopped and not ctx.all_done:
-            return
-        if ctx in self._contexts:
-            self._contexts.remove(ctx)
-        self._condition.notify_all()
+        self._contexts.remove(ctx)
         # on_finished contract: cheap and non-blocking (e.g.
         # call_soon_threadsafe); runs under the pool lock in the
         # finishing thread.
         ctx.finish()
+        self._done.notify_all()
 
-    # ------------------------------------------------------- slot gating
+    # ------------------------------------------------------------ workers
 
-    def _try_acquire_slot(self, task: FluidTask) -> bool:
-        """Queue ``task`` with the scheduler and try to claim a run slot.
-
-        Called with the lock held, only when a scheduler is configured
-        and the task is otherwise eligible to run.  Every admission goes
-        through ``submit``/``pick`` so the discipline's ordering, pick
-        counts and queue-residence histogram all apply — across every
-        active context, since the ready queue is pool-wide.  Guard
-        submissions are never sheddable: dropping a Fluid task would
-        deadlock its region, so a bounded scheduler parks overflow
-        instead (see repro.sched.BoundedScheduler).
-        """
-        tid = id(task)
-        if tid not in self._granted and tid not in self._slot_queued:
-            self._slot_queued.add(tid)
-            self.scheduler.submit(task, now=self.now())
-        self._grant_slots()
-        if tid in self._granted:
-            self._granted.discard(tid)
-            return True
-        return False
-
-    def _grant_slots(self) -> None:
-        """Hand free slots to the scheduler's picks (lock held).
-
-        Tasks that completed while queued (cascade completion) are
-        skipped without consuming a slot.
-        """
-        while self._slots_free > 0 and self.scheduler.pending():
-            picked = self.scheduler.pick(now=self.now(),
-                                         worker=self._slots_free - 1)
-            if picked is None:
-                break
-            self._slot_queued.discard(id(picked))
-            if picked.state is TaskState.COMPLETE:
-                continue
-            self._slots_free -= 1
-            self._granted.add(id(picked))
-        self._condition.notify_all()
-
-    def _release_slot(self) -> None:
-        """Return a slot and immediately re-grant it (lock held)."""
-        self._slots_free += 1
-        self._grant_slots()
-
-    def _drop_slot_claims(self, task: FluidTask) -> None:
-        """A guard is exiting: free any slot it was granted but never
-        claimed (lock held)."""
-        tid = id(task)
-        if tid in self._granted:
-            self._granted.discard(tid)
-            self._release_slot()
-        self._slot_queued.discard(tid)
-
-    # --------------------------------------------------------- guard main
-
-    def _guard_main(self, ctx: RunContext, task: FluidTask,
-                    coordinator: Coordinator) -> None:
-        """The per-task guard: Figure 5 driven by a real thread."""
-        try:
-            self._run_guard(ctx, task, coordinator)
-        finally:
-            with self._lock:
-                if self.scheduler is not None:
-                    self._drop_slot_claims(task)
-                ctx.active_guards -= 1
-                self._maybe_finish(ctx)
-
-    def _stopping(self, ctx: RunContext) -> bool:
-        return ctx.stopped or self._stop.is_set()
-
-    def _run_guard(self, ctx: RunContext, task: FluidTask,
-                   coordinator: Coordinator) -> None:
-        self._sleep_jitter(f"guard:{task.name}")
-        with self._lock:
-            if task.state is TaskState.INIT:
-                task.transition(TaskState.START_CHECK, self.now())
-            # The valve re-test and the wait both happen under the lock,
-            # and every wake source (count publish, data bump, rerun,
-            # completion, stop) notifies under the same lock, so a bump
-            # between the check and the wait cannot be lost; the timeout
-            # is a pure fallback.
-            while task.state is TaskState.START_CHECK and \
-                    not task.start_valves_satisfied():
-                if self._stopping(ctx):
-                    return
-                self._condition.wait(self.fallback_interval)
-        run_event = ctx.run_events[id(task)]
+    def _worker_main(self, index: int) -> None:
+        """One of the pool's ``slots`` long-lived workers: one critical
+        section per body — the end check of the body that just left and
+        the start of the next — then the body itself, unlocked."""
+        left = None
         while True:
-            self._sleep_jitter(f"wake:{task.name}")
             with self._lock:
-                if self._stopping(ctx):
-                    return
-                if task.state is TaskState.COMPLETE:
-                    return
-                if self.scheduler is not None:
-                    # Gated mode: the guard must win a run slot from the
-                    # scheduler before it may enter RUNNING.  The run
-                    # event is cleared only *after* the slot is granted,
-                    # so a poke that arrives while the guard is queued
-                    # is never lost.
-                    if task.state is TaskState.START_CHECK:
-                        eligible = task.start_valves_satisfied()
-                    elif task.state in (TaskState.WAITING,
-                                        TaskState.DEP_STALLED):
-                        eligible = run_event.is_set()
-                    else:  # pragma: no cover - defensive
-                        eligible = False
-                    if not eligible or not self._try_acquire_slot(task):
-                        self._condition.wait(self.fallback_interval)
-                        continue
-                    # Slot held: re-validate, since the state may have
-                    # moved while the guard sat in the ready queue.
-                    if task.state is TaskState.START_CHECK:
-                        task.transition(TaskState.RUNNING, self.now())
-                    elif task.state in (TaskState.WAITING,
-                                        TaskState.DEP_STALLED) and \
-                            run_event.is_set():
-                        run_event.clear()
-                        task.transition(TaskState.RUNNING, self.now())
-                    else:
-                        self._release_slot()
-                        continue
-                elif task.state is TaskState.START_CHECK:
-                    task.transition(TaskState.RUNNING, self.now())
-                elif task.state in (TaskState.WAITING, TaskState.DEP_STALLED):
-                    if not run_event.is_set():
-                        # schedule_run sets the event and notifies under
-                        # this lock, so the re-test on wake cannot miss
-                        # a poke (lost-wakeup audit); the timeout is a
-                        # fallback only.
-                        self._condition.wait(self.fallback_interval)
-                        continue
-                    run_event.clear()
-                    task.transition(TaskState.RUNNING, self.now())
-                else:  # pragma: no cover - defensive
-                    self._condition.wait(self.fallback_interval)
-                    continue
-                if ctx.bus is not None:
-                    ctx.bus.emit(
-                        "sched", task.region.name, task.name, "run",
-                        data={"detail": f"attempt={task.run_index}"})
-                run_ctx = task.begin_run()
-                generator = task.make_generator(run_ctx)
-            cancelled = self._consume(ctx, task, generator)
-            with self._lock:
-                if self.scheduler is not None:
-                    self._release_slot()
-                if self._stopping(ctx):
-                    return
-                if task.state is TaskState.COMPLETE:
-                    return  # completed concurrently (cascade)
-                if cancelled:
-                    coordinator.body_cancelled(task)
-                else:
-                    task.transition(TaskState.END_CHECK, self.now())
-                    coordinator.body_finished(task)
-                self._condition.notify_all()
+                if left is not None:
+                    self._for_context(self._body_left, *left)
+                started = self._next(index)
+            if started is None:
+                return
+            ctx, task, run_ctx = started
+            left = ctx, task, self._consume(ctx, task, run_ctx)
 
-    def _consume(self, ctx: RunContext, task: FluidTask, generator) -> bool:
-        """Run the body outside the lock; honour cooperative cancellation.
+    def _for_context(self, step, ctx: RunContext, *args):
+        """Run one locked step on a context's behalf.  Workers outlive
+        contexts, so an exception out of a step — a user valve predicate
+        raising, an illegal transition — fails that context instead of
+        killing the worker."""
+        try:
+            return step(ctx, *args)
+        except Exception as error:
+            self._fail(ctx, error)
+            return None
+
+    def _fail(self, ctx: RunContext, error: Exception) -> None:
+        """Record the context's first error for its waiter, then cancel
+        the rest of it: fail fast, so nothing stalls on data a failed
+        body will never produce."""
+        with self._lock:
+            ctx.fail(error)
+            self._done.notify_all()
+            self.stop_context(ctx)
+
+    def _next(self, worker: int) \
+            -> Optional[Tuple[RunContext, FluidTask, TaskContext]]:
+        """Start the ready queue's next startable pick, waiting while
+        the queue is empty (lock held, released while idle); None once
+        the pool shuts down."""
+        while not self._stop.is_set():
+            task = self.scheduler.pick(now=self.now(), worker=worker)
+            if task is not None:
+                ctx = self._queued[id(task)]
+                if self.policy is not None:
+                    # This worker holds the lock exactly once.
+                    self._lock.release()
+                    try:
+                        self._sleep_jitter(f"wake:{task.name}")
+                    finally:
+                        self._lock.acquire()
+                run_ctx = self._for_context(self._begin, ctx, task)
+                if run_ctx is not None:
+                    return ctx, task, run_ctx
+                continue
+            # The timed wait is a safety net for parked records only
+            # (a record still filed while its task is queued is not
+            # parked); with none anywhere, sleep until notified.
+            parked = not self._queued and \
+                any(ctx.waiting for ctx in self._contexts)
+            if not self._idle.wait(self.fallback_interval if parked
+                                   else None):
+                for ctx in tuple(self._contexts):
+                    for task in tuple(ctx.waiting.records.values()):
+                        self._for_context(self._recheck, ctx, task)
+        return None
+
+    def _begin(self, ctx: RunContext,
+               task: FluidTask) -> Optional[TaskContext]:
+        """Enter RUNNING (lock held), or drop the pick: its context
+        stopped, or it went stale while queued (``ctx.may_start`` —
+        early termination of a pointless re-run lands here)."""
+        # Queued until here, not until the pick: a publish during the
+        # worker's wake jitter must not enqueue the record twice.
+        del self._queued[id(task)]
+        if ctx.stopped or not ctx.may_start(task):
+            return None
+        ctx.waiting.discard(task)
+        task.transition(TaskState.RUNNING, self.now())
+        if ctx.bus is not None:
+            ctx.bus.emit("sched", task.region.name, task.name, "run",
+                         data={"detail": f"attempt={task.run_index}"})
+        ctx.host.running += 1
+        return task.begin_run()
+
+    def _consume(self, ctx: RunContext, task: FluidTask,
+                 run_ctx: TaskContext) -> bool:
+        """Run the body outside the lock; honour cooperative
+        cancellation.  Returns True when the run was cut short.
 
         A body exception is recorded on the context and surfaced by the
-        waiter (``run()`` / the service future), instead of silently
-        killing the guard thread."""
+        waiter (``wait()`` / the service future), instead of silently
+        killing the worker."""
         try:
+            generator = task.make_generator(run_ctx)
             for _cost in generator:
                 if task.cancel_requested:
                     generator.close()
                     return True
         except Exception as exc:
-            region_name = task.region.name if task.region else "?"
-            error = TaskBodyError(region_name, task.name,
+            error = TaskBodyError(task.region.name, task.name,
                                   task.run_index, exc)
             error.__cause__ = exc
-            with self._lock:
-                ctx.fail(error)
-                self._condition.notify_all()
-            # Fail fast: cancel the rest of the context so its guards
-            # drain instead of stalling on data the failed body will
-            # never produce, then let the waiter surface the error.
-            self.stop_context(ctx)
+            self._fail(ctx, error)
             return True
         return False
+
+    def _body_left(self, ctx: RunContext, task: FluidTask,
+                   cancelled: bool) -> None:
+        """A body left its worker: run the end check (lock held)."""
+        ctx.host.running -= 1
+        if ctx.stopped:
+            self._maybe_finish(ctx)
+            return
+        coordinator = ctx.run_of(task).coordinator
+        if cancelled:
+            coordinator.body_cancelled(task)
+        else:
+            task.transition(TaskState.END_CHECK, self.now())
+            coordinator.body_finished(task)

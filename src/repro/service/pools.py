@@ -2,7 +2,7 @@
 
 The thread backend has a genuinely shared pool
 (:class:`repro.runtime.thread_pool.SharedThreadPool`): one lock, one
-slot gate, one scheduler, many concurrent contexts.  The simulator and
+ready queue, ``slots`` workers, many concurrent contexts.  The simulator and
 process backends are single-shot by construction (virtual time only
 advances inside ``run()``; leased workers belong to one parent control
 loop at a time), so :class:`OneShotPool` adapts them: each admitted
@@ -10,8 +10,8 @@ loop at a time), so :class:`OneShotPool` adapts them: each admitted
 executor, dispatched onto a small pool of dispatcher threads that
 bounds how many run at once.
 
-Both pool shapes expose the same four calls the service uses —
-``start(ctx)`` / ``stop_context(ctx)`` / ``shutdown()`` / ``now()`` —
+Both pool shapes expose the same calls the service uses — ``start(ctx)``
+/ ``stop_context(ctx)`` / ``stop_all()`` / ``shutdown()`` / ``now()`` —
 with completion always delivered through ``ctx.on_finished``.
 """
 
@@ -81,6 +81,10 @@ class OneShotPool:
 
     def stop_context(self, ctx: RunContext) -> None:
         ctx.stopped = True
+
+    def stop_all(self) -> None:
+        """Nothing to cancel: a started context runs its executor to
+        the end (class docstring); ``shutdown()`` waits for it."""
 
     def shutdown(self, join_timeout: float = 5.0) -> None:
         with self._lock:

@@ -6,7 +6,7 @@ single shared backend pool:
 
 * **thread** (default) — a
   :class:`~repro.runtime.thread_pool.SharedThreadPool`: every request's
-  regions run concurrently over one lock/slot-gate/scheduler substrate
+  regions run concurrently over one lock/ready-queue/worker substrate
   with per-region count/valve isolation;
 * **sim** / **process** — a :class:`~repro.service.pools.OneShotPool`
   of single-shot executors bounded by dispatcher workers.
@@ -111,10 +111,11 @@ class FluidService:
         ``thread`` (shared pool, default), ``sim`` or ``process``
         (one-shot pools).
     slots / scheduler:
-        Thread-pool run-slot gate: at most ``slots`` bodies run
-        concurrently, granted in ``scheduler`` discipline order across
-        *all* in-flight requests.  For one-shot backends ``slots``
-        bounds concurrent executor runs instead.
+        The thread pool's workers and ready queue: at most ``slots``
+        bodies run concurrently, picked in ``scheduler`` discipline
+        order (``None`` is FCFS) across *all* in-flight requests.  For
+        one-shot backends ``slots`` bounds concurrent executor runs
+        instead.
     queue_capacity / discipline:
         The bounded admission queue and its dispatch order.
     max_concurrency:
@@ -177,7 +178,7 @@ class FluidService:
         self.max_concurrency = max_concurrency or 4 * slots
         # The admission queue is driven only from the event-loop thread,
         # so it may share the service bus; the backend pool publishes
-        # from guard threads and therefore gets no bus (per-request
+        # from its worker threads and therefore gets no bus (per-request
         # telemetry would race the service's own publishes).
         self.queue = AdmissionQueue(capacity=queue_capacity,
                                     discipline=discipline, bus=self._bus)
@@ -269,11 +270,7 @@ class FluidService:
                 self._fail_request(
                     request, AdmissionError(
                         f"service {self.name!r} closed before dispatch"))
-            if hasattr(self.pool, "_contexts"):
-                with self.pool._lock:
-                    contexts = list(self.pool._contexts)
-                for ctx in contexts:
-                    self.pool.stop_context(ctx)
+            self.pool.stop_all()
         if self._inflight or self.queue.pending():
             try:
                 await asyncio.wait_for(self._idle.wait(), timeout)
@@ -409,10 +406,6 @@ class FluidService:
                 request.future.set_result(ServiceResult(
                     request.region, latency, queue_wait, slo_met,
                     len(batch)))
-        # Reap this context's guard threads (no-op on one-shot pools):
-        # they are at/near exit once the context finished, and a
-        # long-lived service must not accumulate one thread per task.
-        ctx.join(1.0)
         self._dispatch()
         self._maybe_idle()
 

@@ -162,6 +162,12 @@ class StageQueue:
     def _cell(self, seq: int):
         return self.slots[seq]
 
+    def _cells(self) -> list:
+        """The raw slot list: the totals below, computed on every put
+        and every served item, are one pass over it."""
+        slots = self.slots
+        return slots if isinstance(slots, list) else slots.read()
+
     def arrived(self, seq: int) -> bool:
         cell = self._cell(seq)
         return cell is not None and cell != DROPPED
@@ -173,21 +179,24 @@ class StageQueue:
         return self._cell(seq) is not None
 
     def arrived_total(self) -> int:
-        return sum(1 for seq in range(self.expected) if self.arrived(seq))
+        cells = self._cells()
+        return self.expected - cells.count(None) - cells.count(DROPPED)
 
     def drops(self) -> int:
-        return sum(1 for seq in range(self.expected) if self.is_dropped(seq))
+        return self._cells().count(DROPPED)
 
     def settled_total(self) -> int:
-        return sum(1 for seq in range(self.expected) if self.settled(seq))
+        return self.expected - self._cells().count(None)
 
     def missing_total(self) -> int:
-        return self.expected - self.settled_total()
+        return self._cells().count(None)
 
     def occupancy(self) -> int:
         """Delivered-but-unserved items (the backpressure signal)."""
-        return sum(1 for seq in range(self.expected)
-                   if self.arrived(seq) and seq not in self._served)
+        served = self._served
+        return sum(1 for seq, cell in enumerate(self._cells())
+                   if cell is not None and cell != DROPPED
+                   and seq not in served)
 
     def must(self, seq: int) -> bool:
         return self.must_seqs is None or seq in self.must_seqs

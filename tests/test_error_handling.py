@@ -57,7 +57,7 @@ class TestThreadBackendErrors:
 
     def test_healthy_regions_unaffected(self):
         from util import make_pipeline, pipeline_expected
-        region = make_pipeline(n=10)
+        region = make_pipeline(n=10, exact_quality=True)
         executor = ThreadExecutor(timeout=10)
         executor.submit(region)
         executor.run()

@@ -20,12 +20,9 @@ numbers; the report also tracks valve-check and re-execution drift.
 ``--fluid-backend thread`` runs the same matrix on real threads
 (wall-clock baselines); ``--fluid-backend process`` benches the
 process-contract-safe CPU-bound fan-out instead, since most Figure-6
-apps alias payload buffers.
-
-``--backend process --compare BENCH_baseline.json`` runs the real-core
-dispatch gate: legacy fork-per-run, one-task-per-round-trip dispatch
-against the batched persistent-pool path, failing unless the speedup
-clears the baseline's ``realcore.min_speedup`` floor.
+apps alias payload buffers.  ``--save-baseline``/``--compare`` apply to
+these matrix modes only; dispatch cost on real cores is measured by
+``benchmarks/perf`` (``proc-pool``, ``process.dispatch_rtt_us.*``).
 """
 
 from __future__ import annotations
@@ -38,8 +35,7 @@ import numpy as np
 
 from ..core.valves import set_memoization
 from .harness import (cpu_bound_shapes, run_backend_bench, run_comparison,
-                      run_process_dispatch_bench, run_region_comparison,
-                      standard_suite)
+                      run_region_comparison, standard_suite)
 from .reporting import render_series, render_table
 
 _log = logging.getLogger("repro.bench")
@@ -157,49 +153,6 @@ def run_backends(backend: str, workers, tasks, scale: float,
               file=sys.stderr)
         return 1
     return 0
-
-
-def run_dispatch_gate(args, telemetry=None) -> int:
-    """``--backend process --compare``: the batched-dispatch regression
-    gate.  Reruns the baseline's ``realcore`` workload — legacy
-    fork-per-run dispatch vs the batched persistent-pool path — and
-    fails unless the measured speedup clears the recorded floor."""
-    from . import baseline as baseline_mod
-
-    try:
-        document = baseline_mod.load_baseline(args.compare)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"cannot load baseline: {exc}", file=sys.stderr)
-        return 1
-    section = document.get("realcore")
-    if not isinstance(section, dict):
-        print(f"{args.compare}: baseline has no 'realcore' section; "
-              "re-record it (see docs/benchmarks.md)", file=sys.stderr)
-        return 1
-    workload = section.get("workload", {})
-    row = run_process_dispatch_bench(
-        workers=args.workers or workload.get("workers"),
-        tasks=args.tasks or int(workload.get("tasks", 24)),
-        iterations=int(workload.get("iterations", 3000)),
-        rounds=int(workload.get("rounds", 6)),
-        batch_size=int(workload.get("batch_size", 16)),
-        telemetry=telemetry)
-    min_speedup = float(section.get("min_speedup", 1.3))
-    print(render_table(
-        f"Process dispatch gate ({row.rounds} rounds x {row.tasks} tasks "
-        f"x {row.iterations} iterations, {row.workers} workers, "
-        f"batch {row.batch_size})",
-        ["path", "wall seconds", "throughput vs legacy"],
-        [["legacy fork-per-run", row.legacy_seconds, 1.0],
-         ["batched pool", row.pooled_seconds, row.speedup]]))
-    if not row.outputs_match:
-        print("ERROR: backend outputs diverged from the precise values",
-              file=sys.stderr)
-        return 1
-    verdict = row.speedup >= min_speedup
-    print(f"  dispatch speedup x{row.speedup:.2f} vs required "
-          f"x{min_speedup:.2f}: {'PASS' if verdict else 'FAIL'}")
-    return 0 if verdict else 1
 
 
 def run_matrix(args, telemetry=None) -> int:
@@ -343,13 +296,10 @@ def main(argv=None) -> int:
 
     if (args.save_baseline or args.compare) and args.sweep:
         parser.error("--save-baseline/--compare do not apply to --sweep")
-    if args.save_baseline and args.backend in ("thread", "process"):
-        parser.error("--save-baseline applies to the matrix modes only; "
-                     "the real-core gate's 'realcore' section is part of "
-                     "the committed matrix baseline (docs/benchmarks.md)")
-    if args.compare and args.backend == "thread":
-        parser.error("--compare with the real-core comparison needs "
-                     "--backend process (the batched-dispatch gate)")
+    if (args.save_baseline or args.compare) and \
+            args.backend in ("thread", "process"):
+        parser.error("--save-baseline/--compare apply to the matrix modes "
+                     "only, not to the real-core --backend comparison")
     if args.scheduler is not None:
         if args.sweep or args.backend in ("thread", "process") or \
                 args.fluid_backend == "process":
@@ -390,8 +340,6 @@ def main(argv=None) -> int:
         thresholds = [float(token) for token in
                       args.thresholds.split(",") if token]
         status = run_sweep(args.sweep, thresholds)
-    elif args.backend == "process" and args.compare:
-        status = run_dispatch_gate(args, telemetry=telemetry)
     elif args.backend in ("thread", "process"):
         scale = args.scale
         if scale is None:

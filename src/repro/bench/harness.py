@@ -370,88 +370,6 @@ def run_region_comparison(input_name: str, tasks: int, iterations: int,
 
 
 @dataclass
-class DispatchBenchRow:
-    """Legacy fork-per-run dispatch vs batched persistent-pool dispatch."""
-
-    workers: int
-    tasks: int
-    iterations: int
-    rounds: int
-    batch_size: int
-    legacy_seconds: float
-    pooled_seconds: float
-    outputs_match: bool
-
-    @property
-    def speedup(self) -> float:
-        """Throughput ratio of the pooled path over the legacy path."""
-        if self.pooled_seconds <= 0:
-            return float("inf")
-        return self.legacy_seconds / self.pooled_seconds
-
-
-def run_process_dispatch_bench(workers: Optional[int] = None,
-                               tasks: int = 24, iterations: int = 3000,
-                               rounds: int = 6, batch_size: int = 16,
-                               chunks: int = 4,
-                               telemetry=None) -> DispatchBenchRow:
-    """Time ``rounds`` back-to-back small-body fan-outs two ways.
-
-    * *legacy*: a fresh fork-per-run executor with ``batch_size=1`` and
-      the payload arena off — the pre-batching process backend, paying a
-      fork, one queue round-trip per task, and a pool teardown per run;
-    * *pooled*: one :class:`~repro.runtime.worker_pool.
-      PersistentProcessPool` leased to every run, batched dispatch, the
-      arena on.
-
-    The bodies are deliberately tiny (milliseconds) so dispatch
-    overhead — what this PR attacks — dominates, the way it does for
-    ``FluidService`` requests and ``repro.stream`` windows.  The pool's
-    one-time fork is excluded from the timed window because services
-    amortize it across their lifetime; the legacy side's per-run forks
-    are *in* the window because that is exactly its per-run cost.
-    ``telemetry`` instruments the first pooled run only.
-    """
-    from ..runtime.process_backend import ProcessExecutor
-    from ..runtime.worker_pool import PersistentProcessPool
-
-    workers = workers if workers else (os.cpu_count() or 1)
-    expected = [_lcg_kernel(7 + 13 * index, iterations)
-                for index in range(tasks)]
-
-    def one_round(**options):
-        region = make_cpu_bound_region(tasks=tasks, iterations=iterations,
-                                       chunks=chunks)
-        executor = ProcessExecutor(workers=workers, timeout=600.0,
-                                   **options)
-        executor.submit(region)
-        executor.run()
-        return [region.output(f"out_{index}") for index in range(tasks)]
-
-    match = True
-    start = time.perf_counter()
-    for _ in range(rounds):
-        outputs = one_round(batch_size=1, payload_arena=False)
-        match = match and outputs == expected
-    legacy_seconds = time.perf_counter() - start
-
-    with PersistentProcessPool(workers=workers, name="bench-pool") as pool:
-        start = time.perf_counter()
-        for index in range(rounds):
-            options = {"pool": pool, "batch_size": batch_size}
-            if telemetry is not None and index == 0:
-                options["telemetry"] = telemetry
-            outputs = one_round(**options)
-            match = match and outputs == expected
-        pooled_seconds = time.perf_counter() - start
-
-    return DispatchBenchRow(
-        workers=workers, tasks=tasks, iterations=iterations, rounds=rounds,
-        batch_size=batch_size, legacy_seconds=legacy_seconds,
-        pooled_seconds=pooled_seconds, outputs_match=match)
-
-
-@dataclass
 class BackendBenchRow:
     """Wall-clock comparison of one backend against the thread baseline."""
 

@@ -24,7 +24,7 @@ thread backend holds a region lock).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from .graph import TaskGraph
 from .states import TaskState
@@ -114,14 +114,12 @@ class Coordinator:
 
     def __init__(self, host: GuardHost, graph: TaskGraph,
                  modulation: Optional[ModulationPolicy] = None,
-                 trace: Optional[Callable[[str, FluidTask, str], None]] = None,
                  cancel_first_runs: bool = False,
                  policy: Optional[object] = None,
                  telemetry: Optional[object] = None):
         self.host = host
         self.graph = graph
         self.modulation = modulation or ModulationPolicy(0.0)
-        self._trace = trace
         #: A repro.telemetry.TelemetryBus; guard decisions publish into
         #: it as kind="guard" events when set.
         self.telemetry = telemetry
@@ -350,8 +348,6 @@ class Coordinator:
     # ------------------------------------------------------------------ misc
 
     def _emit(self, event: str, task: FluidTask, detail: str) -> None:
-        if self._trace is not None:
-            self._trace(event, task, detail)
         if self.telemetry is not None:
             self.telemetry.emit(
                 "guard", getattr(task.region, "name", ""), task.name, event,

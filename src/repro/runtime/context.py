@@ -10,11 +10,16 @@ request batch).
 The context is also the single owner of the *region lifecycle* (PAPER.md
 §6.2, docs/runtime-semantics.md "Region lifecycle"): which region may
 launch, what launching does, when a region is done and what done emits,
-which queued task may still run, and what is still pending.  Drivers —
-the simulator, the thread pool, the process executor — call it and
-differ only in how time passes and where bodies run.  The context takes
-no lock of its own: the driver calls it under whatever serializes its
-Coordinator calls (the pool lock, or a single-threaded control loop).
+which queued task may still run, and what is still pending — and of the
+*wake rule* (PAPER.md §6, Fig. 5; "Wakeups" in the same document): a
+task enters START_CHECK as a parked record (:meth:`RunContext.admit`),
+a batch of published counts names the records to re-evaluate
+(:meth:`RunContext.woken`), and the record leaves the wait set when its
+body starts (:meth:`RunContext.begin`).  Drivers — the simulator, the
+thread pool, the process executor — call it and differ only in how time
+passes and where bodies run.  The context takes no lock of its own: the
+driver calls it under whatever serializes its Coordinator calls (the
+pool lock, or a single-threaded control loop).
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from ..core.errors import SchedulerError
 from ..core.guard import Coordinator, GuardHost
 from ..core.region import FluidRegion
 from ..core.states import TaskState
-from ..core.task import FluidTask
+from ..core.task import FluidTask, TaskContext
 
 #: States a task awaits a re-run in, and those a task picked from the
 #: ready queue may start a body from.
@@ -78,7 +83,10 @@ class WaitSet:
     ``polled`` holds the records with a valve that declares no count (an
     opaque ``PredicateValve``, a ``DataFinalValve``), which only a
     data-cell bump or finalisation can open.  Whoever publishes a count
-    or bumps a cell re-evaluates just the records filed under it.
+    or bumps a cell re-evaluates just the records filed under it.  A
+    record is filed by :meth:`RunContext.admit` and leaves when its body
+    starts or a completion cascade retires it, so the parked records are
+    exactly the tasks in START_CHECK.
     """
 
     __slots__ = ("records", "by_count", "polled")
@@ -144,7 +152,7 @@ class RunContext:
         self.policy: Optional[object] = None
         #: id(task) -> the RegionRun it belongs to (launched regions).
         self._task_run: Dict[int, RegionRun] = {}
-        #: Tasks parked on their start valves (event-driven drivers).
+        #: Tasks parked on their start valves.
         self.waiting = WaitSet()
         #: First error of the run (a TaskBodyError, or any executor
         #: error on one-shot pools); surfaced to the waiter / service
@@ -299,6 +307,38 @@ class RunContext:
         self._task_run[id(task)] = run
         task.stats.enter(TaskState.INIT, self.host.now())
 
+    # ------------------------------------------------------- the wake rule
+
+    def admit(self, task: FluidTask) -> None:
+        """INIT -> START_CHECK.  The record is parked *before* the
+        driver's first valve check, so a publish that misses it in the
+        wait set happened before that check read its state."""
+        task.transition(TaskState.START_CHECK, self.host.now())
+        self.waiting.park(task)
+
+    def woken(self, counts: Iterable[Count]) -> List[FluidTask]:
+        """The parked records a published batch of ``counts`` must
+        re-evaluate: each once, in filing order — or in the order the
+        SchedLab policy chooses (the ``wake`` decision point)."""
+        by_count = self.waiting.by_count
+        filed: Dict[int, FluidTask] = {}
+        for count in counts:
+            filed.update(by_count.get(id(count), ()))
+        woken = list(filed.values())
+        if self.policy is not None and len(woken) > 1:
+            permutation = self.policy.order("wake", [t.name for t in woken])
+            woken = [woken[i] for i in permutation]
+        return woken
+
+    def begin(self, task: FluidTask) -> TaskContext:
+        """Enter RUNNING: the record leaves the wait set, ``sched/run``
+        is emitted and the run's input snapshots are taken."""
+        self.waiting.discard(task)
+        task.transition(TaskState.RUNNING, self.host.now())
+        self._emit(task.region, task.name, "run",
+                   f"attempt={task.run_index}")
+        return task.begin_run()
+
     def task_completed(self, task: FluidTask) -> bool:
         """Region-done bookkeeping behind ``GuardHost.task_completed``.
 
@@ -308,6 +348,8 @@ class RunContext:
         closed, and ``sched/region-done`` plus the region's one
         ``valve/memo`` summary are emitted.
         """
+        # A completion cascade can retire a task still in START_CHECK.
+        self.waiting.discard(task)
         run = self._task_run[id(task)]
         region = run.region
         if run.done or not region.complete:

@@ -7,10 +7,18 @@ processes *does* the work while the parent process keeps *deciding* —
 every valve check, Figure-5 transition and re-execution decision goes
 through the same :class:`~repro.core.guard.Coordinator` as the
 simulator and the thread backend, serialized in the parent's single
-control loop.  The region lifecycle is
+control loop.  The region lifecycle and the wake rule are
 :class:`~repro.runtime.context.RunContext`'s and the worker processes
 are :class:`~repro.runtime.worker_pool.PersistentProcessPool`'s; this
 module is the wire protocol between them.
+
+The parent never scans for runnable tasks: a task waiting on its start
+valves is a record in ``context.waiting`` (``admit`` at region launch,
+``begin`` at dispatch).  Applying a worker flush wakes the records filed
+under the counts it replayed (``woken``), a drained batch of messages
+re-polls the records no count can open, and a ``fallback_interval``
+without a message re-polls every parked record — the thread pool's
+safety net on this driver's clock (docs/runtime-semantics.md, "Wakeups").
 
 Division of labour
 ------------------
@@ -106,7 +114,7 @@ import pickle
 import queue as queue_module
 import time
 import traceback
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.count import RecordingSink
 from ..core.data import (PayloadArena, arena_detach_all, import_payload,
@@ -140,7 +148,7 @@ _MAX_RESPAWNS = 3
 #: Default upper bound on one control-loop block.  The loop is woken by
 #: events — worker messages arriving on the outbox, or a busy worker's
 #: process sentinel closing — so this only bounds how stale the deadline
-#: check can get.
+#: check can get, and paces the safety-net re-poll of parked records.
 _FALLBACK_INTERVAL = 0.1
 
 
@@ -303,16 +311,14 @@ class ProcessExecutor(Executor, GuardHost):
         :class:`~repro.runtime.thread_backend.ThreadExecutor`.
     fallback_interval:
         Upper bound on one control-loop block (the loop is woken by
-        events; this only bounds how stale the deadline check can get).
+        events; this bounds how stale the deadline check can get, and a
+        whole interval without a worker message re-polls every parked
+        record).
     batch_size:
         Maximum ready tasks coalesced into one worker round-trip.  The
         parent only batches when more tasks are queued than workers are
         idle (breadth-first dispatch is never sacrificed for batching);
         ``1`` reproduces the historical one-task-per-message protocol.
-    payload_arena:
-        Ship large recurring dispatch payloads through a per-run
-        :class:`~repro.core.data.PayloadArena` instead of a fresh
-        shared-memory segment per payload.
     pool:
         A :class:`~repro.runtime.worker_pool.PersistentProcessPool` to
         lease workers from; every submitted region must then carry a
@@ -332,7 +338,6 @@ class ProcessExecutor(Executor, GuardHost):
                  scheduler: Optional[object] = None,
                  autotune: Optional[object] = None,
                  batch_size: int = 8,
-                 payload_arena: bool = True,
                  pool: Optional[PersistentProcessPool] = None):
         if workers is not None and workers < 1:
             raise SchedulerError("need at least one worker process")
@@ -350,7 +355,6 @@ class ProcessExecutor(Executor, GuardHost):
                 inherit=self.context.regions)
         self.modulation = modulation
         self.batch_size = batch_size
-        self.payload_arena = payload_arena
         # Autotuning is parent-side, like the guards — valves live in
         # the parent, so actuations need no IPC.  Every telemetry
         # publish point is in the parent control loop, which is
@@ -421,7 +425,6 @@ class ProcessExecutor(Executor, GuardHost):
                 while True:
                     for run in ctx.launchable():
                         self._launch_region(run)
-                    self._check_start_valves()
                     self._dispatch_ready()
                     if ctx.body_error is not None:
                         raise ctx.body_error
@@ -624,17 +627,17 @@ class ProcessExecutor(Executor, GuardHost):
         self.context.launch(run)
         for task_index, task in enumerate(region.tasks):
             self._task_index[id(task)] = (run.index, task_index)
-            task.transition(TaskState.START_CHECK, self.now())
+            self.context.admit(task)
+        self._recheck(region.tasks)
 
-    def _check_start_valves(self) -> None:
-        for run in self.context.runs:
-            if not run.launched or run.done:
-                continue
-            for task in run.region.tasks:
-                if task.state is TaskState.START_CHECK and \
-                        id(task) not in self._queued and \
-                        task.start_valves_satisfied():
-                    self._enqueue(task)
+    def _recheck(self, records: Iterable[FluidTask]) -> None:
+        """Re-evaluate parked records; the satisfied ones join the ready
+        queue.  A record stays parked until its body is dispatched: a
+        non-monotone valve may flip back off while it is queued."""
+        for task in records:
+            if id(task) not in self._queued and \
+                    task.start_valves_satisfied():
+                self._enqueue(task)
 
     def _enqueue(self, task: FluidTask) -> None:
         if id(task) not in self._queued:
@@ -690,8 +693,7 @@ class ProcessExecutor(Executor, GuardHost):
             self._task_dispatch[id(task)] = dispatch_id
             ids.append(dispatch_id)
             if fresh:
-                task.transition(TaskState.RUNNING, self.now())
-                task.begin_run()
+                self.context.begin(task)
             payloads = {}
             skipped = 0
             for data in tuple(task.spec.inputs) + tuple(task.spec.outputs):
@@ -718,10 +720,6 @@ class ProcessExecutor(Executor, GuardHost):
             items.append((dispatch_id, region_index, task_index,
                           task.run_index, payloads, counts))
             if self._bus is not None:
-                if fresh:
-                    self._bus.emit("sched", region.name, task.name, "run",
-                                   data={"detail":
-                                         f"attempt={task.run_index}"})
                 self._bus.emit("worker", region.name, task.name, "dispatch",
                                data={"slot": slot})
                 self._bus.emit(
@@ -739,14 +737,13 @@ class ProcessExecutor(Executor, GuardHost):
 
     def _export_cell(self, key: Tuple[int, str], data) -> object:
         """Export one cell for dispatch, through the arena when it fits."""
-        if self.payload_arena:
-            value = data.read()
-            if self._arena is None and PayloadArena.eligible(value):
-                self._arena = PayloadArena()
-            if self._arena is not None:
-                handle = self._arena.export(key, value)
-                if handle is not None:
-                    return handle
+        value = data.read()
+        if self._arena is None and PayloadArena.eligible(value):
+            self._arena = PayloadArena()
+        if self._arena is not None:
+            handle = self._arena.export(key, value)
+            if handle is not None:
+                return handle
         return data.export_payload()
 
     def _maybe_kill_worker(self, region: FluidRegion, task: FluidTask,
@@ -768,14 +765,21 @@ class ProcessExecutor(Executor, GuardHost):
     # ----------------------------------------------------- event handling
 
     def _drain_events(self) -> None:
+        """Apply every waiting worker message, then re-poll the records
+        no count can open — once per batch, not per cell: a finishing
+        producer bumps, then finalises.  No message for a whole
+        ``fallback_interval``: re-poll every parked record instead."""
+        waiting = self.context.waiting
         if not self._await_activity():
+            self._recheck(waiting.records.values())
             return
         while True:
             try:
                 message = self._pool.outbox.get_nowait()
             except queue_module.Empty:
-                return
+                break
             self._apply_event(message)
+        self._recheck(waiting.polled.values())
 
     def _await_activity(self) -> bool:
         """Block until something happened: a worker message landed on the
@@ -905,8 +909,13 @@ class ProcessExecutor(Executor, GuardHost):
 
     def _replay_counts(self, region: FluidRegion,
                        records: List[Tuple[str, Any]]) -> None:
+        if not records:
+            return  # most flushes of a compute-heavy body carry none
+        counts = region.counts
         for name, value in records:
-            region.counts[name].replay(value)
+            counts[name].replay(value)
+        self._recheck(self.context.woken(
+            counts[name] for name, _value in records))
 
     # ------------------------------------------------------------- debug
 

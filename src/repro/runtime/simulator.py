@@ -17,10 +17,12 @@ to data "from the future".
 
 Region scheduling is first-come-first-serve (Section 6.2): submitted
 regions are admitted in order, as soon as their predecessor regions have
-completed and an admission slot is free.  The region lifecycle itself —
-launch, region-done, the validated ready-queue pick — is
-:class:`~repro.runtime.context.RunContext`'s; this driver adds virtual
-time, cores and the per-chunk visibility rule.
+completed and an admission slot is free.  The region lifecycle and the
+wake rule (``admit`` / ``woken`` / ``begin`` over ``context.waiting``)
+are :class:`~repro.runtime.context.RunContext`'s; this driver adds
+virtual time, cores and the per-chunk visibility rule, and publishes for
+the wake rule (docs/runtime-semantics.md, "Wakeups"): a chunk's completion
+wakes the records filed under its counts, a finalised cell the polled ones.
 """
 
 from __future__ import annotations
@@ -137,12 +139,11 @@ class SimExecutor(Executor, GuardHost):
             modulation=modulation, cancel_first_runs=cancel_first_runs)
         self.telemetry = self.context.telemetry
         self.autotuner = self.context.autotuner
-        self._bus = self.context.bus
         self.trace: Optional[Trace] = (
             self.telemetry.trace if self.telemetry is not None else None)
         #: SchedLab schedule policy: tie-breaks among simultaneous
-        #: events, core allocation among ready tasks, and watcher wake
-        #: order.  None keeps the historical deterministic FIFO order.
+        #: events, core allocation among ready tasks, and the wake order
+        #: of parked records.  None keeps the deterministic FIFO order.
         self.policy = policy
         self.scheduler = self.context.make_scheduler(
             scheduler, policy=policy, point="core", workers=cores)
@@ -156,9 +157,7 @@ class SimExecutor(Executor, GuardHost):
         self._queued: Set[int] = set()
         self._pending_updates: Optional[List[Tuple[Count, Any]]] = None
         self._active_regions = 0
-        # count id -> {task id -> task}; a dict (not a set) so wakeup order
-        # is insertion order, keeping runs deterministic.
-        self._watchers: Dict[int, Dict[int, FluidTask]] = {}
+        self._final_wired: Set[int] = set()  # cells whose mark_final we hear
         self._generators: Dict[int, Any] = {}
         # Per-task chunk event keys, built once per task: _advance runs
         # once per yielded chunk, and rebuilding ``f"chunk:{name}"``
@@ -177,7 +176,7 @@ class SimExecutor(Executor, GuardHost):
         try:
             self._try_admissions()
             queue = self._queue
-            while queue:
+            while queue or self._idle_repoll():
                 time, callback = queue.pop()
                 self._now = time
                 callback()
@@ -190,6 +189,19 @@ class SimExecutor(Executor, GuardHost):
                 f"{incomplete}: {ctx.pending_description()}")
         overhead = sum(region.stats.overhead_time for region in ctx.regions)
         return SimResult(self._now, ctx.regions, overhead, self.trace)
+
+    def _idle_repoll(self) -> bool:
+        """The safety net for parked records, on this driver's clock.
+
+        The event queue ran dry, so nothing is left to publish: give
+        every parked record one more look at the current virtual time (a
+        valve over state nothing announces, an injected valve flake).
+        False when that scheduled nothing — the simulation has drained.
+        The wall-clock drivers' timed re-poll likewise fires only while
+        nothing else is going on."""
+        for task in tuple(self.context.waiting.records.values()):
+            self._check_start(task)
+        return bool(self._queue)
 
     # -------------------------------------------------------- GuardHost
 
@@ -244,26 +256,23 @@ class SimExecutor(Executor, GuardHost):
     def _enter_start_check(self, task: FluidTask) -> None:
         if task.state is not TaskState.INIT:
             return  # retired from INIT by a completion cascade
-        task.transition(TaskState.START_CHECK, self._now)
-        for valve in task.spec.start_valves:
-            for count in valve.watched_counts:
-                self._watchers.setdefault(id(count), {})[id(task)] = task
-        self._watch_final_inputs(task)
+        self.context.admit(task)
+        if id(task) in self.context.waiting.polled:
+            # mark_final publishes no count: hear each input finalise,
+            # once per cell.  (Never its bumps — the visibility rule.)
+            for data in task.spec.inputs:
+                if id(data) not in self._final_wired:
+                    self._final_wired.add(id(data))
+                    data.on_final(self._repoll)
         self._check_start(task)
 
-    def _watch_final_inputs(self, task: FluidTask) -> None:
-        # DataFinalValve-style conditions flip on mark_final, which emits
-        # no count update; re-check the task whenever an input finalizes.
-        for data in task.spec.inputs:
-            data.on_final(lambda _data, task=task: self._recheck(task))
-
-    def _recheck(self, task: FluidTask) -> None:
-        if task.state is TaskState.START_CHECK:
+    def _repoll(self, _data: Any) -> None:
+        for task in tuple(self.context.waiting.polled.values()):
             self._check_start(task)
 
     def _check_start(self, task: FluidTask) -> None:
         if task.state is not TaskState.START_CHECK:
-            return
+            return  # started: an earlier wake of this batch freed a core
         self.context.run_of(task).region.stats.overhead_time += (
             self.overheads.valve_check * max(1, len(task.spec.start_valves)))
         if task.start_valves_satisfied():
@@ -297,15 +306,9 @@ class SimExecutor(Executor, GuardHost):
         key = id(task)
         self._queued.discard(key)
         self._task_core[key] = self._free_core_ids.pop()
-        task.transition(TaskState.RUNNING, self._now)
-        ctx = task.begin_run()
-        generator = task.make_generator(ctx)
-        self._generators[key] = generator
+        self._generators[key] = task.make_generator(self.context.begin(task))
         if key not in self._chunk_keys:
             self._chunk_keys[key] = f"chunk:{task.name}"
-        if self._bus is not None:
-            self._bus.emit("sched", task.region.name, task.name, "run",
-                           data={"detail": f"attempt={task.run_index}"})
         self._advance(task)
 
     def _advance(self, task: FluidTask) -> None:
@@ -368,24 +371,9 @@ class SimExecutor(Executor, GuardHost):
 
     def _publish(self, captured: List[Tuple[Count, Any]]) -> None:
         if not captured:
-            # Most chunks of compute-heavy bodies publish nothing;
-            # skip the per-chunk set/list churn for them.
+            # Most chunks of compute-heavy bodies publish nothing.
             return
-        woken: Set[int] = set()
-        to_wake: List[FluidTask] = []
         for count, value in captured:
             count.dispatch(value)
-        for count, _value in captured:
-            watchers = self._watchers.get(id(count))
-            if not watchers:
-                continue
-            for task in tuple(watchers.values()):
-                if id(task) not in woken:
-                    woken.add(id(task))
-                    to_wake.append(task)
-        if self.policy is not None and len(to_wake) > 1:
-            permutation = self.policy.order(
-                "wake", [task.name for task in to_wake])
-            to_wake = [to_wake[i] for i in permutation]
-        for task in to_wake:
-            self._recheck(task)
+        for task in self.context.woken(count for count, _value in captured):
+            self._check_start(task)

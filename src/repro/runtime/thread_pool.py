@@ -6,12 +6,16 @@ is that pool.  A task has no thread of its own:
 
 * a task waiting on its start valves is a *record* in its context's
   :class:`~repro.runtime.context.WaitSet`, filed under the counts its
-  valves declare;
-* the thread that publishes a count, or bumps / finalises a data cell,
-  re-evaluates only the records filed under it and pushes the ones that
-  became runnable onto the pool's one ready queue — a ``repro.sched``
-  discipline spanning every active context (``None`` is the
-  paper-faithful FCFS the simulator and process driver get);
+  valves declare — the wake rule every driver shares
+  (``RunContext.admit`` files it, ``RunContext.begin`` releases it);
+* this driver's publisher is the pool thread itself: the thread that
+  publishes a count, or bumps / finalises a data cell, re-evaluates
+  only the records filed under it (one count at a time, so it reads
+  ``waiting.watching(count)`` directly instead of the batch
+  ``RunContext.woken``) and pushes the ones that became runnable onto
+  the pool's one ready queue — a ``repro.sched`` discipline spanning
+  every active context (``None`` is the paper-faithful FCFS the
+  simulator and process driver get);
 * ``slots`` long-lived workers pull from that queue and run bodies, so
   at most ``slots`` bodies run at once.  A re-execution is an enqueue,
   early termination a dropped pick, cancellation a cleared wait set.
@@ -87,8 +91,6 @@ class _ContextHost(GuardHost, UpdateSink):
     def task_completed(self, task: FluidTask) -> None:
         """A finished region may unblock dependents or finish the
         context (lock held)."""
-        # A completion cascade can retire a task still in START_CHECK.
-        self.ctx.waiting.discard(task)
         if self.ctx.task_completed(task):
             self.pool._try_launches(self.ctx)
             self.pool._maybe_finish(self.ctx)
@@ -307,8 +309,7 @@ class SharedThreadPool:
     def _admit(self, ctx: RunContext, task: FluidTask) -> None:
         """INIT -> START_CHECK (lock held).  The record is parked
         *before* its first valve check — see ``cell_updated``."""
-        task.transition(TaskState.START_CHECK, self.now())
-        ctx.waiting.park(task)
+        ctx.admit(task)
         self._recheck(ctx, task)
 
     def _recheck(self, ctx: RunContext, task: FluidTask) -> None:
@@ -417,13 +418,9 @@ class SharedThreadPool:
         del self._queued[id(task)]
         if ctx.stopped or not ctx.may_start(task):
             return None
-        ctx.waiting.discard(task)
-        task.transition(TaskState.RUNNING, self.now())
-        if ctx.bus is not None:
-            ctx.bus.emit("sched", task.region.name, task.name, "run",
-                         data={"detail": f"attempt={task.run_index}"})
+        run_ctx = ctx.begin(task)
         ctx.host.running += 1
-        return task.begin_run()
+        return run_ctx
 
     def _consume(self, ctx: RunContext, task: FluidTask,
                  run_ctx: TaskContext) -> bool:

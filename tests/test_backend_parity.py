@@ -373,6 +373,121 @@ class TestLifecycleParity:
         assert run_b.launch_time >= first.stats.makespan
 
 
+# ---------------------------------------------------------- the wake rule
+
+WAKE_CONSUMERS = ("by_count", "by_final", "by_predicate", "by_convergence")
+
+
+def make_wake_rule_region(n=12, pace=0.002):
+    """One producer; four consumers whose start valves open four ways:
+    a count threshold, the input going final, an opaque predicate over
+    the input's contents, a non-monotone convergence window.  Exact
+    end-quality, so every consumer ends on the precise sum."""
+    import time
+
+    from repro import FluidRegion, PercentValve, PredicateValve
+    from repro.core.valves import ConvergenceValve, DataFinalValve
+
+    total = n * (n + 1) // 2
+
+    class WakeRule(FluidRegion):
+        def build(self):
+            src = self.input_data("src", list(range(n)))
+            mid = self.add_array("mid", [0] * n)
+            ct = self.add_count("ct")
+            energy = self.add_count("energy")
+
+            def produce(ctx):
+                data = src.read()
+                for i in range(n):
+                    time.sleep(pace)
+                    mid[i] = data[i] + 1
+                    ct.add()
+                    # Improves for the first half, then plateaus.
+                    energy.track_min(max(n // 2 - i, 0))
+                    yield 1.0
+
+            self.add_task("produce", produce, inputs=[src], outputs=[mid])
+            starts = {
+                "by_count": PercentValve(ct, 0.5, n),
+                "by_final": DataFinalValve(mid),
+                "by_predicate": PredicateValve(lambda: mid[n - 1] != 0),
+                "by_convergence": ConvergenceValve(energy, window=2),
+            }
+            for name in WAKE_CONSUMERS:
+                out = self.add_data(f"out_{name}", 0)
+
+                def body(ctx, out=out):
+                    out.write(sum(mid.read()))
+                    yield 1.0
+
+                self.add_task(
+                    name, body, start_valves=[starts[name]],
+                    end_valves=[PredicateValve(
+                        lambda out=out: out.read() == total, name="exact")],
+                    inputs=[mid], outputs=[out])
+
+    return WakeRule("wake-rule"), total
+
+
+def _flaky_starts(region):
+    """A bounded start-valve flake on the root task (which nothing
+    publishes for) and on the count-gated consumer."""
+    from repro.schedlab.faults import Fault, FaultPlan
+
+    return FaultPlan([
+        Fault("valve_false", task="produce", valve="start", count=1),
+        Fault("valve_false", task="consume", valve="start", count=2),
+    ]).attach([region])
+
+
+class TestWakeRuleParity:
+    """How a parked task learns it may run has one owner (RunContext
+    admit / woken / begin), so every driver files, wakes and releases
+    the same records."""
+
+    @pytest.mark.parametrize("backend",
+                             ["sim", "thread", "process-private"])
+    def test_every_valve_kind_opens_and_records_leave(self, backend):
+        from repro.telemetry import Telemetry
+
+        telemetry = Telemetry(chrome=False)
+        executor, _cleanup = _lifecycle_executors()[backend](telemetry)
+        waiting = executor.context.waiting
+        region, total = make_wake_rule_region()
+        parked_at_first_check, parked_at_run = {}, {}
+
+        def observe(event):
+            if (event.kind, event.name) == ("valve", "start"):
+                seen = parked_at_first_check
+            elif (event.kind, event.name) == ("sched", "run"):
+                seen = parked_at_run
+            else:
+                return
+            task = region.graph.task(event.task)
+            seen.setdefault(event.task, id(task) in waiting.records)
+
+        telemetry.bus.subscribe(observe)
+        executor.submit(region)
+        executor.run()
+        assert region.complete
+        for name in WAKE_CONSUMERS:
+            assert region.output(f"out_{name}") == total
+        # Parked before its first valve check; gone when its body starts.
+        assert parked_at_first_check == dict.fromkeys(WAKE_CONSUMERS, True)
+        assert parked_at_run == dict.fromkeys(
+            ("produce",) + WAKE_CONSUMERS, False)
+        assert len(executor.context.waiting) == 0
+
+    @pytest.mark.parametrize("run", ALL_BACKENDS)
+    def test_bounded_start_flakes_recover(self, run):
+        region = make_pipeline(n=20, exact_quality=True)
+        plan = _flaky_starts(region)
+        assert run(region).output("out") == pipeline_expected(20)
+        assert [entry[:2] for entry in plan.fired] == \
+            [("valve_false", "produce")] + [("valve_false", "consume")] * 2
+
+
 class TestOptionsCensus:
     def test_constructor_options_are_pinned(self):
         """Every independently settable constructor value of the runtime
@@ -402,7 +517,7 @@ class TestOptionsCensus:
                 "workers", "modulation", "fallback_interval", "timeout",
                 "cancel_first_runs", "flush_interval", "policy",
                 "telemetry", "scheduler", "autotune", "batch_size",
-                "payload_arena", "pool"],
+                "pool"],
             # inherit= is data, not a mode: the regions a private pool's
             # workers keep from their fork.
             "PersistentProcessPool": ["workers", "name", "inherit"],

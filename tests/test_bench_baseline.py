@@ -207,62 +207,10 @@ class TestMissingBaseline:
         with pytest.raises(FileNotFoundError):
             load_baseline(str(tmp_path / "nope.json"))
 
-    def test_dispatch_gate_missing_file_exits_nonzero(self, tmp_path,
-                                                      capsys):
-        assert bench_main(["--backend", "process", "--compare",
-                           str(tmp_path / "nope.json")]) == 1
-        assert "cannot load baseline" in capsys.readouterr().err
-
 
 class TestDispatchGate:
-    """--backend process --compare: the batched-dispatch speedup gate."""
-
-    def _baseline(self, tmp_path, **realcore):
-        path = str(tmp_path / "BENCH_rc.json")
-        rows = [make_row()]
-        document = save_baseline(path, rows, **CONFIG)
-        if realcore:
-            document["realcore"] = realcore
-            (tmp_path / "BENCH_rc.json").write_text(json.dumps(document))
-        return path
-
-    def test_gate_rejects_baseline_without_realcore(self, tmp_path, capsys):
-        path = self._baseline(tmp_path)
-        assert bench_main(["--backend", "process", "--compare", path]) == 1
-        assert "realcore" in capsys.readouterr().err
-
-    def test_gate_verdict_tracks_min_speedup(self, tmp_path, capsys,
-                                             monkeypatch):
-        import repro.bench.__main__ as cli
-        from repro.bench.harness import DispatchBenchRow
-
-        def fake_bench(**_kwargs):
-            return DispatchBenchRow(
-                workers=2, tasks=4, iterations=100, rounds=2, batch_size=8,
-                legacy_seconds=2.0, pooled_seconds=1.0, outputs_match=True)
-
-        monkeypatch.setattr(cli, "run_process_dispatch_bench", fake_bench)
-        fast = self._baseline(tmp_path, min_speedup=1.3)
-        assert bench_main(["--backend", "process", "--compare", fast]) == 0
-        assert "PASS" in capsys.readouterr().out
-        slow = self._baseline(tmp_path, min_speedup=3.0)
-        assert bench_main(["--backend", "process", "--compare", slow]) == 1
-        assert "FAIL" in capsys.readouterr().out
-
-    def test_gate_fails_on_output_divergence(self, tmp_path, capsys,
-                                             monkeypatch):
-        import repro.bench.__main__ as cli
-        from repro.bench.harness import DispatchBenchRow
-
-        monkeypatch.setattr(
-            cli, "run_process_dispatch_bench",
-            lambda **_kwargs: DispatchBenchRow(
-                workers=2, tasks=4, iterations=100, rounds=2, batch_size=8,
-                legacy_seconds=2.0, pooled_seconds=1.0,
-                outputs_match=False))
-        path = self._baseline(tmp_path, min_speedup=1.3)
-        assert bench_main(["--backend", "process", "--compare", path]) == 1
-        assert "diverged" in capsys.readouterr().err
+    """The legacy-vs-pooled dispatch gate is retired (benchmarks/perf
+    measures dispatch now): the baseline flags are matrix-only."""
 
     def test_save_baseline_rejected_for_realcore_modes(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -274,13 +222,16 @@ class TestDispatchGate:
             bench_main(["--backend", "thread",
                         "--compare", str(tmp_path / "b.json")])
 
-    def test_committed_root_baseline_has_realcore_section(self):
+    def test_compare_rejected_for_process_backend(self, tmp_path):
+        with pytest.raises(SystemExit):
+            bench_main(["--backend", "process",
+                        "--compare", str(tmp_path / "b.json")])
+
+    def test_committed_root_baseline_config(self):
         root = os.path.join(os.path.dirname(__file__), "..",
                             "BENCH_baseline.json")
         document = load_baseline(root)
         assert document["config"] == {"app": None, "backend": "sim",
                                       "memoization": True, "quick": True,
                                       "repeat": 1}
-        realcore = document["realcore"]
-        assert realcore["min_speedup"] >= 1.3
-        assert realcore["workload"]["batch_size"] > 1
+        assert "realcore" not in document

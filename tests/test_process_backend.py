@@ -17,6 +17,7 @@ from repro.core.count import Count, ImmediateSink, RecordingSink
 from repro.core.data import (PAYLOAD_SHM_MIN_BYTES, FluidData,
                              InlinePayload, SharedArrayPayload,
                              export_payload, import_payload)
+from repro.core.valves import DataFinalValve
 
 from util import make_pipeline, pipeline_expected
 
@@ -111,6 +112,66 @@ class TestCountReplay:
         assert target.value == 3
         assert target.updates == 2
         assert seen == [1, 3]
+
+
+class TestWakeRule:
+    def test_unrelated_flushes_do_not_recheck_a_parked_consumer(self):
+        """A count-gated consumer is re-evaluated when *its* count is
+        replayed, not on every flush another task sends."""
+        flushes = 30
+
+        class Region(FluidRegion):
+            def build(self):
+                c1 = self.add_count("c1")
+                c2 = self.add_count("c2")
+                go = self.add_data("go", 0)
+                noise = self.add_data("noise", 0)
+                gated = self.add_data("gated", 0)
+                out = self.add_data("out", 0)
+
+                def header(ctx):
+                    go.write(1)
+                    yield 1.0
+
+                def noisy(ctx):
+                    for _ in range(flushes):
+                        time.sleep(0.005)
+                        c2.add()
+                        yield 1.0
+                    noise.write(1)
+
+                def gate(ctx):
+                    for _ in range(flushes + 10):
+                        time.sleep(0.005)
+                        yield 1.0
+                    gated.write(1)
+                    c1.add()
+
+                def consume(ctx):
+                    out.write(gated.read() + 1)
+                    yield 1.0
+
+                self.add_task("header", header, outputs=[go])
+                for name, body, cell in (("noisy", noisy, noise),
+                                         ("gate", gate, gated)):
+                    self.add_task(name, body, inputs=[go], outputs=[cell],
+                                  start_valves=[DataFinalValve(go)])
+                self.add_task("consume", consume, inputs=[gated],
+                              outputs=[out],
+                              start_valves=[PercentValve(c1, 1.0, 1)])
+
+        region = Region("quiet-consumer")
+        # flush_interval=0: every chunk boundary that has something to
+        # say is a message; a long fallback keeps the safety net out.
+        executor = ProcessExecutor(workers=2, timeout=60, flush_interval=0.0,
+                                   fallback_interval=5.0)
+        executor.submit(region)
+        executor.run()
+        assert region.output("out") == 2
+        assert region.counts["c2"].updates == flushes
+        valve, = region.graph.task("consume").spec.start_valves
+        # Launch, the c1 replay, the pick-time validation.
+        assert valve.checks + valve.checks_skipped <= 6
 
 
 # --------------------------------------------------------- failure modes

@@ -95,6 +95,92 @@ class TestBasics:
             executor.run()
 
 
+class TestWakeRule:
+    """Parked tasks are records in ``context.waiting``: a started task
+    is no longer a wake candidate, and finalisation has one subscription
+    per cell, not one closure per consumer."""
+
+    @staticmethod
+    def _two_consumers(valve_for, n=10):
+        class Region(FluidRegion):
+            def build(self):
+                mid = self.add_array("mid", [0] * n)
+                ct = self.add_count("ct")
+
+                def produce(ctx):
+                    for i in range(n):
+                        mid[i] = i
+                        ct.add()
+                        yield 1.0
+
+                def consume(ctx):
+                    yield 1.0
+
+                self.add_task("produce", produce, outputs=[mid])
+                for name, fraction in (("early", 0.2), ("late", 0.8)):
+                    self.add_task(
+                        name, consume, inputs=[mid],
+                        start_valves=[valve_for(ct, mid, fraction, n)],
+                        outputs=[self.add_data(f"out_{name}", 0)])
+
+        return Region("two-consumers")
+
+    def test_wake_decisions_cover_parked_records_only(self):
+        from repro import PercentValve
+        from repro.schedlab.policy import FifoPolicy, RecordingPolicy
+
+        policy = RecordingPolicy(FifoPolicy())
+        region = self._two_consumers(
+            lambda ct, _mid, fraction, n: PercentValve(ct, fraction, n))
+        executor = fresh_executor(policy=policy)
+        executor.submit(region)
+        executor.run()
+        assert region.complete
+        # Both consumers are parked for the first two publishes; from
+        # then on "early" runs and "late" is the only candidate.
+        wakes = [d for d in policy.decisions if d[0] == "wake"]
+        assert len(wakes) <= 2
+        assert len(region.datas["mid"]._watchers) <= 1
+        assert len(executor.context.waiting) == 0
+
+    def test_finalisation_has_one_subscription_per_cell(self):
+        from repro.core.valves import DataFinalValve
+
+        region = self._two_consumers(
+            lambda _ct, mid, _fraction, _n: DataFinalValve(mid))
+        executor = fresh_executor()
+        executor.submit(region)
+        executor.run()
+        assert region.complete
+        assert len(region.datas["mid"]._watchers) == 1
+
+    def test_idle_queue_repolls_parked_records_once(self):
+        """A valve over state nothing announces opens on the idle
+        re-poll; one that stays shut still drains the simulation."""
+        from repro import PredicateValve
+
+        import itertools
+
+        def gated(verdicts):
+            class Region(FluidRegion):
+                def build(self):
+                    def body(ctx):
+                        yield 1.0
+                    self.add_task("lone", body, start_valves=[
+                        PredicateValve(lambda: next(verdicts))])
+            return Region("gated")
+
+        region = gated(iter([False, True]))  # shut at admission only
+        executor = fresh_executor()
+        executor.submit(region)
+        executor.run()
+        assert region.complete
+        executor = fresh_executor()
+        executor.submit(gated(itertools.repeat(False)))
+        with pytest.raises(SchedulerError, match="drained"):
+            executor.run()
+
+
 class TestCoreContention:
     def test_one_core_serializes(self):
         # With a single core there is no overlap to exploit.

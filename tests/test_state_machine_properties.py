@@ -121,11 +121,18 @@ class TestSimulatedExecutions:
         outcome = run_scenario("pipeline",
                                policy=SeededRandomPolicy(seed), seed=seed,
                                faults=_flake_faults(flakes))
-        # Flaky valves may change *scheduling* but never legality: the
-        # only acceptable outcomes are a clean run or a drained
-        # simulation (e.g. a valve_false flake that starves a start
-        # check), never an invariant violation.
-        assert outcome.failure in (None, "scheduler-error"), outcome.message
+        # Flaky valves may change *scheduling* but never legality, and
+        # the run completes: end-valve flakes are retried by the
+        # re-execution chain, a start-valve flake by the idle re-poll.
+        # That re-poll gives every parked record one more look, so the
+        # one flake that can still drain the simulation is a start
+        # ``valve_false`` forced for more than one check.
+        outlasts_repoll = sum(
+            count for kind, valve, count in flakes
+            if (kind, valve) == ("valve_false", "start")) > 1
+        assert outcome.failure is None or (
+            outlasts_repoll and outcome.failure == "scheduler-error"), \
+            outcome.message
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))

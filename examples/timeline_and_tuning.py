@@ -12,7 +12,7 @@ threshold whose error stays inside a budget.
 Run:  python examples/timeline_and_tuning.py
 """
 
-from repro import (FluidRegion, PercentValve, SimExecutor,
+from repro import (FluidRegion, PercentValve, SimExecutor, Telemetry,
                    ThresholdTuner, TimelineRecorder)
 from repro.apps.kmeans import KMeansApp
 from repro.workloads import synthetic_image
@@ -50,9 +50,9 @@ class RacingPipeline(FluidRegion):
 def main():
     print("=== Part 1: the schedule, drawn ===")
     region = RacingPipeline("race")
-    recorder = TimelineRecorder()
-    recorder.attach(region)
-    executor = SimExecutor(cores=4)
+    telemetry = Telemetry(metrics=False, chrome=False)
+    recorder = TimelineRecorder().connect(telemetry.bus)
+    executor = SimExecutor(cores=4, telemetry=telemetry)
     executor.submit(region)
     executor.run()
     print(recorder.render(width=76))

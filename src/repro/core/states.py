@@ -19,12 +19,16 @@ States
 ``DEP_STALLED`` (D)
     A child requested more accurate output, but this task's own inputs
     have not improved yet; it waits for its parents before re-running.
+
+This module only defines the machine.  To watch it run, subscribe to the
+region's telemetry bus: :meth:`~repro.core.task.FluidTask.transition`
+publishes every accepted arc there as a ``transition`` event.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, FrozenSet, List
+from typing import Dict, FrozenSet
 
 from .errors import StateError
 
@@ -64,25 +68,3 @@ def check_transition(src: TaskState, dst: TaskState) -> None:
     if dst not in LEGAL_TRANSITIONS[src]:
         raise StateError(f"illegal task state transition {src} -> {dst}")
 
-
-#: Observers called as ``cb(task, src, dst)`` on every FluidTask
-#: transition, *after* legality checking.  SchedLab's InvariantChecker
-#: installs one to audit whole runs; the list is empty in normal
-#: operation so the hot path pays only a truthiness test.
-TRANSITION_OBSERVERS: List[Callable] = []
-
-
-def add_transition_observer(callback: Callable) -> None:
-    TRANSITION_OBSERVERS.append(callback)
-
-
-def remove_transition_observer(callback: Callable) -> None:
-    try:
-        TRANSITION_OBSERVERS.remove(callback)
-    except ValueError:
-        pass
-
-
-def notify_transition(task, src: TaskState, dst: TaskState) -> None:
-    for callback in tuple(TRANSITION_OBSERVERS):
-        callback(task, src, dst)

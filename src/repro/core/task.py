@@ -27,8 +27,7 @@ from typing import Callable, Dict, Generator, Sequence
 
 from .data import DataSnapshot, FluidData
 from .errors import GraphError
-from .states import (TaskState, check_transition, notify_transition,
-                     TRANSITION_OBSERVERS)
+from .states import TaskState, check_transition
 from .stats import TaskStats
 from .valves import Valve
 
@@ -160,8 +159,6 @@ class FluidTask:
                 "transition", getattr(self.region, "name", ""), self.name,
                 new_state.name, ts=now,
                 data={"src": old_state.name, "run": self.run_index})
-        if TRANSITION_OBSERVERS:
-            notify_transition(self, old_state, new_state)
 
     # -- run bookkeeping ---------------------------------------------------
 

@@ -1,6 +1,6 @@
 """ASCII Gantt rendering of simulated executions.
 
-Turns a :class:`~repro.runtime.tracing.Trace` into a per-task timeline
+Turns a run's ``transition`` telemetry events into a per-task timeline
 so fluidized schedules can be inspected at a glance::
 
     region/task            |#####===R====ody....C        |
@@ -16,9 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..core.region import FluidRegion
 from ..core.states import TaskState
-from ..core.task import FluidTask
 
 #: glyph per state
 GLYPHS = {
@@ -35,89 +33,59 @@ GLYPHS = {
 class TimelineRecorder:
     """Collects (time, state) transitions per task during a sim run.
 
-    Attach before ``executor.run()``::
-
-        recorder = TimelineRecorder()
-        recorder.attach(region)
-        executor.submit(region); executor.run()
-        print(recorder.render(width=80))
-
-    Alternatively, with telemetry enabled, subscribe to the bus instead
-    of monkey-patching task transitions::
+    A bus subscriber: connect it to the run's telemetry before the run::
 
         telemetry = Telemetry()
         recorder = TimelineRecorder().connect(telemetry.bus)
         run_fluid(..., telemetry=telemetry)
+        print(recorder.render(width=80))
     """
 
     def __init__(self):
+        #: ``region/task`` label -> its (time, state) transitions; rows
+        #: render in insertion (first-transition) order.
         self._events: Dict[str, List[Tuple[float, TaskState]]] = {}
-        self._tasks: List[Tuple[str, FluidTask]] = []
-
-    def attach(self, region: FluidRegion) -> None:
-        graph = region.finalize()
-        for task in graph:
-            label = f"{region.name}/{task.name}"
-            self._tasks.append((label, task))
-            self._events[label] = []
-            self._hook(task, label)
 
     def connect(self, bus) -> "TimelineRecorder":
         """Feed the recorder from a telemetry bus's ``transition`` events.
 
-        Rows appear lazily, in first-transition order, labelled
-        ``region/task`` exactly as :meth:`attach` labels them.
+        Rows appear lazily, in first-transition order (graph order on
+        the simulator, whose guards launch in graph order), labelled
+        ``region/task``.
         """
         bus.subscribe(self._on_event)
         return self
 
     def _on_event(self, event) -> None:
-        if event.kind != "transition":
-            return
-        label = f"{event.region}/{event.task}"
-        if label not in self._events:
-            self._tasks.append((label, None))
-            self._events[label] = []
-        self._events[label].append((event.ts, TaskState[event.name]))
-
-    def _hook(self, task: FluidTask, label: str) -> None:
-        original = task.transition
-        events = self._events[label]
-
-        def recording_transition(new_state, now):
-            original(new_state, now)
-            events.append((now, new_state))
-
-        task.transition = recording_transition  # type: ignore[assignment]
+        if event.kind == "transition":
+            label = f"{event.region}/{event.task}"
+            self._events.setdefault(label, []).append(
+                (event.ts, TaskState[event.name]))
 
     # -- rendering -----------------------------------------------------------
 
     def span(self) -> float:
         last = 0.0
         for events in self._events.values():
-            if events:
-                last = max(last, events[-1][0])
+            last = max(last, events[-1][0])
         return last
 
     def render(self, width: int = 80,
                until: Optional[float] = None) -> str:
         until = until or self.span() or 1.0
-        label_width = max((len(label) for label, _ in self._tasks),
+        label_width = max((len(label) for label in self._events),
                           default=8) + 1
         lines = [f"virtual time 0 .. {until:.1f} "
                  f"({until / width:.2f} units/char)"]
-        for label, _task in self._tasks:
+        for label, events in self._events.items():
             lines.append(label.ljust(label_width) + "|"
-                         + self._row(self._events[label], width, until)
-                         + "|")
+                         + self._row(events, width, until) + "|")
         lines.append("legend: .init  =start-check  #running  ?end-check  "
                      "w waiting  d dep-stalled")
         return "\n".join(lines)
 
     def _row(self, events: List[Tuple[float, TaskState]], width: int,
              until: float) -> str:
-        if not events:
-            return " " * width
         cells = []
         for column in range(width):
             time = (column + 0.5) * until / width

@@ -2,11 +2,11 @@
 
 One :func:`run_scenario` call executes one scenario on one backend under
 one schedule policy (+ optional fault plan and runtime mutation), with
-the :class:`~repro.schedlab.invariants.InvariantChecker` installed, and
-classifies what happened into an :class:`Outcome`.  :func:`sweep` drives
-many such runs (seed sweeps or exhaustive enumeration), shrinks every
-simulator failure to a minimal decision list, and serializes each one as
-a replayable JSON artifact.
+the :class:`~repro.schedlab.invariants.InvariantChecker` subscribed to
+the run's telemetry bus, and classifies what happened into an
+:class:`Outcome`.  :func:`sweep` drives many such runs (seed sweeps or
+exhaustive enumeration), shrinks every simulator failure to a minimal
+decision list, and serializes each one as a replayable JSON artifact.
 
 Mutation testing: the :data:`MUTATIONS` registry names guard wake-up
 seams that can be disabled for the duration of a run (e.g. dropping the
@@ -26,6 +26,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..core import guard as guard_module
 from ..core.errors import (FluidError, SchedulerError, StateError,
                            TaskBodyError)
+from ..telemetry import Telemetry
 from .faults import FaultInjected, FaultPlan
 from .invariants import InvariantChecker, check_equivalence
 from .policy import (Decision, ExhaustivePolicy, FifoPolicy, RecordingPolicy,
@@ -168,13 +169,13 @@ def _normalize_faults(faults) -> List[dict]:
 
 
 def _build_executor(backend: str, policy: SchedulePolicy, *, cores: int,
-                    timeout: float, workers: int, trace: bool,
-                    telemetry=None, scheduler=None, autotune=None):
+                    timeout: float, workers: int, telemetry,
+                    scheduler=None, autotune=None):
     if backend == "sim":
         from ..runtime.simulator import Overheads, SimExecutor
 
         return SimExecutor(cores=cores, overheads=Overheads.zero(),
-                           policy=policy, trace=trace, telemetry=telemetry,
+                           policy=policy, telemetry=telemetry,
                            scheduler=scheduler, autotune=autotune)
     if backend == "thread":
         from ..runtime.thread_backend import ThreadExecutor
@@ -212,7 +213,9 @@ def run_scenario(scenario_name: str, *,
     run never observes another run's consumed fault budgets.
 
     ``telemetry`` (a :class:`repro.telemetry.Telemetry`) instruments the
-    run with structured metrics and a Perfetto-exportable trace.
+    run with structured metrics and a Perfetto-exportable trace.  The
+    invariant checker audits the run's own event stream, so a run given
+    none gets a lightweight one (bus and trace only).
 
     ``scheduler`` (a :mod:`repro.sched` spec string such as ``"edf"`` or
     ``"bounded:capacity=4"``) selects the ready-queue discipline the
@@ -255,23 +258,29 @@ def run_scenario(scenario_name: str, *,
                       autotune=(autotune if autotune is None
                                 else str(autotune)),
                       policy=inner.describe(), faults=fault_records)
-    checker = InvariantChecker()
+    if telemetry is None:
+        telemetry = Telemetry(metrics=False, chrome=False)
     run = scenario.fresh(strict=strict)
     if plan is not None:
         plan.attach(run.regions)
-    with checker, apply_mutation(mutation):
+    with apply_mutation(mutation):
+        checker = InvariantChecker().connect(telemetry.bus)
         try:
             executor = _build_executor(backend, recorder, cores=cores,
                                        timeout=timeout, workers=workers,
-                                       trace=trace, telemetry=telemetry,
+                                       telemetry=telemetry,
                                        scheduler=scheduler,
                                        autotune=autotune)
             run.submit(executor)
             result = executor.run()
             outcome.makespan = result.makespan
-            outcome.trace = getattr(result, "trace", None)
+            if trace:
+                outcome.trace = getattr(result, "trace", None)
         except Exception as error:  # noqa: BLE001 - classified below
             outcome.failure, outcome.message = classify_failure(error)
+        finally:
+            # A caller's Telemetry outlives the run; the checker must not.
+            telemetry.bus.unsubscribe(checker.on_event)
     outcome.decisions = list(recorder.decisions)
     outcome.divergences = getattr(inner, "divergences", 0)
     if plan is not None:

@@ -1,7 +1,9 @@
 """Invariant checking over observed executions.
 
-The :class:`InvariantChecker` installs a transition observer (see
-:mod:`repro.core.states`) for the duration of a run and audits:
+The :class:`InvariantChecker` is a telemetry-bus subscriber: it reads
+the same event stream every other consumer reads (``connect(bus)`` for
+a live run, or feed a recorded event list through ``on_event``) and
+audits, over ``transition`` events:
 
 * **Legality** — every observed transition is an arc of
   ``LEGAL_TRANSITIONS`` (the runtime itself enforces this with
@@ -13,8 +15,8 @@ The :class:`InvariantChecker` installs a transition observer (see
   any schedule's final outputs must bit-match the serial precise run;
   the scenario harness feeds both sides to :func:`check_equivalence`.
 
-It also subscribes to the :mod:`repro.stream` stage-queue observer
-registry for its scope and audits the streaming relaxation contract:
+and, over the ``stream`` events of :mod:`repro.stream` stage queues,
+the streaming relaxation contract:
 
 * **Staleness bound** — no drain begins with more unsettled items than
   the queue's bound, and no serve overtakes more than ``bound`` missing
@@ -29,9 +31,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from ..core.states import (LEGAL_TRANSITIONS, TaskState,
-                           add_transition_observer,
-                           remove_transition_observer)
+from ..core.states import LEGAL_TRANSITIONS, TaskState
 
 
 class InvariantViolation:
@@ -50,43 +50,49 @@ class InvariantViolation:
 
 
 class InvariantChecker:
-    """Context manager that audits every task transition in its scope."""
+    """Audits the ``transition`` and ``stream`` events of one run.
+
+    A task's identity is its ``(region, task)`` name pair, so one
+    checker audits one run whose pairs are unique (true of every
+    SchedLab scenario).  ``stream`` events come from task bodies — on
+    the thread backend concurrently, outside the pool lock — so the
+    stream audit only ever appends.
+    """
 
     def __init__(self):
         #: (task name, src, dst) in observation order.
         self.transitions: List[Tuple[str, TaskState, TaskState]] = []
         self.violations: List[InvariantViolation] = []
-        self._complete_counts: Dict[int, int] = {}
-        self._task_names: Dict[int, str] = {}
-        self._states: Dict[int, TaskState] = {}
+        #: (region, task) -> times it entered COMPLETE.
+        self._complete_counts: Dict[Tuple[str, str], int] = {}
 
-    # -------------------------------------------------------- observer
+    # ------------------------------------------------------- subscriber
 
-    def __enter__(self) -> "InvariantChecker":
-        add_transition_observer(self._observe)
-        from ..stream.queue import add_stream_observer
-        add_stream_observer(self._observe_stream)
+    def connect(self, bus) -> "InvariantChecker":
+        bus.subscribe(self.on_event)
         return self
 
-    def __exit__(self, *exc_info) -> None:
-        remove_transition_observer(self._observe)
-        from ..stream.queue import remove_stream_observer
-        remove_stream_observer(self._observe_stream)
+    def on_event(self, event) -> None:
+        if event.kind == "transition":
+            self._observe(event)
+        elif event.kind == "stream":
+            self._observe_stream(event)
 
-    def _observe(self, task, src: TaskState, dst: TaskState) -> None:
-        self.transitions.append((task.name, src, dst))
-        self._task_names[id(task)] = task.name
-        self._states[id(task)] = dst
+    def _observe(self, event) -> None:
+        src = TaskState[event.data["src"]]
+        dst = TaskState[event.name]
+        self.transitions.append((event.task, src, dst))
+        key = (event.region, event.task)
+        count = self._complete_counts.setdefault(key, 0)
         if dst not in LEGAL_TRANSITIONS[src]:
             self.violations.append(InvariantViolation(
-                "illegal-transition", task.name, f"{src} -> {dst}"))
+                "illegal-transition", event.task, f"{src} -> {dst}"))
         if dst is TaskState.COMPLETE:
-            count = self._complete_counts.get(id(task), 0) + 1
-            self._complete_counts[id(task)] = count
-            if count > 1:
+            self._complete_counts[key] = count + 1
+            if count:
                 self.violations.append(InvariantViolation(
-                    "multiple-completion", task.name,
-                    f"entered COMPLETE {count} times"))
+                    "multiple-completion", event.task,
+                    f"entered COMPLETE {count + 1} times"))
 
     def _observe_stream(self, event) -> None:
         """Audit one stage-queue event against the relaxation contract.
@@ -97,32 +103,32 @@ class InvariantChecker:
         broken; a ``drop`` of a must item is never legal.  The bound is
         the queue's *effective* (possibly autotuned) k at event time.
         """
-        if event.action == "begin" and event.missing > event.bound:
+        data = event.data
+        bound = data["bound"]
+        if event.name == "begin" and data["missing"] > bound:
             self.violations.append(InvariantViolation(
-                "staleness", event.queue,
-                f"drain began with {event.missing} items unsettled "
-                f"(bound {event.bound:g})"))
-        elif event.action == "serve" and event.displacement > event.bound:
+                "staleness", data["queue"],
+                f"drain began with {data['missing']} items unsettled "
+                f"(bound {bound:g})"))
+        elif event.name == "serve" and data["displacement"] > bound:
             self.violations.append(InvariantViolation(
-                "staleness", event.queue,
-                f"seq {event.seq} served {event.displacement} positions "
-                f"out of order (bound {event.bound:g})"))
-        elif event.action == "drop" and event.must:
+                "staleness", data["queue"],
+                f"seq {data['seq']} served {data['displacement']} "
+                f"positions out of order (bound {bound:g})"))
+        elif event.name == "drop" and data["must"]:
             self.violations.append(InvariantViolation(
-                "must-deliver-drop", event.queue,
-                f"must-deliver seq {event.seq} was shed"))
+                "must-deliver-drop", data["queue"],
+                f"must-deliver seq {data['seq']} was shed"))
 
     # ------------------------------------------------------ final audit
 
     def check_completion(self) -> List[InvariantViolation]:
-        """After a successful run: every observed task completed once."""
-        for task_id, name in self._task_names.items():
-            completions = self._complete_counts.get(task_id, 0)
-            if completions != 1:
+        """After a successful run: every observed task completed.  (A
+        second completion was already reported when it was observed.)"""
+        for (_region, task), completions in self._complete_counts.items():
+            if completions == 0:
                 self.violations.append(InvariantViolation(
-                    "incomplete-task" if completions == 0
-                    else "multiple-completion",
-                    name, f"entered COMPLETE {completions} times"))
+                    "incomplete-task", task, "entered COMPLETE 0 times"))
         return self.violations
 
     @property
@@ -132,7 +138,7 @@ class InvariantChecker:
     def summary(self) -> str:
         if self.ok:
             return (f"{len(self.transitions)} transitions over "
-                    f"{len(self._task_names)} tasks, all legal")
+                    f"{len(self._complete_counts)} tasks, all legal")
         return "; ".join(str(v) for v in self.violations[:5])
 
 

@@ -348,7 +348,7 @@ class StreamScenario(Scenario):
 
     A paced source feeds three stages over staleness-relaxed
     :class:`~repro.stream.StageQueue` edges (bound ``k``).  The
-    invariant checker audits the queue-observer event stream: a
+    invariant checker audits the queues' ``stream`` events: a
     ``valve_true`` fault on a stage's start valves makes it consume
     while more than ``k`` items are unsettled, which surfaces as a
     ``staleness`` violation — the streaming analogue of the
@@ -357,9 +357,9 @@ class StreamScenario(Scenario):
     """
 
     name = "stream"
-    #: the per-window latency collector and drain bookkeeping live on
-    #: the coordinator side; worker-forked queue state would make the
-    #: process backend's observer stream vacuous, so it is not swept.
+    #: stage bodies on the process backend run in workers, whose copy
+    #: of the region has no bus: the parent would hear no ``stream``
+    #: events and the audit would be vacuous, so it is not swept.
     backends = ("sim", "thread")
 
     def __init__(self, n: int = 20, k: int = 3):

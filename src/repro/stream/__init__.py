@@ -8,12 +8,10 @@ than k" (:class:`~repro.core.valves.StalenessValve`).  See
 
 from .apps import APPS, StreamApp
 from .pipeline import (Pipeline, PipelineResult, Stage, WindowReport)
-from .queue import (DROPPED, QueueEvent, StageQueue, add_stream_observer,
-                    remove_stream_observer)
+from .queue import DROPPED, StageQueue
 
 __all__ = [
     "APPS", "StreamApp",
     "Pipeline", "PipelineResult", "Stage", "WindowReport",
-    "DROPPED", "QueueEvent", "StageQueue", "add_stream_observer",
-    "remove_stream_observer",
+    "DROPPED", "StageQueue",
 ]

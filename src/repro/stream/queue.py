@@ -5,25 +5,21 @@ pipeline stages.  It is *relaxed* in the elastic-relaxation sense: a
 consumer may drain it while up to ``k`` items are still outstanding
 (the staleness bound), and a bounded-capacity queue may *shed* up to
 ``k`` sheddable items under backpressure instead of blocking the
-producer.  Both freedoms are observable and checkable:
+producer.  Both freedoms are observable and checkable: every state
+change is a ``stream``-kind telemetry event on the owning region's bus
+(see :meth:`StageQueue._emit`), counted into the ``stream.*`` metrics
+catalogue and audited by the SchedLab
+:class:`~repro.schedlab.invariants.InvariantChecker` — a serve more
+than ``k`` positions out of order, a drain that begins with more than
+``k`` items missing, or a dropped must-deliver item is an invariant
+violation.  A region without a bus publishes nothing and pays nothing.
 
-* every state change publishes a :class:`QueueEvent` to the module's
-  stream-observer registry (:func:`add_stream_observer`), which the
-  SchedLab :class:`~repro.schedlab.invariants.InvariantChecker`
-  subscribes to — a serve more than ``k`` positions out of order, a
-  drain that begins with more than ``k`` items missing, or a dropped
-  must-deliver item is an invariant violation;
-* the same changes are emitted as ``stream``-kind telemetry events on
-  the owning region's bus (counted into the ``stream.*`` metrics
-  catalogue).
-
-Storage lives in a :class:`~repro.core.data.FluidArray` of per-seq
-slots when the queue is region-bound (so slot writes are versioned,
-wake waiting guards, and ship across the process backend's boundary),
-or a plain list for standalone use (property tests).  All derived
-state — arrivals, drops, settledness — is recomputed from the slot
-array, never cached in side sets, so a forked worker that receives a
-payload snapshot sees a consistent queue.
+Storage lives in a region :class:`~repro.core.data.FluidArray` of
+per-seq slots, so slot writes are versioned, wake waiting guards, and
+ship across the process backend's boundary.  All derived state —
+arrivals, drops, settledness — is recomputed from the slot array,
+never cached in side sets, so a forked worker that receives a payload
+snapshot sees a consistent queue.
 
 Terminology: a seq is *settled* once it is either delivered (its slot
 holds the item) or deliberately shed (its slot holds the drop
@@ -34,64 +30,14 @@ are unsettled".
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
-from ..core.count import Count
 from ..core.errors import FluidError
 
 #: Tombstone stored in a slot when a sheddable item is dropped under
 #: backpressure.  A 1-tuple so it survives pickling across the process
 #: boundary and can never collide with a real ``(seq, value)`` cell.
 DROPPED = ("__dropped__",)
-
-
-class QueueEvent(NamedTuple):
-    """One observable stage-queue state change.
-
-    ``action`` is one of ``put`` (item delivered), ``update`` (a rerun
-    refreshed an already-delivered slot), ``drop`` (sheddable item shed
-    under backpressure), ``park`` (a must-deliver item accepted despite
-    a full queue — the backpressure signal), ``begin`` (a consumer
-    started a drain; ``missing`` counts unsettled seqs) and ``serve``
-    (one item handed to a consumer; ``displacement`` counts the
-    missing earlier seqs it overtook).
-    """
-
-    action: str
-    queue: str
-    seq: int
-    bound: float
-    must: bool = False
-    displacement: int = 0
-    missing: int = 0
-    occupancy: int = 0
-    first: bool = True
-
-
-#: Module-level observer registry; see :func:`add_stream_observer`.
-_OBSERVERS: List[Callable[[QueueEvent], None]] = []
-
-
-def add_stream_observer(observer: Callable[[QueueEvent], None]) -> None:
-    """Register ``observer(event)`` for every stage-queue state change.
-
-    The hook the SchedLab invariant checker uses; observers must not
-    mutate queues.
-    """
-    _OBSERVERS.append(observer)
-
-
-def remove_stream_observer(observer: Callable[[QueueEvent], None]) -> None:
-    """Remove an observer registered with :func:`add_stream_observer`."""
-    try:
-        _OBSERVERS.remove(observer)
-    except ValueError:
-        pass
-
-
-def _notify(event: QueueEvent) -> None:
-    for observer in list(_OBSERVERS):
-        observer(event)
 
 
 class StageQueue:
@@ -114,16 +60,16 @@ class StageQueue:
         Seqs that must be delivered, never shed.  ``None`` means *all*
         seqs are must-deliver.
     region:
-        When given, the slot array is a region
-        :class:`~repro.core.data.FluidArray` named ``<name>_slots`` and
-        settledness is published through a region
+        The owning :class:`~repro.core.region.FluidRegion`.  The slot
+        array is its :class:`~repro.core.data.FluidArray` named
+        ``<name>_slots``, settledness is published through its
         :class:`~repro.core.count.Count` named ``<name>_settled`` (what
-        staleness valves watch).  Standalone queues use plain storage.
+        staleness valves watch), and events go to its telemetry bus.
     """
 
-    def __init__(self, name: str, expected: int, *, bound: float = 0,
-                 capacity: Optional[int] = None, must_seqs=None,
-                 region=None):
+    def __init__(self, name: str, expected: int, *, region,
+                 bound: float = 0, capacity: Optional[int] = None,
+                 must_seqs=None):
         if expected < 0:
             raise FluidError(f"queue {name!r}: expected must be >= 0")
         if not 0 <= bound <= expected:
@@ -142,14 +88,9 @@ class StageQueue:
         #: optional StalenessValve whose (possibly autotuned) effective
         #: ``k`` overrides ``bound`` for drains; see :meth:`attach_valve`.
         self.valve = None
-        if region is not None:
-            self.slots = region.add_array(f"{name}_slots",
-                                          [None] * self.expected)
-            self.settled_count: Optional[Count] = region.add_count(
-                f"{name}_settled")
-        else:
-            self.slots = [None] * self.expected
-            self.settled_count = None
+        self.slots = region.add_array(f"{name}_slots",
+                                      [None] * self.expected)
+        self.settled_count = region.add_count(f"{name}_settled")
         # Consumer-side bookkeeping (telemetry only; correctness is
         # derived from the slots so process workers stay consistent).
         self._served = set()
@@ -159,24 +100,20 @@ class StageQueue:
 
     # -- derived state (always recomputed from the slots) -----------------
 
-    def _cell(self, seq: int):
-        return self.slots[seq]
-
     def _cells(self) -> list:
         """The raw slot list: the totals below, computed on every put
         and every served item, are one pass over it."""
-        slots = self.slots
-        return slots if isinstance(slots, list) else slots.read()
+        return self.slots.read()
 
     def arrived(self, seq: int) -> bool:
-        cell = self._cell(seq)
+        cell = self.slots[seq]
         return cell is not None and cell != DROPPED
 
     def is_dropped(self, seq: int) -> bool:
-        return self._cell(seq) == DROPPED
+        return self.slots[seq] == DROPPED
 
     def settled(self, seq: int) -> bool:
-        return self._cell(seq) is not None
+        return self.slots[seq] is not None
 
     def arrived_total(self) -> int:
         cells = self._cells()
@@ -222,18 +159,33 @@ class StageQueue:
         self.valve = valve
         return self
 
-    def _emit(self, event: QueueEvent, task: str = "") -> None:
-        _notify(event)
+    def _emit(self, action: str, seq: int, task: str, *,
+              bound: Optional[float] = None, must: bool = False,
+              displacement: int = 0, missing: int = 0,
+              first: bool = True) -> None:
+        """Publish one state change as a ``stream`` event on the
+        region's bus; without a bus nothing is computed or built.
+
+        ``action`` is one of ``put`` (item delivered), ``update`` (a
+        rerun refreshed an already-delivered slot), ``drop`` (sheddable
+        item shed under backpressure), ``park`` (a must-deliver item
+        accepted despite a full queue — the backpressure signal),
+        ``begin`` (a consumer started a drain; ``missing`` counts
+        unsettled seqs) and ``serve`` (one item handed to a consumer;
+        ``displacement`` counts the missing earlier seqs it overtook).
+        """
         region = self.region
-        telemetry = getattr(region, "telemetry", None)
-        if telemetry is not None:
-            telemetry.emit(
-                "stream", getattr(region, "name", ""), task, event.action,
-                data={"queue": event.queue, "seq": event.seq,
-                      "bound": event.bound, "must": event.must,
-                      "displacement": event.displacement,
-                      "missing": event.missing,
-                      "occupancy": event.occupancy, "first": event.first})
+        telemetry = region.telemetry
+        if telemetry is None:
+            return
+        if bound is None:
+            bound = self.effective_bound()
+        telemetry.emit(
+            "stream", region.name, task, action,
+            data={"queue": self.name, "seq": seq, "bound": bound,
+                  "must": must, "displacement": displacement,
+                  "missing": missing, "occupancy": self.occupancy(),
+                  "first": first})
 
     # -- producer side -----------------------------------------------------
 
@@ -257,28 +209,20 @@ class StageQueue:
         must = self.must(seq)
         if self.arrived(seq):
             self.slots[seq] = (seq, value)
-            self._emit(QueueEvent("update", self.name, seq,
-                                  self.effective_bound(), must=must,
-                                  occupancy=self.occupancy()), task)
+            self._emit("update", seq, task, must=must)
             return "update"
         action = "put"
         if self.capacity is not None and self.occupancy() >= self.capacity:
             if not must and self.bound > 0 and self.drops() < self.bound:
                 self.slots[seq] = DROPPED
-                if self.settled_count is not None:
-                    self.settled_count.set(self.settled_total())
-                self._emit(QueueEvent("drop", self.name, seq,
-                                      self.effective_bound(), must=must,
-                                      occupancy=self.occupancy()), task)
+                self.settled_count.set(self.settled_total())
+                self._emit("drop", seq, task, must=must)
                 return "drop"
             self.parks += 1
             action = "park"
         self.slots[seq] = (seq, value)
-        if self.settled_count is not None:
-            self.settled_count.set(self.settled_total())
-        self._emit(QueueEvent(action, self.name, seq,
-                              self.effective_bound(), must=must,
-                              occupancy=self.occupancy()), task)
+        self.settled_count.set(self.settled_total())
+        self._emit(action, seq, task, must=must)
         return action
 
     def shed(self, seq: int, *, task: str = "") -> None:
@@ -298,11 +242,8 @@ class StageQueue:
         if self.settled(seq):
             return
         self.slots[seq] = DROPPED
-        if self.settled_count is not None:
-            self.settled_count.set(self.settled_total())
-        self._emit(QueueEvent("drop", self.name, seq,
-                              self.effective_bound(),
-                              occupancy=self.occupancy()), task)
+        self.settled_count.set(self.settled_total())
+        self._emit("drop", seq, task)
 
     # -- consumer side -----------------------------------------------------
 
@@ -315,9 +256,7 @@ class StageQueue:
         staleness-bound violation (e.g. a forced-true valve fault).
         """
         missing = self.missing_total()
-        self._emit(QueueEvent("begin", self.name, -1,
-                              self.effective_bound(), missing=missing,
-                              occupancy=self.occupancy()), task)
+        self._emit("begin", -1, task, missing=missing)
         return missing
 
     def drain(self, *, task: str = "") -> List[Tuple[int, Any]]:
@@ -337,7 +276,7 @@ class StageQueue:
         for seq in range(self.expected):
             if self.is_dropped(seq):
                 continue
-            cell = self._cell(seq)
+            cell = self.slots[seq]
             if cell is None:
                 gaps += 1
                 if gaps > bound:
@@ -351,11 +290,9 @@ class StageQueue:
                                             displacement)
                 if displacement > 0:
                     self.stale_reads += 1
-            self._emit(QueueEvent("serve", self.name, seq, bound,
-                                  must=self.must(seq),
-                                  displacement=displacement,
-                                  occupancy=self.occupancy(),
-                                  first=first), task)
+            self._emit("serve", seq, task, bound=bound,
+                       must=self.must(seq), displacement=displacement,
+                       first=first)
             served.append(cell)
         return served
 
@@ -365,7 +302,7 @@ class StageQueue:
         """The delivered ``(seq, value)`` cells, in seq order."""
         for seq in range(self.expected):
             if self.arrived(seq):
-                yield self._cell(seq)
+                yield self.slots[seq]
 
     def stats(self) -> dict:
         return {"expected": self.expected,

@@ -84,11 +84,6 @@ class Telemetry:
                    time_scale: float) -> None:
         self.bus.bind_clock(clock, time_scale)
 
-    def emit(self, kind: str, region: str, task: str, name: str,
-             ts: Optional[float] = None,
-             data: Optional[Dict[str, Any]] = None) -> None:
-        self.bus.emit(kind, region, task, name, ts=ts, data=data)
-
     def record_scheduler(self, scheduler: Optional[Any]) -> None:
         """Fold a scheduler's end-of-run snapshot into the metrics.
 

@@ -1,13 +1,16 @@
 """The telemetry event bus: one structured stream for every backend.
 
-All runtime instrumentation converges here.  Executors, the guard
-:class:`~repro.core.guard.Coordinator` and :class:`~repro.core.task.FluidTask`
-publish :class:`TelemetryEvent` records into a :class:`TelemetryBus`;
-subscribers — the legacy :class:`~repro.runtime.tracing.Trace`, the
+The bus is the only way anything learns what a run did.  Executors, the
+guard :class:`~repro.core.guard.Coordinator`,
+:class:`~repro.core.task.FluidTask`, stage queues, the service and the
+autotuner publish :class:`TelemetryEvent` records into a
+:class:`TelemetryBus`; subscribers — the
+:class:`~repro.runtime.tracing.Trace`, the
 :class:`~repro.telemetry.metrics.MetricsRegistry`, the Chrome trace
-exporter, a :class:`~repro.runtime.gantt.TimelineRecorder` — consume the
-same stream, so the simulator, thread and process backends feed exactly
-the same instrumentation pipeline.
+exporter, a :class:`~repro.runtime.gantt.TimelineRecorder`, SchedLab's
+:class:`~repro.schedlab.invariants.InvariantChecker` — consume the same
+stream, so the simulator, thread and process backends feed exactly the
+same instrumentation pipeline.
 
 Event kinds
 -----------
@@ -52,18 +55,26 @@ Event kinds
     ``begin`` (a consumer drain started; ``data["missing"]`` counts
     unsettled seqs) and ``serve`` (``data`` carries ``displacement``
     and ``first``); all carry ``queue``, ``seq``, ``bound`` and
-    ``occupancy``.  Published from task bodies, so on the process
-    backend they land on the *worker's* forked bus, not the parent's.
+    ``occupancy``.  Published from task bodies: on the process backend
+    those run in workers, whose copy of the region has no bus, so the
+    parent's bus never carries them.
+``tune``
+    Closed-loop valve autotuning (:mod:`repro.tuning`): ``attach`` (a
+    region's valves joined the loop at ``data["position"]``) and
+    ``adjust`` (one actuation: ``metric``, ``error``, ``before``, ``after``).
 
 Timestamps are in the publishing executor's clock: virtual cost units
 under the simulator, seconds since the run epoch under the thread and
 process backends.  :meth:`TelemetryBus.bind_clock` records which, so
 exporters can scale uniformly.
 
-Thread-safety: publishers must be serialized (the simulator is
-single-threaded, the thread backend publishes under its executor lock,
-the process backend publishes from the parent control loop only), so the
-bus itself takes no locks.
+Thread-safety: the bus itself takes no locks.  State-machine events
+are serialized by their publishers (the simulator is single-threaded,
+the thread backend publishes under its pool lock, the process backend
+from the parent control loop only).  Events a task *body* causes
+(``stream``, a body's own ``payload``/``rebound``) are published from
+that body, on the thread backend concurrently and outside the pool
+lock: a subscriber to those kinds keeps its state append-only or locks.
 """
 
 from __future__ import annotations
@@ -130,6 +141,3 @@ class TelemetryBus:
         self.publish(TelemetryEvent(
             self.clock() if ts is None else ts,
             kind, region, task, name, data if data is not None else {}))
-
-    def __len__(self) -> int:
-        return len(self._subscribers)

@@ -527,3 +527,24 @@ class TestOptionsCensus:
                 "latency_slo", "batch_max", "batch_cost_threshold",
                 "request_timeout", "telemetry", "backend_options", "name"],
         }
+
+    def test_the_bus_is_the_only_observation_path(self):
+        """The observer registries, the ``transition`` monkey-patch and
+        the standalone queue storage are gone; a second way to watch a
+        run is a deliberate diff here."""
+        import inspect
+
+        import repro.core.states
+        import repro.stream
+        from repro.runtime.gantt import TimelineRecorder
+
+        assert sorted(repro.stream.__all__) == [
+            "APPS", "DROPPED", "Pipeline", "PipelineResult", "Stage",
+            "StageQueue", "StreamApp", "WindowReport"]
+        assert not [name for name in vars(repro.core.states)
+                    if "observer" in name.lower()
+                    or name.startswith("notify")]
+        assert not hasattr(TimelineRecorder, "attach")
+        region = inspect.signature(repro.stream.StageQueue) \
+            .parameters["region"]
+        assert region.default is inspect.Parameter.empty

@@ -1,16 +1,16 @@
 """Tests for the ASCII Gantt timeline recorder."""
 
 
-from repro import SimExecutor
+from repro import SimExecutor, Telemetry
 from repro.runtime.gantt import GLYPHS, TimelineRecorder
 
 from util import make_pipeline
 
 
 def record(region, cores=4):
-    recorder = TimelineRecorder()
-    recorder.attach(region)
-    executor = SimExecutor(cores=cores)
+    telemetry = Telemetry(metrics=False, chrome=False)
+    recorder = TimelineRecorder().connect(telemetry.bus)
+    executor = SimExecutor(cores=cores, telemetry=telemetry)
     executor.submit(region)
     executor.run()
     return recorder
@@ -20,7 +20,7 @@ class TestTimelineRecorder:
     def test_records_every_task(self):
         region = make_pipeline(n=20, name="gantt")
         recorder = record(region)
-        labels = [label for label, _ in recorder._tasks]
+        labels = list(recorder._events)
         assert labels == ["gantt/produce", "gantt/consume"]
 
     def test_span_matches_completion(self):

@@ -12,13 +12,14 @@ import json
 import pytest
 
 from repro.schedlab import (ExhaustivePolicy, Fault, FaultPlan,
-                            FifoPolicy, MUTATIONS, PCTPolicy,
-                            RecordingPolicy, ReplayPolicy,
+                            FifoPolicy, InvariantChecker, MUTATIONS,
+                            PCTPolicy, RecordingPolicy, ReplayPolicy,
                             SeededRandomPolicy, run_scenario,
                             shrink_schedule, sweep)
 from repro.schedlab.harness import (load_artifact, replay_artifact,
                                     shrink_outcome, write_artifact)
 from repro.schedlab.scenarios import SCENARIOS, default_scenarios
+from repro.telemetry import Telemetry, TelemetryEvent
 
 
 def _trace_signature(trace):
@@ -286,6 +287,93 @@ class TestMutationAcceptance:
             with apply_mutation(name):
                 assert getattr(Coordinator, attr) is not originals[name]
             assert getattr(Coordinator, attr) is originals[name]
+
+
+# ------------------------------------------- the checker is a subscriber
+
+
+def _audited_run(scenario, **options):
+    """Run ``scenario`` with a recording subscriber and a second live
+    checker beside the one ``run_scenario`` connects itself."""
+    telemetry = Telemetry(metrics=False, chrome=False)
+    recorded = []
+    telemetry.bus.subscribe(recorded.append)
+    live = InvariantChecker().connect(telemetry.bus)
+    subscribers = list(telemetry.bus._subscribers)
+    outcome = run_scenario(scenario, telemetry=telemetry, **options)
+    # The caller's Telemetry outlives the run; the run's checker left.
+    assert telemetry.bus._subscribers == subscribers
+    return outcome, live, recorded
+
+
+def _offline(recorded):
+    checker = InvariantChecker()
+    for event in recorded:
+        checker.on_event(event)
+    checker.check_completion()
+    return checker
+
+
+class TestCheckerOverEvents:
+    def test_a_recorded_faulty_trace_audits_like_the_live_run(self):
+        outcome, live, recorded = _audited_run(
+            "stream", seed=0,
+            faults=[{"kind": "valve_true", "task": "aggregate",
+                     "valve": "start", "count": 3}])
+        assert outcome.failure == "invariant"
+        offline = _offline(recorded)
+        live.check_completion()
+        assert any(v.kind == "staleness" for v in offline.violations)
+        assert [str(v) for v in offline.violations] == outcome.violations
+        assert [str(v) for v in live.violations] == outcome.violations
+
+    def test_a_recorded_clean_trace_audits_clean(self):
+        outcome, live, recorded = _audited_run(
+            "pipeline", policy=SeededRandomPolicy(5), seed=5)
+        assert outcome.ok, outcome.message
+        offline = _offline(recorded)
+        assert offline.ok and offline.transitions
+        assert offline.transitions == live.transitions
+        assert offline.summary() == live.summary()
+
+    def test_two_live_checkers_hear_only_their_own_run(self):
+        first_bus, second_bus = Telemetry(metrics=False, chrome=False), \
+            Telemetry(metrics=False, chrome=False)
+        first = InvariantChecker().connect(first_bus.bus)
+        assert run_scenario("pipeline", telemetry=first_bus).ok
+        heard = list(first.transitions)
+        # ``first`` is still connected while a second run is audited.
+        second = InvariantChecker().connect(second_bus.bus)
+        assert run_scenario("diamond", telemetry=second_bus).ok
+        assert first.transitions == heard
+        assert {name for name, _s, _d in first.transitions} == \
+            {"produce", "consume"}
+        assert {name for name, _s, _d in second.transitions} == \
+            {"root", "left", "right", "join"}
+
+    def test_a_double_completion_is_reported_once(self):
+        checker = InvariantChecker()
+        complete = TelemetryEvent(1.0, "transition", "r", "t", "COMPLETE",
+                                  {"src": "END_CHECK", "run": 0})
+        checker.on_event(complete)
+        checker.on_event(complete._replace(ts=2.0))
+        checker.check_completion()
+        assert [v.kind for v in checker.violations] == \
+            ["multiple-completion"]
+
+    def test_identity_is_region_and_task(self):
+        """Same task name in two regions: two tasks, one completion
+        each; a task that never completes is still reported."""
+        checker = InvariantChecker()
+        for region in ("a", "b"):
+            checker.on_event(TelemetryEvent(
+                0.0, "transition", region, "t", "COMPLETE",
+                {"src": "INIT", "run": 0}))
+        checker.on_event(TelemetryEvent(
+            0.0, "transition", "b", "u", "START_CHECK",
+            {"src": "INIT", "run": 0}))
+        assert [(v.kind, v.task) for v in checker.check_completion()] == \
+            [("incomplete-task", "u")]
 
 
 # ----------------------------------------------------- sweeps + artifacts

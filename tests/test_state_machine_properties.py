@@ -19,10 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import StateError
+from repro.core.region import FluidRegion
 from repro.core.states import LEGAL_TRANSITIONS, TaskState
 from repro.core.task import FluidTask, TaskSpec
 from repro.schedlab import (InvariantChecker, SeededRandomPolicy,
                             run_scenario)
+from repro.telemetry import TelemetryBus
 
 STATES = list(TaskState)
 
@@ -32,7 +34,10 @@ def _body(ctx):
 
 
 def _make_task(state: TaskState) -> FluidTask:
-    task = FluidTask(TaskSpec("probe", _body))
+    """A bare task whose region has a bus: the only way to watch it."""
+    region = FluidRegion("probe_region")
+    region.telemetry = TelemetryBus()
+    task = FluidTask(TaskSpec("probe", _body), region)
     task.state = state
     return task
 
@@ -52,11 +57,13 @@ class TestTransitionProperties:
     @given(src=st.sampled_from(STATES), dst=st.sampled_from(STATES))
     def test_observer_sees_legal_arcs_only(self, src, dst):
         task = _make_task(src)
-        with InvariantChecker() as checker:
-            try:
-                task.transition(dst, 0.0)
-            except StateError:
-                pass
+        checker = InvariantChecker().connect(task.region.telemetry)
+        try:
+            task.transition(dst, 0.0)
+        except StateError:
+            assert not checker.transitions
+        else:
+            assert checker.transitions == [("probe", src, dst)]
         for name, seen_src, seen_dst in checker.transitions:
             assert seen_dst in LEGAL_TRANSITIONS[seen_src]
         assert checker.ok
@@ -66,18 +73,19 @@ class TestTransitionProperties:
         """Any walk through LEGAL_TRANSITIONS is accepted step by step,
         and the machine only ever gets stuck in COMPLETE."""
         task = _make_task(TaskState.INIT)
-        with InvariantChecker() as checker:
-            for step in range(12):
-                successors = sorted(LEGAL_TRANSITIONS[task.state],
-                                    key=lambda state: state.name)
-                if not successors:
-                    assert task.state is TaskState.COMPLETE
-                    break
-                nxt = data.draw(st.sampled_from(successors),
-                                label=f"step{step}")
-                task.transition(nxt, float(step))
+        checker = InvariantChecker().connect(task.region.telemetry)
+        for step in range(12):
+            successors = sorted(LEGAL_TRANSITIONS[task.state],
+                                key=lambda state: state.name)
+            if not successors:
+                assert task.state is TaskState.COMPLETE
+                break
+            nxt = data.draw(st.sampled_from(successors),
+                            label=f"step{step}")
+            task.transition(nxt, float(step))
         assert checker.ok
         walked = [(src, dst) for _name, src, dst in checker.transitions]
+        assert walked and walked[-1][1] is task.state  # heard over the bus
         assert all(dst in LEGAL_TRANSITIONS[src] for src, dst in walked)
         # COMPLETE appears at most once, and only as the last arc.
         completions = [i for i, (_s, dst) in enumerate(walked)
@@ -96,7 +104,7 @@ def _flake_faults(draw_flakes):
 class TestSimulatedExecutions:
     """Whole runs under random schedules/flakes stay on Figure-5 arcs.
 
-    ``run_scenario`` installs the InvariantChecker itself and reports
+    ``run_scenario`` connects the InvariantChecker itself and reports
     any illegal arc / double completion as ``failure == "invariant"``;
     a clean outcome therefore *is* the property.
     """

@@ -13,8 +13,8 @@ over arbitrary interleavings of producer puts and consumer drains:
 
 The random-schedule layer mirrors ``test_state_machine_properties``:
 the :class:`~repro.schedlab.invariants.InvariantChecker` subscribes to
-the queue-observer stream, so the same audits that catch injected
-faults in SchedLab sweeps also hold under Hypothesis-driven schedules.
+the queue's region bus, so the same audits that catch injected faults
+in SchedLab sweeps also hold under Hypothesis-driven schedules.
 """
 
 import pytest
@@ -22,9 +22,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import FluidError
+from repro.core.region import FluidRegion
 from repro.schedlab import InvariantChecker
-from repro.stream import DROPPED, QueueEvent, StageQueue, add_stream_observer, \
-    remove_stream_observer
+from repro.stream import DROPPED, StageQueue
+from repro.telemetry import TelemetryBus, TelemetryEvent
+
+
+def _queue(expected, **options) -> StageQueue:
+    """A queue on the production storage: bound to a region, whose bus
+    (``queue.region.telemetry``) is where its events can be heard."""
+    region = FluidRegion("props")
+    region.telemetry = TelemetryBus()
+    return StageQueue("q", expected, region=region, **options)
 
 
 def _schedule(data, expected):
@@ -39,17 +48,21 @@ def _schedule(data, expected):
 
 
 class _EventLog:
-    def __init__(self):
-        self.events = []
+    """A bus subscriber keeping the ``stream`` events it hears."""
 
-    def __call__(self, event: QueueEvent) -> None:
-        self.events.append(event)
+    def __init__(self, queue: StageQueue):
+        self.events = []
+        queue.region.telemetry.subscribe(self)
+
+    def __call__(self, event: TelemetryEvent) -> None:
+        if event.kind == "stream":
+            self.events.append(event)
 
     def serves(self):
-        return [e for e in self.events if e.action == "serve"]
+        return [e for e in self.events if e.name == "serve"]
 
     def drops(self):
-        return [e for e in self.events if e.action == "drop"]
+        return [e for e in self.events if e.name == "drop"]
 
 
 class TestOutOfOrderBound:
@@ -63,21 +76,18 @@ class TestOutOfOrderBound:
         k = data.draw(st.integers(min_value=0, max_value=expected),
                       label="k")
         order, drain_after = _schedule(data, expected)
-        queue = StageQueue("q", expected, bound=k)
-        log = _EventLog()
-        add_stream_observer(log)
-        try:
-            for step, seq in enumerate(order):
-                if step in drain_after:
-                    queue.begin_consume()
-                    queue.drain()
-                queue.put(seq, seq * 10)
-            queue.begin_consume()
-            queue.drain()
-        finally:
-            remove_stream_observer(log)
+        queue = _queue(expected, bound=k)
+        log = _EventLog(queue)
+        for step, seq in enumerate(order):
+            if step in drain_after:
+                queue.begin_consume()
+                queue.drain()
+            queue.put(seq, seq * 10)
+        queue.begin_consume()
+        queue.drain()
+        assert len({e.data["seq"] for e in log.serves()}) == expected
         for event in log.serves():
-            assert event.displacement <= k
+            assert event.data["displacement"] <= k
         assert queue.max_displacement <= k
 
     @given(data=st.data())
@@ -92,15 +102,15 @@ class TestOutOfOrderBound:
         k = data.draw(st.integers(min_value=0, max_value=expected),
                       label="k")
         order, drain_after = _schedule(data, expected)
-        queue = StageQueue("q", expected, bound=k)
-        with InvariantChecker() as checker:
-            for step, seq in enumerate(order):
-                if step in drain_after and queue.missing_total() <= k:
-                    queue.begin_consume()
-                    queue.drain()
-                queue.put(seq, seq)
-            queue.begin_consume()
-            queue.drain()
+        queue = _queue(expected, bound=k)
+        checker = InvariantChecker().connect(queue.region.telemetry)
+        for step, seq in enumerate(order):
+            if step in drain_after and queue.missing_total() <= k:
+                queue.begin_consume()
+                queue.drain()
+            queue.put(seq, seq)
+        queue.begin_consume()
+        queue.drain()
         assert checker.ok, checker.summary()
 
     @given(data=st.data())
@@ -116,12 +126,12 @@ class TestOutOfOrderBound:
         arrive = data.draw(st.integers(min_value=0,
                                        max_value=expected - k - 2),
                            label="arrivals before the premature drain")
-        queue = StageQueue("q", expected, bound=k)
-        with InvariantChecker() as checker:
-            for seq in range(arrive):
-                queue.put(seq, seq)
-            queue.begin_consume()
-            queue.drain()
+        queue = _queue(expected, bound=k)
+        checker = InvariantChecker().connect(queue.region.telemetry)
+        for seq in range(arrive):
+            queue.put(seq, seq)
+        queue.begin_consume()
+        queue.drain()
         assert not checker.ok
         assert any(v.kind == "staleness" for v in checker.violations)
 
@@ -142,29 +152,26 @@ class TestMustDeliver:
                                              max_value=expected - 1)),
                          label="must seqs")
         order, drain_after = _schedule(data, expected)
-        queue = StageQueue("q", expected, bound=k, capacity=capacity,
-                           must_seqs=must)
-        log = _EventLog()
-        add_stream_observer(log)
-        try:
-            for step, seq in enumerate(order):
-                if step in drain_after:
-                    queue.begin_consume()
-                    queue.drain()
-                queue.put(seq, seq)
-        finally:
-            remove_stream_observer(log)
+        queue = _queue(expected, bound=k, capacity=capacity,
+                       must_seqs=must)
+        log = _EventLog(queue)
+        for step, seq in enumerate(order):
+            if step in drain_after:
+                queue.begin_consume()
+                queue.drain()
+            queue.put(seq, seq)
         for seq in must:
             assert queue.arrived(seq), f"must seq {seq} was lost"
+        assert len(log.drops()) == queue.drops()
         for event in log.drops():
-            assert not event.must
+            assert not event.data["must"]
         assert queue.drops() <= k
         assert queue.must_complete()
 
     @given(seq=st.integers(min_value=0, max_value=7))
     @settings(max_examples=20, deadline=None)
     def test_shed_refuses_must_items(self, seq):
-        queue = StageQueue("q", 8, bound=8)  # every seq is must by default
+        queue = _queue(8, bound=8)  # every seq is must by default
         with pytest.raises(FluidError):
             queue.shed(seq)
 
@@ -181,8 +188,8 @@ class TestFifoDegradation:
             st.none(), st.integers(min_value=1, max_value=4)),
             label="capacity")
         order, drain_after = _schedule(data, expected)
-        queue = StageQueue("q", expected, bound=0, capacity=capacity,
-                           must_seqs=frozenset())
+        queue = _queue(expected, bound=0, capacity=capacity,
+                       must_seqs=frozenset())
         present = set()
         for step, seq in enumerate(order):
             if step in drain_after:
@@ -210,7 +217,7 @@ class TestFifoDegradation:
         arrived = data.draw(st.sets(st.integers(min_value=0,
                                                 max_value=expected - 1)),
                             label="arrived")
-        queue = StageQueue("q", expected, bound=k)
+        queue = _queue(expected, bound=k)
         for seq in sorted(arrived):
             queue.put(seq, seq)
         served = [seq for seq, _ in queue.drain()]
@@ -242,8 +249,8 @@ class TestSettlednessAndIdempotence:
         puts = data.draw(st.lists(
             st.integers(min_value=0, max_value=expected - 1),
             min_size=1, max_size=3 * expected), label="puts")
-        queue = StageQueue("q", expected, bound=k, capacity=capacity,
-                           must_seqs=must)
+        queue = _queue(expected, bound=k, capacity=capacity,
+                       must_seqs=must)
         last_settled = 0
         for seq in puts:
             before_dropped = queue.is_dropped(seq)
@@ -261,9 +268,33 @@ class TestSettlednessAndIdempotence:
             assert queue.settled(seq)
 
     def test_dropped_tombstone_is_not_a_value(self):
-        queue = StageQueue("q", 3, bound=1, capacity=1,
-                           must_seqs=frozenset())
+        queue = _queue(3, bound=1, capacity=1, must_seqs=frozenset())
         queue.put(0, "a")
         assert queue.put(1, "b") == "drop"
         assert queue.is_dropped(1)
         assert DROPPED not in [value for _seq, value in queue.items()]
+
+
+class TestNothingBuiltWhenNobodyListens:
+    def test_without_a_bus_put_and_drain_never_scan_occupancy(self):
+        """``occupancy()`` is an O(n) scan that only events (and the
+        capacity test) read: a queue whose region has no bus — a pool
+        worker's installed region — must not pay it per item."""
+        scans = []
+
+        class CountingQueue(StageQueue):
+            def occupancy(self):
+                scans.append(1)
+                return super().occupancy()
+
+        queue = CountingQueue("q", 6, bound=2, region=FluidRegion("quiet"))
+        for seq in (0, 2, 3, 5):
+            queue.put(seq, seq)
+        queue.put(2, "again")
+        queue.begin_consume()
+        assert [seq for seq, _ in queue.drain()] == [0, 2, 3, 5]
+        assert not scans
+        # The same queue with a listener scans once per event.
+        queue.region.telemetry = TelemetryBus()
+        queue.put(1, 1)
+        assert len(scans) == 1

@@ -7,7 +7,10 @@ instrumentation bugfix sweep: idempotent TaskStats.finish, Trace ring
 buffers, and the metrics dump summarize/diff CLI.
 """
 
+import ast
 import json
+import pathlib
+import re
 
 import pytest
 
@@ -152,6 +155,33 @@ class TestTelemetryOptional:
         bus.bind_clock(lambda: 5.0, 1.0)
         bus.emit("sched", "r", "t", "launch")
         assert bus.published == 1
+
+
+class TestEventCatalogue:
+    def test_every_emitted_kind_is_documented(self):
+        """Lint the catalogue, kinds first: the literal first argument
+        of every ``.emit(`` call under ``src/repro`` is a row of the
+        docs/telemetry.md event table and a term of the kind list in
+        the bus module's docstring."""
+        import repro.telemetry.bus as bus_module
+
+        root = pathlib.Path(__file__).resolve().parents[1]
+        kinds = set()
+        for path in (root / "src" / "repro").rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+                if isinstance(node, ast.Call) and node.args \
+                        and isinstance(node.func, ast.Attribute) \
+                        and node.func.attr == "emit" \
+                        and isinstance(node.args[0], ast.Constant) \
+                        and isinstance(node.args[0].value, str):
+                    kinds.add(node.args[0].value)
+        assert {"transition", "stream", "tune", "svc"} <= kinds
+        doc = (root / "docs" / "telemetry.md").read_text("utf-8")
+        table = set(re.findall(r"^\| `(\w+)` \|", doc, re.MULTILINE))
+        docstring = set(re.findall(r"^``(\w+)``$", bus_module.__doc__,
+                                   re.MULTILINE))
+        assert kinds - table == set(), "kinds missing from docs/telemetry.md"
+        assert kinds - docstring == set(), "kinds missing from bus.py"
 
 
 class TestStatsFinishSemantics:

@@ -34,11 +34,12 @@ which only ever makes the consumed value *more* complete.
 
 from __future__ import annotations
 
+import os
 from typing import Any, Callable, List, Optional, Sequence
 
 #: Numpy payloads at or above this many bytes cross process boundaries
-#: through :mod:`multiprocessing.shared_memory` instead of pickling
-#: through a pipe (see :func:`export_payload`).
+#: through a :class:`PayloadArena` slot instead of pickling through a
+#: pipe (see :func:`export_payload`).
 PAYLOAD_SHM_MIN_BYTES = 1 << 16
 
 
@@ -148,13 +149,15 @@ class FluidData:
 
     # -- cross-process payload exchange --------------------------------------
 
-    def export_payload(self) -> "PayloadHandle":
+    def export_payload(self, arena: Optional["PayloadArena"] = None,
+                       key: Any = None) -> "PayloadHandle":
         """Capture the current payload as a picklable handle.
 
-        The handle can cross a process boundary; large numpy payloads go
-        through a shared-memory buffer instead of the pickle stream.
+        The handle can cross a process boundary; a large numpy payload
+        goes through ``arena``'s slot for ``key`` instead of the pickle
+        stream (see :func:`export_payload`).
         """
-        return export_payload(self._value)
+        return export_payload(self._value, arena, key)
 
     def apply_payload(self, value: Any, bump: bool = True) -> None:
         """Install a payload received from another process.
@@ -249,10 +252,9 @@ class FluidArray(FluidData):
 #
 # A payload crosses a process boundary as a PayloadHandle: a small
 # picklable object that either embeds the value in the pickle stream or,
-# for large numpy arrays, references a shared-memory buffer holding the
-# raw bytes.  Ownership of a shared-memory segment transfers with the
-# handle: the importing side unlinks it after copying out, so neither
-# side has to coordinate lifetimes.
+# for large numpy arrays, references a slot of the exporter's
+# PayloadArena (below).  No handle owns a segment: the arena's owner
+# unlinks it, so dropping an unread handle releases nothing.
 
 
 def _numpy():
@@ -301,11 +303,8 @@ class PayloadHandle:
     """Base class: a picklable carrier for one payload value."""
 
     def load(self) -> Any:
-        """Materialize the payload (releasing any transport resources)."""
+        """Materialize the payload."""
         raise NotImplementedError
-
-    def discard(self) -> None:
-        """Release transport resources without materializing."""
 
 
 class InlinePayload(PayloadHandle):
@@ -320,93 +319,19 @@ class InlinePayload(PayloadHandle):
         return self.value
 
 
-class SharedArrayPayload(PayloadHandle):
-    """A numpy array parked in a shared-memory segment.
-
-    The exporting process creates the segment and immediately disowns it
-    (ownership travels with the handle); :meth:`load` copies the bytes
-    out and unlinks the segment.
-    """
-
-    __slots__ = ("shm_name", "shape", "dtype_str", "_spent")
-
-    def __init__(self, shm_name: str, shape, dtype_str: str):
-        self.shm_name = shm_name
-        self.shape = tuple(shape)
-        self.dtype_str = dtype_str
-        self._spent = False
-
-    def load(self) -> Any:
-        from multiprocessing import shared_memory
-
-        np = _numpy()
-        segment = shared_memory.SharedMemory(name=self.shm_name)
-        try:
-            view = np.ndarray(self.shape, dtype=np.dtype(self.dtype_str),
-                              buffer=segment.buf)
-            value = view.copy()
-        finally:
-            segment.close()
-            self._unlink(segment)
-        return value
-
-    def discard(self) -> None:
-        from multiprocessing import shared_memory
-
-        if self._spent:
-            return
-        try:
-            segment = shared_memory.SharedMemory(name=self.shm_name)
-        except FileNotFoundError:
-            self._spent = True
-            return
-        segment.close()
-        self._unlink(segment)
-
-    def _unlink(self, segment) -> None:
-        if self._spent:
-            return
-        self._spent = True
-        try:
-            segment.unlink()
-        except FileNotFoundError:  # already reclaimed
-            pass
-
-    def __getstate__(self):
-        return (self.shm_name, self.shape, self.dtype_str)
-
-    def __setstate__(self, state):
-        self.shm_name, self.shape, self.dtype_str = state
-        self._spent = False
-
-
-def export_payload(value: Any,
-                   shm_min_bytes: int = PAYLOAD_SHM_MIN_BYTES) -> PayloadHandle:
+def export_payload(value: Any, arena: Optional["PayloadArena"] = None,
+                   key: Any = None) -> PayloadHandle:
     """Wrap ``value`` for transport to another process.
 
-    Large numpy arrays are copied into a fresh shared-memory segment and
-    shipped by name; everything else is carried inline (pickled with the
-    handle).  The caller-side segment is disowned immediately so the
-    resource tracker of the exporting process does not double-free it
-    when the importing process unlinks.
+    A large numpy array is written into ``arena``'s slot for ``key`` and
+    shipped by reference (:meth:`PayloadArena.export`); everything else,
+    and everything when no arena is given, is carried inline (pickled
+    with the handle).
     """
-    np = _numpy()
-    if np is not None and isinstance(value, np.ndarray) \
-            and value.nbytes >= shm_min_bytes and value.dtype != object:
-        from multiprocessing import shared_memory
-
-        contiguous = np.ascontiguousarray(value)
-        segment = shared_memory.SharedMemory(create=True,
-                                             size=max(1, contiguous.nbytes))
-        try:
-            view = np.ndarray(contiguous.shape, dtype=contiguous.dtype,
-                              buffer=segment.buf)
-            np.copyto(view, contiguous)
-            _disown_shared_memory(segment)
-            return SharedArrayPayload(segment.name, contiguous.shape,
-                                      contiguous.dtype.str)
-        finally:
-            segment.close()
+    if arena is not None:
+        handle = arena.export(key, value)
+        if handle is not None:
+            return handle
     return InlinePayload(value)
 
 
@@ -416,16 +341,16 @@ def import_payload(handle: PayloadHandle) -> Any:
 
 
 # --------------------------------------------------------------------------
-# Payload arena: versioned shared-memory slots for recurring dispatch
-# payloads.
+# Payload arena: versioned shared-memory slots for recurring payloads.
 #
-# export_payload() creates one shared-memory segment per large array and
-# transfers ownership with the handle — correct, but a fresh segment
-# (shm_open + mmap + unlink) per dispatch is the dominant IPC cost when
-# the same cells cross the boundary every round.  A PayloadArena instead
-# parks each recurring cell in one *versioned slot* of a long-lived,
-# parent-owned segment: re-exports overwrite the slot in place and the
-# importer copies out without unlinking.
+# A fresh segment per payload (shm_open, ftruncate, mmap, unlink, page
+# faults, resource-tracker messages) costs far more than copying the
+# bytes.  A PayloadArena parks each recurring cell in one *versioned
+# slot* of long-lived segments, rewritten in place; importers copy out
+# through attachments they keep.  Each arena has one writer, its owner:
+# the pool's dispatch arena (parent -> workers) or a worker's result
+# arena (worker -> parent).  recycle() (slots forgotten, segments kept)
+# runs only at a pool-lease boundary, where no reader holds a handle.
 #
 # Concurrency contract (seqlock): each slot carries a 16-byte header
 # (uint64 generation, uint64 nbytes).  The writer sets the generation odd
@@ -434,9 +359,11 @@ def import_payload(handle: PayloadHandle) -> Any:
 # sustained writes the reader *accepts the possibly-torn copy*: a Fluid
 # consumer is licensed to observe any partial prefix of its producer's
 # progress (PAPER.md §3), and a torn arena read only ever mixes two
-# adjacent versions of the same approximable cell.  Precise/final reads
-# never race — the parent only marks a cell final after the producing
-# run's last flush has been applied parent-side.
+# adjacent versions of the same approximable cell.  Final reads never
+# race: a worker writes a cell's slot only while running that cell's
+# producer, and the parent re-dispatches the producer only after it has
+# applied the run's terminal message, so nothing rewrites the slot
+# between the final flush and the parent's read of it.
 
 #: Slot header size and slot alignment, bytes.
 _ARENA_ALIGN = 16
@@ -445,38 +372,91 @@ _ARENA_ALIGN = 16
 _ARENA_SEGMENT_MIN = 1 << 22
 
 #: Importer-side cache of attached arena segments, by shm name.  An
-#: attachment is reused for every read from that segment; detach with
-#: :func:`arena_detach_all` (the pooled workers' reset path).
+#: attachment is reused for every read from that segment until
+#: :func:`arena_detach_all` or :func:`arena_sweep` closes it.
 _ARENA_SEGMENTS: dict = {}
+
+
+class _Segment:
+    """A POSIX shared-memory segment mapped without the resource tracker
+    (``size > 0`` creates it, ``0`` attaches).
+
+    ``SharedMemory`` registers attachments too (opt-out needs 3.13).  A
+    worker forked after its parent's tracker started shares it, so
+    unregistering an attachment would drop the *owner's* registration;
+    left registered in a private tracker, the worker's exit would unlink
+    the owner's live segment.
+    """
+
+    __slots__ = ("name", "size", "buf", "_mmap")
+
+    def __init__(self, name: str, size: int = 0):
+        import mmap
+
+        import _posixshmem
+
+        flags = os.O_RDWR | (os.O_CREAT | os.O_EXCL if size else 0)
+        fd = _posixshmem.shm_open("/" + name, flags, mode=0o600)
+        try:
+            if size:
+                os.ftruncate(fd, size)
+            else:
+                size = os.fstat(fd).st_size
+            self._mmap = mmap.mmap(fd, size)
+        finally:
+            os.close(fd)
+        self.name = name
+        self.size = size
+        self.buf = memoryview(self._mmap)
+
+    def close(self) -> None:
+        self.buf.release()
+        self._mmap.close()
+
+    def unlink(self) -> None:
+        _shm_unlink(self.name)
+
+
+def _shm_unlink(name: str) -> None:
+    import _posixshmem
+
+    _posixshmem.shm_unlink("/" + name)
 
 
 def _arena_attach(name: str):
     segment = _ARENA_SEGMENTS.get(name)
     if segment is None:
-        from multiprocessing import shared_memory
-
-        segment = shared_memory.SharedMemory(name=name)
-        # CPython's resource tracker registers shared memory on *attach*
-        # as well as create (no opt-out before 3.13's track= parameter);
-        # left registered, a worker exiting would unlink the parent's
-        # live arena out from under every other process.
-        _disown_shared_memory(segment)
-        _ARENA_SEGMENTS[name] = segment
+        segment = _ARENA_SEGMENTS[name] = _Segment(name)
     return segment
 
 
-def arena_detach_all() -> None:
-    """Close this process's cached arena attachments (never unlinks)."""
-    for segment in _ARENA_SEGMENTS.values():
+def arena_detach_all(prefix: str = "") -> None:
+    """Close this process's cached arena attachments whose segment names
+    start with ``prefix`` (all of them by default); never unlinks."""
+    # list() snapshots the keys in one step: another pool's control
+    # thread may attach its own segments meanwhile.
+    for name in list(_ARENA_SEGMENTS):
+        if name.startswith(prefix):
+            _ARENA_SEGMENTS.pop(name).close()
+
+
+def arena_sweep(prefix: str) -> None:
+    """Unlink every segment ``PayloadArena(prefix=prefix)`` created and
+    close this process's attachments to them — without having seen a
+    handle, e.g. after the arena's process was killed.  Such an arena
+    never unlinks a segment itself, so its names have no gaps."""
+    arena_detach_all(prefix)
+    index = 0
+    while True:
         try:
-            segment.close()
-        except Exception:  # pragma: no cover - platform-specific teardown
-            pass
-    _ARENA_SEGMENTS.clear()
+            _shm_unlink(f"{prefix}{index}")
+        except FileNotFoundError:
+            return
+        index += 1
 
 
 class _ArenaSlot:
-    """Parent-side bookkeeping for one cell's slot in the arena."""
+    """Writer-side bookkeeping for one cell's slot in the arena."""
 
     __slots__ = ("segment", "offset", "capacity", "generation")
 
@@ -488,39 +468,38 @@ class _ArenaSlot:
 
 
 class PayloadArena:
-    """Versioned shared-memory slots for a run's recurring payloads.
+    """Versioned shared-memory slots for recurring payloads.
 
-    Owned by the dispatching (parent) process; :meth:`close` unlinks
-    every segment, so the arena must outlive all handles it exported.
-    Only the parent ever writes; importers copy out under the seqlock
-    protocol described above.
+    Owned and written by one process; importers copy out under the
+    seqlock protocol described above.  :meth:`close` unlinks every
+    segment.  Without ``prefix`` segments get random names and the
+    owner's resource tracker reclaims them if the owner dies; with one
+    they are ``prefix + "0"``, ``prefix + "1"``, ..., untracked, and
+    reclaimed by :func:`arena_sweep`.
     """
 
-    def __init__(self, min_segment_bytes: int = _ARENA_SEGMENT_MIN):
+    def __init__(self, min_segment_bytes: int = _ARENA_SEGMENT_MIN,
+                 prefix: Optional[str] = None):
         self._min_segment = min_segment_bytes
+        self._prefix = prefix
         self._segments: list = []
+        #: Allocation point: segment index and byte offset within it.
+        self._active = 0
         self._cursor = 0
         self._slots: dict = {}
         self._closed = False
 
-    @staticmethod
-    def eligible(value: Any) -> bool:
-        """Whether ``value`` is worth a slot (same bar as export_payload's
-        shared-memory path: a large non-object numpy array)."""
-        np = _numpy()
-        return (np is not None and isinstance(value, np.ndarray)
-                and value.dtype != object
-                and value.nbytes >= PAYLOAD_SHM_MIN_BYTES)
-
     def export(self, key: Any, value: Any) -> "Optional[ArenaSlotPayload]":
         """Write ``value`` into ``key``'s slot and return a handle.
 
-        Returns None when the value does not qualify (caller falls back
-        to :func:`export_payload`).
+        Returns None unless ``value`` is worth a slot — a non-object
+        numpy array of at least ``PAYLOAD_SHM_MIN_BYTES`` — (the caller
+        ships it inline, see :func:`export_payload`), or once closed.
         """
-        if self._closed or not self.eligible(value):
-            return None
         np = _numpy()
+        if self._closed or not isinstance(value, np.ndarray) or \
+                value.dtype == object or value.nbytes < PAYLOAD_SHM_MIN_BYTES:
+            return None
         contiguous = np.ascontiguousarray(value)
         slot = self._slots.get(key)
         if slot is None or slot.capacity < contiguous.nbytes:
@@ -539,26 +518,45 @@ class PayloadArena:
         header[0] = 2 * generation  # even: settled
         slot.generation = generation
         return ArenaSlotPayload(slot.segment.name, slot.offset,
-                                contiguous.shape, contiguous.dtype.str,
-                                generation)
+                                contiguous.shape, contiguous.dtype.str)
 
     def _allocate(self, key: Any, nbytes: int) -> _ArenaSlot:
         capacity = _ARENA_ALIGN
         while capacity < nbytes:
             capacity <<= 1
         total = _ARENA_ALIGN + capacity
-        segment = self._segments[-1] if self._segments else None
-        if segment is None or self._cursor + total > segment.size:
-            from multiprocessing import shared_memory
-
-            segment = shared_memory.SharedMemory(
-                create=True, size=max(self._min_segment, total))
-            self._segments.append(segment)
+        # First fit from the allocation point on: after recycle() the
+        # kept segments are refilled in order before a new one is made.
+        while self._active < len(self._segments) and \
+                self._cursor + total > self._segments[self._active].size:
+            self._active += 1
             self._cursor = 0
-        slot = _ArenaSlot(segment, self._cursor, capacity)
+        if self._active == len(self._segments):
+            self._segments.append(
+                self._create(max(self._min_segment, total)))
+        slot = _ArenaSlot(self._segments[self._active], self._cursor,
+                          capacity)
         self._cursor += total
         self._slots[key] = slot
         return slot
+
+    def _create(self, size: int):
+        if self._prefix is None:
+            from multiprocessing import shared_memory
+
+            return shared_memory.SharedMemory(create=True, size=size)
+        return _Segment(f"{self._prefix}{len(self._segments)}", size)
+
+    def recycle(self) -> None:
+        """Forget every slot and reuse the segments from the start.
+
+        Only safe where no reader can still hold a handle this arena
+        exported (a pool-lease boundary): the next export may overwrite
+        any slot.
+        """
+        self._slots = {}
+        self._active = 0
+        self._cursor = 0
 
     def close(self) -> None:
         """Unlink every segment; outstanding handles become unreadable."""
@@ -567,10 +565,10 @@ class PayloadArena:
         self._closed = True
         self._slots = {}
         for segment in self._segments:
+            segment.close()
             try:
-                segment.close()
                 segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
+            except FileNotFoundError:  # pragma: no cover - already swept
                 pass
         self._segments = []
 
@@ -582,23 +580,20 @@ class PayloadArena:
 class ArenaSlotPayload(PayloadHandle):
     """A numpy array parked in a :class:`PayloadArena` slot.
 
-    Unlike :class:`SharedArrayPayload`, ownership does *not* travel with
-    the handle: :meth:`load` copies the bytes out of the (parent-owned,
-    reusable) slot without unlinking, and :meth:`discard` is a no-op.
+    :meth:`load` copies the bytes out of the (owner-held, reusable) slot
+    through an attachment this process keeps; it never unlinks.
     """
 
-    __slots__ = ("shm_name", "offset", "shape", "dtype_str", "generation")
+    __slots__ = ("shm_name", "offset", "shape", "dtype_str")
 
     #: Seqlock read attempts before accepting a possibly-torn copy.
     _READ_RETRIES = 4
 
-    def __init__(self, shm_name: str, offset: int, shape, dtype_str: str,
-                 generation: int):
+    def __init__(self, shm_name: str, offset: int, shape, dtype_str: str):
         self.shm_name = shm_name
         self.offset = offset
         self.shape = tuple(shape)
         self.dtype_str = dtype_str
-        self.generation = generation
 
     def load(self) -> Any:
         np = _numpy()
@@ -614,41 +609,24 @@ class ArenaSlotPayload(PayloadHandle):
             value = view.copy()
             if int(header[0]) == before and before % 2 == 0:
                 return value
-        # Sustained parent writes exhausted the retries: accept the
-        # possibly-torn (or fresher-than-dispatched) copy — exactly the
+        # Sustained writes exhausted the retries: accept the
+        # possibly-torn (or fresher-than-exported) copy — exactly the
         # relaxation Fluid licenses for non-final cells.
         return value
-
-    def discard(self) -> None:
-        """Nothing to release: the parent owns and reuses the slot."""
-
-    def __getstate__(self):
-        return (self.shm_name, self.offset, self.shape, self.dtype_str,
-                self.generation)
-
-    def __setstate__(self, state):
-        (self.shm_name, self.offset, shape, self.dtype_str,
-         self.generation) = state
-        self.shape = tuple(shape)
 
 
 def payload_nbytes(handle: PayloadHandle) -> int:
     """Approximate transport size of a payload handle, in bytes.
 
-    Used by process-backend telemetry to account shared-payload traffic
-    without materializing the payload (materializing would unlink a
-    shared-memory segment).
+    Used by process-backend telemetry to account payload traffic without
+    materializing the payload.
     """
+    import math
     import sys
 
-    if isinstance(handle, (SharedArrayPayload, ArenaSlotPayload)):
-        cells = 1
-        for extent in handle.shape:
-            cells *= extent
-        np = _numpy()
-        if np is not None:
-            return cells * np.dtype(handle.dtype_str).itemsize
-        return cells
+    if isinstance(handle, ArenaSlotPayload):
+        itemsize = _numpy().dtype(handle.dtype_str).itemsize
+        return math.prod(handle.shape) * itemsize
     if isinstance(handle, InlinePayload):
         value = handle.value
         nbytes = getattr(value, "nbytes", None)
@@ -658,18 +636,3 @@ def payload_nbytes(handle: PayloadHandle) -> int:
             return len(value)
         return sys.getsizeof(value)
     return 0
-
-
-def _disown_shared_memory(segment) -> None:
-    """Stop this process's resource tracker from reclaiming ``segment``.
-
-    Ownership transfers to the importing process (which unlinks after
-    copying out); without this, the exporting process's tracker would
-    unlink the segment again at interpreter exit and log warnings.
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(segment._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals vary by version
-        pass

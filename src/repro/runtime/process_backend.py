@@ -51,15 +51,18 @@ Cancellation stays advisory: the per-slot cancel flag holds the
 dispatch_id to abandon (or ``-1`` for *everything*), checked at item
 start and at every chunk boundary.
 
-Payload arena
--------------
+Payload arenas
+--------------
 
-Large recurring payload cells are shipped through a per-run
-:class:`~repro.core.data.PayloadArena` — one shared-memory segment with
-a versioned, seqlock-guarded slot per cell — instead of a fresh
-segment per payload (see ``core/data.py`` for the read/write contract).
-The arena covers the dispatch direction only; worker flushes still use
-:func:`~repro.core.data.export_payload` ownership-transfer segments.
+Large payload cells cross the boundary in both directions through
+:class:`~repro.core.data.PayloadArena` slots keyed
+``(region_index, cell)``: dispatches through the pool's arena, flushes
+through the worker's own result arena.  Both live as long as the pool,
+so no segment is created, attached or unlinked per run (contract in
+``core/data.py``, lifetimes in ``worker_pool.py``).  The ``_shipped``
+memo keeps a cell off the wire to a worker whose copy already holds the
+parent's version — including its producer, once its ``_FINISHED`` is
+applied.
 
 Worker pools
 ------------
@@ -79,7 +82,7 @@ it), and a worker that dies running it fails the run.
 
 Data crosses the boundary as picklable snapshots
 (:func:`~repro.core.data.export_payload`); large numpy payloads ride
-shared-memory buffers instead of the pickle stream.  Workers check a
+the arenas instead of the pickle stream.  Workers check a
 shared cancellation flag at every chunk boundary, giving the same
 cooperative early-termination the other backends have.
 
@@ -117,8 +120,7 @@ import traceback
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.count import RecordingSink
-from ..core.data import (PayloadArena, arena_detach_all, import_payload,
-                         payload_nbytes)
+from ..core.data import PayloadArena, import_payload, payload_nbytes
 from ..core.errors import SchedulerError, TaskBodyError
 from ..core.guard import GuardHost, ModulationPolicy
 from ..core.region import FluidRegion
@@ -163,13 +165,16 @@ class _WorkerLoop:
 
         (kind, slot, dispatch_id, region_index, task_index,
          records_or_excrepr, payloads_or_traceback)
+
+    Large outputs travel in ``arena``, this worker's result arena.
     """
 
-    def __init__(self, slot: int, outbox, cancel_flags,
+    def __init__(self, slot: int, outbox, cancel_flags, arena: PayloadArena,
                  inherited: Sequence[FluidRegion] = ()):
         self.slot = slot
         self.outbox = outbox
         self.cancel_flags = cancel_flags
+        self.arena = arena
         self.sink = RecordingSink()
         self.regions: Dict[int, FluidRegion] = {}
         self._inherited = inherited
@@ -200,13 +205,15 @@ class _WorkerLoop:
         self.regions[region_index] = region
 
     def reset(self) -> None:
-        """Forget all regions and arena attachments between pool leases.
+        """Forget all regions between pool leases.
 
-        Region indices are a per-run namespace, and each run owns a
-        fresh payload arena, so neither may leak across leases.
+        Region indices are a per-run namespace, so neither the regions
+        nor the result-arena slots keyed by them may leak across leases
+        (the parent has dropped every handle of the ending lease).
+        Attachments to the dispatch arena last for the worker's life.
         """
         self.regions.clear()
-        arena_detach_all()
+        self.arena.recycle()
 
     def _region(self, region_index: int) -> FluidRegion:
         region = self.regions.get(region_index)
@@ -279,7 +286,8 @@ class _WorkerLoop:
                     for data in task.spec.outputs:
                         if data.version != versions[data.name]:
                             versions[data.name] = data.version
-                            payloads[data.name] = data.export_payload()
+                            payloads[data.name] = data.export_payload(
+                                self.arena, (region_index, data.name))
                     if self.sink.buffer or payloads:
                         outbox.put((_PROGRESS, slot, dispatch_id,
                                     region_index, task_index,
@@ -288,7 +296,8 @@ class _WorkerLoop:
             outbox.put((_ERROR, slot, dispatch_id, region_index, task_index,
                         repr(exc), traceback.format_exc()))
             return
-        payloads = {data.name: data.export_payload()
+        payloads = {data.name: data.export_payload(
+                        self.arena, (region_index, data.name))
                     for data in task.spec.outputs}
         outbox.put((_FINISHED, slot, dispatch_id, region_index, task_index,
                     self.sink.drain(), payloads))
@@ -391,18 +400,15 @@ class ProcessExecutor(Executor, GuardHost):
         #: slot -> dispatch_ids still in flight there (dispatch order).
         self._slot_ids: Dict[int, List[int]] = {}
         #: Delta-aware payload export: per slot, the parent-side version
-        #: of each cell as of its last shipment to that worker.  A cell
-        #: whose version is unchanged is skipped at dispatch — the
-        #: worker's copy already holds identical content.
+        #: of each cell that worker's copy holds (shipped there, or sent
+        #: back by its producer's applied ``_FINISHED``).  A cell whose
+        #: version is unchanged is skipped at dispatch.
         self._shipped: Dict[int, Dict[Tuple[int, str], int]] = {}
         #: Pickled factories of the launched regions that carry one, by
         #: run index: installed in every worker, re-sent to respawned
         #: ones.  A region absent from here is closure-only.
         self._region_blobs: Dict[int, bytes] = {}
         self._respawns: Dict[int, int] = {}
-        #: Created lazily on the first arena-eligible export, so runs
-        #: that never ship a large array never touch shared memory.
-        self._arena: Optional[PayloadArena] = None
         self._epoch = 0.0
 
     # ------------------------------------------------------------- public
@@ -482,8 +488,9 @@ class ProcessExecutor(Executor, GuardHost):
 
         Cancels anything still in flight, waits briefly for the workers
         to come back, respawns the wedged or dead ones, and resets every
-        worker's region/arena caches (region indices are a per-run
-        namespace).
+        worker's regions (region indices are a per-run namespace).  No
+        handle of this lease is read after this point, which is what
+        lets ``reset`` and ``pool.release()`` recycle the arenas.
         """
         pool = self._pool
         try:
@@ -504,9 +511,6 @@ class ProcessExecutor(Executor, GuardHost):
                 if not message:
                     continue
                 kind, slot, dispatch_id = message[:3]
-                if kind in (_PROGRESS, _FINISHED, _CANCELLED):
-                    for handle in message[6].values():
-                        handle.discard()
                 if kind in (_FINISHED, _CANCELLED, _ERROR):
                     ids = self._slot_ids.get(slot)
                     if ids and dispatch_id in ids:
@@ -522,27 +526,19 @@ class ProcessExecutor(Executor, GuardHost):
                     inbox.put_nowait(("reset",))
                 except Exception:  # pragma: no cover - torn-down queue
                     pass
-            self._discard_pending_events()
+            self._drop_pending_events()
             self._inflight.clear()
             self._task_dispatch.clear()
         finally:
             pool.release()
-            # After the workers were reclaimed: queued items may still
-            # reference arena slots until then.
-            if self._arena is not None:
-                self._arena.close()
-                self._arena = None
 
-    def _discard_pending_events(self) -> None:
-        """Drop unapplied events, releasing any shared-memory payloads."""
+    def _drop_pending_events(self) -> None:
+        """Drop unapplied events: their handles own nothing to release."""
         while True:
             try:
-                message = self._pool.outbox.get_nowait()
+                self._pool.outbox.get_nowait()
             except (queue_module.Empty, OSError, ValueError):
                 return
-            if message and message[0] in (_PROGRESS, _FINISHED, _CANCELLED):
-                for handle in message[6].values():
-                    handle.discard()
 
     def _check_workers(self) -> None:
         for slot, ids in list(self._slot_ids.items()):
@@ -704,14 +700,16 @@ class ProcessExecutor(Executor, GuardHost):
                     skipped += 1
                     continue
                 if shipped.get(key) == data.version:
-                    # Unchanged since the last shipment to this worker;
-                    # its copy already holds identical bytes.  (Cells a
-                    # body ran against on this slot are forgotten when
-                    # the run ends, so worker-local dirt can never
+                    # Unchanged since this worker's copy last matched
+                    # the parent's; it already holds identical bytes.
+                    # (Cells a body ran against on this slot are
+                    # forgotten when the run ends unless its _FINISHED
+                    # was applied, so worker-local dirt can never
                     # satisfy this test.)
                     skipped += 1
                     continue
-                payloads[data.name] = self._export_cell(key, data)
+                payloads[data.name] = data.export_payload(self._pool.arena,
+                                                          key)
                 shipped[key] = data.version
             counts = {name: count.export_state()
                       for name, count in region.counts.items()}
@@ -734,17 +732,6 @@ class ProcessExecutor(Executor, GuardHost):
         if fresh:
             for task in tasks:
                 self._maybe_kill_worker(task.region, task, slot)
-
-    def _export_cell(self, key: Tuple[int, str], data) -> object:
-        """Export one cell for dispatch, through the arena when it fits."""
-        value = data.read()
-        if self._arena is None and PayloadArena.eligible(value):
-            self._arena = PayloadArena()
-        if self._arena is not None:
-            handle = self._arena.export(key, value)
-            if handle is not None:
-                return handle
-        return data.export_payload()
 
     def _maybe_kill_worker(self, region: FluidRegion, task: FluidTask,
                            slot: int) -> None:
@@ -820,11 +807,8 @@ class ProcessExecutor(Executor, GuardHost):
         entry = self._inflight.get(dispatch_id)
         if entry is None:
             # Stale: the dispatch was dropped by a respawn, or belongs
-            # to a previous lease of a shared pool.  Release transport
-            # resources and move on.
-            if kind in (_PROGRESS, _FINISHED, _CANCELLED):
-                for handle in message[6].values():
-                    handle.discard()
+            # to a previous lease of a shared pool.  Never read: its
+            # arena slots may already hold other bytes.
             return
         task = entry[0]
         run = self.context.runs[region_index]
@@ -839,13 +823,10 @@ class ProcessExecutor(Executor, GuardHost):
                 self._bus.emit("worker", run.region.name, task.name, "free",
                                data={"slot": slot})
         if kind == _PROGRESS:
-            if task.state is TaskState.COMPLETE:
-                # Completed by a cascade while the body was still
-                # running: a late flush must not clear `final` on cells
-                # nobody will produce again.
-                for handle in message[6].values():
-                    handle.discard()
-            else:
+            # A task completed by a cascade while its body was still
+            # running must not have `final` cleared by a late flush on
+            # cells nobody will produce again.
+            if task.state is not TaskState.COMPLETE:
                 self._apply_payloads(run.region, message[6])
             self._replay_counts(run.region, message[5])
             return
@@ -853,17 +834,17 @@ class ProcessExecutor(Executor, GuardHost):
         # cells from the slot's shipped-version memo: the body mutated
         # its local copies, and a cancelled/errored run dirties them
         # *without* a parent-side version bump, so equality of versions
-        # must not be trusted for them on the next dispatch.
+        # must not be trusted for them on the next dispatch.  Only an
+        # applied _FINISHED re-records them, below.
         self._inflight.pop(dispatch_id, None)
         if self._task_dispatch.get(id(task)) == dispatch_id:
             del self._task_dispatch[id(task)]
         ids = self._slot_ids.get(slot)
         if ids is not None and dispatch_id in ids:
             ids.remove(dispatch_id)
-        shipped = self._shipped.get(slot)
-        if shipped is not None:
-            for data in task.spec.outputs:
-                shipped.pop((region_index, data.name), None)
+        shipped = self._shipped.setdefault(slot, {})
+        for data in task.spec.outputs:
+            shipped.pop((region_index, data.name), None)
         if self._pool.cancel_flags[slot] == dispatch_id:
             # Only the cancelled dispatch's own terminal clears the
             # flag: a flag re-aimed at a batch-mate must survive until
@@ -884,8 +865,6 @@ class ProcessExecutor(Executor, GuardHost):
             # Completed concurrently by a cascade while the body was
             # still running remotely; its output will never be consumed,
             # but the count observations are real — replay them.
-            for handle in message[6].values():
-                handle.discard()
             self._replay_counts(run.region, message[5])
             return
         if kind == _FINISHED:
@@ -894,12 +873,14 @@ class ProcessExecutor(Executor, GuardHost):
             # and only then publish the last count batch, so a consumer
             # whose valve flips on the final update observes final data.
             self._apply_payloads(run.region, message[6])
+            # The producer's copies are now exactly the parent's (final
+            # reads are never torn): never ship them back to it.
+            for data in task.spec.outputs:
+                shipped[(region_index, data.name)] = data.version
             task.transition(TaskState.END_CHECK, self.now())
             run.coordinator.body_finished(task)
             self._replay_counts(run.region, message[5])
         elif kind == _CANCELLED:
-            for handle in message[6].values():
-                handle.discard()
             run.coordinator.body_cancelled(task)
             self._replay_counts(run.region, message[5])
 

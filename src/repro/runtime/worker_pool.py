@@ -29,15 +29,24 @@ Lifecycle contract
 * ``lease()`` / ``release()`` — exclusive: one executor drives the
   workers at a time (serializing process contexts also avoids
   oversubscribing the physical cores the pool was sized to).  The
-  executor resets every worker's region/arena caches before releasing.
+  executor reclaims and resets every worker (recycling its result
+  arena) before releasing; ``release()`` recycles the dispatch arena.
+* ``arena`` — the pool's dispatch :class:`~repro.core.data.PayloadArena`
+  (parent writes, workers read) for its whole life; each worker's own
+  result arena names its segments from the pool and the worker's pid,
+  so the pool unlinks them without having seen a handle.  No segment is
+  made per run; a pool keeps what its largest lease used until
+  ``close()``.
 * ``respawn(slot)`` — replaces a crashed worker with a fresh process
   *and a fresh inbox* (items queued to the dead worker must not replay
-  on its replacement), swapping both into the pool's lists in place.
+  on its replacement), swapping both into the pool's lists in place,
+  and sweeps the dead worker's result segments.
 * ``next_dispatch_id()`` — pool-global dispatch ids, unique across
   leases, so stale messages from a previous lease can never alias a
   live dispatch.
 * ``close()`` — shuts the workers down under one shared deadline per
-  pass; idempotent.
+  pass, then sweeps every worker's result segments and unlinks the
+  dispatch arena; idempotent.
 """
 
 from __future__ import annotations
@@ -46,10 +55,12 @@ import logging
 import os
 import pickle
 import queue as queue_module
+import secrets
 import threading
 import time
 from typing import List, Optional, Sequence
 
+from ..core.data import PayloadArena, arena_sweep
 from ..core.errors import SchedulerError
 from ..core.region import FluidRegion
 
@@ -71,12 +82,19 @@ def pool_blob(region: FluidRegion) -> Optional[bytes]:
         return None
 
 
+def _worker_segments(pool_prefix: str, pid: int) -> str:
+    """Name prefix of the result-arena segments of worker ``pid``."""
+    return f"{pool_prefix}{pid}-"
+
+
 def _pool_worker_main(slot: int, inbox, outbox, cancel_flags,
-                      inherited: Sequence[FluidRegion]) -> None:
+                      inherited: Sequence[FluidRegion],
+                      pool_prefix: str) -> None:
     """Entry point of one worker: run bodies, stream updates back."""
     from .process_backend import _WorkerLoop
 
-    _WorkerLoop(slot, outbox, cancel_flags, inherited).serve(inbox)
+    arena = PayloadArena(prefix=_worker_segments(pool_prefix, os.getpid()))
+    _WorkerLoop(slot, outbox, cancel_flags, arena, inherited).serve(inbox)
 
 
 class PersistentProcessPool:
@@ -118,6 +136,9 @@ class PersistentProcessPool:
         #: executor must index these lists afresh, never copy them.
         self.inboxes: List = []
         self.processes: List = []
+        self.arena = PayloadArena()
+        #: Unique per pool; short, since macOS caps shm names at 31 bytes.
+        self._segment_prefix = f"fluid-{secrets.token_hex(4)}-"
         self._lease_lock = threading.Lock()
         self._id_lock = threading.Lock()
         self._next_id = 0
@@ -136,7 +157,7 @@ class PersistentProcessPool:
         return self.context.Process(
             target=_pool_worker_main,
             args=(slot, inbox, self.outbox, self.cancel_flags,
-                  self.inherited),
+                  self.inherited, self._segment_prefix),
             name=f"{self.name}-{slot}", daemon=True)
 
     # -- leasing -----------------------------------------------------------
@@ -150,6 +171,9 @@ class PersistentProcessPool:
         return self
 
     def release(self) -> None:
+        # The leasing executor has reclaimed every worker, so no reader
+        # holds a dispatch handle any more.
+        self.arena.recycle()
         self._lease_lock.release()
 
     def next_dispatch_id(self) -> int:
@@ -169,6 +193,8 @@ class PersistentProcessPool:
         The old inbox is abandoned, not drained: items queued to the
         dead worker must not replay on its replacement (the leasing
         executor re-dispatches what it still needs, with new ids).
+        Handles into the old worker's result arena are stale by then
+        (their dispatch ids are dropped), so its segments go too.
         """
         old = self.processes[slot]
         if old.is_alive():
@@ -177,6 +203,7 @@ class PersistentProcessPool:
             if old.is_alive():  # pragma: no cover - stubborn worker
                 old.kill()
                 old.join(timeout=1.0)
+        self._sweep(old)
         old_inbox = self.inboxes[slot]
         try:
             old_inbox.cancel_join_thread()
@@ -188,6 +215,11 @@ class PersistentProcessPool:
         self.inboxes[slot] = inbox
         self.processes[slot] = process
         process.start()
+
+    def _sweep(self, process) -> None:
+        """Unlink a worker's result-arena segments and close the parent's
+        attachments to them."""
+        arena_sweep(_worker_segments(self._segment_prefix, process.pid))
 
     # -- teardown ----------------------------------------------------------
 
@@ -217,6 +249,9 @@ class PersistentProcessPool:
         for process in stubborn:  # pragma: no cover - stubborn worker
             process.kill()
         self._join_all(stubborn, 0.5)
+        for process in self.processes:
+            self._sweep(process)
+        self.arena.close()
         for channel in self.inboxes + [self.outbox]:
             try:
                 channel.cancel_join_thread()

@@ -5,7 +5,11 @@ Parity with the other backends is covered by test_backend_parity; this
 file tests what is unique to running bodies out-of-process.
 """
 
+import hashlib
 import os
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
@@ -14,12 +18,14 @@ import pytest
 from repro import (FluidRegion, NeverValve, PercentValve, ProcessExecutor,
                    SchedulerError, TaskBodyError, make_executor)
 from repro.core.count import Count, ImmediateSink, RecordingSink
-from repro.core.data import (PAYLOAD_SHM_MIN_BYTES, FluidData,
-                             InlinePayload, SharedArrayPayload,
+from repro.core.data import (PAYLOAD_SHM_MIN_BYTES, ArenaSlotPayload,
+                             FluidData, InlinePayload, PayloadArena,
                              export_payload, import_payload)
 from repro.core.valves import DataFinalValve
+from repro.runtime import process_backend
+from repro.runtime.worker_pool import PersistentProcessPool
 
-from util import make_pipeline, pipeline_expected
+from util import make_pipeline, pipeline_expected, shm_names
 
 
 # ------------------------------------------------------- payload protocol
@@ -32,29 +38,50 @@ class TestPayloadProtocol:
 
     def test_small_arrays_travel_inline(self):
         array = np.arange(16, dtype=np.float64)
-        handle = export_payload(array)
-        assert isinstance(handle, InlinePayload)
-        assert np.array_equal(import_payload(handle), array)
+        with_arena = PayloadArena()
+        try:
+            for handle in (export_payload(array),
+                           export_payload(array, with_arena, "k")):
+                assert isinstance(handle, InlinePayload)
+                assert np.array_equal(import_payload(handle), array)
+            assert with_arena.segment_count == 0
+        finally:
+            with_arena.close()
 
     def test_large_arrays_travel_through_shared_memory(self):
         array = np.arange(PAYLOAD_SHM_MIN_BYTES, dtype=np.uint8)
-        handle = export_payload(array)
-        assert isinstance(handle, SharedArrayPayload)
-        out = import_payload(handle)
-        assert np.array_equal(out, array)
-        assert out.dtype == array.dtype
+        arena = PayloadArena()
+        try:
+            handle = export_payload(array, arena, "k")
+            assert isinstance(handle, ArenaSlotPayload)
+            out = import_payload(handle)
+            assert np.array_equal(out, array)
+            assert out.dtype == array.dtype
+        finally:
+            arena.close()
 
     def test_shared_memory_preserves_shape_and_dtype(self):
         array = np.arange(128 * 256, dtype=np.float32).reshape(128, 256)
-        handle = export_payload(array, shm_min_bytes=1024)
-        assert isinstance(handle, SharedArrayPayload)
-        out = import_payload(handle)
-        assert out.shape == (128, 256) and out.dtype == np.float32
-        assert np.array_equal(out, array)
+        arena = PayloadArena()
+        try:
+            handle = export_payload(array, arena, "k")
+            assert isinstance(handle, ArenaSlotPayload)
+            out = import_payload(handle)
+            assert out.shape == (128, 256) and out.dtype == np.float32
+            assert np.array_equal(out, array)
+        finally:
+            arena.close()
 
-    def test_discard_releases_unclaimed_segments(self):
-        handle = export_payload(np.zeros(4096), shm_min_bytes=1024)
-        handle.discard()  # must not raise; segment is unlinked
+    def test_close_releases_every_segment(self):
+        arena = PayloadArena(min_segment_bytes=1 << 16)
+        handles = [arena.export(key, np.zeros(8192)) for key in "abc"]
+        assert arena.segment_count == 3
+        arena.close()
+        from multiprocessing import shared_memory
+
+        for handle in handles:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=handle.shm_name)
 
     def test_apply_payload_preserves_aliases(self):
         # Bodies and valves close over the payload object itself; the
@@ -426,3 +453,180 @@ class TestShutdownDeadline:
         assert elapsed < 1.8, \
             f"shutdown took {elapsed:.2f}s; the graceful join must " \
             "share one deadline across workers, not 0.5s each"
+
+
+# ------------------------------------------------ payload arena contracts
+
+#: 64 KiB of float64: the smallest array that takes an arena slot.
+FINAL_ELEMS = PAYLOAD_SHM_MIN_BYTES // 8
+FINAL_CHUNKS = 6
+
+
+def final_block(chunk):
+    return np.arange(FINAL_ELEMS, dtype=np.float64) + 1000.0 * chunk
+
+
+def make_final_read_region(name):
+    """``produce`` rewrites a 64 KiB array on every chunk; two consumers
+    gated on its final value record a digest of what they read.  The two
+    consumers start together, one on each of two workers: one reads the
+    producer's worker-local copy, the other the parent's copy."""
+    region = FluidRegion(name)
+    block = region.add_data("block", None)
+
+    def produce(ctx):
+        for chunk in range(FINAL_CHUNKS):
+            block.write(final_block(chunk))
+            yield 1.0
+
+    region.add_task("produce", produce, outputs=[block])
+    for index in range(2):
+        seen = region.add_data(f"seen_{index}", None)
+
+        def consume(ctx, seen=seen):
+            seen.write(hashlib.sha256(block.read().tobytes()).hexdigest())
+            yield 1.0
+
+        region.add_task(f"consume_{index}", consume, inputs=[block],
+                        outputs=[seen], start_valves=[DataFinalValve(block)])
+    region.remote_factory = (make_final_read_region, (name,), {})
+    return region
+
+
+def final_read_mismatches(runs):
+    """Pooled runs in which the parent's final copy of ``block``, or a
+    consumer's view of it, differed from the producer's last write."""
+    final = final_block(FINAL_CHUNKS - 1)
+    digest = hashlib.sha256(final.tobytes()).hexdigest()
+    mismatches = 0
+    with PersistentProcessPool(workers=2) as pool:
+        for index in range(runs):
+            region = make_final_read_region(f"final{index}")
+            # flush_interval=0: every chunk is a flush, so the parent is
+            # reading the slot while the worker keeps rewriting it.
+            executor = ProcessExecutor(pool=pool, timeout=60,
+                                       flush_interval=0.0)
+            executor.submit(region)
+            executor.run()
+            if not np.array_equal(region.output("block"), final) or \
+                    {region.output(f"seen_{i}") for i in range(2)} != \
+                    {digest}:
+                mismatches += 1
+    return mismatches
+
+
+class TestFinalReadsNeverTorn:
+    """The arena's relaxation bound, both directions: a non-final read
+    may be torn or fresher than its message, a final read is exact."""
+
+    def test_consumers_of_a_final_cell_see_its_final_bytes(self):
+        assert final_read_mismatches(50) == 0
+
+    def test_a_worker_rewriting_its_slot_after_finishing_is_caught(
+            self, monkeypatch):
+        run_body = process_backend._WorkerLoop._run_body
+
+        def rewrite_after_finished(loop, flush_interval, dispatch_id,
+                                   region_index, task_index, run_index,
+                                   task):
+            run_body(loop, flush_interval, dispatch_id, region_index,
+                     task_index, run_index, task)
+            for data in task.spec.outputs:
+                loop.arena.export((region_index, data.name),
+                                  final_block(FINAL_CHUNKS))
+
+        # Patched before the pool forks, so the workers inherit it.
+        monkeypatch.setattr(process_backend._WorkerLoop, "_run_body",
+                            rewrite_after_finished)
+        assert final_read_mismatches(50) > 0
+
+
+class TestShippingMemo:
+    def test_a_producer_is_never_sent_its_own_output(self):
+        from repro.telemetry import Telemetry
+
+        telemetry = Telemetry()
+        shipped = []
+
+        def on_event(event):
+            if (event.kind, event.name) == ("payload", "to-worker") and \
+                    event.task.startswith("consume"):
+                shipped.append(event.data["bytes"])
+
+        telemetry.bus.subscribe(on_event)
+        region = make_final_read_region("own-output")
+        # One worker runs the producer and then both consumers.
+        with PersistentProcessPool(workers=1) as pool:
+            executor = ProcessExecutor(pool=pool, timeout=60,
+                                       telemetry=telemetry)
+            executor.submit(region)
+            executor.run()
+        assert np.array_equal(region.output("block"),
+                              final_block(FINAL_CHUNKS - 1))
+        assert len(shipped) == 2 and sum(shipped) < FINAL_ELEMS * 8
+
+
+TRACKER_SCRIPT = textwrap.dedent("""
+    from multiprocessing import shared_memory
+
+    import numpy as np
+
+    from repro.core.region import FluidRegion
+    from repro.core.valves import DataFinalValve
+    from repro.runtime import PersistentProcessPool, ProcessExecutor
+
+    def make_region(epoch):
+        region = FluidRegion(f"op{epoch}")
+        block = region.add_data("block", None)
+
+        def distribute(ctx):
+            block.write(np.full(65536, float(epoch)))  # 512 KiB
+            yield 1.0
+
+        region.add_task("distribute", distribute, outputs=[block])
+        for index in range(4):
+            out = region.add_data(f"out_{index}", None)
+
+            def crunch(ctx, out=out):
+                out.write(float(block.read().sum()))
+                yield 1.0
+
+            region.add_task(f"crunch_{index}", crunch, inputs=[block],
+                            outputs=[out],
+                            start_valves=[DataFinalValve(block)])
+        region.remote_factory = (make_region, (epoch,), {})
+        return region
+
+    # Shared memory touched before the pool forks: the parent's resource
+    # tracker is running, and the workers inherit it.
+    probe = shared_memory.SharedMemory(create=True, size=4096)
+    probe.close()
+    probe.unlink()
+    with PersistentProcessPool(workers=2) as pool:
+        for epoch in range(1, 4):
+            region = make_region(epoch)
+            executor = ProcessExecutor(pool=pool, timeout=60)
+            executor.submit(region)
+            executor.run()
+            assert region.output("out_3") == 65536.0 * epoch
+""")
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"),
+                    reason="lists POSIX shared memory through /dev/shm")
+class TestResourceTracker:
+    def test_workers_never_touch_the_owners_registration(self):
+        """An attach must not unregister the segment's owner in a tracker
+        the workers share with the parent: the owner's unlink would then
+        print a ``KeyError`` traceback, and a dead parent would leave
+        the arena behind."""
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        before = shm_names()
+        result = subprocess.run([sys.executable, "-c", TRACKER_SCRIPT],
+                                env=env, capture_output=True, text=True,
+                                timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr, result.stderr
+        assert shm_names() == before

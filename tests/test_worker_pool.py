@@ -10,9 +10,11 @@ lean on fragile OS/CPython detail.
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.core.region import FluidRegion
+from repro.core.valves import DataFinalValve
 from repro.runtime import (PersistentProcessPool, ProcessExecutor,
                            SimExecutor, ThreadExecutor, pool_blob)
 from repro.runtime.context import RunContext
@@ -20,15 +22,13 @@ from repro.service.pools import OneShotPool
 from repro.stream import Pipeline, Stage
 from repro.telemetry import Telemetry
 
-from util import make_pipeline, pipeline_expected
+from util import make_pipeline, pipeline_expected, shm_names
 
 
 # ------------------------------------------------------- region factories
 
 def make_pid_region(name="pids", tasks=2):
     """Every task writes its worker's PID to its own output cell."""
-
-    from repro.core.valves import DataFinalValve
 
     class _Pids(FluidRegion):
         def build(self):
@@ -75,6 +75,71 @@ def make_crasher_region(flag_path, name="crasher"):
 
     region = _Crasher(name)
     region.remote_factory = (make_crasher_region, (flag_path, name), {})
+    return region
+
+
+def make_big_crasher_region(flag_path, name="big-crasher"):
+    """``big`` returns a 512 KiB array (through its worker's result
+    arena); ``boom``, gated on it and so run by the same one-worker pool,
+    kills that worker once."""
+    region = FluidRegion(name)
+    big = region.add_data("big", None)
+    out = region.add_data("out", 0.0)
+
+    def produce(ctx):
+        big.write(np.ones(65536))
+        yield 1.0
+
+    def boom(ctx):
+        if not os.path.exists(flag_path):
+            with open(flag_path, "w") as handle:
+                handle.write("crashed")
+            os._exit(13)
+        out.write(float(big.read().sum()))
+        yield 1.0
+
+    region.add_task("big", produce, outputs=[big])
+    region.add_task("boom", boom, inputs=[big], outputs=[out],
+                    start_valves=[DataFinalValve(big)])
+    region.remote_factory = (make_big_crasher_region, (flag_path, name), {})
+    return region
+
+
+def make_payload_region(name, elems):
+    """Two producers start together, one per worker of a two-worker
+    pool, and each writes an ``elems``-long array; two consumers read
+    both, so every run ships one array each way on each worker.  The
+    array cells are named after the region, so no two runs share an
+    arena slot key."""
+    region = FluidRegion(name)
+    token = region.add_data("token", 0)
+
+    def header(ctx):
+        token.write(1)
+        yield 1.0
+
+    region.add_task("header", header, outputs=[token])
+    arrays = [region.add_data(f"{name}.a{index}", None)
+              for index in range(2)]
+    for index, cell in enumerate(arrays):
+
+        def produce(ctx, cell=cell, value=float(index + 1)):
+            cell.write(np.full(elems, value))
+            yield 1.0
+
+        region.add_task(f"p{index}", produce, inputs=[token], outputs=[cell],
+                        start_valves=[DataFinalValve(token)])
+    for index in range(2):
+        out = region.add_data(f"sum{index}", None)
+
+        def consume(ctx, out=out):
+            out.write(float(arrays[0].read().sum() + arrays[1].read().sum()))
+            yield 1.0
+
+        region.add_task(f"c{index}", consume, inputs=arrays, outputs=[out],
+                        start_valves=[DataFinalValve(cell)
+                                      for cell in arrays])
+    region.remote_factory = (make_payload_region, (name, elems), {})
     return region
 
 
@@ -202,6 +267,47 @@ class TestRespawn:
         assert region.output("out") == 42
         assert telemetry.metrics.counters.get(
             "process.worker_respawns", 0) == 1
+
+
+# ------------------------------------------------- shared-memory lifetime
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"),
+                    reason="lists POSIX shared memory through /dev/shm")
+class TestSharedMemoryLifetime:
+    def test_segments_neither_grow_nor_leak_across_leases(self):
+        before = shm_names()
+        elems_cycle = (8192, 65536, 131072)  # 64 KiB / 512 KiB / 1 MiB
+        counts = []
+        pool = PersistentProcessPool(workers=2)
+        try:
+            for lease in range(50):
+                elems = elems_cycle[lease % 3]
+                region = make_payload_region(f"lease{lease}", elems)
+                executor = ProcessExecutor(timeout=60, pool=pool)
+                executor.submit(region)
+                executor.run()
+                assert region.output("sum0") == region.output("sum1") \
+                    == 3.0 * elems
+                counts.append(len(shm_names() - before))
+        finally:
+            pool.close()
+        assert counts[2] > 0 and set(counts[3:]) == {counts[2]}, counts
+        assert shm_names() == before
+
+    def test_a_dead_workers_segments_are_swept(self, tmp_path):
+        before = shm_names()
+        with PersistentProcessPool(workers=1) as pool:
+            dead = pool.processes[0].pid
+            region = make_big_crasher_region(str(tmp_path / "crashed-once"))
+            executor = ProcessExecutor(timeout=60, pool=pool)
+            executor.submit(region)
+            executor.run()
+            assert region.output("out") == 65536.0
+            assert pool.processes[0].pid != dead
+            # Result segments are named from the pool and the worker pid.
+            assert not [name for name in shm_names() - before
+                        if f"-{dead}-" in name]
+        assert shm_names() == before
 
 
 # ------------------------------------------------- batched-dispatch parity

@@ -13,6 +13,7 @@ transformations so tests can assert exact outputs.
 
 from __future__ import annotations
 
+import os
 from typing import List, Optional, Sequence
 
 from repro import (FluidRegion, PercentValve, PredicateValve, Valve)
@@ -189,3 +190,9 @@ def make_diamond(n: int = 40, start_fraction: float = 0.4,
 
 def diamond_expected(n: int) -> List[int]:
     return [3 * i + 1 for i in range(n)]
+
+
+def shm_names() -> set:
+    """The POSIX shared-memory segments that exist now (Linux lists them
+    under ``/dev/shm``; tests that call this skip where it is absent)."""
+    return set(os.listdir("/dev/shm"))

@@ -6,65 +6,17 @@ Init/StartCheck/Complete exactly once; Running/EndCheck/Wait are visited
 multiple times by tasks that re-execute (Bellman-Ford's relax chain, the
 racing consumers); non-root tasks accumulate long StartCheck residence
 (valve waiting).
+
+The table itself is built by :mod:`repro.bench.table3`; tier-1 compares
+its rendering with the archived ``results/table3_state_stats.txt``.
 """
 
-import numpy as np
-
-from repro.bench import render_table, standard_suite
-
-SMALL_INPUT = {
-    "kmeans": "div6", "bellman_ford": "1K_4K", "graph_coloring": "1K_4K",
-    "edge_detection": "EM", "fft": "N1K", "dct": "64x64",
-    "neural_network": "lenet", "medusadock": "pdb-early",
-}
-
-STATE_NAMES = ["Init", "StartCheck", "Running", "EndCheck", "Wait/Stall",
-               "Complete"]
-
-
-def collect_stats(app):
-    """Average per-task-name visit counts and times across regions."""
-    fluid = app.run_fluid()
-    merged = {}
-    for region in fluid.regions:
-        for task in region.tasks:
-            name = _canonical(task.name)
-            merged.setdefault(name, []).append(task.stats)
-    rows = []
-    for name, stats_list in sorted(merged.items()):
-        visits = np.mean([s.visit_row() for s in stats_list], axis=0)
-        times = np.mean([s.time_row() for s in stats_list], axis=0)
-        rows.append((name, visits, times))
-    return rows
-
-
-def _canonical(task_name: str) -> str:
-    """Collapse per-band task names (filter_0, filter_1 -> filter)."""
-    base = task_name.rsplit("_", 1)
-    if len(base) == 2 and base[1].isdigit():
-        return base[0]
-    return task_name
+from repro.bench import render_table3, table3_rows
 
 
 def test_table3_state_statistics(report, run_once):
-    def work():
-        table = []
-        for app_name, inputs in standard_suite().items():
-            app = inputs[SMALL_INPUT[app_name]]()
-            app.run_precise()
-            for task_name, visits, times in collect_stats(app):
-                table.append([app_name, task_name]
-                             + [round(float(v), 2) for v in visits]
-                             + [round(float(t), 1) for t in times])
-        return table
-
-    table = run_once(work)
-    headers = (["app", "task"]
-               + [f"#{name}" for name in STATE_NAMES]
-               + [f"t({name})" for name in STATE_NAMES])
-    report("table3_state_stats", render_table(
-        "Table 3: state-machine visits and residence times (virtual time)",
-        headers, table))
+    table = run_once(table3_rows)
+    report("table3_state_stats", render_table3(table))
 
     by_task = {(row[0], row[1]): row for row in table}
     visit_offset = 2

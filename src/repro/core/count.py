@@ -75,12 +75,6 @@ class Count:
         self._sink = sink or ImmediateSink()
         self._subscribers: List[Callable[["Count", Any], None]] = []
         self.updates = 0
-        #: Bumped whenever the count's state is replaced wholesale
-        #: (``init``/``reset``/``install_state``) rather than advanced by
-        #: an update.  ``(generation, updates)`` therefore changes on
-        #: *every* state transition, which lets valves memoize verdicts
-        #: without hashing the value itself (values may be arrays).
-        self.generation = 0
 
     # -- state -----------------------------------------------------------
 
@@ -92,14 +86,12 @@ class Count:
         """Restore the initial value (used when a region is re-armed)."""
         self._value = self._initial
         self.updates = 0
-        self.generation += 1
 
     def init(self, value: Any) -> "Count":
         """(Re)set the starting value; mirrors ``ct.init(0)`` in Figure 3."""
         self._initial = value
         self._value = value
         self.updates = 0
-        self.generation += 1
         return self
 
     # -- mutation (called from task bodies) -------------------------------
@@ -140,7 +132,6 @@ class Count:
         """Adopt a state exported by another process (no dispatch)."""
         self._value = value
         self.updates = updates
-        self.generation += 1
 
     def replay(self, value: Any) -> None:
         """Re-apply one update observed in another process.

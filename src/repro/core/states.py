@@ -20,6 +20,11 @@ States
     A child requested more accurate output, but this task's own inputs
     have not improved yet; it waits for its parents before re-running.
 
+The states are small ints (0..6 in declaration order), so per-task
+bookkeeping indexes flat lists by state and a legality check is two
+tuple indexings.  ``INIT`` is 0 and therefore falsy: compare states
+with ``is``, never test one for truth.
+
 This module only defines the machine.  To watch it run, subscribe to the
 region's telemetry bus: :meth:`~repro.core.task.FluidTask.transition`
 publishes every accepted arc there as a ``transition`` event.
@@ -33,17 +38,22 @@ from typing import Dict, FrozenSet
 from .errors import StateError
 
 
-class TaskState(enum.Enum):
-    INIT = "I"
-    START_CHECK = "CS"
-    RUNNING = "R"
-    END_CHECK = "CE"
-    COMPLETE = "C"
-    WAITING = "W"
-    DEP_STALLED = "D"
+class TaskState(enum.IntEnum):
+    INIT = 0
+    START_CHECK = 1
+    RUNNING = 2
+    END_CHECK = 3
+    COMPLETE = 4
+    WAITING = 5
+    DEP_STALLED = 6
 
     def __str__(self) -> str:
         return self.name
+
+    # Whether an IntEnum formats as its name or its integer varies across
+    # Python versions; messages and diagnostics always print the name.
+    def __format__(self, spec: str) -> str:
+        return format(self.name, spec)
 
 
 #: The legal transitions of Figure 5, plus three retirement arcs the paper
@@ -62,9 +72,12 @@ LEGAL_TRANSITIONS: Dict[TaskState, FrozenSet[TaskState]] = {
     TaskState.COMPLETE: frozenset(),
 }
 
+#: ``LEGAL_TRANSITIONS`` as a 7x7 table: ``_LEGAL[src][dst]``.
+_LEGAL = tuple(tuple(dst in LEGAL_TRANSITIONS[src] for dst in TaskState)
+               for src in TaskState)
+
 
 def check_transition(src: TaskState, dst: TaskState) -> None:
     """Raise :class:`StateError` unless ``src -> dst`` is a Figure-5 arc."""
-    if dst not in LEGAL_TRANSITIONS[src]:
+    if not _LEGAL[src][dst]:
         raise StateError(f"illegal task state transition {src} -> {dst}")
-

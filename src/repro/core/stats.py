@@ -14,6 +14,8 @@ from typing import Dict, List, Optional
 from .errors import StateError
 from .states import TaskState
 
+_N_STATES = len(TaskState)
+
 #: Column order used by Table 3 in the paper.
 TABLE3_STATES = (
     TaskState.INIT,
@@ -26,12 +28,13 @@ TABLE3_STATES = (
 
 
 class TaskStats:
-    """Visit counts and residence times for one task instance."""
+    """Visit counts and residence times for one task instance, as
+    lists indexed by state: ``stats.visits[TaskState.RUNNING]``."""
 
     def __init__(self, task_name: str):
         self.task_name = task_name
-        self.visits: Dict[TaskState, int] = {state: 0 for state in TaskState}
-        self.time: Dict[TaskState, float] = {state: 0.0 for state in TaskState}
+        self.visits: List[int] = [0] * _N_STATES
+        self.time: List[float] = [0.0] * _N_STATES
         self.runs = 0          # completed executions of the body
         self.cancelled_runs = 0
         self.failed_runs = 0   # body raised (remote/process backends)
@@ -69,22 +72,18 @@ class TaskStats:
     # -- Table 3 helpers -----------------------------------------------------
 
     def visit_row(self) -> List[float]:
-        row = []
-        for state in TABLE3_STATES:
-            count = self.visits[state]
-            if state is TaskState.WAITING:
-                count += self.visits[TaskState.DEP_STALLED]
-            row.append(count)
-        return row
+        return _table3_row(self.visits)
 
     def time_row(self) -> List[float]:
-        row = []
-        for state in TABLE3_STATES:
-            value = self.time[state]
-            if state is TaskState.WAITING:
-                value += self.time[TaskState.DEP_STALLED]
-            row.append(value)
-        return row
+        return _table3_row(self.time)
+
+
+def _table3_row(slots: List[float]) -> List[float]:
+    """``slots`` in Table 3 column order, with D folded into W."""
+    row = [slots[state] for state in TABLE3_STATES]
+    row[TABLE3_STATES.index(TaskState.WAITING)] += \
+        slots[TaskState.DEP_STALLED]
+    return row
 
 
 class RegionStats:
@@ -106,9 +105,8 @@ class RegionStats:
         done at reporting time from visit counts)."""
         for name, stats in other.tasks.items():
             mine = self.for_task(name)
-            for state in TaskState:
-                mine.visits[state] += stats.visits[state]
-                mine.time[state] += stats.time[state]
+            mine.visits = [a + b for a, b in zip(mine.visits, stats.visits)]
+            mine.time = [a + b for a, b in zip(mine.time, stats.time)]
             mine.runs += stats.runs
             mine.cancelled_runs += stats.cancelled_runs
             mine.failed_runs += stats.failed_runs

@@ -206,12 +206,14 @@ class FluidTask:
         """Evaluate one valve set, publishing verdict + latency telemetry.
 
         Empty valve sets pass vacuously and are not counted as
-        evaluations; SchedLab fault overrides are counted (with zero
-        latency and a ``forced`` flag) so metric parity holds under
-        fault injection.
+        evaluations.  A SchedLab fault plan may transiently force the
+        verdict; such overrides are counted (with zero latency and a
+        ``forced`` flag) so metric parity holds under fault injection.
         """
         telemetry = getattr(self.region, "telemetry", None)
-        forced = self._valve_fault(which)
+        fault_plan = getattr(self.region, "fault_plan", None)
+        forced = (None if fault_plan is None
+                  else fault_plan.valve_override(self, which))
         if forced is not None:
             if telemetry is not None and valves:
                 telemetry.emit(
@@ -220,7 +222,10 @@ class FluidTask:
                                  "valves": len(valves), "forced": True})
             return forced
         if telemetry is None or not valves:
-            return all(valve.check() for valve in valves)
+            for valve in valves:
+                if not valve.check():
+                    return False
+            return True
         started = time.perf_counter()
         evaluated = skipped = 0
         result = True
@@ -248,14 +253,6 @@ class FluidTask:
                   "valves": len(valves),
                   "evaluated": evaluated, "skipped": skipped})
         return result
-
-    def _valve_fault(self, which: str) -> "bool | None":
-        """SchedLab valve flakiness: a fault plan may transiently force
-        this task's valve verdict; None means no fault applies."""
-        fault_plan = getattr(self.region, "fault_plan", None)
-        if fault_plan is None:
-            return None
-        return fault_plan.valve_override(self, which)
 
     def descendants_complete(self) -> bool:
         return all(task.state is TaskState.COMPLETE

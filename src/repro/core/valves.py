@@ -29,16 +29,16 @@ one tightening step and :meth:`Valve.relax_to_base` undoes it for a fresh
 region instance.
 
 Memoization: a valve's verdict is a pure function of the state it reads
-(counts, data flags) and its own thresholds.  Each stock valve knows how
-to summarize that state as a *memo token* (:meth:`Valve._memo_token`);
-when the token has not changed since the previous evaluation,
-:meth:`Valve.check` returns the cached verdict without recomputing and
-counts the call in :attr:`Valve.checks_skipped` instead of
-:attr:`Valve.checks`.  Backends that re-check valves on every wakeup
-(the real-time executors) skip the vast majority of evaluations this
-way.  Valves whose condition the framework cannot see — the base class
-and :class:`PredicateValve` — return ``None`` tokens and are never
-memoized.  :func:`set_memoization` disables the cache globally (used by
+(counts, data flags) and its own thresholds.  The always/never,
+convergence, stability and data-final valves summarize that state as a
+*memo token* (:meth:`Valve._memo_token`); when the token has not changed
+since the previous evaluation, :meth:`Valve.check` returns the cached
+verdict and counts the call in :attr:`Valve.checks_skipped` instead of
+:attr:`Valve.checks`.  A :class:`CountValve` (and so every percent and
+staleness valve) is never memoized: its check is one compare of the
+count's value with the live threshold, cheaper than building a token.
+:class:`PredicateValve` returns a ``None`` token and is never memoized
+either.  :func:`set_memoization` disables the cache globally (used by
 A/B benchmarks and parity tests).
 """
 
@@ -201,14 +201,13 @@ class CountValve(Valve):
         self._uninitialized = False
         return self
 
-    def _satisfied(self) -> bool:
-        return self.count.value >= self.threshold
-
-    def _memo_token(self) -> Optional[Any]:
-        # (generation, updates) advances on every count state change; the
-        # value itself stays out of the token (it may be an array).
-        count = self.count
-        return (id(count), count.generation, count.updates, self.threshold)
+    def check(self) -> bool:
+        """Every call evaluates: one compare of the count's raw value
+        against the live threshold."""
+        if self._uninitialized:
+            self._require_initialized("checked")
+        self.checks += 1
+        return self.count._value >= self.threshold
 
     @property
     def watched_counts(self) -> Sequence[Count]:
@@ -264,7 +263,7 @@ class StalenessValve(CountValve):
 
     Implemented as a :class:`CountValve` with ``threshold = expected -
     k`` and ``max_threshold = expected``, so everything count valves
-    already have works unchanged: verdict memoization, threshold
+    already have works unchanged: the one-compare check, threshold
     modulation (:meth:`tighten` moves *k* toward 0, i.e. toward full
     serialization), and closed-loop autotuning — the
     :class:`~repro.tuning.ValveAutotuner` actuates the inherited
@@ -321,7 +320,6 @@ class StalenessValve(CountValve):
                 f"{self.name}: staleness bound k={k} outside "
                 f"[0, {self.expected:g}]")
         self.threshold = self.expected - float(k)
-        self.invalidate_memo()
 
 
 class ConvergenceValve(Valve):

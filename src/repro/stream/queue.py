@@ -16,10 +16,13 @@ violation.  A region without a bus publishes nothing and pays nothing.
 
 Storage lives in a region :class:`~repro.core.data.FluidArray` of
 per-seq slots, so slot writes are versioned, wake waiting guards, and
-ship across the process backend's boundary.  All derived state —
-arrivals, drops, settledness — is recomputed from the slot array,
-never cached in side sets, so a forked worker that receives a payload
-snapshot sees a consistent queue.
+ship across the process backend's boundary.  Arrivals, drops and
+settledness are recomputed from the slot array (one C-level
+``list.count`` pass each), so a forked worker that receives a payload
+snapshot sees a consistent queue.  The one side set is ``_served``, the
+consumer's record of which seqs it has handed out; occupancy is
+``arrived_total() - len(_served)``, exact because a served seq has
+always arrived and an arrived slot never becomes empty or dropped again.
 
 Terminology: a seq is *settled* once it is either delivered (its slot
 holds the item) or deliberately shed (its slot holds the drop
@@ -58,7 +61,7 @@ class StageQueue:
         before backpressure kicks in; ``None`` = unbounded.
     must_seqs:
         Seqs that must be delivered, never shed.  ``None`` means *all*
-        seqs are must-deliver.
+        seqs are must-deliver; seqs outside ``[0, expected)`` are ignored.
     region:
         The owning :class:`~repro.core.region.FluidRegion`.  The slot
         array is its :class:`~repro.core.data.FluidArray` named
@@ -82,8 +85,8 @@ class StageQueue:
         self.expected = int(expected)
         self.bound = float(bound)
         self.capacity = capacity
-        self.must_seqs = (None if must_seqs is None
-                          else frozenset(int(s) for s in must_seqs))
+        self.must_seqs = (None if must_seqs is None else frozenset(
+            seq for seq in map(int, must_seqs) if 0 <= seq < expected))
         self.region = region
         #: optional StalenessValve whose (possibly autotuned) effective
         #: ``k`` overrides ``bound`` for drains; see :meth:`attach_valve`.
@@ -98,11 +101,11 @@ class StageQueue:
         self.parks = 0
         self.max_displacement = 0
 
-    # -- derived state (always recomputed from the slots) -----------------
+    # -- derived state (recomputed from the slots) -------------------------
 
     def _cells(self) -> list:
-        """The raw slot list: the totals below, computed on every put
-        and every served item, are one pass over it."""
+        """The raw slot list: each total below is one C-level pass
+        over it."""
         return self.slots.read()
 
     def arrived(self, seq: int) -> bool:
@@ -130,18 +133,18 @@ class StageQueue:
 
     def occupancy(self) -> int:
         """Delivered-but-unserved items (the backpressure signal)."""
-        served = self._served
-        return sum(1 for seq, cell in enumerate(self._cells())
-                   if cell is not None and cell != DROPPED
-                   and seq not in served)
+        return self.arrived_total() - len(self._served)
 
     def must(self, seq: int) -> bool:
         return self.must_seqs is None or seq in self.must_seqs
 
     def must_complete(self) -> bool:
         """Every must-deliver seq has arrived (the end-valve predicate)."""
-        return all(self.arrived(seq) for seq in range(self.expected)
-                   if self.must(seq))
+        cells = self._cells()
+        if self.must_seqs is None:
+            return None not in cells and DROPPED not in cells
+        return all(cells[seq] is not None and cells[seq] != DROPPED
+                   for seq in self.must_seqs)
 
     def effective_bound(self) -> float:
         """Current drain tolerance: the attached valve's (possibly

@@ -104,7 +104,7 @@ class TestStatsProperties:
             stats.enter(cycle[index % 3], now)
             now += duration
         stats.finish(now)
-        total_time = sum(stats.time.values())
+        total_time = sum(stats.time)
         assert abs(total_time - sum(durations)) < 1e-6
 
     @settings(max_examples=100, deadline=None)

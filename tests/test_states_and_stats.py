@@ -1,10 +1,16 @@
 """Unit tests for the task state machine table and statistics."""
 
+import pathlib
+
 import pytest
 
+from repro.bench import render_table3, table3_rows
 from repro.core.errors import StateError
+from repro.core.region import FluidRegion
 from repro.core.states import (LEGAL_TRANSITIONS, TaskState, check_transition)
 from repro.core.stats import RegionStats, TaskStats, TABLE3_STATES
+from repro.core.valves import NeverValve
+from repro.runtime.context import RunContext
 
 
 class TestTransitions:
@@ -40,6 +46,49 @@ class TestTransitions:
 
     def test_every_state_in_table(self):
         assert set(LEGAL_TRANSITIONS) == set(TaskState)
+
+    def test_all_49_pairs_follow_the_legal_table(self):
+        pairs = [(src, dst) for src in TaskState for dst in TaskState]
+        assert len(pairs) == 49
+        for src, dst in pairs:
+            if dst in LEGAL_TRANSITIONS[src]:
+                check_transition(src, dst)
+            else:
+                with pytest.raises(StateError):
+                    check_transition(src, dst)
+
+
+class TestStateApi:
+    def test_states_are_small_ints_in_declaration_order(self):
+        assert [int(state) for state in TaskState] == list(range(7))
+
+    @pytest.mark.parametrize("state", list(TaskState))
+    def test_states_print_their_name(self, state):
+        # Depending on the Python version an IntEnum may format as its
+        # integer; messages and diagnostics must read the name.
+        assert str(state) == state.name
+        assert f"{state}" == state.name
+        assert format(state, "") == state.name
+        assert f"{state:>12}" == f"{state.name:>12}"
+
+    def test_error_message_names_both_states(self):
+        with pytest.raises(StateError, match="COMPLETE -> RUNNING"):
+            check_transition(TaskState.COMPLETE, TaskState.RUNNING)
+
+    def test_pending_description_names_states(self):
+        def body(ctx):
+            yield 0.0
+
+        region = FluidRegion("r")
+        running = region.add_task("a", body)
+        parked = region.add_task("b", body, start_valves=[NeverValve()])
+        context = RunContext()
+        context.submit(region).launched = True
+        running.state = TaskState.RUNNING
+        parked.state = TaskState.START_CHECK
+        text = context.pending_description()
+        assert "r/a=RUNNING" in text
+        assert "r/b=START_CHECK valves=['valve=False']" in text
 
 
 class TestTaskStats:
@@ -102,3 +151,25 @@ class TestRegionStats:
         assert a.for_task("t").visits[TaskState.INIT] == 2
         assert a.for_task("t").time[TaskState.INIT] == pytest.approx(5.0)
         assert a.makespan == pytest.approx(12.0)
+
+    def test_merge_folds_all_seven_slots(self):
+        a, b = RegionStats("r"), RegionStats("r")
+        for offset, stats in ((0, a), (10, b)):
+            mine = stats.for_task("t")
+            for state in TaskState:
+                mine.visits[state] = offset + state + 1
+                mine.time[state] = float(offset + 2 * state)
+        a.merge(b)
+        merged = a.for_task("t")
+        assert merged.visits == [10 + 2 * (s + 1) for s in range(7)]
+        assert merged.time == [10.0 + 4 * s for s in range(7)]
+
+
+class TestTable3Golden:
+    def test_table3_renders_byte_identically(self):
+        """The eight-app Table 3 (visits and residence per state) equals
+        the archived benchmark result, byte for byte."""
+        golden = (pathlib.Path(__file__).parent.parent / "benchmarks"
+                  / "results" / "table3_state_stats.txt")
+        rendered = render_table3(table3_rows()) + "\n"
+        assert rendered == golden.read_text(encoding="utf-8")

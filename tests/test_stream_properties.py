@@ -267,6 +267,49 @@ class TestSettlednessAndIdempotence:
         for seq in set(puts):
             assert queue.settled(seq)
 
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_totals_match_a_from_scratch_recount(self, data):
+        """``occupancy()`` is ``arrived_total() - len(_served)`` and
+        ``must_complete()`` reads only the slot list; over any put /
+        shed / drain / re-put sequence both, and the two totals, equal
+        a recount of ``slots.read()`` and ``_served``."""
+        expected = data.draw(st.integers(min_value=1, max_value=10),
+                             label="expected")
+        k = min(expected, data.draw(st.integers(min_value=0, max_value=3),
+                                    label="k"))
+        capacity = data.draw(st.one_of(
+            st.none(), st.integers(min_value=1, max_value=3)),
+            label="capacity")
+        must = data.draw(st.one_of(st.none(), st.sets(
+            st.integers(min_value=0, max_value=expected - 1))),
+            label="must seqs")
+        seqs = st.integers(min_value=0, max_value=expected - 1)
+        ops = data.draw(st.lists(st.one_of(
+            st.tuples(st.just("put"), seqs),
+            st.tuples(st.just("shed"), seqs),
+            st.tuples(st.just("drain"), st.just(0))),
+            max_size=4 * expected), label="ops")
+        queue = _queue(expected, bound=k, capacity=capacity,
+                       must_seqs=must)
+        for op, seq in ops + [("drain", 0)]:
+            if op == "put":
+                queue.put(seq, seq)
+            elif op == "shed" and must is not None and seq not in must:
+                queue.shed(seq)
+            elif op == "drain":
+                queue.drain()
+            cells = queue.slots.read()
+            arrived = {s for s, cell in enumerate(cells)
+                       if cell is not None and cell != DROPPED}
+            musts = range(expected) if must is None else must
+            assert queue.arrived_total() == len(arrived)
+            assert queue.settled_total() == \
+                sum(cell is not None for cell in cells)
+            assert queue.occupancy() == len(arrived - queue._served)
+            assert queue.must_complete() == \
+                all(s in arrived for s in musts)
+
     def test_dropped_tombstone_is_not_a_value(self):
         queue = _queue(3, bound=1, capacity=1, must_seqs=frozenset())
         queue.put(0, "a")
@@ -277,9 +320,10 @@ class TestSettlednessAndIdempotence:
 
 class TestNothingBuiltWhenNobodyListens:
     def test_without_a_bus_put_and_drain_never_scan_occupancy(self):
-        """``occupancy()`` is an O(n) scan that only events (and the
-        capacity test) read: a queue whose region has no bus — a pool
-        worker's installed region — must not pay it per item."""
+        """``occupancy()`` costs a pass over the slot list and only
+        events (and the capacity test) read it: a queue whose region has
+        no bus — a pool worker's installed region — must not pay it per
+        item."""
         scans = []
 
         class CountingQueue(StageQueue):

@@ -7,7 +7,8 @@ from repro.core.data import FluidData
 from repro.core.errors import ValveError
 from repro.core.valves import (AlwaysValve, ConvergenceValve, CountValve,
                                DataFinalValve, NeverValve, PercentValve,
-                               PredicateValve, StabilityValve)
+                               PredicateValve, StabilityValve,
+                               StalenessValve)
 
 
 class TestCountValve:
@@ -38,13 +39,13 @@ class TestCountValve:
             CountValve(None, threshold=1)
 
     def test_check_counter_increments(self):
-        # With memoization (the default) a repeat check against an
-        # unchanged count is answered from the cached verdict.
+        # A count valve carries no memo: a repeat check against an
+        # unchanged count still evaluates and is counted.
         valve = CountValve(Count("ct"), threshold=1)
         valve.check()
         valve.check()
-        assert valve.checks == 1
-        assert valve.checks_skipped == 1
+        assert valve.checks == 2
+        assert valve.checks_skipped == 0
 
     def test_check_counter_increments_memo_off(self):
         from repro.core.valves import set_memoization
@@ -239,14 +240,27 @@ class TestOtherValves:
 
 class TestMemoization:
     def test_count_update_invalidates(self):
+        """Count valves read the live value and threshold on every call,
+        whatever moved them: an update, modulation, ``set_k`` or a
+        state installed from another process."""
         ct = Count("ct")
-        valve = CountValve(ct, threshold=2)
+        valve = StalenessValve(ct, expected=10, k=4)   # threshold 6
         assert not valve.check()
-        assert not valve.check()          # memo-answered
-        ct.add(2)                          # token changes with updates
+        assert not valve.check()
+        ct.add(6)
         assert valve.check()
-        assert valve.checks == 2
-        assert valve.checks_skipped == 1
+        valve.tighten(1.0)                 # threshold 10
+        assert not valve.check()
+        valve.relax_to_base()              # threshold 6
+        assert valve.check()
+        valve.set_k(1)                     # threshold 9
+        assert not valve.check()
+        ct.install_state(9, 3)
+        assert valve.check()
+        ct.install_state(2, 1)
+        assert not valve.check()
+        assert valve.checks == 8
+        assert valve.checks_skipped == 0
 
     def test_tighten_invalidates(self):
         ct = Count("ct")

@@ -9,6 +9,7 @@ lean on fragile OS/CPython detail.
 """
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -94,6 +95,11 @@ def make_big_crasher_region(flag_path, name="big-crasher"):
         if not os.path.exists(flag_path):
             with open(flag_path, "w") as handle:
                 handle.write("crashed")
+            # Let this worker's outbox feeder thread finish sending
+            # ``big``'s result and release the queue's cross-process
+            # write lock first: a worker killed while it holds that lock
+            # wedges every later writer, its replacement included.
+            time.sleep(0.1)
             os._exit(13)
         out.write(float(big.read().sum()))
         yield 1.0

@@ -34,6 +34,7 @@ from ..core.guard import Coordinator, GuardHost
 from ..core.region import FluidRegion
 from ..core.states import TaskState
 from ..core.task import FluidTask, TaskContext
+from ..core.valves import CountValve
 
 #: States a task awaits a re-run in, and those a task picked from the
 #: ready queue may start a body from.
@@ -77,9 +78,14 @@ class RegionRun:
 class WaitSet:
     """Tasks parked in START_CHECK, indexed by what can open their valves.
 
-    A record is the task itself.  ``by_count`` files it under every
-    count its start valves declare in ``Valve.watched_counts`` (count id
-    -> {task id -> task}; dicts, so re-check order is insertion order);
+    A record is the task itself.  ``gates`` files it under every count
+    its start valves declare in ``Valve.watched_counts``: count id -> a
+    tuple of ``(task, gate)`` pairs in filing order, where ``gate`` is
+    the record's :class:`CountValve` over that count — a publish below
+    its live ``threshold`` cannot open the record — or None when no such
+    valve can vouch for it (only opaque valves watch the count, or the
+    region carries a SchedLab fault plan).  Each tuple is replaced,
+    never mutated, so a publisher may read it without the driver's lock.
     ``polled`` holds the records with a valve that declares no count (an
     opaque ``PredicateValve``, a ``DataFinalValve``), which only a
     data-cell bump or finalisation can open.  Whoever publishes a count
@@ -89,12 +95,14 @@ class WaitSet:
     exactly the tasks in START_CHECK.
     """
 
-    __slots__ = ("records", "by_count", "polled")
+    __slots__ = ("records", "gates", "polled", "_filed")
 
     def __init__(self):
         self.records: Dict[int, FluidTask] = {}
-        self.by_count: Dict[int, Dict[int, FluidTask]] = {}
+        self.gates: Dict[int, Tuple[Tuple[FluidTask, object], ...]] = {}
         self.polled: Dict[int, FluidTask] = {}
+        #: id(task) -> the count ids it is filed under.
+        self._filed: Dict[int, Tuple[int, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.records)
@@ -102,26 +110,32 @@ class WaitSet:
     def park(self, task: FluidTask) -> None:
         key = id(task)
         self.records[key] = task
+        vouch = getattr(task.region, "fault_plan", None) is None
+        filed: Dict[int, Optional[CountValve]] = {}
         for valve in task.spec.start_valves:
             counts = valve.watched_counts
             if not counts:
                 self.polled[key] = task
+            gate = valve if vouch and isinstance(valve, CountValve) else None
             for count in counts:
-                self.by_count.setdefault(id(count), {})[key] = task
+                # A closed count valve keeps the record closed whatever
+                # opaque valve also watches that count.
+                if filed.get(id(count)) is None:
+                    filed[id(count)] = gate
+        gates = self.gates
+        for count_id, gate in filed.items():
+            gates[count_id] = gates.get(count_id, ()) + ((task, gate),)
+        self._filed[key] = tuple(filed)
 
     def discard(self, task: FluidTask) -> None:
         key = id(task)
         if self.records.pop(key, None) is None:
             return
         self.polled.pop(key, None)
-        for valve in task.spec.start_valves:
-            for count in valve.watched_counts:
-                self.by_count[id(count)].pop(key, None)
-
-    def watching(self, count: Count) -> Tuple[FluidTask, ...]:
-        """The parked records a publish of ``count`` must re-evaluate."""
-        tasks = self.by_count.get(id(count))
-        return tuple(tasks.values()) if tasks else ()
+        gates = self.gates
+        for count_id in self._filed.pop(key):
+            gates[count_id] = tuple(entry for entry in gates[count_id]
+                                    if entry[0] is not task)
 
 
 class RunContext:
@@ -320,10 +334,11 @@ class RunContext:
         """The parked records a published batch of ``counts`` must
         re-evaluate: each once, in filing order — or in the order the
         SchedLab policy chooses (the ``wake`` decision point)."""
-        by_count = self.waiting.by_count
+        gates = self.waiting.gates
         filed: Dict[int, FluidTask] = {}
         for count in counts:
-            filed.update(by_count.get(id(count), ()))
+            for task, _gate in gates.get(id(count), ()):
+                filed[id(task)] = task
         woken = list(filed.values())
         if self.policy is not None and len(woken) > 1:
             permutation = self.policy.order("wake", [t.name for t in woken])

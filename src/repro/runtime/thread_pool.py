@@ -11,11 +11,13 @@ is that pool.  A task has no thread of its own:
 * this driver's publisher is the pool thread itself: the thread that
   publishes a count, or bumps / finalises a data cell, re-evaluates
   only the records filed under it (one count at a time, so it reads
-  ``waiting.watching(count)`` directly instead of the batch
+  ``waiting.gates`` directly instead of the batch
   ``RunContext.woken``) and pushes the ones that became runnable onto
   the pool's one ready queue — a ``repro.sched`` discipline spanning
   every active context (``None`` is the paper-faithful FCFS the
-  simulator and process driver get);
+  simulator and process driver get).  A count publish that cannot
+  open any of them — each has a count valve over it still closed at
+  the new value — takes no lock and checks nothing (``count_updated``);
 * ``slots`` long-lived workers pull from that queue and run bodies, so
   at most ``slots`` bodies run at once.  A re-execution is an enqueue,
   early termination a dropped pick, cancellation a cleared wait set.
@@ -25,8 +27,8 @@ One pool serves an arbitrary stream of
 substrate for :class:`repro.service.FluidService`; the single-shot
 :class:`~repro.runtime.thread_backend.ThreadExecutor` is a facade over
 a private pool with one context.  Every Coordinator call, transition,
-valve check and count publish happens under the pool lock; counts and
-valves are per-region objects, so the lock only serializes contexts.
+valve check and subscriber dispatch happens under the pool lock; counts
+and valves are per-region objects, so the lock only serializes contexts.
 See docs/runtime-semantics.md, "The thread driver".
 """
 
@@ -69,11 +71,20 @@ class _ContextHost(GuardHost, UpdateSink):
         self.pool._enqueue(self.ctx, task)
 
     def count_updated(self, count: Count, value) -> None:
+        """Re-evaluate the records filed under ``count``, unless each one's
+        gate is still closed at ``value`` and nothing subscribes: then
+        return unlocked (sound for the reason ``cell_updated`` is)."""
         pool = self.pool
         pool._sleep_jitter("publish")
+        for _task, gate in self.ctx.waiting.gates.get(id(count), ()):
+            if gate is None or value >= gate.threshold:
+                break
+        else:
+            if not count._subscribers:
+                return
         with pool._lock:
             count.dispatch(value)
-            for task in self.ctx.waiting.watching(count):
+            for task, _gate in self.ctx.waiting.gates.get(id(count), ()):
                 pool._recheck(self.ctx, task)
 
     def cell_updated(self, data) -> None:

@@ -221,8 +221,13 @@ class MetricsRegistry:
     def inc(self, name: str, amount: float = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + amount
 
-    def observe(self, name: str, value: float) -> None:
-        self.histograms.setdefault(name, Histogram()).observe(value)
+    def observe(self, name: str, value: float,
+                bounds: Optional[Tuple[float, ...]] = None) -> None:
+        """Fold ``value`` into ``name``, built with ``bounds`` on a miss."""
+        histogram = self.histograms.get(name)
+        if histogram is None:
+            histogram = self.histograms[name] = Histogram(bounds)
+        histogram.observe(value)
 
     def set_gauge(self, name: str, value: float) -> None:
         self.gauges[name] = value
@@ -379,9 +384,8 @@ class MetricsRegistry:
             self._observe_occupancy(event)
 
     def _observe_occupancy(self, event: TelemetryEvent) -> None:
-        histogram = self.histograms.setdefault(
-            "stream.occupancy", Histogram(OCCUPANCY_BOUNDS))
-        histogram.observe(event.data.get("occupancy", 0))
+        self.observe("stream.occupancy", event.data.get("occupancy", 0),
+                     OCCUPANCY_BOUNDS)
 
     def _on_worker(self, event: TelemetryEvent) -> None:
         slot = event.data.get("slot")
@@ -399,10 +403,8 @@ class MetricsRegistry:
             # Lazily created so non-batching runs keep their historical
             # histogram key set (same pattern as svc.latency).
             self.inc("process.dispatch_batches")
-            self.histograms.setdefault(
-                "process.batch_size",
-                Histogram(BATCH_SIZE_BOUNDS)).observe(
-                    event.data.get("size", 1))
+            self.observe("process.batch_size", event.data.get("size", 1),
+                         BATCH_SIZE_BOUNDS)
         elif event.name == "respawn":
             self.inc("process.worker_respawns")
 

@@ -235,6 +235,44 @@ class TestTraceRingBuffer:
                 == telemetry.trace.dropped > 0)
 
 
+class TestHistogramLookup:
+    """Observing into an existing histogram builds no throwaway one."""
+
+    def test_observing_an_existing_histogram_constructs_none(
+            self, monkeypatch):
+        from repro.telemetry import metrics as metrics_module
+        from repro.telemetry.bus import TelemetryEvent
+
+        registry = metrics_module.MetricsRegistry()
+        registry.observe("valve.latency", 1e-3)
+        registry.on_event(TelemetryEvent(0.0, "stream", "r", "t", "put",
+                                         {"occupancy": 1}))
+        built = []
+        real = metrics_module.Histogram
+
+        class Counting(real):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(metrics_module, "Histogram", Counting)
+        values = [10.0 ** -exponent for exponent in range(8)] * 5
+        for value in values:
+            registry.observe("valve.latency", value)
+            registry.on_event(TelemetryEvent(0.0, "stream", "r", "t", "put",
+                                             {"occupancy": value * 1e3}))
+        assert built == []
+        expected = {"valve.latency": real(), "stream.occupancy":
+                    real(metrics_module.OCCUPANCY_BOUNDS)}
+        expected["valve.latency"].observe(1e-3)
+        expected["stream.occupancy"].observe(1)
+        for value in values:
+            expected["valve.latency"].observe(value)
+            expected["stream.occupancy"].observe(value * 1e3)
+        for name, histogram in expected.items():
+            assert registry.histograms[name].to_dict() == histogram.to_dict()
+
+
 class TestDumpCli:
     def _dump(self, tmp_path, name, **pipeline_kwargs):
         telemetry = Telemetry()

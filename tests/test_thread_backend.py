@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro import (DataFinalValve, FluidRegion, PredicateValve,
-                   SchedulerError, TaskState, ThreadExecutor, submit_all,
-                   submit_chain, sync)
+from repro import (DataFinalValve, FluidRegion, PercentValve, PredicateValve,
+                   SchedulerError, StalenessValve, TaskState, ThreadExecutor,
+                   submit_all, submit_chain, sync)
 from repro.core.errors import TaskBodyError
 from repro.runtime import RunContext, SharedThreadPool
 
@@ -493,6 +493,246 @@ class TestWorkerSurvival:
             assert healthy.output("out") == pipeline_expected(10)
         finally:
             pool.shutdown()
+
+
+def _gated_region(name, n, start_valves, produce_step=None,
+                  consume_start=None):
+    """``produce`` publishes ``ct`` n times, ``consume`` records the
+    value it starts at; ``start_valves(ct)`` builds the consumer's gate.
+    ``produce_step(value)`` runs after each publish and
+    ``consume_start()`` first thing in the consumer's body."""
+    region = FluidRegion(name)
+    ct = region.add_count("ct")
+    mid = region.add_data("mid")
+    out = region.add_data("out")
+
+    def produce(ctx):
+        for _ in range(n):
+            ct.add()
+            if produce_step is not None:
+                produce_step(ct.value)
+            yield 1.0
+        mid.write(n)
+
+    def consume(ctx):
+        if consume_start is not None:
+            consume_start()
+        out.write(ct.value)
+        yield 1.0
+
+    valves = start_valves(ct)
+    region.add_task("produce", produce, outputs=[mid])
+    region.add_task("consume", consume, inputs=[mid], outputs=[out],
+                    start_valves=valves)
+    return region, valves
+
+
+class TestGatedCountPublishes:
+    """A count publish below every parked record's count-valve threshold
+    is skipped before the pool lock: no check, no ``valve`` event.  The
+    safety net is out of reach (``fallback_interval=10``), so a publish
+    skipped wrongly stalls the run, and each test names the broken gate
+    it catches."""
+
+    N = 20
+
+    def _run(self, region):
+        run_threads(region, fallback_interval=10.0, timeout=5)
+
+    def test_a_closed_count_valve_is_checked_only_when_it_can_open(self):
+        # Mutant caught: a gate that never skips (N // 2 + 2 checks).
+        region, (valve,) = _gated_region(
+            "gate-skip", self.N,
+            lambda ct: [PercentValve(ct, 0.5, self.N, name="half")])
+        self._run(region)
+        # The admission check, the publish that reaches N / 2, and the
+        # worker's re-check before the body starts (``may_start``).
+        assert valve.checks == 3
+        assert region.output("out") >= self.N // 2
+
+    def test_an_opaque_valve_on_the_count_is_checked_on_every_publish(self):
+        # Mutant caught: a gate that treats a record with no count valve
+        # on the published count as closed (the run stalls at admission).
+        calls = []
+
+        def half_done(ct):
+            def predicate():
+                calls.append(ct.value)
+                return ct.value >= self.N // 2
+            return [PredicateValve(predicate, watches=[ct], name="opaque")]
+
+        region, _ = _gated_region("gate-opaque", self.N, half_done)
+        self._run(region)
+        # The admission check, every publish up to N / 2, and the
+        # worker's re-check before the body starts.
+        assert calls[:-1] == list(range(self.N // 2 + 1))
+
+    @pytest.mark.parametrize("lower", ["set_k", "relax_to_base"])
+    def test_a_threshold_lowered_while_parked_opens_on_the_next_publish(
+            self, lower):
+        # Mutant caught: a gate that caches the threshold at park time
+        # (the consumer waits for the full count instead).
+        import threading
+
+        n, before = 8, 4
+        started = threading.Event()
+
+        def step(value):
+            # Lower the threshold to the value just published (so no
+            # publish has seen it open), then hold the producer one
+            # publish later until the consumer has started.
+            if value == before:
+                if lower == "set_k":
+                    valve.set_k(n - before)
+                else:
+                    valve.relax_to_base()
+            elif value == before + 1:
+                started.wait(2.0)
+
+        def full_count(ct):
+            if lower == "set_k":
+                return [StalenessValve(ct, n, k=0, name="stale")]
+            tightened = PercentValve(ct, before / n, n, name="tightened")
+            tightened.tighten(1.0)
+            return [tightened]
+
+        region, (valve,) = _gated_region(f"gate-{lower}", n, full_count,
+                                         produce_step=step,
+                                         consume_start=started.set)
+        assert valve.threshold == n
+        self._run(region)
+        assert valve.threshold == before
+        assert region.output("out") == before + 1
+
+    def test_a_region_with_a_fault_plan_checks_on_every_publish(self):
+        # Mutant caught: a gate that ignores the region's fault plan
+        # (3 checks, and a forced verdict would go unasked).
+        from repro.schedlab.faults import FaultPlan
+
+        region, (valve,) = _gated_region(
+            "gate-faults", self.N,
+            lambda ct: [PercentValve(ct, 0.5, self.N, name="half")])
+        FaultPlan().attach([region])
+        self._run(region)
+        assert valve.checks == self.N // 2 + 2
+
+
+def _spawned_consumer_context(name):
+    """A run whose producer publishes while its consumer is mid-admission.
+
+    ``spawner`` spawns ``consume`` (opened only by ``ct`` reaching 1)
+    while ``produce`` is in its body.  A bus subscriber holds the
+    consumer's admission right after its START_CHECK transition, under
+    the pool lock, until ``produce`` has published: the publish reads
+    the gates before the record is parked, so only the check that
+    follows the park can open it.
+    """
+    import threading
+    import time
+
+    from repro.telemetry import Telemetry
+
+    producing, admitting = threading.Event(), threading.Event()
+    region = FluidRegion(name)
+    seed = region.add_data("seed")
+    ct = region.add_count("ct")
+    mid = region.add_data("mid")
+    side = region.add_data("side")
+    out = region.add_data("out")
+
+    def head(ctx):
+        seed.write(1)
+        yield 1.0
+
+    def produce(ctx):
+        mid.write(7)
+        producing.set()
+        admitting.wait(1.0)
+        ct.add()
+        yield 1.0
+
+    def consume(ctx):
+        out.write(mid.read())
+        yield 1.0
+
+    def spawner(ctx):
+        producing.wait(1.0)
+        ctx.spawn("consume", consume,
+                  start_valves=[PercentValve(ct, 1.0, 1)],
+                  inputs=[mid], outputs=[out])
+        side.write(1)
+        yield 1.0
+
+    def hold_admission(event):
+        if event.kind == "transition" and event.task == "consume" and \
+                event.name == "START_CHECK":
+            admitting.set()
+            deadline = time.perf_counter() + 1.0
+            while not ct.value and time.perf_counter() < deadline:
+                time.sleep(0)
+
+    region.add_task("head", head, outputs=[seed])
+    region.add_task("spawner", spawner, inputs=[seed], outputs=[side])
+    region.add_task("produce", produce, inputs=[seed], outputs=[mid])
+    telemetry = Telemetry(metrics=False, chrome=False)
+    telemetry.bus.subscribe(hold_admission)
+    ctx = RunContext(telemetry=telemetry)
+    ctx.submit(region)
+    return ctx
+
+
+def _race(count, deadline):
+    """Run ``count`` short producer -> consumer regions at once on a
+    4-slot pool with a GIL switch every microsecond: static pipelines,
+    and consumers spawned next to their running producer.  Every one
+    must finish exactly, inside ``deadline`` (under the 10 s safety
+    net, so a lost wakeup fails instead of being rescued)."""
+    import sys
+    import time
+
+    contexts = []
+    for index in range(count):
+        if index % 2:
+            contexts.append(_spawned_consumer_context(f"spawn{index}"))
+        else:
+            contexts.append(RunContext())
+            contexts[-1].submit(make_pipeline(
+                n=4, start_fraction=0.5, exact_quality=True,
+                name=f"race{index}"))
+    pool = SharedThreadPool(slots=4, fallback_interval=10.0, name="race")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    start = time.perf_counter()
+    try:
+        for ctx in contexts:
+            pool.start(ctx)
+        for ctx in contexts:
+            pool.wait(ctx, max(0.01, deadline - (time.perf_counter() - start)))
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown()
+    assert time.perf_counter() - start < deadline
+    for index, ctx in enumerate(contexts):
+        assert len(ctx.waiting) == 0 and ctx.host.running == 0
+        (region,) = ctx.regions
+        if index % 2:
+            assert region.output("out") == 7, region.name
+        else:
+            assert region.output("out") == pipeline_expected(4), region.name
+
+
+class TestGateRace:
+    """Publishers read a count's gates without the lock while other
+    workers park and discard records under it.  Mutant caught: a task
+    checked before it is parked (``_admit`` re-checking before
+    ``ctx.admit``), which lets the held publish skip it for good."""
+
+    def test_500_short_regions_under_a_tiny_switch_interval(self):
+        _race(500, deadline=8.0)
+
+    @pytest.mark.stress
+    def test_5000_short_regions_under_a_tiny_switch_interval(self):
+        _race(5000, deadline=9.0)
 
 
 @pytest.mark.stress

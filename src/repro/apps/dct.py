@@ -22,7 +22,7 @@ from ..core.region import FluidRegion
 from ..core.valves import DataFinalValve, PercentValve
 from ..metrics.error import normalized_mse
 from .base import FluidApp, SubmitPlan
-from .fft import SERIES_TERMS, _crude_sin, _series_sin
+from .fft import SERIES_TERMS, _crude_sin_many, _series_sin_many
 
 BLOCK = 8
 BASIS_ENTRIES = (BLOCK * BLOCK) ** 2
@@ -30,13 +30,16 @@ BASIS_COST_PER_ENTRY = 4.0 * SERIES_TERMS
 SUM_COST_PER_BLOCK = float(BLOCK ** 4)  # dense 64x64 basis apply per block
 BASIS_CHUNK = 128
 
+#: DCT-II angles pi * (2n + 1) * k / (2 * BLOCK), indexed [k, n]
+_ANGLES = (math.pi * (2 * np.arange(BLOCK) + 1) * np.arange(BLOCK)[:, None]
+           / (2 * BLOCK))
 
-def _series_cos(x: float) -> float:
-    return _series_sin(x + math.pi / 2.0)
 
-
-def _crude_cos(x: float) -> float:
-    return _crude_sin(x + math.pi / 2.0)
+def _basis_rows(sin_many, ks: np.ndarray) -> np.ndarray:
+    """Rows ``ks`` of the orthonormal 1-D basis, cosines from ``sin_many``."""
+    values = sin_many(_ANGLES[ks] + math.pi / 2.0)
+    values[ks == 0] /= math.sqrt(2.0)
+    return values * math.sqrt(2.0 / BLOCK)
 
 
 def dct_basis_reference() -> np.ndarray:
@@ -75,14 +78,7 @@ class DCTRegion(FluidRegion):
         basis_cell = self.add_array("basis", None)
         ct = self.add_count("ct_basis")
 
-        scale = math.sqrt(2.0 / BLOCK)
-        crude = np.zeros((BLOCK, BLOCK))
-        for k in range(BLOCK):
-            for n in range(BLOCK):
-                value = _crude_cos(math.pi * (2 * n + 1) * k / (2 * BLOCK))
-                if k == 0:
-                    value /= math.sqrt(2.0)
-                crude[k, n] = value * scale
+        crude = _basis_rows(_crude_sin_many, np.arange(BLOCK))
         basis_cell.init(None)  # re-bound to basis2 below
 
         def header(ctx):
@@ -94,34 +90,15 @@ class DCTRegion(FluidRegion):
         # The full 2-D basis: B2[(k,l),(m,n)] = b[k,m] * b[l,n], 4096
         # series-evaluated entries ("Cos value" producer, Table 2).
         flat = BLOCK * BLOCK
-        basis2 = np.zeros((flat, flat))
-        for row in range(flat):
-            k, l = divmod(row, BLOCK)
-            for col in range(flat):
-                m, n = divmod(col, BLOCK)
-                basis2[row, col] = crude[k, m] * crude[l, n]
+        basis2 = (crude[:, None, :, None]
+                  * crude[None, :, None, :]).reshape(flat, flat)
         total_entries = BASIS_ENTRIES
 
         def basis_body(ctx):
-            produced = 0
             for row in range(flat):
-                k, l = divmod(row, BLOCK)
-                row_k = np.empty(BLOCK)
-                row_l = np.empty(BLOCK)
-                for m in range(BLOCK):
-                    value = _series_cos(
-                        math.pi * (2 * m + 1) * k / (2 * BLOCK))
-                    if k == 0:
-                        value /= math.sqrt(2.0)
-                    row_k[m] = value * scale
-                for n in range(BLOCK):
-                    value = _series_cos(
-                        math.pi * (2 * n + 1) * l / (2 * BLOCK))
-                    if l == 0:
-                        value /= math.sqrt(2.0)
-                    row_l[n] = value * scale
+                row_k, row_l = _basis_rows(_series_sin_many,
+                                           np.array(divmod(row, BLOCK)))
                 basis2[row] = np.outer(row_k, row_l).ravel()
-                produced += flat
                 basis_cell.touch()
                 ct.add(flat)
                 yield BASIS_COST_PER_ENTRY * flat

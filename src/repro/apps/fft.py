@@ -34,23 +34,32 @@ TABLE_CHUNK = 64
 BUTTERFLY_CHUNK = 256
 
 
-def _series_sin(x: float) -> float:
+_remainder = np.frompyfunc(math.remainder, 2, 1)
+
+
+def _wrap(x: np.ndarray) -> np.ndarray:
+    """IEEE remainder modulo 2*pi, element by element (``np.remainder``
+    is a floor modulo and rounds differently)."""
+    return _remainder(np.asarray(x, dtype=float), 2.0 * math.pi).astype(float)
+
+
+def _series_sin_many(x: np.ndarray) -> np.ndarray:
     """Expensive high-accuracy sine via Taylor series (the producer's
     actual work; matches numpy to ~1e-12 on [-pi, pi])."""
-    x = math.remainder(x, 2.0 * math.pi)
-    total, term = 0.0, x
+    x = _wrap(x)
+    total, term = np.zeros_like(x), x.copy()
     for k in range(SERIES_TERMS):
         total += term
         term *= -x * x / ((2 * k + 2) * (2 * k + 3))
     return total
 
 
-def _crude_sin(x: float) -> float:
+def _crude_sin_many(x: np.ndarray) -> np.ndarray:
     """Cheap parabolic approximation that pre-fills the tables."""
-    x = math.remainder(x, 2.0 * math.pi)
+    x = _wrap(x)
     b = 4.0 / math.pi
     c = -4.0 / (math.pi * math.pi)
-    return b * x + c * x * abs(x)
+    return b * x + c * x * np.abs(x)
 
 
 def bit_reverse_permutation(n: int) -> np.ndarray:
@@ -84,10 +93,8 @@ class FFTRegion(FluidRegion):
         ct_cos = self.add_count("ct_cos")
 
         angles = -2.0 * np.pi * np.arange(half) / n
-        sin_table = np.array([_crude_sin(a) for a in angles])
-        cos_table = np.array([_crude_sin(a + np.pi / 2) for a in angles])
-        sin_cell.init(sin_table)
-        cos_cell.init(cos_table)
+        sin_cell.init(_crude_sin_many(angles))
+        cos_cell.init(_crude_sin_many(angles + np.pi / 2))
 
         def header(ctx):
             ready.write(True)
@@ -99,9 +106,8 @@ class FFTRegion(FluidRegion):
             def body(ctx):
                 for start in range(0, half, TABLE_CHUNK):
                     stop = min(start + TABLE_CHUNK, half)
-                    for index in range(start, stop):
-                        table.read()[index] = _series_sin(
-                            angles[index] + phase)
+                    table.read()[start:stop] = _series_sin_many(
+                        angles[start:stop] + phase)
                     table.touch()
                     count.add(stop - start)
                     yield TABLE_COST_PER_ENTRY * (stop - start)
@@ -122,24 +128,30 @@ class FFTRegion(FluidRegion):
             sin_t = sin_cell.read()
             cos_t = cos_cell.read()
             data = src.read()[permutation].astype(complex)
+            re, im = data.real, data.imag
+            butterfly = np.arange(half)
             size = 2
             while size <= n:
                 stride = n // size
                 half_size = size // 2
-                done = 0
-                for block in range(0, n, size):
-                    for j in range(half_size):
-                        angle_index = j * stride
-                        w = complex(cos_t[angle_index], sin_t[angle_index])
-                        a = data[block + j]
-                        b = data[block + j + half_size] * w
-                        data[block + j] = a + b
-                        data[block + j + half_size] = a - b
-                        done += 1
-                        if done % BUTTERFLY_CHUNK == 0:
-                            yield BUTTERFLY_COST * BUTTERFLY_CHUNK
-                if done % BUTTERFLY_CHUNK:
-                    yield BUTTERFLY_COST * (done % BUTTERFLY_CHUNK)
+                # Butterflies in block-major order; a stage's pairs are
+                # disjoint, so each chunk is one array pass.
+                j = butterfly % half_size
+                top = butterfly // half_size * size + j
+                twiddle = j * stride
+                for lo in range(0, half, BUTTERFLY_CHUNK):
+                    u = top[lo:lo + BUTTERFLY_CHUNK]
+                    v = u + half_size
+                    t = twiddle[lo:lo + BUTTERFLY_CHUNK]
+                    wr, wi = cos_t[t], sin_t[t]
+                    # The scalar complex product, spelt out: numpy's
+                    # vector complex multiply rounds differently.
+                    br = re[v] * wr - im[v] * wi
+                    bi = re[v] * wi + im[v] * wr
+                    ar, ai = re[u], im[u]
+                    re[u], im[u] = ar + br, ai + bi
+                    re[v], im[v] = ar - br, ai - bi
+                    yield BUTTERFLY_COST * len(u)
                 size *= 2
             spectrum[:] = data
             out_cell.init(spectrum)

@@ -26,7 +26,9 @@ import numpy as np
 from ..core.region import FluidRegion
 from ..core.valves import DataFinalValve, PercentValve
 from ..metrics.error import coloring_error
-from ..workloads.graphs import GraphInput
+from ..workloads.graphs import (GraphInput, coloring_priority,
+                                first_free_color, jones_plassmann,
+                                select_local_maxima)
 from .base import FluidApp, SubmitPlan
 
 # Per-vertex virtual costs scale with degree: selecting checks every
@@ -58,7 +60,8 @@ class ColoringRoundRegion(FluidRegion):
         n = graph.num_vertices
         colors = self.state["colors"]
         priority = self.state["priority"]
-        neighbours = app.neighbours
+        csr = app.csr
+        degree = csr.degree
         ready = self.add_data("ready")
         colored_cell = self.add_data("colored")
         # -1 unknown, 0 not selected, 1 selected this round
@@ -86,18 +89,16 @@ class ColoringRoundRegion(FluidRegion):
             def select_body(ctx, start=start, stop=stop, ct=ct, cell=cell):
                 for chunk in range(start, stop, CHUNK_VERTICES):
                     hi = min(chunk + CHUNK_VERTICES, stop)
-                    cost = 0.0
-                    for vertex in range(chunk, hi):
-                        if colors[vertex] >= 0:
-                            selected[vertex] = 0
-                            cost += SKIP_COST_PER_VERTEX
-                            continue
-                        is_max = all(
-                            colors[other] >= 0 or
-                            priority[other] < priority[vertex]
-                            for other in neighbours[vertex])
-                        selected[vertex] = 1 if is_max else 0
-                        cost += SELECT_COST_BASE + len(neighbours[vertex])
+                    uncolored = colors[chunk:hi] < 0
+                    selected[chunk:hi] = select_local_maxima(
+                        csr, colors, priority, chunk, hi)
+                    # Every term is a multiple of 0.5, so the closed form
+                    # equals the per-vertex running sum exactly.
+                    scanned = int(uncolored.sum())
+                    cost = float(
+                        SKIP_COST_PER_VERTEX * (hi - chunk - scanned)
+                        + SELECT_COST_BASE * scanned
+                        + degree[chunk:hi][uncolored].sum())
                     cell.touch()
                     ct.add(hi - chunk)
                     yield cost
@@ -122,19 +123,14 @@ class ColoringRoundRegion(FluidRegion):
             newly = 0
             for chunk in range(0, n, CHUNK_VERTICES):
                 hi = min(chunk + CHUNK_VERTICES, n)
-                cost = 0.0
-                for vertex in range(chunk, hi):
-                    if selected[vertex] != 1 or colors[vertex] >= 0:
-                        cost += SKIP_COST_PER_VERTEX
-                        continue
-                    used = {colors[other] for other in neighbours[vertex]
-                            if colors[other] >= 0}
-                    color = 0
-                    while color in used:
-                        color += 1
-                    colors[vertex] = color
-                    newly += 1
-                    cost += COLOR_COST_BASE + len(neighbours[vertex])
+                todo = chunk + np.flatnonzero(
+                    (selected[chunk:hi] == 1) & (colors[chunk:hi] < 0))
+                for vertex in todo.tolist():
+                    colors[vertex] = first_free_color(csr, colors, vertex)
+                newly += len(todo)
+                cost = float(
+                    SKIP_COST_PER_VERTEX * (hi - chunk - len(todo))
+                    + COLOR_COST_BASE * len(todo) + degree[todo].sum())
                 colored_cell.touch()
                 yield cost
             self.state["progress"] = newly
@@ -164,36 +160,18 @@ class GraphColoringApp(FluidApp):
         super().__init__()
         self.graph = graph
         self.quality_margin = quality_margin
-        self.neighbours = graph.adjacency_lists()
-        rng = np.random.default_rng(graph.seed + 12345)
-        self.priority = rng.permutation(graph.num_vertices)
+        self.csr = graph.csr()
+        self.priority = coloring_priority(graph)
         # Budget what the precise algorithm needs (plus slack), capped:
         # Jones-Plassmann has a long tail of near-empty rounds that is
         # pure scheduling overhead, so *both* versions hand the tail to
         # the greedy sweep.  The tight budget is also what makes racing
         # cost colors — selections deferred past the last round fall to
         # the sweep.
-        self.rounds = rounds or min(self._reference_rounds() + round_slack,
-                                    round_cap)
-
-    def _reference_rounds(self) -> int:
-        colors = np.full(self.graph.num_vertices, -1, dtype=np.int64)
-        rounds = 0
-        while (colors < 0).any():
-            rounds += 1
-            chosen = [v for v in range(self.graph.num_vertices)
-                      if colors[v] < 0 and all(
-                          colors[o] >= 0 or
-                          self.priority[o] < self.priority[v]
-                          for o in self.neighbours[v])]
-            for vertex in chosen:
-                used = {colors[o] for o in self.neighbours[vertex]
-                        if colors[o] >= 0}
-                color = 0
-                while color in used:
-                    color += 1
-                colors[vertex] = color
-        return rounds
+        if not rounds:
+            reference = jones_plassmann(self.csr, self.priority)[1]
+            rounds = min(reference + round_slack, round_cap)
+        self.rounds = rounds
 
     def build_regions(self, threshold: float, valve: str,
                       parallelism: int) -> SubmitPlan:
@@ -212,13 +190,8 @@ class GraphColoringApp(FluidApp):
     def extract_output(self, plan: SubmitPlan) -> np.ndarray:
         colors = plan.extras["state"]["colors"]
         # Totality sweep: color any vertex the round budget missed.
-        for vertex in np.flatnonzero(colors < 0):
-            used = {colors[other] for other in self.neighbours[vertex]
-                    if colors[other] >= 0}
-            color = 0
-            while color in used:
-                color += 1
-            colors[vertex] = color
+        for vertex in np.flatnonzero(colors < 0).tolist():
+            colors[vertex] = first_free_color(self.csr, colors, vertex)
         return colors.copy()
 
     def compute_error(self, output: np.ndarray, precise_output) -> float:

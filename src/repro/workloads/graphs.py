@@ -11,8 +11,20 @@ random extra edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+
+class CSR(NamedTuple):
+    """Symmetric, self-loop-free neighbour lists: vertex ``v``'s sorted
+    neighbours are ``indices[indptr[v]:indptr[v + 1]]``, and ``owner``
+    is ``v`` for each of those edges."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    owner: np.ndarray
+    degree: np.ndarray
 
 
 @dataclass
@@ -35,13 +47,30 @@ class GraphInput:
         return self.num_edges / max(1, self.num_vertices)
 
     def adjacency_lists(self):
-        """Neighbour lists (used by graph coloring)."""
+        """Sorted, self-loop-free neighbour lists (as Python lists)."""
         neighbours = [[] for _ in range(self.num_vertices)]
         for s, d in zip(self.src.tolist(), self.dst.tolist()):
             if s != d:
                 neighbours[s].append(d)
                 neighbours[d].append(s)
         return [sorted(set(adjacent)) for adjacent in neighbours]
+
+    def csr(self) -> CSR:
+        """The same neighbour lists in compressed sparse row form (what
+        graph coloring scans)."""
+        n = self.num_vertices
+        src = self.src.astype(np.int64)
+        dst = self.dst.astype(np.int64)
+        keep = src != dst
+        keys = np.sort(np.concatenate([src[keep] * n + dst[keep],
+                                       dst[keep] * n + src[keep]]))
+        # Deduplicated by hand: np.unique's hash path adds ~2 MB of
+        # resident set for a few thousand keys.
+        keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+        owner, indices = np.divmod(keys, n)
+        degree = np.bincount(owner, minlength=n)
+        indptr = np.concatenate([[0], np.cumsum(degree)])
+        return CSR(indptr, indices, owner, degree)
 
     # -- interop ------------------------------------------------------------
 
@@ -125,28 +154,54 @@ def bellman_ford_reference(graph: GraphInput, source: int = 0) -> np.ndarray:
     return dist
 
 
+def select_local_maxima(csr: CSR, colors: np.ndarray, priority: np.ndarray,
+                        lo: int, hi: int) -> np.ndarray:
+    """Which of vertices ``lo..hi-1`` are uncolored and outrank every
+    uncolored neighbour (boolean mask of length ``hi - lo``).
+
+    Priorities are distinct and there are no self-loops, so a vertex is
+    blocked exactly by an uncolored neighbour of priority ``>=`` its own.
+    """
+    edges = slice(csr.indptr[lo], csr.indptr[hi])
+    owner = csr.owner[edges]
+    other = csr.indices[edges]
+    blocking = (colors[other] < 0) & (priority[other] >= priority[owner])
+    blockers = np.bincount(owner[blocking] - lo, minlength=hi - lo)
+    return (colors[lo:hi] < 0) & (blockers == 0)
+
+
+def first_free_color(csr: CSR, colors: np.ndarray, vertex: int) -> int:
+    """Smallest color no neighbour of ``vertex`` holds."""
+    used = set(colors[csr.indices[csr.indptr[vertex]:
+                                  csr.indptr[vertex + 1]]].tolist())
+    color = 0
+    while color in used:
+        color += 1
+    return color
+
+
+def jones_plassmann(csr: CSR, priority: np.ndarray) -> tuple[np.ndarray, int]:
+    """Precise round-based coloring: (colors, number of rounds)."""
+    n = len(csr.degree)
+    colors = np.full(n, -1, dtype=np.int64)
+    rounds = 0
+    while (colors < 0).any():
+        rounds += 1
+        chosen = np.flatnonzero(select_local_maxima(csr, colors, priority,
+                                                    0, n))
+        for vertex in chosen.tolist():
+            colors[vertex] = first_free_color(csr, colors, vertex)
+    return colors, rounds
+
+
+def coloring_priority(graph: GraphInput) -> np.ndarray:
+    """The random vertex priorities, seeded from the graph seed."""
+    return np.random.default_rng(graph.seed + 12345).permutation(
+        graph.num_vertices)
+
+
 def greedy_coloring_reference(graph: GraphInput) -> np.ndarray:
     """Jones-Plassmann style round-based coloring (the paper's baseline
     is itself approximate; this is the precise execution of that
     algorithm, priorities seeded from the graph seed)."""
-    rng = np.random.default_rng(graph.seed + 12345)
-    priority = rng.permutation(graph.num_vertices)
-    neighbours = graph.adjacency_lists()
-    colors = np.full(graph.num_vertices, -1, dtype=np.int64)
-    while (colors < 0).any():
-        selected = []
-        for vertex in range(graph.num_vertices):
-            if colors[vertex] >= 0:
-                continue
-            if all(colors[other] >= 0 or
-                   priority[other] < priority[vertex]
-                   for other in neighbours[vertex]):
-                selected.append(vertex)
-        for vertex in selected:
-            used = {colors[other] for other in neighbours[vertex]
-                    if colors[other] >= 0}
-            color = 0
-            while color in used:
-                color += 1
-            colors[vertex] = color
-    return colors
+    return jones_plassmann(graph.csr(), coloring_priority(graph))[0]

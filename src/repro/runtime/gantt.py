@@ -53,14 +53,13 @@ class TimelineRecorder:
         the simulator, whose guards launch in graph order), labelled
         ``region/task``.
         """
-        bus.subscribe(self._on_event)
+        bus.subscribe(self._on_event, kinds=("transition",))
         return self
 
     def _on_event(self, event) -> None:
-        if event.kind == "transition":
-            label = f"{event.region}/{event.task}"
-            self._events.setdefault(label, []).append(
-                (event.ts, TaskState[event.name]))
+        label = f"{event.region}/{event.task}"
+        self._events.setdefault(label, []).append(
+            (event.ts, TaskState[event.name]))
 
     # -- rendering -----------------------------------------------------------
 

@@ -61,13 +61,12 @@ class Trace:
         executors historically wrote — so golden traces stay stable as
         new event kinds join the bus.
         """
-        bus.subscribe(self._on_event)
+        bus.subscribe(self._on_event, kinds=("sched", "guard"))
         return self
 
     def _on_event(self, event) -> None:
-        if event.kind in ("sched", "guard"):
-            self.record(event.ts, event.region, event.task, event.name,
-                        event.data.get("detail", ""))
+        self.record(event.ts, event.region, event.task, event.name,
+                    event.data.get("detail", ""))
 
     def for_task(self, task: str) -> List[TraceEvent]:
         return [e for e in self._events if e.task == task]

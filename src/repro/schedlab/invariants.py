@@ -69,7 +69,7 @@ class InvariantChecker:
     # ------------------------------------------------------- subscriber
 
     def connect(self, bus) -> "InvariantChecker":
-        bus.subscribe(self.on_event)
+        bus.subscribe(self.on_event, kinds=("transition", "stream"))
         return self
 
     def on_event(self, event) -> None:

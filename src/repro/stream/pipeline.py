@@ -86,9 +86,10 @@ class PipelineResult:
     ``outputs`` maps *global* seq -> final-stage output for every item
     that survived to the last queue; at ``k = 0`` it is total and equal
     to :meth:`Pipeline.run_serial`'s.  ``latencies`` maps global seq ->
-    source-to-final-queue latency (virtual time on sim, wall seconds on
-    the thread backend; unavailable on process, where stage bodies run
-    in workers whose telemetry bus is a fork).
+    source-to-final-queue latency, read off the final queue's arrival
+    stamps (virtual time on sim, wall seconds on the thread backend;
+    unavailable on process, where stage bodies run in workers on their
+    own copies of the queues, and through a service).
     """
 
     def __init__(self, total_items: int):
@@ -295,19 +296,31 @@ class Pipeline:
     # -- result harvesting ---------------------------------------------------
 
     def _harvest(self, result: PipelineResult, index: int,
-                 build: _WindowBuild, makespan: float,
-                 latencies: Dict[int, float],
-                 states: List[Any]) -> List[Any]:
+                 build: _WindowBuild, makespan: float, states: List[Any],
+                 telemetry: Optional[Any], epoch: Optional[float] = None,
+                 pace: float = 0.0) -> List[Any]:
+        """Fold one finished window into ``result`` and ``telemetry``.
+
+        Latencies come from the final queue's arrival stamps, less the
+        window's ``epoch`` on the bus clock and, on the paced simulator,
+        the item's own arrival at ``(seq + 1) * pace``.  ``epoch=None``
+        (the process backend, a service) records none.
+        """
         base = index * self.window
         final_queue = build.queues[-1]
         for seq, value in final_queue.items():
             result.outputs[base + seq] = value
-        for seq, latency in latencies.items():
-            result.latencies[base + seq] = latency
+            if epoch is not None:
+                result.latencies[base + seq] = max(
+                    0.0, final_queue.arrivals[seq] - epoch - (seq + 1) * pace)
+        metrics = getattr(telemetry, "metrics", None)
+        if metrics is not None:
+            for queue in build.queues:
+                metrics.record_queue(queue.stats())
         # Sheds propagate downstream as tombstones, so the final queue's
         # tombstone count is exactly the distinct items lost end-to-end
         # (summing across queues would re-count inherited sheds).
-        drops = build.queues[-1].drops()
+        drops = final_queue.drops()
         parks = sum(q.parks for q in build.queues)
         stale = sum(q.stale_reads for q in build.queues)
         displacement = max(q.max_displacement for q in build.queues)
@@ -325,45 +338,6 @@ class Pipeline:
         next_states = [cell.read() for cell in build.state_outs]
         result.states = next_states
         return next_states
-
-    def _latency_collector(self, bus, final_queue_name: str,
-                           to_seconds: float):
-        """Subscribe a final-queue put listener; returns (dict, detach)."""
-        latencies: Dict[int, float] = {}
-
-        def on_event(event):
-            if event.kind != "stream":
-                return
-            if event.data.get("queue") != final_queue_name:
-                return
-            if event.name not in ("put", "update", "park"):
-                return
-            seq = event.data.get("seq")
-            if seq is not None and seq not in latencies:
-                latencies[seq] = event.ts * to_seconds
-
-        if bus is not None:
-            bus.subscribe(on_event)
-
-        def detach():
-            if bus is not None:
-                bus.unsubscribe(on_event)
-
-        return latencies, detach
-
-    def _item_latencies(self, raw: Dict[int, float], epoch: float,
-                        paced: bool) -> Dict[int, float]:
-        """Turn final-queue put timestamps into per-item latencies.
-
-        On the paced (sim) backend arrival i happens at virtual time
-        ``(i + 1) * interarrival``; on wall-clock backends yields carry
-        no delay, so arrivals are effectively at window start.
-        """
-        out: Dict[int, float] = {}
-        for seq, ts in raw.items():
-            arrival = (seq + 1) * self.interarrival if paced else 0.0
-            out[seq] = max(0.0, ts - epoch - arrival)
-        return out
 
     # -- drivers -------------------------------------------------------------
 
@@ -396,21 +370,15 @@ class Pipeline:
 
         telemetry = self._ensure_telemetry()
         states = result.states
-        final_name = f"q{len(self.stages)}"
         for index, window_items in enumerate(self._windows(items)):
             build = self.build_window(index, window_items, states)
-            raw, detach = self._latency_collector(telemetry.bus,
-                                                 final_name, 1.0)
             executor = SimExecutor(cores=cores, telemetry=telemetry,
                                    autotune=self.autotune)
-            try:
-                executor.submit(build.region)
-                run = executor.run()
-            finally:
-                detach()
-            latencies = self._item_latencies(raw, 0.0, paced=True)
+            executor.submit(build.region)
+            run = executor.run()
             states = self._harvest(result, index, build, run.makespan,
-                                   latencies, states)
+                                   states, telemetry, epoch=0.0,
+                                   pace=self.interarrival)
 
     def _run_thread(self, items: List[Any], result: PipelineResult,
                     slots: int, timeout: float) -> None:
@@ -419,7 +387,6 @@ class Pipeline:
 
         telemetry = self._ensure_telemetry()
         states = result.states
-        final_name = f"q{len(self.stages)}"
         pool = SharedThreadPool(slots=slots, bus=telemetry.bus)
         try:
             for index, window_items in enumerate(self._windows(items)):
@@ -430,20 +397,14 @@ class Pipeline:
                 ctx = RunContext(label=f"{self.name}-w{index}",
                                  telemetry=telemetry,
                                  autotuner=self.autotune)
-                raw, detach = self._latency_collector(telemetry.bus,
-                                                      final_name, 1.0)
                 epoch_before = pool.now()
-                try:
-                    ctx.submit(build.region)
-                    pool.start(ctx)
-                    pool.wait(ctx, timeout)
-                finally:
-                    detach()
+                ctx.submit(build.region)
+                pool.start(ctx)
+                pool.wait(ctx, timeout)
                 makespan = pool.now() - epoch_before
-                latencies = self._item_latencies(raw, epoch_before,
-                                                 paced=False)
                 states = self._harvest(result, index, build, makespan,
-                                       latencies, states)
+                                       states, telemetry,
+                                       epoch=epoch_before)
         finally:
             pool.shutdown()
             telemetry.run_finished(pool.now(), slots)
@@ -497,10 +458,10 @@ class Pipeline:
                 executor.submit(build.region)
                 run = executor.run()
                 # Stage bodies ran in (pooled or forked) workers whose
-                # telemetry bus is not ours: per-item latencies are not
-                # observable here.
+                # queues are not ours: per-item latencies and the queue
+                # tallies are not observable here.
                 states = self._harvest(result, index, build, run.makespan,
-                                       {}, states)
+                                       states, self.telemetry)
         finally:
             if pool is not None:
                 pool.close()
@@ -524,7 +485,7 @@ class Pipeline:
                                            sheddable=sheddable,
                                            latency_slo=latency_slo)
             states = self._harvest(result, index, build, outcome.latency,
-                                   {}, states)
+                                   states, service.telemetry)
         return result
 
     # -- the precise reference ------------------------------------------------

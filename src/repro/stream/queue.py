@@ -7,12 +7,15 @@ consumer may drain it while up to ``k`` items are still outstanding
 ``k`` sheddable items under backpressure instead of blocking the
 producer.  Both freedoms are observable and checkable: every state
 change is a ``stream``-kind telemetry event on the owning region's bus
-(see :meth:`StageQueue._emit`), counted into the ``stream.*`` metrics
-catalogue and audited by the SchedLab
+(see :meth:`StageQueue._emit`), audited by the SchedLab
 :class:`~repro.schedlab.invariants.InvariantChecker` — a serve more
 than ``k`` positions out of order, a drain that begins with more than
 ``k`` items missing, or a dropped must-deliver item is an invariant
-violation.  A region without a bus publishes nothing and pays nothing.
+violation.  The event is built only when a subscriber reads ``stream``.
+The queue keeps its own tally (:meth:`StageQueue.stats`), which the
+pipeline folds into the ``stream.*`` metrics once per window.  A region
+without a bus publishes nothing, and its queues scan nothing for the
+tally.
 
 Storage lives in a region :class:`~repro.core.data.FluidArray` of
 per-seq slots, so slot writes are versioned, wake waiting guards, and
@@ -33,6 +36,8 @@ are unsettled".
 
 from __future__ import annotations
 
+import math
+from array import array
 from typing import Any, Iterable, List, Optional, Tuple
 
 from ..core.errors import FluidError
@@ -94,12 +99,20 @@ class StageQueue:
         self.slots = region.add_array(f"{name}_slots",
                                       [None] * self.expected)
         self.settled_count = region.add_count(f"{name}_settled")
-        # Consumer-side bookkeeping (telemetry only; correctness is
-        # derived from the slots so process workers stay consistent).
+        # The tally (telemetry only; correctness is derived from the
+        # slots so process workers stay consistent).  ``occupancies``
+        # (after each put or park) and ``arrivals`` (per seq, the
+        # bus-clock time of its first put or park; NaN until then) fill
+        # only when the region has a bus.  Flat arrays: a window's
+        # queues outlive it until the cyclic collector runs.
         self._served = set()
         self.stale_reads = 0
         self.parks = 0
+        self.puts = 0
+        self.sheds = 0
         self.max_displacement = 0
+        self.occupancies = array("i")
+        self.arrivals = array("d", [math.nan]) * self.expected
 
     # -- derived state (recomputed from the slots) -------------------------
 
@@ -167,7 +180,8 @@ class StageQueue:
               displacement: int = 0, missing: int = 0,
               first: bool = True) -> None:
         """Publish one state change as a ``stream`` event on the
-        region's bus; without a bus nothing is computed or built.
+        region's bus; unless a subscriber reads ``stream``, nothing is
+        computed or built.
 
         ``action`` is one of ``put`` (item delivered), ``update`` (a
         rerun refreshed an already-delivered slot), ``drop`` (sheddable
@@ -179,7 +193,7 @@ class StageQueue:
         """
         region = self.region
         telemetry = region.telemetry
-        if telemetry is None:
+        if telemetry is None or not telemetry.wants("stream"):
             return
         if bound is None:
             bound = self.effective_bound()
@@ -214,17 +228,24 @@ class StageQueue:
             self.slots[seq] = (seq, value)
             self._emit("update", seq, task, must=must)
             return "update"
-        action = "put"
         if self.capacity is not None and self.occupancy() >= self.capacity:
             if not must and self.bound > 0 and self.drops() < self.bound:
                 self.slots[seq] = DROPPED
                 self.settled_count.set(self.settled_total())
+                self.sheds += 1
                 self._emit("drop", seq, task, must=must)
                 return "drop"
             self.parks += 1
             action = "park"
+        else:
+            self.puts += 1
+            action = "put"
         self.slots[seq] = (seq, value)
         self.settled_count.set(self.settled_total())
+        bus = self.region.telemetry
+        if bus is not None:
+            self.occupancies.append(self.occupancy())
+            self.arrivals[seq] = bus.clock()
         self._emit(action, seq, task, must=must)
         return action
 
@@ -246,6 +267,7 @@ class StageQueue:
             return
         self.slots[seq] = DROPPED
         self.settled_count.set(self.settled_total())
+        self.sheds += 1
         self._emit("drop", seq, task)
 
     # -- consumer side -----------------------------------------------------
@@ -308,12 +330,21 @@ class StageQueue:
                 yield self.slots[seq]
 
     def stats(self) -> dict:
+        """Slot-derived totals plus the tally: ``puts`` (deliveries
+        within capacity), ``served`` (first serves), ``sheds``
+        (tombstones this queue wrote), ``parks``, ``stale_reads``,
+        ``occupancies`` and ``arrivals``."""
         return {"expected": self.expected,
                 "arrived": self.arrived_total(),
                 "drops": self.drops(),
                 "parks": self.parks,
                 "stale_reads": self.stale_reads,
-                "max_displacement": self.max_displacement}
+                "max_displacement": self.max_displacement,
+                "puts": self.puts,
+                "served": len(self._served),
+                "sheds": self.sheds,
+                "occupancies": self.occupancies,
+                "arrivals": self.arrivals}
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"StageQueue({self.name}, {self.settled_total()}"

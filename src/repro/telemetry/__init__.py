@@ -72,7 +72,11 @@ class Telemetry:
         self.metrics: Optional[MetricsRegistry] = None
         if metrics:
             self.metrics = MetricsRegistry()
-            self.bus.subscribe(self.metrics.on_event)
+            # Every kind but ``stream``: stage queues keep their own
+            # tallies, folded in by the pipeline (``record_queue``).
+            self.bus.subscribe(self.metrics.on_event, kinds=(
+                "transition", "guard", "sched", "valve", "payload",
+                "worker", "svc", "tune"))
         self.chrome: Optional[ChromeTraceExporter] = None
         if chrome:
             self.chrome = ChromeTraceExporter().connect(self.bus)

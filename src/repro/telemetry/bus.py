@@ -68,6 +68,15 @@ under the simulator, seconds since the run epoch under the thread and
 process backends.  :meth:`TelemetryBus.bind_clock` records which, so
 exporters can scale uniformly.
 
+Routing: a subscriber names the kinds it reads
+(``subscribe(callback, kinds=("transition",))``; the default ``None``
+reads every kind), and :meth:`TelemetryBus.publish` / ``emit`` deliver
+each event only to the subscribers of its kind.  ``emit`` builds no
+timestamp and no event for a kind nobody reads, and a publisher whose
+event data costs something to gather asks :meth:`TelemetryBus.wants`
+first (a stage queue builds no ``stream`` event unless a subscriber
+reads ``stream``).
+
 Thread-safety: the bus itself takes no locks.  State-machine events
 are serialized by their publishers (the simulator is single-threaded,
 the thread backend publishes under its pool lock, the process backend
@@ -80,7 +89,8 @@ lock: a subscriber to those kinds keeps its state append-only or locks.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, NamedTuple, Optional
+from typing import (Any, Callable, Dict, Iterable, List, NamedTuple,
+                    Optional, Tuple)
 
 
 class TelemetryEvent(NamedTuple):
@@ -95,31 +105,57 @@ class TelemetryEvent(NamedTuple):
 
 
 class TelemetryBus:
-    """Synchronous publish/subscribe fan-out of telemetry events."""
+    """Synchronous publish/subscribe fan-out, routed by event kind."""
 
     def __init__(self):
-        self._subscribers: List[Callable[[TelemetryEvent], None]] = []
+        #: (callback, kinds or None) in subscription order.
+        self._subscribers: List[Tuple[Callable[[TelemetryEvent], None],
+                                      Optional[frozenset]]] = []
+        # kind -> its subscribers, for every kind some subscriber names;
+        # any other kind goes to ``_every`` (the all-kinds subscribers).
+        # Both are rebuilt, never mutated, so publishers read them
+        # without a lock.
+        self._routes: Dict[str, Tuple[Callable, ...]] = {}
+        self._every: Tuple[Callable, ...] = ()
         #: The publishing executor's clock (rebound via :meth:`bind_clock`).
         self.clock: Callable[[], float] = time.perf_counter
         #: Multiplier that converts bus timestamps to microseconds for
         #: the Chrome trace exporter: 1.0 for virtual time (one cost
         #: unit renders as one microsecond), 1e6 for wall-clock seconds.
         self.time_scale: float = 1e6
-        #: Count of events published so far (cheap health indicator).
+        #: Count of events offered so far, read or not (cheap health
+        #: indicator).
         self.published = 0
 
     # -- wiring ----------------------------------------------------------
 
-    def subscribe(self, callback: Callable[[TelemetryEvent], None]) -> None:
-        """Register ``callback(event)`` for every published event."""
-        if callback not in self._subscribers:
-            self._subscribers.append(callback)
+    def subscribe(self, callback: Callable[[TelemetryEvent], None],
+                  kinds: Optional[Iterable[str]] = None) -> None:
+        """Register ``callback(event)`` for the events of ``kinds``
+        (every kind when ``None``); a repeated subscribe is ignored."""
+        if all(callback != known for known, _ in self._subscribers):
+            self._subscribers.append(
+                (callback, None if kinds is None else frozenset(kinds)))
+            self._reroute()
 
     def unsubscribe(self, callback: Callable[[TelemetryEvent], None]) -> None:
-        try:
-            self._subscribers.remove(callback)
-        except ValueError:
-            pass
+        self._subscribers = [entry for entry in self._subscribers
+                             if entry[0] != callback]
+        self._reroute()
+
+    def _reroute(self) -> None:
+        named = set().union(*(kinds for _, kinds in self._subscribers
+                              if kinds is not None))
+        self._routes = {
+            kind: tuple(callback for callback, kinds in self._subscribers
+                        if kinds is None or kind in kinds)
+            for kind in named}
+        self._every = tuple(callback for callback, kinds in self._subscribers
+                            if kinds is None)
+
+    def wants(self, kind: str) -> bool:
+        """Whether any subscriber reads events of ``kind``."""
+        return bool(self._routes.get(kind, self._every))
 
     def bind_clock(self, clock: Callable[[], float],
                    time_scale: float) -> None:
@@ -131,13 +167,19 @@ class TelemetryBus:
 
     def publish(self, event: TelemetryEvent) -> None:
         self.published += 1
-        for callback in self._subscribers:
+        for callback in self._routes.get(event.kind, self._every):
             callback(event)
 
     def emit(self, kind: str, region: str, task: str, name: str,
              ts: Optional[float] = None,
              data: Optional[Dict[str, Any]] = None) -> None:
         """Convenience publisher; ``ts`` defaults to the bound clock."""
-        self.publish(TelemetryEvent(
-            self.clock() if ts is None else ts,
-            kind, region, task, name, data if data is not None else {}))
+        self.published += 1
+        subscribers = self._routes.get(kind, self._every)
+        if not subscribers:
+            return
+        event = TelemetryEvent(self.clock() if ts is None else ts,
+                               kind, region, task, name,
+                               data if data is not None else {})
+        for callback in subscribers:
+            callback(event)

@@ -1,7 +1,8 @@
 """Metrics registry: counters, gauges and histograms over the event bus.
 
 The registry subscribes to a :class:`~repro.telemetry.bus.TelemetryBus`
-and folds the event stream into the counter catalogue below — the
+(every kind but ``stream``) and folds the event stream into the counter
+catalogue below — the
 decisions that define Fluid (valve verdicts, re-executions, early
 terminations, quality failures, stall time) plus backend-specific
 traffic (process payload bytes, worker occupancy).  Every standard
@@ -58,9 +59,14 @@ Counter catalogue
 ``stream.items_in``                       items delivered into stage queues
 ``stream.items_out``                      items first-served to stage consumers
 ``stream.stale_reads``                    first serves that overtook a gap
-``stream.drops``                          sheddable items shed under backpressure
+``stream.drops``                          tombstones written (incl. propagated)
 ``stream.parks``                          must-deliver items accepted past capacity
 ========================================  =====================================
+
+The ``stream.*`` counters and the ``stream.occupancy`` histogram are
+not read off the bus: each stage queue keeps its own tally, which
+:meth:`MetricsRegistry.record_queue` folds in when the pipeline
+harvests a window.
 
 ``time.*`` counters are in the executor's clock units (virtual cost
 units under the simulator, seconds under the real backends).  Gauges
@@ -71,6 +77,7 @@ units under the simulator, seconds under the real backends).  Gauges
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from typing import Any, Dict, List, Optional, Tuple
 
 from .bus import TelemetryEvent
@@ -151,13 +158,13 @@ class Histogram:
         value = float(value)
         self.count += 1
         self.total += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.buckets[index] += 1
-                return
-        self.buckets[-1] += 1
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
+        # The first bound >= value; NaN compares false, so overflow.
+        self.buckets[bisect_left(self.bounds, value)
+                     if value == value else -1] += 1
 
     def _labels(self) -> List[str]:
         return [f"le_{bound:g}" for bound in self.bounds] + ["le_inf"]
@@ -282,8 +289,6 @@ class MetricsRegistry:
             self._on_worker(event)
         elif kind == "svc":
             self._on_service(event)
-        elif kind == "stream":
-            self._on_stream(event)
         elif kind == "tune":
             if event.name == "adjust":
                 self.inc("tune.adjustments")
@@ -359,34 +364,6 @@ class MetricsRegistry:
         elif name == "fail":
             self.inc("svc.failed")
 
-    def _on_stream(self, event: TelemetryEvent) -> None:
-        """Fold ``stream``-kind events (repro.stream stage queues).
-
-        The per-stage ``stream.occupancy`` histogram is created lazily
-        on the first delivery, so non-streaming runs keep their
-        historical histogram key set.  Re-serves from the rerun-based
-        recompute model (``first`` false) and idempotent slot rewrites
-        (``update``) are deliberately not re-counted.
-        """
-        name = event.name
-        if name == "put":
-            self.inc("stream.items_in")
-            self._observe_occupancy(event)
-        elif name == "serve":
-            if event.data.get("first", True):
-                self.inc("stream.items_out")
-                if event.data.get("displacement", 0) > 0:
-                    self.inc("stream.stale_reads")
-        elif name == "drop":
-            self.inc("stream.drops")
-        elif name == "park":
-            self.inc("stream.parks")
-            self._observe_occupancy(event)
-
-    def _observe_occupancy(self, event: TelemetryEvent) -> None:
-        self.observe("stream.occupancy", event.data.get("occupancy", 0),
-                     OCCUPANCY_BOUNDS)
-
     def _on_worker(self, event: TelemetryEvent) -> None:
         slot = event.data.get("slot")
         if event.name == "dispatch":
@@ -433,6 +410,23 @@ class MetricsRegistry:
         """
         self.inc("tune.windows", snapshot.get("windows", 0))
         self.set_gauge("tune.position", snapshot.get("position", 0.0))
+
+    def record_queue(self, stats: Dict[str, Any]) -> None:
+        """Fold one :meth:`repro.stream.StageQueue.stats` tally in.
+
+        Puts (not idempotent ``update`` rewrites), first serves, stale
+        first serves, the tombstones the queue wrote and parks.  The
+        ``stream.occupancy`` histogram is created lazily on the first
+        sample, so non-streaming runs keep their historical histogram
+        key set; a queue whose region had no bus took no samples.
+        """
+        self.inc("stream.items_in", stats["puts"])
+        self.inc("stream.items_out", stats["served"])
+        self.inc("stream.stale_reads", stats["stale_reads"])
+        self.inc("stream.drops", stats["sheds"])
+        self.inc("stream.parks", stats["parks"])
+        for occupancy in stats["occupancies"]:
+            self.observe("stream.occupancy", occupancy, OCCUPANCY_BOUNDS)
 
     # -- end of run --------------------------------------------------------
 

@@ -40,7 +40,11 @@ class ChromeTraceExporter:
         self.time_scale: float = 1e6
 
     def connect(self, bus: TelemetryBus) -> "ChromeTraceExporter":
-        bus.subscribe(self.on_event)
+        # Time zero is the first event heard, so hear every kind a run
+        # can open with; ``stream`` events come from bodies, never first.
+        bus.subscribe(self.on_event, kinds=(
+            "transition", "guard", "sched", "valve", "payload", "worker",
+            "svc", "tune"))
         self._bus = bus
         return self
 

@@ -248,7 +248,7 @@ class ValveAutotuner:
         self._bound = True
         self._bus = bus
         if bus is not None:
-            bus.subscribe(self.on_event)
+            bus.subscribe(self.on_event, kinds=("valve", "transition"))
         return self
 
     def attach_region(self, region: Any) -> None:

@@ -269,6 +269,20 @@ class TestMutationAcceptance:
         assert "staleness" in caught.message
         assert report.runs <= 200
 
+    def test_stream_must_catch_cli_fails_within_5_seeds(self, capsys):
+        """The CI must-catch step at 5 seeds: a forced-open staleness
+        valve must fail the sweep.  Only ``stream`` events carry the
+        staleness audit, so this fails if the checker stops hearing
+        them (say, subscribed without ``stream``)."""
+        from repro.schedlab.__main__ import main
+
+        code = main(["sweep", "--seeds", "5", "--backend", "sim",
+                     "--scenarios", "stream", "--fault", "valve_true",
+                     "--no-shrink"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "[staleness]" in out
+
     def test_stream_scenario_is_clean_without_faults(self):
         # The converse of the acceptance test above: with honest valves
         # the streaming audits stay silent, relaxed and strict alike.

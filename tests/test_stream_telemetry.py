@@ -1,0 +1,121 @@
+"""Stream telemetry without per-item events.
+
+Stage queues keep their own tallies, and the pipeline folds them into
+the ``stream.*`` metrics once per window (``MetricsRegistry
+.record_queue``).  The event-derived counters these replace survive
+here as an oracle: a subscriber to ``stream`` forces every event to be
+built, and its counts must equal the folded ones exactly.  A default
+run, whose subscribers do not read ``stream``, must build none.
+"""
+
+import pytest
+
+from repro import Telemetry, TelemetryBus
+from repro.stream import APPS
+from repro.telemetry.metrics import OCCUPANCY_BOUNDS, Histogram
+
+STREAM_COUNTERS = ("stream.items_in", "stream.items_out",
+                   "stream.stale_reads", "stream.drops", "stream.parks")
+
+
+class _EventOracle:
+    """The stream counters as ``MetricsRegistry`` once derived them from
+    ``stream`` events.  Append-only: thread-backend bodies publish
+    concurrently."""
+
+    def __init__(self, bus):
+        self.events = []
+        bus.subscribe(self.events.append, kinds=("stream",))
+
+    def fold(self):
+        counters = dict.fromkeys(STREAM_COUNTERS, 0)
+        occupancy = Histogram(OCCUPANCY_BOUNDS)
+        for event in self.events:
+            data = event.data
+            if event.name == "put":
+                counters["stream.items_in"] += 1
+                occupancy.observe(data["occupancy"])
+            elif event.name == "serve" and data["first"]:
+                counters["stream.items_out"] += 1
+                if data["displacement"] > 0:
+                    counters["stream.stale_reads"] += 1
+            elif event.name == "drop":
+                counters["stream.drops"] += 1
+            elif event.name == "park":
+                counters["stream.parks"] += 1
+                occupancy.observe(data["occupancy"])
+        return counters, occupancy
+
+
+def _fold_against_events(app_name, k, backend):
+    app = APPS[app_name]
+    telemetry = Telemetry(metrics=True, chrome=False)
+    oracle = _EventOracle(telemetry.bus)
+    app.pipeline(k=k, window=32, telemetry=telemetry).run(
+        app.make_items(64), backend=backend, slots=2)
+    counters, occupancy = oracle.fold()
+    metrics = telemetry.metrics
+    assert {name: metrics.counters[name] for name in STREAM_COUNTERS} \
+        == counters
+    assert metrics.histograms["stream.occupancy"].to_dict() \
+        == occupancy.to_dict()
+    return counters, [event.name for event in oracle.events]
+
+
+class TestFoldedCountersEqualEvents:
+    """Mutant killed: the fold counting an ``update`` rewrite as a put
+    (the relaxed simulator runs re-execute, so their queues see
+    updates)."""
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    @pytest.mark.parametrize("app_name", ["logagg", "topk", "frames"])
+    def test_on_the_simulator(self, app_name, k):
+        counters, names = _fold_against_events(app_name, k, "sim")
+        assert counters["stream.items_in"] > 0
+        if k:
+            assert "update" in names
+        if app_name == "frames":
+            # Capacity 8: backpressure parks at every k, sheds at k > 0.
+            assert counters["stream.parks"] > 0
+            assert (counters["stream.drops"] > 0) == (k > 0)
+
+    @pytest.mark.parametrize("app_name", ["logagg", "topk", "frames"])
+    def test_on_threads_at_k0(self, app_name):
+        counters, _ = _fold_against_events(app_name, 0, "thread")
+        assert counters["stream.items_out"] == 3 * 64
+
+
+class TestNoStreamEventByDefault:
+    def test_a_default_pipeline_run_builds_no_stream_event(
+            self, monkeypatch):
+        """Mutant killed: ``StageQueue._emit`` ignoring ``wants``.  The
+        default subscribers (``Trace``, ``MetricsRegistry``) do not read
+        ``stream``, so not one is offered to the bus; the counters and
+        latencies still arrive through the queue tallies."""
+        offered = []
+        real_emit = TelemetryBus.emit
+
+        def spy(bus, kind, *args, **kwargs):
+            offered.append(kind)
+            return real_emit(bus, kind, *args, **kwargs)
+
+        monkeypatch.setattr(TelemetryBus, "emit", spy)
+        app = APPS["frames"]
+        pipeline = app.pipeline(k=2, window=16)
+        result = pipeline.run(app.make_items(32), backend="sim")
+        assert offered and "stream" not in offered
+        counters = pipeline.telemetry.metrics.counters
+        assert counters["stream.items_in"] > 0
+        assert counters["stream.parks"] > 0
+        assert set(result.latencies) == set(result.outputs)
+
+    def test_thread_latencies_come_from_arrival_stamps(self):
+        app = APPS["logagg"]
+        pipeline = app.pipeline(k=0, window=32)
+        result = pipeline.run(app.make_items(64), backend="thread", slots=2)
+        assert set(result.latencies) == set(range(64))
+        assert all(latency >= 0.0 for latency in result.latencies.values())
+        # About one published event per item at 32 items per window:
+        # transitions, valve verdicts and scheduling, none of them
+        # per-item stream events.
+        assert pipeline.telemetry.bus.published < 2 * 64

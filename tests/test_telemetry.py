@@ -20,7 +20,8 @@ from repro.core.errors import StateError
 from repro.core.states import TaskState
 from repro.core.stats import TaskStats
 from repro.runtime.tracing import Trace
-from repro.telemetry import METRICS_SCHEMA, diff_metrics, load_metrics
+from repro.telemetry import (METRICS_SCHEMA, TelemetryEvent, diff_metrics,
+                             load_metrics)
 from repro.telemetry.__main__ import main as telemetry_cli
 
 from util import make_pipeline, pipeline_expected
@@ -183,6 +184,142 @@ class TestEventCatalogue:
         assert kinds - table == set(), "kinds missing from docs/telemetry.md"
         assert kinds - docstring == set(), "kinds missing from bus.py"
 
+    def test_every_subscribed_kind_is_in_the_catalogue(self):
+        """A misspelt kind makes a subscriber silently deaf: every
+        ``subscribe(..., kinds=...)`` under ``src/repro`` passes a
+        literal tuple of kinds from the docs/telemetry.md event table."""
+        root = pathlib.Path(__file__).resolve().parents[1]
+        doc = (root / "docs" / "telemetry.md").read_text("utf-8")
+        table = set(re.findall(r"^\| `(\w+)` \|", doc, re.MULTILINE))
+        subscribed = set()
+        for path in (root / "src" / "repro").rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+                if not (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "subscribe"):
+                    continue
+                for keyword in node.keywords:
+                    if keyword.arg != "kinds":
+                        continue
+                    value = keyword.value
+                    assert isinstance(value, ast.Tuple), \
+                        f"{path.name}: kinds= is not a literal tuple"
+                    for element in value.elts:
+                        assert isinstance(element, ast.Constant), path.name
+                        subscribed.add(element.value)
+        assert {"transition", "stream", "valve", "sched"} <= subscribed
+        assert subscribed - table == set(), "subscribed to unknown kinds"
+
+
+class TestCounterCatalogue:
+    def test_every_counter_and_histogram_is_documented(self):
+        """The catalogue lint for counters: every literal name passed to
+        ``inc(`` under ``src/repro/telemetry`` (the queue fold included)
+        is a ``COUNTER_CATALOGUE`` counter, every literal ``observe(``
+        name a histogram, and both are rows of the docs/telemetry.md
+        counter table — which lists exactly the catalogue's counters."""
+        from repro.telemetry.metrics import COUNTER_CATALOGUE
+
+        root = pathlib.Path(__file__).resolve().parents[1]
+        used = {"inc": set(), "observe": set()}
+        for path in (root / "src" / "repro" / "telemetry").rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+                if isinstance(node, ast.Call) and node.args \
+                        and isinstance(node.func, ast.Attribute) \
+                        and node.func.attr in used \
+                        and isinstance(node.args[0], ast.Constant) \
+                        and isinstance(node.args[0].value, str):
+                    used[node.func.attr].add(node.args[0].value)
+        assert {"stream.items_in", "stream.parks",
+                "trace.dropped_events"} <= used["inc"]
+        assert "stream.occupancy" in used["observe"]
+        doc = (root / "docs" / "telemetry.md").read_text("utf-8")
+        rows = dict(re.findall(r"^\| `([\w.]+)` \| (counter|histogram) \|",
+                               doc, re.MULTILINE))
+        documented = {name for name, kind in rows.items()
+                      if kind == "counter"}
+        histograms = {name for name, kind in rows.items()
+                      if kind == "histogram"}
+        assert used["inc"] - set(COUNTER_CATALOGUE) == set()
+        assert documented == set(COUNTER_CATALOGUE)
+        assert used["observe"] - histograms == set()
+
+
+class TestBusRouting:
+    """``subscribe(kinds=)``: each kind goes only to its readers."""
+
+    def _bus(self):
+        bus = TelemetryBus()
+        bus.bind_clock(lambda: 1.0, 1.0)
+        return bus
+
+    def test_order_is_kept_across_mixed_subscribers(self):
+        bus, heard = self._bus(), []
+        bus.subscribe(lambda e: heard.append(("all-1", e.kind)))
+        bus.subscribe(lambda e: heard.append(("sched", e.kind)),
+                      kinds=("sched",))
+        bus.subscribe(lambda e: heard.append(("all-2", e.kind)))
+        bus.subscribe(lambda e: heard.append(("guard+sched", e.kind)),
+                      kinds=("guard", "sched"))
+        for kind in ("sched", "guard", "valve"):
+            bus.emit(kind, "r", "t", "x")
+        assert heard == [
+            ("all-1", "sched"), ("sched", "sched"), ("all-2", "sched"),
+            ("guard+sched", "sched"),
+            ("all-1", "guard"), ("all-2", "guard"), ("guard+sched", "guard"),
+            ("all-1", "valve"), ("all-2", "valve")]
+
+    def test_publish_delivers_only_to_the_kinds_readers(self):
+        """Mutant killed: ``publish`` iterating every subscriber."""
+        bus, heard = self._bus(), []
+        bus.subscribe(heard.append, kinds=("sched",))
+        guard = TelemetryEvent(0.0, "guard", "r", "t", "rerun", {})
+        sched = guard._replace(kind="sched")
+        bus.publish(guard)
+        bus.publish(sched)
+        assert heard == [sched]
+        assert bus.published == 2
+
+    def test_unsubscribe_reroutes_and_wants_follows(self):
+        bus, heard = self._bus(), []
+
+        def reader(event):
+            heard.append(event.kind)
+
+        assert not bus.wants("stream")
+        bus.subscribe(reader, kinds=("stream",))
+        bus.subscribe(reader)  # a repeated subscribe is ignored
+        assert bus.wants("stream") and not bus.wants("sched")
+        bus.emit("stream", "r", "t", "put")
+        bus.emit("sched", "r", "t", "run")
+        bus.unsubscribe(reader)
+        assert not bus.wants("stream")
+        bus.emit("stream", "r", "t", "put")
+        assert heard == ["stream"]
+        bus.subscribe(reader)
+        assert bus.wants("stream") and bus.wants("sched")
+
+    def test_emit_to_an_unread_kind_builds_nothing(self, monkeypatch):
+        from repro.telemetry import bus as bus_module
+
+        built, ticks = [], []
+        real = bus_module.TelemetryEvent
+
+        def counting(*args):
+            built.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(bus_module, "TelemetryEvent", counting)
+        bus = TelemetryBus()
+        bus.bind_clock(lambda: ticks.append(1) or 1.0, 1.0)
+        bus.emit("stream", "r", "t", "put", data={"seq": 0})
+        bus.subscribe(lambda event: None, kinds=("sched",))
+        bus.emit("stream", "r", "t", "put")
+        assert built == [] and ticks == []
+        bus.emit("sched", "r", "t", "run")
+        assert built == ["sched"] and ticks == [1]
+        assert bus.published == 3
+
 
 class TestStatsFinishSemantics:
     """Regression: finish() used to double-book the tail residence."""
@@ -241,12 +378,14 @@ class TestHistogramLookup:
     def test_observing_an_existing_histogram_constructs_none(
             self, monkeypatch):
         from repro.telemetry import metrics as metrics_module
-        from repro.telemetry.bus import TelemetryEvent
+
+        def tally(*occupancies):
+            return {"puts": len(occupancies), "served": 0, "stale_reads": 0,
+                    "sheds": 0, "parks": 0, "occupancies": occupancies}
 
         registry = metrics_module.MetricsRegistry()
         registry.observe("valve.latency", 1e-3)
-        registry.on_event(TelemetryEvent(0.0, "stream", "r", "t", "put",
-                                         {"occupancy": 1}))
+        registry.record_queue(tally(1))
         built = []
         real = metrics_module.Histogram
 
@@ -259,8 +398,7 @@ class TestHistogramLookup:
         values = [10.0 ** -exponent for exponent in range(8)] * 5
         for value in values:
             registry.observe("valve.latency", value)
-            registry.on_event(TelemetryEvent(0.0, "stream", "r", "t", "put",
-                                             {"occupancy": value * 1e3}))
+            registry.record_queue(tally(value * 1e3))
         assert built == []
         expected = {"valve.latency": real(), "stream.occupancy":
                     real(metrics_module.OCCUPANCY_BOUNDS)}
@@ -271,6 +409,19 @@ class TestHistogramLookup:
             expected["stream.occupancy"].observe(value * 1e3)
         for name, histogram in expected.items():
             assert registry.histograms[name].to_dict() == histogram.to_dict()
+        assert registry.counters["stream.items_in"] == 1 + len(values)
+
+    def test_a_value_lands_in_the_first_bucket_at_or_above_it(self):
+        from repro.telemetry.metrics import OCCUPANCY_BOUNDS, Histogram
+
+        histogram = Histogram(OCCUPANCY_BOUNDS)
+        for value in (0, 1, 1.5, 32, 33, 128, 129, float("inf"),
+                      float("nan"), -1):
+            histogram.observe(value)
+        assert histogram.to_dict()["buckets"] == {
+            "le_0": 2, "le_1": 1, "le_2": 1, "le_4": 0, "le_8": 0,
+            "le_16": 0, "le_32": 1, "le_64": 1, "le_128": 1, "le_inf": 3}
+        assert histogram.count == 10 and histogram.max == float("inf")
 
 
 class TestDumpCli:

@@ -39,7 +39,7 @@ Batched dispatch
 
 When more tasks are ready than workers are idle, the parent coalesces
 up to ``batch_size`` ready bodies into one worker round-trip (one
-``("runs", ...)`` message), amortizing the queue/pickle cost that
+``("runs", ...)`` message), amortizing the pipe/pickle cost that
 dominates small-body workloads.  Scheduler-pick order is preserved —
 batch items are exactly the next picks the scheduler would have made —
 and per-task events (``sched``/``run``, ``worker``/``dispatch``,
@@ -74,11 +74,22 @@ The executor leases its workers from a
 fork per request/window.  Without it — fork-per-run — the executor forks
 a private pool at ``run()``, after submission, and closes it on exit.
 Either way a region carrying a picklable ``remote_factory`` (see
-:class:`~repro.core.region.FluidRegion`) is installed in every worker
-once per run, and a worker that crashes running it is respawned and its
-in-flight tasks re-dispatched; a closure-only region is inherited by the
+:class:`~repro.core.region.FluidRegion`) is installed in a worker ahead
+of the first batch the run sends it (again after a respawn), and a
+worker that crashes running it is respawned and its in-flight tasks
+re-dispatched; a closure-only region is inherited by the
 private pool's fork (a shared pool, forked before it existed, refuses
 it), and a worker that dies running it fails the run.
+
+Each worker has its own duplex pipe to the parent: ``("runs",
+flush_interval, installs, items)`` and ``("reset",)`` go down, flushes
+come back, in order per worker (none holds across workers).  A pipe that
+ends, even mid-message, is a dead worker's.  The rule that rules out
+deadlock: **the parent writes to a worker only when the worker has
+reported a terminal message for every item it holds (so it is blocked
+in ``recv``), or when the worker was just forked.**  So ``runs`` go to
+idle or fresh slots, ``reset`` follows the lease's reclaim, and a
+region's install waits in the parent for the slot's next ``runs``.
 
 Data crosses the boundary as picklable snapshots
 (:func:`~repro.core.data.export_payload`); large numpy payloads ride
@@ -114,10 +125,10 @@ from __future__ import annotations
 import contextlib
 import os
 import pickle
-import queue as queue_module
 import time
 import traceback
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from ..core.count import RecordingSink
 from ..core.data import PayloadArena, import_payload, payload_nbytes
@@ -148,49 +159,53 @@ _RECLAIM_GRACE = 2.0
 _MAX_RESPAWNS = 3
 
 #: Default upper bound on one control-loop block.  The loop is woken by
-#: events — worker messages arriving on the outbox, or a busy worker's
-#: process sentinel closing — so this only bounds how stale the deadline
-#: check can get, and paces the safety-net re-poll of parked records.
+#: events — a message on a busy worker's pipe, or its process sentinel
+#: closing — so this only bounds how stale the deadline check can get,
+#: and paces the safety-net re-poll of parked records.
 _FALLBACK_INTERVAL = 0.1
 
 
 class _WorkerLoop:
-    """Worker-side run loop.
+    """Worker-side run loop over this worker's end of its pipe.
 
-    A region is rebuilt from its ``("install", ...)`` factory blob when
-    the parent sent one, else taken from ``inherited`` — the regions the
-    worker kept from its fork, by run index.  The loop serves
-    ``("runs", ...)`` batches serially, streaming chunk-boundary flushes
-    back on the shared outbox as 7-tuples::
+    A region is rebuilt from the factory blob of a ``runs`` message's
+    ``installs`` when the parent sent one, else taken from ``inherited``
+    — the regions the worker kept from its fork, by run index.  The loop
+    serves ``("runs", ...)`` batches serially, sending chunk-boundary
+    flushes back on the same pipe as 7-tuples::
 
         (kind, slot, dispatch_id, region_index, task_index,
          records_or_excrepr, payloads_or_traceback)
 
     Large outputs travel in ``arena``, this worker's result arena.
+    ``None`` or end-of-file ends the loop.
     """
 
-    def __init__(self, slot: int, outbox, cancel_flags, arena: PayloadArena,
+    def __init__(self, slot: int, conn, cancel_flags, arena: PayloadArena,
                  inherited: Sequence[FluidRegion] = ()):
         self.slot = slot
-        self.outbox = outbox
+        self.conn = conn
         self.cancel_flags = cancel_flags
         self.arena = arena
         self.sink = RecordingSink()
         self.regions: Dict[int, FluidRegion] = {}
         self._inherited = inherited
 
-    def serve(self, inbox) -> None:
+    def serve(self) -> None:
         while True:
-            message = inbox.get()
+            try:
+                message = self.conn.recv()
+            except EOFError:
+                return
             if message is None:
                 return
             kind = message[0]
             if kind == "runs":
-                _kind, flush_interval, items = message
+                _kind, flush_interval, installs, items = message
+                for region_index, blob in installs:
+                    self.install(region_index, blob)
                 for item in items:
                     self._run_item(flush_interval, item)
-            elif kind == "install":
-                self.install(message[1], message[2])
             elif kind == "reset":
                 self.reset()
 
@@ -257,12 +272,12 @@ class _WorkerLoop:
     def _run_body(self, flush_interval: float, dispatch_id: int,
                   region_index: int, task_index: int, run_index: int,
                   task: FluidTask) -> None:
-        outbox = self.outbox
+        send = self.conn.send
         slot = self.slot
         if self._cancelled(dispatch_id):
             # Cancelled while still queued behind its batch-mates.
-            outbox.put((_CANCELLED, slot, dispatch_id, region_index,
-                        task_index, self.sink.drain(), {}))
+            send((_CANCELLED, slot, dispatch_id, region_index, task_index,
+                  self.sink.drain(), {}))
             return
         task.run_index = run_index
         task.cancel_requested = False
@@ -276,8 +291,8 @@ class _WorkerLoop:
                 if self._cancelled(dispatch_id):
                     task.cancel_requested = True
                     generator.close()
-                    outbox.put((_CANCELLED, slot, dispatch_id, region_index,
-                                task_index, self.sink.drain(), {}))
+                    send((_CANCELLED, slot, dispatch_id, region_index,
+                          task_index, self.sink.drain(), {}))
                     return
                 now = time.monotonic()
                 if now - last_flush >= flush_interval:
@@ -289,18 +304,17 @@ class _WorkerLoop:
                             payloads[data.name] = data.export_payload(
                                 self.arena, (region_index, data.name))
                     if self.sink.buffer or payloads:
-                        outbox.put((_PROGRESS, slot, dispatch_id,
-                                    region_index, task_index,
-                                    self.sink.drain(), payloads))
+                        send((_PROGRESS, slot, dispatch_id, region_index,
+                              task_index, self.sink.drain(), payloads))
         except Exception as exc:
-            outbox.put((_ERROR, slot, dispatch_id, region_index, task_index,
-                        repr(exc), traceback.format_exc()))
+            send((_ERROR, slot, dispatch_id, region_index, task_index,
+                  repr(exc), traceback.format_exc()))
             return
         payloads = {data.name: data.export_payload(
                         self.arena, (region_index, data.name))
                     for data in task.spec.outputs}
-        outbox.put((_FINISHED, slot, dispatch_id, region_index, task_index,
-                    self.sink.drain(), payloads))
+        send((_FINISHED, slot, dispatch_id, region_index, task_index,
+              self.sink.drain(), payloads))
 
 
 class ProcessExecutor(Executor, GuardHost):
@@ -405,9 +419,11 @@ class ProcessExecutor(Executor, GuardHost):
         #: version is unchanged is skipped at dispatch.
         self._shipped: Dict[int, Dict[Tuple[int, str], int]] = {}
         #: Pickled factories of the launched regions that carry one, by
-        #: run index: installed in every worker, re-sent to respawned
-        #: ones.  A region absent from here is closure-only.
+        #: run index, in launch order.  A region absent from here is
+        #: closure-only.
         self._region_blobs: Dict[int, bytes] = {}
+        #: Per slot, how many of ``_region_blobs`` its worker was sent.
+        self._installed: Dict[int, int] = {}
         self._respawns: Dict[int, int] = {}
         self._epoch = 0.0
 
@@ -497,23 +513,17 @@ class ProcessExecutor(Executor, GuardHost):
             for slot, ids in self._slot_ids.items():
                 if ids:
                     pool.cancel_flags[slot] = _CANCEL_ALL
-
-            def busy() -> List[int]:
-                return [slot for slot, ids in self._slot_ids.items()
-                        if ids and pool.processes[slot].is_alive()]
-
             deadline = time.perf_counter() + _RECLAIM_GRACE
-            while busy() and time.perf_counter() < deadline:
-                try:
-                    message = pool.outbox.get(timeout=0.05)
-                except (queue_module.Empty, OSError, ValueError):
-                    continue
-                if not message:
-                    continue
-                kind, slot, dispatch_id = message[:3]
-                if kind in (_FINISHED, _CANCELLED, _ERROR):
-                    ids = self._slot_ids.get(slot)
-                    if ids and dispatch_id in ids:
+            while time.perf_counter() < deadline:
+                busy = [slot for slot, ids in self._slot_ids.items()
+                        if ids and pool.processes[slot].is_alive()]
+                if not busy:
+                    break
+                # Unapplied: their handles own nothing to release.
+                for message in self._receive(busy, 0.05):
+                    kind, slot, dispatch_id = message[:3]
+                    ids = self._slot_ids[slot]
+                    if kind != _PROGRESS and dispatch_id in ids:
                         ids.remove(dispatch_id)
             for slot in range(self.workers):
                 if self._slot_ids.get(slot) or \
@@ -521,24 +531,11 @@ class ProcessExecutor(Executor, GuardHost):
                     pool.respawn(slot)
                     self._slot_ids[slot] = []
                 pool.cancel_flags[slot] = 0
-            for inbox in pool.inboxes:
-                try:
-                    inbox.put_nowait(("reset",))
-                except Exception:  # pragma: no cover - torn-down queue
-                    pass
-            self._drop_pending_events()
+                self._send(slot, ("reset",))
             self._inflight.clear()
             self._task_dispatch.clear()
         finally:
             pool.release()
-
-    def _drop_pending_events(self) -> None:
-        """Drop unapplied events: their handles own nothing to release."""
-        while True:
-            try:
-                self._pool.outbox.get_nowait()
-            except (queue_module.Empty, OSError, ValueError):
-                return
 
     def _check_workers(self) -> None:
         for slot, ids in list(self._slot_ids.items()):
@@ -582,10 +579,9 @@ class ProcessExecutor(Executor, GuardHost):
         # The crashed body dirtied its local copies without a terminal
         # event; nothing shipped to this slot can be trusted.
         self._shipped.pop(slot, None)
+        self._installed.pop(slot, None)
         self._pool.respawn(slot)
         self._pool.cancel_flags[slot] = 0
-        for region_index, blob in self._region_blobs.items():
-            self._pool.inboxes[slot].put(("install", region_index, blob))
         redispatch: List[FluidTask] = []
         for task in tasks:
             if task.state is TaskState.COMPLETE:
@@ -611,9 +607,8 @@ class ProcessExecutor(Executor, GuardHost):
         region = run.region
         blob = pool_blob(region)
         if blob is not None:
+            # Sent with each slot's next batch, never to a busy worker.
             self._region_blobs[run.index] = blob
-            for inbox in self._pool.inboxes:
-                inbox.put(("install", run.index, blob))
         elif region not in self._pool.inherited:
             raise SchedulerError(
                 f"region {region.name!r} cannot run on a persistent "
@@ -725,7 +720,10 @@ class ProcessExecutor(Executor, GuardHost):
                     data={"bytes": sum(payload_nbytes(handle)
                                        for handle in payloads.values()),
                           "cells": len(payloads), "skipped": skipped})
-        self._pool.inboxes[slot].put(("runs", self.flush_interval, items))
+        installed = self._installed.get(slot, 0)
+        installs = list(self._region_blobs.items())[installed:]
+        self._installed[slot] = len(self._region_blobs)
+        self._send(slot, ("runs", self.flush_interval, installs, items))
         if self._bus is not None:
             self._bus.emit("worker", tasks[0].region.name, "", "batch",
                            data={"slot": slot, "size": len(items)})
@@ -749,6 +747,14 @@ class ProcessExecutor(Executor, GuardHost):
             os.kill(process.pid, signal.SIGKILL)
             process.join(timeout=1.0)
 
+    def _send(self, slot: int, message: Tuple) -> None:
+        """Write to an idle or fresh worker (the send rule); a dead one is
+        left to ``_check_workers``."""
+        try:
+            self._pool.conns[slot].send(message)
+        except OSError:
+            pass
+
     # ----------------------------------------------------- event handling
 
     def _drain_events(self) -> None:
@@ -757,50 +763,36 @@ class ProcessExecutor(Executor, GuardHost):
         producer bumps, then finalises.  No message for a whole
         ``fallback_interval``: re-poll every parked record instead."""
         waiting = self.context.waiting
-        if not self._await_activity():
-            self._recheck(waiting.records.values())
-            return
-        while True:
-            try:
-                message = self._pool.outbox.get_nowait()
-            except queue_module.Empty:
-                break
+        records = waiting.records  # no message: every parked record
+        busy = [slot for slot, ids in self._slot_ids.items() if ids]
+        for message in self._receive(busy, self.fallback_interval):
             self._apply_event(message)
-        self._recheck(waiting.polled.values())
+            records = waiting.polled
+        self._recheck(records.values())
 
-    def _await_activity(self) -> bool:
-        """Block until something happened: a worker message landed on the
-        outbox, or a busy worker's process died (its sentinel became
-        ready).  Event-driven — a timed ``get`` remains only as a
-        fallback for interpreters whose ``Queue`` lacks the ``_reader``
-        connection.  Returns True when the outbox may hold messages; the
-        ``fallback_interval`` bound keeps the caller's deadline check
-        live even if no event ever arrives."""
-        outbox = self._pool.outbox
-        reader = getattr(outbox, "_reader", None)
-        if reader is None:
-            # ``Queue._reader`` is a private CPython detail (the read
-            # end of the queue's pipe); spawn-only platforms, alternate
-            # interpreters or a future CPython may not expose it.  Fall
-            # back to a timed get(): correctness is identical, but a
-            # dead worker is noticed by _check_workers at the next
-            # fallback tick rather than by its sentinel.
-            try:
-                message = outbox.get(timeout=self.fallback_interval)
-            except queue_module.Empty:
-                return False
-            self._apply_event(message)
-            return True
+    def _receive(self, slots: List[int], timeout: float) -> Iterator[Tuple]:
+        """Wait up to ``timeout`` for a pipe of ``slots`` to be readable or
+        a worker to die, then yield what every readable pipe holds.  A
+        pipe that ends is left to ``_check_workers``."""
+        # Imported here: ``multiprocessing.connection`` brings sockets,
+        # selectors and tempfile, ~1 MB no thread or simulator run needs.
         from multiprocessing.connection import wait as connection_wait
 
-        sentinels = [self._pool.processes[slot].sentinel
-                     for slot, ids in self._slot_ids.items() if ids]
-        try:
-            ready = connection_wait([reader] + sentinels,
-                                    timeout=self.fallback_interval)
-        except OSError:  # pragma: no cover - raced a worker teardown
-            return False
-        return reader in ready
+        pool = self._pool
+        conns = [pool.conns[slot] for slot in slots]
+        ready = connection_wait(
+            conns + [pool.processes[slot].sentinel for slot in slots],
+            timeout)
+        for conn in conns:
+            if conn not in ready:
+                continue
+            try:
+                while True:
+                    yield conn.recv()
+                    if not conn.poll():
+                        break
+            except (EOFError, OSError):
+                pass
 
     def _apply_event(self, message: Tuple) -> None:
         kind, slot, dispatch_id, region_index, task_index = message[:5]

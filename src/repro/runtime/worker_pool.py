@@ -37,9 +37,12 @@ Lifecycle contract
   so the pool unlinks them without having seen a handle.  No segment is
   made per run; a pool keeps what its largest lease used until
   ``close()``.
+* ``conns`` — the parent's end of each worker's duplex pipe.  Nothing
+  is shared with another process, so a worker killed mid-message harms
+  only its own pipe, and its death reads as end-of-file there.
 * ``respawn(slot)`` — replaces a crashed worker with a fresh process
-  *and a fresh inbox* (items queued to the dead worker must not replay
-  on its replacement), swapping both into the pool's lists in place,
+  *and a fresh pipe* (messages to or from the dead worker must not
+  reach its replacement), swapping both into the pool's lists in place,
   and sweeps the dead worker's result segments.
 * ``next_dispatch_id()`` — pool-global dispatch ids, unique across
   leases, so stale messages from a previous lease can never alias a
@@ -51,10 +54,8 @@ Lifecycle contract
 
 from __future__ import annotations
 
-import logging
 import os
 import pickle
-import queue as queue_module
 import secrets
 import threading
 import time
@@ -63,8 +64,6 @@ from typing import List, Optional, Sequence
 from ..core.data import PayloadArena, arena_sweep
 from ..core.errors import SchedulerError
 from ..core.region import FluidRegion
-
-logger = logging.getLogger(__name__)
 
 
 def pool_blob(region: FluidRegion) -> Optional[bytes]:
@@ -87,14 +86,22 @@ def _worker_segments(pool_prefix: str, pid: int) -> str:
     return f"{pool_prefix}{pid}-"
 
 
-def _pool_worker_main(slot: int, inbox, outbox, cancel_flags,
+def _pool_worker_main(slot: int, conn, parent_end, cancel_flags,
                       inherited: Sequence[FluidRegion],
                       pool_prefix: str) -> None:
     """Entry point of one worker: run bodies, stream updates back."""
     from .process_backend import _WorkerLoop
 
+    parent_end.close()
     arena = PayloadArena(prefix=_worker_segments(pool_prefix, os.getpid()))
-    _WorkerLoop(slot, outbox, cancel_flags, arena, inherited).serve(inbox)
+    _WorkerLoop(slot, conn, cancel_flags, arena, inherited).serve()
+
+
+def _alive(process) -> bool:
+    try:
+        return process.is_alive()
+    except ValueError:  # released by close(), after reaping it
+        return False
 
 
 class PersistentProcessPool:
@@ -129,13 +136,12 @@ class PersistentProcessPool:
         self.name = name
         self.inherited = tuple(inherit)
         self.context = multiprocessing.get_context("fork")
-        self.outbox = self.context.Queue()
         # "q" (int64): the flag carries a dispatch_id (or -1 for all).
         self.cancel_flags = self.context.Array("q", self.workers, lock=False)
         #: respawn() swaps a slot's entries in place, so a leasing
         #: executor must index these lists afresh, never copy them.
-        self.inboxes: List = []
-        self.processes: List = []
+        self.conns: List = [None] * self.workers
+        self.processes: List = [None] * self.workers
         self.arena = PayloadArena()
         #: Unique per pool; short, since macOS caps shm names at 31 bytes.
         self._segment_prefix = f"fluid-{secrets.token_hex(4)}-"
@@ -144,21 +150,22 @@ class PersistentProcessPool:
         self._next_id = 0
         self._closed = False
         for slot in range(self.workers):
-            inbox = self.context.Queue()
-            self.inboxes.append(inbox)
-            self.processes.append(self._make_process(slot, inbox))
-        # Fork only after every queue exists and before the first put
-        # spawns a feeder thread (forking a multi-threaded parent is
-        # where fork-based pools go wrong).
-        for process in self.processes:
-            process.start()
+            self._start(slot)
 
-    def _make_process(self, slot: int, inbox):
-        return self.context.Process(
+    def _start(self, slot: int) -> None:
+        """Fork ``slot``'s worker on a fresh pipe.  The parent's copy of
+        the child's end is closed before the next fork, which would
+        otherwise inherit it and hide this worker's end-of-file."""
+        conn, child_end = self.context.Pipe()
+        process = self.context.Process(
             target=_pool_worker_main,
-            args=(slot, inbox, self.outbox, self.cancel_flags,
+            args=(slot, child_end, conn, self.cancel_flags,
                   self.inherited, self._segment_prefix),
             name=f"{self.name}-{slot}", daemon=True)
+        process.start()
+        child_end.close()
+        self.conns[slot] = conn
+        self.processes[slot] = process
 
     # -- leasing -----------------------------------------------------------
 
@@ -185,14 +192,15 @@ class PersistentProcessPool:
 
     def alive(self) -> List[bool]:
         """Per-slot health snapshot (diagnostics/tests)."""
-        return [process.is_alive() for process in self.processes]
+        return [_alive(process) for process in self.processes]
 
     def respawn(self, slot: int) -> None:
-        """Replace one worker with a fresh process and a fresh inbox.
+        """Replace one worker with a fresh process and a fresh pipe.
 
-        The old inbox is abandoned, not drained: items queued to the
-        dead worker must not replay on its replacement (the leasing
-        executor re-dispatches what it still needs, with new ids).
+        The old pipe is closed, not drained: items sent to the dead
+        worker must not replay on its replacement, nor its last messages
+        reach the executor (which re-dispatches what it still needs,
+        with new ids).
         Handles into the old worker's result arena are stale by then
         (their dispatch ids are dropped), so its segments go too.
         """
@@ -204,17 +212,8 @@ class PersistentProcessPool:
                 old.kill()
                 old.join(timeout=1.0)
         self._sweep(old)
-        old_inbox = self.inboxes[slot]
-        try:
-            old_inbox.cancel_join_thread()
-            old_inbox.close()
-        except (ValueError, OSError):
-            pass  # already closed
-        inbox = self.context.Queue()
-        process = self._make_process(slot, inbox)
-        self.inboxes[slot] = inbox
-        self.processes[slot] = process
-        process.start()
+        self.conns[slot].close()
+        self._start(slot)
 
     def _sweep(self, process) -> None:
         """Unlink a worker's result-arena segments and close the parent's
@@ -228,13 +227,11 @@ class PersistentProcessPool:
         if self._closed:
             return
         self._closed = True
-        for inbox in self.inboxes:
+        for conn in self.conns:
             try:
-                inbox.put_nowait(None)
-            except (ValueError, OSError, queue_module.Full):
-                pass  # queue already closed/broken or worker gone
-            except Exception:
-                logger.exception("unexpected error sending pool shutdown")
+                conn.send(None)
+            except OSError:
+                pass  # worker gone
         # One deadline covers the whole pool: joining N workers
         # sequentially with a per-process timeout would stall close()
         # for N x timeout when the pool is wedged.  Workers that miss
@@ -249,17 +246,12 @@ class PersistentProcessPool:
         for process in stubborn:  # pragma: no cover - stubborn worker
             process.kill()
         self._join_all(stubborn, 0.5)
-        for process in self.processes:
+        for process, conn in zip(self.processes, self.conns):
             self._sweep(process)
+            conn.close()
+            if not process.is_alive():
+                process.close()  # frees its sentinel pipe
         self.arena.close()
-        for channel in self.inboxes + [self.outbox]:
-            try:
-                channel.cancel_join_thread()
-                channel.close()
-            except (ValueError, OSError):
-                pass  # already closed
-            except Exception:
-                logger.exception("unexpected error closing pool queue")
 
     @staticmethod
     def _join_all(processes, timeout: float) -> None:

@@ -3,12 +3,14 @@
 PID stability is the pool's whole point — ``FluidService`` requests and
 ``repro.stream`` windows must stop forking a fresh worker set per run —
 so these tests read ``os.getpid()`` out of worker-run task bodies and
-assert the processes stay put.  Crash recovery and the private
-``Queue._reader`` dependency get their own regression tests because both
-lean on fragile OS/CPython detail.
+assert the processes stay put.  Crash recovery gets its own regression
+tests because it leans on fragile OS detail.
 """
 
 import os
+import random
+import signal
+import threading
 import time
 
 import numpy as np
@@ -95,11 +97,6 @@ def make_big_crasher_region(flag_path, name="big-crasher"):
         if not os.path.exists(flag_path):
             with open(flag_path, "w") as handle:
                 handle.write("crashed")
-            # Let this worker's outbox feeder thread finish sending
-            # ``big``'s result and release the queue's cross-process
-            # write lock first: a worker killed while it holds that lock
-            # wedges every later writer, its replacement included.
-            time.sleep(0.1)
             os._exit(13)
         out.write(float(big.read().sum()))
         yield 1.0
@@ -108,6 +105,55 @@ def make_big_crasher_region(flag_path, name="big-crasher"):
     region.add_task("boom", boom, inputs=[big], outputs=[out],
                     start_valves=[DataFinalValve(big)])
     region.remote_factory = (make_big_crasher_region, (flag_path, name), {})
+    return region
+
+
+#: One count record per chunk of the streaming body: larger than a
+#: socket buffer, so each flush blocks its worker until the parent reads.
+STREAM_BYTES = 256 * 1024
+STREAM_CHUNKS = 4
+
+
+def make_streamer_region(flag_path, kill_after, name="streamer"):
+    """``stream`` flushes one ``STREAM_BYTES`` count record per chunk (run
+    it with ``flush_interval=0``), then writes ``out``.  Its first run,
+    gated on a flag file, has a timer thread SIGKILL its worker
+    ``kill_after`` seconds in, while the body is sending; the retry on
+    the replacement worker streams to the end."""
+    region = FluidRegion(name)
+    blob = region.add_count("blob", b"")
+    out = region.add_data("out", 0)
+
+    def stream(ctx):
+        if not os.path.exists(flag_path):
+            with open(flag_path, "w") as handle:
+                handle.write("killed")
+            threading.Timer(kill_after, os.kill,
+                            (os.getpid(), signal.SIGKILL)).start()
+        for chunk in range(STREAM_CHUNKS):
+            blob.set(bytes([chunk]) * STREAM_BYTES)
+            yield 1.0
+        out.write(len(blob.value) * STREAM_CHUNKS)
+        yield 1.0
+
+    region.add_task("stream", stream, outputs=[out])
+    region.remote_factory = (make_streamer_region,
+                             (flag_path, kill_after, name), {})
+    return region
+
+
+def make_sleeper_region(name, seconds, value):
+    """One task sleeps ``seconds``, then writes ``value`` to ``out``."""
+    region = FluidRegion(name)
+    out = region.add_data("out", 0)
+
+    def sleep(ctx):
+        time.sleep(seconds)
+        out.write(value)
+        yield 1.0
+
+    region.add_task("sleep", sleep, outputs=[out])
+    region.remote_factory = (make_sleeper_region, (name, seconds, value), {})
     return region
 
 
@@ -316,6 +362,144 @@ class TestSharedMemoryLifetime:
         assert shm_names() == before
 
 
+# ------------------------------------------------------ one pipe per worker
+
+class _SendRuleConn:
+    """Parent end of a worker's pipe that fails any write to a worker
+    still holding an item it has not reported a terminal message for."""
+
+    def __init__(self, conn):
+        self.conn = conn
+        self.held = 0
+        self.sent = []
+
+    def send(self, message):
+        assert self.held == 0, \
+            f"sent {message!r:.40} to a worker holding {self.held} item(s)"
+        if message is not None and message[0] == "runs":
+            self.held += len(message[3])
+        self.sent.append(message)
+        self.conn.send(message)
+
+    def recv(self):
+        message = self.conn.recv()
+        if message[0] != "progress":
+            self.held -= 1
+        return message
+
+    def __getattr__(self, name):
+        return getattr(self.conn, name)
+
+
+class TestOnePipePerWorker:
+    @pytest.mark.stress
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"),
+                        reason="lists POSIX shared memory through /dev/shm")
+    def test_a_worker_killed_mid_send_never_wedges_the_pool(self, tmp_path):
+        """200 times: a worker is SIGKILLed while it sends a flush larger
+        than its pipe's buffer.  Its lease still completes on the
+        replacement, which serves the next lease correctly."""
+        before = shm_names()
+        rng = random.Random(31)
+        respawns = 0
+        with PersistentProcessPool(workers=1) as pool:
+            for index in range(200):
+                region = make_streamer_region(
+                    str(tmp_path / f"killed-{index}"),
+                    rng.uniform(0.0, 0.002), name=f"stream{index}")
+                telemetry = Telemetry()
+                executor = ProcessExecutor(timeout=10, pool=pool,
+                                           flush_interval=0,
+                                           telemetry=telemetry)
+                executor.submit(region)
+                executor.run()
+                assert region.output("out") == STREAM_BYTES * STREAM_CHUNKS
+                respawns += telemetry.metrics.counters.get(
+                    "process.worker_respawns", 0)
+            follow_up = make_pid_region(name="after-kills", tasks=2)
+            executor = ProcessExecutor(timeout=10, pool=pool)
+            executor.submit(follow_up)
+            executor.run()
+            assert {follow_up.output(f"pid_{index}") for index in range(2)} \
+                == {pool.processes[0].pid}
+        # Most kills land inside the run; a later one is respawned at
+        # the lease's reclaim instead.
+        assert respawns >= 100, respawns
+        assert shm_names() == before
+
+    def test_parent_writes_only_to_a_worker_that_reported_every_item(self):
+        """A region launched (``after=``) while the only worker is busy
+        gets its install with that slot's next batch, not before."""
+        with PersistentProcessPool(workers=1) as pool:
+            conn = pool.conns[0] = _SendRuleConn(pool.conns[0])
+            first = make_sleeper_region("first", 0.0, 1)
+            long = make_sleeper_region("long", 0.3, 2)
+            after = make_sleeper_region("after", 0.0, 3)
+            executor = ProcessExecutor(timeout=30, pool=pool)
+            executor.submit(first)
+            executor.submit(long)
+            executor.submit(after, after=[first])
+            held_at_launch = {}
+            launch = executor._launch_region
+
+            def spy(run):
+                held_at_launch[run.region.name] = conn.held
+                launch(run)
+
+            executor._launch_region = spy
+            executor.run()
+            assert held_at_launch["after"] == 1  # ``long`` was running
+            runs = [message for message in conn.sent
+                    if message and message[0] == "runs"]
+            index = executor.context.run_for(after).index
+            installed = set()
+            for _kind, _flush, installs, items in runs:
+                installed.update(region_index for region_index, _ in installs)
+                if any(item[1] == index for item in items):
+                    assert index in installed
+                    break
+            else:
+                pytest.fail("no batch carried the after= region's task")
+        assert [first.output("out"), long.output("out"),
+                after.output("out")] == [1, 2, 3]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="counts descriptors through /proc/self/fd")
+    def test_no_thread_or_descriptor_outlives_the_pool(self, tmp_path):
+        """20 leases with 5 worker respawns start no queue feeder thread,
+        and ``close()`` leaves the threads and descriptors it found."""
+        # multiprocessing keeps some process-wide state (the shared-ctypes
+        # heap) from the first pool on: take the census after it exists.
+        PersistentProcessPool(workers=1).close()
+        threads = set(threading.enumerate())
+        descriptors = len(os.listdir("/proc/self/fd"))
+        pool = PersistentProcessPool(workers=2)
+        pids = set()
+        try:
+            for lease in range(20):
+                if lease % 4 == 3:
+                    region = make_crasher_region(
+                        str(tmp_path / f"crash-{lease}"), name=f"c{lease}")
+                    expected = {"out": 42}
+                else:
+                    region = make_pid_region(name=f"census{lease}", tasks=2)
+                    expected = {}
+                pids.update(process.pid for process in pool.processes)
+                executor = ProcessExecutor(timeout=60, pool=pool)
+                executor.submit(region)
+                executor.run()
+                for name, value in expected.items():
+                    assert region.output(name) == value
+                assert not [thread for thread in threading.enumerate()
+                            if thread.name == "QueueFeederThread"]
+            pids.update(process.pid for process in pool.processes)
+        finally:
+            pool.close()
+        assert len(pids) == 2 + 5  # five replacements
+        assert set(threading.enumerate()) == threads
+        assert len(os.listdir("/proc/self/fd")) == descriptors
+
+
 # ------------------------------------------------- batched-dispatch parity
 
 class TestBatchedDispatchParity:
@@ -397,35 +581,6 @@ class TestBatchedDispatchParity:
         # Batching coalesces: strictly fewer round-trips than tasks.
         assert counters["process.dispatch_batches"] <= \
             counters["process.dispatches"]
-
-
-# ------------------------------------------------ Queue._reader fallback
-
-class _NoReaderOutbox:
-    """Proxy that hides the private ``Queue._reader`` connection."""
-
-    def __init__(self, outbox):
-        object.__setattr__(self, "_wrapped", outbox)
-
-    def __getattr__(self, name):
-        if name == "_reader":
-            raise AttributeError(name)
-        return getattr(object.__getattribute__(self, "_wrapped"), name)
-
-
-class TestAwaitActivityFallback:
-    def test_run_completes_without_private_reader(self):
-        """``_await_activity`` leans on CPython's private ``Queue._reader``
-        for event-driven wakeups; interpreters without it must fall back
-        to timed-get polling with identical results."""
-        region = make_pid_region(name="noreader", tasks=4)
-        with PersistentProcessPool(workers=2) as pool:
-            pool.outbox = _NoReaderOutbox(pool.outbox)
-            executor = ProcessExecutor(timeout=60, pool=pool)
-            executor.submit(region)
-            executor.run()
-        pids = {region.output(f"pid_{index}") for index in range(4)}
-        assert pids and all(pid > 0 for pid in pids)
 
 
 # ----------------------------------------------------- service pool reuse

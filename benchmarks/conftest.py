@@ -6,7 +6,6 @@ numbers behind EXPERIMENTS.md are always reproducible from a clean
 checkout with ``pytest benchmarks/ --benchmark-only``.
 """
 
-import json
 import os
 
 import pytest
@@ -16,32 +15,14 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 @pytest.fixture
 def report():
-    """Return a callable that prints and archives a rendered table.
-
-    Benchmarks that produce :class:`repro.bench.BenchRow` objects pass
-    them via ``rows=``; the fixture then also archives a machine-readable
-    ``results/<name>.json`` in the bench-baseline schema, usable directly
-    with ``python -m repro.bench --compare`` (see docs/benchmarks.md).
-    """
+    """Return a callable that prints and archives a rendered table."""
     os.makedirs(RESULTS_DIR, exist_ok=True)
 
-    def _report(name: str, text: str, rows=None, backend: str = "sim",
-                app=None) -> None:
+    def _report(name: str, text: str) -> None:
         print(text)
         path = os.path.join(RESULTS_DIR, f"{name}.txt")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
-        if rows:
-            from repro.bench.baseline import baseline_dict
-            from repro.core.valves import memoization_enabled
-
-            document = baseline_dict(rows, backend=backend, quick=False,
-                                     memoization=memoization_enabled(),
-                                     app=app)
-            json_path = os.path.join(RESULTS_DIR, f"{name}.json")
-            with open(json_path, "w", encoding="utf-8") as handle:
-                json.dump(document, handle, indent=2, sort_keys=True)
-                handle.write("\n")
 
     return _report
 

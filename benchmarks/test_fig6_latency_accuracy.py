@@ -32,7 +32,7 @@ def test_fig6_all_apps(report, run_once):
         "Figure 6: fluidized latency and accuracy, normalized to the "
         "original (precise, serial) version",
         ["app", "input", "norm latency", "norm accuracy", "native metric"],
-        table), rows=rows)
+        table))
 
     # Shape assertions (paper: 22.2% average improvement, small accuracy
     # loss; we require the same direction with generous tolerances).

@@ -46,10 +46,10 @@ class BenchRow:
     """One normalized latency/accuracy data point.
 
     Besides the Figure-6 numbers the row carries the runtime-efficiency
-    counters the baseline machinery (:mod:`repro.bench.baseline`)
-    tracks across revisions: how many valve evaluations the fluid run
-    paid for, how many ``check()`` calls memoization answered without
-    recomputing, and how many task re-executions the valves triggered.
+    counters the Figure-6 golden (``tests/golden/fig6_matrix.json``)
+    pins: how many valve evaluations the fluid run paid for, how many
+    ``check()`` calls memoization answered without recomputing, and how
+    many task re-executions the valves triggered.
     """
 
     app: str
@@ -63,22 +63,10 @@ class BenchRow:
     valve_checks: int = 0
     valve_checks_skipped: int = 0
     reexecutions: int = 0
-    #: Best-of-``repeat`` makespan; the wall-clock latency gate uses it
-    #: because scheduler noise is additive, so the minimum converges to
-    #: the true runtime while the mean tracks transient load.  ``None``
-    #: for single runs (the mean IS the single measurement).
-    fluid_makespan_min: Optional[float] = None
-
-    @property
-    def gate_makespan(self) -> float:
-        """The makespan the latency gate compares (min when repeated)."""
-        if self.fluid_makespan_min is not None:
-            return self.fluid_makespan_min
-        return self.fluid_makespan
 
     @property
     def key(self) -> str:
-        """Stable workload identifier used by baseline files."""
+        """Stable workload identifier (``<app>/<input>``)."""
         return f"{self.app}/{self.input_name}"
 
     def as_list(self) -> List:
@@ -92,7 +80,7 @@ def collect_region_counters(regions) -> "tuple[int, int, int]":
 
     A re-execution is any completed run of a task beyond its first —
     the work the approximate-concurrency gamble pays when an end check
-    fails, and one of the quantities baselines guard across revisions.
+    fails.
     """
     checks = skipped = reexecutions = 0
     for region in regions:
@@ -107,45 +95,25 @@ def collect_region_counters(regions) -> "tuple[int, int, int]":
 def run_comparison(app: FluidApp, input_name: str,
                    threshold: Optional[float] = None,
                    valve: Optional[str] = None,
-                   repeat: int = 1,
                    **fluid_kwargs) -> BenchRow:
-    """Run precise once and fluid ``repeat`` times; return the mean row.
-
-    ``repeat > 1`` reports per-workload *means* of latency and the
-    runtime counters — essential for wall-clock backends, whose
-    single-run times on these repository-scale inputs are milliseconds
-    and dominated by scheduler noise.  A telemetry object in
-    ``fluid_kwargs`` instruments only the first fluid run (one bus, one
-    clock).
-    """
+    """Run precise and fluid once each; return the normalized row."""
     if valve is None:
         valve = HEADLINE_VALVE.get(app.name, "percent")
     precise = app.run_precise()
-    repeat = max(1, repeat)
-    runs = []
-    for index in range(repeat):
-        kwargs = dict(fluid_kwargs)
-        if index > 0:
-            kwargs.pop("telemetry", None)
-        fluid = app.run_fluid(threshold=threshold, valve=valve, **kwargs)
-        runs.append((fluid, collect_region_counters(fluid.regions)))
-    mean = lambda values: sum(values) / len(values)  # noqa: E731
-    first = runs[0][0]
+    fluid = app.run_fluid(threshold=threshold, valve=valve, **fluid_kwargs)
+    checks, skipped, reexecutions = collect_region_counters(fluid.regions)
     return BenchRow(
         app=app.name,
         input_name=input_name,
-        normalized_latency=mean([f.makespan for f, _c in runs])
-        / precise.makespan,
-        normalized_accuracy=mean([f.accuracy for f, _c in runs]),
-        native_metric=first.metric_name,
-        native_value=mean([f.metric for f, _c in runs]),
+        normalized_latency=fluid.makespan / precise.makespan,
+        normalized_accuracy=fluid.accuracy,
+        native_metric=fluid.metric_name,
+        native_value=fluid.metric,
         precise_makespan=precise.makespan,
-        fluid_makespan=mean([f.makespan for f, _c in runs]),
-        valve_checks=round(mean([c[0] for _f, c in runs])),
-        valve_checks_skipped=round(mean([c[1] for _f, c in runs])),
-        reexecutions=round(mean([c[2] for _f, c in runs])),
-        fluid_makespan_min=(min(f.makespan for f, _c in runs)
-                            if repeat > 1 else None))
+        fluid_makespan=fluid.makespan,
+        valve_checks=checks,
+        valve_checks_skipped=skipped,
+        reexecutions=reexecutions)
 
 
 # --------------------------------------------------------------- factories
@@ -301,72 +269,6 @@ def make_cpu_bound_region(name: str = "cpu_bound", tasks: int = 4,
     region.remote_factory = (make_cpu_bound_region,
                              (name, tasks, iterations, chunks), {})
     return region
-
-
-def cpu_bound_shapes(quick: bool = False) -> Dict[str, "tuple[int, int]"]:
-    """The (tasks, iterations) grid for the real-backend baseline suite."""
-    if quick:
-        return {"t4_i20k": (4, 20_000)}
-    return {"t4_i80k": (4, 80_000), "t8_i80k": (8, 80_000)}
-
-
-def run_region_comparison(input_name: str, tasks: int, iterations: int,
-                          backend: str, workers: Optional[int] = None,
-                          chunks: int = 16, repeat: int = 1,
-                          telemetry=None) -> BenchRow:
-    """Precise-vs-fluid :class:`BenchRow` for the CPU-bound fan-out region.
-
-    The Figure-6 applications mostly violate the process-backend payload
-    contract (aliased buffers), so real-backend baselines use this
-    contract-honouring workload instead.  The precise reference is the
-    same computation as a plain serial Python loop; both sides are
-    wall-clock seconds, so rows are comparable to other runs of the same
-    backend (and to their own recorded baseline), not to sim rows.
-    """
-    if backend not in ("thread", "process"):
-        raise ValueError(
-            f"run_region_comparison needs a real-time backend, not "
-            f"{backend!r}")
-    start = time.perf_counter()
-    expected = [_lcg_kernel(7 + 13 * index, iterations)
-                for index in range(tasks)]
-    precise_seconds = time.perf_counter() - start
-
-    runs = []
-    for index in range(max(1, repeat)):
-        region = make_cpu_bound_region(tasks=tasks, iterations=iterations,
-                                       chunks=chunks)
-        kwargs = {"timeout": 600.0}
-        if backend == "process" and workers:
-            kwargs["workers"] = workers
-        if telemetry is not None and index == 0:
-            kwargs["telemetry"] = telemetry
-        executor = make_executor(backend, **kwargs)
-        executor.submit(region)
-        start = time.perf_counter()
-        executor.run()
-        fluid_seconds = time.perf_counter() - start
-        outputs = [region.output(f"out_{i}") for i in range(tasks)]
-        runs.append((fluid_seconds, outputs == expected,
-                     collect_region_counters([region])))
-    mean = lambda values: sum(values) / len(values)  # noqa: E731
-    fluid_mean = mean([seconds for seconds, _ok, _c in runs])
-    exact = all(ok for _seconds, ok, _c in runs)
-    precise_floor = max(precise_seconds, 1e-9)
-    return BenchRow(
-        app="cpu_bound",
-        input_name=input_name,
-        normalized_latency=fluid_mean / precise_floor,
-        normalized_accuracy=1.0 if exact else 0.0,
-        native_metric="exact",
-        native_value=1.0 if exact else 0.0,
-        precise_makespan=precise_seconds,
-        fluid_makespan=fluid_mean,
-        valve_checks=round(mean([c[0] for _s, _ok, c in runs])),
-        valve_checks_skipped=round(mean([c[1] for _s, _ok, c in runs])),
-        reexecutions=round(mean([c[2] for _s, _ok, c in runs])),
-        fluid_makespan_min=(min(s for s, _ok, _c in runs)
-                            if repeat > 1 else None))
 
 
 @dataclass

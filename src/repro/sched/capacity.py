@@ -18,12 +18,13 @@ overload instead of parking (see
 queue-residence histogram are the same instrumentation the runtime
 backends publish.
 
-Results are written in the ``repro-bench-baseline/1`` schema
-(:mod:`repro.bench.baseline`), one workload per
-``<scheduler>/cores<C>/rate<R>`` cell, so the existing baseline tooling
-can load and diff capacity curves.  Same seed, same curve: the task
-stream for a given (cores, rate, seed) cell is identical across
-schedulers, and the whole sweep is deterministic.
+Results are written as a capacity document (:data:`SCHEMA`, one
+workload per ``<scheduler>/cores<C>/rate<R>`` cell), the format
+:func:`repro.service.pick_concurrency` reads and
+``python -m repro.service.loadgen`` also writes.  Same seed, same curve:
+the task stream for a given (cores, rate, seed) cell is identical across
+schedulers, and the whole sweep is deterministic.  FCFS throughput must
+not fall as cores grow (:func:`check_monotone`; tier-1 tests assert it).
 
 See ``docs/schedulers.md`` ("Reading capacity curves") for how to
 interpret the output.
@@ -35,7 +36,7 @@ import argparse
 import heapq
 import json
 import random
-import sys
+import subprocess
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -45,6 +46,10 @@ from .schedulers import SCHEDULER_NAMES, make_scheduler
 #: Mean service demand in virtual seconds; rates are offered load per
 #: core relative to this (rate 1.0 = saturation).
 MEAN_SERVICE = 1.0
+
+#: Schema tag of capacity documents.  The name dates from the retired
+#: bench-baseline format; it is kept so existing curve files still load.
+SCHEMA = "repro-bench-baseline/1"
 
 
 class SynthTask:
@@ -221,30 +226,46 @@ def check_monotone(workloads: Dict[str, Dict[str, Any]],
     return violations
 
 
-def capacity_document(workloads: Dict[str, Dict[str, Any]], *,
-                      tasks: int, seed: int, schedulers: Sequence[str],
-                      cores: Sequence[int], rates: Sequence[float],
-                      queue_capacity: Optional[int]) -> Dict[str, Any]:
-    """Wrap a sweep in the ``repro-bench-baseline/1`` envelope."""
-    from ..bench.baseline import SCHEMA, current_rev
+def current_rev() -> str:
+    """The repository revision to stamp into written documents."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            capture_output=True, text=True, timeout=10, check=False)
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    rev = out.stdout.strip()
+    return rev if out.returncode == 0 and rev else "unknown"
 
+
+def envelope(config: Dict[str, Any],
+             workloads: Dict[str, Dict[str, Any]]) -> Dict[str, Any]:
+    """Wrap sweep cells in the capacity-document envelope."""
     return {
         "schema": SCHEMA,
         "rev": current_rev(),
         "recorded": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "config": {
-            "backend": "capacity",
-            "quick": tasks <= 10_000,
-            "app": None,
-            "tasks": tasks,
-            "seed": seed,
-            "schedulers": list(schedulers),
-            "cores": list(cores),
-            "rates": list(rates),
-            "queue_capacity": queue_capacity,
-        },
+        "config": config,
         "workloads": workloads,
     }
+
+
+def capacity_document(workloads: Dict[str, Dict[str, Any]], *,
+                      tasks: int, seed: int, schedulers: Sequence[str],
+                      cores: Sequence[int], rates: Sequence[float],
+                      queue_capacity: Optional[int]) -> Dict[str, Any]:
+    """Wrap a capacity sweep in the :data:`SCHEMA` envelope."""
+    return envelope({
+        "backend": "capacity",
+        "quick": tasks <= 10_000,
+        "app": None,
+        "tasks": tasks,
+        "seed": seed,
+        "schedulers": list(schedulers),
+        "cores": list(cores),
+        "rates": list(rates),
+        "queue_capacity": queue_capacity,
+    }, workloads)
 
 
 def _parse_list(text: str, kind, what: str) -> list:
@@ -278,14 +299,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="wrap each scheduler in bounded admission "
                         "with this capacity (tasks beyond it are shed)")
     parser.add_argument("--out", default=None,
-                        help="write the sweep as a repro-bench-baseline/1 "
-                        "JSON document")
+                        help="write the sweep as a capacity JSON document")
     parser.add_argument("--metrics-out", default=None,
                         help="also dump aggregated sched.* metrics "
                         "(repro.telemetry metrics schema)")
-    parser.add_argument("--assert-monotone", action="store_true",
-                        help="fail unless FCFS throughput is non-decreasing "
-                        "in cores at every rate (2%% tolerance)")
     args = parser.parse_args(argv)
 
     if args.tasks < 1:
@@ -337,16 +354,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         telemetry.run_finished(0.0, max(cores))
         telemetry.write(metrics_out=args.metrics_out)
         print(f"wrote {args.metrics_out}")
-
-    if args.assert_monotone:
-        violations = check_monotone(workloads, schedulers, cores, rates)
-        if violations:
-            for violation in violations:
-                print(f"MONOTONICITY VIOLATION: {violation}",
-                      file=sys.stderr)
-            return 1
-        print("monotonicity check: PASS "
-              "(fcfs throughput non-decreasing in cores)")
     return 0
 
 

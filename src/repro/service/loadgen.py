@@ -3,18 +3,17 @@
 ``python -m repro.service.loadgen`` drives a real service instance with
 seeded Poisson arrivals of small synthetic Fluid regions, sweeping the
 offered arrival rate, and reports per-rate throughput and request
-latency percentiles.  Results are written in the
-``repro-bench-baseline/1`` schema with ``<discipline>/cores<slots>/
+latency percentiles.  Results are written as a capacity document
+(:data:`repro.sched.capacity.SCHEMA`) with ``<discipline>/cores<slots>/
 rate<R>`` workload keys — the same cell format as
 ``python -m repro.sched.capacity`` — so a measured service sweep can be
 fed back into :func:`repro.service.pick_concurrency` as the
 ``capacity_curves`` admission policy input.
 
-``--check`` turns the run into a gate (used by the CI ``service-smoke``
-job): every request must complete or be observably shed, no *must-run*
-request may ever be shed, and completed throughput must grow with
-offered load (within a generous tolerance, since wall-clock CI boxes
-are noisy).
+:func:`check_sweep` states the service invariants a sweep must hold
+(tier-1 tests assert them): every request completes or is observably
+shed, no *must-run* request is ever shed, and completed throughput does
+not collapse as offered load grows.
 """
 
 from __future__ import annotations
@@ -23,12 +22,11 @@ import argparse
 import asyncio
 import json
 import random
-import sys
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
 from .. import FluidRegion, PercentValve, PredicateValve
-from ..sched.capacity import _percentile
+from ..sched.capacity import _percentile, envelope
 from .admission import AdmissionError
 from .service import FluidService
 
@@ -157,31 +155,23 @@ def sweep_document(workloads: Dict[str, Dict[str, Any]], *,
                    requests: int, seed: int, slots: int,
                    discipline: str, rates: Sequence[float],
                    queue_capacity: int, backend: str) -> Dict[str, Any]:
-    """Wrap a loadgen sweep in the ``repro-bench-baseline/1`` envelope."""
-    from ..bench.baseline import SCHEMA, current_rev
-
-    return {
-        "schema": SCHEMA,
-        "rev": current_rev(),
-        "recorded": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "config": {
-            "backend": f"service-{backend}",
-            "quick": requests <= 1000,
-            "app": None,
-            "requests": requests,
-            "seed": seed,
-            "slots": slots,
-            "discipline": discipline,
-            "rates": list(rates),
-            "queue_capacity": queue_capacity,
-        },
-        "workloads": workloads,
-    }
+    """Wrap a loadgen sweep in the capacity-document envelope."""
+    return envelope({
+        "backend": f"service-{backend}",
+        "quick": requests <= 1000,
+        "app": None,
+        "requests": requests,
+        "seed": seed,
+        "slots": slots,
+        "discipline": discipline,
+        "rates": list(rates),
+        "queue_capacity": queue_capacity,
+    }, workloads)
 
 
 def check_sweep(workloads: Dict[str, Dict[str, Any]],
                 tolerance: float = 0.8) -> List[str]:
-    """Gate properties for CI; returns violations (empty = pass).
+    """The service invariants of a sweep; returns violations (empty = pass).
 
     * No must-run request may ever be shed (bounded admission parks
       them; a shed one is a lost guarantee).
@@ -190,8 +180,8 @@ def check_sweep(workloads: Dict[str, Dict[str, Any]],
       exact answers).
     * Completed throughput must not *collapse* as offered load grows:
       each higher-rate cell must deliver at least ``tolerance`` x the
-      best lower-rate throughput.  The generous factor absorbs CI
-      timing noise while still catching real regressions (a service
+      best lower-rate throughput.  The generous factor absorbs
+      wall-clock noise while still catching real regressions (a service
       that thrashes under load shows up far below 0.8x).
     """
     violations: List[str] = []
@@ -256,11 +246,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=0,
                         help="arrival/workload seed (default 0)")
     parser.add_argument("--out", default=None,
-                        help="write the sweep as a repro-bench-baseline/1 "
-                        "JSON document")
-    parser.add_argument("--check", action="store_true",
-                        help="gate: no must-run sheds, full accounting, "
-                        "no throughput collapse under load")
+                        help="write the sweep as a capacity JSON document")
     args = parser.parse_args(argv)
 
     if args.requests < 1:
@@ -307,15 +293,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             json.dump(document, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"wrote {args.out}")
-
-    if args.check:
-        violations = check_sweep(workloads)
-        if violations:
-            for violation in violations:
-                print(f"LOADGEN VIOLATION: {violation}", file=sys.stderr)
-            return 1
-        print("loadgen check: PASS (no must-run sheds, full accounting, "
-              "no throughput collapse)")
     return 0
 
 

@@ -12,8 +12,8 @@ Three layers, matching docs/autotuning.md:
   attach, memo invalidation on actuation, ``tune.*`` metrics folding.
 * **Sim integration**: a strict-quality K-means run where the
   ``accuracy_floor`` tuner must adjust at least once, hold the floor,
-  and beat the static baseline it started from — the acceptance
-  behaviour the bench sweep (``repro.bench.autotune_sweep``) gates on.
+  and beat the static baseline it started from, under both the AIMD
+  and the hysteresis control law.
 """
 
 import pytest
@@ -352,13 +352,10 @@ def _strict_kmeans():
                      num_clusters=5, epochs=5, quality_fraction=1.0)
 
 
-def test_accuracy_floor_tuner_beats_static_on_strict_kmeans():
-    """The acceptance behaviour: on strict-quality K-means the tuner
-    adjusts at least once, holds the 0.9 floor, and reduces makespan
-    versus the static aggressive baseline."""
+def _assert_tuner_beats_static(spec):
     static = _strict_kmeans().run_fluid(threshold=0.2)
     app = _strict_kmeans()
-    tuner = make_autotuner("accuracy_floor:target=0.9,window=1")
+    tuner = make_autotuner(spec)
     telemetry = Telemetry(chrome=False)
     tuned = app.run_fluid(threshold=0.2, autotune=tuner,
                           telemetry=telemetry)
@@ -371,6 +368,23 @@ def test_accuracy_floor_tuner_beats_static_on_strict_kmeans():
     assert telemetry.metrics.counters["tune.windows"] >= tuner.windows
     # ...and the decision log matches the counters.
     assert len(tuner.decisions) == tuner.adjustments
+
+
+def test_accuracy_floor_tuner_beats_static_on_strict_kmeans():
+    """The acceptance behaviour: on strict-quality K-means the tuner
+    adjusts at least once, holds the 0.9 floor, and reduces makespan
+    versus the static aggressive baseline."""
+    _assert_tuner_beats_static("accuracy_floor:target=0.9,window=1")
+
+
+def test_hysteresis_tuner_beats_static_on_strict_kmeans():
+    """The same acceptance behaviour under the hysteresis law.  The
+    strict-quality regime needs decisive steps: one failed epoch must
+    tighten enough that the next producer finishes by its consumer's
+    end check."""
+    _assert_tuner_beats_static(
+        "accuracy_floor:target=0.9,window=1,controller=hysteresis,"
+        "gain=2.0,max_step=1.0")
 
 
 def test_autotune_spec_string_builds_fresh_tuner_per_run():

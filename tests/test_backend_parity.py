@@ -294,6 +294,24 @@ class TestMemoizationParity:
         assert skipped_on > 0
         assert checks_on < checks_off
 
+    def test_no_valve_memo_records_more_checks(self):
+        """Count valves never memoize, so memoization shows on a run
+        whose valves still do: K-means on the thread driver re-checks
+        each band's ``DataFinalValve`` against an unchanged cell."""
+        from repro.bench import collect_region_counters, standard_suite
+
+        build = standard_suite()["kmeans"]["div3"]
+        results = {}
+        for memo in (False, True):
+            run = self._run_memo(
+                lambda app: app.run_fluid(backend="thread"), build, memo)
+            results[memo] = collect_region_counters(run.regions)
+        checks_off, skipped_off, _ = results[False]
+        checks_on, skipped_on, _ = results[True]
+        assert skipped_off == 0
+        assert skipped_on > 0
+        assert checks_on < checks_off
+
 
 # ------------------------------------------------------ region lifecycle
 

@@ -450,25 +450,33 @@ class TestServiceThreadHygiene:
 
 
 class TestLoadgen:
-    def test_smoke_sweep_writes_baseline_schema(self, tmp_path, capsys):
+    def test_smoke_sweep_writes_baseline_schema(self, tmp_path):
         import json
 
+        from repro.sched.capacity import SCHEMA
+        from repro.service.loadgen import check_sweep
         from repro.service.loadgen import main as loadgen_main
 
-        out = tmp_path / "sweep.json"
-        assert loadgen_main(["--requests", "15", "--rates", "150,300",
-                             "--slots", "2", "--seed", "5",
-                             "--out", str(out), "--check"]) == 0
-        stdout = capsys.readouterr().out
-        assert "loadgen check: PASS" in stdout
-        document = json.loads(out.read_text())
-        assert document["schema"] == "repro-bench-baseline/1"
-        keys = sorted(document["workloads"])
-        assert keys == ["fcfs/cores2/rate150", "fcfs/cores2/rate300"]
-        for record in document["workloads"].values():
-            assert record["must_run_shed"] == 0
-            assert (record["tasks_completed"] + record["tasks_shed"]
-                    + record["failures"]) == 15
+        # The plain shed-or-park sweep, then the batched-dispatch cell.
+        cases = (
+            (["--rates", "150,300", "--seed", "5"],
+             ["fcfs/cores2/rate150", "fcfs/cores2/rate300"]),
+            (["--rates", "200", "--seed", "1", "--batch-max", "4",
+              "--batch-cost-threshold", "32"],
+             ["fcfs/cores2/rate200"]),
+        )
+        for flags, expected_keys in cases:
+            out = tmp_path / "sweep.json"
+            assert loadgen_main(["--requests", "15", "--slots", "2",
+                                 *flags, "--out", str(out)]) == 0
+            document = json.loads(out.read_text())
+            assert document["schema"] == SCHEMA
+            assert sorted(document["workloads"]) == expected_keys
+            assert check_sweep(document["workloads"]) == []
+            for record in document["workloads"].values():
+                assert record["must_run_shed"] == 0
+                assert (record["tasks_completed"] + record["tasks_shed"]
+                        + record["failures"]) == 15
 
     def test_sweep_feeds_pick_concurrency(self, tmp_path):
         import json

@@ -6,7 +6,10 @@ reference *item for item* — same outputs, same end-valve verdicts.  At
 ``k > 0`` divergence is allowed but bounded: with one window and four
 queue edges (source plus three stages) at most ``4k`` items may go
 missing end-to-end, no must-deliver item may ever be lost, and no serve
-may overtake more than ``k`` seqs.  The autotuner tests pin the
+may overtake more than ``k`` seqs.  ``TestSweepConformance`` runs every
+app over a (k, arrival rate) grid on the simulator: k = 0 is exact, no
+must-deliver item is lost, every end verdict holds, and p50 latency
+never rises as k relaxes.  The autotuner tests pin the
 actuation contract: a :class:`~repro.core.valves.StalenessValve` is a
 tunable ``CountValve``, and tightening it steers the attached queue's
 effective drain bound toward FIFO.
@@ -59,10 +62,12 @@ class TestExactParityAtK0:
     def test_frames_capacity_parks_instead_of_dropping_at_k0(self):
         # k=0 with a bounded queue may park (backpressure) but must not
         # shed: the output is still exact.
-        result, reference = _run("frames", k=0, n=12, window=12,
-                                 backend="sim")
-        assert result.outputs == reference
-        assert result.drops == 0
+        for backend in ("sim", "thread"):
+            result, reference = _run("frames", k=0, n=12, window=12,
+                                     backend=backend)
+            assert result.outputs == reference, backend
+            assert result.drops == 0, backend
+            assert result.end_verdicts and all(result.end_verdicts.values())
 
     def test_backends_agree_with_each_other(self):
         outputs = [_run("logagg", k=0, n=24, window=12,
@@ -107,6 +112,33 @@ class TestBoundedDivergence:
         assert result.drops <= EDGES * 3
         missing = [seq for seq in reference if seq not in result.outputs]
         assert all(seq % 4 != 0 for seq in missing)  # keyframes survive
+
+
+class TestSweepConformance:
+    def test_sim_k_by_rate_grid(self):
+        n, window = 200, 40
+        for app_name in ("logagg", "topk", "frames"):
+            app = APPS[app_name]
+            items = app.make_items(n)
+            reference = app.pipeline(k=0, window=window).run_serial(items)
+            for rate in (1, 2):
+                p50s = []
+                for k in (0, 2, 8):
+                    label = f"{app_name} k={k} rate={rate}"
+                    pipeline = app.pipeline(k=k, window=window)
+                    pipeline.interarrival = app.interarrival / rate
+                    result = pipeline.run(items, backend="sim")
+                    if k == 0:
+                        assert result.outputs == reference, label
+                        assert result.delivered == n, label
+                    lost_must = [seq for seq in reference
+                                 if seq not in result.outputs
+                                 and (app.must is None or app.must(seq))]
+                    assert lost_must == [], label
+                    assert all(result.end_verdicts.values()), label
+                    p50s.append(result.percentile_latency(0.5))
+                assert p50s == sorted(p50s, reverse=True), (
+                    f"{app_name} rate={rate}: p50 by k={p50s}")
 
 
 class TestAutotunerActuation:

@@ -125,8 +125,11 @@ class FluidApp:
         seconds, so those makespans are only comparable to other
         real-time runs.  The process backend additionally requires the
         app's regions to honour the process-backend contract (honest
-        input/output declarations, no aliased payload buffers; see
-        docs/runtime-semantics.md).
+        input/output declarations, no aliased payload buffers, a
+        picklable ``remote_factory``; see docs/runtime-semantics.md).
+        No app's regions carry a factory yet, so ``"process"`` raises
+        :class:`~repro.core.errors.SchedulerError` before any body
+        runs.
 
         Pass a :class:`repro.telemetry.Telemetry` via ``telemetry=`` to
         collect structured metrics and a Perfetto-loadable trace from

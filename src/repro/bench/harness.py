@@ -263,9 +263,8 @@ def make_cpu_bound_region(name: str = "cpu_bound", tasks: int = 4,
                               inputs=[cell], outputs=[out])
 
     region = _CpuBound(name)
-    # The factory is this module-level function itself, so the region
-    # can ride a PersistentProcessPool (workers rebuild it from the
-    # shape parameters instead of inheriting closures by fork).
+    # The factory is this module-level function itself: process-backend
+    # workers rebuild the region from the shape parameters.
     region.remote_factory = (make_cpu_bound_region,
                              (name, tasks, iterations, chunks), {})
     return region

@@ -63,15 +63,14 @@ class FluidRegion:
         # repro.telemetry.TelemetryBus that task transitions and valve
         # evaluations publish into; None means no instrumentation.
         self.telemetry = None
-        # Pool-dispatch contract: a picklable ``(callable, args, kwargs)``
-        # triple whose module-level callable rebuilds a structurally
-        # identical region (same build() determinism rule the process
-        # backend already requires).  Workers of a
-        # :class:`repro.runtime.worker_pool.PersistentProcessPool` fork
-        # *before* regions exist, so closures cannot be inherited; the
-        # factory is shipped instead.  ``None`` (the default) keeps the
-        # region fork-only: pooled executors refuse it and pool-aware
-        # callers (FluidService, repro.stream) fall back to per-run forks.
+        # Process-backend contract: a picklable ``(callable, args,
+        # kwargs)`` triple whose module-level callable rebuilds a
+        # structurally identical region (same task and cell names, in
+        # the same order).  Every worker of a
+        # :class:`repro.runtime.worker_pool.PersistentProcessPool`
+        # installs the region from it.  ``None`` (the default) keeps
+        # the region off the process backend, which refuses it with a
+        # SchedulerError before any body runs.
         self.remote_factory = None
         self._bound_sink: Optional[UpdateSink] = None
 

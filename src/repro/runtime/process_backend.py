@@ -44,9 +44,11 @@ dominates small-body workloads.  Scheduler-pick order is preserved —
 batch items are exactly the next picks the scheduler would have made —
 and per-task events (``sched``/``run``, ``worker``/``dispatch``,
 ``payload``/``to-worker``) are still emitted individually, so golden
-traces and SchedLab replay are unaffected.  Each dispatch carries a
-unique ``dispatch_id``; every worker message echoes it, which makes the
-parent robust to stale messages from respawned or re-leased workers.
+traces and SchedLab replay are unaffected.  Each dispatch carries an
+executor-local ``dispatch_id`` that every worker message echoes.  No
+message outlives its dispatch: a respawned worker gets a fresh pipe and
+the lease's reclaim drains every live one, so every message the parent
+applies names a dispatch still in flight.
 Cancellation stays advisory: the per-slot cancel flag holds the
 dispatch_id to abandon (or ``-1`` for *everything*), checked at item
 start and at every chunk boundary.
@@ -71,15 +73,15 @@ The executor leases its workers from a
 :class:`~repro.runtime.worker_pool.PersistentProcessPool`.  With
 ``pool=`` that is a long-lived pool shared by a sequence of executors:
 ``FluidService`` and windowed ``repro.stream`` pipelines stop paying a
-fork per request/window.  Without it — fork-per-run — the executor forks
-a private pool at ``run()``, after submission, and closes it on exit.
-Either way a region carrying a picklable ``remote_factory`` (see
-:class:`~repro.core.region.FluidRegion`) is installed in a worker ahead
-of the first batch the run sends it (again after a respawn), and a
-worker that crashes running it is respawned and its in-flight tasks
-re-dispatched; a closure-only region is inherited by the
-private pool's fork (a shared pool, forked before it existed, refuses
-it), and a worker that dies running it fails the run.
+fork per request/window.  Without it the executor forks a private pool
+at ``run()`` (so module-level patches made before then reach the
+workers) and closes it on exit.  Either way every region is installed
+from its picklable ``remote_factory`` (see
+:class:`~repro.core.region.FluidRegion`) with the first batch the run
+sends a worker (again after a respawn); a region without one fails the
+run with a ``SchedulerError`` before any body runs.  A worker that
+crashes is respawned and its in-flight tasks re-dispatched, up to
+``_MAX_RESPAWNS`` times per slot.
 
 Each worker has its own duplex pipe to the parent: ``("runs",
 flush_interval, installs, items)`` and ``("reset",)`` go down, flushes
@@ -109,8 +111,10 @@ snapshots are taken at dispatch time.
 
 Requirements and limits (see docs/runtime-semantics.md for the matrix):
 
-* ``fork`` start method (POSIX only) — closure bodies are inherited,
-  never pickled;
+* ``fork`` start method (POSIX only);
+* a picklable ``remote_factory`` on every region, whose callable
+  rebuilds it structurally identically (same task and cell names and
+  order);
 * honest guard tuples — a body may only read/write the cells declared
   in its ``inputs``/``outputs`` (already a Fluid rule; here it is what
   makes snapshot installation correct);
@@ -127,8 +131,7 @@ import os
 import pickle
 import time
 import traceback
-from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.count import RecordingSink
 from ..core.data import PayloadArena, import_payload, payload_nbytes
@@ -168,9 +171,8 @@ _FALLBACK_INTERVAL = 0.1
 class _WorkerLoop:
     """Worker-side run loop over this worker's end of its pipe.
 
-    A region is rebuilt from the factory blob of a ``runs`` message's
-    ``installs`` when the parent sent one, else taken from ``inherited``
-    — the regions the worker kept from its fork, by run index.  The loop
+    Regions are rebuilt from the factory blobs of a ``runs`` message's
+    ``installs``, by run index.  The loop
     serves ``("runs", ...)`` batches serially, sending chunk-boundary
     flushes back on the same pipe as 7-tuples::
 
@@ -181,15 +183,13 @@ class _WorkerLoop:
     ``None`` or end-of-file ends the loop.
     """
 
-    def __init__(self, slot: int, conn, cancel_flags, arena: PayloadArena,
-                 inherited: Sequence[FluidRegion] = ()):
+    def __init__(self, slot: int, conn, cancel_flags, arena: PayloadArena):
         self.slot = slot
         self.conn = conn
         self.cancel_flags = cancel_flags
         self.arena = arena
         self.sink = RecordingSink()
         self.regions: Dict[int, FluidRegion] = {}
-        self._inherited = inherited
 
     def serve(self) -> None:
         while True:
@@ -230,27 +230,12 @@ class _WorkerLoop:
         self.regions.clear()
         self.arena.recycle()
 
-    def _region(self, region_index: int) -> FluidRegion:
-        region = self.regions.get(region_index)
-        if region is None:
-            if region_index >= len(self._inherited):
-                raise RuntimeError(
-                    f"no region installed at index {region_index}")
-            # The worker's forked copy finalizes independently; build()
-            # must therefore be structurally deterministic (the graphs
-            # in this repo all are).
-            region = self._inherited[region_index]
-            region.finalize()
-            region.bind_sink(self.sink)
-            self.regions[region_index] = region
-        return region
-
     # -- body execution ----------------------------------------------------
 
     def _run_item(self, flush_interval: float, item: Tuple) -> None:
         dispatch_id, region_index, task_index, run_index, payloads, counts = \
             item
-        region = self._region(region_index)
+        region = self.regions[region_index]
         for name, (value, updates) in counts.items():
             count = region.counts[name]
             # Monotone install: a batch-mate that already ran on this
@@ -344,10 +329,10 @@ class ProcessExecutor(Executor, GuardHost):
         ``1`` reproduces the historical one-task-per-message protocol.
     pool:
         A :class:`~repro.runtime.worker_pool.PersistentProcessPool` to
-        lease workers from; every submitted region must then carry a
-        picklable ``remote_factory``.  The executor stays single-shot;
-        the pool outlives it.  Without it the executor forks a private
-        pool at ``run()`` and closes it on exit.
+        lease workers from.  The executor stays single-shot; the pool
+        outlives it.  Without it the executor forks a private pool at
+        ``run()`` and closes it on exit.  Either way every submitted
+        region must carry a picklable ``remote_factory``.
     """
 
     def __init__(self, workers: Optional[int] = None,
@@ -371,11 +356,10 @@ class ProcessExecutor(Executor, GuardHost):
             self._open_pool = lambda: contextlib.nullcontext(pool)
         else:
             self.workers = workers or (os.cpu_count() or 1)
-            # Fork-per-run: forked at run(), after submission, so the
-            # workers inherit closure-only regions; closed on exit.
+            # Forked at run(), so module-level patches made before then
+            # (SchedLab mutations) reach the workers; closed on exit.
             self._open_pool = lambda: PersistentProcessPool(
-                workers=self.workers, name="fluid-worker",
-                inherit=self.context.regions)
+                workers=self.workers, name="fluid-worker")
         self.modulation = modulation
         self.batch_size = batch_size
         # Autotuning is parent-side, like the guards — valves live in
@@ -405,10 +389,13 @@ class ProcessExecutor(Executor, GuardHost):
         self._task_index: Dict[int, Tuple[int, int]] = {}
         self._queued: set = set()
         self._idle: List[int] = []
-        #: In-flight dispatches: dispatch_id -> (task, slot).  Messages
-        #: whose dispatch_id is unknown are stale (respawned worker,
-        #: previous pool lease) and are discarded.
+        #: In-flight dispatches: dispatch_id -> (task, slot).
         self._inflight: Dict[int, Tuple[FluidTask, int]] = {}
+        #: Dispatch ids restart at 1 for every executor, even on a
+        #: shared pool: ``_release_pool`` drains (or respawns) every
+        #: worker before the next lease, so no earlier lease's message
+        #: is left to alias one of these ids.
+        self._next_id = 0
         #: id(task) -> its live dispatch_id (for cancellation routing).
         self._task_dispatch: Dict[int, int] = {}
         #: slot -> dispatch_ids still in flight there (dispatch order).
@@ -418,12 +405,11 @@ class ProcessExecutor(Executor, GuardHost):
         #: back by its producer's applied ``_FINISHED``).  A cell whose
         #: version is unchanged is skipped at dispatch.
         self._shipped: Dict[int, Dict[Tuple[int, str], int]] = {}
-        #: Pickled factories of the launched regions that carry one, by
-        #: run index, in launch order.  A region absent from here is
-        #: closure-only.
-        self._region_blobs: Dict[int, bytes] = {}
-        #: Per slot, how many of ``_region_blobs`` its worker was sent.
-        self._installed: Dict[int, int] = {}
+        #: ``(run index, pickled factory)`` of every submitted region,
+        #: sent with a slot's first batch (again after a respawn).
+        self._installs: List[Tuple[int, bytes]] = []
+        #: Slots whose worker holds ``_installs``.
+        self._installed: set = set()
         self._respawns: Dict[int, int] = {}
         self._epoch = 0.0
 
@@ -434,6 +420,9 @@ class ProcessExecutor(Executor, GuardHost):
         ctx = self.context
         if not ctx.runs:
             return RunResult(0.0, [])
+        # Before any fork or body: a region without a factory fails here.
+        self._installs = [(run.index, pool_blob(run.region))
+                          for run in ctx.runs]
         with self._open_pool() as pool:
             # Lease before the clock starts: waiting for another run to
             # release a shared pool must not consume this run's timeout.
@@ -539,19 +528,8 @@ class ProcessExecutor(Executor, GuardHost):
 
     def _check_workers(self) -> None:
         for slot, ids in list(self._slot_ids.items()):
-            process = self._pool.processes[slot]
-            if not ids or process.is_alive():
-                continue
-            for dispatch_id in ids:
-                # A closure-only region exists nowhere but in the dead
-                # worker's fork; only installed regions can be replayed.
-                task = self._inflight[dispatch_id][0]
-                run = self.context.run_of(task)
-                if run.index not in self._region_blobs:
-                    raise SchedulerError(
-                        f"worker {slot} died (exit code {process.exitcode}) "
-                        f"while running {run.region.name}/{task.name}")
-            self._respawn_slot(slot)
+            if ids and not self._pool.processes[slot].is_alive():
+                self._respawn_slot(slot)
 
     def _respawn_slot(self, slot: int) -> None:
         """Replace a crashed worker and re-dispatch its tasks."""
@@ -579,7 +557,7 @@ class ProcessExecutor(Executor, GuardHost):
         # The crashed body dirtied its local copies without a terminal
         # event; nothing shipped to this slot can be trusted.
         self._shipped.pop(slot, None)
-        self._installed.pop(slot, None)
+        self._installed.discard(slot)
         self._pool.respawn(slot)
         self._pool.cancel_flags[slot] = 0
         redispatch: List[FluidTask] = []
@@ -605,16 +583,6 @@ class ProcessExecutor(Executor, GuardHost):
 
     def _launch_region(self, run: RegionRun) -> None:
         region = run.region
-        blob = pool_blob(region)
-        if blob is not None:
-            # Sent with each slot's next batch, never to a busy worker.
-            self._region_blobs[run.index] = blob
-        elif region not in self._pool.inherited:
-            raise SchedulerError(
-                f"region {region.name!r} cannot run on a persistent "
-                "pool: it has no picklable remote_factory (pool "
-                "workers fork before regions exist; see "
-                "docs/runtime-semantics.md)")
         self.context.launch(run)
         for task_index, task in enumerate(region.tasks):
             self._task_index[id(task)] = (run.index, task_index)
@@ -675,9 +643,8 @@ class ProcessExecutor(Executor, GuardHost):
         # item installs its payloads, the worker-local copy is fresher.
         produced: set = set()
         for task in tasks:
-            # Pool-global ids: unique across leases, so a stale message
-            # from a previous lease can never alias a live dispatch.
-            dispatch_id = self._pool.next_dispatch_id()
+            self._next_id += 1
+            dispatch_id = self._next_id
             region_index, task_index = self._task_index[id(task)]
             region = task.region
             self._inflight[dispatch_id] = (task, slot)
@@ -720,9 +687,8 @@ class ProcessExecutor(Executor, GuardHost):
                     data={"bytes": sum(payload_nbytes(handle)
                                        for handle in payloads.values()),
                           "cells": len(payloads), "skipped": skipped})
-        installed = self._installed.get(slot, 0)
-        installs = list(self._region_blobs.items())[installed:]
-        self._installed[slot] = len(self._region_blobs)
+        installs = [] if slot in self._installed else self._installs
+        self._installed.add(slot)
         self._send(slot, ("runs", self.flush_interval, installs, items))
         if self._bus is not None:
             self._bus.emit("worker", tasks[0].region.name, "", "batch",
@@ -734,9 +700,8 @@ class ProcessExecutor(Executor, GuardHost):
     def _maybe_kill_worker(self, region: FluidRegion, task: FluidTask,
                            slot: int) -> None:
         """SchedLab fault injection: SIGKILL the worker a task was just
-        dispatched to, exercising the parent's dead-worker detection
-        (``_check_workers`` respawns it, or fails the run when the
-        region was closure-only)."""
+        dispatched to, exercising the parent's dead-worker recovery
+        (``_check_workers`` respawns it and re-dispatches the batch)."""
         fault_plan = getattr(region, "fault_plan", None)
         if fault_plan is None or not fault_plan.should_kill_worker(task):
             return
@@ -796,13 +761,7 @@ class ProcessExecutor(Executor, GuardHost):
 
     def _apply_event(self, message: Tuple) -> None:
         kind, slot, dispatch_id, region_index, task_index = message[:5]
-        entry = self._inflight.get(dispatch_id)
-        if entry is None:
-            # Stale: the dispatch was dropped by a respawn, or belongs
-            # to a previous lease of a shared pool.  Never read: its
-            # arena slots may already hold other bytes.
-            return
-        task = entry[0]
+        task = self._inflight[dispatch_id][0]
         run = self.context.runs[region_index]
         if self._bus is not None:
             if kind in (_PROGRESS, _FINISHED) and message[6]:
@@ -828,7 +787,7 @@ class ProcessExecutor(Executor, GuardHost):
         # *without* a parent-side version bump, so equality of versions
         # must not be trusted for them on the next dispatch.  Only an
         # applied _FINISHED re-records them, below.
-        self._inflight.pop(dispatch_id, None)
+        del self._inflight[dispatch_id]
         if self._task_dispatch.get(id(task)) == dispatch_id:
             del self._task_dispatch[id(task)]
         ids = self._slot_ids.get(slot)

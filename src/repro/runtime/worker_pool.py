@@ -6,22 +6,15 @@ respawning a crashed one, and the join → terminate → kill teardown.
 *leases* workers: from a long-lived pool shared by a sequence of
 executors (``FluidService`` requests, ``repro.stream`` windows — the
 loky / ``concurrent.futures`` reuse pattern, which stops paying a fork
-per run), or — fork-per-run — from a private pool it forks at ``run()``
-and closes on exit.
+per run), or from a private pool it forks at ``run()`` and closes on
+exit.  Both are the same kind of pool.
 
-How a worker obtains a region is decided per region, by what the region
-carries:
-
-* a picklable ``remote_factory`` — ``(callable, args, kwargs)`` with a
-  module-level callable that rebuilds a structurally identical region
-  (see :class:`~repro.core.region.FluidRegion`) — is *installed* in
-  every worker, so it runs on any pool and survives a worker respawn;
-* a closure-only region can only be *inherited*: the workers must have
-  been forked after it existed (``inherit=``, i.e. a private pool), and
-  a worker that dies running it fails the run.
-
-:func:`pool_blob` checks a region's factory for picklability so callers
-can decide before committing a region to a shared pool.
+A worker gets a region one way: it is *installed* from the region's
+``remote_factory`` — ``(callable, args, kwargs)`` with a module-level
+callable that rebuilds a structurally identical region (see
+:class:`~repro.core.region.FluidRegion`).  So a region runs on any pool
+and survives a worker respawn.  :func:`pool_blob` pickles the factory
+and refuses a region that has none, or whose factory does not pickle.
 
 Lifecycle contract
 ------------------
@@ -39,14 +32,15 @@ Lifecycle contract
   ``close()``.
 * ``conns`` — the parent's end of each worker's duplex pipe.  Nothing
   is shared with another process, so a worker killed mid-message harms
-  only its own pipe, and its death reads as end-of-file there.
+  only its own pipe, and its death reads as end-of-file there.  Pipes
+  are made and forked under one module-wide lock, so no worker of
+  another pool gets a copy of a child end and hides that end-of-file.
 * ``respawn(slot)`` — replaces a crashed worker with a fresh process
   *and a fresh pipe* (messages to or from the dead worker must not
   reach its replacement), swapping both into the pool's lists in place,
-  and sweeps the dead worker's result segments.
-* ``next_dispatch_id()`` — pool-global dispatch ids, unique across
-  leases, so stale messages from a previous lease can never alias a
-  live dispatch.
+  and sweeps the dead worker's result segments.  With the lease's
+  reclaim draining every live pipe, no message outlives the dispatch
+  it names.
 * ``close()`` — shuts the workers down under one shared deadline per
   pass, then sweeps every worker's result segments and unlinks the
   dispatch arena; idempotent.
@@ -59,26 +53,36 @@ import pickle
 import secrets
 import threading
 import time
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from ..core.data import PayloadArena, arena_sweep
 from ..core.errors import SchedulerError
 from ..core.region import FluidRegion
 
 
-def pool_blob(region: FluidRegion) -> Optional[bytes]:
+#: Held from making a worker's pipe until the parent has closed the
+#: child's end: a fork from another thread in between would hand that
+#: end to a worker of another pool, which keeps it open after this
+#: worker dies.
+_FORK_LOCK = threading.Lock()
+
+
+def pool_blob(region: FluidRegion) -> bytes:
     """Pickle a region's ``remote_factory`` for pool-worker installation.
 
-    Returns None when the region has no factory or the factory does not
-    pickle — such a region can only be inherited by a private pool.
+    Raises :class:`SchedulerError` when the region has no factory or the
+    factory does not pickle (the pickling error is chained).
     """
-    factory = getattr(region, "remote_factory", None)
-    if factory is None:
-        return None
+    cause = None
     try:
-        return pickle.dumps(factory)
-    except Exception:
-        return None
+        if region.remote_factory is not None:
+            return pickle.dumps(region.remote_factory)
+    except Exception as error:  # a lambda, a local class, a lock...
+        cause = error
+    raise SchedulerError(
+        f"region {region.name!r} cannot run on the process backend: it "
+        "has no picklable remote_factory (workers rebuild every region "
+        "from its factory; see docs/runtime-semantics.md)") from cause
 
 
 def _worker_segments(pool_prefix: str, pid: int) -> str:
@@ -87,14 +91,13 @@ def _worker_segments(pool_prefix: str, pid: int) -> str:
 
 
 def _pool_worker_main(slot: int, conn, parent_end, cancel_flags,
-                      inherited: Sequence[FluidRegion],
                       pool_prefix: str) -> None:
     """Entry point of one worker: run bodies, stream updates back."""
     from .process_backend import _WorkerLoop
 
     parent_end.close()
     arena = PayloadArena(prefix=_worker_segments(pool_prefix, os.getpid()))
-    _WorkerLoop(slot, conn, cancel_flags, arena, inherited).serve()
+    _WorkerLoop(slot, conn, cancel_flags, arena).serve()
 
 
 def _alive(process) -> bool:
@@ -113,16 +116,10 @@ class PersistentProcessPool:
         Pool size; defaults to ``os.cpu_count()``.
     name:
         Prefix for the worker process names (diagnostics).
-    inherit:
-        Regions that already exist and whose task-body closures the
-        workers keep from the fork, addressed by position (the region's
-        index in its run).  Empty for a shared pool, whose workers fork
-        before any region exists.
     """
 
     def __init__(self, workers: Optional[int] = None,
-                 name: str = "fluid-pool",
-                 inherit: Sequence[FluidRegion] = ()):
+                 name: str = "fluid-pool"):
         import multiprocessing
 
         if workers is not None and workers < 1:
@@ -130,11 +127,9 @@ class PersistentProcessPool:
         if "fork" not in multiprocessing.get_all_start_methods():
             raise SchedulerError(
                 "the process backend needs the 'fork' start method "
-                "(POSIX only: closure task bodies cannot be pickled); "
-                "use the thread backend on this platform")
+                "(POSIX only); use the thread backend on this platform")
         self.workers = workers or (os.cpu_count() or 1)
         self.name = name
-        self.inherited = tuple(inherit)
         self.context = multiprocessing.get_context("fork")
         # "q" (int64): the flag carries a dispatch_id (or -1 for all).
         self.cancel_flags = self.context.Array("q", self.workers, lock=False)
@@ -146,24 +141,23 @@ class PersistentProcessPool:
         #: Unique per pool; short, since macOS caps shm names at 31 bytes.
         self._segment_prefix = f"fluid-{secrets.token_hex(4)}-"
         self._lease_lock = threading.Lock()
-        self._id_lock = threading.Lock()
-        self._next_id = 0
         self._closed = False
         for slot in range(self.workers):
             self._start(slot)
 
     def _start(self, slot: int) -> None:
         """Fork ``slot``'s worker on a fresh pipe.  The parent's copy of
-        the child's end is closed before the next fork, which would
-        otherwise inherit it and hide this worker's end-of-file."""
-        conn, child_end = self.context.Pipe()
-        process = self.context.Process(
-            target=_pool_worker_main,
-            args=(slot, child_end, conn, self.cancel_flags,
-                  self.inherited, self._segment_prefix),
-            name=f"{self.name}-{slot}", daemon=True)
-        process.start()
-        child_end.close()
+        the child's end is closed before any other fork, which would
+        otherwise copy it and hide this worker's end-of-file."""
+        with _FORK_LOCK:
+            conn, child_end = self.context.Pipe()
+            process = self.context.Process(
+                target=_pool_worker_main,
+                args=(slot, child_end, conn, self.cancel_flags,
+                      self._segment_prefix),
+                name=f"{self.name}-{slot}", daemon=True)
+            process.start()
+            child_end.close()
         self.conns[slot] = conn
         self.processes[slot] = process
 
@@ -183,11 +177,6 @@ class PersistentProcessPool:
         self.arena.recycle()
         self._lease_lock.release()
 
-    def next_dispatch_id(self) -> int:
-        with self._id_lock:
-            self._next_id += 1
-            return self._next_id
-
     # -- health ------------------------------------------------------------
 
     def alive(self) -> List[bool]:
@@ -202,7 +191,7 @@ class PersistentProcessPool:
         reach the executor (which re-dispatches what it still needs,
         with new ids).
         Handles into the old worker's result arena are stale by then
-        (their dispatch ids are dropped), so its segments go too.
+        (their dispatches are dropped), so its segments go too.
         """
         old = self.processes[slot]
         if old.is_alive():

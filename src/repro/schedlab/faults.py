@@ -12,7 +12,14 @@ plan``) before the run; the core seams consult it:
   task's start/end valve verdict for a bounded number of checks —
   modelling flaky quality functions and premature starts;
 * ``kill_worker`` (process backend only) SIGKILLs the worker a task was
-  just dispatched to, exercising the parent's dead-worker detection.
+  just dispatched to, exercising the parent's dead-worker recovery: the
+  worker is respawned, the region reinstalled from its factory and the
+  batch re-dispatched, so the run still completes.
+
+On the process backend, body faults fire in the workers: each worker's
+copy of a region is rebuilt by SchedLab's ``remote_factory`` with the
+run's fault plan attached, so ``raise``/``delay`` behave as elsewhere but
+are logged in the worker's plan, not the parent's :attr:`FaultPlan.fired`.
 
 Plans are JSON-serializable so a failing (schedule, faults) pair can be
 stored in one replay artifact.  Every fault that actually fires is

@@ -193,6 +193,28 @@ def _build_executor(backend: str, policy: SchedulePolicy, *, cores: int,
         f"unknown backend {backend!r}; expected sim, thread or process")
 
 
+#: This process's last scenario build for :func:`rebuild`: its key and
+#: the regions not yet handed out.  A worker installs a run's R regions
+#: together, so they share one ``fresh()`` and one fault plan, as the
+#: parent's build does; asking for an index again builds anew.
+_REBUILT: Dict[str, Any] = {"key": None, "regions": {}}
+
+
+def rebuild(scenario_name: str, strict: bool, index: int,
+            fault_records: List[dict]):
+    """The ``remote_factory`` of a scenario's ``index``-th region: a
+    fresh build carrying the run's fault plan, so ``raise``/``delay``
+    faults fire in process-backend workers too."""
+    key = (os.getpid(), scenario_name, strict, json.dumps(fault_records))
+    if _REBUILT["key"] != key or index not in _REBUILT["regions"]:
+        run = SCENARIOS[scenario_name].fresh(strict=strict)
+        if fault_records:
+            FaultPlan.from_list(fault_records).attach(run.regions)
+        _REBUILT["key"] = key
+        _REBUILT["regions"] = dict(enumerate(run.regions))
+    return _REBUILT["regions"].pop(index)
+
+
 def run_scenario(scenario_name: str, *,
                  backend: str = "sim",
                  policy: Optional[SchedulePolicy] = None,
@@ -263,6 +285,9 @@ def run_scenario(scenario_name: str, *,
     run = scenario.fresh(strict=strict)
     if plan is not None:
         plan.attach(run.regions)
+    for index, region in enumerate(run.regions):
+        region.remote_factory = (
+            rebuild, (scenario_name, strict, index, fault_records), {})
     with apply_mutation(mutation):
         checker = InvariantChecker().connect(telemetry.bus)
         try:

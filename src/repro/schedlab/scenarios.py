@@ -325,7 +325,7 @@ class BellmanFordScenario(Scenario):
 
     name = "bellman_ford"
     #: the iteration chain relaxes one shared distance vector in place,
-    #: which the process backend's forked workers would not observe.
+    #: which the process backend's workers would not observe.
     backends = ("sim", "thread")
 
     def make_app(self):

@@ -41,6 +41,13 @@ def make_request_region(index: int, rng: random.Random,
     also a *correct* request.
     """
     n = rng.randint(min_items, max_items)
+    expected = [2 * i + 1 for i in range(n)]
+    return request_region(index, n), expected, float(n)
+
+
+def request_region(index: int, n: int) -> FluidRegion:
+    """The ``n``-item request region of :func:`make_request_region`; its
+    own ``remote_factory``, so the process backend can run it."""
 
     class Request(FluidRegion):
         def build(self):
@@ -70,8 +77,9 @@ def make_request_region(index: int, rng: random.Random,
                     name="exact")],
                 inputs=[mid], outputs=[out])
 
-    expected = [2 * i + 1 for i in range(n)]
-    return Request(f"req-{index}"), expected, float(n)
+    region = Request(f"req-{index}")
+    region.remote_factory = (request_region, (index, n), {})
+    return region
 
 
 async def run_rate(rate: float, requests: int, *, slots: int,

@@ -36,12 +36,13 @@ class OneShotPool:
     cannot be interrupted mid-virtual-time; the process backend has its
     own timeout).
 
-    Process contexts whose regions all provide a picklable
-    ``remote_factory`` share one lazily-forked
+    Process contexts all lease one lazily-forked
     :class:`~repro.runtime.worker_pool.PersistentProcessPool` instead
-    of forking a fresh worker set per request; a context with a
-    closure-only region runs fork-per-run (its executor forks a private
-    pool at ``run()``).
+    of forking a fresh worker set per request, so every region needs a
+    picklable ``remote_factory``.  The pool's exclusive lease
+    serializes them — deliberate: the pool is sized to the physical
+    cores, and two forked pools racing for them was oversubscription,
+    not concurrency.
     """
 
     def __init__(self, backend: str, workers: int = 2,
@@ -63,10 +64,8 @@ class OneShotPool:
         self._lock = threading.Lock()
         self._closed = False
         self.name = name
-        #: Lazily-forked persistent worker pool for process contexts
-        #: whose regions all carry a picklable ``remote_factory``; None
-        #: until the first such context (or forever, for sim and
-        #: closure-only regions).
+        #: Lazily-forked worker pool of the process contexts; None until
+        #: the first one (forever, for sim).
         self._process_pool = None
 
     def now(self) -> float:
@@ -99,26 +98,13 @@ class OneShotPool:
 
     # ------------------------------------------------------------ internal
 
-    def _acquire_pool(self, ctx: RunContext):
-        """Shared worker pool for this context, or None (fork-per-run).
+    def _shared_pool(self):
+        """The process contexts' worker pool, forked on first use (a
+        context still queued at ``shutdown()`` may be that use; the pool
+        closes after it)."""
+        from ..runtime.worker_pool import PersistentProcessPool
 
-        Only process contexts whose regions *all* carry a picklable
-        ``remote_factory`` can ride the shared pool.  The pool's exclusive
-        lease serializes concurrent process contexts — deliberate: the
-        pool is sized to the physical cores, and two forked pools
-        racing for them was oversubscription, not concurrency.
-        """
-        if self.backend != "process":
-            return None
-        from ..runtime.worker_pool import PersistentProcessPool, pool_blob
-
-        if not ctx.runs:
-            return None
-        if any(pool_blob(run.region) is None for run in ctx.runs):
-            return None
         with self._lock:
-            if self._closed:
-                return None
             if self._process_pool is None:
                 self._process_pool = PersistentProcessPool(
                     workers=self.executor_options.get("workers"),
@@ -137,9 +123,8 @@ class OneShotPool:
                 options.setdefault("modulation", ctx.modulation)
             if ctx.cancel_first_runs:
                 options.setdefault("cancel_first_runs", True)
-            pool = self._acquire_pool(ctx)
-            if pool is not None:
-                options["pool"] = pool
+            if self.backend == "process":
+                options["pool"] = self._shared_pool()
             executor = make_executor(self.backend, **options)
             # The executor drives this context's own region records, so
             # launch and region-done land where the service reads them.

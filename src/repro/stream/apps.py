@@ -26,8 +26,9 @@ reference (the fig6-style quality axis):
     4th) are must-deliver; a small queue capacity makes shedding the
     norm under k > 0.
 
-All stage functions are module-level and pure in their ``value``
-argument (fork-safe for the process backend) and every app supplies a
+All stage functions and must-deliver predicates are module-level (so
+they pickle for the process backend), stage functions are pure in their
+``value`` argument, and every app supplies a
 ``metric(outputs, reference) -> error in [0, 1]`` where a missing item
 counts as fully wrong — so ``accuracy = 1 - error`` is comparable
 across k and backends.
@@ -65,6 +66,16 @@ class StreamApp(NamedTuple):
         """Error in [0, 1] against the serial reference on ``n_items``."""
         reference = self.pipeline().run_serial(self.make_items(n_items))
         return self.metric(outputs, reference)
+
+
+def every_4th(seq: int) -> bool:
+    """Must-deliver predicate of ``logagg`` and ``frames``."""
+    return seq % 4 == 0
+
+
+def every_5th(seq: int) -> bool:
+    """Must-deliver predicate of ``topk``."""
+    return seq % 5 == 0
 
 
 def _coverage_error(outputs: Dict[int, Any], reference: Dict[int, Any],
@@ -235,7 +246,7 @@ APPS: Dict[str, StreamApp] = {
         make_items=make_log_items,
         metric=lambda got, ref: _coverage_error(got, ref,
                                                 logagg_item_error),
-        must=lambda seq: seq % 4 == 0,
+        must=every_4th,
         capacity=None,
         interarrival=1.0,
     ),
@@ -247,7 +258,7 @@ APPS: Dict[str, StreamApp] = {
         make_items=make_topk_items,
         metric=lambda got, ref: _coverage_error(got, ref,
                                                 topk_item_error),
-        must=lambda seq: seq % 5 == 0,
+        must=every_5th,
         capacity=None,
         interarrival=1.0,
     ),
@@ -260,7 +271,7 @@ APPS: Dict[str, StreamApp] = {
         make_items=make_frame_items,
         metric=lambda got, ref: _coverage_error(got, ref,
                                                 frames_item_error),
-        must=lambda seq: seq % 4 == 0,
+        must=every_4th,
         capacity=8,
         interarrival=2.0,
     ),

@@ -32,7 +32,8 @@ per-item latency curves); ``thread`` reuses one
 :class:`~repro.runtime.thread_pool.SharedThreadPool` across windows
 with a fresh :class:`~repro.runtime.context.RunContext` each — the
 PR-7 sustained-load path; ``process`` builds a
-:class:`~repro.runtime.ProcessExecutor` per window.  A window can also
+:class:`~repro.runtime.ProcessExecutor` per window over one
+:class:`~repro.runtime.PersistentProcessPool`.  A window can also
 be submitted through :class:`repro.service.FluidService`
 (:meth:`Pipeline.run_service`) for admission-controlled streaming.
 """
@@ -55,8 +56,8 @@ class Stage(NamedTuple):
 
     ``fn`` must be a pure fold step over items in seq order: it is
     re-invoked from the window-initial ``state`` on every re-execution,
-    and on the process backend it runs in a forked worker, so it must
-    be a module-level (fork-safe) callable that does not mutate
+    and on the process backend it runs in a pool worker, so it must
+    be a module-level (picklable) callable that does not mutate
     ``value`` in place.  ``cost`` is the per-item virtual cost yielded
     on the sim backend (ignored by the wall-clock backends, where
     yields are only preemption points).
@@ -172,7 +173,8 @@ class Pipeline:
         items (up to ``k``) and parks must-deliver ones.
     must:
         ``must(global_seq) -> bool`` marking must-deliver items;
-        ``None`` means every item is must-deliver (lossless).
+        ``None`` means every item is must-deliver (lossless).  On the
+        process backend it must pickle (a module-level function).
     interarrival:
         Virtual cost between item arrivals at the source (sim pacing).
     window:
@@ -284,6 +286,13 @@ class Pipeline:
                             inputs=[qin.slots, state_in],
                             outputs=[qout.slots, state_out],
                             cost_estimate=stage.cost * count)
+        # How a process-pool worker rebuilds this window: every process
+        # driver (``_run_process``, a process ``FluidService``) needs it,
+        # so the stage fns, the ``must`` predicate and the entry states
+        # must pickle there.
+        region.remote_factory = (
+            _rebuild_window_region,
+            (self._pool_config(), index, list(items), list(states)), {})
         return _WindowBuild(region, queues, state_outs, count)
 
     def _initial_states(self) -> List[Any]:
@@ -423,48 +432,23 @@ class Pipeline:
 
     def _run_process(self, items: List[Any], result: PipelineResult,
                      workers: int, timeout: float) -> None:
-        from ..runtime import ProcessExecutor
-        from ..runtime.worker_pool import PersistentProcessPool, pool_blob
+        from ..runtime import PersistentProcessPool, ProcessExecutor
 
         states = result.states
-        config = self._pool_config()
-        pool = None
-        pool_viable = True
-        try:
+        # One pool for every window; each window is rebuilt inside the
+        # workers from the factory ``build_window`` attaches.
+        with PersistentProcessPool(workers=workers,
+                                   name=f"{self.name}-pool") as pool:
             for index, window_items in enumerate(self._windows(items)):
                 build = self.build_window(index, window_items, states)
-                options: Dict[str, Any] = {}
-                if pool_viable:
-                    # Windows are rebuilt inside pool workers from this
-                    # module-level factory; stage fns are documented as
-                    # fork-safe module-level callables, but a lambda
-                    # ``must`` or unpicklable stage state falls back to
-                    # the historical fork-per-window executor.
-                    build.region.remote_factory = (
-                        _rebuild_window_region,
-                        (config, index, list(window_items), list(states)),
-                        {})
-                    if pool_blob(build.region) is None:
-                        build.region.remote_factory = None
-                        pool_viable = False
-                    else:
-                        if pool is None:
-                            pool = PersistentProcessPool(
-                                workers=workers,
-                                name=f"{self.name}-pool")
-                        options["pool"] = pool
-                executor = ProcessExecutor(workers=workers, timeout=timeout,
-                                           **options)
+                executor = ProcessExecutor(pool=pool, timeout=timeout)
                 executor.submit(build.region)
                 run = executor.run()
-                # Stage bodies ran in (pooled or forked) workers whose
-                # queues are not ours: per-item latencies and the queue
-                # tallies are not observable here.
+                # Stage bodies ran in workers whose queues are not ours:
+                # per-item latencies and the queue tallies are not
+                # observable here.
                 states = self._harvest(result, index, build, run.makespan,
                                        states, self.telemetry)
-        finally:
-            if pool is not None:
-                pool.close()
 
     async def run_service(self, items: Iterable[Any], service, *,
                           sheddable: bool = False,

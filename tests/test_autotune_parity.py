@@ -92,6 +92,7 @@ def _run_backend(backend: str, window: int):
     else:
         executor = ProcessExecutor(workers=2, timeout=60, autotune=tuner)
     region = HandshakeRegion()
+    region.remote_factory = (HandshakeRegion, (region.name,), {})
     executor.submit(region)
     executor.run()
     return tuner, region

@@ -16,7 +16,8 @@ from repro import ProcessExecutor, SimExecutor, ThreadExecutor
 
 from test_properties import build_dag_region, dag_specs
 from util import (chain_expected, diamond_expected, make_chain,
-                  make_diamond, make_pipeline, pipeline_expected)
+                  make_diamond, make_pipeline, pipeline_expected,
+                  with_factory)
 
 
 def run_sim(region):
@@ -210,7 +211,8 @@ def make_cross_wake(n_a=8, n_b=60, pace=0.0, name=None):
                                         PercentValve(ct_b, 1.0, n_b)],
                           inputs=[a, b], outputs=[out])
 
-    return CrossWake(name)
+    return with_factory(CrossWake(name), make_cross_wake, n_a=n_a, n_b=n_b,
+                        pace=pace)
 
 
 def cross_wake_expected(n_a=8, n_b=60):
@@ -397,6 +399,11 @@ WAKE_CONSUMERS = ("by_count", "by_final", "by_predicate", "by_convergence")
 
 
 def make_wake_rule_region(n=12, pace=0.002):
+    """``(wake_rule_region(n, pace), the precise sum)``."""
+    return wake_rule_region(n, pace), n * (n + 1) // 2
+
+
+def wake_rule_region(n=12, pace=0.002, name="wake-rule"):
     """One producer; four consumers whose start valves open four ways:
     a count threshold, the input going final, an opaque predicate over
     the input's contents, a non-monotone convergence window.  Exact
@@ -445,7 +452,7 @@ def make_wake_rule_region(n=12, pace=0.002):
                         lambda out=out: out.read() == total, name="exact")],
                     inputs=[mid], outputs=[out])
 
-    return WakeRule("wake-rule"), total
+    return with_factory(WakeRule(name), wake_rule_region, n=n, pace=pace)
 
 
 def _flaky_starts(region):
@@ -536,9 +543,7 @@ class TestOptionsCensus:
                 "cancel_first_runs", "flush_interval", "policy",
                 "telemetry", "scheduler", "autotune", "batch_size",
                 "pool"],
-            # inherit= is data, not a mode: the regions a private pool's
-            # workers keep from their fork.
-            "PersistentProcessPool": ["workers", "name", "inherit"],
+            "PersistentProcessPool": ["workers", "name"],
             "FluidService": [
                 "backend", "slots", "scheduler", "queue_capacity",
                 "discipline", "max_concurrency", "capacity_curves",

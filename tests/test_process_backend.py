@@ -24,8 +24,9 @@ from repro.core.data import (PAYLOAD_SHM_MIN_BYTES, ArenaSlotPayload,
 from repro.core.valves import DataFinalValve
 from repro.runtime import process_backend
 from repro.runtime.worker_pool import PersistentProcessPool
+from repro.telemetry import Telemetry
 
-from util import make_pipeline, pipeline_expected, shm_names
+from util import make_pipeline, pipeline_expected, shm_names, with_factory
 
 
 # ------------------------------------------------------- payload protocol
@@ -141,53 +142,60 @@ class TestCountReplay:
         assert seen == [1, 3]
 
 
+def make_quiet_consumer_region(flushes, name="quiet-consumer"):
+    """``noisy`` flushes ``flushes`` count updates nobody waits on while
+    ``gate`` works; ``consume`` waits on ``gate``'s count alone."""
+
+    class Region(FluidRegion):
+        def build(self):
+            c1 = self.add_count("c1")
+            c2 = self.add_count("c2")
+            go = self.add_data("go", 0)
+            noise = self.add_data("noise", 0)
+            gated = self.add_data("gated", 0)
+            out = self.add_data("out", 0)
+
+            def header(ctx):
+                go.write(1)
+                yield 1.0
+
+            def noisy(ctx):
+                for _ in range(flushes):
+                    time.sleep(0.005)
+                    c2.add()
+                    yield 1.0
+                noise.write(1)
+
+            def gate(ctx):
+                for _ in range(flushes + 10):
+                    time.sleep(0.005)
+                    yield 1.0
+                gated.write(1)
+                c1.add()
+
+            def consume(ctx):
+                out.write(gated.read() + 1)
+                yield 1.0
+
+            self.add_task("header", header, outputs=[go])
+            for task, body, cell in (("noisy", noisy, noise),
+                                     ("gate", gate, gated)):
+                self.add_task(task, body, inputs=[go], outputs=[cell],
+                              start_valves=[DataFinalValve(go)])
+            self.add_task("consume", consume, inputs=[gated],
+                          outputs=[out],
+                          start_valves=[PercentValve(c1, 1.0, 1)])
+
+    return with_factory(Region(name), make_quiet_consumer_region,
+                        flushes=flushes)
+
+
 class TestWakeRule:
     def test_unrelated_flushes_do_not_recheck_a_parked_consumer(self):
         """A count-gated consumer is re-evaluated when *its* count is
         replayed, not on every flush another task sends."""
         flushes = 30
-
-        class Region(FluidRegion):
-            def build(self):
-                c1 = self.add_count("c1")
-                c2 = self.add_count("c2")
-                go = self.add_data("go", 0)
-                noise = self.add_data("noise", 0)
-                gated = self.add_data("gated", 0)
-                out = self.add_data("out", 0)
-
-                def header(ctx):
-                    go.write(1)
-                    yield 1.0
-
-                def noisy(ctx):
-                    for _ in range(flushes):
-                        time.sleep(0.005)
-                        c2.add()
-                        yield 1.0
-                    noise.write(1)
-
-                def gate(ctx):
-                    for _ in range(flushes + 10):
-                        time.sleep(0.005)
-                        yield 1.0
-                    gated.write(1)
-                    c1.add()
-
-                def consume(ctx):
-                    out.write(gated.read() + 1)
-                    yield 1.0
-
-                self.add_task("header", header, outputs=[go])
-                for name, body, cell in (("noisy", noisy, noise),
-                                         ("gate", gate, gated)):
-                    self.add_task(name, body, inputs=[go], outputs=[cell],
-                                  start_valves=[DataFinalValve(go)])
-                self.add_task("consume", consume, inputs=[gated],
-                              outputs=[out],
-                              start_valves=[PercentValve(c1, 1.0, 1)])
-
-        region = Region("quiet-consumer")
+        region = make_quiet_consumer_region(flushes)
         # flush_interval=0: every chunk boundary that has something to
         # say is a message; a long fallback keeps the safety net out.
         executor = ProcessExecutor(workers=2, timeout=60, flush_interval=0.0,
@@ -214,7 +222,58 @@ def make_error_region(name=None):
 
             self.add_task("boom", body, outputs=[out])
 
-    return Exploding(name)
+    return with_factory(Exploding(name), make_error_region)
+
+
+def make_crashing_region(name="crasher"):
+    """The body hard-kills its worker on every run."""
+
+    class Crashing(FluidRegion):
+        def build(self):
+            out = self.add_data("out", 0)
+
+            def body(ctx):
+                yield 1.0
+                os._exit(13)
+
+            self.add_task("crash", body, outputs=[out])
+
+    return with_factory(Crashing(name), make_crashing_region)
+
+
+def make_stuck_region(name="stuck"):
+    """One body that never ends and a quality bar it never meets."""
+
+    class Stuck(FluidRegion):
+        def build(self):
+            out = self.add_data("out", 0)
+
+            def body(ctx):
+                while True:
+                    time.sleep(0.01)
+                    yield 1.0
+
+            self.add_task("spin", body, outputs=[out],
+                          end_valves=[NeverValve()])
+
+    return with_factory(Stuck(name), make_stuck_region)
+
+
+def make_spawner_region(name="spawn"):
+    """A body that spawns a dynamic task."""
+
+    class Spawner(FluidRegion):
+        def build(self):
+            out = self.add_data("out", 0)
+
+            def body(ctx):
+                yield 1.0
+                ctx.spawn("child", lambda c: iter(()), outputs=[])
+                yield 1.0
+
+            self.add_task("spawner", body, outputs=[out])
+
+    return with_factory(Spawner(name), make_spawner_region)
 
 
 class TestFailureContainment:
@@ -235,55 +294,27 @@ class TestFailureContainment:
         assert region.graph.task("boom").stats.failed_runs == 1
 
     def test_crashed_worker_is_detected(self):
-        class Crashing(FluidRegion):
-            def build(self):
-                out = self.add_data("out", 0)
-
-                def body(ctx):
-                    yield 1.0
-                    os._exit(13)
-
-                self.add_task("crash", body, outputs=[out])
-
-        executor = ProcessExecutor(workers=1, timeout=30)
-        executor.submit(Crashing("crasher"))
-        with pytest.raises(SchedulerError) as info:
+        # Each death is detected, respawned and re-dispatched, until the
+        # slot's respawn budget runs out.
+        telemetry = Telemetry()
+        executor = ProcessExecutor(workers=1, timeout=30,
+                                   telemetry=telemetry)
+        executor.submit(make_crashing_region())
+        with pytest.raises(SchedulerError, match="exit code 13"):
             executor.run()
-        assert "died" in str(info.value)
+        assert telemetry.metrics.counters["process.worker_respawns"] == \
+            process_backend._MAX_RESPAWNS
 
     def test_timeout_raises_with_diagnosis(self):
-        class Stuck(FluidRegion):
-            def build(self):
-                out = self.add_data("out", 0)
-
-                def body(ctx):
-                    while True:
-                        time.sleep(0.01)
-                        yield 1.0
-
-                self.add_task("spin", body, outputs=[out],
-                              end_valves=[NeverValve()])
-
         executor = ProcessExecutor(workers=1, timeout=1.0)
-        executor.submit(Stuck("stuck"))
+        executor.submit(make_stuck_region())
         with pytest.raises(SchedulerError) as info:
             executor.run()
         assert "timed out" in str(info.value)
 
     def test_dynamic_spawn_is_rejected(self):
-        class Spawner(FluidRegion):
-            def build(self):
-                out = self.add_data("out", 0)
-
-                def body(ctx):
-                    yield 1.0
-                    ctx.spawn("child", lambda c: iter(()), outputs=[])
-                    yield 1.0
-
-                self.add_task("spawner", body, outputs=[out])
-
         executor = ProcessExecutor(workers=1, timeout=30)
-        executor.submit(Spawner("spawn"))
+        executor.submit(make_spawner_region())
         with pytest.raises(TaskBodyError):
             executor.run()
 
@@ -301,38 +332,44 @@ class TestFailureContainment:
 
 # ----------------------------------------------------------- cancellation
 
+def make_early_region(name="early", n=40, pace=0.004):
+    """The consumer completes once half the producer's count is in, so
+    the producer's still-running body becomes pointless."""
+
+    class Early(FluidRegion):
+        def build(self):
+            src = self.input_data("src", list(range(n)))
+            mid = self.add_array("mid", [0] * n)
+            out = self.add_array("out", [0] * n)
+            ct = self.add_count("ct")
+
+            def produce(ctx):
+                for i in range(n):
+                    mid[i] = src.read()[i]
+                    ct.add()
+                    time.sleep(pace)
+                    yield 1.0
+
+            def consume(ctx):
+                for i in range(n):
+                    out[i] = mid[i]
+                    yield 0.5
+
+            self.add_task("produce", produce, inputs=[src],
+                          outputs=[mid])
+            self.add_task("consume", consume,
+                          start_valves=[PercentValve(ct, 0.2, n)],
+                          end_valves=[PercentValve(ct, 0.5, n)],
+                          inputs=[mid], outputs=[out])
+
+    return with_factory(Early(name), make_early_region, n=n, pace=pace)
+
+
 class TestCancellation:
     def test_early_termination_cancels_running_producer(self):
         # The consumer completes from a partial read; the producer's
         # still-running rerun becomes pointless and is cancelled.
-        class Early(FluidRegion):
-            def build(self):
-                n = 40
-                src = self.input_data("src", list(range(n)))
-                mid = self.add_array("mid", [0] * n)
-                out = self.add_array("out", [0] * n)
-                ct = self.add_count("ct")
-
-                def produce(ctx):
-                    for i in range(n):
-                        mid[i] = src.read()[i]
-                        ct.add()
-                        time.sleep(0.004)
-                        yield 1.0
-
-                def consume(ctx):
-                    for i in range(n):
-                        out[i] = mid[i]
-                        yield 0.5
-
-                self.add_task("produce", produce, inputs=[src],
-                              outputs=[mid])
-                self.add_task("consume", consume,
-                              start_valves=[PercentValve(ct, 0.2, n)],
-                              end_valves=[PercentValve(ct, 0.5, n)],
-                              inputs=[mid], outputs=[out])
-
-        region = Early("early")
+        region = make_early_region()
         executor = ProcessExecutor(workers=2, timeout=30,
                                    flush_interval=0.002)
         executor.submit(region)
@@ -392,27 +429,33 @@ class TestFactoryAndBench:
 
 # -------------------------------------------------- shared-memory regions
 
+def make_big_region(rows, name="big"):
+    """One body triples a ``rows`` x 64 float array into ``out``."""
+
+    class Big(FluidRegion):
+        def build(self):
+            src = self.input_data(
+                "src", np.arange(rows * 64, dtype=np.float64)
+                .reshape(rows, 64))
+            out = self.add_array("out", np.zeros((rows, 64)))
+
+            def body(ctx):
+                data = src.read()
+                for i in range(rows):
+                    out[i] = data[i] * 3.0
+                    if i % 32 == 0:
+                        yield 1.0
+                yield 1.0
+
+            self.add_task("scale", body, inputs=[src], outputs=[out])
+
+    return with_factory(Big(name), make_big_region, rows=rows)
+
+
 class TestSharedMemoryRegions:
     def test_large_numpy_outputs_round_trip(self):
         rows = 256
-        class Big(FluidRegion):
-            def build(self):
-                src = self.input_data(
-                    "src", np.arange(rows * 64, dtype=np.float64)
-                    .reshape(rows, 64))
-                out = self.add_array("out", np.zeros((rows, 64)))
-
-                def body(ctx):
-                    data = src.read()
-                    for i in range(rows):
-                        out[i] = data[i] * 3.0
-                        if i % 32 == 0:
-                            yield 1.0
-                    yield 1.0
-
-                self.add_task("scale", body, inputs=[src], outputs=[out])
-
-        region = Big("big")
+        region = make_big_region(rows)
         executor = ProcessExecutor(workers=1, timeout=30)
         executor.submit(region)
         executor.run()

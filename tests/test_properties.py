@@ -66,7 +66,7 @@ def reference_values(nodes, n):
     return values
 
 
-def build_dag_region(nodes, costs, fraction, n=12):
+def build_dag_region(nodes, costs, fraction, n=12, name=None):
     expected = reference_values(nodes, n)
     children = [[] for _ in nodes]
     for node, parents in enumerate(nodes):
@@ -110,7 +110,15 @@ def build_dag_region(nodes, costs, fraction, n=12):
                                      [arrays[p] for p in parents],
                               outputs=[arrays[node]])
 
-    return RandomDag(), expected
+    region = RandomDag(name)
+    region.remote_factory = (dag_region,
+                             (nodes, costs, fraction, n, region.name), {})
+    return region, expected
+
+
+def dag_region(nodes, costs, fraction, n, name):
+    """``build_dag_region``'s region alone: its ``remote_factory``."""
+    return build_dag_region(nodes, costs, fraction, n, name)[0]
 
 
 @settings(max_examples=40, deadline=None)

@@ -195,12 +195,49 @@ class TestFaultPlans:
             assert outcome.fault_kinds == [kind]
 
     def test_kill_worker_fault_is_detected_by_the_parent(self):
+        # Detected, respawned, reinstalled from the scenario's factory
+        # and re-dispatched: the run still completes.
+        telemetry = Telemetry()
         outcome = run_scenario(
             "pipeline", backend="process", timeout=20.0,
+            telemetry=telemetry,
             faults=[{"kind": "kill_worker", "task": "produce"}])
-        assert outcome.failure == "scheduler-error"
-        assert "died" in outcome.message
+        assert outcome.ok, outcome.message
         assert outcome.fault_kinds == ["kill_worker"]
+        assert telemetry.metrics.counters["process.worker_respawns"] >= 1
+
+    def test_body_faults_fire_in_process_workers(self):
+        # The worker's copy of the region carries the run's fault plan.
+        outcome = run_scenario("pipeline", backend="process", timeout=20.0,
+                               faults=[{"kind": "raise", "task": "consume",
+                                        "at_chunk": 3}])
+        assert outcome.failure.startswith("task-body-error")
+        assert "FaultInjected" in outcome.message
+        delayed = run_scenario("pipeline", backend="process", timeout=20.0,
+                               faults=[{"kind": "delay", "task": "produce",
+                                        "wall": 0.3, "at_chunk": 2}])
+        assert delayed.ok, delayed.message
+        assert delayed.makespan >= 0.3
+
+    def test_a_workers_installs_share_one_scenario_build(self, monkeypatch):
+        # The R region factories of one run rebuild the scenario once;
+        # asking for an index again (the next install) builds anew.
+        from repro.schedlab import harness
+
+        scenario = SCENARIOS["kmeans"]
+        builds = []
+
+        class Counting:
+            def fresh(self, strict=False):
+                builds.append(strict)
+                return scenario.fresh(strict=strict)
+
+        monkeypatch.setitem(SCENARIOS, "kmeans", Counting())
+        first = [harness.rebuild("kmeans", False, index, [])
+                 for index in range(2)]
+        assert len(builds) == 1 and first[0] is not first[1]
+        again = harness.rebuild("kmeans", False, 0, [])
+        assert len(builds) == 2 and again is not first[0]
 
     def test_every_fault_kind_has_coverage_above(self):
         # Guard against KINDS growing without a firing test: the four

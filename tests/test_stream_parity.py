@@ -183,20 +183,31 @@ class TestAutotunerActuation:
 
 
 class TestServiceStreaming:
-    def test_run_service_matches_serial_at_k0(self):
+    @staticmethod
+    def _run_logagg_at_k0(**service_options):
         app = APPS["logagg"]
         items = app.make_items(24)
         pipeline = app.pipeline(k=0, window=12)
         reference = pipeline.run_serial(items)
 
         async def main():
-            async with FluidService(slots=2) as service:
+            async with FluidService(slots=2, **service_options) as service:
                 return await pipeline.run_service(items, service)
 
         result = asyncio.run(main())
         assert result.outputs == reference
         assert result.delivered == 24
         assert result.end_verdicts and all(result.end_verdicts.values())
+
+    def test_run_service_matches_serial_at_k0(self):
+        self._run_logagg_at_k0()
+
+    def test_process_service_rebuilds_windows_from_their_factory(self):
+        # Every window leases the service's shared process pool, which
+        # installs a region only from its ``remote_factory``.
+        self._run_logagg_at_k0(
+            backend="process",
+            backend_options={"workers": 2, "timeout": 30.0})
 
     def test_run_service_relaxed_window_reports_makespans(self):
         app = APPS["topk"]

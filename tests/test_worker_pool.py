@@ -7,6 +7,7 @@ assert the processes stay put.  Crash recovery gets its own regression
 tests because it leans on fragile OS detail.
 """
 
+import multiprocessing
 import os
 import random
 import signal
@@ -16,13 +17,14 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.errors import SchedulerError, TaskBodyError
 from repro.core.region import FluidRegion
 from repro.core.valves import DataFinalValve
 from repro.runtime import (PersistentProcessPool, ProcessExecutor,
                            SimExecutor, ThreadExecutor, pool_blob)
 from repro.runtime.context import RunContext
 from repro.service.pools import OneShotPool
-from repro.stream import Pipeline, Stage
+from repro.stream import APPS, Pipeline, Stage
 from repro.telemetry import Telemetry
 
 from util import make_pipeline, pipeline_expected, shm_names
@@ -195,12 +197,107 @@ def make_payload_region(name, elems):
     return region
 
 
-def make_pooled_pipeline(n=30, name=None):
-    """tests.util.make_pipeline with a factory so pools accept it."""
-    region = make_pipeline(n=n, exact_quality=True, name=name)
-    region.remote_factory = (make_pipeline, (n,),
-                             {"exact_quality": True, "name": name})
+def make_batch_crasher_region(flag_path, name="batch-crasher", tasks=4):
+    """``tasks`` bodies gated on one header, so a one-worker pool gets
+    them in one batch; ``t1`` kills its worker once (gated on a flag
+    file), after ``t0`` has reported, with ``t2``... still queued."""
+    region = FluidRegion(name)
+    token = region.add_data("token", 0)
+
+    def header(ctx):
+        token.write(1)
+        yield 1.0
+
+    region.add_task("header", header, outputs=[token])
+    for index in range(tasks):
+        out = region.add_data(f"out_{index}", 0)
+
+        def body(ctx, out=out, index=index):
+            if index == 1 and not os.path.exists(flag_path):
+                with open(flag_path, "w") as handle:
+                    handle.write("crashed")
+                os._exit(13)
+            out.write(index + 1)
+            yield 1.0
+
+        region.add_task(f"t{index}", body, inputs=[token], outputs=[out],
+                        start_valves=[DataFinalValve(token)])
+    region.remote_factory = (make_batch_crasher_region,
+                             (flag_path, name, tasks), {})
     return region
+
+
+def make_abandoned_region(name):
+    """``fail`` raises while ``slow``, on the other worker of a two-worker
+    pool, is still flushing counts: the run ends with ``slow`` in flight,
+    so the lease's reclaim cancels it and drains its messages."""
+    region = FluidRegion(name)
+    token = region.add_data("token", 0)
+    ct = region.add_count("ct")
+    done = region.add_data("done", 0)
+
+    def header(ctx):
+        token.write(1)
+        yield 1.0
+
+    def slow(ctx):
+        for _ in range(100):
+            time.sleep(0.002)
+            ct.add()
+            yield 1.0
+        done.write(1)
+
+    def fail(ctx):
+        time.sleep(0.02)
+        yield 1.0
+        raise ValueError("abandon the lease")
+
+    region.add_task("header", header, outputs=[token])
+    region.add_task("slow", slow, inputs=[token], outputs=[done],
+                    start_valves=[DataFinalValve(token)])
+    region.add_task("fail", fail, inputs=[token],
+                    start_valves=[DataFinalValve(token)])
+    region.remote_factory = (make_abandoned_region, (name,), {})
+    return region
+
+
+class InFlightOnlyExecutor(ProcessExecutor):
+    """Fails on any worker message that names a dispatch no longer in
+    flight, or leaves a message unread at the lease's reclaim.  Dispatch
+    ids restart at 1 for every executor, so a message of an earlier
+    lease could alias a live dispatch: the reclaim check is what shows
+    none survives to be aliased."""
+
+    def __init__(self, **options):
+        super().__init__(**options)
+        self.applied = 0
+        self.held_at_reclaim = 0
+
+    def _apply_event(self, message):
+        _kind, slot, dispatch_id, region_index, task_index = message[:5]
+        task, dispatched_to = self._inflight.get(dispatch_id, (None, None))
+        assert dispatched_to == slot, f"stale: {message[:5]!r}"
+        assert self._task_index[id(task)] == (region_index, task_index), \
+            f"stale: {message[:5]!r}"
+        self.applied += 1
+        super()._apply_event(message)
+
+    def _release_pool(self):
+        pool = self._pool
+        self.held_at_reclaim = sum(map(len, self._slot_ids.values()))
+        super()._release_pool()
+        # Workers answer "reset" with nothing: every pipe is empty now,
+        # unless a worker has died since (its end-of-file is readable;
+        # the next lease respawns it).
+        for slot in range(self.workers):
+            conn = pool.conns[slot]
+            if conn.poll(0):
+                try:
+                    message = conn.recv()
+                except (EOFError, OSError):
+                    continue
+                raise AssertionError(
+                    f"unread at reclaim on slot {slot}: {message[:5]!r}")
 
 
 def _pid_stage(state, seq, value):
@@ -211,16 +308,22 @@ def _pid_stage(state, seq, value):
 
 class TestPoolBlob:
     def test_fork_only_region_has_no_blob(self):
-        assert pool_blob(make_pipeline(n=5)) is None
+        region = make_pipeline(n=5, name="closure-only")
+        region.remote_factory = None
+        with pytest.raises(SchedulerError, match="'closure-only'") as info:
+            pool_blob(region)
+        assert info.value.__cause__ is None
 
     def test_factory_region_pickles(self):
         blob = pool_blob(make_pid_region())
         assert isinstance(blob, bytes) and blob
 
     def test_unpicklable_factory_is_refused(self):
-        region = make_pid_region()
+        region = make_pid_region(name="lambda-factory")
         region.remote_factory = (lambda: region, (), {})
-        assert pool_blob(region) is None
+        with pytest.raises(SchedulerError, match="'lambda-factory'") as info:
+            pool_blob(region)
+        assert info.value.__cause__ is not None  # the pickling error
 
 
 # ----------------------------------------------------------- pool reuse
@@ -243,20 +346,45 @@ class TestPoolReuse:
     def test_pool_runs_full_pipeline_semantics(self):
         with PersistentProcessPool(workers=2) as pool:
             for round_index in range(2):
-                region = make_pooled_pipeline(n=30, name=f"p{round_index}")
+                region = make_pipeline(n=30, exact_quality=True,
+                                       name=f"p{round_index}")
                 executor = ProcessExecutor(timeout=60, pool=pool)
                 executor.submit(region)
                 executor.run()
                 assert region.output("out") == pipeline_expected(30)
 
-    def test_fork_only_region_is_refused_on_a_pool(self):
-        from repro.core.errors import SchedulerError
-
+    def test_fork_only_region_is_refused_on_a_pool(self, tmp_path):
+        flag = tmp_path / "ran"
         with PersistentProcessPool(workers=2) as pool:
             executor = ProcessExecutor(timeout=60, pool=pool)
-            executor.submit(make_pipeline(n=5))
+            closure_only = make_pipeline(n=5)
+            closure_only.remote_factory = None
+            executor.submit(make_crasher_region(str(flag)))
+            executor.submit(closure_only)
             with pytest.raises(SchedulerError, match="remote_factory"):
                 executor.run()
+            # Refused before any body ran, and the pool is still usable.
+            assert not flag.exists()
+            region = make_pid_region(name="after-refusal")
+            executor = ProcessExecutor(timeout=60, pool=pool)
+            executor.submit(region)
+            executor.run()
+            assert region.complete
+
+    def test_a_private_pool_refuses_before_forking(self, tmp_path,
+                                                   monkeypatch):
+        forks = []
+        monkeypatch.setattr(PersistentProcessPool, "_start",
+                            lambda pool, slot: forks.append(slot))
+        executor = ProcessExecutor(workers=2, timeout=60)
+        first = make_crasher_region(str(tmp_path / "ran"))
+        closure_only = make_pipeline(n=5, name="no-factory")
+        closure_only.remote_factory = None
+        executor.submit(first)
+        executor.submit(closure_only, after=[first])
+        with pytest.raises(SchedulerError, match="'no-factory'"):
+            executor.run()
+        assert forks == []
 
     def test_lease_is_exclusive_and_close_is_idempotent(self):
         pool = PersistentProcessPool(workers=1)
@@ -266,8 +394,6 @@ class TestPoolReuse:
         finally:
             pool.close()
             pool.close()  # second close is a no-op
-        from repro.core.errors import SchedulerError
-
         with pytest.raises(SchedulerError, match="closed"):
             pool.lease()
 
@@ -295,21 +421,8 @@ class TestRespawn:
         assert telemetry.metrics.counters.get(
             "process.worker_respawns", 0) >= 1
 
-    def test_non_pool_executor_still_fails_on_dead_worker(self, tmp_path):
-        # Closure-only: the region exists nowhere but in the private
-        # pool's forks, so a replacement worker could not run it.
-        from repro.core.errors import SchedulerError
-
-        region = make_crasher_region(str(tmp_path / "never-retried"))
-        region.remote_factory = None
-        executor = ProcessExecutor(workers=2, timeout=60)
-        executor.submit(region)
-        with pytest.raises(SchedulerError, match="died"):
-            executor.run()
-
     def test_private_pool_respawns_for_a_factory_region(self, tmp_path):
-        # Respawn-or-fail follows the region (does it carry a factory
-        # blob?), not whether the pool is shared or private.
+        # A private pool is the same kind of pool as a shared one.
         telemetry = Telemetry()
         region = make_crasher_region(str(tmp_path / "crashed-once"))
         executor = ProcessExecutor(workers=2, timeout=60,
@@ -398,7 +511,8 @@ class TestOnePipePerWorker:
     def test_a_worker_killed_mid_send_never_wedges_the_pool(self, tmp_path):
         """200 times: a worker is SIGKILLed while it sends a flush larger
         than its pipe's buffer.  Its lease still completes on the
-        replacement, which serves the next lease correctly."""
+        replacement, which serves the next lease correctly, and no
+        message of the dead worker ever reaches the parent."""
         before = shm_names()
         rng = random.Random(31)
         respawns = 0
@@ -408,9 +522,9 @@ class TestOnePipePerWorker:
                     str(tmp_path / f"killed-{index}"),
                     rng.uniform(0.0, 0.002), name=f"stream{index}")
                 telemetry = Telemetry()
-                executor = ProcessExecutor(timeout=10, pool=pool,
-                                           flush_interval=0,
-                                           telemetry=telemetry)
+                executor = InFlightOnlyExecutor(timeout=10, pool=pool,
+                                                flush_interval=0,
+                                                telemetry=telemetry)
                 executor.submit(region)
                 executor.run()
                 assert region.output("out") == STREAM_BYTES * STREAM_CHUNKS
@@ -463,6 +577,39 @@ class TestOnePipePerWorker:
         assert [first.output("out"), long.output("out"),
                 after.output("out")] == [1, 2, 3]
 
+    def test_a_respawn_mid_batch_applies_no_stale_message(self, tmp_path):
+        """The worker dies on the second item of a four-item batch; the
+        rest are re-dispatched to its replacement under new ids."""
+        telemetry = Telemetry()
+        with PersistentProcessPool(workers=1) as pool:
+            region = make_batch_crasher_region(str(tmp_path / "crashed"))
+            executor = InFlightOnlyExecutor(timeout=30, pool=pool,
+                                            telemetry=telemetry)
+            executor.submit(region)
+            executor.run()
+        counters = telemetry.metrics.counters
+        assert counters["process.worker_respawns"] == 1
+        assert counters["process.dispatch_batches"] >= 3  # header, 4, 3
+        assert [region.output(f"out_{index}") for index in range(4)] == \
+            [1, 2, 3, 4]
+        assert executor.applied > 0
+
+    def test_twenty_lease_reuses_apply_no_stale_message(self):
+        """Every lease ends with ``slow`` in flight; the reclaim drains
+        its messages, so none reaches the next lease."""
+        with PersistentProcessPool(workers=2) as pool:
+            for lease in range(20):
+                executor = InFlightOnlyExecutor(timeout=30, pool=pool)
+                executor.submit(make_abandoned_region(f"abandoned{lease}"))
+                with pytest.raises(TaskBodyError, match="abandon"):
+                    executor.run()
+                assert executor.held_at_reclaim == 1
+            region = make_pid_region(name="after-leases", tasks=4)
+            executor = InFlightOnlyExecutor(timeout=30, pool=pool)
+            executor.submit(region)
+            executor.run()
+            assert region.complete and executor.applied >= 5
+
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                         reason="counts descriptors through /proc/self/fd")
     def test_no_thread_or_descriptor_outlives_the_pool(self, tmp_path):
@@ -498,6 +645,60 @@ class TestOnePipePerWorker:
         assert len(pids) == 2 + 5  # five replacements
         assert set(threading.enumerate()) == threads
         assert len(os.listdir("/proc/self/fd")) == descriptors
+
+
+class TestForkLock:
+    def test_a_concurrent_fork_never_hides_a_workers_end_of_file(
+            self, monkeypatch):
+        """Two threads build pools at once, each trying to hold a fresh
+        pipe until the other has one too.  Under the fork lock they
+        cannot (the barrier breaks), so no worker of one pool keeps a
+        child end of the other's pipe: each SIGKILLed worker reads as
+        end-of-file while the other pool's worker still lives."""
+        barrier = threading.Barrier(2, timeout=0.5)
+        order = {}
+        context = type(multiprocessing.get_context("fork"))
+        make_pipe = context.Pipe
+
+        def pipe(self, duplex=True):
+            ends = make_pipe(self, duplex)
+            try:
+                order[threading.current_thread().name] = barrier.wait()
+            except threading.BrokenBarrierError:
+                pass
+            if order.get(threading.current_thread().name) == 1:
+                time.sleep(0.2)  # the other thread forks first
+            return ends
+
+        monkeypatch.setattr(context, "Pipe", pipe)
+        pools = {}
+
+        def build(name):
+            pools[name] = PersistentProcessPool(workers=1, name=name)
+
+        threads = [threading.Thread(target=build, args=(name,), name=name)
+                   for name in ("race0", "race1")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        monkeypatch.undo()
+        try:
+            assert barrier.broken and not order
+            # Unfenced, the pool whose thread forked second is the one
+            # whose pipe the other pool's worker would hold open.
+            for name in sorted(pools, key=lambda name: -order.get(name, 0)):
+                pool = pools[name]
+                os.kill(pool.processes[0].pid, signal.SIGKILL)
+                pool.processes[0].join(timeout=5)
+                assert not pool.processes[0].is_alive()
+                assert pool.conns[0].poll(5), f"{name}: no end-of-file"
+                with pytest.raises(EOFError):
+                    pool.conns[0].recv()
+        finally:
+            for pool in pools.values():
+                pool.close()
 
 
 # ------------------------------------------------- batched-dispatch parity
@@ -610,14 +811,22 @@ class TestServicePoolReuse:
             service_pool.shutdown()
         assert service_pool._process_pool is None
 
-    def test_fork_only_regions_keep_legacy_path(self):
+    def test_closure_only_region_fails_fast(self):
         service_pool = OneShotPool("process", workers=1,
                                    executor_options={"workers": 2})
         try:
-            region = make_pipeline(n=10, exact_quality=True, name="legacy")
+            region = make_pipeline(n=10, exact_quality=True,
+                                   name="closure-only")
+            region.remote_factory = None
+            with pytest.raises(SchedulerError, match="'closure-only'"):
+                self._run_ctx(service_pool, region)
+            # Every process context leases the shared pool, which the
+            # refused context left usable.
+            pool = service_pool._process_pool
+            region = make_pipeline(n=10, exact_quality=True, name="next")
             self._run_ctx(service_pool, region)
             assert region.output("out") == pipeline_expected(10)
-            assert service_pool._process_pool is None
+            assert service_pool._process_pool is pool is not None
         finally:
             service_pool.shutdown()
 
@@ -625,21 +834,38 @@ class TestServicePoolReuse:
 # ------------------------------------------------------ stream pool reuse
 
 class TestStreamPoolReuse:
-    def test_windows_share_worker_pids(self):
-        pipeline = Pipeline([Stage("pid", _pid_stage, cost=0.1)],
-                            window=4, name="pidstream")
-        result = pipeline.run(range(12), backend="process", workers=2)
-        assert result.delivered == 12
-        pids = {pid for _value, pid in result.outputs.values()}
-        # One persistent pool across all 3 windows: at most ``workers``
-        # distinct PIDs ever touch a stage body.
+    def test_windows_share_worker_pids(self, monkeypatch):
+        forks = []
+        start = PersistentProcessPool._start
+
+        def counted_start(pool, slot):
+            forks.append(slot)
+            start(pool, slot)
+
+        monkeypatch.setattr(PersistentProcessPool, "_start", counted_start)
+        pidstream = Pipeline([Stage("pid", _pid_stage, cost=0.1)],
+                             window=4, name="pidstream")
+        logagg = APPS["logagg"]
+        results = {}
+        for pipeline, items in (
+                (pidstream, list(range(12))),
+                (logagg.pipeline(window=4), logagg.make_items(12))):
+            forks.clear()
+            result = results[pipeline.name] = pipeline.run(
+                items, backend="process", workers=2)
+            assert result.delivered == 12 and len(result.windows) == 3
+            # One persistent pool across all 3 windows: ``workers``
+            # forks, and at most that many PIDs touch a stage body.
+            assert forks == [0, 1], pipeline.name
+        pids = {pid for _value, pid in
+                results["pidstream"].outputs.values()}
         assert 1 <= len(pids) <= 2
 
-    def test_unpicklable_must_falls_back_to_forks(self):
+    def test_unpicklable_must_fails_fast(self):
         pipeline = Pipeline([Stage("pid", _pid_stage, cost=0.1)],
                             window=4, name="lambdamust",
                             must=lambda seq: False)
-        result = pipeline.run(range(8), backend="process", workers=2)
-        assert result.delivered == 8
-        assert {value for value, _pid in result.outputs.values()} == \
-            set(range(8))
+        with pytest.raises(SchedulerError,
+                           match="'lambdamust_w0'") as info:
+            pipeline.run(range(8), backend="process", workers=2)
+        assert info.value.__cause__ is not None

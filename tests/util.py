@@ -7,8 +7,9 @@ These construct the canonical topologies of Figure 1(a):
 * :func:`make_diamond` — one producer, two middle tasks, one joiner
   (multi-producer/multi-consumer shape, FFT/DCT class).
 
-Every builder returns the region; task bodies compute simple integer
-transformations so tests can assert exact outputs.
+Every builder returns the region, carrying the ``remote_factory`` that
+rebuilds it so it runs on the process backend too; task bodies compute
+simple integer transformations so tests can assert exact outputs.
 """
 
 from __future__ import annotations
@@ -17,6 +18,13 @@ import os
 from typing import List, Optional, Sequence
 
 from repro import (FluidRegion, PercentValve, PredicateValve, Valve)
+
+
+def with_factory(region: FluidRegion, builder, **kwargs) -> FluidRegion:
+    """Set ``region.remote_factory`` to ``builder(**kwargs)`` under the
+    region's own name; ``builder`` must be a module-level function."""
+    region.remote_factory = (builder, (), dict(kwargs, name=region.name))
+    return region
 
 
 def make_pipeline(n: int = 50, start_fraction: float = 0.4,
@@ -64,7 +72,12 @@ def make_pipeline(n: int = 50, start_fraction: float = 0.4,
             self.add_task("consume", consume, start_valves=start,
                           end_valves=end, inputs=[mid], outputs=[out])
 
-    return Pipeline(name)
+    return with_factory(Pipeline(name), make_pipeline, n=n,
+                        start_fraction=start_fraction,
+                        producer_cost=producer_cost,
+                        consumer_cost=consumer_cost,
+                        end_fraction=end_fraction,
+                        exact_quality=exact_quality)
 
 
 def pipeline_expected(n: int) -> List[int]:
@@ -118,7 +131,9 @@ def make_chain(depth: int = 3, n: int = 40,
                     f"t{k}", stage_body(k), start_valves=start,
                     end_valves=end, inputs=inputs, outputs=[arrays[k]])
 
-    return Chain(name)
+    return with_factory(Chain(name), make_chain, depth=depth, n=n,
+                        start_fraction=start_fraction, costs=costs,
+                        exact_quality=exact_quality)
 
 
 def chain_expected(depth: int, n: int) -> List[int]:
@@ -185,7 +200,9 @@ def make_diamond(n: int = 40, start_fraction: float = 0.4,
                                         PercentValve(ctr, start_fraction, n)],
                           end_valves=end)
 
-    return Diamond(name)
+    return with_factory(Diamond(name), make_diamond, n=n,
+                        start_fraction=start_fraction,
+                        exact_quality=exact_quality)
 
 
 def diamond_expected(n: int) -> List[int]:

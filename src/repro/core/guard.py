@@ -207,6 +207,7 @@ class Coordinator:
         """A scheduled re-execution became pointless before it started:
         every descendant completed while it sat in the ready queue."""
         task.rerun_scheduled = False
+        task.stats.skipped_reruns += 1
         self._complete(task, "rerun-skipped")
 
     # --------------------------------------------------------- CE decision
@@ -342,6 +343,7 @@ class Coordinator:
             return
         task.rerun_scheduled = True
         task.pending_update = False
+        task.stats.reruns += 1
         self._emit("rerun", task, reason)
         self.host.schedule_run(task)
 

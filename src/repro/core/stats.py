@@ -5,6 +5,12 @@ much time (virtual time under the simulator, wall time under the thread
 backend) was spent in it.  The benchmark for Table 3 renders these
 records in the same layout as the paper: one row per task, a
 visit-count column block and a residence-time column block.
+
+:class:`TaskStats` is the one record of what a task did: the guard
+outcomes and valve-set verdicts are tallied here too, and
+:meth:`repro.telemetry.MetricsRegistry.record_region` folds every task's
+record into the ``tasks.*``, ``time.*`` and ``valve.*`` counters once
+per region.
 """
 
 from __future__ import annotations
@@ -36,9 +42,16 @@ class TaskStats:
         self.visits: List[int] = [0] * _N_STATES
         self.time: List[float] = [0.0] * _N_STATES
         self.runs = 0          # completed executions of the body
+        self.reruns = 0        # re-executions the guard scheduled
         self.cancelled_runs = 0
+        self.skipped_reruns = 0  # re-runs retired before their body began
         self.failed_runs = 0   # body raised (remote/process backends)
         self.quality_failures = 0
+        #: Valve-set verdicts by set (``"start"``/``"end"``); a set whose
+        #: every valve answered from its memo recomputed nothing and is
+        #: not counted.
+        self.valve_passes: Dict[str, int] = {"start": 0, "end": 0}
+        self.valve_fails: Dict[str, int] = {"start": 0, "end": 0}
         self._state: Optional[TaskState] = None
         self._entered_at = 0.0
         self._finished = False
@@ -69,6 +82,14 @@ class TaskStats:
             self.time[self._state] += now - self._entered_at
             self._entered_at = now
 
+    def time_at(self, now: float) -> List[float]:
+        """:attr:`time` with the open state's residence up to ``now``
+        added; the books stay open."""
+        time = list(self.time)
+        if not self._finished and self._state is not None:
+            time[self._state] += now - self._entered_at
+        return time
+
     # -- Table 3 helpers -----------------------------------------------------
 
     def visit_row(self) -> List[float]:
@@ -87,29 +108,9 @@ def _table3_row(slots: List[float]) -> List[float]:
 
 
 class RegionStats:
-    """Aggregated statistics for all tasks of one region execution."""
+    """Region-level totals of one region execution."""
 
     def __init__(self, region_name: str):
         self.region_name = region_name
-        self.tasks: Dict[str, TaskStats] = {}
         self.makespan = 0.0
         self.overhead_time = 0.0   # framework time: init, checks, transitions
-
-    def for_task(self, task_name: str) -> TaskStats:
-        if task_name not in self.tasks:
-            self.tasks[task_name] = TaskStats(task_name)
-        return self.tasks[task_name]
-
-    def merge(self, other: "RegionStats") -> None:
-        """Fold another region execution into this aggregate (averaging is
-        done at reporting time from visit counts)."""
-        for name, stats in other.tasks.items():
-            mine = self.for_task(name)
-            mine.visits = [a + b for a, b in zip(mine.visits, stats.visits)]
-            mine.time = [a + b for a, b in zip(mine.time, stats.time)]
-            mine.runs += stats.runs
-            mine.cancelled_runs += stats.cancelled_runs
-            mine.failed_runs += stats.failed_runs
-            mine.quality_failures += stats.quality_failures
-        self.makespan += other.makespan
-        self.overhead_time += other.overhead_time

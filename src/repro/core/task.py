@@ -22,7 +22,6 @@ they are cooperative cancellation points.  A body receives a
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Dict, Generator, Sequence
 
 from .data import DataSnapshot, FluidData
@@ -203,56 +202,46 @@ class FluidTask:
         return self._check_valves("start", self.spec.start_valves)
 
     def _check_valves(self, which: str, valves: Sequence[Valve]) -> bool:
-        """Evaluate one valve set, publishing verdict + latency telemetry.
+        """Evaluate one valve set and tally its verdict in :attr:`stats`.
 
-        Empty valve sets pass vacuously and are not counted as
-        evaluations.  A SchedLab fault plan may transiently force the
-        verdict; such overrides are counted (with zero latency and a
-        ``forced`` flag) so metric parity holds under fault injection.
+        Empty valve sets pass vacuously, and a set whose every valve
+        answered from its memo recomputed nothing (the paper's "check"
+        is the recompute, not the call): neither is tallied.  A SchedLab
+        fault plan may transiently force the verdict; a forced verdict
+        is tallied (``forced`` on its event) so metric parity holds
+        under fault injection.  The ``valve`` event is built only when a
+        bus subscriber reads that kind.
         """
-        telemetry = getattr(self.region, "telemetry", None)
         fault_plan = getattr(self.region, "fault_plan", None)
         forced = (None if fault_plan is None
                   else fault_plan.valve_override(self, which))
         if forced is not None:
-            if telemetry is not None and valves:
-                telemetry.emit(
-                    "valve", getattr(self.region, "name", ""), self.name,
-                    which, data={"result": forced, "latency": 0.0,
-                                 "valves": len(valves), "forced": True})
+            if valves:
+                self._tally_verdict(which, forced, len(valves), True)
             return forced
-        if telemetry is None or not valves:
-            for valve in valves:
-                if not valve.check():
-                    return False
-            return True
-        started = time.perf_counter()
-        evaluated = skipped = 0
-        result = True
+        result, evaluated = True, False
         for valve in valves:
             before = valve.checks
-            verdict = valve.check()
-            if valve.checks == before:
-                skipped += 1
-            else:
-                evaluated += 1
-            if not verdict:
+            passed = valve.check()
+            evaluated = evaluated or valve.checks != before
+            if not passed:
                 result = False
                 break
-        if evaluated == 0 and skipped:
-            # Every valve answered from its memo: nothing was recomputed,
-            # so no valve-evaluation event is published (the paper's
-            # "check" is the recompute, not the call).  The skips are
-            # still visible through MetricsRegistry via the per-region
-            # memo summary the executors publish at region completion.
-            return result
-        telemetry.emit(
-            "valve", getattr(self.region, "name", ""), self.name, which,
-            data={"result": result,
-                  "latency": time.perf_counter() - started,
-                  "valves": len(valves),
-                  "evaluated": evaluated, "skipped": skipped})
+        if evaluated:
+            self._tally_verdict(which, result, len(valves), False)
         return result
+
+    def _tally_verdict(self, which: str, result: bool, valves: int,
+                       forced: bool) -> None:
+        (self.stats.valve_passes if result
+         else self.stats.valve_fails)[which] += 1
+        telemetry = getattr(self.region, "telemetry", None)
+        if telemetry is not None and telemetry.wants("valve"):
+            data = {"result": result, "valves": valves}
+            if forced:
+                data["forced"] = True
+            telemetry.emit("valve", getattr(self.region, "name", ""),
+                           self.name, which, data=data)
 
     def descendants_complete(self) -> bool:
         return all(task.state is TaskState.COMPLETE

@@ -42,22 +42,6 @@ _RERUNNABLE = (TaskState.WAITING, TaskState.DEP_STALLED)
 _STARTABLE = (TaskState.START_CHECK,) + _RERUNNABLE
 
 
-def emit_memo_summary(bus, region: FluidRegion) -> None:
-    """Publish one region's valve-memoization totals as a telemetry event.
-
-    Memo-answered ``check()`` calls intentionally publish no per-call
-    valve event (nothing was recomputed); this runs once at region
-    completion so the skipped work is still observable —
-    MetricsRegistry folds the event into the ``valve.checks.evaluated``
-    and ``valve.checks.skipped`` counters.
-    """
-    evaluated = sum(valve.checks for valve in region.valves)
-    skipped = sum(valve.checks_skipped for valve in region.valves)
-    bus.emit("valve", region.name, "", "memo",
-             data={"evaluated": evaluated, "skipped": skipped,
-                   "valves": len(region.valves)})
-
-
 class RegionRun:
     """Bookkeeping for one submitted region within a run context."""
 
@@ -360,8 +344,8 @@ class RunContext:
         Returns True when this completion finished the task's region:
         its makespan (measured from its own launch, so time spent
         waiting on ``after`` predecessors is excluded) and stats are
-        closed, and ``sched/region-done`` plus the region's one
-        ``valve/memo`` summary are emitted.
+        closed, ``sched/region-done`` is emitted and the region's task
+        records are folded into the metrics, once.
         """
         # A completion cascade can retire a task still in START_CHECK.
         self.waiting.discard(task)
@@ -376,8 +360,8 @@ class RunContext:
             sibling.stats.finish(now)
         self._emit(region, "", "region-done",
                    f"makespan={region.stats.makespan:.3f}")
-        if self.bus is not None:
-            emit_memo_summary(self.bus, region)
+        if self.telemetry is not None:
+            self.telemetry.record_region(region)
         return True
 
     def _emit(self, region: FluidRegion, task: str, name: str,
@@ -441,10 +425,15 @@ class RunContext:
             self.on_finished(self)
 
     def record_run(self, scheduler: Optional[object], workers: int) -> None:
-        """End-of-run telemetry folds: tuner and scheduler snapshots,
-        then the run's makespan over ``workers`` execution resources."""
+        """End-of-run telemetry folds: every launched region that never
+        finished (its open residences closed at now), tuner and
+        scheduler snapshots, then the run's makespan over ``workers``
+        execution resources."""
         if self.telemetry is not None:
             now = self.host.now()
+            for run in self.runs:
+                if run.launched and not run.done:
+                    self.telemetry.record_region(run.region, now)
             self.telemetry.record_autotuner(self.autotuner)
             self.telemetry.record_scheduler(scheduler)
             self.telemetry.run_finished(now, workers, now=now)

@@ -16,7 +16,7 @@ The parent never scans for runnable tasks: a task waiting on its start
 valves is a record in ``context.waiting`` (``admit`` at region launch,
 ``begin`` at dispatch).  Applying a worker flush wakes the records filed
 under the counts it replayed (``woken``), a drained batch of messages
-re-polls the records no count can open, and a ``fallback_interval``
+re-polls the records no count can open, and a ``_FALLBACK_INTERVAL``
 without a message re-polls every parked record — the thread pool's
 safety net on this driver's clock (docs/runtime-semantics.md, "Wakeups").
 
@@ -161,7 +161,7 @@ _RECLAIM_GRACE = 2.0
 #: otherwise respawn forever).
 _MAX_RESPAWNS = 3
 
-#: Default upper bound on one control-loop block.  The loop is woken by
+#: Upper bound on one control-loop block.  The loop is woken by
 #: events — a message on a busy worker's pipe, or its process sentinel
 #: closing — so this only bounds how stale the deadline check can get,
 #: and paces the safety-net re-poll of parked records.
@@ -317,11 +317,6 @@ class ProcessExecutor(Executor, GuardHost):
     timeout:
         Overall wall-clock deadline, as in
         :class:`~repro.runtime.thread_backend.ThreadExecutor`.
-    fallback_interval:
-        Upper bound on one control-loop block (the loop is woken by
-        events; this bounds how stale the deadline check can get, and a
-        whole interval without a worker message re-polls every parked
-        record).
     batch_size:
         Maximum ready tasks coalesced into one worker round-trip.  The
         parent only batches when more tasks are queued than workers are
@@ -337,7 +332,6 @@ class ProcessExecutor(Executor, GuardHost):
 
     def __init__(self, workers: Optional[int] = None,
                  modulation: Optional[ModulationPolicy] = None,
-                 fallback_interval: float = _FALLBACK_INTERVAL,
                  timeout: float = 60.0,
                  cancel_first_runs: bool = False,
                  flush_interval: float = 0.01,
@@ -374,7 +368,6 @@ class ProcessExecutor(Executor, GuardHost):
         self.autotuner = self.context.autotuner
         self._bus = self.context.bus
         self.cancel_first_runs = cancel_first_runs
-        self.fallback_interval = fallback_interval
         self.timeout = timeout
         self.flush_interval = flush_interval
         #: SchedLab schedule policy: chooses which ready task is
@@ -726,11 +719,11 @@ class ProcessExecutor(Executor, GuardHost):
         """Apply every waiting worker message, then re-poll the records
         no count can open — once per batch, not per cell: a finishing
         producer bumps, then finalises.  No message for a whole
-        ``fallback_interval``: re-poll every parked record instead."""
+        ``_FALLBACK_INTERVAL``: re-poll every parked record instead."""
         waiting = self.context.waiting
         records = waiting.records  # no message: every parked record
         busy = [slot for slot, ids in self._slot_ids.items() if ids]
-        for message in self._receive(busy, self.fallback_interval):
+        for message in self._receive(busy, _FALLBACK_INTERVAL):
             self._apply_event(message)
             records = waiting.polled
         self._recheck(records.values())

@@ -27,14 +27,13 @@ from typing import Optional
 
 from .context import RunContext
 from .executor import Executor, RunResult
-from .thread_pool import FALLBACK_INTERVAL, SharedThreadPool
+from .thread_pool import SharedThreadPool
 
 
 class ThreadExecutor(Executor):
     """Executes regions on a private ``slots``-worker pool (single-shot)."""
 
     def __init__(self, modulation: Optional[object] = None,
-                 fallback_interval: float = FALLBACK_INTERVAL,
                  timeout: float = 60.0,
                  cancel_first_runs: bool = False,
                  policy: Optional[object] = None,
@@ -58,8 +57,7 @@ class ThreadExecutor(Executor):
         # lock).
         self._pool = SharedThreadPool(
             slots=4 if slots is None else slots, scheduler=scheduler,
-            policy=policy, bus=self.context.bus,
-            fallback_interval=fallback_interval, name="thread-backend")
+            policy=policy, bus=self.context.bus, name="thread-backend")
         #: The repro.sched discipline ordering the ready queue the
         #: ``slots`` workers drain (``scheduler=None`` is FCFS).
         self.scheduler = self._pool.scheduler

@@ -129,7 +129,6 @@ class SharedThreadPool:
                  scheduler: Optional[object] = None,
                  policy: Optional[object] = None,
                  bus: Optional[object] = None,
-                 fallback_interval: float = FALLBACK_INTERVAL,
                  name: str = "pool"):
         if slots < 1:
             raise SchedulerError("thread pool needs at least one slot")
@@ -140,7 +139,6 @@ class SharedThreadPool:
         self.name = name
         self.slots = slots
         self.policy = policy
-        self.fallback_interval = fallback_interval
         self.scheduler = make_scheduler(scheduler).bind(
             policy=policy, bus=bus, point="core", workers=slots)
         #: id(task) -> its context, for every task in the ready queue.
@@ -412,8 +410,7 @@ class SharedThreadPool:
             # parked); with none anywhere, sleep until notified.
             parked = not self._queued and \
                 any(ctx.waiting for ctx in self._contexts)
-            if not self._idle.wait(self.fallback_interval if parked
-                                   else None):
+            if not self._idle.wait(FALLBACK_INTERVAL if parked else None):
                 for ctx in tuple(self._contexts):
                     for task in tuple(ctx.waiting.records.values()):
                         self._for_context(self._recheck, ctx, task)

@@ -10,7 +10,9 @@
 ``telemetry.metrics``
     A :class:`~repro.telemetry.metrics.MetricsRegistry` with the full
     counter catalogue (valve verdicts, re-executions, early
-    terminations, stall time, payload bytes, worker utilization).
+    terminations, stall time, payload bytes, worker utilization); the
+    per-task counters are folded from each region's records once, not
+    heard event by event.
 ``telemetry.chrome_trace()`` / ``telemetry.write(...)``
     A Chrome trace-event document loadable in ``chrome://tracing`` or
     https://ui.perfetto.dev, plus JSON dumps of either artifact.
@@ -72,11 +74,11 @@ class Telemetry:
         self.metrics: Optional[MetricsRegistry] = None
         if metrics:
             self.metrics = MetricsRegistry()
-            # Every kind but ``stream``: stage queues keep their own
-            # tallies, folded in by the pipeline (``record_queue``).
+            # Live decisions only: task records, valve verdicts and
+            # stage-queue tallies are folded in (``record_region``,
+            # ``record_queue``), not heard.
             self.bus.subscribe(self.metrics.on_event, kinds=(
-                "transition", "guard", "sched", "valve", "payload",
-                "worker", "svc", "tune"))
+                "sched", "payload", "worker", "svc", "tune"))
         self.chrome: Optional[ChromeTraceExporter] = None
         if chrome:
             self.chrome = ChromeTraceExporter().connect(self.bus)
@@ -87,6 +89,15 @@ class Telemetry:
     def bind_clock(self, clock: Callable[[], float],
                    time_scale: float) -> None:
         self.bus.bind_clock(clock, time_scale)
+
+    def record_region(self, region: Any,
+                      now: Optional[float] = None) -> None:
+        """Fold one region's task records into the metrics, once: when
+        it is done, or with ``now`` at run end if it never finished
+        (:meth:`MetricsRegistry.record_region`).  No-op without a
+        metrics registry."""
+        if self.metrics is not None:
+            self.metrics.record_region(region, now)
 
     def record_scheduler(self, scheduler: Optional[Any]) -> None:
         """Fold a scheduler's end-of-run snapshot into the metrics.

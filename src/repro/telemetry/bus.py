@@ -33,9 +33,11 @@ Event kinds
     golden structural traces stable.
 ``valve``
     One evaluation of a task's start or end valve set.  ``name`` is
-    ``start`` or ``end``; ``data`` carries ``result`` (bool),
-    ``latency`` (wall seconds spent evaluating) and ``valves`` (set
-    size).
+    ``start`` or ``end``; ``data`` carries ``result`` (bool) and
+    ``valves`` (set size), plus ``forced`` when a SchedLab fault plan
+    chose the verdict.  Built only while a subscriber reads the kind
+    (the Chrome exporter, the autotuner); the verdict tallies behind
+    the ``valve.*`` counters live in the task's ``TaskStats``.
 ``payload``
     Process-backend payload traffic.  ``name`` is ``to-worker`` or
     ``from-worker``; ``data`` carries ``bytes`` and ``cells``.
@@ -123,8 +125,8 @@ class TelemetryBus:
         #: the Chrome trace exporter: 1.0 for virtual time (one cost
         #: unit renders as one microsecond), 1e6 for wall-clock seconds.
         self.time_scale: float = 1e6
-        #: Count of events offered so far, read or not (cheap health
-        #: indicator).
+        #: Count of events delivered so far, i.e. offered while some
+        #: subscriber read their kind (cheap health indicator).
         self.published = 0
 
     # -- wiring ----------------------------------------------------------
@@ -166,18 +168,20 @@ class TelemetryBus:
     # -- publishing ------------------------------------------------------
 
     def publish(self, event: TelemetryEvent) -> None:
-        self.published += 1
-        for callback in self._routes.get(event.kind, self._every):
+        subscribers = self._routes.get(event.kind, self._every)
+        if subscribers:
+            self.published += 1
+        for callback in subscribers:
             callback(event)
 
     def emit(self, kind: str, region: str, task: str, name: str,
              ts: Optional[float] = None,
              data: Optional[Dict[str, Any]] = None) -> None:
         """Convenience publisher; ``ts`` defaults to the bound clock."""
-        self.published += 1
         subscribers = self._routes.get(kind, self._every)
         if not subscribers:
             return
+        self.published += 1
         event = TelemetryEvent(self.clock() if ts is None else ts,
                                kind, region, task, name,
                                data if data is not None else {})

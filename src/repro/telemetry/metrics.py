@@ -1,14 +1,21 @@
-"""Metrics registry: counters, gauges and histograms over the event bus.
+"""Metrics registry: counters, gauges and histograms of one run.
 
-The registry subscribes to a :class:`~repro.telemetry.bus.TelemetryBus`
-(every kind but ``stream``) and folds the event stream into the counter
-catalogue below — the
-decisions that define Fluid (valve verdicts, re-executions, early
-terminations, quality failures, stall time) plus backend-specific
-traffic (process payload bytes, worker occupancy).  Every standard
-counter is pre-registered at zero so a dump always carries the full
-catalogue: two dumps from different backends can be diffed key-by-key
-and backend-parity tests can compare the key *sets* directly.
+The counter catalogue below holds the decisions that define Fluid
+(valve verdicts, re-executions, early terminations, quality failures,
+stall time) plus backend-specific traffic (process payload bytes,
+worker occupancy).  Every standard counter is pre-registered at zero so
+a dump always carries the full catalogue: two dumps from different
+backends can be diffed key-by-key and backend-parity tests can compare
+the key *sets* directly.
+
+Most counters are *folds*, not subscribers: what the core already
+records once is read once.  :meth:`MetricsRegistry.record_region` folds
+a region's :class:`~repro.core.stats.TaskStats` (the ``valve.start.*``,
+``valve.end.*``, ``tasks.*`` and ``time.*`` counters, ``tasks.spawned``
+aside) and its valves' memo tallies (``valve.checks.*``) when the
+region is done, or at run end for a region that never finished.  The
+registry subscribes to the bus only for live decisions: ``sched``
+(spawn/shed/steal/defer), ``payload``, ``worker``, ``svc`` and ``tune``.
 
 Counter catalogue
 -----------------
@@ -64,12 +71,14 @@ Counter catalogue
 ========================================  =====================================
 
 The ``stream.*`` counters and the ``stream.occupancy`` histogram are
-not read off the bus: each stage queue keeps its own tally, which
+folds too: each stage queue keeps its own tally, which
 :meth:`MetricsRegistry.record_queue` folds in when the pipeline
 harvests a window.
 
 ``time.*`` counters are in the executor's clock units (virtual cost
-units under the simulator, seconds under the real backends).  Gauges
+units under the simulator, seconds under the real backends).  Early
+terminations are cancelled runs plus re-runs skipped before their body
+began (Section 6.1).  Gauges
 ``run.makespan``, ``run.workers``, ``worker.busy_time`` and
 ``worker.utilization`` are set once at the end of the run.
 """
@@ -80,6 +89,7 @@ import json
 from bisect import bisect_left
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..core.states import TaskState
 from .bus import TelemetryEvent
 
 #: Version tag written into every metrics dump.
@@ -111,7 +121,7 @@ COUNTER_CATALOGUE = (
 )
 
 #: Bucket boundaries for the scheduler queue-residence histogram.  Wider
-#: than the valve-latency decades: residence is measured in the host's
+#: than the default decades: residence is measured in the host's
 #: clock units (virtual cost units under the simulators, seconds under
 #: the real backends), which span several orders of magnitude.
 RESIDENCE_BOUNDS = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1e3, 1e4)
@@ -124,23 +134,11 @@ OCCUPANCY_BOUNDS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 #: histogram: a task count bounded by the executor's ``batch_size``.
 BATCH_SIZE_BOUNDS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
-#: Guard completion reasons that count as Section-6.1 early termination.
-_EARLY_TERMINATION_REASONS = ("early-termination", "rerun-skipped")
-
-#: Task states whose residence time is accumulated into ``time.*``.
-_TIMED_STATES = {
-    "RUNNING": "time.running",
-    "START_CHECK": "time.start_check",
-    "WAITING": "time.waiting",
-    "DEP_STALLED": "time.dep_stalled",
-}
-
-
 class Histogram:
     """A fixed-boundary histogram (decade buckets, seconds-friendly).
 
-    ``bounds`` overrides the default valve-latency decades — the
-    scheduler queue-residence histogram uses :data:`RESIDENCE_BOUNDS`.
+    ``bounds`` overrides the default decades — the scheduler
+    queue-residence histogram uses :data:`RESIDENCE_BOUNDS`.
     """
 
     BOUNDS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
@@ -208,19 +206,17 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Folds bus events into counters/gauges/histograms; JSON in and out."""
+    """Folds region records, snapshots and live decision events into
+    counters/gauges/histograms; JSON in and out."""
 
     def __init__(self):
         self.counters: Dict[str, float] = {
             name: 0 for name in COUNTER_CATALOGUE}
         self.gauges: Dict[str, float] = {}
         self.histograms: Dict[str, Histogram] = {
-            "valve.latency": Histogram(),
             "sched.queue_residence": Histogram(RESIDENCE_BOUNDS)}
-        # (region, task) -> (state name, entry timestamp)
-        self._since: Dict[Tuple[str, str], Tuple[str, float]] = {}
         # worker slot -> dispatch timestamp
-        self._busy_since: Dict[int, float] = {}
+        self._dispatched_at: Dict[int, float] = {}
         self._busy_total = 0.0
 
     # -- primitive mutation ------------------------------------------------
@@ -243,26 +239,7 @@ class MetricsRegistry:
 
     def on_event(self, event: TelemetryEvent) -> None:
         kind = event.kind
-        if kind == "transition":
-            self._on_transition(event)
-        elif kind == "valve":
-            if event.name == "memo":
-                # Per-region memoization summary emitted once at region
-                # completion (memo-answered checks publish no per-call
-                # event), not a verdict.
-                self.inc("valve.checks.evaluated",
-                         event.data.get("evaluated", 0))
-                self.inc("valve.checks.skipped",
-                         event.data.get("skipped", 0))
-                return
-            verdict = "pass" if event.data.get("result") else "fail"
-            self.inc(f"valve.{event.name}.{verdict}")
-            latency = event.data.get("latency")
-            if latency is not None:
-                self.observe("valve.latency", latency)
-        elif kind == "guard":
-            self._on_guard(event)
-        elif kind == "sched":
+        if kind == "sched":
             if event.name == "spawn":
                 self.inc("tasks.spawned")
             elif event.name == "shed":
@@ -298,35 +275,6 @@ class MetricsRegistry:
                 else:
                     self.inc("tune.relaxations")
                 self.set_gauge("tune.position", after)
-
-    def _on_transition(self, event: TelemetryEvent) -> None:
-        key = (event.region, event.task)
-        open_state = self._since.get(key)
-        if open_state is not None:
-            state, entered = open_state
-            counter = _TIMED_STATES.get(state)
-            if counter is not None:
-                self.inc(counter, event.ts - entered)
-        if event.name == "COMPLETE":
-            self._since.pop(key, None)
-            self.inc("tasks.completed")
-        else:
-            self._since[key] = (event.name, event.ts)
-            if event.name == "RUNNING":
-                self.inc("tasks.runs")
-            elif event.name == "DEP_STALLED":
-                self.inc("tasks.dep_stalls")
-
-    def _on_guard(self, event: TelemetryEvent) -> None:
-        detail = event.data.get("detail", "")
-        if event.name == "rerun":
-            self.inc("tasks.reexecutions")
-        elif event.name == "wait" and detail == "quality-failed":
-            self.inc("tasks.quality_failures")
-        elif event.name == "complete" and detail in _EARLY_TERMINATION_REASONS:
-            self.inc("tasks.early_terminations")
-        elif event.name == "failed":
-            self.inc("tasks.failed_runs")
 
     def _on_service(self, event: TelemetryEvent) -> None:
         """Fold ``svc``-kind events (repro.service request lifecycle).
@@ -371,9 +319,9 @@ class MetricsRegistry:
             # Batched dispatch emits one "dispatch" per task in the
             # batch; the overwrite coarsens per-slot busy accounting to
             # "since the last dispatch", which finalize() folds in.
-            self._busy_since[slot] = event.ts
+            self._dispatched_at[slot] = event.ts
         elif event.name == "free":
-            started = self._busy_since.pop(slot, None)
+            started = self._dispatched_at.pop(slot, None)
             if started is not None:
                 self._busy_total += event.ts - started
         elif event.name == "batch":
@@ -384,6 +332,39 @@ class MetricsRegistry:
                          BATCH_SIZE_BOUNDS)
         elif event.name == "respawn":
             self.inc("process.worker_respawns")
+
+    def record_region(self, region: Any,
+                      now: Optional[float] = None) -> None:
+        """Fold one region's task records and valve memo tallies in.
+
+        Called once per region: when it is done, with ``now`` None (its
+        tasks' books are closed), or at run end for a region that never
+        finished, whose open residences are counted up to ``now``.
+        """
+        self.inc("valve.checks.evaluated",
+                 sum(valve.checks for valve in region.valves))
+        self.inc("valve.checks.skipped",
+                 sum(valve.checks_skipped for valve in region.valves))
+        for task in region.tasks:
+            stats = task.stats
+            visits = stats.visits
+            time = stats.time if now is None else stats.time_at(now)
+            self.inc("valve.start.pass", stats.valve_passes["start"])
+            self.inc("valve.start.fail", stats.valve_fails["start"])
+            self.inc("valve.end.pass", stats.valve_passes["end"])
+            self.inc("valve.end.fail", stats.valve_fails["end"])
+            self.inc("tasks.runs", visits[TaskState.RUNNING])
+            self.inc("tasks.completed", visits[TaskState.COMPLETE])
+            self.inc("tasks.reexecutions", stats.reruns)
+            self.inc("tasks.early_terminations",
+                     stats.cancelled_runs + stats.skipped_reruns)
+            self.inc("tasks.quality_failures", stats.quality_failures)
+            self.inc("tasks.failed_runs", stats.failed_runs)
+            self.inc("tasks.dep_stalls", visits[TaskState.DEP_STALLED])
+            self.inc("time.running", time[TaskState.RUNNING])
+            self.inc("time.start_check", time[TaskState.START_CHECK])
+            self.inc("time.waiting", time[TaskState.WAITING])
+            self.inc("time.dep_stalled", time[TaskState.DEP_STALLED])
 
     def record_scheduler(self, snapshot: Dict[str, Any]) -> None:
         """Fold a :meth:`repro.sched.Scheduler.snapshot` into the metrics.
@@ -431,20 +412,15 @@ class MetricsRegistry:
     # -- end of run --------------------------------------------------------
 
     def finalize(self, makespan: float, workers: int, now: float) -> None:
-        """Close open intervals and derive the utilization gauges.
+        """Close open worker intervals and derive the utilization gauges.
 
         ``workers`` is the parallelism denominator: virtual cores for
         the simulator, 1 for the GIL-bound thread backend, the pool size
         for the process backend.
         """
-        for (_region, _task), (state, entered) in list(self._since.items()):
-            counter = _TIMED_STATES.get(state)
-            if counter is not None:
-                self.inc(counter, now - entered)
-        self._since.clear()
-        for slot, started in list(self._busy_since.items()):
+        for slot, started in list(self._dispatched_at.items()):
             self._busy_total += now - started
-        self._busy_since.clear()
+        self._dispatched_at.clear()
         self.set_gauge("run.makespan", makespan)
         self.set_gauge("run.workers", workers)
         busy = (self._busy_total if self.counters["process.dispatches"]

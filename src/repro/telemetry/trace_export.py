@@ -54,7 +54,7 @@ class ChromeTraceExporter:
         if self._epoch is None:
             self._epoch = event.ts
         if event.kind == "transition":
-            self._on_transition(event)
+            self._on_state_change(event)
         elif event.kind == "guard":
             detail = event.data.get("detail", "")
             label = f"guard:{event.name}" + (f" ({detail})" if detail else "")
@@ -64,7 +64,7 @@ class ChromeTraceExporter:
                 (event.ts, event.region, event.task,
                  f"valve:{event.name} failed"))
 
-    def _on_transition(self, event: TelemetryEvent) -> None:
+    def _on_state_change(self, event: TelemetryEvent) -> None:
         key = (event.region, event.task)
         self._close(key, event.ts)
         if event.name != "COMPLETE":

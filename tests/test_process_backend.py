@@ -191,15 +191,16 @@ def make_quiet_consumer_region(flushes, name="quiet-consumer"):
 
 
 class TestWakeRule:
-    def test_unrelated_flushes_do_not_recheck_a_parked_consumer(self):
+    def test_unrelated_flushes_do_not_recheck_a_parked_consumer(
+            self, monkeypatch):
         """A count-gated consumer is re-evaluated when *its* count is
         replayed, not on every flush another task sends."""
         flushes = 30
         region = make_quiet_consumer_region(flushes)
         # flush_interval=0: every chunk boundary that has something to
         # say is a message; a long fallback keeps the safety net out.
-        executor = ProcessExecutor(workers=2, timeout=60, flush_interval=0.0,
-                                   fallback_interval=5.0)
+        monkeypatch.setattr(process_backend, "_FALLBACK_INTERVAL", 5.0)
+        executor = ProcessExecutor(workers=2, timeout=60, flush_interval=0.0)
         executor.submit(region)
         executor.run()
         assert region.output("out") == 2

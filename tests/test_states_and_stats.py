@@ -8,7 +8,7 @@ from repro.bench import render_table3, table3_rows
 from repro.core.errors import StateError
 from repro.core.region import FluidRegion
 from repro.core.states import (LEGAL_TRANSITIONS, TaskState, check_transition)
-from repro.core.stats import RegionStats, TaskStats, TABLE3_STATES
+from repro.core.stats import TaskStats, TABLE3_STATES
 from repro.core.valves import NeverValve
 from repro.runtime.context import RunContext
 
@@ -131,38 +131,6 @@ class TestTaskStats:
         wait_index = TABLE3_STATES.index(TaskState.WAITING)
         assert visit_row[wait_index] == 2
         assert time_row[wait_index] == pytest.approx(3.0)
-
-
-class TestRegionStats:
-    def test_for_task_is_stable(self):
-        stats = RegionStats("r")
-        assert stats.for_task("a") is stats.for_task("a")
-
-    def test_merge_accumulates(self):
-        a = RegionStats("r")
-        a.for_task("t").enter(TaskState.INIT, 0.0)
-        a.for_task("t").finish(2.0)
-        a.makespan = 5.0
-        b = RegionStats("r")
-        b.for_task("t").enter(TaskState.INIT, 0.0)
-        b.for_task("t").finish(3.0)
-        b.makespan = 7.0
-        a.merge(b)
-        assert a.for_task("t").visits[TaskState.INIT] == 2
-        assert a.for_task("t").time[TaskState.INIT] == pytest.approx(5.0)
-        assert a.makespan == pytest.approx(12.0)
-
-    def test_merge_folds_all_seven_slots(self):
-        a, b = RegionStats("r"), RegionStats("r")
-        for offset, stats in ((0, a), (10, b)):
-            mine = stats.for_task("t")
-            for state in TaskState:
-                mine.visits[state] = offset + state + 1
-                mine.time[state] = float(offset + 2 * state)
-        a.merge(b)
-        merged = a.for_task("t")
-        assert merged.visits == [10 + 2 * (s + 1) for s in range(7)]
-        assert merged.time == [10.0 + 4 * s for s in range(7)]
 
 
 class TestTable3Golden:

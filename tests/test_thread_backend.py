@@ -6,10 +6,17 @@ from repro import (DataFinalValve, FluidRegion, PercentValve, PredicateValve,
                    SchedulerError, StalenessValve, TaskState, ThreadExecutor,
                    submit_all, submit_chain, sync)
 from repro.core.errors import TaskBodyError
-from repro.runtime import RunContext, SharedThreadPool
+from repro.runtime import RunContext, SharedThreadPool, thread_pool
 
 from util import (chain_expected, diamond_expected, make_chain, make_diamond,
                   make_pipeline, pipeline_expected)
+
+
+@pytest.fixture
+def slow_safety_net(monkeypatch):
+    """The parked-record re-poll out of reach (10 s): a lost wakeup
+    stalls the run instead of being rescued by the timed wait."""
+    monkeypatch.setattr(thread_pool, "FALLBACK_INTERVAL", 10.0)
 
 
 def run_threads(*regions, chain=False, **kwargs):
@@ -120,6 +127,7 @@ class _ConstantJitterPolicy:
         return list(range(len(keys)))
 
 
+@pytest.mark.usefixtures("slow_safety_net")
 class TestEventDrivenWakeups:
     """Guards must be woken by events, not fallback polls.
 
@@ -135,7 +143,7 @@ class TestEventDrivenWakeups:
 
         region = make_pipeline(n=30, exact_quality=True)
         start = time.perf_counter()
-        run_threads(region, fallback_interval=10.0, timeout=30)
+        run_threads(region, timeout=30)
         elapsed = time.perf_counter() - start
         assert region.output("out") == pipeline_expected(30)
         assert elapsed < 5.0, \
@@ -147,7 +155,7 @@ class TestEventDrivenWakeups:
 
         region = make_chain(depth=3, n=20, exact_quality=True)
         start = time.perf_counter()
-        run_threads(region, fallback_interval=10.0, timeout=30)
+        run_threads(region, timeout=30)
         elapsed = time.perf_counter() - start
         assert region.output("a2") == chain_expected(3, 20)
         assert elapsed < 5.0
@@ -166,8 +174,7 @@ class TestEventDrivenWakeups:
                                    name=f"jit{seed}")
             policy = SeededRandomPolicy(seed=seed, jitter_scale=0.002)
             start = time.perf_counter()
-            run_threads(region, policy=policy, fallback_interval=10.0,
-                        timeout=30)
+            run_threads(region, policy=policy, timeout=30)
             elapsed = time.perf_counter() - start
             assert region.output("out") == pipeline_expected(20)
             assert elapsed < 5.0, f"seed {seed} stalled: {elapsed:.1f}s"
@@ -197,7 +204,7 @@ class TestEventDrivenWakeups:
             "consume", consume, inputs=[mid], outputs=[out],
             start_valves=[PredicateValve(lambda: mid[3] != 0, name="row3")])
         start = time.perf_counter()
-        run_threads(region, fallback_interval=10.0, timeout=30)
+        run_threads(region, timeout=30)
         assert out.read() - start < 0.15, \
             "consumer waited for the producer to finish (bump path dead)"
         assert time.perf_counter() - start < 1.0
@@ -221,7 +228,7 @@ class TestEventDrivenWakeups:
         region.add_task("consume", consume, inputs=[mid], outputs=[out],
                         start_valves=[DataFinalValve(mid)])
         start = time.perf_counter()
-        run_threads(region, fallback_interval=10.0, timeout=30)
+        run_threads(region, timeout=30)
         assert region.output("out") == 8
         assert time.perf_counter() - start < 1.0
 
@@ -393,8 +400,9 @@ def _parked_region(name, root=None):
 
 
 class TestParkedRecords:
+    @pytest.mark.usefixtures("slow_safety_net")
     def test_stop_context_finishes_a_parked_context_at_once(self):
-        pool = SharedThreadPool(slots=2, fallback_interval=10.0)
+        pool = SharedThreadPool(slots=2)
         try:
             ctx = RunContext()
             region = _parked_region("all-parked")
@@ -412,6 +420,7 @@ class TestParkedRecords:
         finally:
             pool.shutdown()
 
+    @pytest.mark.usefixtures("slow_safety_net")
     def test_body_error_with_parked_sibling_reaches_wait_at_once(self):
         import time
 
@@ -419,7 +428,7 @@ class TestParkedRecords:
             raise ValueError("kaboom")
             yield 1.0
 
-        pool = SharedThreadPool(slots=2, fallback_interval=10.0)
+        pool = SharedThreadPool(slots=2)
         try:
             start = time.perf_counter()
             ctx = _start_on(pool, _parked_region("parked-sibling",
@@ -431,12 +440,13 @@ class TestParkedRecords:
         finally:
             pool.shutdown()
 
-    def test_no_timed_waits_without_parked_records(self):
+    def test_no_timed_waits_without_parked_records(self, monkeypatch):
         # The timed wait is a safety net for parked records only: with
         # none, an idle worker sleeps until notified.
         import time
 
-        pool = SharedThreadPool(slots=2, fallback_interval=0.001)
+        monkeypatch.setattr(thread_pool, "FALLBACK_INTERVAL", 0.001)
+        pool = SharedThreadPool(slots=2)
         timeouts = []
         idle_wait = pool._idle.wait
 
@@ -460,6 +470,7 @@ class TestParkedRecords:
             pool.shutdown()
 
 
+@pytest.mark.usefixtures("slow_safety_net")
 class TestWorkerSurvival:
     def test_raising_valve_fails_its_context_not_the_worker(self):
         # Workers outlive contexts: a user predicate raising inside a
@@ -482,7 +493,7 @@ class TestWorkerSurvival:
 
         region.add_task("only", body, outputs=[out],
                         start_valves=[PredicateValve(flaky, name="flaky")])
-        pool = SharedThreadPool(slots=1, fallback_interval=10.0)
+        pool = SharedThreadPool(slots=1)
         try:
             ctx = _start_on(pool, region)
             with pytest.raises(RuntimeError, match="bad predicate"):
@@ -527,17 +538,18 @@ def _gated_region(name, n, start_valves, produce_step=None,
     return region, valves
 
 
+@pytest.mark.usefixtures("slow_safety_net")
 class TestGatedCountPublishes:
     """A count publish below every parked record's count-valve threshold
     is skipped before the pool lock: no check, no ``valve`` event.  The
-    safety net is out of reach (``fallback_interval=10``), so a publish
+    safety net is out of reach (``FALLBACK_INTERVAL`` 10 s), so a publish
     skipped wrongly stalls the run, and each test names the broken gate
     it catches."""
 
     N = 20
 
     def _run(self, region):
-        run_threads(region, fallback_interval=10.0, timeout=5)
+        run_threads(region, timeout=5)
 
     def test_a_closed_count_valve_is_checked_only_when_it_can_open(self):
         # Mutant caught: a gate that never skips (N // 2 + 2 checks).
@@ -699,7 +711,7 @@ def _race(count, deadline):
             contexts[-1].submit(make_pipeline(
                 n=4, start_fraction=0.5, exact_quality=True,
                 name=f"race{index}"))
-    pool = SharedThreadPool(slots=4, fallback_interval=10.0, name="race")
+    pool = SharedThreadPool(slots=4, name="race")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     start = time.perf_counter()
@@ -721,6 +733,7 @@ def _race(count, deadline):
             assert region.output("out") == pipeline_expected(4), region.name
 
 
+@pytest.mark.usefixtures("slow_safety_net")
 class TestGateRace:
     """Publishers read a count's gates without the lock while other
     workers park and discard records under it.  Mutant caught: a task
@@ -736,6 +749,7 @@ class TestGateRace:
 
 
 @pytest.mark.stress
+@pytest.mark.usefixtures("slow_safety_net")
 class TestPoolUnderPreemption:
     def test_relaxed_regions_with_a_tiny_switch_interval(self):
         # More workers than cores and a GIL switch every 10 us: publishes,
@@ -754,7 +768,7 @@ class TestPoolUnderPreemption:
                                 name=f"preempt{index}"))
         regions += [make_chain(depth=3, n=12, name=f"preempt-c{index}")
                     for index in range(20)]
-        pool = SharedThreadPool(slots=8, fallback_interval=10.0)
+        pool = SharedThreadPool(slots=8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         start = time.perf_counter()

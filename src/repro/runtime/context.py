@@ -59,24 +59,25 @@ class RegionRun:
         self.launch_time = 0.0
 
 
+def _shut(gate: Optional[CountValve], count: Count) -> bool:
+    """Is the record ``gate`` guards closed at ``count``'s live value?"""
+    return gate is not None and count._value < gate.threshold
+
+
 class WaitSet:
     """Tasks parked in START_CHECK, indexed by what can open their valves.
 
-    A record is the task itself.  ``gates`` files it under every count
-    its start valves declare in ``Valve.watched_counts``: count id -> a
-    tuple of ``(task, gate)`` pairs in filing order, where ``gate`` is
-    the record's :class:`CountValve` over that count — a publish below
-    its live ``threshold`` cannot open the record — or None when no such
-    valve can vouch for it (only opaque valves watch the count, or the
-    region carries a SchedLab fault plan).  Each tuple is replaced,
-    never mutated, so a publisher may read it without the driver's lock.
-    ``polled`` holds the records with a valve that declares no count (an
-    opaque ``PredicateValve``, a ``DataFinalValve``), which only a
-    data-cell bump or finalisation can open.  Whoever publishes a count
-    or bumps a cell re-evaluates just the records filed under it.  A
-    record is filed by :meth:`RunContext.admit` and leaves when its body
-    starts or a completion cascade retires it, so the parked records are
-    exactly the tasks in START_CHECK.
+    A record is the task itself, filed in ``gates`` under every count its
+    start valves declare (``Valve.watched_counts``): count id -> a tuple
+    of ``(task, gate)`` in filing order, ``gate`` being the record's
+    :class:`CountValve` over that count, or None when no such valve
+    vouches for it (opaque valves only, or a SchedLab fault plan).  Each
+    tuple is replaced, never mutated, so a publisher may read it without
+    the driver's lock.  ``polled`` holds the records with a valve that
+    declares no count (an opaque ``PredicateValve``, a
+    ``DataFinalValve``), which only a cell bump or finalisation can
+    open.  Parked by :meth:`RunContext.admit`, a record leaves when its
+    body starts or a completion cascade retires it.
     """
 
     __slots__ = ("records", "gates", "polled", "_filed")
@@ -120,6 +121,13 @@ class WaitSet:
         for count_id in self._filed.pop(key):
             gates[count_id] = tuple(entry for entry in gates[count_id]
                                     if entry[0] is not task)
+
+    def opens(self, count: Count) -> bool:
+        """May a publish of ``count`` open any record filed under it?"""
+        for _task, gate in self.gates.get(id(count), ()):
+            if not _shut(gate, count):
+                return True
+        return False
 
 
 class RunContext:
@@ -316,18 +324,21 @@ class RunContext:
 
     def woken(self, counts: Iterable[Count]) -> List[FluidTask]:
         """The parked records a published batch of ``counts`` must
-        re-evaluate: each once, in filing order — or in the order the
-        SchedLab policy chooses (the ``wake`` decision point)."""
+        re-evaluate, each once, in filing order or the SchedLab ``wake``
+        order (drawn over all filed records), less those a count shuts."""
         gates = self.waiting.gates
         filed: Dict[int, FluidTask] = {}
+        shut = set()
         for count in counts:
-            for task, _gate in gates.get(id(count), ()):
+            for task, gate in gates.get(id(count), ()):
                 filed[id(task)] = task
+                if _shut(gate, count):
+                    shut.add(id(task))
         woken = list(filed.values())
         if self.policy is not None and len(woken) > 1:
             permutation = self.policy.order("wake", [t.name for t in woken])
             woken = [woken[i] for i in permutation]
-        return woken
+        return [task for task in woken if id(task) not in shut]
 
     def begin(self, task: FluidTask) -> TaskContext:
         """Enter RUNNING: the record leaves the wait set, ``sched/run``
@@ -439,9 +450,8 @@ class RunContext:
             self.telemetry.run_finished(now, workers, now=now)
 
     def join(self, timeout: Optional[float] = None) -> None:
-        """No-op, kept for callers written against per-task guard
-        threads: workers belong to the pool, whose ``shutdown()`` joins
-        them."""
+        """No-op, still called by ``benchmarks/perf/probes.py``; the
+        pool's ``shutdown()`` joins the workers."""
 
     def pending_description(self) -> str:
         """Human-readable list of incomplete tasks, for diagnostics."""

@@ -22,7 +22,7 @@ wake rule (``admit`` / ``woken`` / ``begin`` over ``context.waiting``)
 are :class:`~repro.runtime.context.RunContext`'s; this driver adds
 virtual time, cores and the per-chunk visibility rule, and publishes for
 the wake rule (docs/runtime-semantics.md, "Wakeups"): a chunk's completion
-wakes the records filed under its counts, a finalised cell the polled ones.
+re-checks the records ``woken`` names, a finalised cell the polled ones.
 """
 
 from __future__ import annotations
@@ -49,10 +49,10 @@ class Overheads:
     ``task_init`` models the paper's guard-thread launch cost (the
     dominant overhead for K-means and Graph Coloring, Figure 11);
     ``end_check`` the quality-function evaluation; ``region_setup`` the
-    per-region construction cost.  ``valve_check`` and ``signal`` are
-    accounted into :attr:`RegionStats.overhead_time` but are too small to
-    model as latency, matching the paper's observation that valve checks
-    only show up as StartCheck residence time.
+    per-region construction cost.  ``valve_check`` (per evaluated start
+    check) and ``signal`` go into :attr:`RegionStats.overhead_time`,
+    never into latency, matching the paper's observation that valve
+    checks only show up as StartCheck residence time.
     """
 
     task_init: float = 1.0

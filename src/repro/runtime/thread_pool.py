@@ -5,19 +5,14 @@ thread-pool will clearly mitigate these overheads" (Section 3.3); this
 is that pool.  A task has no thread of its own:
 
 * a task waiting on its start valves is a *record* in its context's
-  :class:`~repro.runtime.context.WaitSet`, filed under the counts its
-  valves declare — the wake rule every driver shares
-  (``RunContext.admit`` files it, ``RunContext.begin`` releases it);
+  :class:`~repro.runtime.context.WaitSet` — the wake rule every driver
+  shares (``RunContext.admit`` / ``woken`` / ``begin``);
 * this driver's publisher is the pool thread itself: the thread that
-  publishes a count, or bumps / finalises a data cell, re-evaluates
-  only the records filed under it (one count at a time, so it reads
-  ``waiting.gates`` directly instead of the batch
-  ``RunContext.woken``) and pushes the ones that became runnable onto
-  the pool's one ready queue — a ``repro.sched`` discipline spanning
-  every active context (``None`` is the paper-faithful FCFS the
-  simulator and process driver get).  A count publish that cannot
-  open any of them — each has a count valve over it still closed at
-  the new value — takes no lock and checks nothing (``count_updated``);
+  publishes a count, or bumps / finalises a data cell, re-evaluates the
+  records ``woken`` names (the polled ones for a cell) and pushes the
+  runnable ones onto the pool's one ready queue — a ``repro.sched``
+  discipline spanning every active context.  A count publish that can
+  open no record takes no lock and checks nothing (``count_updated``);
 * ``slots`` long-lived workers pull from that queue and run bodies, so
   at most ``slots`` bodies run at once.  A re-execution is an enqueue,
   early termination a dropped pick, cancellation a cleared wait set.
@@ -71,21 +66,16 @@ class _ContextHost(GuardHost, UpdateSink):
         self.pool._enqueue(self.ctx, task)
 
     def count_updated(self, count: Count, value) -> None:
-        """Re-evaluate the records filed under ``count``, unless each one's
-        gate is still closed at ``value`` and nothing subscribes: then
-        return unlocked (sound for the reason ``cell_updated`` is)."""
+        """Re-evaluate the records ``ctx.woken`` names for ``count``; if
+        it opens none and has no subscriber, unlocked: sound for the
+        reason ``cell_updated`` is."""
         pool = self.pool
         pool._sleep_jitter("publish")
-        for _task, gate in self.ctx.waiting.gates.get(id(count), ()):
-            if gate is None or value >= gate.threshold:
-                break
-        else:
-            if not count._subscribers:
-                return
-        with pool._lock:
-            count.dispatch(value)
-            for task, _gate in self.ctx.waiting.gates.get(id(count), ()):
-                pool._recheck(self.ctx, task)
+        if count._subscribers or self.ctx.waiting.opens(count):
+            with pool._lock:
+                count.dispatch(value)
+                for task in self.ctx.woken((count,)):
+                    pool._recheck(self.ctx, task)
 
     def cell_updated(self, data) -> None:
         """A body bumped (or a finished run finalised) a data cell:

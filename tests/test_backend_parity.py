@@ -12,7 +12,9 @@ layered DAGs.
 import pytest
 from hypothesis import given, settings
 
-from repro import ProcessExecutor, SimExecutor, ThreadExecutor
+from repro import (FluidRegion, PercentValve, PredicateValve,
+                   ProcessExecutor, SimExecutor, StalenessValve,
+                   ThreadExecutor)
 
 from test_properties import build_dag_region, dag_specs
 from util import (chain_expected, diamond_expected, make_chain,
@@ -515,6 +517,177 @@ class TestWakeRuleParity:
         assert run(region).output("out") == pipeline_expected(20)
         assert [entry[:2] for entry in plan.fired] == \
             [("valve_false", "produce")] + [("valve_false", "consume")] * 2
+
+
+# ------------------------------------------------------- gated publishes
+
+def _gate_half(ct, n):
+    return PercentValve(ct, 0.5, n, name="half")
+
+
+def _gate_opaque(ct, n):
+    """An opaque valve over ``ct`` that records each count it reads."""
+    def predicate():
+        valve.seen.append(ct.value)
+        return ct.value >= n // 2
+
+    valve = PredicateValve(predicate, watches=[ct], name="opaque")
+    valve.seen = []
+    return valve
+
+
+def _gate_set_k(ct, n):
+    return StalenessValve(ct, n, k=0, name="stale")
+
+
+def _gate_relax_to_base(ct, n):
+    tightened = PercentValve(ct, 0.5, n, name="tightened")
+    tightened.tighten(1.0)
+    return tightened
+
+
+GATES = {"half": _gate_half, "opaque": _gate_opaque,
+         "set_k": _gate_set_k, "relax_to_base": _gate_relax_to_base}
+
+
+def gated_region(n=20, gate="half", name="gated", produce_step=None,
+                 consume_start=None):
+    """``produce`` publishes ``ct`` n times, ``consume`` records the
+    value it starts at behind the start valve ``GATES[gate](ct, n)``.
+    ``produce_step(value)`` runs after each publish and
+    ``consume_start()`` first thing in the consumer's body."""
+    region = FluidRegion(name)
+    ct = region.add_count("ct")
+    mid = region.add_data("mid")
+    out = region.add_data("out")
+
+    def produce(ctx):
+        for _ in range(n):
+            ct.add()
+            if produce_step is not None:
+                produce_step(ct.value)
+            yield 1.0
+        mid.write(n)
+
+    def consume(ctx):
+        if consume_start is not None:
+            consume_start()
+        out.write(ct.value)
+        yield 1.0
+
+    region.add_task("produce", produce, outputs=[mid])
+    region.add_task("consume", consume, inputs=[mid], outputs=[out],
+                    start_valves=[GATES[gate](ct, n)])
+    return with_factory(region, gated_region, n=n, gate=gate)
+
+
+def _gate_of(region):
+    (consume,) = [task for task in region.tasks if task.name == "consume"]
+    return consume.spec.start_valves[0]
+
+
+GATED_EXECUTORS = {
+    "sim": lambda: SimExecutor(cores=4),
+    "thread": lambda: ThreadExecutor(timeout=5),
+    # Every chunk a flush: each publish reaches the parent on its own.
+    "process-private": lambda: ProcessExecutor(workers=2, timeout=20,
+                                               flush_interval=0.0),
+}
+
+
+@pytest.mark.usefixtures("slow_safety_net")
+class TestGatedCountPublishes:
+    """A published count below a parked record's count-valve threshold
+    rules the record out before its check (``RunContext.woken``) on
+    every driver: no check, no ``valve`` event, no ``valve_check``
+    charge.  Each test names the broken gate it catches."""
+
+    def _run(self, backend, region):
+        executor = GATED_EXECUTORS[backend]()
+        executor.submit(region)
+        executor.run()
+        assert region.complete
+        return region
+
+    #: Admission, the publish that reaches N / 2 and, where the opened
+    #: record waits in a ready queue, the re-check at its pick
+    #: (``may_start``); the simulator starts it on a free core at once.
+    OPENING_CHECKS = {"sim": 2, "thread": 3, "process-private": 3}
+
+    @pytest.mark.parametrize("n", [20, 200])
+    @pytest.mark.parametrize("backend", sorted(GATED_EXECUTORS))
+    def test_a_closed_count_valve_is_checked_only_when_it_can_open(
+            self, backend, n):
+        # Mutant caught: a gate that never skips (N / 2 - 1 more checks).
+        region = self._run(backend, gated_region(n, "half",
+                                                 f"gate-skip-{n}"))
+        assert _gate_of(region).checks == self.OPENING_CHECKS[backend]
+        assert region.output("out") >= n // 2
+
+    @pytest.mark.parametrize("backend", sorted(GATED_EXECUTORS))
+    def test_an_opaque_valve_on_the_count_is_checked_on_every_publish(
+            self, backend):
+        # Mutant caught: a gate that treats a record with no count valve
+        # on the published count as closed (the run stalls at admission;
+        # the simulator's idle re-poll opens it only once drained).
+        n = 20
+        region = self._run(backend, gated_region(n, "opaque", "gate-opaque"))
+        seen = _gate_of(region).seen
+        # The admission check (the simulator's reads the producer's
+        # first chunk, already run), every publish up to N / 2, and the
+        # re-check at the pick where there is one.
+        assert seen[1:n // 2 + 1] == list(range(1, n // 2 + 1))
+        assert len(seen) == n // 2 + self.OPENING_CHECKS[backend] - 1
+
+    @pytest.mark.parametrize("backend", sorted(GATED_EXECUTORS))
+    def test_a_region_with_a_fault_plan_checks_on_every_publish(
+            self, backend):
+        # Mutant caught: a gate that ignores the region's fault plan
+        # (a forced verdict would go unasked).
+        from repro.schedlab.faults import FaultPlan
+
+        n = 20
+        region = gated_region(n, "half", "gate-faults")
+        FaultPlan().attach([region])
+        self._run(backend, region)
+        # Admission, every publish up to N / 2, and the pick's re-check.
+        assert _gate_of(region).checks == \
+            n // 2 + self.OPENING_CHECKS[backend] - 1
+
+    @pytest.mark.parametrize("lower", ["set_k", "relax_to_base"])
+    @pytest.mark.parametrize("backend", ["sim", "thread"])
+    def test_a_threshold_lowered_while_parked_opens_on_the_next_publish(
+            self, backend, lower):
+        # Mutant caught: a gate that caches the threshold at park time
+        # (the consumer waits for the full count instead).  A body can
+        # lower only its own process's valve, so no process variant.
+        import threading
+
+        n, before = 8, 4
+        started = threading.Event()
+
+        def step(value):
+            # Lower the threshold to the value just published (so no
+            # publish has seen it open), then hold the producer one
+            # publish later until the consumer has started.
+            if value == before:
+                if lower == "set_k":
+                    valve.set_k(n - before)
+                else:
+                    valve.relax_to_base()
+            elif value == before + 1:
+                started.wait(2.0)
+
+        region = gated_region(n, lower, f"gate-{lower}", produce_step=step,
+                              consume_start=started.set)
+        valve = _gate_of(region)
+        assert valve.threshold == n
+        self._run(backend, region)
+        assert valve.threshold == before
+        # The simulator makes a chunk's publish visible when the chunk
+        # completes, after the body lowered the threshold in it.
+        opened_at = before if backend == "sim" else before + 1
+        assert region.output("out") == opened_at
 
 
 class TestOptionsCensus:

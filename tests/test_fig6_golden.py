@@ -54,7 +54,21 @@ def test_figure6_matrix_matches_golden():
 
 
 def _update():
+    """Rewrite the golden file, printing per row each column that
+    changed (old -> new), so the diff can be reviewed and recorded."""
+    old = {row["key"]: row for row in json.loads(
+        GOLDEN_PATH.read_text(encoding="utf-8"))["rows"]} \
+        if GOLDEN_PATH.exists() else {}
     rows = _matrix()
+    for row in rows:
+        before = old.pop(row["key"], {})
+        changed = [f"{column} {before.get(column)} -> {value}"
+                   for column, value in row.items()
+                   if before.get(column) != value]
+        if changed:
+            print(f"{row['key']}: " + ", ".join(changed))
+    for key in old:
+        print(f"{key}: removed")
     GOLDEN_PATH.write_text(
         json.dumps({"accuracy_digits": ACCURACY_DIGITS, "rows": rows},
                    indent=2) + "\n", encoding="utf-8")

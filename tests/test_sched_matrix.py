@@ -73,3 +73,24 @@ class TestSchedulerMatrix:
         assert region.complete
         assert region.output("out") == pipeline_expected(20)
         assert executor.scheduler.counters()["sheds"] == 0
+
+    @pytest.mark.usefixtures("slow_safety_net")
+    def test_a_gated_consumer_is_checked_only_when_it_can_open(
+            self, scheduler, backend):
+        """A publish below the consumer's count-valve threshold checks
+        nothing on any driver (``RunContext.woken``), under the plain
+        and the bounded queue alike: its start checks do not grow with
+        the producer's publishes (and no timed re-poll adds any)."""
+        for spec in (scheduler, f"bounded:capacity=1,inner={scheduler}"):
+            checks = {}
+            for n in (20, 200):
+                region = make_pipeline(n=n, exact_quality=True)
+                executor = build_executor(backend, spec)
+                executor.submit(region)
+                executor.run()
+                assert region.complete
+                assert region.output("out") == pipeline_expected(n)
+                (consume,) = [task for task in region.tasks
+                              if task.name == "consume"]
+                checks[n] = consume.spec.start_valves[0].checks
+            assert checks[200] <= checks[20], (spec, checks)

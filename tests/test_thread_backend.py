@@ -3,20 +3,13 @@
 import pytest
 
 from repro import (DataFinalValve, FluidRegion, PercentValve, PredicateValve,
-                   SchedulerError, StalenessValve, TaskState, ThreadExecutor,
-                   submit_all, submit_chain, sync)
+                   SchedulerError, TaskState, ThreadExecutor, submit_all,
+                   submit_chain, sync)
 from repro.core.errors import TaskBodyError
 from repro.runtime import RunContext, SharedThreadPool, thread_pool
 
 from util import (chain_expected, diamond_expected, make_chain, make_diamond,
                   make_pipeline, pipeline_expected)
-
-
-@pytest.fixture
-def slow_safety_net(monkeypatch):
-    """The parked-record re-poll out of reach (10 s): a lost wakeup
-    stalls the run instead of being rescued by the timed wait."""
-    monkeypatch.setattr(thread_pool, "FALLBACK_INTERVAL", 10.0)
 
 
 def run_threads(*regions, chain=False, **kwargs):
@@ -504,129 +497,6 @@ class TestWorkerSurvival:
             assert healthy.output("out") == pipeline_expected(10)
         finally:
             pool.shutdown()
-
-
-def _gated_region(name, n, start_valves, produce_step=None,
-                  consume_start=None):
-    """``produce`` publishes ``ct`` n times, ``consume`` records the
-    value it starts at; ``start_valves(ct)`` builds the consumer's gate.
-    ``produce_step(value)`` runs after each publish and
-    ``consume_start()`` first thing in the consumer's body."""
-    region = FluidRegion(name)
-    ct = region.add_count("ct")
-    mid = region.add_data("mid")
-    out = region.add_data("out")
-
-    def produce(ctx):
-        for _ in range(n):
-            ct.add()
-            if produce_step is not None:
-                produce_step(ct.value)
-            yield 1.0
-        mid.write(n)
-
-    def consume(ctx):
-        if consume_start is not None:
-            consume_start()
-        out.write(ct.value)
-        yield 1.0
-
-    valves = start_valves(ct)
-    region.add_task("produce", produce, outputs=[mid])
-    region.add_task("consume", consume, inputs=[mid], outputs=[out],
-                    start_valves=valves)
-    return region, valves
-
-
-@pytest.mark.usefixtures("slow_safety_net")
-class TestGatedCountPublishes:
-    """A count publish below every parked record's count-valve threshold
-    is skipped before the pool lock: no check, no ``valve`` event.  The
-    safety net is out of reach (``FALLBACK_INTERVAL`` 10 s), so a publish
-    skipped wrongly stalls the run, and each test names the broken gate
-    it catches."""
-
-    N = 20
-
-    def _run(self, region):
-        run_threads(region, timeout=5)
-
-    def test_a_closed_count_valve_is_checked_only_when_it_can_open(self):
-        # Mutant caught: a gate that never skips (N // 2 + 2 checks).
-        region, (valve,) = _gated_region(
-            "gate-skip", self.N,
-            lambda ct: [PercentValve(ct, 0.5, self.N, name="half")])
-        self._run(region)
-        # The admission check, the publish that reaches N / 2, and the
-        # worker's re-check before the body starts (``may_start``).
-        assert valve.checks == 3
-        assert region.output("out") >= self.N // 2
-
-    def test_an_opaque_valve_on_the_count_is_checked_on_every_publish(self):
-        # Mutant caught: a gate that treats a record with no count valve
-        # on the published count as closed (the run stalls at admission).
-        calls = []
-
-        def half_done(ct):
-            def predicate():
-                calls.append(ct.value)
-                return ct.value >= self.N // 2
-            return [PredicateValve(predicate, watches=[ct], name="opaque")]
-
-        region, _ = _gated_region("gate-opaque", self.N, half_done)
-        self._run(region)
-        # The admission check, every publish up to N / 2, and the
-        # worker's re-check before the body starts.
-        assert calls[:-1] == list(range(self.N // 2 + 1))
-
-    @pytest.mark.parametrize("lower", ["set_k", "relax_to_base"])
-    def test_a_threshold_lowered_while_parked_opens_on_the_next_publish(
-            self, lower):
-        # Mutant caught: a gate that caches the threshold at park time
-        # (the consumer waits for the full count instead).
-        import threading
-
-        n, before = 8, 4
-        started = threading.Event()
-
-        def step(value):
-            # Lower the threshold to the value just published (so no
-            # publish has seen it open), then hold the producer one
-            # publish later until the consumer has started.
-            if value == before:
-                if lower == "set_k":
-                    valve.set_k(n - before)
-                else:
-                    valve.relax_to_base()
-            elif value == before + 1:
-                started.wait(2.0)
-
-        def full_count(ct):
-            if lower == "set_k":
-                return [StalenessValve(ct, n, k=0, name="stale")]
-            tightened = PercentValve(ct, before / n, n, name="tightened")
-            tightened.tighten(1.0)
-            return [tightened]
-
-        region, (valve,) = _gated_region(f"gate-{lower}", n, full_count,
-                                         produce_step=step,
-                                         consume_start=started.set)
-        assert valve.threshold == n
-        self._run(region)
-        assert valve.threshold == before
-        assert region.output("out") == before + 1
-
-    def test_a_region_with_a_fault_plan_checks_on_every_publish(self):
-        # Mutant caught: a gate that ignores the region's fault plan
-        # (3 checks, and a forced verdict would go unasked).
-        from repro.schedlab.faults import FaultPlan
-
-        region, (valve,) = _gated_region(
-            "gate-faults", self.N,
-            lambda ct: [PercentValve(ct, 0.5, self.N, name="half")])
-        FaultPlan().attach([region])
-        self._run(region)
-        assert valve.checks == self.N // 2 + 2
 
 
 def _spawned_consumer_context(name):

@@ -99,10 +99,7 @@ class PipelineResult:
         self.latencies: Dict[int, float] = {}
         self.windows: List[WindowReport] = []
         self.states: List[Any] = []
-        # Runtime-efficiency counters summed over the window regions
-        # (same trio the bench baselines guard across revisions).
-        self.valve_checks = 0
-        self.valve_checks_skipped = 0
+        #: Re-runs summed over the window regions' tasks.
         self.reexecutions = 0
 
     @property
@@ -234,6 +231,7 @@ class Pipeline:
         source_queue = queues[0]
 
         def source(ctx):
+            source_queue.begin_produce()
             payload = items_cell.read()
             for seq, value in enumerate(payload):
                 yield interarrival
@@ -337,9 +335,6 @@ class Pipeline:
         for task in build.region.tasks:
             for valve in task.spec.end_valves:
                 verdicts[f"{task.name}/{valve.name}"] = valve.check()
-        for valve in build.region.valves:
-            result.valve_checks += valve.checks
-            result.valve_checks_skipped += valve.checks_skipped
         for task in build.region.tasks:
             result.reexecutions += max(0, task.stats.runs - 1)
         result.windows.append(WindowReport(index, makespan, drops, parks,
@@ -508,14 +503,16 @@ def _stage_body(stage: Stage, qin: StageQueue, qout: StageQueue,
                 state_in, state_out, base: int):
     """Build the recompute-model task body for one stage.
 
-    Every (re)execution starts from the window-initial state, drains
-    whatever the input queue can serve under the staleness bound, folds
-    in seq order, and (re)puts the outputs — puts are idempotent slot
-    rewrites, so a rerun triggered by a late must-deliver item simply
-    recomputes a more complete window.
+    Every (re)execution retakes the output queue's producer tally,
+    starts from the window-initial state, drains whatever the input
+    queue can serve under the staleness bound, folds in seq order, and
+    (re)puts the outputs — puts are idempotent slot rewrites, so a rerun
+    triggered by a late must-deliver item simply recomputes a more
+    complete window.
     """
 
     def body(ctx):
+        qout.begin_produce()
         qin.begin_consume(task=stage.name)
         state = copy.deepcopy(state_in.read())
         for seq, value in qin.drain(task=stage.name):
@@ -523,9 +520,10 @@ def _stage_body(stage: Stage, qin: StageQueue, qout: StageQueue,
             qout.put(seq, out, task=stage.name)
             if stage.cost:
                 yield stage.cost
-        for seq in range(qin.expected):
-            if qin.is_dropped(seq):
-                qout.shed(seq, task=stage.name)
+        if qin.drops():
+            for seq in range(qin.expected):
+                if qin.is_dropped(seq):
+                    qout.shed(seq, task=stage.name)
         state_out.write(state)
 
     return body

@@ -12,19 +12,24 @@ change is a ``stream``-kind telemetry event on the owning region's bus
 than ``k`` positions out of order, a drain that begins with more than
 ``k`` items missing, or a dropped must-deliver item is an invariant
 violation.  The event is built only when a subscriber reads ``stream``.
-The queue keeps its own tally (:meth:`StageQueue.stats`), which the
-pipeline folds into the ``stream.*`` metrics once per window.  A region
-without a bus publishes nothing, and its queues scan nothing for the
-tally.
+The queue counts its puts, parks, sheds and serves
+(:meth:`StageQueue.stats`), which the pipeline folds into the
+``stream.*`` metrics once per window.  A region without a bus publishes
+nothing.
 
 Storage lives in a region :class:`~repro.core.data.FluidArray` of
 per-seq slots, so slot writes are versioned, wake waiting guards, and
-ship across the process backend's boundary.  Arrivals, drops and
-settledness are recomputed from the slot array (one C-level
-``list.count`` pass each), so a forked worker that receives a payload
-snapshot sees a consistent queue.  The one side set is ``_served``, the
-consumer's record of which seqs it has handed out; occupancy is
-``arrived_total() - len(_served)``, exact because a served seq has
+ship across the process backend's boundary.  The producer keeps the
+tally of arrivals and drops: :meth:`StageQueue.begin_produce` recounts
+it from the slots at the start of every producer run (a process worker
+installs slot snapshots without a version bump, so nothing cheaper can
+tell a stale tally), and ``put``/``shed`` keep it in O(1), deriving the
+capacity test, the published settled count and the occupancy sample
+from it.  Only ``put``/``shed`` write the tally; readers on other
+threads (``missing_total``, ``drops``, ``must_complete``, ``stats``)
+recount the slots once per drain or window and never write it back.
+The consumer's record is ``_served``, the seqs it has handed out;
+occupancy is ``arrived - len(_served)``, exact because a served seq has
 always arrived and an arrived slot never becomes empty or dropped again.
 
 Terminology: a seq is *settled* once it is either delivered (its slot
@@ -99,12 +104,15 @@ class StageQueue:
         self.slots = region.add_array(f"{name}_slots",
                                       [None] * self.expected)
         self.settled_count = region.add_count(f"{name}_settled")
-        # The tally (telemetry only; correctness is derived from the
-        # slots so process workers stay consistent).  ``occupancies``
-        # (after each put or park) and ``arrivals`` (per seq, the
-        # bus-clock time of its first put or park; NaN until then) fill
-        # only when the region has a bus.  Flat arrays: a window's
-        # queues outlive it until the cyclic collector runs.
+        # The producer's tally (see the module docstring): written only
+        # by put/shed, retaken from the slots by begin_produce.
+        self._arrived = 0
+        self._dropped = 0
+        # Telemetry.  ``occupancies`` (after each put or park) and
+        # ``arrivals`` (per seq, the bus-clock time of its first put or
+        # park; NaN until then) fill only when the region has a bus.
+        # Flat arrays: a window's queues outlive it until the cyclic
+        # collector runs.
         self._served = set()
         self.stale_reads = 0
         self.parks = 0
@@ -114,12 +122,13 @@ class StageQueue:
         self.occupancies = array("i")
         self.arrivals = array("d", [math.nan]) * self.expected
 
-    # -- derived state (recomputed from the slots) -------------------------
+    # -- derived state (recounted from the slots) --------------------------
 
-    def _cells(self) -> list:
-        """The raw slot list: each total below is one C-level pass
-        over it."""
-        return self.slots.read()
+    def _recount(self) -> Tuple[int, int]:
+        """``(missing, dropped)``: two C-level passes over the slots,
+        the readers' source of truth and the producer's tally source."""
+        cells = self.slots.read()
+        return cells.count(None), cells.count(DROPPED)
 
     def arrived(self, seq: int) -> bool:
         cell = self.slots[seq]
@@ -132,28 +141,29 @@ class StageQueue:
         return self.slots[seq] is not None
 
     def arrived_total(self) -> int:
-        cells = self._cells()
-        return self.expected - cells.count(None) - cells.count(DROPPED)
+        missing, dropped = self._recount()
+        return self.expected - missing - dropped
 
     def drops(self) -> int:
-        return self._cells().count(DROPPED)
+        return self._recount()[1]
 
     def settled_total(self) -> int:
-        return self.expected - self._cells().count(None)
+        return self.expected - self._recount()[0]
 
     def missing_total(self) -> int:
-        return self._cells().count(None)
+        return self._recount()[0]
 
     def occupancy(self) -> int:
-        """Delivered-but-unserved items (the backpressure signal)."""
-        return self.arrived_total() - len(self._served)
+        """Delivered-but-unserved items (the backpressure signal), from
+        the producer's tally: no slot pass."""
+        return self._arrived - len(self._served)
 
     def must(self, seq: int) -> bool:
         return self.must_seqs is None or seq in self.must_seqs
 
     def must_complete(self) -> bool:
         """Every must-deliver seq has arrived (the end-valve predicate)."""
-        cells = self._cells()
+        cells = self.slots.read()
         if self.must_seqs is None:
             return None not in cells and DROPPED not in cells
         return all(cells[seq] is not None and cells[seq] != DROPPED
@@ -206,6 +216,20 @@ class StageQueue:
 
     # -- producer side -----------------------------------------------------
 
+    def begin_produce(self) -> None:
+        """Retake the producer's tally from the slots; every producer
+        run calls it first (the mirror of :meth:`begin_consume`)."""
+        missing, self._dropped = self._recount()
+        self._arrived = self.expected - missing - self._dropped
+
+    def _tombstone(self, seq: int, task: str, must: bool) -> None:
+        """Shed ``seq``: the one drop path of ``put`` and ``shed``."""
+        self.slots[seq] = DROPPED
+        self._dropped += 1
+        self.settled_count.set(self._arrived + self._dropped)
+        self.sheds += 1
+        self._emit("drop", seq, task, must=must)
+
     def put(self, seq: int, value: Any, *, task: str = "") -> str:
         """Deliver (or shed) item ``seq``; returns the action taken.
 
@@ -221,19 +245,17 @@ class StageQueue:
             raise FluidError(
                 f"queue {self.name!r}: seq {seq} outside "
                 f"[0, {self.expected})")
-        if self.is_dropped(seq):
+        cell = self.slots.read()[seq]
+        if cell == DROPPED:
             return "drop"
         must = self.must(seq)
-        if self.arrived(seq):
+        if cell is not None:
             self.slots[seq] = (seq, value)
             self._emit("update", seq, task, must=must)
             return "update"
         if self.capacity is not None and self.occupancy() >= self.capacity:
-            if not must and self.bound > 0 and self.drops() < self.bound:
-                self.slots[seq] = DROPPED
-                self.settled_count.set(self.settled_total())
-                self.sheds += 1
-                self._emit("drop", seq, task, must=must)
+            if not must and self.bound > 0 and self._dropped < self.bound:
+                self._tombstone(seq, task, must)
                 return "drop"
             self.parks += 1
             action = "park"
@@ -241,7 +263,8 @@ class StageQueue:
             self.puts += 1
             action = "put"
         self.slots[seq] = (seq, value)
-        self.settled_count.set(self.settled_total())
+        self._arrived += 1
+        self.settled_count.set(self._arrived + self._dropped)
         bus = self.region.telemetry
         if bus is not None:
             self.occupancies.append(self.occupancy())
@@ -263,12 +286,8 @@ class StageQueue:
             raise FluidError(
                 f"queue {self.name!r}: must-deliver seq {seq} cannot "
                 "be shed")
-        if self.settled(seq):
-            return
-        self.slots[seq] = DROPPED
-        self.settled_count.set(self.settled_total())
-        self.sheds += 1
-        self._emit("drop", seq, task)
+        if not self.settled(seq):
+            self._tombstone(seq, task, False)
 
     # -- consumer side -----------------------------------------------------
 
@@ -296,16 +315,17 @@ class StageQueue:
         only first serves count toward ``stream.stale_reads``.
         """
         bound = self.effective_bound()
+        telemetry = self.region.telemetry
+        emit = telemetry is not None and telemetry.wants("stream")
         served: List[Tuple[int, Any]] = []
         gaps = 0
-        for seq in range(self.expected):
-            if self.is_dropped(seq):
-                continue
-            cell = self.slots[seq]
+        for seq, cell in enumerate(self.slots.read()):
             if cell is None:
                 gaps += 1
                 if gaps > bound:
                     break
+                continue
+            if cell == DROPPED:
                 continue
             displacement = gaps
             first = seq not in self._served
@@ -315,9 +335,10 @@ class StageQueue:
                                             displacement)
                 if displacement > 0:
                     self.stale_reads += 1
-            self._emit("serve", seq, task, bound=bound,
-                       must=self.must(seq), displacement=displacement,
-                       first=first)
+            if emit:
+                self._emit("serve", seq, task, bound=bound,
+                           must=self.must(seq), displacement=displacement,
+                           first=first)
             served.append(cell)
         return served
 
@@ -325,12 +346,12 @@ class StageQueue:
 
     def items(self) -> Iterable[Tuple[int, Any]]:
         """The delivered ``(seq, value)`` cells, in seq order."""
-        for seq in range(self.expected):
-            if self.arrived(seq):
-                yield self.slots[seq]
+        for cell in self.slots.read():
+            if cell is not None and cell != DROPPED:
+                yield cell
 
     def stats(self) -> dict:
-        """Slot-derived totals plus the tally: ``puts`` (deliveries
+        """Slot-recounted totals plus the counts: ``puts`` (deliveries
         within capacity), ``served`` (first serves), ``sheds``
         (tombstones this queue wrote), ``parks``, ``stale_reads``,
         ``occupancies`` and ``arrivals``."""

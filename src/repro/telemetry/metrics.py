@@ -87,6 +87,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from collections import Counter
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.states import TaskState
@@ -152,17 +153,18 @@ class Histogram:
         self.max: Optional[float] = None
         self.buckets = [0] * (len(self.bounds) + 1)
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, times: int = 1) -> None:
+        """Fold ``value`` in ``times`` times (one sample by default)."""
         value = float(value)
-        self.count += 1
-        self.total += value
+        self.count += times
+        self.total += value * times
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
         # The first bound >= value; NaN compares false, so overflow.
         self.buckets[bisect_left(self.bounds, value)
-                     if value == value else -1] += 1
+                     if value == value else -1] += times
 
     def _labels(self) -> List[str]:
         return [f"le_{bound:g}" for bound in self.bounds] + ["le_inf"]
@@ -225,12 +227,14 @@ class MetricsRegistry:
         self.counters[name] = self.counters.get(name, 0) + amount
 
     def observe(self, name: str, value: float,
-                bounds: Optional[Tuple[float, ...]] = None) -> None:
-        """Fold ``value`` into ``name``, built with ``bounds`` on a miss."""
+                bounds: Optional[Tuple[float, ...]] = None,
+                times: int = 1) -> None:
+        """Fold ``value`` into ``name`` ``times`` times, built with
+        ``bounds`` on a miss."""
         histogram = self.histograms.get(name)
         if histogram is None:
             histogram = self.histograms[name] = Histogram(bounds)
-        histogram.observe(value)
+        histogram.observe(value, times)
 
     def set_gauge(self, name: str, value: float) -> None:
         self.gauges[name] = value
@@ -406,8 +410,11 @@ class MetricsRegistry:
         self.inc("stream.stale_reads", stats["stale_reads"])
         self.inc("stream.drops", stats["sheds"])
         self.inc("stream.parks", stats["parks"])
-        for occupancy in stats["occupancies"]:
-            self.observe("stream.occupancy", occupancy, OCCUPANCY_BOUNDS)
+        # Folded by value: the samples are integers, so the sum (and
+        # every other field) is the same as one observe per sample.
+        for occupancy, times in Counter(stats["occupancies"]).items():
+            self.observe("stream.occupancy", occupancy, OCCUPANCY_BOUNDS,
+                         times)
 
     # -- end of run --------------------------------------------------------
 

@@ -6,7 +6,10 @@ reference *item for item* — same outputs, same end-valve verdicts.  At
 ``k > 0`` divergence is allowed but bounded: with one window and four
 queue edges (source plus three stages) at most ``4k`` items may go
 missing end-to-end, no must-deliver item may ever be lost, and no serve
-may overtake more than ``k`` seqs.  ``TestSweepConformance`` runs every
+may overtake more than ``k`` seqs.  The thread runs repeat under a
+10 us GIL switch interval (``thread-preempted``), and the stress sweep
+audits 20 such passes per app and k with the SchedLab checker.
+``TestSweepConformance`` runs every
 app over a (k, arrival rate) grid on the simulator: k = 0 is exact, no
 must-deliver item is lost, every end verdict holds, and p50 latency
 never rises as k relaxes.  The autotuner tests pin the
@@ -16,33 +19,56 @@ effective drain bound toward FIFO.
 """
 
 import asyncio
+import contextlib
+import sys
 
 import pytest
 
 from repro.core.valves import StalenessValve
+from repro.schedlab import InvariantChecker
 from repro.service import FluidService
 from repro.stream import APPS
 from repro.stream.apps import make_log_items
+from repro.telemetry import Telemetry
 from repro.tuning import make_autotuner
 
 BACKENDS = ["sim", "thread", "process"]
+
+#: The thread driver under a GIL switch every 10 us: puts, drains and
+#: the producers' ``begin_produce`` recounts interleave at almost every
+#: bytecode, so a tally written by two threads or read stale shows.
+PREEMPTED = "thread-preempted"
 
 #: One source edge plus one edge per stage: the per-window loss bound
 #: at staleness k is EDGES * k items.
 EDGES = 4
 
 
+@contextlib.contextmanager
+def _switch_interval(seconds):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(seconds)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def _run(app_name, *, k, n, window, backend, **kwargs):
     app = APPS[app_name]
     pipeline = app.pipeline(k=k, window=window, **kwargs)
     items = app.make_items(n)
-    result = pipeline.run(items, backend=backend)
+    if backend == PREEMPTED:
+        with _switch_interval(1e-5):
+            result = pipeline.run(items, backend="thread")
+    else:
+        result = pipeline.run(items, backend=backend)
     reference = pipeline.run_serial(items)
     return result, reference
 
 
 class TestExactParityAtK0:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS + [PREEMPTED])
     def test_logagg_matches_serial_reference(self, backend):
         result, reference = _run("logagg", k=0, n=24, window=12,
                                  backend=backend)
@@ -52,7 +78,7 @@ class TestExactParityAtK0:
         assert result.max_displacement == 0
         assert result.end_verdicts and all(result.end_verdicts.values())
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS + [PREEMPTED])
     def test_topk_matches_serial_reference(self, backend):
         result, reference = _run("topk", k=0, n=20, window=10,
                                  backend=backend)
@@ -62,7 +88,7 @@ class TestExactParityAtK0:
     def test_frames_capacity_parks_instead_of_dropping_at_k0(self):
         # k=0 with a bounded queue may park (backpressure) but must not
         # shed: the output is still exact.
-        for backend in ("sim", "thread"):
+        for backend in ("sim", "thread", PREEMPTED):
             result, reference = _run("frames", k=0, n=12, window=12,
                                      backend=backend)
             assert result.outputs == reference, backend
@@ -77,7 +103,7 @@ class TestExactParityAtK0:
 
 
 class TestBoundedDivergence:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS + [PREEMPTED])
     @pytest.mark.parametrize("k", [2, 4])
     def test_losses_are_bounded_by_edges_times_k(self, backend, k):
         n = 32
@@ -112,6 +138,33 @@ class TestBoundedDivergence:
         assert result.drops <= EDGES * 3
         missing = [seq for seq in reference if seq not in result.outputs]
         assert all(seq % 4 != 0 for seq in missing)  # keyframes survive
+
+
+@pytest.mark.stress
+class TestPreemptedSweep:
+    def test_no_drain_begins_over_its_bound_under_preemption(self):
+        """20 thread passes per app and k under a 10 us GIL switch
+        interval, each audited by the SchedLab checker on the pipeline
+        bus: no drain begins with more than k items unsettled, no serve
+        overtakes more than k seqs, no must item is shed, and k = 0 is
+        exact."""
+        for app_name in ("logagg", "topk", "frames"):
+            app = APPS[app_name]
+            items = app.make_items(64)
+            reference = app.pipeline(k=0, window=32).run_serial(items)
+            for k in (0, 4):
+                for attempt in range(20):
+                    label = f"{app_name} k={k} pass {attempt}"
+                    telemetry = Telemetry(metrics=True, chrome=False)
+                    checker = InvariantChecker().connect(telemetry.bus)
+                    pipeline = app.pipeline(k=k, window=32,
+                                            telemetry=telemetry)
+                    with _switch_interval(1e-5):
+                        result = pipeline.run(items, backend="thread")
+                    assert checker.check_completion() == [], label
+                    assert all(result.end_verdicts.values()), label
+                    if k == 0:
+                        assert result.outputs == reference, label
 
 
 class TestSweepConformance:

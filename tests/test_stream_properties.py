@@ -310,6 +310,76 @@ class TestSettlednessAndIdempotence:
             assert queue.must_complete() == \
                 all(s in arrived for s in musts)
 
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_producer_tally_tracks_the_slots(self, data):
+        """``put``/``shed`` keep the producer's tally in O(1) and
+        ``begin_produce`` retakes it.  Over random put / shed / re-put /
+        drain steps and worker-style installs (a slot snapshot applied
+        with ``bump=False``, its count installed, then
+        ``begin_produce``), the published settled count and
+        ``occupancy()`` always equal a recount of the slots."""
+        expected = data.draw(st.integers(min_value=1, max_value=10),
+                             label="expected")
+        k = min(expected, data.draw(st.integers(min_value=0, max_value=3),
+                                    label="k"))
+        capacity = data.draw(st.one_of(
+            st.none(), st.integers(min_value=1, max_value=3)),
+            label="capacity")
+        must = data.draw(st.sets(st.integers(min_value=0,
+                                             max_value=expected - 1)),
+                         label="must seqs")
+        seqs = st.integers(min_value=0, max_value=expected - 1)
+        ops = data.draw(st.lists(st.one_of(
+            st.tuples(st.just("put"), seqs),
+            st.tuples(st.just("shed"), seqs),
+            st.tuples(st.just("remote"), seqs),
+            st.tuples(st.just("drain"), st.just(0)),
+            st.tuples(st.just("install"), st.just(0))),
+            max_size=5 * expected), label="ops")
+        queue = _queue(expected, bound=k, capacity=capacity,
+                       must_seqs=must)
+        # The parent's copy: every local step lands there too, plus the
+        # puts other workers made ("remote").
+        parent = _queue(expected, bound=k, must_seqs=must)
+        for op, seq in ops:
+            if op == "put":
+                queue.put(seq, seq)
+                parent.put(seq, seq)
+            elif op == "shed" and seq not in must:
+                queue.shed(seq)
+                parent.shed(seq)
+            elif op == "remote":
+                parent.put(seq, -seq)
+            elif op == "drain":
+                queue.drain()
+            elif op == "install":
+                queue.slots.apply_payload(list(parent.slots.read()),
+                                          bump=False)
+                queue.settled_count.install_state(
+                    *parent.settled_count.export_state())
+                queue.begin_produce()
+            assert queue.settled_count.value == queue.settled_total()
+            assert queue.occupancy() == \
+                queue.arrived_total() - len(queue._served)
+
+    def test_a_worker_install_then_one_put_publishes_the_true_count(self):
+        """A non-leaf stage re-run on a process worker that never ran
+        it: the worker installs the parent's slots without a version
+        bump, so only the ``begin_produce`` recount can tell that its
+        tally is stale; its next put must publish the parent's settled
+        count plus one."""
+        parent = _queue(8, bound=2)
+        for seq in range(6):
+            parent.put(seq, seq)
+        worker = _queue(8, bound=2)
+        worker.slots.apply_payload(list(parent.slots.read()), bump=False)
+        worker.settled_count.install_state(
+            *parent.settled_count.export_state())
+        worker.begin_produce()
+        assert worker.put(6, 6) == "put"
+        assert worker.settled_count.value == worker.settled_total() == 7
+
     def test_dropped_tombstone_is_not_a_value(self):
         queue = _queue(3, bound=1, capacity=1, must_seqs=frozenset())
         queue.put(0, "a")
@@ -318,27 +388,40 @@ class TestSettlednessAndIdempotence:
         assert DROPPED not in [value for _seq, value in queue.items()]
 
 
+class _CountingList(list):
+    """A slot payload that counts the ``list.count`` passes made over
+    it."""
+
+    passes = 0
+
+    def count(self, value):
+        type(self).passes += 1
+        return super().count(value)
+
+
 class TestNothingBuiltWhenNobodyListens:
-    def test_without_a_bus_put_and_drain_never_scan_occupancy(self):
-        """``occupancy()`` costs a pass over the slot list and only
-        events (and the capacity test) read it: a queue whose region has
-        no bus — a pool worker's installed region — must not pay it per
-        item."""
-        scans = []
-
-        class CountingQueue(StageQueue):
-            def occupancy(self):
-                scans.append(1)
-                return super().occupancy()
-
-        queue = CountingQueue("q", 6, bound=2, region=FluidRegion("quiet"))
+    @pytest.mark.parametrize("bus", [False, True], ids=["no-bus", "bus"])
+    def test_put_and_drain_never_scan_the_window(self, bus):
+        """Puts, re-puts, parks, sheds and a drain make no pass over the
+        slot list, with or without a ``stream`` listener: the producer's
+        tally answers the capacity test, the published settled count,
+        the occupancy sample and every event's occupancy."""
+        queue = StageQueue("q", 6, bound=2, capacity=2,
+                           must_seqs=frozenset({0, 5}),
+                           region=FluidRegion("quiet"))
+        queue.slots.write(_CountingList(queue.slots.read()))
+        if bus:
+            queue.region.telemetry = TelemetryBus()
+            log = _EventLog(queue)
+        _CountingList.passes = 0
         for seq in (0, 2, 3, 5):
             queue.put(seq, seq)
         queue.put(2, "again")
-        queue.begin_consume()
-        assert [seq for seq, _ in queue.drain()] == [0, 2, 3, 5]
-        assert not scans
-        # The same queue with a listener scans once per event.
-        queue.region.telemetry = TelemetryBus()
-        queue.put(1, 1)
-        assert len(scans) == 1
+        queue.shed(4)
+        assert [seq for seq, _ in queue.drain()] == [0, 2, 5]
+        assert _CountingList.passes == 0
+        assert queue.occupancy() == queue.arrived_total() - 3
+        if bus:
+            assert [e.name for e in log.events] == [
+                "put", "put", "drop", "park", "update", "drop",
+                "serve", "serve", "serve"]

@@ -151,6 +151,10 @@ class Count:
         """Register ``callback(count, value)`` for every visible update."""
         self._subscribers.append(callback)
 
+    def unsubscribe(self, callback: Callable[["Count", Any], None]) -> None:
+        """Drop one registration of ``callback``."""
+        self._subscribers.remove(callback)
+
     #: Symmetric name with :meth:`FluidData.on_update`; valves use
     #: :meth:`subscribe`, wakeup plumbing reads better with ``on_update``.
     on_update = subscribe

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .errors import ValveError
 from .graph import TaskGraph
 from .states import TaskState
 from .task import FluidTask
@@ -84,10 +85,14 @@ class ModulationPolicy:
     instantiate repeated regions can consult :meth:`adjust` at build
     time to start later epochs with a threshold already raised by the
     failures earlier epochs observed — the cross-invocation adaptation
-    the paper sketches in Section 4.4.
+    the paper sketches in Section 4.4.  ``fraction`` must lie in
+    [0, 1]; anything else is refused here, not at the first failure.
     """
 
     def __init__(self, fraction: float = 0.0):
+        if not 0.0 <= fraction <= 1.0:
+            raise ValveError(
+                f"modulation fraction {fraction} outside [0, 1]")
         self.fraction = fraction
         #: accumulated failure pressure in [0, 1); 0 = no failures seen.
         self.pressure = 0.0

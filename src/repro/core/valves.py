@@ -25,8 +25,15 @@ The stock valves below cover the paper's experiments:
 Threshold modulation (Sections 4.4 and 6.1): a user threshold is a
 *minimum*; the runtime may tighten the effective threshold toward full
 serialization after quality failures.  :meth:`Valve.tighten` implements
-one tightening step and :meth:`Valve.relax_to_base` undoes it for a fresh
-region instance.
+one tightening step (a fraction in [0, 1]; 0 changes nothing) and
+:meth:`Valve.relax_to_base` undoes it for a fresh region instance.
+
+Floors: :meth:`Valve.shut` is a necessary condition for opening, read
+live over the valve's one count.  A count valve is shut below its
+threshold, a convergence valve below ``max(min_updates, window + 1)``
+observations; the wake rule (``RunContext.woken``) does not check a
+parked task whose start valve over a published count is shut.  The
+other valves state no floor (``shut`` is None).
 
 Memoization: a valve's verdict is a pure function of the state it reads
 (counts, data flags) and its own thresholds.  The always/never,
@@ -78,6 +85,10 @@ class Valve:
     #: set by :meth:`declared` until ``init(...)`` is called (the paper's
     #: two-phase ``#pragma valve {ValveCT v1;}`` ... ``v1.init(ct, t)``).
     _uninitialized = False
+
+    #: The floor: a method True while the valve cannot open, or None
+    #: for a valve that states none (subclasses define it).
+    shut: Optional[Callable[[], bool]] = None
 
     @classmethod
     def declared(cls, name: str) -> "Valve":
@@ -132,9 +143,12 @@ class Valve:
     # -- runtime threshold modulation ------------------------------------
 
     def tighten(self, fraction: float) -> None:
-        """Move the effective threshold ``fraction`` of the way toward the
-        fully-serialized setting.  No-op for valves without thresholds."""
+        """Move the effective threshold ``fraction`` (in [0, 1]) of the
+        way toward the fully-serialized setting.  No-op for valves
+        without thresholds."""
         self._require_initialized("tightened")
+        if not 0.0 <= fraction <= 1.0:
+            raise ValveError(f"tighten fraction {fraction} outside [0, 1]")
 
     def relax_to_base(self) -> None:
         """Restore the user-specified threshold."""
@@ -209,14 +223,16 @@ class CountValve(Valve):
         self.checks += 1
         return self.count._value >= self.threshold
 
+    def shut(self) -> bool:
+        """Below the live threshold: :meth:`check`'s compare, negated."""
+        return self.count._value < self.threshold
+
     @property
     def watched_counts(self) -> Sequence[Count]:
         return (self.count,)
 
     def tighten(self, fraction: float) -> None:
-        self._require_initialized("tightened")
-        if not 0.0 <= fraction <= 1.0:
-            raise ValveError(f"tighten fraction {fraction} outside [0, 1]")
+        super().tighten(fraction)
         self.threshold += (self.max_threshold - self.threshold) * fraction
 
     def relax_to_base(self) -> None:
@@ -322,13 +338,36 @@ class StalenessValve(CountValve):
         self.threshold = self.expected - float(k)
 
 
-class ConvergenceValve(Valve):
+class _HistoryValve(Valve):
+    """A valve that keeps every visible update of one count."""
+
+    count: Optional[Count] = None
+
+    def _watch(self, count: Count) -> None:
+        """Record ``count``'s updates from an empty history, dropping
+        the subscription to any earlier count (``init`` re-watches)."""
+        if self.count is not None:
+            self.count.unsubscribe(self._observe)
+        self.count = count
+        self._history: List[Any] = []
+        count.subscribe(self._observe)
+
+    def _observe(self, count: Count, value: Any) -> None:
+        self._history.append(value)
+
+    @property
+    def watched_counts(self) -> Sequence[Count]:
+        return (self.count,)
+
+
+class ConvergenceValve(_HistoryValve):
     """Satisfied when a tracked statistic stops improving.
 
     Watches a count that records a score (e.g. the current minimum pose
     energy) and is satisfied once the best value observed has not improved
     by more than ``tolerance`` (relative) over the last ``window`` visible
-    updates, with at least ``min_updates`` observations seen.
+    updates, with at least ``min_updates`` observations seen.  Below
+    that observation floor the valve is :meth:`shut`.
     """
 
     def __init__(self, count: Count, window: int = 8,
@@ -339,15 +378,13 @@ class ConvergenceValve(Valve):
             raise ValveError(f"{name}: window must be >= 1")
         if mode not in ("min", "max"):
             raise ValveError(f"{name}: mode must be 'min' or 'max'")
-        self.count = count
         self.window = window
         self.base_window = window
         self.max_window = window * 8
         self.tolerance = tolerance
         self.min_updates = min_updates
         self.mode = mode
-        self._history: List[Any] = []
-        count.subscribe(self._observe)
+        self._watch(count)
 
     def init(self, count: Count, window: int = 8, tolerance: float = 1e-3,
              min_updates: int = 1, mode: str = "min") -> "ConvergenceValve":
@@ -357,11 +394,12 @@ class ConvergenceValve(Valve):
         self._uninitialized = False
         return self
 
-    def _observe(self, count: Count, value: Any) -> None:
-        self._history.append(value)
+    def shut(self) -> bool:
+        """Too few observations for a verdict (the observation floor)."""
+        return len(self._history) < max(self.min_updates, self.window + 1)
 
     def _satisfied(self) -> bool:
-        if len(self._history) < max(self.min_updates, self.window + 1):
+        if self.shut():
             return False
         recent = self._history[-(self.window + 1):]
         old, new = recent[0], recent[-1]
@@ -375,23 +413,17 @@ class ConvergenceValve(Valve):
     def _memo_token(self) -> Optional[Any]:
         return (id(self.count), len(self._history), self.window)
 
-    @property
-    def watched_counts(self) -> Sequence[Count]:
-        return (self.count,)
-
     def tighten(self, fraction: float) -> None:
-        self._require_initialized("tightened")
-        self.window = min(self.max_window,
-                          int(round(self.window +
-                                    (self.max_window - self.window) * fraction))
-                          or 1)
+        super().tighten(fraction)
+        self.window = int(round(self.window +
+                                (self.max_window - self.window) * fraction))
 
     def relax_to_base(self) -> None:
         self._require_initialized("relaxed")
         self.window = self.base_window
 
 
-class StabilityValve(Valve):
+class StabilityValve(_HistoryValve):
     """Satisfied when recent rounds changed few enough elements.
 
     The producer publishes, once per round, the number of elements that
@@ -408,14 +440,12 @@ class StabilityValve(Valve):
             raise ValveError(f"{name}: total must be positive")
         if rounds < 1:
             raise ValveError(f"{name}: rounds must be >= 1")
-        self.count = changed_count
         self.total = float(total)
         self.epsilon = epsilon
         self.rounds = rounds
         self.base_rounds = rounds
         self.max_rounds = rounds * 8
-        self._history: List[float] = []
-        changed_count.subscribe(self._observe)
+        self._watch(changed_count)
 
     def init(self, changed_count: Count, total: float, epsilon: float = 0.01,
              rounds: int = 2) -> "StabilityValve":
@@ -437,15 +467,11 @@ class StabilityValve(Valve):
     def _memo_token(self) -> Optional[Any]:
         return (id(self.count), len(self._history), self.rounds)
 
-    @property
-    def watched_counts(self) -> Sequence[Count]:
-        return (self.count,)
-
     def tighten(self, fraction: float) -> None:
-        self._require_initialized("tightened")
-        self.rounds = min(self.max_rounds,
-                          self.rounds +
-                          max(1, int((self.max_rounds - self.rounds) * fraction)))
+        super().tighten(fraction)
+        if fraction:
+            self.rounds = min(self.max_rounds, self.rounds + max(
+                1, int((self.max_rounds - self.rounds) * fraction)))
 
     def relax_to_base(self) -> None:
         self._require_initialized("relaxed")

@@ -34,7 +34,6 @@ from ..core.guard import Coordinator, GuardHost
 from ..core.region import FluidRegion
 from ..core.states import TaskState
 from ..core.task import FluidTask, TaskContext
-from ..core.valves import CountValve
 
 #: States a task awaits a re-run in, and those a task picked from the
 #: ready queue may start a body from.
@@ -59,22 +58,20 @@ class RegionRun:
         self.launch_time = 0.0
 
 
-def _shut(gate: Optional[CountValve], count: Count) -> bool:
-    """Is the record ``gate`` guards closed at ``count``'s live value?"""
-    return gate is not None and count._value < gate.threshold
-
-
 class WaitSet:
     """Tasks parked in START_CHECK, indexed by what can open their valves.
 
     A record is the task itself, filed in ``gates`` under every count its
     start valves declare (``Valve.watched_counts``): count id -> a tuple
-    of ``(task, gate)`` in filing order, ``gate`` being the record's
-    :class:`CountValve` over that count, or None when no such valve
-    vouches for it (opaque valves only, or a SchedLab fault plan).  Each
-    tuple is replaced, never mutated, so a publisher may read it without
-    the driver's lock.  ``polled`` holds the records with a valve that
-    declares no count (an opaque ``PredicateValve``, a
+    of ``(task, shut)`` in filing order, ``shut`` being the floor
+    (``Valve.shut``, read live) of the record's start valve over that
+    count, or None when no such valve vouches for it (only valves with
+    no floor watch it, or the region carries a SchedLab fault plan).
+    Each tuple is replaced, never mutated, so a publisher may read it
+    without the driver's lock.  A floor is read when asked, after the
+    publish reached the count's subscribers: a convergence valve's
+    history grows in its own subscription.  ``polled`` holds the records
+    with a valve that declares no count (an opaque ``PredicateValve``, a
     ``DataFinalValve``), which only a cell bump or finalisation can
     open.  Parked by :meth:`RunContext.admit`, a record leaves when its
     body starts or a completion cascade retires it.
@@ -96,20 +93,20 @@ class WaitSet:
         key = id(task)
         self.records[key] = task
         vouch = getattr(task.region, "fault_plan", None) is None
-        filed: Dict[int, Optional[CountValve]] = {}
+        filed: Dict[int, Optional[Callable[[], bool]]] = {}
         for valve in task.spec.start_valves:
             counts = valve.watched_counts
             if not counts:
                 self.polled[key] = task
-            gate = valve if vouch and isinstance(valve, CountValve) else None
+            shut = valve.shut if vouch else None
             for count in counts:
-                # A closed count valve keeps the record closed whatever
-                # opaque valve also watches that count.
+                # A shut valve keeps the record closed whatever valve
+                # without a floor also watches that count.
                 if filed.get(id(count)) is None:
-                    filed[id(count)] = gate
+                    filed[id(count)] = shut
         gates = self.gates
-        for count_id, gate in filed.items():
-            gates[count_id] = gates.get(count_id, ()) + ((task, gate),)
+        for count_id, shut in filed.items():
+            gates[count_id] = gates.get(count_id, ()) + ((task, shut),)
         self._filed[key] = tuple(filed)
 
     def discard(self, task: FluidTask) -> None:
@@ -124,8 +121,8 @@ class WaitSet:
 
     def opens(self, count: Count) -> bool:
         """May a publish of ``count`` open any record filed under it?"""
-        for _task, gate in self.gates.get(id(count), ()):
-            if not _shut(gate, count):
+        for _task, shut in self.gates.get(id(count), ()):
+            if shut is None or not shut():
                 return True
         return False
 
@@ -328,17 +325,17 @@ class RunContext:
         order (drawn over all filed records), less those a count shuts."""
         gates = self.waiting.gates
         filed: Dict[int, FluidTask] = {}
-        shut = set()
+        closed = set()
         for count in counts:
-            for task, gate in gates.get(id(count), ()):
+            for task, shut in gates.get(id(count), ()):
                 filed[id(task)] = task
-                if _shut(gate, count):
-                    shut.add(id(task))
+                if shut is not None and shut():
+                    closed.add(id(task))
         woken = list(filed.values())
         if self.policy is not None and len(woken) > 1:
             permutation = self.policy.order("wake", [t.name for t in woken])
             woken = [woken[i] for i in permutation]
-        return [task for task in woken if id(task) not in shut]
+        return [task for task in woken if id(task) not in closed]
 
     def begin(self, task: FluidTask) -> TaskContext:
         """Enter RUNNING: the record leaves the wait set, ``sched/run``

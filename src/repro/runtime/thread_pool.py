@@ -71,6 +71,10 @@ class _ContextHost(GuardHost, UpdateSink):
         reason ``cell_updated`` is."""
         pool = self.pool
         pool._sleep_jitter("publish")
+        # ``opens`` reads floors before the dispatch below.  Sound because
+        # a convergence valve's history grows only in its own
+        # subscription, which makes ``count._subscribers`` true: its
+        # count always takes the locked path, where ``woken`` reads it.
         if count._subscribers or self.ctx.waiting.opens(count):
             with pool._lock:
                 count.dispatch(value)

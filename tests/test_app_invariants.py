@@ -67,3 +67,33 @@ def test_default_fluid_never_catastrophic(name, app):
     fluid = app.run_fluid()
     assert fluid.makespan < 1.5 * precise.makespan
     assert fluid.accuracy > 0.5
+
+
+def headline_first_inputs():
+    """Each Figure-6 app's first input with its headline valve."""
+    from repro.bench.harness import HEADLINE_VALVE, standard_suite
+
+    return {name: (next(iter(inputs.values())),
+                   HEADLINE_VALVE.get(name, "percent"))
+            for name, inputs in standard_suite().items()}
+
+
+@pytest.mark.parametrize("name", list(headline_first_inputs()))
+def test_full_threshold_is_precise_on_the_thread_driver(name):
+    """The degenerate bound off the simulator: with every valve at its
+    full threshold, a thread-driver run returns the precise output
+    exactly, in every one of 5 runs under a GIL switch every 10 us."""
+    import sys
+
+    make, valve = headline_first_inputs()[name]
+    app = make()
+    precise = app.run_precise()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runs = [app.run_fluid(threshold=1.0, valve=valve, backend="thread")
+                for _ in range(5)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert [run.error for run in runs] == [0.0] * 5
+    assert all(_same(run.output, precise.output) for run in runs)

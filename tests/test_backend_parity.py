@@ -12,9 +12,9 @@ layered DAGs.
 import pytest
 from hypothesis import given, settings
 
-from repro import (FluidRegion, PercentValve, PredicateValve,
-                   ProcessExecutor, SimExecutor, StalenessValve,
-                   ThreadExecutor)
+from repro import (ConvergenceValve, FluidRegion, PercentValve,
+                   PredicateValve, ProcessExecutor, SimExecutor,
+                   StalenessValve, ThreadExecutor)
 
 from test_properties import build_dag_region, dag_specs
 from util import (chain_expected, diamond_expected, make_chain,
@@ -546,8 +546,29 @@ def _gate_relax_to_base(ct, n):
     return tightened
 
 
+class _Converge(ConvergenceValve):
+    """A convergence valve that records the history length its first
+    True verdict saw (``opened_at``)."""
+
+    opened_at = None
+
+    def _satisfied(self):
+        verdict = super()._satisfied()
+        if verdict and self.opened_at is None:
+            self.opened_at = len(self._history)
+        return verdict
+
+
+def _gate_converge(ct, n):
+    """Observation floor N / 2; a rising count never improves by more
+    than ``tolerance`` 1.0 over one update, so it opens at the floor."""
+    return _Converge(ct, window=1, tolerance=1.0, min_updates=n // 2,
+                     mode="max", name="converge")
+
+
 GATES = {"half": _gate_half, "opaque": _gate_opaque,
-         "set_k": _gate_set_k, "relax_to_base": _gate_relax_to_base}
+         "set_k": _gate_set_k, "relax_to_base": _gate_relax_to_base,
+         "converge": _gate_converge}
 
 
 def gated_region(n=20, gate="half", name="gated", produce_step=None,
@@ -597,10 +618,14 @@ GATED_EXECUTORS = {
 
 @pytest.mark.usefixtures("slow_safety_net")
 class TestGatedCountPublishes:
-    """A published count below a parked record's count-valve threshold
-    rules the record out before its check (``RunContext.woken``) on
-    every driver: no check, no ``valve`` event, no ``valve_check``
-    charge.  Each test names the broken gate it catches."""
+    """A publish that leaves a parked record's start valve shut — a
+    count valve below its threshold, a convergence valve below its
+    observation floor (``Valve.shut``) — rules the record out before its
+    check (``RunContext.woken``) on every driver: no check, no ``valve``
+    event, no ``valve_check`` charge.  Each test names the broken gate
+    it catches.  A check counts whether it evaluated or a convergence
+    valve's memo answered it (a pick re-check may find the history
+    unchanged)."""
 
     def _run(self, backend, region):
         executor = GATED_EXECUTORS[backend]()
@@ -615,14 +640,24 @@ class TestGatedCountPublishes:
     OPENING_CHECKS = {"sim": 2, "thread": 3, "process-private": 3}
 
     @pytest.mark.parametrize("n", [20, 200])
+    @pytest.mark.parametrize("gate", ["half", "converge"])
     @pytest.mark.parametrize("backend", sorted(GATED_EXECUTORS))
     def test_a_closed_count_valve_is_checked_only_when_it_can_open(
-            self, backend, n):
-        # Mutant caught: a gate that never skips (N / 2 - 1 more checks).
-        region = self._run(backend, gated_region(n, "half",
-                                                 f"gate-skip-{n}"))
-        assert _gate_of(region).checks == self.OPENING_CHECKS[backend]
+            self, backend, gate, n):
+        # Mutants caught: a gate that never skips (N / 2 - 1 more
+        # checks); a convergence floor off by one (one check more, or a
+        # first True verdict away from N / 2); on the thread driver, a
+        # publish that tests ``opens`` without ``count._subscribers``
+        # first (the floor is read before the history grows, so the
+        # convergence consumer never opens and the run times out).
+        region = self._run(backend, gated_region(n, gate,
+                                                 f"gate-skip-{gate}-{n}"))
+        valve = _gate_of(region)
+        assert valve.checks + valve.checks_skipped == \
+            self.OPENING_CHECKS[backend]
         assert region.output("out") >= n // 2
+        if gate == "converge":
+            assert valve.opened_at == n // 2
 
     @pytest.mark.parametrize("backend", sorted(GATED_EXECUTORS))
     def test_an_opaque_valve_on_the_count_is_checked_on_every_publish(
@@ -639,19 +674,21 @@ class TestGatedCountPublishes:
         assert seen[1:n // 2 + 1] == list(range(1, n // 2 + 1))
         assert len(seen) == n // 2 + self.OPENING_CHECKS[backend] - 1
 
+    @pytest.mark.parametrize("gate", ["half", "converge"])
     @pytest.mark.parametrize("backend", sorted(GATED_EXECUTORS))
     def test_a_region_with_a_fault_plan_checks_on_every_publish(
-            self, backend):
+            self, backend, gate):
         # Mutant caught: a gate that ignores the region's fault plan
         # (a forced verdict would go unasked).
         from repro.schedlab.faults import FaultPlan
 
         n = 20
-        region = gated_region(n, "half", "gate-faults")
+        region = gated_region(n, gate, f"gate-faults-{gate}")
         FaultPlan().attach([region])
         self._run(backend, region)
         # Admission, every publish up to N / 2, and the pick's re-check.
-        assert _gate_of(region).checks == \
+        valve = _gate_of(region)
+        assert valve.checks + valve.checks_skipped == \
             n // 2 + self.OPENING_CHECKS[backend] - 1
 
     @pytest.mark.parametrize("lower", ["set_k", "relax_to_base"])

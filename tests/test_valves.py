@@ -75,7 +75,22 @@ class TestCountValve:
             CountValve(Count("ct"), threshold=5, max_threshold=2)
 
 
+#: (make, the setting tighten moves) for every valve with a threshold.
+TIGHTENED = {
+    "count": (lambda: CountValve(Count("c"), threshold=4, max_threshold=10),
+              "threshold"),
+    "convergence": (lambda: ConvergenceValve(Count("c"), window=2),
+                    "window"),
+    "stability": (lambda: StabilityValve(Count("c"), total=10, rounds=2),
+                  "rounds"),
+}
+
+
 class TestThresholdModulation:
+    """Tightening (Sections 4.4 / 6.1).  Every valve with a threshold
+    takes a fraction in [0, 1]: 0 changes nothing, 1 reaches the
+    fully-serialized setting."""
+
     def test_tighten_moves_toward_max(self):
         ct = Count("ct")
         valve = CountValve(ct, threshold=40, max_threshold=100)
@@ -96,10 +111,37 @@ class TestThresholdModulation:
         valve.relax_to_base()
         assert valve.threshold == 40
 
-    def test_tighten_rejects_bad_fraction(self):
-        valve = CountValve(Count("ct"), threshold=1, max_threshold=2)
-        with pytest.raises(ValveError):
-            valve.tighten(1.5)
+    @pytest.mark.parametrize("fraction", [-1.0, -0.1, 1.5, float("nan")])
+    @pytest.mark.parametrize("kind", sorted(TIGHTENED))
+    def test_tighten_rejects_bad_fraction(self, kind, fraction):
+        make, setting = TIGHTENED[kind]
+        valve = make()
+        before = getattr(valve, setting)
+        with pytest.raises(ValveError, match="outside"):
+            valve.tighten(fraction)
+        assert getattr(valve, setting) == before
+
+    @pytest.mark.parametrize("kind", sorted(TIGHTENED))
+    def test_zero_is_a_no_op(self, kind):
+        make, setting = TIGHTENED[kind]
+        valve = make()
+        before = getattr(valve, setting)
+        valve.tighten(0.0)
+        assert getattr(valve, setting) == before
+
+    @pytest.mark.parametrize("kind", sorted(TIGHTENED))
+    def test_one_reaches_the_serialized_setting(self, kind):
+        make, setting = TIGHTENED[kind]
+        valve = make()
+        valve.tighten(1.0)
+        assert getattr(valve, setting) == getattr(valve, "max_" + setting)
+
+    @pytest.mark.parametrize("fraction", [-0.5, 1.01, float("nan")])
+    def test_modulation_policy_refuses_the_fraction_up_front(self, fraction):
+        from repro.core.guard import ModulationPolicy
+
+        with pytest.raises(ValveError, match="outside"):
+            ModulationPolicy(fraction)
 
 
 class TestPercentValve:
@@ -209,6 +251,108 @@ class TestStabilityValve:
         valve = StabilityValve(Count("c"), total=10, rounds=2)
         valve.tighten(0.5)
         assert valve.rounds > 2
+
+
+def _converge(ct):
+    # Floor 3: opens on the third update of a flat score.
+    return ConvergenceValve(ct, window=2, tolerance=1.0, name="converge")
+
+
+def _converge_init(valve, ct):
+    valve.init(ct, window=2, tolerance=1.0)
+
+
+def _stability(ct):
+    return StabilityValve(ct, total=10, epsilon=1.0, rounds=3)
+
+
+def _stability_init(valve, ct):
+    valve.init(ct, 10, epsilon=1.0, rounds=3)
+
+
+#: The valves that keep a count's history: (make, re-init), both opening
+#: on the third update.
+HISTORY_VALVES = {"convergence": (_converge, _converge_init),
+                  "stability": (_stability, _stability_init)}
+
+
+class TestHistoryValveInit:
+    """``init`` re-runs construction: the valve hears its current count
+    exactly once and no earlier count (each update lands in the history
+    once, so the valve opens after the updates it declared)."""
+
+    @pytest.mark.parametrize("kind", sorted(HISTORY_VALVES))
+    def test_double_init_keeps_one_subscription(self, kind):
+        make, init = HISTORY_VALVES[kind]
+        ct = Count("ct")
+        valve = make(ct)
+        init(valve, ct)
+        init(valve, ct)
+        assert len(ct._subscribers) == 1
+        ct.set(1)
+        ct.set(1)
+        assert len(valve._history) == 2
+        assert not valve.check()
+        ct.set(1)
+        assert valve.check()
+
+    @pytest.mark.parametrize("kind", sorted(HISTORY_VALVES))
+    def test_reinit_onto_a_new_count_forgets_the_old_one(self, kind):
+        make, init = HISTORY_VALVES[kind]
+        old, new = Count("old"), Count("new")
+        valve = make(old)
+        old.set(1)
+        init(valve, new)
+        assert old._subscribers == [] and len(new._subscribers) == 1
+        assert valve.watched_counts == (new,)
+        for _ in range(5):
+            old.set(1)
+        assert valve._history == []
+        for _ in range(3):
+            new.set(1)
+        assert valve.check()
+
+    @pytest.mark.parametrize("kind", sorted(HISTORY_VALVES))
+    def test_declared_then_init_subscribes_once(self, kind):
+        make, init = HISTORY_VALVES[kind]
+        ct = Count("ct")
+        valve = type(make(Count("scratch"))).declared("v")
+        init(valve, ct)
+        assert len(ct._subscribers) == 1
+
+
+class TestFloors:
+    """``Valve.shut``: a necessary condition for opening, read live."""
+
+    def test_count_valve_is_shut_below_its_live_threshold(self):
+        ct = Count("ct")
+        valve = PercentValve(ct, fraction=0.5, total=10)
+        ct.add(4)
+        assert valve.shut() and not valve.check()
+        ct.add(1)
+        assert not valve.shut() and valve.check()
+        valve.tighten(1.0)
+        assert valve.shut() and not valve.check()
+
+    def test_convergence_floor_is_its_observation_floor(self):
+        ct = Count("score")
+        valve = ConvergenceValve(ct, window=2, tolerance=1.0,
+                                 min_updates=5)
+        for _ in range(4):
+            ct.set(1.0)
+            assert valve.shut() and not valve.check()
+        ct.set(1.0)
+        assert not valve.shut() and valve.check()
+        valve.tighten(1.0)                 # window 16: floor 17
+        assert valve.shut() and not valve.check()
+
+    @pytest.mark.parametrize("valve", [
+        AlwaysValve(), NeverValve(), PredicateValve(lambda: True),
+        DataFinalValve(FluidData("d", 0)),
+        StabilityValve(Count("c"), total=10)],
+        ids=lambda valve: type(valve).__name__)
+    def test_opaque_and_stability_valves_state_no_floor(self, valve):
+        assert valve.shut is None
 
 
 class TestOtherValves:

@@ -2,8 +2,8 @@
 
 Each Fluid task is driven by a *guard*.  The paper realizes guards as one
 thread per task; this module factors the guard's decision logic out of
-any particular execution backend so that the discrete-event simulator and
-the real-thread backend share exactly the same semantics.
+any particular execution backend so that every driver (the simulator,
+the thread pool, the process pool) shares exactly the same semantics.
 
 The :class:`Coordinator` reacts to four stimuli:
 
@@ -16,10 +16,11 @@ The :class:`Coordinator` reacts to four stimuli:
 * a consumer in W cannot make progress — send *request* signals up the
   chain, stalling producers into D (transition (3)).
 
-The backend supplies a :class:`GuardHost`: a clock, a way to put a task
-body on an execution resource, and a cancellation hook.  All Coordinator
-methods must be called serialized (the simulator is single-threaded; the
-thread backend holds a region lock).
+The backend supplies a :class:`GuardHost`.  All Coordinator methods
+must be called serialized: the simulator and the process driver call
+them from their single control loop, the thread driver under its pool
+lock.  A body's leaving reaches the Coordinator only through
+``RunContext.body_left`` (:mod:`repro.runtime.context`), on every driver.
 """
 
 from __future__ import annotations
@@ -33,7 +34,10 @@ from .task import FluidTask
 
 
 class GuardHost:
-    """Execution services a backend provides to the coordinator."""
+    """Execution services a backend provides to the coordinator: a
+    clock, a way to put a task body on an execution resource, a
+    cancellation hook and two notifications (a task completed, a
+    watched data cell changed)."""
 
     def now(self) -> float:
         raise NotImplementedError
@@ -50,16 +54,6 @@ class GuardHost:
 
     def task_completed(self, task: FluidTask) -> None:
         """Notification hook (region completion checks, tracing)."""
-
-    def task_failed(self, task: FluidTask, error: Exception) -> None:
-        """A task body failed irrecoverably.
-
-        Remote backends route worker-side body exceptions through
-        :meth:`Coordinator.body_failed`, which lands here; the default
-        re-raises immediately, while event-loop backends typically
-        record the error and surface it from ``run()``.
-        """
-        raise error
 
     def cell_updated(self, data) -> None:
         """A watched data cell gained information (version bump or
@@ -201,12 +195,10 @@ class Coordinator:
         self._complete(task, "early-termination")
 
     def body_failed(self, task: FluidTask, error: Exception) -> None:
-        """A body raised on an execution resource the guard does not
-        share an address space with (process/remote backends): record
-        the failed run and hand the error to the host for surfacing."""
+        """The body raised: count the failed run.  The run's context
+        records ``error`` for its driver to surface."""
         task.stats.failed_runs += 1
         self._emit("failed", task, repr(error))
-        self.host.task_failed(task, error)
 
     def skip_rerun(self, task: FluidTask) -> None:
         """A scheduled re-execution became pointless before it started:

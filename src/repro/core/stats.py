@@ -45,7 +45,7 @@ class TaskStats:
         self.reruns = 0        # re-executions the guard scheduled
         self.cancelled_runs = 0
         self.skipped_reruns = 0  # re-runs retired before their body began
-        self.failed_runs = 0   # body raised (remote/process backends)
+        self.failed_runs = 0   # body raised (any driver)
         self.quality_failures = 0
         #: Valve-set verdicts by set (``"start"``/``"end"``); a set whose
         #: every valve answered from its memo recomputed nothing and is

@@ -122,6 +122,12 @@ class Valve:
         self._memo = (token, verdict) if token is not None else None
         return verdict
 
+    def peek(self) -> bool:
+        """The verdict :meth:`check` would return now, for diagnostics:
+        counts no check and leaves the memo alone."""
+        self._require_initialized("checked")
+        return self._satisfied()
+
     def invalidate_memo(self) -> None:
         """Drop the cached verdict; the next check re-evaluates."""
         self._memo = None
@@ -221,6 +227,9 @@ class CountValve(Valve):
         if self._uninitialized:
             self._require_initialized("checked")
         self.checks += 1
+        return self.count._value >= self.threshold
+
+    def _satisfied(self) -> bool:
         return self.count._value >= self.threshold
 
     def shut(self) -> bool:

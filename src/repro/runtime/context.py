@@ -15,11 +15,12 @@ which queued task may still run, and what is still pending — and of the
 task enters START_CHECK as a parked record (:meth:`RunContext.admit`),
 a batch of published counts names the records to re-evaluate
 (:meth:`RunContext.woken`), and the record leaves the wait set when its
-body starts (:meth:`RunContext.begin`).  Drivers — the simulator, the
-thread pool, the process executor — call it and differ only in how time
-passes and where bodies run.  The context takes no lock of its own: the
-driver calls it under whatever serializes its Coordinator calls (the
-pool lock, or a single-threaded control loop).
+body starts (:meth:`RunContext.begin`) — and of the *body exit*
+(:meth:`RunContext.body_left`, :meth:`RunContext.end_check`).  Drivers —
+the simulator, the thread pool, the process executor — call it and
+differ only in how time passes and where bodies run.  The context takes
+no lock of its own: the driver calls it under whatever serializes its
+Coordinator calls (the pool lock, or a single-threaded control loop).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import threading
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.count import Count, UpdateSink
-from ..core.errors import SchedulerError
+from ..core.errors import SchedulerError, TaskBodyError
 from ..core.guard import Coordinator, GuardHost
 from ..core.region import FluidRegion
 from ..core.states import TaskState
@@ -247,10 +248,6 @@ class RunContext:
             f"region {region.name!r} given as an 'after' dependency was "
             "never submitted to this run")
 
-    def run_of(self, task: FluidTask) -> RegionRun:
-        """The launched region run ``task`` belongs to."""
-        return self._task_run[id(task)]
-
     @property
     def regions(self) -> List[FluidRegion]:
         return [run.region for run in self.runs]
@@ -345,6 +342,38 @@ class RunContext:
         self._emit(task.region, task.name, "run",
                    f"attempt={task.run_index}")
         return task.begin_run()
+
+    # ------------------------------------------------------- the body exit
+
+    def body_left(self, task: FluidTask,
+                  error: Optional[Exception] = None) -> bool:
+        """A body left its resource, having raised ``error`` or not:
+        judge the leaving (docs/runtime-semantics.md, "Leave").  No
+        verdict if the context stopped or a cascade completed the task;
+        a raising body fails the run; a cancellation request terminates
+        it early.  Else the task enters END_CHECK and True is returned:
+        the driver calls :meth:`end_check` for the verdict."""
+        if self.stopped:
+            return False
+        run = self._task_run[id(task)]
+        if error is not None:
+            failure = TaskBodyError(run.region.name, task.name,
+                                    task.run_index, error)
+            failure.__cause__ = error
+            run.coordinator.body_failed(task, failure)
+            self.fail(failure)
+            return False
+        if task.state is TaskState.COMPLETE:
+            return False
+        if task.cancel_requested:
+            run.coordinator.body_cancelled(task)
+            return False
+        task.transition(TaskState.END_CHECK, self.host.now())
+        return True
+
+    def end_check(self, task: FluidTask) -> None:
+        """END_CHECK's verdict (Section 6.1): COMPLETE or WAITING."""
+        self._task_run[id(task)].coordinator.body_finished(task)
 
     def task_completed(self, task: FluidTask) -> bool:
         """Region-done bookkeeping behind ``GuardHost.task_completed``.
@@ -462,7 +491,7 @@ class RunContext:
                     continue
                 line = f"{run.region.name}/{task.name}={task.state}"
                 if task.state is TaskState.START_CHECK:
-                    valves = [f"{valve.name}={valve.check()}"
+                    valves = [f"{valve.name}={valve.peek()}"
                               for valve in task.spec.start_valves]
                     line += f" valves={valves}"
                 lines.append(line)

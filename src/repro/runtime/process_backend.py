@@ -7,8 +7,8 @@ processes *does* the work while the parent process keeps *deciding* —
 every valve check, Figure-5 transition and re-execution decision goes
 through the same :class:`~repro.core.guard.Coordinator` as the
 simulator and the thread backend, serialized in the parent's single
-control loop.  The region lifecycle and the wake rule are
-:class:`~repro.runtime.context.RunContext`'s and the worker processes
+control loop.  The region lifecycle, the wake rule and the body exit
+are :class:`~repro.runtime.context.RunContext`'s and the worker processes
 are :class:`~repro.runtime.worker_pool.PersistentProcessPool`'s; this
 module is the wire protocol between them.
 
@@ -109,19 +109,10 @@ thing: a batch item transitions to RUNNING at dispatch, so its RUNNING
 interval includes time queued behind its batch-mates, and its input
 snapshots are taken at dispatch time.
 
-Requirements and limits (see docs/runtime-semantics.md for the matrix):
-
-* ``fork`` start method (POSIX only);
-* a picklable ``remote_factory`` on every region, whose callable
-  rebuilds it structurally identically (same task and cell names and
-  order);
-* honest guard tuples — a body may only read/write the cells declared
-  in its ``inputs``/``outputs`` (already a Fluid rule; here it is what
-  makes snapshot installation correct);
-* each data cell needs its own payload object (two cells aliasing one
-  buffer would overwrite each other's flushes);
-* dynamic task graphs (``ctx.spawn``) are not supported — the spawned
-  closure would live in the worker only.
+Requirements and limits — the ``fork`` start method, a picklable
+``remote_factory``, honest guard tuples, one payload object per cell, no
+dynamic task graphs — are docs/runtime-semantics.md's "process-backend
+contract".
 """
 
 from __future__ import annotations
@@ -135,7 +126,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.count import RecordingSink
 from ..core.data import PayloadArena, import_payload, payload_nbytes
-from ..core.errors import SchedulerError, TaskBodyError
+from ..core.errors import SchedulerError
 from ..core.guard import GuardHost, ModulationPolicy
 from ..core.region import FluidRegion
 from ..core.states import TaskState
@@ -293,7 +284,7 @@ class _WorkerLoop:
                               task_index, self.sink.drain(), payloads))
         except Exception as exc:
             send((_ERROR, slot, dispatch_id, region_index, task_index,
-                  repr(exc), traceback.format_exc()))
+                  f"{exc!r}\n{traceback.format_exc()}"))
             return
         payloads = {data.name: data.export_payload(
                         self.arena, (region_index, data.name))
@@ -470,9 +461,6 @@ class ProcessExecutor(Executor, GuardHost):
     def task_completed(self, task: FluidTask) -> None:
         self.context.task_completed(task)
 
-    def task_failed(self, task: FluidTask, error: Exception) -> None:
-        self.context.fail(error)
-
     def admit_dynamic_task(self, region: FluidRegion,
                            task: FluidTask) -> None:  # pragma: no cover
         raise SchedulerError(
@@ -555,15 +543,11 @@ class ProcessExecutor(Executor, GuardHost):
         self._pool.cancel_flags[slot] = 0
         redispatch: List[FluidTask] = []
         for task in tasks:
-            if task.state is TaskState.COMPLETE:
-                continue  # completed by a cascade while in flight
             if task.cancel_requested:
-                # The worker died before acknowledging the cancellation;
-                # resolve it parent-side exactly as a _CANCELLED reply
-                # would have.
-                self.context.run_of(task).coordinator.body_cancelled(task)
-                continue
-            if task.state is TaskState.RUNNING:
+                # The worker died before acknowledging the cancellation:
+                # the body left, exactly as a _CANCELLED reply says.
+                self.context.body_left(task)
+            elif task.state is TaskState.RUNNING:
                 redispatch.append(task)
         if redispatch:
             # Same run_index (RUNNING has no backward arc in Figure 5;
@@ -797,36 +781,24 @@ class ProcessExecutor(Executor, GuardHost):
         if not ids:
             # The whole batch is accounted for; the worker is idle.
             self._idle.append(slot)
+        ctx = self.context
         if kind == _ERROR:
-            exc_repr, tb_text = message[5], message[6]
-            cause = RuntimeError(f"{exc_repr}\n{tb_text}")
-            error = TaskBodyError(run.region.name, task.name,
-                                  task.run_index, cause)
-            error.__cause__ = cause
-            run.coordinator.body_failed(task, error)
+            # The cause: the body's exception repr and worker traceback.
+            ctx.body_left(task, RuntimeError(message[5]))
             return
-        if task.state is TaskState.COMPLETE:
-            # Completed concurrently by a cascade while the body was
-            # still running remotely; its output will never be consumed,
-            # but the count observations are real — replay them.
-            self._replay_counts(run.region, message[5])
-            return
-        if kind == _FINISHED:
-            # Order matters (mirrors the simulator's _body_done): install
-            # the final payloads, mark outputs final via body_finished,
-            # and only then publish the last count batch, so a consumer
-            # whose valve flips on the final update observes final data.
+        if kind == _FINISHED and task.state is not TaskState.COMPLETE:
+            # Final payloads, then the verdict (it marks outputs final),
+            # then the last count batch: a consumer that batch opens reads
+            # final data.  A task a cascade completed gets no payloads,
+            # only its (real) count observations.
             self._apply_payloads(run.region, message[6])
             # The producer's copies are now exactly the parent's (final
             # reads are never torn): never ship them back to it.
             for data in task.spec.outputs:
                 shipped[(region_index, data.name)] = data.version
-            task.transition(TaskState.END_CHECK, self.now())
-            run.coordinator.body_finished(task)
-            self._replay_counts(run.region, message[5])
-        elif kind == _CANCELLED:
-            run.coordinator.body_cancelled(task)
-            self._replay_counts(run.region, message[5])
+        if ctx.body_left(task):
+            ctx.end_check(task)
+        self._replay_counts(run.region, message[5])
 
     def _apply_payloads(self, region: FluidRegion, payloads: Dict) -> None:
         for name, handle in payloads.items():

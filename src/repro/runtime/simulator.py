@@ -17,9 +17,10 @@ to data "from the future".
 
 Region scheduling is first-come-first-serve (Section 6.2): submitted
 regions are admitted in order, as soon as their predecessor regions have
-completed and an admission slot is free.  The region lifecycle and the
+completed and an admission slot is free.  The region lifecycle, the
 wake rule (``admit`` / ``woken`` / ``begin`` over ``context.waiting``)
-are :class:`~repro.runtime.context.RunContext`'s; this driver adds
+and the body exit (``body_left`` / ``end_check``) are
+:class:`~repro.runtime.context.RunContext`'s; this driver adds
 virtual time, cores and the per-chunk visibility rule, and publishes for
 the wake rule (docs/runtime-semantics.md, "Wakeups"): a chunk's completion
 re-checks the records ``woken`` names, a finalised cell the polled ones.
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..core.count import Count, UpdateSink
-from ..core.errors import SchedulerError, TaskBodyError
+from ..core.errors import SchedulerError
 from ..core.guard import GuardHost, ModulationPolicy
 from ..core.region import FluidRegion
 from ..core.states import TaskState
@@ -273,7 +274,7 @@ class SimExecutor(Executor, GuardHost):
     def _check_start(self, task: FluidTask) -> None:
         if task.state is not TaskState.START_CHECK:
             return  # started: an earlier wake of this batch freed a core
-        self.context.run_of(task).region.stats.overhead_time += (
+        task.region.stats.overhead_time += (
             self.overheads.valve_check * max(1, len(task.spec.start_valves)))
         if task.start_valves_satisfied():
             self._acquire_core_or_queue(task)
@@ -314,9 +315,7 @@ class SimExecutor(Executor, GuardHost):
     def _advance(self, task: FluidTask) -> None:
         """Execute the next chunk of ``task`` and schedule its completion."""
         if task.cancel_requested:
-            self._generators.pop(id(task), None)
-            self._release_core(task)
-            self.context.run_of(task).coordinator.body_cancelled(task)
+            self._body_left(task, [])
             return
         generator = self._generators[id(task)]
         self._pending_updates = []
@@ -325,13 +324,13 @@ class SimExecutor(Executor, GuardHost):
         except StopIteration:
             captured = self._pending_updates
             self._pending_updates = None
-            self._body_done(task, captured)
+            self._body_left(task, captured)
             return
         except Exception as exc:
             self._pending_updates = None
-            region_name = task.region.name if task.region else "?"
-            raise TaskBodyError(region_name, task.name,
-                                task.run_index, exc) from exc
+            # Fails the run at once: no other body starts on this core.
+            self.context.body_left(task, exc)
+            raise self.context.body_error
         captured = self._pending_updates
         self._pending_updates = None
         if cost < 0:
@@ -346,22 +345,25 @@ class SimExecutor(Executor, GuardHost):
         self._publish(captured)
         self._advance(task)
 
-    def _body_done(self, task: FluidTask,
+    def _body_left(self, task: FluidTask,
                    captured: List[Tuple[Count, Any]]) -> None:
+        """Free the core, then let the context judge the leaving; the
+        END_CHECK verdict comes after the modelled end-check cost."""
         self._generators.pop(id(task), None)
         self._release_core(task)
-        task.transition(TaskState.END_CHECK, self._now)
-        run = self.context.run_of(task)
-        run.region.stats.overhead_time += self.overheads.end_check
+        ctx = self.context
+        if not ctx.body_left(task):
+            return
+        task.region.stats.overhead_time += self.overheads.end_check
 
         def finish():
-            # Mark outputs final (body_finished -> finish_run) *before*
+            # Mark outputs final (end_check -> finish_run) *before*
             # publishing the last chunk's count updates: a consumer whose
             # start valve flips on the final update must observe the
             # producer's data as final/precise, otherwise a fully
             # serialized schedule would still record imprecise starts and
             # re-execute spuriously.
-            run.coordinator.body_finished(task)
+            ctx.end_check(task)
             self._publish(captured)
 
         self._queue.push(self._now + self.overheads.end_check, finish,

@@ -34,7 +34,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from ..core.count import Count, UpdateSink
-from ..core.errors import SchedulerError, TaskBodyError
+from ..core.errors import SchedulerError
 from ..core.guard import GuardHost
 from ..core.region import FluidRegion
 from ..core.states import TaskState
@@ -346,7 +346,7 @@ class SharedThreadPool:
 
     def _worker_main(self, index: int) -> None:
         """One of the pool's ``slots`` long-lived workers: one critical
-        section per body — the end check of the body that just left and
+        section per body — the leaving of the body that just left and
         the start of the next — then the body itself, unlocked."""
         left = None
         while True:
@@ -357,7 +357,7 @@ class SharedThreadPool:
             if started is None:
                 return
             ctx, task, run_ctx = started
-            left = ctx, task, self._consume(ctx, task, run_ctx)
+            left = ctx, task, self._consume(task, run_ctx)
 
     def _for_context(self, step, ctx: RunContext, *args):
         """Run one locked step on a context's behalf.  Workers outlive
@@ -372,12 +372,11 @@ class SharedThreadPool:
 
     def _fail(self, ctx: RunContext, error: Exception) -> None:
         """Record the context's first error for its waiter, then cancel
-        the rest of it: fail fast, so nothing stalls on data a failed
-        body will never produce."""
-        with self._lock:
-            ctx.fail(error)
-            self._done.notify_all()
-            self.stop_context(ctx)
+        the rest of it (lock held): fail fast, so nothing stalls on data
+        a failed body will never produce."""
+        ctx.fail(error)
+        self._done.notify_all()
+        self.stop_context(ctx)
 
     def _next(self, worker: int) \
             -> Optional[Tuple[RunContext, FluidTask, TaskContext]]:
@@ -424,38 +423,30 @@ class SharedThreadPool:
         ctx.host.running += 1
         return run_ctx
 
-    def _consume(self, ctx: RunContext, task: FluidTask,
-                 run_ctx: TaskContext) -> bool:
-        """Run the body outside the lock; honour cooperative
-        cancellation.  Returns True when the run was cut short.
-
-        A body exception is recorded on the context and surfaced by the
-        waiter (``wait()`` / the service future), instead of silently
-        killing the worker."""
+    def _consume(self, task: FluidTask,
+                 run_ctx: TaskContext) -> Optional[Exception]:
+        """Run the body outside the lock, leaving at the first chunk
+        boundary after a cancellation request.  Returns what the body
+        raised, if anything: a worker outlives its bodies."""
         try:
             generator = task.make_generator(run_ctx)
             for _cost in generator:
                 if task.cancel_requested:
                     generator.close()
-                    return True
+                    break
         except Exception as exc:
-            error = TaskBodyError(task.region.name, task.name,
-                                  task.run_index, exc)
-            error.__cause__ = exc
-            self._fail(ctx, error)
-            return True
-        return False
+            return exc
+        return None
 
     def _body_left(self, ctx: RunContext, task: FluidTask,
-                   cancelled: bool) -> None:
-        """A body left its worker: run the end check (lock held)."""
+                   error: Optional[Exception]) -> None:
+        """A body left its worker (lock held): the context judges it,
+        END_CHECK's verdict follows at once.  A failure fails the context
+        fast; a stopped context finishes with its last body."""
         ctx.host.running -= 1
-        if ctx.stopped:
+        if ctx.body_left(task, error):
+            ctx.end_check(task)
+        elif ctx.stopped:
             self._maybe_finish(ctx)
-            return
-        coordinator = ctx.run_of(task).coordinator
-        if cancelled:
-            coordinator.body_cancelled(task)
-        else:
-            task.transition(TaskState.END_CHECK, self.now())
-            coordinator.body_finished(task)
+        elif error is not None:
+            self._fail(ctx, ctx.body_error)

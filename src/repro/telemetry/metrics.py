@@ -30,7 +30,7 @@ Counter catalogue
 ``tasks.reexecutions``                    guard-scheduled re-runs
 ``tasks.early_terminations``              runs cancelled/skipped by Section 6.1
 ``tasks.quality_failures``                end checks that rejected a run
-``tasks.failed_runs``                     bodies that raised (remote backends)
+``tasks.failed_runs``                     bodies that raised (every driver)
 ``tasks.dep_stalls``                      transitions into DEP_STALLED
 ``tasks.spawned``                         dynamic tasks (Section 8)
 ``time.running``                          total residence in RUNNING

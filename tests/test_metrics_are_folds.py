@@ -215,19 +215,38 @@ class TestMetricsAreFolds:
         assert_same_dump(fold, reference,
                          rel=0 if backend == "sim" else 1e-12)
 
-    def test_unfinished_region_is_folded_at_run_end(self):
-        """The body raises, so the region never finishes: its record is
-        folded once at run end, its open RUNNING residence closed then."""
+    @pytest.mark.parametrize("backend", ("sim", "thread", "process"))
+    def test_unfinished_region_is_folded_at_run_end(self, backend):
+        """The body raises, so the region never finishes.  Every driver
+        surfaces one TaskBodyError and counts the failed run once; the
+        region's record is folded once at run end, its open RUNNING
+        residence closed then."""
         telemetry = Telemetry()
         fold, reference = with_reference(telemetry)
-        executor = ProcessExecutor(workers=1, timeout=30,
-                                   telemetry=telemetry)
-        executor.submit(make_failing_region())
-        with pytest.raises(TaskBodyError):
+        failures = []
+        telemetry.bus.subscribe(
+            lambda event: failures.append(event)
+            if event.name == "failed" else None, kinds=("guard",))
+        region = make_failing_region()
+        executor = pipeline_executor(backend, telemetry)
+        executor.submit(region)
+        with pytest.raises(TaskBodyError) as info:
             executor.run()
+        error = info.value
+        assert "fails/boom" in str(error)
+        assert "body failed" in str(error)
+        assert error.run_index == 0
+        # A process worker sends the exception's repr and traceback.
+        assert isinstance(error.__cause__, RuntimeError
+                          if backend == "process" else ValueError)
+        assert "body failed" in str(error.__cause__)
         assert fold.counters["tasks.failed_runs"] == 1
+        assert region.graph.task("boom").stats.failed_runs == 1
+        assert [(event.region, event.task) for event in failures] == \
+            [("fails", "boom")]
         assert fold.counters["time.running"] > 0
-        assert_same_dump(fold, reference, rel=1e-12)
+        assert_same_dump(fold, reference,
+                         rel=0 if backend == "sim" else 1e-12)
 
     def test_metrics_alone_build_no_transition_or_valve_event(self):
         bus = Telemetry(metrics=True, chrome=False).bus

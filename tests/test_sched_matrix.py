@@ -3,14 +3,8 @@
 Every repro.sched discipline must preserve Fluid's correctness contract
 on every backend: regions complete and exact-quality outputs match the
 precise answer — a scheduler may reorder work, never change results.
-
-CI's scheduler-matrix job slices this file one (scheduler, backend)
-cell at a time via the ``REPRO_SCHEDULER`` / ``REPRO_BACKEND`` env vars
-(comma-separated lists); locally, with neither set, the full default
-matrix runs.
+All 12 (scheduler, backend) cells run in tier-1.
 """
-
-import os
 
 import pytest
 
@@ -19,11 +13,8 @@ from repro.runtime.simulator import SimExecutor
 from util import (chain_expected, diamond_expected, make_chain,
                   make_diamond, make_pipeline, pipeline_expected)
 
-SCHEDULERS = [token.strip() for token in os.environ.get(
-    "REPRO_SCHEDULER", "fcfs,priority,edf,work-stealing").split(",")
-    if token.strip()]
-BACKENDS = [token.strip() for token in os.environ.get(
-    "REPRO_BACKEND", "sim,thread,process").split(",") if token.strip()]
+SCHEDULERS = ["fcfs", "priority", "edf", "work-stealing"]
+BACKENDS = ["sim", "thread", "process"]
 
 
 def build_executor(backend, scheduler):

@@ -5,11 +5,12 @@ import pathlib
 import pytest
 
 from repro.bench import render_table3, table3_rows
-from repro.core.errors import StateError
+from repro.core.errors import StateError, TaskBodyError
+from repro.core.guard import GuardHost
 from repro.core.region import FluidRegion
 from repro.core.states import (LEGAL_TRANSITIONS, TaskState, check_transition)
 from repro.core.stats import TaskStats, TABLE3_STATES
-from repro.core.valves import NeverValve
+from repro.core.valves import CountValve, NeverValve, PredicateValve
 from repro.runtime.context import RunContext
 
 
@@ -89,6 +90,97 @@ class TestStateApi:
         text = context.pending_description()
         assert "r/a=RUNNING" in text
         assert "r/b=START_CHECK valves=['valve=False']" in text
+
+    def test_pending_description_counts_no_valve_check(self):
+        # A diagnosis reads each start valve's verdict; it must not add a
+        # check to what the run's metrics fold.
+        def body(ctx):
+            yield 0.0
+
+        region = FluidRegion("r")
+        count = region.add_count("done")
+        valves = [NeverValve("never"), PredicateValve(lambda: False),
+                  CountValve(count, 5, name="count")]
+        parked = region.add_task("b", body, start_valves=valves)
+        context = RunContext()
+        context.submit(region).launched = True
+        parked.state = TaskState.START_CHECK
+        for valve in valves:
+            valve.check()
+        before = [(valve.checks, valve.checks_skipped) for valve in valves]
+        text = context.pending_description()
+        assert "valves=['never=False', 'predicate=False', 'count=False']" \
+            in text
+        assert [(valve.checks, valve.checks_skipped)
+                for valve in valves] == before
+
+
+class _StillHost(GuardHost):
+    """A driver whose clock stands still and which runs nothing."""
+
+    def now(self):
+        return 0.0
+
+    def schedule_run(self, task):
+        pass
+
+
+def _running_task():
+    """A launched one-task region whose body has started."""
+    def body(ctx):
+        yield 0.0
+
+    region = FluidRegion("r")
+    task = region.add_task("a", body, outputs=[region.add_data("out", 0)])
+    context = RunContext()
+    run = context.submit(region)
+    context.bind(_StillHost(), time_scale=1.0)
+    context.launch(run)
+    context.admit(task)
+    context.begin(task)
+    return context, task
+
+
+class TestBodyExit:
+    """``RunContext.body_left``: the one judgement of a leaving body."""
+
+    def test_a_body_that_ran_to_its_end_enters_end_check(self):
+        context, task = _running_task()
+        assert context.body_left(task)
+        assert task.state is TaskState.END_CHECK
+        context.end_check(task)
+        assert task.state is TaskState.COMPLETE
+        assert task.stats.runs == 1
+        assert task.region.datas["out"].final
+
+    def test_a_cancelled_body_terminates_early_without_end_check(self):
+        # Whether or not the body noticed the request before it left.
+        context, task = _running_task()
+        task.cancel_requested = True
+        assert not context.body_left(task)
+        assert task.state is TaskState.COMPLETE
+        assert task.stats.cancelled_runs == 1
+        assert task.stats.visits[TaskState.END_CHECK] == 0
+        assert not task.region.datas["out"].final
+
+    def test_a_raising_body_fails_the_run_once(self):
+        context, task = _running_task()
+        cause = ValueError("boom")
+        assert not context.body_left(task, cause)
+        error = context.body_error
+        assert isinstance(error, TaskBodyError)
+        assert error.__cause__ is cause and error.run_index == 0
+        assert "r/a" in str(error)
+        assert task.stats.failed_runs == 1
+        assert task.state is TaskState.RUNNING
+
+    def test_a_stopped_context_judges_nothing(self):
+        context, task = _running_task()
+        context.stopped = True
+        assert not context.body_left(task, ValueError("late"))
+        assert context.body_error is None
+        assert task.stats.failed_runs == 0
+        assert task.state is TaskState.RUNNING
 
 
 class TestTaskStats:

@@ -46,9 +46,8 @@ from .core import (AlwaysValve, CompileError, ConvergenceValve, Count,
                    PredicateValve, RegionStats, SchedulerError,
                    StabilityValve, StalenessValve, TaskContext,
                    TaskGraph, TaskSpec,
-                   TaskState, Valve, ValveError, memoization_enabled,
-                   set_memoization, submit_all, submit_chain,
-                   submit_stages, sync)
+                   TaskState, Valve, ValveError, submit_all,
+                   submit_chain, submit_stages, sync)
 from .runtime import (BACKENDS, Overheads, ProcessExecutor, RunResult,
                       SimExecutor, SimResult, ThreadExecutor, Trace,
                       make_executor, run_serial)
@@ -68,8 +67,7 @@ __all__ = [
     "PredicateValve", "RegionStats", "SchedulerError", "StabilityValve",
     "StalenessValve",
     "TaskContext", "TaskGraph", "TaskSpec", "TaskState", "Valve",
-    "ValveError", "memoization_enabled", "set_memoization",
-    "submit_all", "submit_chain", "submit_stages", "sync",
+    "ValveError", "submit_all", "submit_chain", "submit_stages", "sync",
     "BACKENDS", "Overheads", "ProcessExecutor", "RunResult", "SimExecutor",
     "SimResult", "ThreadExecutor", "Trace", "make_executor", "run_serial",
     "TimelineRecorder", "ThresholdTuner", "TuningResult", "ValveSelector",

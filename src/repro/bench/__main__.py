@@ -54,9 +54,7 @@ def collect_figure6_rows(only_app=None, quick=False, telemetry=None,
             print(f"  ran {app_name}/{input_name}: "
                   f"latency {row.normalized_latency:.3f}, "
                   f"accuracy {row.normalized_accuracy:.3f}, "
-                  f"valve checks {row.valve_checks}"
-                  + (f" (+{row.valve_checks_skipped} memoized)"
-                     if row.valve_checks_skipped else ""),
+                  f"valve checks {row.valve_checks}",
                   file=sys.stderr)
             if quick:
                 break

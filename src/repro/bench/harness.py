@@ -47,8 +47,7 @@ class BenchRow:
 
     Besides the Figure-6 numbers the row carries the runtime-efficiency
     counters the Figure-6 golden (``tests/golden/fig6_matrix.json``)
-    pins: how many valve evaluations the fluid run paid for, how many
-    ``check()`` calls memoization answered without recomputing, and how
+    pins: how many valve evaluations the fluid run paid for and how
     many task re-executions the valves triggered.
     """
 
@@ -61,7 +60,6 @@ class BenchRow:
     precise_makespan: float
     fluid_makespan: float
     valve_checks: int = 0
-    valve_checks_skipped: int = 0
     reexecutions: int = 0
 
     @property
@@ -76,20 +74,22 @@ class BenchRow:
 
 
 def collect_region_counters(regions) -> "tuple[int, int, int]":
-    """Sum (valve checks, memo-skipped checks, re-executions) over regions.
+    """Sum (valve checks, 0, re-executions) over regions.
+
+    The middle element is always 0; it stays because
+    ``benchmarks/perf/wl_apps_sim.py`` unpacks three values.
 
     A re-execution is any completed run of a task beyond its first —
     the work the approximate-concurrency gamble pays when an end check
     fails.
     """
-    checks = skipped = reexecutions = 0
+    checks = reexecutions = 0
     for region in regions:
         for valve in region.valves:
             checks += valve.checks
-            skipped += valve.checks_skipped
         for task in region.tasks:
             reexecutions += max(0, task.stats.runs - 1)
-    return checks, skipped, reexecutions
+    return checks, 0, reexecutions
 
 
 def run_comparison(app: FluidApp, input_name: str,
@@ -101,7 +101,7 @@ def run_comparison(app: FluidApp, input_name: str,
         valve = HEADLINE_VALVE.get(app.name, "percent")
     precise = app.run_precise()
     fluid = app.run_fluid(threshold=threshold, valve=valve, **fluid_kwargs)
-    checks, skipped, reexecutions = collect_region_counters(fluid.regions)
+    checks, _, reexecutions = collect_region_counters(fluid.regions)
     return BenchRow(
         app=app.name,
         input_name=input_name,
@@ -112,7 +112,6 @@ def run_comparison(app: FluidApp, input_name: str,
         precise_makespan=precise.makespan,
         fluid_makespan=fluid.makespan,
         valve_checks=checks,
-        valve_checks_skipped=skipped,
         reexecutions=reexecutions)
 
 

@@ -21,7 +21,7 @@ from .task import FluidTask, TaskContext, TaskSpec
 from .valves import (AlwaysValve, ConvergenceValve, CountValve,
                      DataFinalValve, NeverValve, PercentValve,
                      PredicateValve, StabilityValve, StalenessValve,
-                     Valve, memoization_enabled, set_memoization)
+                     Valve)
 
 __all__ = [
     "Count", "ImmediateSink", "UpdateSink",
@@ -36,5 +36,5 @@ __all__ = [
     "FluidTask", "TaskContext", "TaskSpec",
     "AlwaysValve", "ConvergenceValve", "CountValve", "DataFinalValve",
     "NeverValve", "PercentValve", "PredicateValve", "StabilityValve",
-    "StalenessValve", "Valve", "memoization_enabled", "set_memoization",
+    "StalenessValve", "Valve",
 ]

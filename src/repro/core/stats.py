@@ -47,9 +47,8 @@ class TaskStats:
         self.skipped_reruns = 0  # re-runs retired before their body began
         self.failed_runs = 0   # body raised (any driver)
         self.quality_failures = 0
-        #: Valve-set verdicts by set (``"start"``/``"end"``); a set whose
-        #: every valve answered from its memo recomputed nothing and is
-        #: not counted.
+        #: Valve-set verdicts by set (``"start"``/``"end"``); an empty
+        #: set is not counted.
         self.valve_passes: Dict[str, int] = {"start": 0, "end": 0}
         self.valve_fails: Dict[str, int] = {"start": 0, "end": 0}
         self._state: Optional[TaskState] = None

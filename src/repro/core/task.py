@@ -204,9 +204,7 @@ class FluidTask:
     def _check_valves(self, which: str, valves: Sequence[Valve]) -> bool:
         """Evaluate one valve set and tally its verdict in :attr:`stats`.
 
-        Empty valve sets pass vacuously, and a set whose every valve
-        answered from its memo recomputed nothing (the paper's "check"
-        is the recompute, not the call): neither is tallied.  A SchedLab
+        Empty valve sets pass vacuously and are not tallied.  A SchedLab
         fault plan may transiently force the verdict; a forced verdict
         is tallied (``forced`` on its event) so metric parity holds
         under fault injection.  The ``valve`` event is built only when a
@@ -219,16 +217,10 @@ class FluidTask:
             if valves:
                 self._tally_verdict(which, forced, len(valves), True)
             return forced
-        result, evaluated = True, False
-        for valve in valves:
-            before = valve.checks
-            passed = valve.check()
-            evaluated = evaluated or valve.checks != before
-            if not passed:
-                result = False
-                break
-        if evaluated:
-            self._tally_verdict(which, result, len(valves), False)
+        if not valves:
+            return True
+        result = all(valve.check() for valve in valves)
+        self._tally_verdict(which, result, len(valves), False)
         return result
 
     def _tally_verdict(self, which: str, result: bool, valves: int,

@@ -34,43 +34,15 @@ threshold, a convergence valve below ``max(min_updates, window + 1)``
 observations; the wake rule (``RunContext.woken``) does not check a
 parked task whose start valve over a published count is shut.  The
 other valves state no floor (``shut`` is None).
-
-Memoization: a valve's verdict is a pure function of the state it reads
-(counts, data flags) and its own thresholds.  The always/never,
-convergence, stability and data-final valves summarize that state as a
-*memo token* (:meth:`Valve._memo_token`); when the token has not changed
-since the previous evaluation, :meth:`Valve.check` returns the cached
-verdict and counts the call in :attr:`Valve.checks_skipped` instead of
-:attr:`Valve.checks`.  A :class:`CountValve` (and so every percent and
-staleness valve) is never memoized: its check is one compare of the
-count's value with the live threshold, cheaper than building a token.
-:class:`PredicateValve` returns a ``None`` token and is never memoized
-either.  :func:`set_memoization` disables the cache globally (used by
-A/B benchmarks and parity tests).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence
 
 from .count import Count
 from .data import FluidData
 from .errors import ValveError
-
-#: Global memoization switch (list so the flag is mutable in place).
-_MEMOIZE = [True]
-
-
-def set_memoization(enabled: bool) -> bool:
-    """Turn valve-verdict memoization on/off; returns the previous state."""
-    previous = _MEMOIZE[0]
-    _MEMOIZE[0] = bool(enabled)
-    return previous
-
-
-def memoization_enabled() -> bool:
-    """Whether valve-verdict memoization is currently active."""
-    return _MEMOIZE[0]
 
 
 class Valve:
@@ -79,8 +51,6 @@ class Valve:
     def __init__(self, name: str = "valve"):
         self.name = name
         self.checks = 0
-        self.checks_skipped = 0
-        self._memo: Optional[Tuple[Any, bool]] = None
 
     #: set by :meth:`declared` until ``init(...)`` is called (the paper's
     #: two-phase ``#pragma valve {ValveCT v1;}`` ... ``v1.init(ct, t)``).
@@ -105,38 +75,21 @@ class Valve:
                 f"valve {self.name!r} {operation} before init(...) was called")
 
     def check(self) -> bool:
-        """Return True when the condition is satisfied.  Never blocks.
-
-        Calls that can be answered from the memoized verdict (the valve's
-        inputs did not change since the previous evaluation) count toward
-        :attr:`checks_skipped` instead of :attr:`checks`.
-        """
+        """Return True when the condition is satisfied.  Never blocks;
+        every call evaluates and counts one check."""
         self._require_initialized("checked")
-        token = self._memo_token() if _MEMOIZE[0] else None
-        if token is not None and self._memo is not None \
-                and self._memo[0] == token:
-            self.checks_skipped += 1
-            return self._memo[1]
         self.checks += 1
-        verdict = self._satisfied()
-        self._memo = (token, verdict) if token is not None else None
-        return verdict
+        return self._satisfied()
 
     def peek(self) -> bool:
         """The verdict :meth:`check` would return now, for diagnostics:
-        counts no check and leaves the memo alone."""
+        counts no check."""
         self._require_initialized("checked")
         return self._satisfied()
 
     def invalidate_memo(self) -> None:
-        """Drop the cached verdict; the next check re-evaluates."""
-        self._memo = None
-
-    def _memo_token(self) -> Optional[Any]:
-        """Hashable-comparable summary of everything :meth:`_satisfied`
-        reads, or ``None`` when the valve cannot be memoized (the default:
-        opaque user conditions)."""
-        return None
+        """No-op: valves cache no verdict.  Kept because
+        ``benchmarks/perf/probes.py`` calls it."""
 
     def _satisfied(self) -> bool:
         raise NotImplementedError
@@ -170,9 +123,6 @@ class AlwaysValve(Valve):
     def _satisfied(self) -> bool:
         return True
 
-    def _memo_token(self) -> Optional[Any]:
-        return ()
-
 
 class NeverValve(Valve):
     """Never satisfied; as a start valve it serializes on re-execution
@@ -180,9 +130,6 @@ class NeverValve(Valve):
 
     def _satisfied(self) -> bool:
         return False
-
-    def _memo_token(self) -> Optional[Any]:
-        return ()
 
 
 class CountValve(Valve):
@@ -419,9 +366,6 @@ class ConvergenceValve(_HistoryValve):
         scale = max(abs(old), abs(new), 1e-12)
         return improvement / scale <= self.tolerance
 
-    def _memo_token(self) -> Optional[Any]:
-        return (id(self.count), len(self._history), self.window)
-
     def tighten(self, fraction: float) -> None:
         super().tighten(fraction)
         self.window = int(round(self.window +
@@ -472,9 +416,6 @@ class StabilityValve(_HistoryValve):
             return False
         recent = self._history[-self.rounds:]
         return all(changed / self.total <= self.epsilon for changed in recent)
-
-    def _memo_token(self) -> Optional[Any]:
-        return (id(self.count), len(self._history), self.rounds)
 
     def tighten(self, fraction: float) -> None:
         super().tighten(fraction)
@@ -528,7 +469,3 @@ class DataFinalValve(Valve):
 
     def _satisfied(self) -> bool:
         return self.data.final
-
-    def _memo_token(self) -> Optional[Any]:
-        data = self.data
-        return (id(data), data.version, data.final)

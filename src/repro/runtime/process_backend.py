@@ -62,7 +62,7 @@ Large payload cells cross the boundary in both directions through
 through the worker's own result arena.  Both live as long as the pool,
 so no segment is created, attached or unlinked per run (contract in
 ``core/data.py``, lifetimes in ``worker_pool.py``).  The ``_shipped``
-memo keeps a cell off the wire to a worker whose copy already holds the
+record keeps a cell off the wire to a worker whose copy already holds the
 parent's version — including its producer, once its ``_FINISHED`` is
 applied.
 
@@ -101,7 +101,7 @@ cooperative early-termination the other backends have.
 
 Granularity: where the thread backend publishes every count update and
 element write immediately, a worker publishes at chunk boundaries,
-batched to at most one flush per ``flush_interval`` seconds.  A
+batched to at most one flush per ``FLUSH_INTERVAL`` seconds.  A
 concurrent consumer therefore sees the producer's payload as of the
 last flush — a coarser but still monotonically-growing prefix, which is
 exactly the relaxation Fluid licenses.  Batching coarsens one more
@@ -157,6 +157,13 @@ _MAX_RESPAWNS = 3
 #: closing — so this only bounds how stale the deadline check can get,
 #: and paces the safety-net re-poll of parked records.
 _FALLBACK_INTERVAL = 0.1
+
+#: Minimum seconds between a worker's mid-run publications of count
+#: updates and payload snapshots.  Smaller values tighten the
+#: approximation granularity at the cost of more IPC.  Read at every
+#: ``runs`` send and carried in the message, so a patch reaches a pool
+#: forked earlier.
+FLUSH_INTERVAL = 0.01
 
 
 class _WorkerLoop:
@@ -301,10 +308,6 @@ class ProcessExecutor(Executor, GuardHost):
     workers:
         Pool size; defaults to ``os.cpu_count()`` (with ``pool=`` the
         pool's size wins).
-    flush_interval:
-        Minimum seconds between a worker's mid-run publications of count
-        updates and payload snapshots.  Smaller values tighten the
-        approximation granularity at the cost of more IPC.
     timeout:
         Overall wall-clock deadline, as in
         :class:`~repro.runtime.thread_backend.ThreadExecutor`.
@@ -325,7 +328,6 @@ class ProcessExecutor(Executor, GuardHost):
                  modulation: Optional[ModulationPolicy] = None,
                  timeout: float = 60.0,
                  cancel_first_runs: bool = False,
-                 flush_interval: float = 0.01,
                  policy: Optional[object] = None,
                  telemetry: Optional[object] = None,
                  scheduler: Optional[object] = None,
@@ -360,7 +362,6 @@ class ProcessExecutor(Executor, GuardHost):
         self._bus = self.context.bus
         self.cancel_first_runs = cancel_first_runs
         self.timeout = timeout
-        self.flush_interval = flush_interval
         #: SchedLab schedule policy: chooses which ready task is
         #: dispatched to a free worker, and orders the Coordinator's
         #: signal fan-out (all in the parent's control loop, so these
@@ -666,7 +667,7 @@ class ProcessExecutor(Executor, GuardHost):
                           "cells": len(payloads), "skipped": skipped})
         installs = [] if slot in self._installed else self._installs
         self._installed.add(slot)
-        self._send(slot, ("runs", self.flush_interval, installs, items))
+        self._send(slot, ("runs", FLUSH_INTERVAL, installs, items))
         if self._bus is not None:
             self._bus.emit("worker", tasks[0].region.name, "", "batch",
                            data={"slot": slot, "size": len(items)})
@@ -759,7 +760,7 @@ class ProcessExecutor(Executor, GuardHost):
             self._replay_counts(run.region, message[5])
             return
         # Terminal events retire the dispatch.  Forget the run's output
-        # cells from the slot's shipped-version memo: the body mutated
+        # cells from the slot's shipped-version record: the body mutated
         # its local copies, and a cancelled/errored run dirties them
         # *without* a parent-side version bump, so equality of versions
         # must not be trusted for them on the next dispatch.  Only an

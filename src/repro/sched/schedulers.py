@@ -205,15 +205,6 @@ class Scheduler:
 
     # -- helpers for subclasses --------------------------------------------
 
-    def _break_tie(self, queue: List[Any], ties: List[int]) -> int:
-        """Queue index to pick among equal-key candidates: FIFO, or the
-        SchedLab policy's choice when more than one candidate ties."""
-        if self._policy is not None and len(ties) > 1:
-            chosen = self._policy.choose(
-                self._point, [_label(queue[i]) for i in ties])
-            return ties[chosen]
-        return ties[0]
-
     def _emit(self, name: str, task: Any, data: Dict[str, Any],
               ts: Optional[float] = None) -> None:
         if self._bus is None:
@@ -263,42 +254,45 @@ class _KeyedScheduler(Scheduler):
     attributes, so they are evaluated once at admission and the queue is
     a binary heap — O(log n) per operation, which is what lets the
     capacity simulator push 10^5-10^6 tasks through an overloaded queue.
-    With a SchedLab policy bound (runs are small there), a linear scan
-    is used instead so the policy can choose among equal-key candidates.
+    With a SchedLab policy bound, a pick pops every entry tied on the
+    minimum key (in admission order), lets the policy choose one and
+    pushes the rest back, as ``EventQueue`` does for tied events.
     """
 
     def __init__(self):
         super().__init__()
-        self._queue: List[Any] = []        # policy-bound mode (linear)
-        self._heap: List[tuple] = []       # default mode (heap)
+        self._heap: List[tuple] = []
         self._admitted = 0                 # FIFO tie-break sequence
 
     def _key(self, task: Any, now: float) -> float:
         raise NotImplementedError
 
     def _admit(self, task, *, now, sheddable):
-        if self._policy is not None:
-            self._queue.append(task)
-        else:
-            heapq.heappush(
-                self._heap, (self._key(task, now), self._admitted, task))
-            self._admitted += 1
+        heapq.heappush(
+            self._heap, (self._key(task, now), self._admitted, task))
+        self._admitted += 1
         return True
 
     def _select(self, *, now, worker):
-        if self._policy is not None:
-            if not self._queue:
-                return None
-            keys = [self._key(task, now) for task in self._queue]
-            best = min(keys)
-            ties = [i for i, key in enumerate(keys) if key == best]
-            return self._queue.pop(self._break_tie(self._queue, ties))
-        if not self._heap:
+        heap = self._heap
+        if not heap:
             return None
-        return heapq.heappop(self._heap)[2]
+        if self._policy is None:
+            return heapq.heappop(heap)[2]
+        best = heap[0][0]
+        ties = []
+        while heap and heap[0][0] == best:
+            ties.append(heapq.heappop(heap))
+        if len(ties) == 1:
+            return ties[0][2]
+        chosen = ties.pop(self._policy.choose(
+            self._point, [_label(entry[2]) for entry in ties]))
+        for entry in ties:
+            heapq.heappush(heap, entry)
+        return chosen[2]
 
     def pending(self):
-        return len(self._queue) + len(self._heap)
+        return len(self._heap)
 
 
 class PriorityScheduler(_KeyedScheduler):

@@ -12,8 +12,8 @@ Most counters are *folds*, not subscribers: what the core already
 records once is read once.  :meth:`MetricsRegistry.record_region` folds
 a region's :class:`~repro.core.stats.TaskStats` (the ``valve.start.*``,
 ``valve.end.*``, ``tasks.*`` and ``time.*`` counters, ``tasks.spawned``
-aside) and its valves' memo tallies (``valve.checks.*``) when the
-region is done, or at run end for a region that never finished.  The
+aside) and its valves' check tallies (``valve.checks.evaluated``) when
+the region is done, or at run end for a region that never finished.  The
 registry subscribes to the bus only for live decisions: ``sched``
 (spawn/shed/steal/defer), ``payload``, ``worker``, ``svc`` and ``tune``.
 
@@ -24,7 +24,6 @@ Counter catalogue
 ``valve.start.pass`` / ``.fail``          start-valve set evaluations by verdict
 ``valve.end.pass`` / ``.fail``            end-valve (quality) evaluations
 ``valve.checks.evaluated``                individual valve recomputations
-``valve.checks.skipped``                  checks answered from the memo cache
 ``tasks.runs``                            bodies started (RUNNING entries)
 ``tasks.completed``                       tasks that reached COMPLETE
 ``tasks.reexecutions``                    guard-scheduled re-runs
@@ -100,7 +99,7 @@ METRICS_SCHEMA = "repro-telemetry-metrics/1"
 COUNTER_CATALOGUE = (
     "valve.start.pass", "valve.start.fail",
     "valve.end.pass", "valve.end.fail",
-    "valve.checks.evaluated", "valve.checks.skipped",
+    "valve.checks.evaluated",
     "tasks.runs", "tasks.completed", "tasks.reexecutions",
     "tasks.early_terminations", "tasks.quality_failures",
     "tasks.failed_runs", "tasks.dep_stalls", "tasks.spawned",
@@ -339,7 +338,7 @@ class MetricsRegistry:
 
     def record_region(self, region: Any,
                       now: Optional[float] = None) -> None:
-        """Fold one region's task records and valve memo tallies in.
+        """Fold one region's task records and valve check tallies in.
 
         Called once per region: when it is done, with ``now`` None (its
         tasks' books are closed), or at run end for a region that never
@@ -347,8 +346,6 @@ class MetricsRegistry:
         """
         self.inc("valve.checks.evaluated",
                  sum(valve.checks for valve in region.valves))
-        self.inc("valve.checks.skipped",
-                 sum(valve.checks_skipped for valve in region.valves))
         for task in region.tasks:
             stats = task.stats
             visits = stats.visits

@@ -51,9 +51,7 @@ bound of an attached :class:`~repro.stream.StageQueue` toward FIFO),
 ``ConvergenceValve`` moves ``window``, ``StabilityValve`` moves
 ``rounds``.  Valves whose ceiling equals their base (plain counts,
 handshake valves) and opaque :class:`~repro.core.valves.PredicateValve`
-conditions are left alone.  Every actuation calls
-``invalidate_memo()``, so memoized verdicts can never survive a
-threshold change.
+conditions are left alone.
 
 Every adjustment is published as a ``tune``-kind bus event (observable
 in SchedLab replays and the Perfetto export) and counted in the
@@ -141,9 +139,6 @@ class _TunedValve:
         if self.integral:
             value = max(1, int(round(value)))
         setattr(self.valve, self.attr, value)
-        # Memo tokens include the threshold, but never trust that
-        # indirection: a moved valve must re-evaluate.
-        self.valve.invalidate_memo()
 
 
 def _tuned_valve(valve: Valve,

@@ -12,3 +12,10 @@ def slow_safety_net(monkeypatch):
     instead of being rescued by a timed re-poll."""
     monkeypatch.setattr(thread_pool, "FALLBACK_INTERVAL", 10.0)
     monkeypatch.setattr(process_backend, "_FALLBACK_INTERVAL", 10.0)
+
+
+@pytest.fixture
+def every_chunk_flushes(monkeypatch):
+    """A process worker flushes at every chunk boundary that has
+    something to say, so each publish reaches the parent on its own."""
+    monkeypatch.setattr(process_backend, "FLUSH_INTERVAL", 0.0)

@@ -150,16 +150,15 @@ class TestStatsParity:
                 assert task.stats.visits[TaskState.COMPLETE] == 1
 
 
-# ---------------------------------------------------------------- memoization
+# ------------------------------------------------------ two-count gate
 
 def make_cross_wake(n_a=8, n_b=60, pace=0.0, name=None):
     """Two producers, one consumer gated on both counts.
 
     Once the fast producer (``a``) finishes, every wakeup caused by the
-    slow producer's count re-tests the already-frozen ``a`` valve — the
-    workload that valve memoization exists to short-circuit.  ``pace``
-    adds a real sleep per ``b`` element so the consumer guard observes
-    individual publishes instead of coalescing them.
+    slow producer's count re-tests the already-open ``a`` valve.
+    ``pace`` adds a real sleep per ``b`` element so the consumer guard
+    observes individual publishes instead of coalescing them.
     """
     import time as _time
 
@@ -221,100 +220,12 @@ def cross_wake_expected(n_a=8, n_b=60):
     return [3 * i + 2 * (i % n_a) for i in range(n_b)]
 
 
-def _valve_counters(region):
-    return (sum(v.checks for v in region.valves),
-            sum(v.checks_skipped for v in region.valves))
-
-
-class TestMemoizationParity:
-    """Valve memoization must never change results, only skip work."""
-
-    def _run_memo(self, runner, builder, memo):
-        from repro.core.valves import set_memoization
-
-        previous = set_memoization(memo)
-        try:
-            return runner(builder())
-        finally:
-            set_memoization(previous)
-
-    def test_sim_kmeans_invariant(self):
-        from repro.apps.kmeans import KMeansApp
-        from repro.workloads import synthetic_image
-
-        def build():
-            return KMeansApp(synthetic_image(20, 20, diversity=3, noise=6.0,
-                                             seed=3),
-                             num_clusters=3, epochs=3)
-
-        runs = {memo: self._run_memo(lambda app: app.run_fluid(),
-                                     build, memo)
-                for memo in (False, True)}
-        assert runs[False].makespan == runs[True].makespan
-        assert runs[False].error == runs[True].error
-
-    def test_sim_bellman_ford_invariant(self):
-        import numpy as np
-
-        from repro.apps.bellman_ford import BellmanFordApp
-        from repro.workloads import random_graph
-
-        def build():
-            return BellmanFordApp(random_graph(200, 800, seed=13),
-                                  iterations=4)
-
-        runs = {memo: self._run_memo(lambda app: app.run_fluid(),
-                                     build, memo)
-                for memo in (False, True)}
-        assert runs[False].makespan == runs[True].makespan
-        assert np.array_equal(np.asarray(runs[False].output),
-                              np.asarray(runs[True].output))
-
-    def test_thread_fewer_evaluations_same_output(self):
-        results = {}
-        for memo in (False, True):
-            region = self._run_memo(
-                run_threads, lambda: make_cross_wake(pace=0.001), memo)
-            assert region.output("out") == cross_wake_expected()
-            results[memo] = _valve_counters(region)
-        checks_off, skipped_off = results[False]
-        checks_on, skipped_on = results[True]
-        assert skipped_off == 0
-        # With memoization on, a strict subset of the same wakeup-driven
-        # check() calls is actually evaluated.
-        assert skipped_on > 0
-        assert checks_on < checks_on + skipped_on
-
-    def test_process_fewer_evaluations_same_output(self):
-        results = {}
-        for memo in (False, True):
-            region = self._run_memo(
-                run_process, lambda: make_cross_wake(), memo)
-            assert region.output("out") == cross_wake_expected()
-            results[memo] = _valve_counters(region)
-        checks_off, skipped_off = results[False]
-        checks_on, skipped_on = results[True]
-        assert skipped_off == 0
-        assert skipped_on > 0
-        assert checks_on < checks_off
-
-    def test_no_valve_memo_records_more_checks(self):
-        """Count valves never memoize, so memoization shows on a run
-        whose valves still do: K-means on the thread driver re-checks
-        each band's ``DataFinalValve`` against an unchanged cell."""
-        from repro.bench import collect_region_counters, standard_suite
-
-        build = standard_suite()["kmeans"]["div3"]
-        results = {}
-        for memo in (False, True):
-            run = self._run_memo(
-                lambda app: app.run_fluid(backend="thread"), build, memo)
-            results[memo] = collect_region_counters(run.regions)
-        checks_off, skipped_off, _ = results[False]
-        checks_on, skipped_on, _ = results[True]
-        assert skipped_off == 0
-        assert skipped_on > 0
-        assert checks_on < checks_off
+@pytest.mark.parametrize("run", ALL_BACKENDS,
+                         ids=["sim", "thread", "process"])
+def test_consumer_gated_on_two_counts(run):
+    pace = 0.001 if run is run_threads else 0.0
+    region = run(make_cross_wake(pace=pace))
+    assert region.output("out") == cross_wake_expected()
 
 
 # ------------------------------------------------------ region lifecycle
@@ -610,22 +521,18 @@ def _gate_of(region):
 GATED_EXECUTORS = {
     "sim": lambda: SimExecutor(cores=4),
     "thread": lambda: ThreadExecutor(timeout=5),
-    # Every chunk a flush: each publish reaches the parent on its own.
-    "process-private": lambda: ProcessExecutor(workers=2, timeout=20,
-                                               flush_interval=0.0),
+    "process-private": lambda: ProcessExecutor(workers=2, timeout=20),
 }
 
 
-@pytest.mark.usefixtures("slow_safety_net")
+@pytest.mark.usefixtures("slow_safety_net", "every_chunk_flushes")
 class TestGatedCountPublishes:
     """A publish that leaves a parked record's start valve shut — a
     count valve below its threshold, a convergence valve below its
     observation floor (``Valve.shut``) — rules the record out before its
     check (``RunContext.woken``) on every driver: no check, no ``valve``
     event, no ``valve_check`` charge.  Each test names the broken gate
-    it catches.  A check counts whether it evaluated or a convergence
-    valve's memo answered it (a pick re-check may find the history
-    unchanged)."""
+    it catches."""
 
     def _run(self, backend, region):
         executor = GATED_EXECUTORS[backend]()
@@ -653,8 +560,7 @@ class TestGatedCountPublishes:
         region = self._run(backend, gated_region(n, gate,
                                                  f"gate-skip-{gate}-{n}"))
         valve = _gate_of(region)
-        assert valve.checks + valve.checks_skipped == \
-            self.OPENING_CHECKS[backend]
+        assert valve.checks == self.OPENING_CHECKS[backend]
         assert region.output("out") >= n // 2
         if gate == "converge":
             assert valve.opened_at == n // 2
@@ -688,8 +594,7 @@ class TestGatedCountPublishes:
         self._run(backend, region)
         # Admission, every publish up to N / 2, and the pick's re-check.
         valve = _gate_of(region)
-        assert valve.checks + valve.checks_skipped == \
-            n // 2 + self.OPENING_CHECKS[backend] - 1
+        assert valve.checks == n // 2 + self.OPENING_CHECKS[backend] - 1
 
     @pytest.mark.parametrize("lower", ["set_k", "relax_to_base"])
     @pytest.mark.parametrize("backend", ["sim", "thread"])
@@ -752,8 +657,8 @@ class TestOptionsCensus:
                 "slots", "scheduler", "policy", "bus", "name"],
             "ProcessExecutor": [
                 "workers", "modulation", "timeout", "cancel_first_runs",
-                "flush_interval", "policy", "telemetry", "scheduler",
-                "autotune", "batch_size", "pool"],
+                "policy", "telemetry", "scheduler", "autotune",
+                "batch_size", "pool"],
             "PersistentProcessPool": ["workers", "name"],
             "FluidService": [
                 "backend", "slots", "scheduler", "queue_capacity",

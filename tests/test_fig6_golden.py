@@ -4,9 +4,9 @@ The simulator runs in virtual time, so every cell of the matrix that
 ``collect_figure6_rows()`` produces is a deterministic function of the
 app bodies' yielded costs, their count publishes and the runtime's
 decisions.  This test pins that function for all 21 app/input rows:
-fluid and precise makespans, valve checks, memoized checks and
-re-executions exactly, and the normalized accuracy to 12 significant
-digits (its last ulp depends on summation order elsewhere).
+fluid and precise makespans, valve checks and re-executions exactly,
+and the normalized accuracy to 12 significant digits (its last ulp
+depends on summation order elsewhere).
 
 An app body may be rewritten (docs/reproduction-notes.md, "Kernel
 contract") only if this file still passes unchanged.  Regenerate after
@@ -30,7 +30,6 @@ def _record(row):
         "precise_makespan": row.precise_makespan,
         "fluid_makespan": row.fluid_makespan,
         "valve_checks": row.valve_checks,
-        "valve_checks_skipped": row.valve_checks_skipped,
         "reexecutions": row.reexecutions,
         "normalized_accuracy": float(
             f"{row.normalized_accuracy:.{ACCURACY_DIGITS}g}"),

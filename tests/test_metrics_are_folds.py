@@ -82,12 +82,10 @@ class EventFoldedMetrics(MetricsRegistry):
             self.inc("tasks.failed_runs")
 
     def record_region(self, region, now=None):
-        # The memo tallies were a once-per-region summary event, built
+        # The check tally was a once-per-region summary event, built
         # from the valves themselves, never from per-check events.
         self.inc("valve.checks.evaluated",
                  sum(valve.checks for valve in region.valves))
-        self.inc("valve.checks.skipped",
-                 sum(valve.checks_skipped for valve in region.valves))
 
     def finalize(self, makespan, workers, now):
         for state, entered in self._since.values():
@@ -192,8 +190,7 @@ class TestMetricsAreFolds:
                       telemetry=telemetry)
         counters = fold.counters
         assert counters["tasks.runs"] > 0
-        # A tallied verdict recomputed at least one valve: a set every
-        # valve answered from its memo is not a verdict.
+        # A tallied verdict evaluated at least one valve.
         verdicts = sum(counters[f"valve.{which}.{verdict}"]
                        for which in ("start", "end")
                        for verdict in ("pass", "fail"))

@@ -191,23 +191,24 @@ def make_quiet_consumer_region(flushes, name="quiet-consumer"):
 
 
 class TestWakeRule:
+    @pytest.mark.usefixtures("every_chunk_flushes")
     def test_unrelated_flushes_do_not_recheck_a_parked_consumer(
             self, monkeypatch):
         """A count-gated consumer is re-evaluated when *its* count is
         replayed, not on every flush another task sends."""
         flushes = 30
         region = make_quiet_consumer_region(flushes)
-        # flush_interval=0: every chunk boundary that has something to
-        # say is a message; a long fallback keeps the safety net out.
+        # Every chunk boundary that has something to say is a message;
+        # a long fallback keeps the safety net out.
         monkeypatch.setattr(process_backend, "_FALLBACK_INTERVAL", 5.0)
-        executor = ProcessExecutor(workers=2, timeout=60, flush_interval=0.0)
+        executor = ProcessExecutor(workers=2, timeout=60)
         executor.submit(region)
         executor.run()
         assert region.output("out") == 2
         assert region.counts["c2"].updates == flushes
         valve, = region.graph.task("consume").spec.start_valves
         # Launch, the c1 replay, the pick-time validation.
-        assert valve.checks + valve.checks_skipped <= 6
+        assert valve.checks <= 6
 
 
 # --------------------------------------------------------- failure modes
@@ -367,12 +368,12 @@ def make_early_region(name="early", n=40, pace=0.004):
 
 
 class TestCancellation:
-    def test_early_termination_cancels_running_producer(self):
+    def test_early_termination_cancels_running_producer(self, monkeypatch):
         # The consumer completes from a partial read; the producer's
         # still-running rerun becomes pointless and is cancelled.
+        monkeypatch.setattr(process_backend, "FLUSH_INTERVAL", 0.002)
         region = make_early_region()
-        executor = ProcessExecutor(workers=2, timeout=30,
-                                   flush_interval=0.002)
+        executor = ProcessExecutor(workers=2, timeout=30)
         executor.submit(region)
         executor.run()
         assert region.complete
@@ -546,10 +547,9 @@ def final_read_mismatches(runs):
     with PersistentProcessPool(workers=2) as pool:
         for index in range(runs):
             region = make_final_read_region(f"final{index}")
-            # flush_interval=0: every chunk is a flush, so the parent is
-            # reading the slot while the worker keeps rewriting it.
-            executor = ProcessExecutor(pool=pool, timeout=60,
-                                       flush_interval=0.0)
+            # Run under ``every_chunk_flushes``: the parent is reading
+            # the slot while the worker keeps rewriting it.
+            executor = ProcessExecutor(pool=pool, timeout=60)
             executor.submit(region)
             executor.run()
             if not np.array_equal(region.output("block"), final) or \
@@ -559,6 +559,7 @@ def final_read_mismatches(runs):
     return mismatches
 
 
+@pytest.mark.usefixtures("every_chunk_flushes")
 class TestFinalReadsNeverTorn:
     """The arena's relaxation bound, both directions: a non-final read
     may be torn or fresher than its message, a final read is exact."""

@@ -6,6 +6,9 @@ shed-must-be-observable regression test), and the end-of-run metrics
 fold via Telemetry.record_scheduler.
 """
 
+import json
+import pathlib
+
 import pytest
 
 from repro.core.errors import SchedulerError
@@ -289,6 +292,44 @@ def test_schedulers_compose_with_schedlab_policies():
     order = drain(keyed)
     assert order[0] == "hi"  # the discipline itself is never perturbed
     assert sorted(order[1:]) == ["tie1", "tie2"]
+
+
+KEYED_PICKS_PATH = (pathlib.Path(__file__).parent / "golden"
+                    / "keyed_picks.json")
+
+
+def keyed_trace(spec, seed=5):
+    """Pick order and policy decisions of ``spec`` over a seeded stream
+    whose hints are rounded, so many tasks tie on their key."""
+    from repro.sched.capacity import synthesize
+    from repro.schedlab.policy import RecordingPolicy, SeededRandomPolicy
+
+    stream = synthesize(120, 2, 1.5, seed)
+    for task in stream:
+        task.priority = round(task.priority, 1)
+        task.deadline = float(round(task.deadline))
+        task.cost_estimate = round(task.cost_estimate * 2) / 2
+    policy = RecordingPolicy(SeededRandomPolicy(seed))
+    scheduler = make_scheduler(spec).bind(policy=policy, point="core")
+    picks = []
+    for index, task in enumerate(stream):
+        scheduler.submit(task, now=task.arrival)
+        if index % 3 == 2:
+            picks.append(scheduler.pick(now=task.arrival).name)
+    picks.extend(drain(scheduler, now=stream[-1].arrival))
+    return {"picks": [int(name[1:]) for name in picks],
+            "decisions": [[size, index]
+                          for _point, size, index in policy.decisions]}
+
+
+@pytest.mark.parametrize("spec", ["priority", "edf", "sew",
+                                  "bounded:inner=edf,capacity=8"])
+def test_policy_bound_keyed_picks_are_pinned(spec):
+    """With a policy bound, a keyed pick offers the policy exactly the
+    entries tied on the minimum key, in admission order; the pick order
+    and every decision match the golden."""
+    golden = json.loads(KEYED_PICKS_PATH.read_text(encoding="utf-8"))
+    assert keyed_trace(spec) == golden[spec]
 
 
 # ----------------------------------------------------------- end-to-end runs

@@ -5,6 +5,7 @@ import pytest
 from repro.core.count import Count
 from repro.core.data import FluidData
 from repro.core.errors import ValveError
+from repro.core.task import FluidTask, TaskSpec
 from repro.core.valves import (AlwaysValve, ConvergenceValve, CountValve,
                                DataFinalValve, NeverValve, PercentValve,
                                PredicateValve, StabilityValve,
@@ -39,25 +40,10 @@ class TestCountValve:
             CountValve(None, threshold=1)
 
     def test_check_counter_increments(self):
-        # A count valve carries no memo: a repeat check against an
-        # unchanged count still evaluates and is counted.
         valve = CountValve(Count("ct"), threshold=1)
         valve.check()
         valve.check()
         assert valve.checks == 2
-        assert valve.checks_skipped == 0
-
-    def test_check_counter_increments_memo_off(self):
-        from repro.core.valves import set_memoization
-        previous = set_memoization(False)
-        try:
-            valve = CountValve(Count("ct"), threshold=1)
-            valve.check()
-            valve.check()
-            assert valve.checks == 2
-            assert valve.checks_skipped == 0
-        finally:
-            set_memoization(previous)
 
     def test_init_rebinds(self):
         valve = CountValve(Count("old"), threshold=1)
@@ -382,8 +368,35 @@ class TestOtherValves:
         assert valve.check()
 
 
-class TestMemoization:
-    def test_count_update_invalidates(self):
+def _body(ctx):
+    yield 1.0
+
+
+class TestEveryCheckEvaluates:
+    """A valve caches no verdict: every ``check()`` evaluates the state
+    it reads now and counts one check, and a task tallies every verdict
+    of a non-empty valve set."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: DataFinalValve(FluidData("d", [0, 0])),
+        lambda: ConvergenceValve(Count("score"), window=2),
+        lambda: StabilityValve(Count("changed"), total=100, rounds=2),
+    ], ids=["data_final", "convergence", "stability"])
+    def test_repeat_check_on_unchanged_state_is_evaluated_and_tallied(
+            self, make):
+        valve = make()
+        task = FluidTask(TaskSpec("t", _body, start_valves=[valve]))
+        assert not task.start_valves_satisfied()
+        assert not task.start_valves_satisfied()
+        assert valve.checks == 2
+        assert task.stats.valve_fails["start"] == 2
+
+    def test_empty_valve_set_passes_untallied(self):
+        task = FluidTask(TaskSpec("t", _body))
+        assert task.start_valves_satisfied()
+        assert task.stats.valve_passes["start"] == 0
+
+    def test_count_update_changes_verdict(self):
         """Count valves read the live value and threshold on every call,
         whatever moved them: an update, modulation, ``set_k`` or a
         state installed from another process."""
@@ -404,18 +417,17 @@ class TestMemoization:
         ct.install_state(2, 1)
         assert not valve.check()
         assert valve.checks == 8
-        assert valve.checks_skipped == 0
 
-    def test_tighten_invalidates(self):
+    def test_tighten_changes_verdict(self):
         ct = Count("ct")
         ct.add(5)
         valve = CountValve(ct, threshold=4, max_threshold=10)
         assert valve.check()
         valve.tighten(1.0)                 # threshold now 10
-        assert not valve.check()           # recomputed, not cached True
+        assert not valve.check()
         assert valve.checks == 2
 
-    def test_relax_invalidates(self):
+    def test_relax_changes_verdict(self):
         ct = Count("ct")
         ct.add(5)
         valve = CountValve(ct, threshold=4, max_threshold=10)
@@ -424,9 +436,7 @@ class TestMemoization:
         valve.relax_to_base()
         assert valve.check()
 
-    def test_count_reset_invalidates(self):
-        # reset() leaves updates at 0 again, so only the generation
-        # counter distinguishes the fresh state from the original one.
+    def test_count_reset_changes_verdict(self):
         ct = Count("ct")
         valve = CountValve(ct, threshold=1)
         assert not valve.check()
@@ -435,7 +445,7 @@ class TestMemoization:
         ct.reset()
         assert not valve.check()
 
-    def test_predicate_never_memoized(self):
+    def test_predicate_evaluated_on_every_check(self):
         calls = {"n": 0}
 
         def pred():
@@ -447,57 +457,32 @@ class TestMemoization:
         valve.check()
         assert calls["n"] == 2
         assert valve.checks == 2
-        assert valve.checks_skipped == 0
 
-    def test_data_final_valve_memoized(self):
+    def test_data_final_valve_follows_finality(self):
         d = FluidData("d", [0, 0])
         valve = DataFinalValve(d)
         assert not valve.check()
+        d.write([1, 1])
         assert not valve.check()
-        assert valve.checks_skipped == 1
-        d.write([1, 1])                    # version bump invalidates
-        assert not valve.check()
-        d.mark_final(precise=True)         # finality flip invalidates
+        d.mark_final(precise=True)
         assert valve.check()
         assert valve.checks == 3
 
-    def test_convergence_history_invalidates(self):
+    def test_convergence_history_growth_changes_verdict(self):
         ct = Count("score")
         valve = ConvergenceValve(ct, window=2, min_updates=1)
         assert not valve.check()
-        assert not valve.check()
-        assert valve.checks_skipped == 1
         for value in (10.0, 10.0, 10.0):
             ct.set(value)
-        assert valve.check()               # recomputed: history grew
+        assert valve.check()
 
-    def test_stability_history_invalidates(self):
+    def test_stability_history_growth_changes_verdict(self):
         ct = Count("changed")
         valve = StabilityValve(ct, total=100, epsilon=0.01, rounds=2)
         assert not valve.check()
-        assert not valve.check()
-        assert valve.checks_skipped == 1
         ct.set(0)
         ct.set(0)
         assert valve.check()
-
-    def test_invalidate_memo_forces_recompute(self):
-        valve = CountValve(Count("ct"), threshold=1)
-        valve.check()
-        valve.invalidate_memo()
-        valve.check()
-        assert valve.checks == 2
-
-    def test_set_memoization_returns_previous(self):
-        from repro.core.valves import memoization_enabled, set_memoization
-
-        assert memoization_enabled()
-        assert set_memoization(False) is True
-        try:
-            assert not memoization_enabled()
-            assert set_memoization(False) is False
-        finally:
-            set_memoization(True)
 
 
 class TestDeclaredFailFast:

@@ -118,7 +118,7 @@ STREAM_CHUNKS = 4
 
 def make_streamer_region(flag_path, kill_after, name="streamer"):
     """``stream`` flushes one ``STREAM_BYTES`` count record per chunk (run
-    it with ``flush_interval=0``), then writes ``out``.  Its first run,
+    it under ``every_chunk_flushes``), then writes ``out``.  Its first run,
     gated on a flag file, has a timer thread SIGKILL its worker
     ``kill_after`` seconds in, while the body is sending; the retry on
     the replacement worker streams to the end."""
@@ -508,6 +508,7 @@ class TestOnePipePerWorker:
     @pytest.mark.stress
     @pytest.mark.skipif(not os.path.isdir("/dev/shm"),
                         reason="lists POSIX shared memory through /dev/shm")
+    @pytest.mark.usefixtures("every_chunk_flushes")
     def test_a_worker_killed_mid_send_never_wedges_the_pool(self, tmp_path):
         """200 times: a worker is SIGKILLed while it sends a flush larger
         than its pipe's buffer.  Its lease still completes on the
@@ -523,7 +524,6 @@ class TestOnePipePerWorker:
                     rng.uniform(0.0, 0.002), name=f"stream{index}")
                 telemetry = Telemetry()
                 executor = InFlightOnlyExecutor(timeout=10, pool=pool,
-                                                flush_interval=0,
                                                 telemetry=telemetry)
                 executor.submit(region)
                 executor.run()

@@ -95,10 +95,10 @@ class DCTRegion(FluidRegion):
         total_entries = BASIS_ENTRIES
 
         def basis_body(ctx):
+            rows = _basis_rows(_series_sin_many, np.arange(BLOCK))
             for row in range(flat):
-                row_k, row_l = _basis_rows(_series_sin_many,
-                                           np.array(divmod(row, BLOCK)))
-                basis2[row] = np.outer(row_k, row_l).ravel()
+                k, j = divmod(row, BLOCK)
+                basis2[row] = np.outer(rows[k], rows[j]).ravel()
                 basis_cell.touch()
                 ct.add(flat)
                 yield BASIS_COST_PER_ENTRY * flat

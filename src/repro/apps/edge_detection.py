@@ -38,16 +38,26 @@ FILTER_COST = {"gaussian": 9.0, "mean": 5.0}
 GRADIENT_COST = {"sobel": 18.0, "laplacian": 4.0}
 
 
+def conv3x3_rows(image: np.ndarray, start: int, stop: int,
+                 kernel: np.ndarray) -> np.ndarray:
+    """Output rows ``start..stop-1`` of a clamped-border 3x3 convolution,
+    in one array pass (every element sums its nine terms in the same
+    order whatever the band)."""
+    height, width = image.shape
+    source = image[[min(max(row, 0), height - 1)
+                    for row in range(start - 1, stop + 1)]]
+    padded = np.concatenate((source[:, :1], source, source[:, -1:]), axis=1)
+    count = stop - start
+    out = np.zeros((count, width))
+    for dy in range(3):
+        for dx in range(3):
+            out += kernel[dy, dx] * padded[dy:dy + count, dx:dx + width]
+    return out
+
+
 def conv3x3_row(image: np.ndarray, row: int, kernel: np.ndarray) -> np.ndarray:
     """One output row of a clamped-border 3x3 convolution."""
-    height, width = image.shape
-    out = np.zeros(width)
-    for dy in (-1, 0, 1):
-        source = image[min(max(row + dy, 0), height - 1)]
-        padded = np.concatenate(([source[0]], source, [source[-1]]))
-        for dx in (-1, 0, 1):
-            out += kernel[dy + 1, dx + 1] * padded[1 + dx:1 + dx + width]
-    return out
+    return conv3x3_rows(image, row, row + 1, kernel)[0]
 
 
 def gradient_row(image: np.ndarray, row: int, gradient: str) -> np.ndarray:
@@ -98,10 +108,9 @@ class EdgeDetectionRegion(FluidRegion):
 
             def filter_body(ctx, start=start, stop=stop, ct=ct,
                             filtered=filtered):
-                source = src.read()
+                smoothed = conv3x3_rows(src.read(), start, stop, kernel)
                 for row in range(start, stop):
-                    smoothed = conv3x3_row(source, row, kernel)
-                    work[row] = smoothed
+                    work[row] = smoothed[row - start]
                     filtered.touch()
                     ct.add(width)
                     yield filter_cost * width

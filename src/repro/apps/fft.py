@@ -104,10 +104,10 @@ class FFTRegion(FluidRegion):
 
         def make_table_body(table, count, phase):
             def body(ctx):
+                values = _series_sin_many(angles + phase)
                 for start in range(0, half, TABLE_CHUNK):
                     stop = min(start + TABLE_CHUNK, half)
-                    table.read()[start:stop] = _series_sin_many(
-                        angles[start:stop] + phase)
+                    table.read()[start:stop] = values[start:stop]
                     table.touch()
                     count.add(stop - start)
                     yield TABLE_COST_PER_ENTRY * (stop - start)

@@ -28,7 +28,7 @@ from ..core.valves import DataFinalValve, PercentValve
 from ..metrics.error import coloring_error
 from ..workloads.graphs import (GraphInput, coloring_priority,
                                 first_free_color, jones_plassmann,
-                                select_local_maxima)
+                                outranked_edges, select_local_maxima)
 from .base import FluidApp, SubmitPlan
 
 # Per-vertex virtual costs scale with degree: selecting checks every
@@ -51,7 +51,7 @@ class ColoringRoundRegion(FluidRegion):
         self.round_index = round_index
         self.threshold = threshold
         self.parallelism = parallelism
-        self.state = state  # {"colors": array, "priority": array}
+        self.state = state  # {"colors": array}
         super().__init__(name or f"gc_round{round_index}")
 
     def build(self):
@@ -59,7 +59,7 @@ class ColoringRoundRegion(FluidRegion):
         graph = app.graph
         n = graph.num_vertices
         colors = self.state["colors"]
-        priority = self.state["priority"]
+        outranked = app.outranked
         csr = app.csr
         degree = csr.degree
         ready = self.add_data("ready")
@@ -91,7 +91,7 @@ class ColoringRoundRegion(FluidRegion):
                     hi = min(chunk + CHUNK_VERTICES, stop)
                     uncolored = colors[chunk:hi] < 0
                     selected[chunk:hi] = select_local_maxima(
-                        csr, colors, priority, chunk, hi)
+                        csr, colors, outranked, chunk, hi)
                     # Every term is a multiple of 0.5, so the closed form
                     # equals the per-vertex running sum exactly.
                     scanned = int(uncolored.sum())
@@ -162,6 +162,7 @@ class GraphColoringApp(FluidApp):
         self.quality_margin = quality_margin
         self.csr = graph.csr()
         self.priority = coloring_priority(graph)
+        self.outranked = outranked_edges(self.csr, self.priority)
         # Budget what the precise algorithm needs (plus slack), capped:
         # Jones-Plassmann has a long tail of near-empty rounds that is
         # pure scheduling overhead, so *both* versions hand the tail to
@@ -177,7 +178,6 @@ class GraphColoringApp(FluidApp):
                       parallelism: int) -> SubmitPlan:
         state = {
             "colors": np.full(self.graph.num_vertices, -1, dtype=np.int64),
-            "priority": self.priority,
         }
         plan = SubmitPlan()
         for round_index in range(self.rounds):

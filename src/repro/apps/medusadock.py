@@ -32,10 +32,12 @@ import numpy as np
 from ..core.region import FluidRegion
 from ..core.valves import (ConvergenceValve, DataFinalValve, PercentValve)
 from ..metrics.error import topk_overlap
-from ..workloads.molecules import DockingInput, pose_energy
+from ..workloads.molecules import DockingInput, pose_energies
 from .base import FluidApp, SubmitPlan
 
 SCAN_COST_PER_POSE = 12.0
+#: poses scored per array pass; a chunk writes one pose.
+POSE_BLOCK = 8
 
 
 class DockingRegion(FluidRegion):
@@ -74,8 +76,11 @@ class DockingRegion(FluidRegion):
 
         def dock(ctx):
             for index in range(num_poses):
-                energies[index] = pose_energy(docking.protein,
-                                              docking.poses[index])
+                if index % POSE_BLOCK == 0:
+                    block = pose_energies(
+                        docking.protein,
+                        docking.poses[index:index + POSE_BLOCK])
+                energies[index] = block[index % POSE_BLOCK]
                 energy_cell.touch()
                 min_energy.track_min(energies[index])
                 ct.add()

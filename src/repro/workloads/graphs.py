@@ -154,19 +154,26 @@ def bellman_ford_reference(graph: GraphInput, source: int = 0) -> np.ndarray:
     return dist
 
 
-def select_local_maxima(csr: CSR, colors: np.ndarray, priority: np.ndarray,
+def outranked_edges(csr: CSR, priority: np.ndarray) -> np.ndarray:
+    """Per CSR edge, whether the neighbour's priority is ``>=`` its
+    owner's: the edges along which an uncolored neighbour blocks a
+    vertex (bool array aligned with ``csr.indices``)."""
+    return priority[csr.indices] >= priority[csr.owner]
+
+
+def select_local_maxima(csr: CSR, colors: np.ndarray, outranked: np.ndarray,
                         lo: int, hi: int) -> np.ndarray:
     """Which of vertices ``lo..hi-1`` are uncolored and outrank every
     uncolored neighbour (boolean mask of length ``hi - lo``).
 
-    Priorities are distinct and there are no self-loops, so a vertex is
-    blocked exactly by an uncolored neighbour of priority ``>=`` its own.
+    ``outranked`` is :func:`outranked_edges` of the priorities.  They
+    are distinct and there are no self-loops, so a vertex is blocked
+    exactly by an uncolored neighbour of priority ``>=`` its own.
     """
     edges = slice(csr.indptr[lo], csr.indptr[hi])
-    owner = csr.owner[edges]
-    other = csr.indices[edges]
-    blocking = (colors[other] < 0) & (priority[other] >= priority[owner])
-    blockers = np.bincount(owner[blocking] - lo, minlength=hi - lo)
+    blocking = (colors[csr.indices[edges]] < 0) & outranked[edges]
+    blockers = np.bincount(csr.owner[edges][blocking] - lo,
+                           minlength=hi - lo)
     return (colors[lo:hi] < 0) & (blockers == 0)
 
 
@@ -183,11 +190,12 @@ def first_free_color(csr: CSR, colors: np.ndarray, vertex: int) -> int:
 def jones_plassmann(csr: CSR, priority: np.ndarray) -> tuple[np.ndarray, int]:
     """Precise round-based coloring: (colors, number of rounds)."""
     n = len(csr.degree)
+    outranked = outranked_edges(csr, priority)
     colors = np.full(n, -1, dtype=np.int64)
     rounds = 0
     while (colors < 0).any():
         rounds += 1
-        chosen = np.flatnonzero(select_local_maxima(csr, colors, priority,
+        chosen = np.flatnonzero(select_local_maxima(csr, colors, outranked,
                                                     0, n))
         for vertex in chosen.tolist():
             colors[vertex] = first_free_color(csr, colors, vertex)

@@ -89,15 +89,24 @@ def synthetic_poses(num_poses: int = 64, protein_atoms: int = 48,
     return DockingInput(name, protein, poses[order], seed)
 
 
-def pose_energy(protein: np.ndarray, pose: np.ndarray) -> float:
-    """Lennard-Jones-flavoured interaction energy (lower is better)."""
-    deltas = protein[:, None, :] - pose[None, :, :]
+def pose_energies(protein: np.ndarray, poses: np.ndarray) -> np.ndarray:
+    """Lennard-Jones-flavoured interaction energy of each pose in
+    ``poses`` (shape ``(poses, ligand_atoms, 3)``; lower is better).
+
+    Each pose's terms are summed over one contiguous row, so a pose
+    scores the same bytes alone or in any batch.
+    """
+    deltas = protein[None, :, None, :] - poses[:, None, :, :]
     r2 = np.maximum((deltas ** 2).sum(axis=-1), 0.25)
     inv6 = 1.0 / r2 ** 3
-    return float((inv6 ** 2 - 2.0 * inv6).sum())
+    return (inv6 ** 2 - 2.0 * inv6).reshape(len(poses), -1).sum(axis=1)
+
+
+def pose_energy(protein: np.ndarray, pose: np.ndarray) -> float:
+    """The energy of one pose."""
+    return float(pose_energies(protein, pose[None])[0])
 
 
 def energy_reference(docking: DockingInput) -> np.ndarray:
     """Precise energies of every pose."""
-    return np.array([pose_energy(docking.protein, pose)
-                     for pose in docking.poses])
+    return pose_energies(docking.protein, docking.poses)

@@ -1,10 +1,13 @@
-"""Bit identity of the array kernels against the scalar loops they replace.
+"""Bit identity of the array kernels against the loops they replace.
 
 Graph Coloring's selection and coloring passes, FFT's twiddle tables and
-butterflies, and DCT's basis are array operations over one chunk at a
-time.  The contract (docs/reproduction-notes.md, "Kernel contract") is
-that they produce the same bytes and yield the same virtual costs as the
-per-element Python loops they replaced, which live here as the oracle.
+butterflies, DCT's basis, Edge Detection's smoothing pass and
+MedusaDock's docking scan are array operations, some of them computed
+once per run rather than once per chunk.  The contract
+(docs/reproduction-notes.md, "Kernel contract") is that they produce the
+same bytes, yield the same virtual costs and make the same ``touch()``
+calls and count publishes, chunk by chunk, as the loops they replaced,
+which live here as the oracle.
 
 Each test names the mutant it kills; all inputs are seeded.
 """
@@ -15,15 +18,22 @@ import numpy as np
 import pytest
 
 from repro.apps import dct as dct_module
+from repro.apps import edge_detection as edge_module
 from repro.apps import fft as fft_module
 from repro.apps import graph_coloring as gc_module
-from repro.apps.dct import BLOCK, DCTApp, DCTRegion
+from repro.apps import medusadock as dock_module
+from repro.apps.dct import BLOCK, DCTApp, DCTRegion, _basis_rows
+from repro.apps.edge_detection import EdgeDetectionApp
 from repro.apps.fft import (SERIES_TERMS, FFTApp, FFTRegion,
                             _crude_sin_many, _series_sin_many,
                             bit_reverse_permutation)
 from repro.apps.graph_coloring import ColoringRoundRegion, GraphColoringApp
+from repro.apps.medusadock import MedusaDockApp
+from repro.workloads import synthetic_poses
 from repro.workloads.graphs import (GraphInput, coloring_priority,
                                     greedy_coloring_reference, random_graph)
+from repro.workloads.molecules import (energy_reference, pose_energies,
+                                       pose_energy)
 
 # --------------------------------------------------------------- the oracle
 
@@ -159,6 +169,96 @@ def scalar_crude_basis2():
     return basis2
 
 
+# The per-chunk loops that the once-per-run kernels replaced.  Each
+# writes into the cells of a second, independently built region.
+
+
+def replaced_dct_basis(basis2, cell, count):
+    flat = BLOCK * BLOCK
+    for row in range(flat):
+        row_k, row_l = _basis_rows(_series_sin_many,
+                                   np.array(divmod(row, BLOCK)))
+        basis2[row] = np.outer(row_k, row_l).ravel()
+        cell.touch()
+        count.add(flat)
+        yield dct_module.BASIS_COST_PER_ENTRY * flat
+
+
+def replaced_fft_table(table, count, angles, phase):
+    half = len(angles)
+    for start in range(0, half, fft_module.TABLE_CHUNK):
+        stop = min(start + fft_module.TABLE_CHUNK, half)
+        table.read()[start:stop] = _series_sin_many(
+            angles[start:stop] + phase)
+        table.touch()
+        count.add(stop - start)
+        yield fft_module.TABLE_COST_PER_ENTRY * (stop - start)
+
+
+def per_pose_energy(protein, pose):
+    deltas = protein[:, None, :] - pose[None, :, :]
+    r2 = np.maximum((deltas ** 2).sum(axis=-1), 0.25)
+    inv6 = 1.0 / r2 ** 3
+    return float((inv6 ** 2 - 2.0 * inv6).sum())
+
+
+def replaced_dock(docking, cell, min_energy, count):
+    energies = cell.read()
+    pose_cost = dock_module.SCAN_COST_PER_POSE * docking.protein.shape[0] \
+        * docking.poses.shape[1] / 64.0
+    for index in range(docking.num_poses):
+        energies[index] = per_pose_energy(docking.protein,
+                                          docking.poses[index])
+        cell.touch()
+        min_energy.track_min(energies[index])
+        count.add()
+        yield pose_cost
+
+
+def per_row_conv3x3(image, row, kernel):
+    height, width = image.shape
+    out = np.zeros(width)
+    for dy in (-1, 0, 1):
+        source = image[min(max(row + dy, 0), height - 1)]
+        padded = np.concatenate(([source[0]], source, [source[-1]]))
+        for dx in (-1, 0, 1):
+            out += kernel[dy + 1, dx + 1] * padded[1 + dx:1 + dx + width]
+    return out
+
+
+def replaced_filter(app, cell, count, start, stop):
+    work = cell.read()
+    width = app.image.shape[1]
+    kernel = edge_module.GAUSSIAN if app.noise_filter == "gaussian" \
+        else edge_module.MEAN
+    for row in range(start, stop):
+        work[row] = per_row_conv3x3(app.image, row, kernel)
+        cell.touch()
+        count.add(width)
+        yield edge_module.FILTER_COST[app.noise_filter] * width
+
+
+def replaced_select(app, colors, cell, count, start, stop):
+    csr, priority, degree = app.csr, app.priority, app.csr.degree
+    selected = cell.read()
+    for chunk in range(start, stop, gc_module.CHUNK_VERTICES):
+        hi = min(chunk + gc_module.CHUNK_VERTICES, stop)
+        uncolored = colors[chunk:hi] < 0
+        edges = slice(csr.indptr[chunk], csr.indptr[hi])
+        owner = csr.owner[edges]
+        other = csr.indices[edges]
+        blocking = (colors[other] < 0) & (priority[other] >= priority[owner])
+        blockers = np.bincount(owner[blocking] - chunk,
+                               minlength=hi - chunk)
+        selected[chunk:hi] = uncolored & (blockers == 0)
+        scanned = int(uncolored.sum())
+        cell.touch()
+        count.add(hi - chunk)
+        yield float(gc_module.SKIP_COST_PER_VERTEX * (hi - chunk - scanned)
+                    + gc_module.SELECT_COST_BASE * scanned
+                    + degree[chunk:hi][uncolored].sum())
+
+
 # ----------------------------------------------------------------- helpers
 
 
@@ -171,6 +271,34 @@ def same_bytes(got, want):
 def bodies(region):
     region.build()
     return {task.name: task.spec.body for task in region.tasks}
+
+
+def chunk_steps(body, cells, counts):
+    """Run ``body`` to its end.  Per chunk: the yielded cost, every
+    cell's touch count, every published count value and every cell's
+    raw bytes."""
+    return [(cost, [cell.version for cell in cells],
+             [count.value for count in counts],
+             [np.asarray(cell.read()).tobytes() for cell in cells])
+            for cost in body]
+
+
+def twin_regions(app, parallelism):
+    """Two independent builds of ``app``'s regions: one runs the app's
+    bodies, the other the oracle loops."""
+    pair = []
+    for _ in range(2):
+        regions = app.build_regions(0.5, "percent",
+                                    parallelism).ordered_regions()
+        for region in regions:
+            region.build()
+        pair.append(regions)
+    return zip(*pair)
+
+
+def body_of(region, name):
+    return next(task.spec.body for task in region.tasks
+                if task.name == name)(None)
 
 
 # ------------------------------------------------------------------- tests
@@ -277,7 +405,7 @@ class TestGraphColoring:
         colors = np.full(graph.num_vertices, -1, dtype=np.int64)
         partial = rng.random(graph.num_vertices) < 0.3
         colors[partial] = rng.integers(0, 4, int(partial.sum()))
-        state = {"colors": colors, "priority": app.priority}
+        state = {"colors": colors}
         region = ColoringRoundRegion(app, 0, 0.5, parallelism, state)
         body = bodies(region)
         selected = region.datas["selected_0"].read()
@@ -332,3 +460,148 @@ class TestDCT:
                                  scalar_dct_row(scalar_series_sin, j)
                                  ).ravel()
             assert same_bytes(basis2, want)
+
+
+class TestOncePerRun:
+    """The kernels that moved loop-invariant work out of the chunk loop
+    make every chunk's visible effects exactly as the replaced loop did:
+    same bytes, yields, ``touch()`` calls and count publishes."""
+
+    @pytest.mark.parametrize("parallelism", [1, 3])
+    def test_dct_basis_rows_evaluated_once(self, parallelism):
+        """Mutant: the basis row written from ``(rows[l], rows[k])``."""
+        app = DCTApp(np.random.default_rng(11).normal(size=(16, 24)))
+        for got, want in twin_regions(app, parallelism):
+            cells = [got.datas["basis"]], [want.datas["basis"]]
+            counts = [got.counts["ct_basis"]], [want.counts["ct_basis"]]
+            oracle = replaced_dct_basis(want.datas["basis"].read(),
+                                        *cells[1], *counts[1])
+            assert chunk_steps(body_of(got, "basis"), cells[0],
+                               counts[0]) == \
+                chunk_steps(oracle, cells[1], counts[1])
+
+    @pytest.mark.parametrize("parallelism", [1, 3])
+    def test_fft_tables_evaluated_once(self, parallelism):
+        """Mutant: the table phase added twice (``angles + phase +
+        phase``).  The 64-point signal's 32-entry tables are one ragged
+        chunk."""
+        rng = np.random.default_rng(parallelism)
+        app = FFTApp([rng.normal(size=n) for n in (64, 256, 1024)])
+        for got, want in twin_regions(app, parallelism):
+            n = len(got.signal)
+            angles = -2.0 * np.pi * np.arange(n // 2) / n
+            for table, count, phase in (("sin_table", "ct_sin", 0.0),
+                                        ("cos_table", "ct_cos", np.pi / 2)):
+                oracle = replaced_fft_table(want.datas[table],
+                                            want.counts[count], angles,
+                                            phase)
+                assert chunk_steps(body_of(got, table), [got.datas[table]],
+                                   [got.counts[count]]) == \
+                    chunk_steps(oracle, [want.datas[table]],
+                                [want.counts[count]])
+
+    @pytest.mark.parametrize("parallelism", [1, 3])
+    def test_medusadock_scores_poses_in_blocks(self, parallelism):
+        """Mutant: a block starts at ``index % POSE_BLOCK == 1``.  21
+        poses end in a ragged block of 5, 3 poses are one short block."""
+        app = MedusaDockApp([
+            synthetic_poses(num_poses=poses, protein_atoms=20,
+                            ligand_atoms=7, seed=seed, name=f"p{seed}")
+            for seed, poses in enumerate((21, 8, 3))])
+        for got, want in twin_regions(app, parallelism):
+            names = ("energies",), ("min_energy", "ct_scored")
+            cells = [[region.datas[name] for name in names[0]]
+                     for region in (got, want)]
+            counts = [[region.counts[name] for name in names[1]]
+                      for region in (got, want)]
+            oracle = replaced_dock(got.docking, *cells[1], *counts[1])
+            assert chunk_steps(body_of(got, "medusa_dock"), cells[0],
+                               counts[0]) == \
+                chunk_steps(oracle, cells[1], counts[1])
+
+    @pytest.mark.parametrize("noise_filter", ["gaussian", "mean"])
+    @pytest.mark.parametrize("parallelism", [1, 3])
+    def test_edge_filter_convolves_its_band_once(self, parallelism,
+                                                 noise_filter):
+        """Mutant: source rows clipped at ``height`` instead of
+        ``height - 1``.  47 rows split 15/16/16 at parallelism 3, and
+        the last band ends on the clamped border."""
+        image = np.random.default_rng(7).normal(size=(47, 29)) * 50.0
+        app = EdgeDetectionApp(image, noise_filter=noise_filter)
+        for got, want in twin_regions(app, parallelism):
+            bands = got._bands(image.shape[0])
+            for index, (start, stop) in enumerate(bands):
+                cell, count = f"filtered_{index}", f"ct_{index}"
+                oracle = replaced_filter(app, want.datas[cell],
+                                         want.counts[count], start, stop)
+                assert chunk_steps(body_of(got, f"filter_{index}"),
+                                   [got.datas[cell]],
+                                   [got.counts[count]]) == \
+                    chunk_steps(oracle, [want.datas[cell]],
+                                [want.counts[count]])
+            # The gradient pass reads the smoothed rows through
+            # conv3x3_row, row 0 of the band kernel.
+            for index, _band in enumerate(bands):
+                list(body_of(got, f"gradient_{index}"))
+            smoothed = want.datas["filtered_0"].read()
+            edges = np.array([
+                np.abs(per_row_conv3x3(smoothed, row, edge_module.SOBEL_X))
+                + np.abs(per_row_conv3x3(smoothed, row, edge_module.SOBEL_Y))
+                for row in range(image.shape[0])])
+            assert same_bytes(got.edge_map(), edges)
+
+    @pytest.mark.parametrize("parallelism", [1, 3])
+    def test_graph_coloring_outranked_edges(self, parallelism,
+                                            monkeypatch):
+        """Mutant: ``>`` instead of ``>=`` in ``outranked_edges``.  Tied
+        priorities tell the two apart (distinct ones cannot); 160
+        vertices at 64 per chunk end in a ragged chunk in every band."""
+        monkeypatch.setattr(gc_module, "coloring_priority",
+                            lambda graph: coloring_priority(graph) // 3)
+        graph = TestGraphColoring.graph()
+        app = GraphColoringApp(graph, rounds=1)
+        csr = app.csr
+        assert same_bytes(app.outranked, np.array(
+            [app.priority[other] >= app.priority[owner]
+             for owner, other in zip(csr.owner.tolist(),
+                                     csr.indices.tolist())], dtype=bool))
+        rng = np.random.default_rng(parallelism)
+        partial = rng.random(graph.num_vertices) < 0.3
+        for got, want in twin_regions(app, parallelism):
+            colors = [region.state["colors"] for region in (got, want)]
+            for region_colors in colors:
+                region_colors[partial] = 1
+            bounds = np.linspace(0, graph.num_vertices,
+                                 parallelism + 1).astype(int)
+            for band in range(parallelism):
+                cell, count = f"selected_{band}", f"scanned_{band}"
+                oracle = replaced_select(app, colors[1], want.datas[cell],
+                                         want.counts[count],
+                                         int(bounds[band]),
+                                         int(bounds[band + 1]))
+                assert chunk_steps(body_of(got, f"select_{band}"),
+                                   [got.datas[cell]],
+                                   [got.counts[count]]) == \
+                    chunk_steps(oracle, [want.datas[cell]],
+                                [want.counts[count]])
+
+
+class TestPoseEnergies:
+    """Mutant: a pose's terms summed per receptor atom first
+    (``.sum(axis=2).sum(axis=1)``).  The precise reference, a block of
+    poses and a single pose all equal the per-pose kernel they
+    replaced, byte for byte."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reference_and_single_pose_match_per_pose_loop(self, seed):
+        docking = synthetic_poses(num_poses=37, seed=seed,
+                                  placement="uniform")
+        want = np.array([per_pose_energy(docking.protein, pose)
+                         for pose in docking.poses])
+        assert same_bytes(energy_reference(docking), want)
+        for start in range(0, docking.num_poses, dock_module.POSE_BLOCK):
+            block = docking.poses[start:start + dock_module.POSE_BLOCK]
+            assert same_bytes(pose_energies(docking.protein, block),
+                              want[start:start + dock_module.POSE_BLOCK])
+        assert [pose_energy(docking.protein, pose)
+                for pose in docking.poses] == want.tolist()

@@ -203,6 +203,19 @@ class FluidRegion:
         self.dynamic_host.admit_dynamic_task(self, task)
         return task
 
+    def release(self) -> None:
+        """Cut this region's back-references, for a region its owner
+        will never read again: tasks forget their region and graph
+        neighbours, data cells their region and producer.  What is left
+        holds no reference cycle of the region's own, so dropping the
+        region frees it by reference counting, not the cyclic collector.
+        Outputs, task stats and valves stay readable."""
+        for task in self.tasks:
+            task.region = None
+            task.parents = task.children = task.descendants = ()
+        for data in self.datas.values():
+            data.region = data.producer = None
+
     def reset_valves(self) -> None:
         """Undo runtime threshold modulation before a fresh execution."""
         for valve in self.valves:

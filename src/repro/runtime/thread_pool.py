@@ -336,6 +336,12 @@ class SharedThreadPool:
         if ctx.finished.is_set() or not idle:
             return
         self._contexts.remove(ctx)
+        # Nothing calls the host of a finished context again: unbinding
+        # it breaks the context <-> host cycle, so the context and its
+        # regions are freed by reference counting once their owner lets
+        # go of them.  (``ctx.host`` stays readable: its clock and
+        # ``running``.)
+        ctx.host.ctx = None
         # on_finished contract: cheap and non-blocking (e.g.
         # call_soon_threadsafe); runs under the pool lock in the
         # finishing thread.
@@ -353,11 +359,15 @@ class SharedThreadPool:
             with self._lock:
                 if left is not None:
                     self._for_context(self._body_left, *left)
+                    left = None
                 started = self._next(index)
             if started is None:
                 return
             ctx, task, run_ctx = started
             left = ctx, task, self._consume(task, run_ctx)
+            # Only ``left`` outlives the body, and only until the lock:
+            # an idle worker keeps no finished context alive.
+            started = ctx = task = run_ctx = None
 
     def _for_context(self, step, ctx: RunContext, *args):
         """Run one locked step on a context's behalf.  Workers outlive

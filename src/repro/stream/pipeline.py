@@ -303,10 +303,11 @@ class Pipeline:
     # -- result harvesting ---------------------------------------------------
 
     def _harvest(self, result: PipelineResult, index: int,
-                 build: _WindowBuild, makespan: float, states: List[Any],
+                 build: _WindowBuild, makespan: float,
                  telemetry: Optional[Any], epoch: Optional[float] = None,
                  pace: float = 0.0) -> List[Any]:
-        """Fold one finished window into ``result`` and ``telemetry``.
+        """Fold one finished window into ``result`` and ``telemetry``,
+        then release it (nothing reads a harvested window again).
 
         Latencies come from the final queue's arrival stamps, less the
         window's ``epoch`` on the bus clock and, on the paced simulator,
@@ -320,28 +321,30 @@ class Pipeline:
             if epoch is not None:
                 result.latencies[base + seq] = max(
                     0.0, final_queue.arrivals[seq] - epoch - (seq + 1) * pace)
+        tallies = [queue.stats() for queue in build.queues]
         metrics = getattr(telemetry, "metrics", None)
         if metrics is not None:
-            for queue in build.queues:
-                metrics.record_queue(queue.stats())
+            metrics.record_queues(tallies)
+        # ``peek``: the region's valve checks were folded when it
+        # finished, and reading a verdict is not a check.
+        verdicts = {f"{task.name}/{valve.name}": valve.peek()
+                    for task in build.region.tasks
+                    for valve in task.spec.end_valves}
+        result.reexecutions += sum(max(0, task.stats.runs - 1)
+                                   for task in build.region.tasks)
         # Sheds propagate downstream as tombstones, so the final queue's
         # tombstone count is exactly the distinct items lost end-to-end
         # (summing across queues would re-count inherited sheds).
-        drops = final_queue.drops()
-        parks = sum(q.parks for q in build.queues)
-        stale = sum(q.stale_reads for q in build.queues)
-        displacement = max(q.max_displacement for q in build.queues)
-        verdicts: Dict[str, bool] = {}
-        for task in build.region.tasks:
-            for valve in task.spec.end_valves:
-                verdicts[f"{task.name}/{valve.name}"] = valve.check()
-        for task in build.region.tasks:
-            result.reexecutions += max(0, task.stats.runs - 1)
-        result.windows.append(WindowReport(index, makespan, drops, parks,
-                                           stale, displacement, verdicts))
-        next_states = [cell.read() for cell in build.state_outs]
-        result.states = next_states
-        return next_states
+        result.windows.append(WindowReport(
+            index, makespan, tallies[-1]["drops"],
+            sum(tally["parks"] for tally in tallies),
+            sum(tally["stale_reads"] for tally in tallies),
+            max(tally["max_displacement"] for tally in tallies), verdicts))
+        result.states = [cell.read() for cell in build.state_outs]
+        build.region.release()
+        for queue in build.queues:
+            queue.region = queue.valve = None
+        return result.states
 
     # -- drivers -------------------------------------------------------------
 
@@ -379,10 +382,9 @@ class Pipeline:
             executor = SimExecutor(cores=cores, telemetry=telemetry,
                                    autotune=self.autotune)
             executor.submit(build.region)
-            run = executor.run()
-            states = self._harvest(result, index, build, run.makespan,
-                                   states, telemetry, epoch=0.0,
-                                   pace=self.interarrival)
+            makespan = executor.run().makespan
+            states = self._harvest(result, index, build, makespan, telemetry,
+                                   epoch=0.0, pace=self.interarrival)
 
     def _run_thread(self, items: List[Any], result: PipelineResult,
                     slots: int, timeout: float) -> None:
@@ -395,9 +397,8 @@ class Pipeline:
         try:
             for index, window_items in enumerate(self._windows(items)):
                 build = self.build_window(index, window_items, states)
-                # One fresh RunContext per window over the shared pool:
-                # the PR-7 sustained-load path (the pool clock keeps
-                # running across windows, so timestamps are epoch-based).
+                # One fresh RunContext per window over the shared pool,
+                # whose clock runs on across windows: epoch-based stamps.
                 ctx = RunContext(label=f"{self.name}-w{index}",
                                  telemetry=telemetry,
                                  autotuner=self.autotune)
@@ -407,8 +408,7 @@ class Pipeline:
                 pool.wait(ctx, timeout)
                 makespan = pool.now() - epoch_before
                 states = self._harvest(result, index, build, makespan,
-                                       states, telemetry,
-                                       epoch=epoch_before)
+                                       telemetry, epoch=epoch_before)
         finally:
             pool.shutdown()
             telemetry.run_finished(pool.now(), slots)
@@ -443,7 +443,7 @@ class Pipeline:
                 # per-item latencies and the queue tallies are not
                 # observable here.
                 states = self._harvest(result, index, build, run.makespan,
-                                       states, self.telemetry)
+                                       self.telemetry)
 
     async def run_service(self, items: Iterable[Any], service, *,
                           sheddable: bool = False,
@@ -464,7 +464,7 @@ class Pipeline:
                                            sheddable=sheddable,
                                            latency_slo=latency_slo)
             states = self._harvest(result, index, build, outcome.latency,
-                                   states, service.telemetry)
+                                   service.telemetry)
         return result
 
     # -- the precise reference ------------------------------------------------

@@ -111,8 +111,8 @@ class StageQueue:
         # Telemetry.  ``occupancies`` (after each put or park) and
         # ``arrivals`` (per seq, the bus-clock time of its first put or
         # park; NaN until then) fill only when the region has a bus.
-        # Flat arrays: a window's queues outlive it until the cyclic
-        # collector runs.
+        # Flat arrays: one object each, whatever the sample count, and
+        # none the cyclic collector tracks.
         self._served = set()
         self.stale_reads = 0
         self.parks = 0
@@ -351,13 +351,14 @@ class StageQueue:
                 yield cell
 
     def stats(self) -> dict:
-        """Slot-recounted totals plus the counts: ``puts`` (deliveries
-        within capacity), ``served`` (first serves), ``sheds``
-        (tombstones this queue wrote), ``parks``, ``stale_reads``,
-        ``occupancies`` and ``arrivals``."""
+        """Totals from one slot recount plus the counts: ``puts``
+        (deliveries within capacity), ``served`` (first serves),
+        ``sheds`` (tombstones this queue wrote), ``parks``,
+        ``stale_reads``, ``occupancies`` and ``arrivals``."""
+        missing, dropped = self._recount()
         return {"expected": self.expected,
-                "arrived": self.arrived_total(),
-                "drops": self.drops(),
+                "arrived": self.expected - missing - dropped,
+                "drops": dropped,
                 "parks": self.parks,
                 "stale_reads": self.stale_reads,
                 "max_displacement": self.max_displacement,

@@ -76,7 +76,7 @@ class Telemetry:
             self.metrics = MetricsRegistry()
             # Live decisions only: task records, valve verdicts and
             # stage-queue tallies are folded in (``record_region``,
-            # ``record_queue``), not heard.
+            # ``record_queues``), not heard.
             self.bus.subscribe(self.metrics.on_event, kinds=(
                 "sched", "payload", "worker", "svc", "tune"))
         self.chrome: Optional[ChromeTraceExporter] = None

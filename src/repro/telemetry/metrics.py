@@ -71,8 +71,8 @@ Counter catalogue
 
 The ``stream.*`` counters and the ``stream.occupancy`` histogram are
 folds too: each stage queue keeps its own tally, which
-:meth:`MetricsRegistry.record_queue` folds in when the pipeline
-harvests a window.
+:meth:`MetricsRegistry.record_queues` folds in, one call per window,
+when the pipeline harvests it.
 
 ``time.*`` counters are in the executor's clock units (virtual cost
 units under the simulator, seconds under the real backends).  Early
@@ -87,7 +87,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from collections import Counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.states import TaskState
 from .bus import TelemetryEvent
@@ -393,23 +393,32 @@ class MetricsRegistry:
         self.inc("tune.windows", snapshot.get("windows", 0))
         self.set_gauge("tune.position", snapshot.get("position", 0.0))
 
-    def record_queue(self, stats: Dict[str, Any]) -> None:
-        """Fold one :meth:`repro.stream.StageQueue.stats` tally in.
+    def record_queues(self, tallies: Sequence[Dict[str, Any]]) -> None:
+        """Fold one window's :meth:`repro.stream.StageQueue.stats`
+        tallies in, in one call.
 
         Puts (not idempotent ``update`` rewrites), first serves, stale
-        first serves, the tombstones the queue wrote and parks.  The
+        first serves, the tombstones each queue wrote and parks.  The
+        queues' occupancy samples are merged into one tally first, so
+        each distinct value is observed once per window.  The
         ``stream.occupancy`` histogram is created lazily on the first
         sample, so non-streaming runs keep their historical histogram
         key set; a queue whose region had no bus took no samples.
         """
-        self.inc("stream.items_in", stats["puts"])
-        self.inc("stream.items_out", stats["served"])
-        self.inc("stream.stale_reads", stats["stale_reads"])
-        self.inc("stream.drops", stats["sheds"])
-        self.inc("stream.parks", stats["parks"])
+        def total(field: str) -> int:
+            return sum(tally[field] for tally in tallies)
+
+        self.inc("stream.items_in", total("puts"))
+        self.inc("stream.items_out", total("served"))
+        self.inc("stream.stale_reads", total("stale_reads"))
+        self.inc("stream.drops", total("sheds"))
+        self.inc("stream.parks", total("parks"))
+        occupancies: Counter = Counter()
+        for tally in tallies:
+            occupancies.update(tally["occupancies"])
         # Folded by value: the samples are integers, so the sum (and
         # every other field) is the same as one observe per sample.
-        for occupancy, times in Counter(stats["occupancies"]).items():
+        for occupancy, times in occupancies.items():
             self.observe("stream.occupancy", occupancy, OCCUPANCY_BOUNDS,
                          times)
 

@@ -2,7 +2,7 @@
 
 Stage queues keep their own tallies, and the pipeline folds them into
 the ``stream.*`` metrics once per window (``MetricsRegistry
-.record_queue``).  The event-derived counters these replace survive
+.record_queues``).  The event-derived counters these replace survive
 here as an oracle: a subscriber to ``stream`` forces every event to be
 built, and its counts must equal the folded ones exactly.  A default
 run, whose subscribers do not read ``stream``, must build none.

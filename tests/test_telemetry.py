@@ -391,7 +391,7 @@ class TestHistogramLookup:
 
         registry = metrics_module.MetricsRegistry()
         registry.observe("svc.latency", 1e-3)
-        registry.record_queue(tally(1))
+        registry.record_queues([tally(1)])
         built = []
         real = metrics_module.Histogram
 
@@ -404,7 +404,7 @@ class TestHistogramLookup:
         values = [10.0 ** -exponent for exponent in range(8)] * 5
         for value in values:
             registry.observe("svc.latency", value)
-            registry.record_queue(tally(value * 1e3))
+            registry.record_queues([tally(value * 1e3)])
         assert built == []
         expected = {"svc.latency": real(), "stream.occupancy":
                     real(metrics_module.OCCUPANCY_BOUNDS)}

@@ -24,6 +24,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.guard import ModulationPolicy
 from ..core.region import FluidRegion
+from ..core.scheduler import submit_stages
 from ..runtime.executor import RunResult, make_executor, run_serial
 from ..runtime.simulator import Overheads, SimExecutor
 
@@ -160,22 +161,15 @@ class FluidApp:
         self.active_modulation = modulation
         plan = self.build_regions(threshold=threshold, valve=valve,
                                   parallelism=parallelism)
+        options = backend_options or {}
         if backend == "sim":
-            executor = SimExecutor(
-                cores=cores,
-                overheads=(overheads if overheads is not None
-                           else DEFAULT_OVERHEADS),
-                modulation=modulation, trace=trace,
-                cancel_first_runs=self.cancel_first_runs,
-                telemetry=telemetry, scheduler=scheduler,
-                autotune=autotune)
-        else:
-            executor = make_executor(
-                backend, modulation=modulation,
-                cancel_first_runs=self.cancel_first_runs,
-                telemetry=telemetry, scheduler=scheduler,
-                autotune=autotune,
-                **(backend_options or {}))
+            options = {"cores": cores, "trace": trace,
+                       "overheads": (overheads if overheads is not None
+                                     else DEFAULT_OVERHEADS)}
+        executor = make_executor(
+            backend, modulation=modulation,
+            cancel_first_runs=self.cancel_first_runs, telemetry=telemetry,
+            scheduler=scheduler, autotune=autotune, **options)
         plan.submit_to(executor)
         result = executor.run()
         output = self.extract_output(plan)
@@ -227,8 +221,4 @@ class SubmitPlan:
         return [region for stage in self.stages for region in stage]
 
     def submit_to(self, executor) -> None:
-        previous: Sequence[FluidRegion] = ()
-        for stage in self.stages:
-            for region in stage:
-                executor.submit(region, after=tuple(previous))
-            previous = stage
+        submit_stages(executor, self.stages)

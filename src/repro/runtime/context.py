@@ -16,8 +16,9 @@ task enters START_CHECK as a parked record (:meth:`RunContext.admit`),
 a batch of published counts names the records to re-evaluate
 (:meth:`RunContext.woken`), and the record leaves the wait set when its
 body starts (:meth:`RunContext.begin`) — and of the *body exit*
-(:meth:`RunContext.body_left`, :meth:`RunContext.end_check`).  Drivers —
-the simulator, the thread pool, the process executor — call it and
+(:meth:`RunContext.body_left`, :meth:`RunContext.end_check`).  Every
+driver queues startable tasks in one :class:`ReadyQueue`.  Drivers —
+the simulator, the thread pool, the process executor — call both and
 differ only in how time passes and where bodies run.  The context takes
 no lock of its own: the driver calls it under whatever serializes its
 Coordinator calls (the pool lock, or a single-threaded control loop).
@@ -135,15 +136,27 @@ class RunContext:
 
     def __init__(self, *, label: Optional[str] = None,
                  telemetry: Optional[object] = None,
-                 autotuner: Optional[object] = None,
+                 autotune: Optional[object] = None,
                  modulation: Optional[object] = None,
                  cancel_first_runs: bool = False):
         self.label = label or f"run-{next(self._labels)}"
+        #: Optional repro.tuning.ValveAutotuner: ``autotune`` resolved,
+        #: bound below to the bus it hears feedback on (a lightweight
+        #: Telemetry if none).  Lazy imports: both reach back into
+        #: repro.runtime at import time.
+        self.autotuner = None
+        if autotune is not None:
+            from ..telemetry import Telemetry
+            from ..tuning import make_autotuner
+
+            self.autotuner = make_autotuner(autotune)
+            if telemetry is None:
+                telemetry = Telemetry(metrics=False, chrome=False)
         #: Optional repro.telemetry.Telemetry bundle for this run.
         self.telemetry = telemetry
         self.bus = telemetry.bus if telemetry is not None else None
-        #: Optional repro.tuning.ValveAutotuner steering this run's valves.
-        self.autotuner = autotuner
+        if self.autotuner is not None:
+            self.autotuner.bind(self.bus)
         self.modulation = modulation
         self.cancel_first_runs = cancel_first_runs
         self.runs: List[RegionRun] = []
@@ -173,48 +186,6 @@ class RunContext:
         #: Must be cheap and non-blocking — the service uses it to hop
         #: back onto the asyncio loop via ``call_soon_threadsafe``.
         self.on_finished: Optional[Callable[["RunContext"], None]] = None
-
-    @classmethod
-    def for_executor(cls, label: str, *, telemetry: Optional[object],
-                     autotune: Optional[object],
-                     modulation: Optional[object],
-                     cancel_first_runs: bool) -> "RunContext":
-        """The context of a single-shot executor, built from its options.
-
-        Resolves the ``autotune`` spec (closed-loop SLO autotuning,
-        :mod:`repro.tuning`) and binds the tuner to the run's bus; a
-        tuner needs a bus to hear feedback events, so an enabled tuner
-        implies at least a lightweight Telemetry.  Imports are lazy:
-        repro.tuning and repro.telemetry reach back into repro.runtime
-        at import time.
-        """
-        from ..tuning import make_autotuner
-
-        autotuner = make_autotuner(autotune)
-        if autotuner is not None and telemetry is None:
-            from ..telemetry import Telemetry
-            telemetry = Telemetry(metrics=False, chrome=False)
-        ctx = cls(label=label, telemetry=telemetry, autotuner=autotuner,
-                  modulation=modulation, cancel_first_runs=cancel_first_runs)
-        if autotuner is not None:
-            autotuner.bind(ctx.bus)
-        return ctx
-
-    def make_scheduler(self, spec: Optional[object], *,
-                       policy: Optional[object], point: str, workers: int):
-        """The ready-queue discipline (:mod:`repro.sched`) for this run.
-
-        ``spec`` is a Scheduler instance or spec string; None builds the
-        paper-faithful FCFS, which reproduces the pre-scheduler runtime
-        decision for decision (the SchedLab ``policy`` tie-breaks
-        through it unchanged at ``point``).  Imported lazily: repro.sched
-        pulls in repro.telemetry, which reaches back into repro.runtime
-        at import time.
-        """
-        from ..sched import make_scheduler
-
-        return make_scheduler(spec).bind(policy=policy, bus=self.bus,
-                                         point=point, workers=workers)
 
     def bind(self, host: GuardHost, *, time_scale: float,
              sink: Optional[UpdateSink] = None,
@@ -407,28 +378,10 @@ class RunContext:
             self.bus.emit("sched", region.name, task, name,
                           data={"detail": detail})
 
-    # --------------------------------------------------------- ready queue
-
-    def pick_ready(self, scheduler, queued: set,
-                   worker: int) -> Optional[FluidTask]:
-        """The scheduler's next pick that may still start a body.
-
-        ``queued`` is the driver's id-set of tasks sitting in
-        ``scheduler``; picks that went stale while queued are dropped
-        (:meth:`may_start`).  Returns None when the queue is empty or
-        the discipline declines to pick.
-        """
-        while scheduler.pending():
-            task = scheduler.pick(now=self.host.now(), worker=worker)
-            if task is None:
-                return None
-            queued.discard(id(task))
-            if self.may_start(task):
-                return task
-        return None
+    # ---------------------------------------------------- stale picks
 
     def may_start(self, task: FluidTask) -> bool:
-        """May a task picked from a ready queue still start a body?
+        """May a task picked from the ready queue still start a body?
 
         Not if it went stale while queued: it completed or started
         meanwhile, it is a re-run whose descendants all completed, or it
@@ -497,3 +450,74 @@ class RunContext:
                 lines.append(line)
         return "; ".join(lines) or \
             "all tasks complete (region bookkeeping?)"
+
+
+class ReadyQueue:
+    """A driver's one ready queue: startable tasks with their contexts,
+    in a :mod:`repro.sched` discipline's order (``spec`` as for
+    :func:`repro.sched.make_scheduler`; the SchedLab ``policy``
+    tie-breaks through it at ``point``).
+
+    It queues a task at most once, keeps a pick queued until
+    :meth:`take` (a publish while the pick waits for its worker cannot
+    queue it twice) and drops a pick that went stale while queued
+    (:meth:`RunContext.may_start`).  Submissions are never sheddable:
+    dropping a Fluid task would deadlock its region, so a bounded
+    discipline parks overflow instead.
+    """
+
+    __slots__ = ("scheduler", "_clock", "_owners")
+
+    def __init__(self, spec: Optional[object], *, policy: Optional[object],
+                 bus: Optional[object], point: str, workers: int,
+                 clock: Callable[[], float]):
+        # Imported lazily: repro.sched pulls in repro.telemetry, which
+        # reaches back into repro.runtime at import time.
+        from ..sched import make_scheduler
+
+        self.scheduler = make_scheduler(spec).bind(
+            policy=policy, bus=bus, point=point, workers=workers)
+        self._clock = clock
+        #: id(task) -> its context, for every task queued and not taken.
+        self._owners: Dict[int, RunContext] = {}
+
+    def __len__(self) -> int:
+        return len(self._owners)
+
+    def __contains__(self, task: FluidTask) -> bool:
+        return id(task) in self._owners
+
+    def push(self, ctx: RunContext, task: FluidTask) -> bool:
+        """Queue a run of ``task`` unless it is queued; True if queued."""
+        if id(task) in self._owners:
+            return False
+        self._owners[id(task)] = ctx
+        self.scheduler.submit(task, now=self._clock())
+        return True
+
+    def recheck(self, ctx: RunContext, task: FluidTask) -> bool:
+        """Queue a parked record not queued yet if its start valves hold
+        (parked until its body starts: a valve may flip back off)."""
+        return id(task) not in self._owners and \
+            task.start_valves_satisfied() and self.push(ctx, task)
+
+    def pick(self, worker: int) -> Optional[Tuple[FluidTask, RunContext]]:
+        """The next pick for ``worker`` and its context, still queued."""
+        task = self.scheduler.pick(now=self._clock(), worker=worker)
+        return None if task is None else (task, self._owners[id(task)])
+
+    def take(self, task: FluidTask) -> bool:
+        """Dequeue a pick; False if it went stale."""
+        ctx = self._owners.pop(id(task))
+        return not ctx.stopped and ctx.may_start(task)
+
+    def next(self, worker: int) -> Optional[FluidTask]:
+        """Pick and take the next pick that may still start; None once
+        the queue is empty or the discipline declines."""
+        while self.scheduler.pending():
+            picked = self.pick(worker)
+            if picked is None:
+                return None
+            if self.take(picked[0]):
+                return picked[0]
+        return None

@@ -10,15 +10,13 @@ result in the evaluation is normalized.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from ..core.count import ImmediateSink
 from ..core.errors import SchedulerError
 from ..core.region import FluidRegion
 from ..core.stats import RegionStats
-
-if TYPE_CHECKING:
-    from .context import RunContext
+from .context import RunContext
 
 
 class RunResult:
@@ -47,13 +45,17 @@ class RunResult:
 class Executor:
     """A single-shot driver of one :class:`~repro.runtime.context.RunContext`.
 
-    Subclasses build ``self.context`` in their constructor and implement
-    :meth:`run`; the region lifecycle itself lives in the context.
+    Subclasses pass the run's options (``RunContext``'s keywords) on to
+    this constructor and implement :meth:`run`; the region lifecycle
+    itself lives in the context.
     """
 
-    #: The run this executor drives (submissions, completion, telemetry).
-    context: "RunContext"
     _started = False
+
+    def __init__(self, label: str, **run_options):
+        #: The run this executor drives (submissions, completion,
+        #: telemetry, the resolved autotuner).
+        self.context = RunContext(label=label, **run_options)
 
     def submit(self, region: FluidRegion,
                after: Iterable[FluidRegion] = ()) -> FluidRegion:

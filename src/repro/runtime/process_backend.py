@@ -122,7 +122,7 @@ import os
 import pickle
 import time
 import traceback
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..core.count import RecordingSink
 from ..core.data import PayloadArena, import_payload, payload_nbytes
@@ -131,7 +131,7 @@ from ..core.guard import GuardHost, ModulationPolicy
 from ..core.region import FluidRegion
 from ..core.states import TaskState
 from ..core.task import FluidTask, TaskContext
-from .context import RegionRun, RunContext
+from .context import ReadyQueue, RegionRun
 from .executor import Executor, RunResult
 from .worker_pool import PersistentProcessPool, pool_blob
 
@@ -347,32 +347,29 @@ class ProcessExecutor(Executor, GuardHost):
             # (SchedLab mutations) reach the workers; closed on exit.
             self._open_pool = lambda: PersistentProcessPool(
                 workers=self.workers, name="fluid-worker")
-        self.modulation = modulation
         self.batch_size = batch_size
         # Autotuning is parent-side, like the guards — valves live in
         # the parent, so actuations need no IPC.  Every telemetry
         # publish point is in the parent control loop, which is
         # single-threaded, so the bus serialization contract holds;
         # workers never see the bus.
-        self.context = RunContext.for_executor(
-            "process-run", telemetry=telemetry, autotune=autotune,
-            modulation=modulation, cancel_first_runs=cancel_first_runs)
-        self.telemetry = self.context.telemetry
-        self.autotuner = self.context.autotuner
+        super().__init__("process-run", telemetry=telemetry,
+                         autotune=autotune, modulation=modulation,
+                         cancel_first_runs=cancel_first_runs)
         self._bus = self.context.bus
-        self.cancel_first_runs = cancel_first_runs
         self.timeout = timeout
         #: SchedLab schedule policy: chooses which ready task is
         #: dispatched to a free worker, and orders the Coordinator's
         #: signal fan-out (all in the parent's control loop, so these
         #: decisions are deterministic even though body timing is not).
         self.policy = policy
-        self.scheduler = self.context.make_scheduler(
-            scheduler, policy=policy, point="dispatch", workers=self.workers)
+        self._ready = ReadyQueue(scheduler, policy=policy, bus=self._bus,
+                                 point="dispatch", workers=self.workers,
+                                 clock=self.now)
+        self.scheduler = self._ready.scheduler
         #: The leased pool, for the duration of run().
         self._pool: Optional[PersistentProcessPool] = None
         self._task_index: Dict[int, Tuple[int, int]] = {}
-        self._queued: set = set()
         self._idle: List[int] = []
         #: In-flight dispatches: dispatch_id -> (task, slot).
         self._inflight: Dict[int, Tuple[FluidTask, int]] = {}
@@ -443,7 +440,7 @@ class ProcessExecutor(Executor, GuardHost):
         return time.perf_counter() - self._epoch
 
     def schedule_run(self, task: FluidTask) -> None:
-        self._enqueue(task)
+        self._ready.push(self.context, task)
 
     def request_cancel(self, task: FluidTask) -> None:
         super().request_cancel(task)
@@ -560,31 +557,16 @@ class ProcessExecutor(Executor, GuardHost):
     # ------------------------------------------------- admission/dispatch
 
     def _launch_region(self, run: RegionRun) -> None:
-        region = run.region
-        self.context.launch(run)
-        for task_index, task in enumerate(region.tasks):
+        ctx = self.context
+        ctx.launch(run)
+        for task_index, task in enumerate(run.region.tasks):
             self._task_index[id(task)] = (run.index, task_index)
-            self.context.admit(task)
-        self._recheck(region.tasks)
-
-    def _recheck(self, records: Iterable[FluidTask]) -> None:
-        """Re-evaluate parked records; the satisfied ones join the ready
-        queue.  A record stays parked until its body is dispatched: a
-        non-monotone valve may flip back off while it is queued."""
-        for task in records:
-            if id(task) not in self._queued and \
-                    task.start_valves_satisfied():
-                self._enqueue(task)
-
-    def _enqueue(self, task: FluidTask) -> None:
-        if id(task) not in self._queued:
-            self._queued.add(id(task))
-            # Never sheddable: dropping a Fluid task would deadlock its
-            # region, so a bounded scheduler parks overflow instead.
-            self.scheduler.submit(task, now=self.now())
+            ctx.admit(task)
+        for task in run.region.tasks:
+            self._ready.recheck(ctx, task)
 
     def _dispatch_ready(self) -> None:
-        while self._idle and self.scheduler.pending():
+        while self._idle and self._ready:
             # _send_batch takes the *last* idle slot, so that is the
             # worker hint a work-stealing discipline should see.
             slot = self._idle[-1]
@@ -593,13 +575,11 @@ class ProcessExecutor(Executor, GuardHost):
             # batching never leaves a worker empty-handed.  batch_size=1
             # reproduces the historical one-task-per-message dispatch.
             cap = max(1, min(self.batch_size,
-                             -(-len(self._queued) //
-                               max(1, len(self._idle)))))
+                             -(-len(self._ready) // max(1, len(self._idle)))))
             batch: List[FluidTask] = []
             task = None
             while len(batch) < cap:
-                task = self.context.pick_ready(self.scheduler, self._queued,
-                                               slot)
+                task = self._ready.next(slot)
                 if task is None:
                     break
                 batch.append(task)
@@ -705,13 +685,14 @@ class ProcessExecutor(Executor, GuardHost):
         no count can open — once per batch, not per cell: a finishing
         producer bumps, then finalises.  No message for a whole
         ``_FALLBACK_INTERVAL``: re-poll every parked record instead."""
-        waiting = self.context.waiting
-        records = waiting.records  # no message: every parked record
+        ctx = self.context
+        records = ctx.waiting.records  # no message: every parked record
         busy = [slot for slot, ids in self._slot_ids.items() if ids]
         for message in self._receive(busy, _FALLBACK_INTERVAL):
             self._apply_event(message)
-            records = waiting.polled
-        self._recheck(records.values())
+            records = ctx.waiting.polled
+        for task in records.values():
+            self._ready.recheck(ctx, task)
 
     def _receive(self, slots: List[int], timeout: float) -> Iterator[Tuple]:
         """Wait up to ``timeout`` for a pipe of ``slots`` to be readable or
@@ -812,8 +793,9 @@ class ProcessExecutor(Executor, GuardHost):
         counts = region.counts
         for name, value in records:
             counts[name].replay(value)
-        self._recheck(self.context.woken(
-            counts[name] for name, _value in records))
+        ctx = self.context
+        for task in ctx.woken(counts[name] for name, _value in records):
+            self._ready.recheck(ctx, task)
 
     # ------------------------------------------------------------- debug
 

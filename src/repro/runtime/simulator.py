@@ -37,7 +37,7 @@ from ..core.guard import GuardHost, ModulationPolicy
 from ..core.region import FluidRegion
 from ..core.states import TaskState
 from ..core.task import FluidTask
-from .context import RegionRun, RunContext
+from .context import ReadyQueue, RegionRun
 from .events import EventQueue
 from .executor import Executor, RunResult
 from .tracing import Trace
@@ -123,8 +123,6 @@ class SimExecutor(Executor, GuardHost):
             raise SchedulerError("need at least one core")
         self.cores = cores
         self.overheads = overheads if overheads is not None else Overheads()
-        self.cancel_first_runs = cancel_first_runs
-        self.modulation = modulation
         self.max_active_regions = max_active_regions or cores
         # Instrumentation: an explicit Telemetry wins; plain trace=True
         # gets a lightweight one (trace only) so Trace keeps working as
@@ -132,22 +130,20 @@ class SimExecutor(Executor, GuardHost):
         if telemetry is None and trace:
             from ..telemetry import Telemetry
             telemetry = Telemetry(metrics=False, chrome=False)
-        # Per-run state and the region lifecycle live in a RunContext —
-        # the same container the shared thread pool multiplexes many of;
-        # the single-shot simulator owns exactly one.
-        self.context = RunContext.for_executor(
-            "sim-run", telemetry=telemetry, autotune=autotune,
-            modulation=modulation, cancel_first_runs=cancel_first_runs)
-        self.telemetry = self.context.telemetry
-        self.autotuner = self.context.autotuner
+        super().__init__("sim-run", telemetry=telemetry, autotune=autotune,
+                         modulation=modulation,
+                         cancel_first_runs=cancel_first_runs)
+        telemetry = self.context.telemetry
         self.trace: Optional[Trace] = (
-            self.telemetry.trace if self.telemetry is not None else None)
+            telemetry.trace if telemetry is not None else None)
         #: SchedLab schedule policy: tie-breaks among simultaneous
         #: events, core allocation among ready tasks, and the wake order
         #: of parked records.  None keeps the deterministic FIFO order.
         self.policy = policy
-        self.scheduler = self.context.make_scheduler(
-            scheduler, policy=policy, point="core", workers=cores)
+        self._ready = ReadyQueue(scheduler, policy=policy,
+                                 bus=self.context.bus, point="core",
+                                 workers=cores, clock=self.now)
+        self.scheduler = self._ready.scheduler
 
         self._queue = EventQueue(policy)
         self._now = 0.0
@@ -155,7 +151,6 @@ class SimExecutor(Executor, GuardHost):
         # hints (work-stealing) name the core about to be assigned.
         self._free_core_ids: List[int] = list(range(cores))
         self._task_core: Dict[int, int] = {}
-        self._queued: Set[int] = set()
         self._pending_updates: Optional[List[Tuple[Count, Any]]] = None
         self._active_regions = 0
         self._final_wired: Set[int] = set()  # cells whose mark_final we hear
@@ -282,21 +277,20 @@ class SimExecutor(Executor, GuardHost):
     # ------------------------------------------------------------ cores
 
     def _acquire_core_or_queue(self, task: FluidTask) -> None:
-        if id(task) in self._queued:
-            return
-        if self.context.skip_pointless_rerun(task):
+        # A free core starts the task at once: a push and a pick would
+        # re-check its start valves (``may_start``).
+        ctx = self.context
+        if task in self._ready or ctx.skip_pointless_rerun(task):
             return
         if self._free_core_ids:
             self._begin_run(task)
         else:
-            self._queued.add(id(task))
-            self.scheduler.submit(task, now=self._now)
+            self._ready.push(ctx, task)
 
     def _release_core(self, finished: FluidTask) -> None:
         self._free_core_ids.append(self._task_core.pop(id(finished)))
         while self._free_core_ids:
-            task = self.context.pick_ready(self.scheduler, self._queued,
-                                           self._free_core_ids[-1])
+            task = self._ready.next(self._free_core_ids[-1])
             if task is None:
                 break
             self._begin_run(task)
@@ -305,7 +299,6 @@ class SimExecutor(Executor, GuardHost):
 
     def _begin_run(self, task: FluidTask) -> None:
         key = id(task)
-        self._queued.discard(key)
         self._task_core[key] = self._free_core_ids.pop()
         self._generators[key] = task.make_generator(self.context.begin(task))
         if key not in self._chunk_keys:

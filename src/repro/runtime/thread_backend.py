@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .context import RunContext
 from .executor import Executor, RunResult
 from .thread_pool import SharedThreadPool
 
@@ -44,11 +43,9 @@ class ThreadExecutor(Executor):
         # The autotuner's callback and every telemetry publish point run
         # under the pool lock, so neither needs locking of its own (the
         # bus serialization contract).
-        self.context = RunContext.for_executor(
-            "thread-run", telemetry=telemetry, autotune=autotune,
-            modulation=modulation, cancel_first_runs=cancel_first_runs)
-        self.telemetry = self.context.telemetry
-        self.autotuner = self.context.autotuner
+        super().__init__("thread-run", telemetry=telemetry, autotune=autotune,
+                         modulation=modulation,
+                         cancel_first_runs=cancel_first_runs)
         self.timeout = timeout
         # ``policy`` is a SchedLab schedule policy.  Real threads cannot
         # be ordered deterministically, so it contributes seeded jitter
@@ -60,7 +57,7 @@ class ThreadExecutor(Executor):
             policy=policy, bus=self.context.bus, name="thread-backend")
         #: The repro.sched discipline ordering the ready queue the
         #: ``slots`` workers drain (``scheduler=None`` is FCFS).
-        self.scheduler = self._pool.scheduler
+        self.scheduler = self._pool.ready.scheduler
         #: Pool-wide stop event; also interrupts injected jitter sleeps
         #: (SchedLab relies on setting this directly in tests).
         self._stop = self._pool._stop

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..core.count import Count, UpdateSink
 from ..core.errors import SchedulerError
@@ -39,7 +39,7 @@ from ..core.guard import GuardHost
 from ..core.region import FluidRegion
 from ..core.states import TaskState
 from ..core.task import FluidTask, TaskContext
-from .context import RunContext, WaitSet
+from .context import ReadyQueue, RunContext, WaitSet
 
 #: Upper bound on an idle worker's wait while some record is parked.
 #: Records are re-evaluated by events — count publishes, data-cell bumps
@@ -63,7 +63,8 @@ class _ContextHost(GuardHost, UpdateSink):
 
     def schedule_run(self, task: FluidTask) -> None:
         # Lock held (Coordinator serialization contract).
-        self.pool._enqueue(self.ctx, task)
+        if self.pool.ready.push(self.ctx, task):
+            self.pool._idle.notify()
 
     def count_updated(self, count: Count, value) -> None:
         """Re-evaluate the records ``ctx.woken`` names for ``count``; if
@@ -111,12 +112,9 @@ class _ContextHost(GuardHost, UpdateSink):
 
 class SharedThreadPool:
     """Hosts concurrent :class:`RunContext` runs: ``slots`` workers
-    drain one ``scheduler``-ordered ready queue merged across every
-    active context, which is what makes the pool a genuinely *shared*
-    backend rather than N private executors.  Submissions are never
-    sheddable: dropping a Fluid task would deadlock its region, so a
-    bounded scheduler parks overflow instead (see
-    repro.sched.BoundedScheduler).
+    drain one ``scheduler``-ordered :class:`ReadyQueue` merged across
+    every active context, which is what makes the pool a genuinely
+    *shared* backend rather than N private executors.
     """
 
     def __init__(self, slots: int = 4,
@@ -126,17 +124,12 @@ class SharedThreadPool:
                  name: str = "pool"):
         if slots < 1:
             raise SchedulerError("thread pool needs at least one slot")
-        # Imported lazily: repro.sched pulls in repro.telemetry, which
-        # reaches back into repro.runtime at import time.
-        from ..sched import make_scheduler
-
         self.name = name
         self.slots = slots
         self.policy = policy
-        self.scheduler = make_scheduler(scheduler).bind(
-            policy=policy, bus=bus, point="core", workers=slots)
-        #: id(task) -> its context, for every task in the ready queue.
-        self._queued: Dict[int, RunContext] = {}
+        self._epoch = time.perf_counter()
+        self.ready = ReadyQueue(scheduler, policy=policy, bus=bus,
+                                point="core", workers=slots, clock=self.now)
         self._lock = threading.RLock()
         #: Workers with nothing to pick wait on ``_idle`` (one notify
         #: per enqueue); ``wait()`` callers on ``_done``, notified only
@@ -146,7 +139,6 @@ class SharedThreadPool:
         #: Set by ``shutdown()``: workers exit, ``start()`` refuses,
         #: in-flight jitter sleeps are interrupted.
         self._stop = threading.Event()
-        self._epoch = time.perf_counter()
         self._contexts: List[RunContext] = []
         self._workers: List[threading.Thread] = []
 
@@ -181,7 +173,7 @@ class SharedThreadPool:
             self._contexts.append(ctx)
             self._try_launches(ctx)
             self._maybe_finish(ctx)
-            if ctx.waiting and not self._queued:
+            if ctx.waiting and not self.ready:
                 # Parked records but nothing runnable: an idle worker
                 # must trade its untimed wait for the timed safety net.
                 self._idle.notify()
@@ -317,17 +309,9 @@ class SharedThreadPool:
 
     def _recheck(self, ctx: RunContext, task: FluidTask) -> None:
         """Re-evaluate one parked record (lock held); a satisfied one
-        joins the ready queue.  It stays parked until its body starts:
-        a non-monotone valve may flip back off while it is queued."""
-        if id(task) not in self._queued and task.start_valves_satisfied():
-            self._enqueue(ctx, task)
-
-    def _enqueue(self, ctx: RunContext, task: FluidTask) -> None:
-        """``task`` may run — a first run or a re-execution — as soon as
-        a worker is free (lock held)."""
-        self._queued[id(task)] = ctx
-        self.scheduler.submit(task, now=self.now())
-        self._idle.notify()
+        joins the ready queue and wakes a worker."""
+        if self.ready.recheck(ctx, task):
+            self._idle.notify()
 
     def _maybe_finish(self, ctx: RunContext) -> None:
         """Finish the context once nothing is left to do (lock held):
@@ -394,9 +378,9 @@ class SharedThreadPool:
         the queue is empty (lock held, released while idle); None once
         the pool shuts down."""
         while not self._stop.is_set():
-            task = self.scheduler.pick(now=self.now(), worker=worker)
-            if task is not None:
-                ctx = self._queued[id(task)]
+            picked = self.ready.pick(worker)
+            if picked is not None:
+                task, ctx = picked
                 if self.policy is not None:
                     # This worker holds the lock exactly once.
                     self._lock.release()
@@ -411,7 +395,7 @@ class SharedThreadPool:
             # The timed wait is a safety net for parked records only
             # (a record still filed while its task is queued is not
             # parked); with none anywhere, sleep until notified.
-            parked = not self._queued and \
+            parked = not self.ready and \
                 any(ctx.waiting for ctx in self._contexts)
             if not self._idle.wait(FALLBACK_INTERVAL if parked else None):
                 for ctx in tuple(self._contexts):
@@ -421,13 +405,11 @@ class SharedThreadPool:
 
     def _begin(self, ctx: RunContext,
                task: FluidTask) -> Optional[TaskContext]:
-        """Enter RUNNING (lock held), or drop the pick: its context
-        stopped, or it went stale while queued (``ctx.may_start`` —
-        early termination of a pointless re-run lands here)."""
-        # Queued until here, not until the pick: a publish during the
-        # worker's wake jitter must not enqueue the record twice.
-        del self._queued[id(task)]
-        if ctx.stopped or not ctx.may_start(task):
+        """Enter RUNNING (lock held), or drop a stale pick (``take`` —
+        early termination of a pointless re-run lands here).  Queued
+        until here, not until the pick: a publish during the worker's
+        wake jitter must not enqueue the record twice."""
+        if not self.ready.take(task):
             return None
         run_ctx = ctx.begin(task)
         ctx.host.running += 1

@@ -26,6 +26,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..core import guard as guard_module
 from ..core.errors import (FluidError, SchedulerError, StateError,
                            TaskBodyError)
+from ..runtime.executor import make_executor
+from ..runtime.simulator import Overheads
 from ..telemetry import Telemetry
 from .faults import FaultInjected, FaultPlan
 from .invariants import InvariantChecker, check_equivalence
@@ -171,26 +173,12 @@ def _normalize_faults(faults) -> List[dict]:
 def _build_executor(backend: str, policy: SchedulePolicy, *, cores: int,
                     timeout: float, workers: int, telemetry,
                     scheduler=None, autotune=None):
-    if backend == "sim":
-        from ..runtime.simulator import Overheads, SimExecutor
-
-        return SimExecutor(cores=cores, overheads=Overheads.zero(),
-                           policy=policy, telemetry=telemetry,
-                           scheduler=scheduler, autotune=autotune)
-    if backend == "thread":
-        from ..runtime.thread_backend import ThreadExecutor
-
-        return ThreadExecutor(policy=policy, timeout=timeout,
-                              telemetry=telemetry, scheduler=scheduler,
-                              autotune=autotune)
-    if backend == "process":
-        from ..runtime.process_backend import ProcessExecutor
-
-        return ProcessExecutor(workers=workers, policy=policy,
-                               timeout=timeout, telemetry=telemetry,
-                               scheduler=scheduler, autotune=autotune)
-    raise SchedulerError(
-        f"unknown backend {backend!r}; expected sim, thread or process")
+    options = {"sim": {"cores": cores, "overheads": Overheads.zero()},
+               "thread": {"timeout": timeout},
+               "process": {"workers": workers, "timeout": timeout}}
+    return make_executor(backend, policy=policy, telemetry=telemetry,
+                         scheduler=scheduler, autotune=autotune,
+                         **options.get(backend, {}))
 
 
 #: This process's last scenario build for :func:`rebuild`: its key and
@@ -300,7 +288,7 @@ def run_scenario(scenario_name: str, *,
             result = executor.run()
             outcome.makespan = result.makespan
             if trace:
-                outcome.trace = getattr(result, "trace", None)
+                outcome.trace = telemetry.trace
         except Exception as error:  # noqa: BLE001 - classified below
             outcome.failure, outcome.message = classify_failure(error)
         finally:

@@ -177,7 +177,8 @@ class Pipeline:
     window:
         Items per window / region.
     autotune:
-        Optional :class:`repro.tuning.ValveAutotuner`; since
+        Optional :class:`repro.tuning.ValveAutotuner` or spec string,
+        one tuner for all of a run's windows; since
         :class:`~repro.core.valves.StalenessValve` is a
         :class:`~repro.core.valves.CountValve`, the tuner's threshold
         actuation steers the *effective* k of every start valve (and,
@@ -351,47 +352,49 @@ class Pipeline:
     def run(self, items: Iterable[Any], *, backend: str = "sim",
             cores: int = 4, workers: int = 2, slots: int = 4,
             timeout: float = 60.0) -> PipelineResult:
-        """Run the whole stream through the pipeline on one backend."""
+        """Run the whole stream through the pipeline on one backend, as
+        one run: every window is built over one telemetry bundle and one
+        tuner, so a tuned position carries over from window to window."""
+        from ..tuning import make_autotuner
+
+        if backend not in ("sim", "thread", "process"):
+            raise FluidError(f"unknown pipeline backend {backend!r}")
         items = list(items)
         result = PipelineResult(len(items))
         result.states = self._initial_states()
-        if backend == "sim":
-            self._run_sim(items, result, cores)
-        elif backend == "thread":
-            self._run_thread(items, result, slots, timeout)
-        elif backend == "process":
-            self._run_process(items, result, workers, timeout)
-        else:
-            raise FluidError(f"unknown pipeline backend {backend!r}")
-        return result
-
-    def _ensure_telemetry(self):
         if self.telemetry is None:
             from ..telemetry import Telemetry
             self.telemetry = Telemetry(metrics=True, chrome=False)
-        return self.telemetry
+        run = {"telemetry": self.telemetry,
+               "autotune": make_autotuner(self.autotune)}
+        if backend == "sim":
+            self._run_sim(items, result, run, cores)
+        elif backend == "thread":
+            self._run_thread(items, result, run, slots, timeout)
+        else:
+            self._run_process(items, result, run, workers, timeout)
+        return result
 
     def _run_sim(self, items: List[Any], result: PipelineResult,
-                 cores: int) -> None:
+                 run: Dict[str, Any], cores: int) -> None:
         from ..runtime import SimExecutor
 
-        telemetry = self._ensure_telemetry()
         states = result.states
         for index, window_items in enumerate(self._windows(items)):
             build = self.build_window(index, window_items, states)
-            executor = SimExecutor(cores=cores, telemetry=telemetry,
-                                   autotune=self.autotune)
+            executor = SimExecutor(cores=cores, **run)
             executor.submit(build.region)
             makespan = executor.run().makespan
-            states = self._harvest(result, index, build, makespan, telemetry,
-                                   epoch=0.0, pace=self.interarrival)
+            states = self._harvest(result, index, build, makespan,
+                                   run["telemetry"], epoch=0.0,
+                                   pace=self.interarrival)
 
     def _run_thread(self, items: List[Any], result: PipelineResult,
-                    slots: int, timeout: float) -> None:
+                    run: Dict[str, Any], slots: int, timeout: float) -> None:
         from ..runtime.context import RunContext
         from ..runtime.thread_pool import SharedThreadPool
 
-        telemetry = self._ensure_telemetry()
+        telemetry = run["telemetry"]
         states = result.states
         pool = SharedThreadPool(slots=slots, bus=telemetry.bus)
         try:
@@ -399,9 +402,7 @@ class Pipeline:
                 build = self.build_window(index, window_items, states)
                 # One fresh RunContext per window over the shared pool,
                 # whose clock runs on across windows: epoch-based stamps.
-                ctx = RunContext(label=f"{self.name}-w{index}",
-                                 telemetry=telemetry,
-                                 autotuner=self.autotune)
+                ctx = RunContext(label=f"{self.name}-w{index}", **run)
                 epoch_before = pool.now()
                 ctx.submit(build.region)
                 pool.start(ctx)
@@ -411,6 +412,7 @@ class Pipeline:
                                        telemetry, epoch=epoch_before)
         finally:
             pool.shutdown()
+            telemetry.record_autotuner(run["autotune"])
             telemetry.run_finished(pool.now(), slots)
 
     def _pool_config(self) -> Dict[str, Any]:
@@ -426,7 +428,8 @@ class Pipeline:
                 "window": self.window, "name": self.name}
 
     def _run_process(self, items: List[Any], result: PipelineResult,
-                     workers: int, timeout: float) -> None:
+                     run: Dict[str, Any], workers: int,
+                     timeout: float) -> None:
         from ..runtime import PersistentProcessPool, ProcessExecutor
 
         states = result.states
@@ -436,14 +439,14 @@ class Pipeline:
                                    name=f"{self.name}-pool") as pool:
             for index, window_items in enumerate(self._windows(items)):
                 build = self.build_window(index, window_items, states)
-                executor = ProcessExecutor(pool=pool, timeout=timeout)
+                executor = ProcessExecutor(pool=pool, timeout=timeout, **run)
                 executor.submit(build.region)
-                run = executor.run()
+                makespan = executor.run().makespan
                 # Stage bodies ran in workers whose queues are not ours:
                 # per-item latencies and the queue tallies are not
                 # observable here.
-                states = self._harvest(result, index, build, run.makespan,
-                                       self.telemetry)
+                states = self._harvest(result, index, build, makespan,
+                                       run["telemetry"])
 
     async def run_service(self, items: Iterable[Any], service, *,
                           sheddable: bool = False,

@@ -29,6 +29,7 @@ CLI.
 from __future__ import annotations
 
 import json
+import weakref
 from typing import Any, Callable, Dict, Optional
 
 from .bus import TelemetryBus, TelemetryEvent
@@ -83,6 +84,8 @@ class Telemetry:
         if chrome:
             self.chrome = ChromeTraceExporter().connect(self.bus)
         self.finished = False
+        #: tuner -> windows already folded (a tuner spans a Pipeline).
+        self._tuner_windows = weakref.WeakKeyDictionary()
 
     # -- executor-facing lifecycle ----------------------------------------
 
@@ -114,7 +117,8 @@ class Telemetry:
 
     def record_autotuner(self, autotuner: Optional[Any]) -> None:
         """Fold a :class:`repro.tuning.ValveAutotuner` end-of-run
-        snapshot into the metrics (window count, final position).
+        snapshot into the metrics: the decision windows it closed since
+        its last fold here, and its final position.
 
         Adjustments themselves arrive live as ``tune``-kind bus events;
         this fold only adds what has no per-event form.  No-op without
@@ -122,7 +126,11 @@ class Telemetry:
         """
         if self.metrics is None or autotuner is None:
             return
-        self.metrics.record_autotuner(autotuner.snapshot())
+        snapshot = autotuner.snapshot()
+        windows = snapshot["windows"]
+        snapshot["windows"] -= self._tuner_windows.get(autotuner, 0)
+        self._tuner_windows[autotuner] = windows
+        self.metrics.record_autotuner(snapshot)
 
     def run_finished(self, makespan: float, workers: int,
                      now: Optional[float] = None) -> None:

@@ -189,8 +189,9 @@ class ValveAutotuner:
     """Online per-region valve-threshold controller (see module doc).
 
     Like :class:`repro.sched.Scheduler`, a tuner instance is a
-    *single-run* object: executors bind it to their telemetry bus and
-    it accumulates that run's decisions.  Pass a spec *string* through
+    *single-run* object: a run binds it to its telemetry bus and it
+    accumulates that run's decisions (a ``Pipeline.run`` is one run over
+    one bus, however many windows it has).  Pass a spec *string* through
     harnesses that execute many runs — each run then builds its own
     tuner via :func:`make_autotuner`.
     """
@@ -235,8 +236,12 @@ class ValveAutotuner:
         return -1.0 if self.relax_floor is not None else 0.0
 
     def bind(self, bus: Optional[Any]) -> "ValveAutotuner":
-        """Subscribe to an executor's bus.  Single-run: rebinding raises."""
+        """Subscribe to a run's bus.  Single-run means one bus: binding
+        to the bus already held is a no-op (every window run of a
+        ``Pipeline`` shares one), binding to another raises."""
         if self._bound:
+            if bus is self._bus:
+                return self
             raise TuningError(
                 "autotuners are single-run objects; build a fresh one per "
                 "executor (spec strings re-build automatically)")

@@ -287,6 +287,17 @@ def test_bind_is_single_run():
         tuner.bind(TelemetryBus())
 
 
+def test_rebinding_the_bus_it_holds_is_a_no_op():
+    """Single-run means one bus: every window run of a ``Pipeline``
+    binds the same tuner to the same bus."""
+    bus = TelemetryBus()
+    tuner = ValveAutotuner(SLO.accuracy_floor(0.9))
+    assert tuner.bind(bus) is tuner
+    assert tuner.bind(bus) is tuner
+    with pytest.raises(TuningError):
+        tuner.bind(TelemetryBus())
+
+
 def test_late_attach_inherits_position():
     bus = TelemetryBus()
     bus.bind_clock(lambda: 0.0, 1.0)

@@ -117,6 +117,16 @@ class TestReplayDeterminism:
             _trace_signature(recorded.trace)
         assert replayed.makespan == recorded.makespan
 
+    @pytest.mark.parametrize("backend", ["sim", "thread", "process"])
+    def test_every_backend_returns_its_trace(self, backend):
+        """``replay --trace`` prints the run's trace on the wall-clock
+        drivers too: it is the run's telemetry trace, not a field only
+        the simulator's result carries."""
+        outcome = run_scenario("diamond", backend=backend, trace=True)
+        assert outcome.ok
+        names = [event.event for event in outcome.trace.events]
+        assert "run" in names and "region-done" in names
+
     def test_replay_reproduces_a_failure(self):
         # Seed 1 is a known racy-scenario failure (see RacyScenario).
         failing = run_scenario("racy", policy=SeededRandomPolicy(1), seed=1)

@@ -119,3 +119,88 @@ class TestNoStreamEventByDefault:
         # transitions, valve verdicts and scheduling, none of them
         # per-item stream events.
         assert pipeline.telemetry.bus.published < 2 * 64
+
+
+class _Windows:
+    """Every window region a pipeline builds, in build order."""
+
+    def __init__(self, pipeline):
+        self.regions = []
+        build = pipeline.build_window
+
+        def recording(*args, **kwargs):
+            window = build(*args, **kwargs)
+            self.regions.append(window.region)
+            return window
+
+        pipeline.build_window = recording
+
+
+@pytest.mark.parametrize("backend", ["sim", "thread", "process"])
+class TestOneBusAndOneTunerPerRun:
+    """A ``Pipeline.run`` is one run on every backend: each window is
+    built over the pipeline's one telemetry bundle and one resolved
+    tuner (96 logagg items, 32-item windows)."""
+
+    def _run(self, backend, **options):
+        app = APPS["logagg"]
+        pipeline = app.pipeline(k=4, window=32, **options)
+        windows = _Windows(pipeline)
+        result = pipeline.run(app.make_items(96), backend=backend,
+                              slots=2, workers=2)
+        assert len(windows.regions) == 3
+        assert all(result.end_verdicts.values())
+        return pipeline, windows.regions
+
+    def test_every_window_folds_into_the_telemetry(self, backend):
+        telemetry = Telemetry(metrics=True, chrome=False)
+        _pipeline, regions = self._run(backend, telemetry=telemetry)
+        counters = telemetry.metrics.counters
+        assert counters["tasks.runs"] > 0
+        assert counters["valve.checks.evaluated"] == sum(
+            valve.checks for region in regions for valve in region.valves)
+
+    def test_a_spec_string_runs(self, backend):
+        pipeline, _regions = self._run(
+            backend, autotune="accuracy_floor:target=0.9,window=4")
+        assert pipeline.telemetry.metrics.counters["tasks.runs"] > 0
+
+    def test_one_tuner_instance_is_bound_once_and_sees_every_window(
+            self, backend):
+        from repro.tuning import make_autotuner
+
+        # Completions are its feedback: they close windows on every
+        # backend, whatever the end verdicts.
+        tuner = make_autotuner("latency_ceiling:target=1,window=2")
+        pipeline, regions = self._run(backend, autotune=tuner)
+        assert tuner._bus is pipeline.telemetry.bus
+        assert set(tuner._regions) == {region.name for region in regions}
+        # Folded once per window run, counted once.
+        assert tuner.windows > 0
+        assert pipeline.telemetry.metrics.counters["tune.windows"] \
+            == tuner.windows
+
+
+def test_a_tuned_position_carries_into_the_next_sim_window():
+    """Window 2 starts from, and adjusts on from, the position window 1
+    reached: one tuner for the whole run."""
+    app = APPS["logagg"]
+    telemetry = Telemetry(metrics=True, chrome=False)
+    events = []
+    telemetry.bus.subscribe(events.append, kinds=("tune",))
+    # A ceiling of one cost unit is always missed: every completion
+    # relaxes the staleness valves further toward the floor.
+    app.pipeline(k=2, window=32, telemetry=telemetry,
+                 autotune="latency_ceiling:target=1,window=2,"
+                          "relax_floor=0.5").run(app.make_items(96),
+                                                 backend="sim")
+    attaches = [event for event in events if event.name == "attach"]
+    assert len(attaches) == 3
+    first, second = attaches[0].region, attaches[1].region
+    adjusts = [event for event in events if event.name == "adjust"]
+    reached = [event.data["after"] for event in adjusts
+               if event.region == first][-1]
+    assert reached < 0.0
+    assert attaches[1].data["position"] == reached
+    assert [event.data["before"] for event in adjusts
+            if event.region == second][0] == reached

@@ -2,10 +2,10 @@
 
 One context per logical ``run()`` — a batch of regions with
 inter-region ``after`` dependencies — holding everything that must be
-isolated between concurrent runs.  The single-shot executors own one;
-:class:`~repro.runtime.thread_pool.SharedThreadPool` hosts many at once;
-:class:`repro.service.FluidService` creates one per admitted request (or
-request batch).
+isolated between concurrent runs.  Every driver hosts contexts
+(``start(ctx)`` / ``wait(ctx, timeout)``): an executor's ``run()`` its
+own, :class:`repro.service.FluidService` one per admitted request (or
+request batch), a ``repro.stream`` pipeline one per window.
 
 The context is also the single owner of the *region lifecycle* (PAPER.md
 §6.2, docs/runtime-semantics.md "Region lifecycle"): which region may
@@ -414,11 +414,13 @@ class RunContext:
         if self.on_finished is not None:
             self.on_finished(self)
 
-    def record_run(self, scheduler: Optional[object], workers: int) -> None:
+    def record_run(self, scheduler: Optional[object], workers: int,
+                   makespan: Optional[float] = None) -> None:
         """End-of-run telemetry folds: every launched region that never
         finished (its open residences closed at now), tuner and
-        scheduler snapshots, then the run's makespan over ``workers``
-        execution resources."""
+        scheduler snapshots, then the run's ``makespan`` (default: now)
+        over ``workers`` execution resources.  Once per run, by whoever
+        opened it (a multi-context caller, on the last context)."""
         if self.telemetry is not None:
             now = self.host.now()
             for run in self.runs:
@@ -426,7 +428,8 @@ class RunContext:
                     self.telemetry.record_region(run.region, now)
             self.telemetry.record_autotuner(self.autotuner)
             self.telemetry.record_scheduler(scheduler)
-            self.telemetry.run_finished(now, workers, now=now)
+            self.telemetry.run_finished(
+                now if makespan is None else makespan, workers, now=now)
 
     def join(self, timeout: Optional[float] = None) -> None:
         """No-op, still called by ``benchmarks/perf/probes.py``; the

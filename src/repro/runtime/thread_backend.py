@@ -13,24 +13,22 @@ All guard decisions go through the same :class:`~repro.core.guard.Coordinator`
 as the simulator, serialized by a per-pool lock, so the two backends
 cannot diverge semantically.
 
-The machinery lives in
-:class:`~repro.runtime.thread_pool.SharedThreadPool`, which hosts many
-concurrent :class:`~repro.runtime.context.RunContext` runs over one
-ready queue.  :class:`ThreadExecutor` is the single-shot facade: one
-private pool, one context; it joins the pool's workers on every exit
-path, so back-to-back runs do not leak threads.
+The machinery, and the host calls, are those of a private
+:class:`~repro.runtime.thread_pool.SharedThreadPool`; ``run()`` joins
+its workers on every exit path, so back-to-back runs leak no threads.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .executor import Executor, RunResult
+from .executor import Executor
 from .thread_pool import SharedThreadPool
 
 
 class ThreadExecutor(Executor):
-    """Executes regions on a private ``slots``-worker pool (single-shot)."""
+    """Executes regions on a private ``slots``-worker pool; ``run()``
+    drives the executor's own context once."""
 
     def __init__(self, modulation: Optional[object] = None,
                  timeout: float = 60.0,
@@ -57,26 +55,16 @@ class ThreadExecutor(Executor):
             policy=policy, bus=self.context.bus, name="thread-backend")
         #: The repro.sched discipline ordering the ready queue the
         #: ``slots`` workers drain (``scheduler=None`` is FCFS).
-        self.scheduler = self._pool.ready.scheduler
+        self.scheduler = self._pool.scheduler
         #: Pool-wide stop event; also interrupts injected jitter sleeps
         #: (SchedLab relies on setting this directly in tests).
         self._stop = self._pool._stop
         self._sleep_jitter = self._pool._sleep_jitter
+        # The host calls are the private pool's.
+        self.start = self._pool.start
+        self.wait = self._pool.wait
+        self.now = self._pool.now
 
-    def run(self) -> RunResult:
-        self._start_once()
-        pool = self._pool
-        pool.reset_epoch()
-        try:
-            pool.start(self.context)
-            pool.wait(self.context, self.timeout)
-        finally:
-            # Stop and *join* the workers on every exit path (normal,
-            # timeout or body error): a long-lived process running
-            # executors back-to-back must not accumulate leaked daemon
-            # threads.  Also releases a worker parked in an injected
-            # jitter delay.
-            pool.shutdown(join_timeout=min(self.timeout, 5.0))
-            # One worker: the GIL serializes the actual computation.
-            self.context.record_run(self.scheduler, 1)
-        return RunResult(pool.now(), self.context.regions)
+    def shutdown(self) -> None:
+        # Also releases a worker parked in an injected jitter delay.
+        self._pool.shutdown(join_timeout=min(self.timeout, 5.0))

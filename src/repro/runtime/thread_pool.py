@@ -117,6 +117,9 @@ class SharedThreadPool:
     *shared* backend rather than N private executors.
     """
 
+    #: A hosted run's parallelism: the GIL serializes the workers.
+    parallelism = 1
+
     def __init__(self, slots: int = 4,
                  scheduler: Optional[object] = None,
                  policy: Optional[object] = None,
@@ -130,6 +133,7 @@ class SharedThreadPool:
         self._epoch = time.perf_counter()
         self.ready = ReadyQueue(scheduler, policy=policy, bus=bus,
                                 point="core", workers=slots, clock=self.now)
+        self.scheduler = self.ready.scheduler
         self._lock = threading.RLock()
         #: Workers with nothing to pick wait on ``_idle`` (one notify
         #: per enqueue); ``wait()`` callers on ``_done``, notified only
@@ -146,10 +150,6 @@ class SharedThreadPool:
 
     def now(self) -> float:
         return time.perf_counter() - self._epoch
-
-    def reset_epoch(self) -> None:
-        """Re-zero the pool clock (single-run facade compatibility)."""
-        self._epoch = time.perf_counter()
 
     # ------------------------------------------------------------ contexts
 
@@ -204,9 +204,9 @@ class SharedThreadPool:
 
         Raises the first recorded :class:`TaskBodyError` as soon as it
         lands (without waiting for sibling bodies to drain) and
-        :class:`SchedulerError` on timeout.  Used by the single-shot
-        facade; the async service listens on ``ctx.on_finished``
-        instead.
+        :class:`SchedulerError` on timeout.  Used by
+        ``ThreadExecutor.run`` and ``Pipeline.run``; the async service
+        listens on ``ctx.on_finished`` instead.
         """
         deadline = time.perf_counter() + timeout
         with self._lock:

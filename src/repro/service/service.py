@@ -9,7 +9,7 @@ single shared backend pool:
   regions run concurrently over one lock/ready-queue/worker substrate
   with per-region count/valve isolation;
 * **sim** / **process** — a :class:`~repro.service.pools.OneShotPool`
-  of single-shot executors bounded by dispatcher workers.
+  running one context at a time on one host executor.
 
 Admission is a bounded relaxed queue (:class:`AdmissionQueue`):
 sheddable requests are rejected with :class:`AdmissionError` when the
@@ -113,9 +113,9 @@ class FluidService:
     slots / scheduler:
         The thread pool's workers and ready queue: at most ``slots``
         bodies run concurrently, picked in ``scheduler`` discipline
-        order (``None`` is FCFS) across *all* in-flight requests.  For
-        one-shot backends ``slots`` bounds concurrent executor runs
-        instead.
+        order (``None`` is FCFS) across *all* in-flight requests.  The
+        sim and process backends run one context at a time on one host
+        executor.
     queue_capacity / discipline:
         The bounded admission queue and its dispatch order.
     max_concurrency:
@@ -187,8 +187,8 @@ class FluidService:
             self.pool = SharedThreadPool(
                 slots=slots, scheduler=scheduler, name=name, **options)
         else:
-            self.pool = OneShotPool(backend, workers=slots,
-                                    executor_options=options, name=name)
+            self.pool = OneShotPool(backend, executor_options=options,
+                                    name=name)
         if telemetry is not None:
             telemetry.bind_clock(self.pool.now, 1e6)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -281,8 +281,7 @@ class FluidService:
         if self.telemetry is not None:
             now = self.pool.now()
             self.telemetry.record_scheduler(self.queue.scheduler)
-            self.telemetry.run_finished(now, getattr(self.pool, "slots", 1),
-                                        now=now)
+            self.telemetry.run_finished(now, self.pool.parallelism, now=now)
 
     def stats(self) -> Dict[str, Any]:
         """Live service counters (event-loop thread only)."""

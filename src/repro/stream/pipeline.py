@@ -26,14 +26,14 @@ Stage state (for stateful fold stages like EMA aggregation) chains
 *between* windows through region outputs, and is cloned from the
 window-initial value on every (re)run so re-execution stays idempotent.
 
-Backends: ``sim`` builds one deterministic
-:class:`~repro.runtime.SimExecutor` per window (virtual arrival pacing,
-per-item latency curves); ``thread`` reuses one
-:class:`~repro.runtime.thread_pool.SharedThreadPool` across windows
-with a fresh :class:`~repro.runtime.context.RunContext` each — the
-PR-7 sustained-load path; ``process`` builds a
-:class:`~repro.runtime.ProcessExecutor` per window over one
-:class:`~repro.runtime.PersistentProcessPool`.  A window can also
+Backends: one host drives every window of a run as a fresh
+:class:`~repro.runtime.context.RunContext` (``start(ctx)`` /
+``wait(ctx)``) — ``sim`` one deterministic
+:class:`~repro.runtime.SimExecutor` whose virtual clock runs on across
+windows (virtual arrival pacing, per-item latency curves), ``thread``
+one :class:`~repro.runtime.thread_pool.SharedThreadPool`, ``process``
+one :class:`~repro.runtime.ProcessExecutor` that forks its worker pool
+once.  A window can also
 be submitted through :class:`repro.service.FluidService`
 (:meth:`Pipeline.run_service`) for admission-controlled streaming.
 """
@@ -286,7 +286,7 @@ class Pipeline:
                             outputs=[qout.slots, state_out],
                             cost_estimate=stage.cost * count)
         # How a process-pool worker rebuilds this window: every process
-        # driver (``_run_process``, a process ``FluidService``) needs it,
+        # host (``run``, a process ``FluidService``) needs it,
         # so the stage fns, the ``must`` predicate and the entry states
         # must pickle there.
         region.remote_factory = (
@@ -347,14 +347,17 @@ class Pipeline:
             queue.region = queue.valve = None
         return result.states
 
-    # -- drivers -------------------------------------------------------------
+    # -- the driver ----------------------------------------------------------
 
     def run(self, items: Iterable[Any], *, backend: str = "sim",
             cores: int = 4, workers: int = 2, slots: int = 4,
             timeout: float = 60.0) -> PipelineResult:
         """Run the whole stream through the pipeline on one backend, as
-        one run: every window is built over one telemetry bundle and one
-        tuner, so a tuned position carries over from window to window."""
+        one run: one host drives every window as a fresh
+        :class:`~repro.runtime.context.RunContext` over one telemetry
+        bundle and one tuner, so a tuned position carries over from
+        window to window, and the run is closed once, at the end."""
+        from ..runtime.context import RunContext
         from ..tuning import make_autotuner
 
         if backend not in ("sim", "thread", "process"):
@@ -365,55 +368,45 @@ class Pipeline:
         if self.telemetry is None:
             from ..telemetry import Telemetry
             self.telemetry = Telemetry(metrics=True, chrome=False)
-        run = {"telemetry": self.telemetry,
-               "autotune": make_autotuner(self.autotune)}
-        if backend == "sim":
-            self._run_sim(items, result, run, cores)
-        elif backend == "thread":
-            self._run_thread(items, result, run, slots, timeout)
-        else:
-            self._run_process(items, result, run, workers, timeout)
-        return result
-
-    def _run_sim(self, items: List[Any], result: PipelineResult,
-                 run: Dict[str, Any], cores: int) -> None:
-        from ..runtime import SimExecutor
-
-        states = result.states
-        for index, window_items in enumerate(self._windows(items)):
-            build = self.build_window(index, window_items, states)
-            executor = SimExecutor(cores=cores, **run)
-            executor.submit(build.region)
-            makespan = executor.run().makespan
-            states = self._harvest(result, index, build, makespan,
-                                   run["telemetry"], epoch=0.0,
-                                   pace=self.interarrival)
-
-    def _run_thread(self, items: List[Any], result: PipelineResult,
-                    run: Dict[str, Any], slots: int, timeout: float) -> None:
-        from ..runtime.context import RunContext
-        from ..runtime.thread_pool import SharedThreadPool
-
-        telemetry = run["telemetry"]
-        states = result.states
-        pool = SharedThreadPool(slots=slots, bus=telemetry.bus)
+        telemetry = self.telemetry
+        tuner = make_autotuner(self.autotune)
+        host = self._host(backend, cores, workers, slots)
+        # Latencies are read off the host clock from each window's
+        # epoch, less the simulator's paced arrivals; stage bodies on
+        # process workers stamp their own copies of the queues.
+        stamped = backend != "process"
+        pace = self.interarrival if backend == "sim" else 0.0
+        ctx = None
         try:
             for index, window_items in enumerate(self._windows(items)):
-                build = self.build_window(index, window_items, states)
-                # One fresh RunContext per window over the shared pool,
-                # whose clock runs on across windows: epoch-based stamps.
-                ctx = RunContext(label=f"{self.name}-w{index}", **run)
-                epoch_before = pool.now()
+                build = self.build_window(index, window_items, result.states)
+                ctx = RunContext(label=f"{self.name}-w{index}",
+                                 telemetry=telemetry, autotune=tuner)
                 ctx.submit(build.region)
-                pool.start(ctx)
-                pool.wait(ctx, timeout)
-                makespan = pool.now() - epoch_before
-                states = self._harvest(result, index, build, makespan,
-                                       telemetry, epoch=epoch_before)
+                epoch = host.now()
+                host.start(ctx)
+                host.wait(ctx, timeout)
+                self._harvest(result, index, build, host.now() - epoch,
+                              telemetry, epoch if stamped else None, pace)
         finally:
-            pool.shutdown()
-            telemetry.record_autotuner(run["autotune"])
-            telemetry.run_finished(pool.now(), slots)
+            host.shutdown()
+            if ctx is not None:
+                ctx.record_run(host.scheduler, host.parallelism,
+                               makespan=result.makespan)
+        return result
+
+    def _host(self, backend: str, cores: int, workers: int, slots: int):
+        """The one host every window of a run starts on."""
+        from ..runtime import ProcessExecutor, SharedThreadPool, SimExecutor
+
+        if backend == "sim":
+            return SimExecutor(cores=cores, telemetry=self.telemetry)
+        if backend == "thread":
+            return SharedThreadPool(slots=slots, bus=self.telemetry.bus,
+                                    name=f"{self.name}-pool")
+        # One private pool for every window; each window is rebuilt
+        # inside the workers from the factory ``build_window`` attaches.
+        return ProcessExecutor(workers=workers, telemetry=self.telemetry)
 
     def _pool_config(self) -> Dict[str, Any]:
         """Picklable constructor kwargs for :func:`_rebuild_window_region`.
@@ -426,27 +419,6 @@ class Pipeline:
                 "capacity": self.capacity, "must": self.must,
                 "interarrival": self.interarrival,
                 "window": self.window, "name": self.name}
-
-    def _run_process(self, items: List[Any], result: PipelineResult,
-                     run: Dict[str, Any], workers: int,
-                     timeout: float) -> None:
-        from ..runtime import PersistentProcessPool, ProcessExecutor
-
-        states = result.states
-        # One pool for every window; each window is rebuilt inside the
-        # workers from the factory ``build_window`` attaches.
-        with PersistentProcessPool(workers=workers,
-                                   name=f"{self.name}-pool") as pool:
-            for index, window_items in enumerate(self._windows(items)):
-                build = self.build_window(index, window_items, states)
-                executor = ProcessExecutor(pool=pool, timeout=timeout, **run)
-                executor.submit(build.region)
-                makespan = executor.run().makespan
-                # Stage bodies ran in workers whose queues are not ours:
-                # per-item latencies and the queue tallies are not
-                # observable here.
-                states = self._harvest(result, index, build, makespan,
-                                       run["telemetry"])
 
     async def run_service(self, items: Iterable[Any], service, *,
                           sheddable: bool = False,

@@ -204,3 +204,83 @@ def test_a_tuned_position_carries_into_the_next_sim_window():
     assert attaches[1].data["position"] == reached
     assert [event.data["before"] for event in adjusts
             if event.region == second][0] == reached
+
+
+def _recording_host(pipeline):
+    """Wrap ``pipeline._host`` to keep the host a run is given."""
+    hosts = []
+    make = pipeline._host
+
+    def recording(*args):
+        hosts.append(make(*args))
+        return hosts[-1]
+
+    pipeline._host = recording
+    return hosts
+
+
+@pytest.mark.parametrize("backend", ["sim", "thread", "process"])
+class TestOneRunIsClosedOnce:
+    """A ``Pipeline.run`` closes its telemetry once, at the end, on its
+    one host (96 logagg items, 32-item windows).  Mutants killed: the
+    first window's executor finalising the run (``run.makespan`` one
+    window's), and a host whose scheduler is never folded
+    (``sched.picks`` 0 on threads)."""
+
+    def _run(self, backend):
+        app = APPS["logagg"]
+        telemetry = Telemetry(metrics=True, chrome=False)
+        pipeline = app.pipeline(k=4, window=32, telemetry=telemetry)
+        hosts = _recording_host(pipeline)
+        result = pipeline.run(app.make_items(96), backend=backend,
+                              slots=2, workers=2)
+        assert len(result.windows) == 3 and len(hosts) == 1
+        return telemetry.metrics, result, hosts[0]
+
+    def test_run_makespan_is_the_pipeline_makespan(self, backend):
+        metrics, result, _host = self._run(backend)
+        assert metrics.gauges["run.makespan"] == result.makespan > 0
+
+    def test_sched_picks_are_the_one_schedulers(self, backend):
+        metrics, _result, host = self._run(backend)
+        picks = host.scheduler.snapshot()["picks"]
+        assert metrics.counters["sched.picks"] == picks
+        if backend == "thread":
+            assert picks > 0
+
+
+def test_sim_windows_run_on_one_clock():
+    """Window i+1's slices start no earlier than window i's end: the
+    simulator's clock runs on across the run's windows."""
+    from collections import defaultdict
+
+    app = APPS["logagg"]
+    telemetry = Telemetry(metrics=False, chrome=True)
+    app.pipeline(k=4, window=32, telemetry=telemetry).run(
+        app.make_items(96), backend="sim")
+    events = telemetry.chrome_trace()["traceEvents"]
+    regions = {event["pid"]: event["args"]["name"] for event in events
+               if event["name"] == "process_name"}
+    spans = defaultdict(list)
+    for event in events:
+        if event["ph"] == "X":
+            spans[regions[event["pid"]]].append(
+                (event["ts"], event["ts"] + event["dur"]))
+    windows = [spans[f"region logagg_w{index}"] for index in range(3)]
+    assert all(windows)
+    for earlier, later in zip(windows, windows[1:]):
+        assert min(start for start, _end in later) >= \
+            max(end for _start, end in earlier)
+
+
+def test_thread_pipeline_utilization_is_over_one_worker():
+    """``MetricsRegistry.finalize``'s rule: the GIL-bound thread
+    driver's denominator is 1, whatever the pool's ``slots``."""
+    app = APPS["logagg"]
+    telemetry = Telemetry(metrics=True, chrome=False)
+    app.pipeline(k=4, window=32, telemetry=telemetry).run(
+        app.make_items(96), backend="thread", slots=2)
+    gauges = telemetry.metrics.gauges
+    assert gauges["run.workers"] == 1
+    assert gauges["worker.utilization"] == min(
+        1.0, gauges["worker.busy_time"] / gauges["run.makespan"])

@@ -797,36 +797,35 @@ class TestServicePoolReuse:
         return ctx
 
     def test_sequential_requests_share_worker_pids(self):
-        service_pool = OneShotPool("process", workers=1,
-                                   executor_options={"workers": 2})
+        service_pool = OneShotPool("process", executor_options={"workers": 2})
         try:
             pids = []
             for index in range(2):
                 region = make_pid_region(name=f"req{index}", tasks=4)
                 self._run_ctx(service_pool, region)
                 pids.append({region.output(f"pid_{i}") for i in range(4)})
-            assert service_pool._process_pool is not None
+            pool = service_pool.host._private
+            assert pool is not None and not pool._closed
             assert pids[0] == pids[1]
         finally:
             service_pool.shutdown()
-        assert service_pool._process_pool is None
+        assert pool._closed
 
     def test_closure_only_region_fails_fast(self):
-        service_pool = OneShotPool("process", workers=1,
-                                   executor_options={"workers": 2})
+        service_pool = OneShotPool("process", executor_options={"workers": 2})
         try:
             region = make_pipeline(n=10, exact_quality=True,
                                    name="closure-only")
             region.remote_factory = None
             with pytest.raises(SchedulerError, match="'closure-only'"):
                 self._run_ctx(service_pool, region)
-            # Every process context leases the shared pool, which the
-            # refused context left usable.
-            pool = service_pool._process_pool
+            # The refused context forked nothing; the next one forks the
+            # host's pool.
+            assert service_pool.host._private is None
             region = make_pipeline(n=10, exact_quality=True, name="next")
             self._run_ctx(service_pool, region)
             assert region.output("out") == pipeline_expected(10)
-            assert service_pool._process_pool is pool is not None
+            assert service_pool.host._private is not None
         finally:
             service_pool.shutdown()
 

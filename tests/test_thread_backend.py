@@ -28,6 +28,22 @@ class TestThreadSemantics:
         run_threads(region)
         assert region.output("out") == pipeline_expected(30)
 
+    def test_makespan_is_measured_from_the_run(self):
+        """Time between building the executor and ``run()`` is not the
+        run's: the result and ``run.makespan`` start at ``start``."""
+        import time
+
+        from repro.telemetry import Telemetry
+
+        idle = 0.5
+        telemetry = Telemetry(chrome=False)
+        executor = ThreadExecutor(timeout=30, telemetry=telemetry)
+        time.sleep(idle)
+        executor.submit(make_pipeline(n=4, exact_quality=True))
+        result = executor.run()
+        assert 0.0 < result.makespan < idle
+        assert telemetry.metrics.gauges["run.makespan"] == result.makespan
+
     def test_chain_output(self):
         region = make_chain(depth=3, n=20, exact_quality=True)
         run_threads(region)

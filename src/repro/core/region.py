@@ -30,7 +30,7 @@ from .count import Count, UpdateSink
 from .data import FluidArray, FluidData, FluidScalar
 from .errors import GraphError
 from .graph import TaskGraph
-from .stats import RegionStats
+from .stats import RegionStats, TaskStats
 from .task import FluidTask, TaskBody, TaskSpec
 from .valves import Valve
 
@@ -203,23 +203,23 @@ class FluidRegion:
         self.dynamic_host.admit_dynamic_task(self, task)
         return task
 
-    def release(self) -> None:
-        """Cut this region's back-references, for a region its owner
-        will never read again: tasks forget their region and graph
-        neighbours, data cells their region and producer.  What is left
-        holds no reference cycle of the region's own, so dropping the
-        region frees it by reference counting, not the cyclic collector.
-        Outputs, task stats and valves stay readable."""
-        for task in self.tasks:
-            task.region = None
-            task.parents = task.children = task.descendants = ()
-        for data in self.datas.values():
-            data.region = data.producer = None
+    def reset(self, name: str) -> None:
+        """Re-arm a finished region in place as ``name``, keeping its
+        graph: tasks in INIT with fresh stats, valves at base with no
+        checks, counts at their initial value (data is the owner's)."""
+        from .states import TaskState
 
-    def reset_valves(self) -> None:
-        """Undo runtime threshold modulation before a fresh execution."""
+        self.name, self.stats = name, RegionStats(name)
+        for task in self.tasks:
+            task.state, task.stats = TaskState.INIT, TaskStats(task.name)
+            task.run_index, task.input_snapshots = 0, {}
+            task.cancel_requested = task.started_precise = False
+            task.pending_update = task.rerun_scheduled = False
         for valve in self.valves:
+            valve.checks = 0
             valve.relax_to_base()
+        for count in self.counts.values():
+            count.reset()
 
     # -- results ---------------------------------------------------------------
 

@@ -190,11 +190,6 @@ class FluidTask:
         self.stats.runs += 1
         self.run_index += 1
 
-    def inputs_advanced(self) -> bool:
-        """Did any input gain information since the last run started?"""
-        return any(self.input_snapshots[data.name].advanced_in(data)
-                   for data in self.spec.inputs)
-
     def end_valves_satisfied(self) -> bool:
         return self._check_valves("end", self.spec.end_valves)
 

@@ -280,11 +280,6 @@ class StalenessValve(CountValve):
         """
         return max(0.0, self.expected - self.threshold)
 
-    @property
-    def base_k(self) -> float:
-        """The user-declared staleness bound (before modulation)."""
-        return max(0.0, self.expected - self.base_threshold)
-
     def set_k(self, k: float) -> None:
         """Directly re-point the effective bound (keeps base intact)."""
         if not 0.0 <= k <= self.expected:

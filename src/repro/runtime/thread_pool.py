@@ -71,7 +71,8 @@ class _ContextHost(GuardHost, UpdateSink):
         it opens none and has no subscriber, unlocked: sound for the
         reason ``cell_updated`` is."""
         pool = self.pool
-        pool._sleep_jitter("publish")
+        if pool.policy is not None:
+            pool._sleep_jitter("publish")
         # ``opens`` reads floors before the dispatch below.  Sound because
         # a convergence valve's history grows only in its own
         # subscription, which makes ``count._subscribers`` true: its
@@ -272,14 +273,13 @@ class SharedThreadPool:
     # ----------------------------------------------------------- plumbing
 
     def _sleep_jitter(self, point: str) -> None:
-        """Policy-driven chaos: a tiny seeded delay before a wake point.
+        """Policy-driven chaos: a tiny seeded delay before a wake point
+        (callers check that there is a policy).
 
         Sleeps on the pool's stop event, not the wall clock, so
         shutdown interrupts an in-flight delay instead of hanging for
         its full length.
         """
-        if self.policy is None:
-            return
         delay = self.policy.jitter(point)
         if delay > 0.0:
             self._stop.wait(delay)

@@ -41,7 +41,8 @@ _log = logging.getLogger("repro.schedlab")
 
 
 def _parse_fault(text: str) -> dict:
-    """Parse ``kind[:task_pattern[:at_chunk]]`` CLI shorthand."""
+    """Parse ``kind[:task_pattern[:at_chunk[:count]]]`` CLI shorthand;
+    an ``at_chunk`` of ``*`` fires at every chunk boundary."""
     parts = text.split(":")
     if not parts[0] or parts[0] not in KINDS:
         raise argparse.ArgumentTypeError(
@@ -50,7 +51,9 @@ def _parse_fault(text: str) -> dict:
     if len(parts) > 1 and parts[1]:
         fault["task"] = parts[1]
     if len(parts) > 2 and parts[2]:
-        fault["at_chunk"] = int(parts[2])
+        fault["at_chunk"] = None if parts[2] == "*" else int(parts[2])
+    if len(parts) > 3 and parts[3]:
+        fault["count"] = int(parts[3])
     if parts[0] == "delay":
         fault["cost"] = 5.0
     return fault
@@ -92,7 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="disable a guard seam for every run "
                                 "(mutation testing)")
     sweep_cmd.add_argument("--fault", action="append", default=[],
-                           type=_parse_fault, metavar="KIND[:TASK[:CHUNK]]",
+                           type=_parse_fault,
+                           metavar="KIND[:TASK[:CHUNK|*[:COUNT]]]",
                            help="inject a fault (repeatable); kinds: "
                                 + ", ".join(KINDS))
     sweep_cmd.add_argument("--artifact-dir", default=None,

@@ -6,8 +6,9 @@ plan``) before the run; the core seams consult it:
 * body faults (``raise``, ``delay``) are applied by
   :meth:`~repro.core.task.FluidTask.make_generator` wrapping the body
   generator — a ``raise`` fires at a chosen chunk boundary of a chosen
-  run, a ``delay`` stretches a chunk (extra virtual cost under the
-  simulator, a real sleep under the thread/process backends);
+  run (or at every one, ``at_chunk=None``), a ``delay`` stretches a
+  chunk (extra virtual cost under the simulator, a real sleep under the
+  thread/process backends);
 * valve faults (``valve_false``, ``valve_true``) transiently force a
   task's start/end valve verdict for a bounded number of checks —
   modelling flaky quality functions and premature starts;
@@ -49,16 +50,18 @@ class Fault:
 
     ``task`` is an ``fnmatch`` pattern over task names; ``run_index``
     restricts the fault to one run attempt (None = any attempt);
-    ``at_chunk`` positions body faults at a chunk boundary; ``count``
-    bounds how many times the fault fires (valve flakes are transient
-    by nature); ``cost``/``wall`` size a ``delay`` in virtual cost units
-    and wall-clock seconds respectively.
+    ``at_chunk`` positions body faults at a chunk boundary (past the
+    last chunk: at the body's end), None at every boundary before a
+    chunk of a matching run; ``count`` bounds how many times the fault
+    fires (valve flakes are transient by nature); ``cost``/``wall``
+    size a ``delay`` in virtual cost units and wall-clock seconds
+    respectively.
     """
 
     kind: str
     task: str = "*"
     run_index: Optional[int] = None
-    at_chunk: int = 0
+    at_chunk: Optional[int] = 0
     count: int = 1
     cost: float = 0.0
     wall: float = 0.0
@@ -124,7 +127,10 @@ class FaultPlan:
                 continue
             if not fault.matches(task.name, task.run_index):
                 continue
-            if fault.at_chunk != chunk and not (final and fault.at_chunk >= chunk):
+            if fault.at_chunk is None:
+                if final:
+                    continue
+            elif fault.at_chunk != chunk and not (final and fault.at_chunk >= chunk):
                 continue
             fault.fire()
             if fault.kind == "raise":

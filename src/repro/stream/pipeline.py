@@ -26,21 +26,23 @@ Stage state (for stateful fold stages like EMA aggregation) chains
 *between* windows through region outputs, and is cloned from the
 window-initial value on every (re)run so re-execution stays idempotent.
 
-Backends: one host drives every window of a run as a fresh
-:class:`~repro.runtime.context.RunContext` (``start(ctx)`` /
-``wait(ctx)``) — ``sim`` one deterministic
-:class:`~repro.runtime.SimExecutor` whose virtual clock runs on across
-windows (virtual arrival pacing, per-item latency curves), ``thread``
-one :class:`~repro.runtime.thread_pool.SharedThreadPool`, ``process``
-one :class:`~repro.runtime.ProcessExecutor` that forks its worker pool
-once.  A window can also
-be submitted through :class:`repro.service.FluidService`
+Backends: a run builds its window region once, re-arms it in place
+for every window and drives each as a fresh
+:class:`~repro.runtime.context.RunContext` on one host (``start(ctx)``
+/ ``wait(ctx)``) — ``sim`` a :class:`~repro.runtime.SimExecutor` whose
+virtual clock runs on across windows (virtual arrival pacing, per-item
+latency curves), ``thread`` a
+:class:`~repro.runtime.thread_pool.SharedThreadPool`, ``process`` a
+:class:`~repro.runtime.ProcessExecutor` that forks its pool once.
+Windows can also go through :class:`repro.service.FluidService`
 (:meth:`Pipeline.run_service`) for admission-controlled streaming.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
+from array import array
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional
 
 from ..core.errors import FluidError
@@ -93,7 +95,7 @@ class PipelineResult:
     own copies of the queues, and through a service).
     """
 
-    def __init__(self, total_items: int):
+    def __init__(self, total_items: int = 0):
         self.total_items = total_items
         self.outputs: Dict[int, Any] = {}
         self.latencies: Dict[int, float] = {}
@@ -148,11 +150,31 @@ class PipelineResult:
                 f"makespan={self.makespan:.3f})")
 
 
-class _WindowBuild(NamedTuple):
-    region: FluidRegion
-    queues: List[StageQueue]
-    state_outs: List[Any]
-    count: int
+class _WindowBuild:
+    """One window's region, queues and cells, re-armed in place for
+    every window of its length (``Pipeline._arm``)."""
+
+    def __init__(self, region: FluidRegion, queues: List[StageQueue],
+                 count: int):
+        self.region, self.queues, self.count = region, queues, count
+        self.items = region.input_data("items")
+        self.state_ins: List[Any] = []
+        self.state_outs: List[Any] = []
+        #: Global seq of the window's first item, read by stage bodies.
+        self.base = 0
+
+    def release(self) -> None:
+        """Cut the build's reference cycles once no window runs on it
+        again, so reference counting frees it; outputs, task stats and
+        valves stay readable."""
+        for task in self.region.tasks:
+            task.region = None
+            task.parents = task.children = task.descendants = ()
+        for data in self.region.datas.values():
+            data.region = data.producer = None
+        for queue in self.queues:
+            queue.region = queue.valve = None
+        self.region = None
 
 
 class Pipeline:
@@ -209,25 +231,19 @@ class Pipeline:
 
     # -- window construction -----------------------------------------------
 
-    def _must_seqs(self, base: int, count: int):
-        if self.must is None:
-            return None
-        return frozenset(i for i in range(count) if self.must(base + i))
-
     def build_window(self, index: int, items: List[Any],
                      states: List[Any]) -> _WindowBuild:
         """Build one window's Fluid region: source + stages + queues."""
         count = len(items)
         k = min(self.k, count)
         region = FluidRegion(f"{self.name}_w{index}")
-        base = index * self.window
-        must_seqs = self._must_seqs(base, count)
         queues = [
             StageQueue(f"q{i}", count, bound=k, capacity=self.capacity,
-                       must_seqs=must_seqs, region=region)
+                       region=region)
             for i in range(len(self.stages) + 1)
         ]
-        items_cell = region.input_data("items", list(items))
+        build = _WindowBuild(region, queues, count)
+        items_cell = build.items
         interarrival = self.interarrival
         source_queue = queues[0]
 
@@ -242,14 +258,13 @@ class Pipeline:
                         outputs=[source_queue.slots],
                         cost_estimate=interarrival * count)
 
-        state_outs = []
         last = len(self.stages) - 1
         for position, stage in enumerate(self.stages):
             qin, qout = queues[position], queues[position + 1]
-            state_in = region.input_data(f"state_in_{position}",
-                                         states[position])
+            state_in = region.input_data(f"state_in_{position}")
             state_out = region.add_data(f"state_out_{position}")
-            state_outs.append(state_out)
+            build.state_ins.append(state_in)
+            build.state_outs.append(state_out)
             # Start gate: input no staler than k AND every must-deliver
             # item already in.  Requiring must-completion *at start*
             # (rather than as an intermediate end valve, which the
@@ -278,54 +293,99 @@ class Pipeline:
                                    watches=[qin.settled_count],
                                    name=f"end_must_{stage.name}"),
                 ]
-            body = _stage_body(stage, qin, qout, state_in, state_out, base)
+            body = _stage_body(stage, qin, qout, state_in, state_out, build)
             region.add_task(stage.name, body,
                             start_valves=start_valves,
                             end_valves=end_valves,
                             inputs=[qin.slots, state_in],
                             outputs=[qout.slots, state_out],
                             cost_estimate=stage.cost * count)
-        # How a process-pool worker rebuilds this window: every process
-        # host (``run``, a process ``FluidService``) needs it,
-        # so the stage fns, the ``must`` predicate and the entry states
-        # must pickle there.
-        region.remote_factory = (
-            _rebuild_window_region,
-            (self._pool_config(), index, list(items), list(states)), {})
-        return _WindowBuild(region, queues, state_outs, count)
+        self._arm(build, index, items, states)
+        return build
+
+    def _arm(self, build: _WindowBuild, index: int, items: List[Any],
+             states: List[Any]) -> None:
+        """Re-arm ``build`` in place for window ``index`` (of the length
+        it was built for).  Every valve watches a count, so no host
+        wired a cell watcher that could outlive its run."""
+        build.base = base = index * self.window
+        build.region.reset(f"{self.name}_w{index}")
+        must_seqs = None if self.must is None else frozenset(
+            seq for seq in range(build.count) if self.must(base + seq))
+        for queue in build.queues:
+            queue.reset(must_seqs)
+        items, states = list(items), list(states)
+        for cell, value in zip([build.items] + build.state_ins,
+                               [items] + states):
+            cell.init(value)
+            cell.mark_input()
+        for cell in build.state_outs:
+            cell.init(None)
+        # How a process-pool worker rebuilds this window, so the stage
+        # fns, the ``must`` predicate and the entry states must pickle.
+        # The worker only runs stage bodies: guard decisions, their
+        # telemetry and the tuner stay in the parent.
+        remote = Pipeline(self.stages, k=self.k, capacity=self.capacity,
+                          must=self.must, interarrival=self.interarrival,
+                          window=self.window, name=self.name)
+        build.region.remote_factory = (_rebuild_window_region,
+                                       (remote, index, items, states), {})
 
     def _initial_states(self) -> List[Any]:
         return [copy.deepcopy(stage.state0) for stage in self.stages]
 
-    def _windows(self, items: List[Any]):
-        for start in range(0, len(items), self.window):
-            yield items[start:start + self.window]
+    def _windows(self, items: Iterable[Any], result: PipelineResult,
+                 telemetry: Optional[Any]):
+        """``(index, build)`` per window of ``items``, read lazily: one
+        build re-armed in place, a new one for a window of another
+        length (a short last window).  Each finished window's queue
+        counts join one run tally, folded into the ``stream.*`` metrics
+        when the generator ends or is closed."""
+        items, build = iter(items), None
+        tally = {"puts": 0, "served": 0, "stale_reads": 0, "sheds": 0,
+                 "parks": 0, "occupancies": array("i")}
+        try:
+            for index in itertools.count():
+                window = list(itertools.islice(items, self.window))
+                if not window:
+                    return
+                result.total_items += len(window)
+                if build is not None and build.count == len(window):
+                    self._arm(build, index, window, result.states)
+                else:
+                    if build is not None:
+                        build.release()
+                    build = self.build_window(index, window, result.states)
+                yield index, build
+                for queue in build.queues:
+                    queue.fold_into(tally)
+        finally:
+            if build is not None:
+                build.release()
+            metrics = getattr(telemetry, "metrics", None)
+            if metrics is not None:
+                metrics.record_queues([tally])
 
     # -- result harvesting ---------------------------------------------------
 
     def _harvest(self, result: PipelineResult, index: int,
                  build: _WindowBuild, makespan: float,
-                 telemetry: Optional[Any], epoch: Optional[float] = None,
-                 pace: float = 0.0) -> List[Any]:
-        """Fold one finished window into ``result`` and ``telemetry``,
-        then release it (nothing reads a harvested window again).
+                 epoch: Optional[float] = None, pace: float = 0.0) -> None:
+        """Fold one finished window into ``result``, before the next
+        window re-arms the build.
 
         Latencies come from the final queue's arrival stamps, less the
         window's ``epoch`` on the bus clock and, on the paced simulator,
         the item's own arrival at ``(seq + 1) * pace``.  ``epoch=None``
         (the process backend, a service) records none.
         """
-        base = index * self.window
+        base = build.base
         final_queue = build.queues[-1]
         for seq, value in final_queue.items():
             result.outputs[base + seq] = value
             if epoch is not None:
                 result.latencies[base + seq] = max(
                     0.0, final_queue.arrivals[seq] - epoch - (seq + 1) * pace)
-        tallies = [queue.stats() for queue in build.queues]
-        metrics = getattr(telemetry, "metrics", None)
-        if metrics is not None:
-            metrics.record_queues(tallies)
         # ``peek``: the region's valve checks were folded when it
         # finished, and reading a verdict is not a check.
         verdicts = {f"{task.name}/{valve.name}": valve.peek()
@@ -337,15 +397,12 @@ class Pipeline:
         # tombstone count is exactly the distinct items lost end-to-end
         # (summing across queues would re-count inherited sheds).
         result.windows.append(WindowReport(
-            index, makespan, tallies[-1]["drops"],
-            sum(tally["parks"] for tally in tallies),
-            sum(tally["stale_reads"] for tally in tallies),
-            max(tally["max_displacement"] for tally in tallies), verdicts))
+            index, makespan, final_queue.drops(),
+            sum(queue.parks for queue in build.queues),
+            sum(queue.stale_reads for queue in build.queues),
+            max(queue.max_displacement for queue in build.queues),
+            verdicts))
         result.states = [cell.read() for cell in build.state_outs]
-        build.region.release()
-        for queue in build.queues:
-            queue.region = queue.valve = None
-        return result.states
 
     # -- the driver ----------------------------------------------------------
 
@@ -362,9 +419,6 @@ class Pipeline:
 
         if backend not in ("sim", "thread", "process"):
             raise FluidError(f"unknown pipeline backend {backend!r}")
-        items = list(items)
-        result = PipelineResult(len(items))
-        result.states = self._initial_states()
         if self.telemetry is None:
             from ..telemetry import Telemetry
             self.telemetry = Telemetry(metrics=True, chrome=False)
@@ -376,10 +430,11 @@ class Pipeline:
         # process workers stamp their own copies of the queues.
         stamped = backend != "process"
         pace = self.interarrival if backend == "sim" else 0.0
-        ctx = None
+        result, ctx = PipelineResult(), None
+        result.states = self._initial_states()
+        windows = self._windows(items, result, telemetry)
         try:
-            for index, window_items in enumerate(self._windows(items)):
-                build = self.build_window(index, window_items, result.states)
+            for index, build in windows:
                 ctx = RunContext(label=f"{self.name}-w{index}",
                                  telemetry=telemetry, autotune=tuner)
                 ctx.submit(build.region)
@@ -387,9 +442,10 @@ class Pipeline:
                 host.start(ctx)
                 host.wait(ctx, timeout)
                 self._harvest(result, index, build, host.now() - epoch,
-                              telemetry, epoch if stamped else None, pace)
+                              epoch if stamped else None, pace)
         finally:
             host.shutdown()
+            windows.close()
             if ctx is not None:
                 ctx.record_run(host.scheduler, host.parallelism,
                                makespan=result.makespan)
@@ -408,18 +464,6 @@ class Pipeline:
         # inside the workers from the factory ``build_window`` attaches.
         return ProcessExecutor(workers=workers, telemetry=self.telemetry)
 
-    def _pool_config(self) -> Dict[str, Any]:
-        """Picklable constructor kwargs for :func:`_rebuild_window_region`.
-
-        Telemetry/autotune are deliberately excluded: a pool worker only
-        runs stage bodies; guard decisions (and their instrumentation)
-        stay in the parent.
-        """
-        return {"stages": self.stages, "k": self.k,
-                "capacity": self.capacity, "must": self.must,
-                "interarrival": self.interarrival,
-                "window": self.window, "name": self.name}
-
     async def run_service(self, items: Iterable[Any], service, *,
                           sheddable: bool = False,
                           latency_slo: Optional[float] = None) -> PipelineResult:
@@ -429,17 +473,13 @@ class Pipeline:
         but share the service's pool, admission control and SLO
         accounting with whatever other load the service carries.
         """
-        items = list(items)
-        result = PipelineResult(len(items))
-        states = self._initial_states()
-        result.states = states
-        for index, window_items in enumerate(self._windows(items)):
-            build = self.build_window(index, window_items, states)
+        result = PipelineResult()
+        result.states = self._initial_states()
+        for index, build in self._windows(items, result, service.telemetry):
             outcome = await service.submit(build.region,
                                            sheddable=sheddable,
                                            latency_slo=latency_slo)
-            states = self._harvest(result, index, build, outcome.latency,
-                                   service.telemetry)
+            self._harvest(result, index, build, outcome.latency)
         return result
 
     # -- the precise reference ------------------------------------------------
@@ -457,7 +497,7 @@ class Pipeline:
         return outputs
 
 
-def _rebuild_window_region(config: Dict[str, Any], index: int,
+def _rebuild_window_region(pipeline: Pipeline, index: int,
                            items: List[Any], states: List[Any]) -> FluidRegion:
     """Rebuild one window's region inside a pool worker.
 
@@ -467,15 +507,11 @@ def _rebuild_window_region(config: Dict[str, Any], index: int,
     pooled wire protocol needs (the parent ships authoritative cell
     snapshots at dispatch anyway).
     """
-    pipeline = Pipeline(config["stages"], k=config["k"],
-                        capacity=config["capacity"], must=config["must"],
-                        interarrival=config["interarrival"],
-                        window=config["window"], name=config["name"])
-    return pipeline.build_window(index, list(items), list(states)).region
+    return pipeline.build_window(index, items, states).region
 
 
 def _stage_body(stage: Stage, qin: StageQueue, qout: StageQueue,
-                state_in, state_out, base: int):
+                state_in, state_out, build: _WindowBuild):
     """Build the recompute-model task body for one stage.
 
     Every (re)execution retakes the output queue's producer tally,
@@ -490,6 +526,7 @@ def _stage_body(stage: Stage, qin: StageQueue, qout: StageQueue,
         qout.begin_produce()
         qin.begin_consume(task=stage.name)
         state = copy.deepcopy(state_in.read())
+        base = build.base
         for seq, value in qin.drain(task=stage.name):
             state, out = stage.fn(state, base + seq, value)
             qout.put(seq, out, task=stage.name)

@@ -12,10 +12,11 @@ change is a ``stream``-kind telemetry event on the owning region's bus
 than ``k`` positions out of order, a drain that begins with more than
 ``k`` items missing, or a dropped must-deliver item is an invariant
 violation.  The event is built only when a subscriber reads ``stream``.
-The queue counts its puts, parks, sheds and serves
-(:meth:`StageQueue.stats`), which the pipeline folds into the
-``stream.*`` metrics once per window.  A region without a bus publishes
-nothing.
+The queue counts its puts, parks, sheds and serves per window; the
+pipeline adds them to one run tally (:meth:`StageQueue.fold_into`)
+before :meth:`StageQueue.reset` empties the queue for the next window,
+and folds that tally into the ``stream.*`` metrics once per run.  A
+region without a bus publishes nothing.
 
 Storage lives in a region :class:`~repro.core.data.FluidArray` of
 per-seq slots, so slot writes are versioned, wake waiting guards, and
@@ -26,8 +27,8 @@ installs slot snapshots without a version bump, so nothing cheaper can
 tell a stale tally), and ``put``/``shed`` keep it in O(1), deriving the
 capacity test, the published settled count and the occupancy sample
 from it.  Only ``put``/``shed`` write the tally; readers on other
-threads (``missing_total``, ``drops``, ``must_complete``, ``stats``)
-recount the slots once per drain or window and never write it back.
+threads (``missing_total``, ``drops``, ``must_complete``) recount
+the slots once per drain or window and never write it back.
 The consumer's record is ``_served``, the seqs it has handed out;
 occupancy is ``arrived - len(_served)``, exact because a served seq has
 always arrived and an arrived slot never becomes empty or dropped again.
@@ -95,15 +96,21 @@ class StageQueue:
         self.expected = int(expected)
         self.bound = float(bound)
         self.capacity = capacity
-        self.must_seqs = (None if must_seqs is None else frozenset(
-            seq for seq in map(int, must_seqs) if 0 <= seq < expected))
         self.region = region
         #: optional StalenessValve whose (possibly autotuned) effective
         #: ``k`` overrides ``bound`` for drains; see :meth:`attach_valve`.
         self.valve = None
-        self.slots = region.add_array(f"{name}_slots",
-                                      [None] * self.expected)
+        self.slots = region.add_array(f"{name}_slots")
         self.settled_count = region.add_count(f"{name}_settled")
+        self.reset(must_seqs)
+
+    def reset(self, must_seqs=None) -> None:
+        """Empty the queue in place for its next window of the same
+        length; ``must_seqs`` as in the constructor."""
+        self.must_seqs = None if must_seqs is None else \
+            frozenset(must_seqs).intersection(range(self.expected))
+        self.slots.init([None] * self.expected)
+        self.settled_count.reset()
         # The producer's tally (see the module docstring): written only
         # by put/shed, retaken from the slots by begin_produce.
         self._arrived = 0
@@ -245,31 +252,33 @@ class StageQueue:
             raise FluidError(
                 f"queue {self.name!r}: seq {seq} outside "
                 f"[0, {self.expected})")
-        cell = self.slots.read()[seq]
-        if cell == DROPPED:
-            return "drop"
-        must = self.must(seq)
-        if cell is not None:
-            self.slots[seq] = (seq, value)
-            self._emit("update", seq, task, must=must)
-            return "update"
-        if self.capacity is not None and self.occupancy() >= self.capacity:
-            if not must and self.bound > 0 and self._dropped < self.bound:
-                self._tombstone(seq, task, must)
-                return "drop"
-            self.parks += 1
-            action = "park"
-        else:
-            self.puts += 1
-            action = "put"
-        self.slots[seq] = (seq, value)
-        self._arrived += 1
-        self.settled_count.set(self._arrived + self._dropped)
+        cell = self.slots._value[seq]
         bus = self.region.telemetry
-        if bus is not None:
-            self.occupancies.append(self.occupancy())
-            self.arrivals[seq] = bus.clock()
-        self._emit(action, seq, task, must=must)
+        if cell is not None:
+            if cell == DROPPED:
+                return "drop"
+            self.slots[seq] = (seq, value)
+            action = "update"
+        else:
+            if self.capacity is not None and \
+                    self._arrived - len(self._served) >= self.capacity:
+                if self.bound > 0 and self._dropped < self.bound and \
+                        not self.must(seq):
+                    self._tombstone(seq, task, False)
+                    return "drop"
+                self.parks += 1
+                action = "park"
+            else:
+                self.puts += 1
+                action = "put"
+            self.slots[seq] = (seq, value)
+            self._arrived += 1
+            self.settled_count.set(self._arrived + self._dropped)
+            if bus is not None:
+                self.occupancies.append(self._arrived - len(self._served))
+                self.arrivals[seq] = bus.clock()
+        if bus is not None and bus.wants("stream"):
+            self._emit(action, seq, task, must=self.must(seq))
         return action
 
     def shed(self, seq: int, *, task: str = "") -> None:
@@ -350,23 +359,15 @@ class StageQueue:
             if cell is not None and cell != DROPPED:
                 yield cell
 
-    def stats(self) -> dict:
-        """Totals from one slot recount plus the counts: ``puts``
-        (deliveries within capacity), ``served`` (first serves),
-        ``sheds`` (tombstones this queue wrote), ``parks``,
-        ``stale_reads``, ``occupancies`` and ``arrivals``."""
-        missing, dropped = self._recount()
-        return {"expected": self.expected,
-                "arrived": self.expected - missing - dropped,
-                "drops": dropped,
-                "parks": self.parks,
-                "stale_reads": self.stale_reads,
-                "max_displacement": self.max_displacement,
-                "puts": self.puts,
-                "served": len(self._served),
-                "sheds": self.sheds,
-                "occupancies": self.occupancies,
-                "arrivals": self.arrivals}
+    def fold_into(self, tally: dict) -> None:
+        """Add this window's counts to a run's ``tally`` (the shape
+        ``MetricsRegistry.record_queues`` folds) before :meth:`reset`:
+        ``puts`` within capacity, first serves, stale first serves, the
+        tombstones this queue wrote, parks and occupancy samples."""
+        for key in ("puts", "stale_reads", "sheds", "parks"):
+            tally[key] += getattr(self, key)
+        tally["served"] += len(self._served)
+        tally["occupancies"].extend(self.occupancies)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"StageQueue({self.name}, {self.settled_total()}"

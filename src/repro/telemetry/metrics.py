@@ -70,9 +70,9 @@ Counter catalogue
 ========================================  =====================================
 
 The ``stream.*`` counters and the ``stream.occupancy`` histogram are
-folds too: each stage queue keeps its own tally, which
-:meth:`MetricsRegistry.record_queues` folds in, one call per window,
-when the pipeline harvests it.
+folds too: each stage queue keeps its own tally, which the pipeline
+adds to one run tally after each window and
+:meth:`MetricsRegistry.record_queues` folds in once, when the run ends.
 
 ``time.*`` counters are in the executor's clock units (virtual cost
 units under the simulator, seconds under the real backends).  Early
@@ -394,13 +394,13 @@ class MetricsRegistry:
         self.set_gauge("tune.position", snapshot.get("position", 0.0))
 
     def record_queues(self, tallies: Sequence[Dict[str, Any]]) -> None:
-        """Fold one window's :meth:`repro.stream.StageQueue.stats`
-        tallies in, in one call.
+        """Fold queue tallies (a pipeline run's one tally, see
+        :meth:`repro.stream.StageQueue.fold_into`) in, in one call.
 
         Puts (not idempotent ``update`` rewrites), first serves, stale
         first serves, the tombstones each queue wrote and parks.  The
-        queues' occupancy samples are merged into one tally first, so
-        each distinct value is observed once per window.  The
+        occupancy samples are merged into one tally first, so each
+        distinct value is observed once per call.  The
         ``stream.occupancy`` histogram is created lazily on the first
         sample, so non-streaming runs keep their historical histogram
         key set; a queue whose region had no bus took no samples.

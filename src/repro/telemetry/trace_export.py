@@ -100,10 +100,13 @@ class ChromeTraceExporter:
         for region, task in sorted(
                 {(s[2], s[3]) for s in self._slices}
                 | {(i[1], i[2]) for i in self._instants}):
-            pid = pids.setdefault(region, len(pids) + 1)
+            pid = pids.get(region)
+            if pid is None:
+                pid = pids[region] = len(pids) + 1
+                events.append({"ph": "M", "name": "process_name",
+                               "pid": pid, "tid": 0,
+                               "args": {"name": f"region {region}"}})
             tid = tids.setdefault((region, task), len(tids) + 1)
-            events.append({"ph": "M", "name": "process_name", "pid": pid,
-                           "tid": 0, "args": {"name": f"region {region}"}})
             events.append({"ph": "M", "name": "thread_name", "pid": pid,
                            "tid": tid, "args": {"name": f"task {task}"}})
         for entered, duration, region, task, state, run in sorted(
@@ -116,10 +119,9 @@ class ChromeTraceExporter:
                 "args": {"state": state, "run": run},
             })
         for ts, region, task, label in sorted(self._instants):
-            pid = pids.setdefault(region, len(pids) + 1)
-            tid = tids.setdefault((region, task), len(tids) + 1)
             events.append({"ph": "i", "name": label, "s": "t",
-                           "ts": us(ts), "pid": pid, "tid": tid})
+                           "ts": us(ts), "pid": pids[region],
+                           "tid": tids[(region, task)]})
         return {"traceEvents": events, "displayTimeUnit": "ms"}
 
     def dump(self, path: str) -> None:

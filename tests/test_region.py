@@ -4,6 +4,7 @@ import pytest
 
 from repro import AlwaysValve, FluidRegion, GraphError, SimExecutor, run_serial
 from repro.core.count import ImmediateSink
+from repro.core.states import TaskState
 
 from util import make_pipeline, pipeline_expected
 
@@ -107,12 +108,19 @@ class TestLifecycle:
         assert region.output("out") == pipeline_expected(4)
 
     def test_reset_valves_undoes_modulation(self):
+        """``reset`` re-arms a finished region: valves back at base with
+        no checks counted, tasks in INIT with fresh stats, counts at 0."""
         region = make_pipeline(n=10)
-        region.finalize()
+        run_serial(region)
         valve = region.tasks[1].spec.start_valves[0]
         valve.tighten(1.0)
-        region.reset_valves()
+        valve.check()
+        region.reset("again")
         assert valve.threshold == valve.base_threshold
+        assert valve.checks == 0 and region.name == "again"
+        assert all(task.state is TaskState.INIT and task.stats.runs == 0
+                   for task in region.tasks)
+        assert all(count.value == 0 for count in region.counts.values())
 
     def test_bind_sink_reroutes_counts(self):
         region = make_pipeline(n=4)

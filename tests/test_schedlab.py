@@ -264,6 +264,56 @@ class TestFaultPlans:
         rebuilt = FaultPlan.from_list(plan.to_list())
         assert rebuilt.to_list() == plan.to_list()
 
+    def test_every_chunk_fault_round_trips_through_json(self):
+        plan = FaultPlan([Fault("delay", task="work", at_chunk=None,
+                                count=4, cost=1.5)])
+        rebuilt = FaultPlan.from_list(json.loads(json.dumps(plan.to_list())))
+        assert rebuilt.faults[0].at_chunk is None
+        assert rebuilt.to_list() == plan.to_list()
+
+    def test_every_chunk_cli_shorthand(self):
+        from repro.schedlab.__main__ import _parse_fault
+
+        assert _parse_fault("delay:work:*:4") == {
+            "kind": "delay", "task": "work", "at_chunk": None, "count": 4,
+            "cost": 5.0}
+        assert _parse_fault("raise:work:2")["at_chunk"] == 2
+
+    @pytest.mark.parametrize("at_chunk, count, fired", [
+        (None, 8, 6), (None, 2, 2), (0, 1, 1), (2, 1, 1), (9, 1, 1)])
+    def test_delay_at_every_chunk_adds_its_cost_per_chunk(
+            self, at_chunk, count, fired):
+        """A delay of cost c fires at every chunk boundary of a
+        six-chunk body (bounded by ``count``) and adds fired x c to its
+        RUNNING residence; a fixed ``at_chunk`` fires once, and one
+        past the last chunk fires at the body's end, adding nothing."""
+        from repro.core.region import FluidRegion
+        from repro.core.states import TaskState
+        from repro.runtime import SimExecutor
+        from repro.runtime.simulator import Overheads
+
+        def running(plan):
+            region = FluidRegion("chunks")
+            out = region.add_data("out")
+
+            def body(ctx):
+                for _chunk in range(6):
+                    yield 1.0
+                out.write(1)
+
+            region.add_task("work", body, outputs=[out])
+            region.fault_plan = plan
+            executor = SimExecutor(cores=1, overheads=Overheads.zero())
+            executor.submit(region)
+            executor.run()
+            return region.tasks[0].stats.time[TaskState.RUNNING]
+
+        plan = FaultPlan([Fault("delay", task="work", at_chunk=at_chunk,
+                                count=count, cost=2.5)])
+        added = running(plan) - running(None)
+        assert len(plan.fired) == fired
+        assert added == (0.0 if at_chunk == 9 else fired * 2.5)
+
     def test_unknown_fault_kind_rejected(self):
         with pytest.raises(Exception, match="unknown fault kind"):
             Fault("explode")

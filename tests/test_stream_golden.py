@@ -1,14 +1,14 @@
 """Golden file for the streaming pipeline on the simulator.
 
-Each window of a ``sim`` pipeline run is one :class:`SimExecutor` in
-virtual time, so everything a run reports is a deterministic function
+Every window of a ``sim`` pipeline run runs on one :class:`SimExecutor`
+in virtual time, so everything a run reports is a deterministic function
 of the stage folds, the queue discipline and the runtime's decisions.
 This test pins that function for logagg, topk and frames at
 k in {0, 2, 4} (96 items, 32-item windows): outputs, per-item
 latencies, window reports, re-executions, every ``stream.*`` counter
 and the ``stream.occupancy`` histogram.  A change to how a window is
-built, harvested, folded into the metrics or released must leave this
-file passing unchanged.
+built, re-armed, harvested, folded into the metrics or released must
+leave this file passing unchanged.
 
 Regenerate after an *intentional* behaviour change with::
 

@@ -1,7 +1,7 @@
 """Stream telemetry without per-item events.
 
 Stage queues keep their own tallies, and the pipeline folds them into
-the ``stream.*`` metrics once per window (``MetricsRegistry
+the ``stream.*`` metrics once per run (``MetricsRegistry
 .record_queues``).  The event-derived counters these replace survive
 here as an oracle: a subscriber to ``stream`` forces every event to be
 built, and its counts must equal the folded ones exactly.  A default
@@ -122,18 +122,22 @@ class TestNoStreamEventByDefault:
 
 
 class _Windows:
-    """Every window region a pipeline builds, in build order."""
+    """Every window a pipeline harvests, in run order: its region's name
+    and the valve checks that region counted, read once the harvest is
+    done (the run re-arms one build for the next window)."""
 
     def __init__(self, pipeline):
-        self.regions = []
-        build = pipeline.build_window
+        self.names = []
+        self.checks = []
+        harvest = pipeline._harvest
 
-        def recording(*args, **kwargs):
-            window = build(*args, **kwargs)
-            self.regions.append(window.region)
-            return window
+        def recording(result, index, build, *args, **kwargs):
+            harvest(result, index, build, *args, **kwargs)
+            self.names.append(build.region.name)
+            self.checks.append(sum(valve.checks
+                                   for valve in build.region.valves))
 
-        pipeline.build_window = recording
+        pipeline._harvest = recording
 
 
 @pytest.mark.parametrize("backend", ["sim", "thread", "process"])
@@ -148,20 +152,19 @@ class TestOneBusAndOneTunerPerRun:
         windows = _Windows(pipeline)
         result = pipeline.run(app.make_items(96), backend=backend,
                               slots=2, workers=2)
-        assert len(windows.regions) == 3
+        assert len(windows.names) == 3
         assert all(result.end_verdicts.values())
-        return pipeline, windows.regions
+        return pipeline, windows
 
     def test_every_window_folds_into_the_telemetry(self, backend):
         telemetry = Telemetry(metrics=True, chrome=False)
-        _pipeline, regions = self._run(backend, telemetry=telemetry)
+        _pipeline, windows = self._run(backend, telemetry=telemetry)
         counters = telemetry.metrics.counters
         assert counters["tasks.runs"] > 0
-        assert counters["valve.checks.evaluated"] == sum(
-            valve.checks for region in regions for valve in region.valves)
+        assert counters["valve.checks.evaluated"] == sum(windows.checks)
 
     def test_a_spec_string_runs(self, backend):
-        pipeline, _regions = self._run(
+        pipeline, _windows = self._run(
             backend, autotune="accuracy_floor:target=0.9,window=4")
         assert pipeline.telemetry.metrics.counters["tasks.runs"] > 0
 
@@ -172,9 +175,9 @@ class TestOneBusAndOneTunerPerRun:
         # Completions are its feedback: they close windows on every
         # backend, whatever the end verdicts.
         tuner = make_autotuner("latency_ceiling:target=1,window=2")
-        pipeline, regions = self._run(backend, autotune=tuner)
+        pipeline, windows = self._run(backend, autotune=tuner)
         assert tuner._bus is pipeline.telemetry.bus
-        assert set(tuner._regions) == {region.name for region in regions}
+        assert set(tuner._regions) == set(windows.names)
         # Folded once per window run, counted once.
         assert tuner.windows > 0
         assert pipeline.telemetry.metrics.counters["tune.windows"] \
@@ -271,6 +274,26 @@ def test_sim_windows_run_on_one_clock():
     for earlier, later in zip(windows, windows[1:]):
         assert min(start for start, _end in later) >= \
             max(end for _start, end in earlier)
+
+
+def test_the_chrome_trace_names_each_region_process_once():
+    """One ``process_name`` per pid, one ``thread_name`` per task track
+    (96 logagg items in 3 windows of 4 tasks).  Mutant killed: a
+    ``process_name`` per (region, task) pair, 12 of them for 3 pids."""
+    app = APPS["logagg"]
+    telemetry = Telemetry(metrics=False, chrome=True)
+    app.pipeline(k=4, window=32, telemetry=telemetry).run(
+        app.make_items(96), backend="sim")
+    events = telemetry.chrome_trace()["traceEvents"]
+    named = [event["pid"] for event in events
+             if event["name"] == "process_name"]
+    tracks = {(event["pid"], event["tid"]) for event in events
+              if event["name"] == "thread_name"}
+    assert sorted(named) == [1, 2, 3]
+    assert len(tracks) == 12
+    assert {event["pid"] for event in events} == set(named)
+    assert {(event["pid"], event["tid"]) for event in events
+            if event["ph"] in ("X", "i")} <= tracks
 
 
 def test_thread_pipeline_utilization_is_over_one_worker():

@@ -16,9 +16,11 @@ The parent never scans for runnable tasks: a task waiting on its start
 valves is a record in ``context.waiting`` (``admit`` at region launch,
 ``begin`` at dispatch).  Applying a worker flush wakes the records filed
 under the counts it replayed (``woken``), a drained batch of messages
-re-polls the records no count can open, and a ``_FALLBACK_INTERVAL``
-without a message re-polls every parked record — the thread pool's
-safety net on this driver's clock (docs/runtime-semantics.md, "Wakeups").
+that applied a payload or a terminal message re-polls the records no
+count can open, and a ``_FALLBACK_INTERVAL`` without a message re-polls
+every parked record — the thread pool's safety net on this driver's
+clock (docs/runtime-semantics.md, "Wakeups").  A worker's liveness is
+read only when its process sentinel fires or the wait times out.
 
 Division of labour
 ------------------
@@ -116,6 +118,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import select
 import time
 import traceback
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -206,10 +209,22 @@ class _WorkerLoop:
     # -- region management -------------------------------------------------
 
     def install(self, region_index: int, blob: bytes) -> None:
-        """Rebuild a region from its pickled ``remote_factory`` triple."""
+        """Rebuild a region from its pickled ``remote_factory`` triple.
+
+        The parent built and validated its graph at launch, and nothing
+        on a worker reads one: declare the tasks (``build()`` for a lazy
+        region) and mark the cells no task produces as region inputs,
+        as ``finalize()`` does."""
         factory, args, kwargs = pickle.loads(blob)
         region = factory(*args, **kwargs)
-        region.finalize()
+        if not region.tasks:
+            region.build()
+        produced = {id(data) for task in region.tasks
+                    for data in task.spec.outputs}
+        for task in region.tasks:
+            for data in task.spec.inputs:
+                if id(data) not in produced:
+                    data.mark_input()
         region.bind_sink(self.sink)
         self.regions[region_index] = region
 
@@ -400,6 +415,8 @@ class ProcessExecutor(Executor, GuardHost):
         #: Slots whose worker holds ``_installs``.
         self._installed: set = set()
         self._respawns: Dict[int, int] = {}
+        #: The last wait returned a sentinel or timed out (``_receive``).
+        self._suspect = False
         if not ctx.runs:
             return
         if self._source is None:
@@ -520,6 +537,10 @@ class ProcessExecutor(Executor, GuardHost):
             pool.release()
 
     def _check_workers(self) -> None:
+        """Respawn a dead busy worker; only after a wait that returned a
+        sentinel or timed out is ``is_alive()`` (a ``waitpid``) asked."""
+        if not self._suspect:
+            return
         for slot, ids in list(self._slot_ids.items()):
             if ids and not self._pool.processes[slot].is_alive():
                 self._respawn_slot(slot)
@@ -696,7 +717,8 @@ class ProcessExecutor(Executor, GuardHost):
 
     def _drain_events(self) -> None:
         """Apply every waiting worker message, then re-poll the records
-        no count can open — once per batch, not per cell: a finishing
+        no count can open if the batch changed a cell (a payload or a
+        terminal message) — once per batch, not per cell: a finishing
         producer bumps, then finalises.  No message for a whole
         ``_FALLBACK_INTERVAL``: re-poll every parked record instead."""
         ctx = self._ctx
@@ -704,30 +726,36 @@ class ProcessExecutor(Executor, GuardHost):
         busy = [slot for slot, ids in self._slot_ids.items() if ids]
         for message in self._receive(busy, _FALLBACK_INTERVAL):
             self._apply_event(message)
-            records = ctx.waiting.polled
+            if message[0] != _PROGRESS or message[6]:
+                records = ctx.waiting.polled  # a cell changed
+            elif records is ctx.waiting.records:
+                records = {}  # count-only: ``woken`` did the re-checks
         for task in records.values():
             self._ready.recheck(ctx, task)
 
     def _receive(self, slots: List[int], timeout: float) -> Iterator[Tuple]:
         """Wait up to ``timeout`` for a pipe of ``slots`` to be readable or
         a worker to die, then yield what every readable pipe holds.  A
-        pipe that ends is left to ``_check_workers``."""
-        # Imported here: ``multiprocessing.connection`` brings sockets,
-        # selectors and tempfile, ~1 MB no thread or simulator run needs.
-        from multiprocessing.connection import wait as connection_wait
-
+        pipe that ends is left to ``_check_workers``.  Raw ``select.poll``
+        objects: ``multiprocessing.connection.wait`` and ``conn.poll()``
+        build a Python selector per call, and this runs per message."""
         pool = self._pool
         conns = [pool.conns[slot] for slot in slots]
-        ready = connection_wait(
-            conns + [pool.processes[slot].sentinel for slot in slots],
-            timeout)
+        sentinels = [pool.processes[slot].sentinel for slot in slots]
+        poller = select.poll()
+        for handle in conns + sentinels:
+            poller.register(handle, select.POLLIN)
+        ready = {fd for fd, _event in poller.poll(timeout * 1e3)}
+        self._suspect = not ready or not ready.isdisjoint(sentinels)
         for conn in conns:
-            if conn not in ready:
+            if conn.fileno() not in ready:
                 continue
+            more = select.poll()
+            more.register(conn, select.POLLIN)
             try:
                 while True:
                     yield conn.recv()
-                    if not conn.poll():
+                    if not more.poll(0):
                         break
             except (EOFError, OSError):
                 pass

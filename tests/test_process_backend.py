@@ -6,7 +6,9 @@ file tests what is unique to running bodies out-of-process.
 """
 
 import hashlib
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -15,8 +17,10 @@ import time
 import numpy as np
 import pytest
 
-from repro import (FluidRegion, NeverValve, PercentValve, ProcessExecutor,
-                   SchedulerError, TaskBodyError, make_executor)
+from repro import (FluidRegion, NeverValve, PercentValve, PredicateValve,
+                   ProcessExecutor, SchedulerError, TaskBodyError,
+                   make_executor, run_serial)
+from repro.core import graph
 from repro.core.count import Count, ImmediateSink, RecordingSink
 from repro.core.data import (PAYLOAD_SHM_MIN_BYTES, ArenaSlotPayload,
                              FluidData, InlinePayload, PayloadArena,
@@ -211,6 +215,199 @@ class TestWakeRule:
         assert valve.checks <= 6
 
 
+class LoopLog(ProcessExecutor):
+    """Logs the control loop: each drain, each applied message and each
+    dispatched batch, in order, with the parent's clock."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.log = []
+
+    def _drain_events(self):
+        self.log.append(("drain", None, time.perf_counter()))
+        super()._drain_events()
+
+    def _apply_event(self, message):
+        kind, _slot, _id, region_index, task_index = message[:5]
+        task = self._ctx.runs[region_index].region.tasks[task_index]
+        super()._apply_event(message)
+        self.log.append((kind, task.name, time.perf_counter()))
+
+    def _send_batch(self, slot, tasks, fresh=True):
+        for task in tasks:
+            self.log.append(("send", task.name, time.perf_counter()))
+        super()._send_batch(slot, tasks, fresh)
+
+    def first(self, kind, name):
+        return next(index for index, (k, n, _t) in enumerate(self.log)
+                    if (k, n) == (kind, name))
+
+
+def make_count_flusher_region(flushes, quiet, name="count-flusher"):
+    """``produce`` sends ``flushes`` count-only flushes, goes quiet for
+    ``quiet`` seconds inside its last chunk, then writes ``cell``.
+    ``final`` waits for ``cell`` by ``DataFinalValve``; ``opaque`` by a
+    ``PredicateValve`` that reads the count without declaring it."""
+    region = FluidRegion(name)
+    ticks = region.add_count("ticks")
+    cell = region.add_data("cell", None)
+
+    def produce(ctx):
+        for _ in range(flushes):
+            time.sleep(0.002)
+            ticks.add()
+            yield 1.0
+        time.sleep(quiet)
+        cell.write(flushes)
+
+    region.add_task("produce", produce, outputs=[cell])
+    for task, valve in (
+            ("final", DataFinalValve(cell)),
+            ("opaque", PredicateValve(lambda: ticks.value >= flushes))):
+        out = region.add_data(f"{task}_out", None)
+
+        def consume(ctx, out=out):
+            out.write(cell.read())
+            yield 1.0
+
+        region.add_task(task, consume, start_valves=[valve], inputs=[cell],
+                        outputs=[out])
+    return with_factory(region, make_count_flusher_region, flushes=flushes,
+                        quiet=quiet)
+
+
+@pytest.mark.usefixtures("every_chunk_flushes")
+class TestRepollRule:
+    """The records no count can open are re-polled after a drained batch
+    that changed a cell, not after a count-only flush."""
+
+    def test_count_only_flushes_do_not_repoll_a_final_gated_consumer(
+            self, monkeypatch):
+        flushes = 40
+        # The safety net stays out: every re-poll here is a message's.
+        monkeypatch.setattr(process_backend, "_FALLBACK_INTERVAL", 5.0)
+        region = make_count_flusher_region(flushes, 0.0)
+        executor = LoopLog(workers=2, timeout=60)
+        executor.submit(region)
+        executor.run()
+        assert region.output("final_out") == flushes
+        assert region.counts["ticks"].updates == flushes
+        assert sum(1 for kind, name, _t in executor.log
+                   if (kind, name) == ("progress", "produce")) >= flushes // 2
+        valve, = region.graph.task("final").spec.start_valves
+        # Launch, the re-poll after ``produce``'s _FINISHED, the pick.
+        assert valve.checks <= 3, valve.checks
+        # Dispatched in the loop iteration that applied the _FINISHED.
+        finished = executor.first("finished", "produce")
+        sent = executor.first("send", "final")
+        assert finished < sent
+        assert all(kind != "drain"
+                   for kind, _n, _t in executor.log[finished:sent])
+        assert executor.log[sent][2] - executor.log[finished][2] < 1.0
+
+    def test_an_opaque_consumer_still_opens_through_the_fallback(
+            self, monkeypatch):
+        flushes = 10
+        monkeypatch.setattr(process_backend, "_FALLBACK_INTERVAL", 0.05)
+        region = make_count_flusher_region(flushes, 1.0)
+        executor = LoopLog(workers=2, timeout=60)
+        executor.submit(region)
+        executor.run()
+        assert region.output("final_out") == flushes
+        # Only the fallback re-polls while ``produce`` is quiet, and the
+        # count the predicate reads was in before it went quiet.
+        assert executor.first("send", "opaque") < \
+            executor.first("finished", "produce")
+
+
+# ------------------------------------------------------- worker install
+
+FAN_TASKS = 16
+
+
+def make_fan_region(epoch, name="fan"):
+    """``distribute`` writes a block; 16 ``crunch`` tasks gated on it by
+    ``DataFinalValve`` read their element of it and ``scale``, a cell no
+    task produces, and record whether ``scale`` was final."""
+    region = FluidRegion(name)
+    block = region.add_data("block", None)
+    scale = region.add_data("scale", 3)
+
+    def distribute(ctx):
+        block.write([epoch + index for index in range(FAN_TASKS)])
+        yield 1.0
+
+    region.add_task("distribute", distribute, outputs=[block])
+    for index in range(FAN_TASKS):
+        out = region.add_data(f"out_{index}", None)
+
+        def crunch(ctx, index=index, out=out):
+            out.write((block.read()[index] * scale.read(), scale.final))
+            yield 1.0
+
+        region.add_task(f"crunch_{index}", crunch,
+                        start_valves=[DataFinalValve(block)],
+                        inputs=[block, scale], outputs=[out])
+    return with_factory(region, make_fan_region, epoch=epoch)
+
+
+def make_lazy_region(name="lazy"):
+    """Tasks declared in ``build()``: ``double`` reads ``base``, which no
+    task produces; ``report`` copies its result."""
+
+    class Lazy(FluidRegion):
+        def build(self):
+            base = self.add_data("base", 5)
+            mid = self.add_data("mid", None)
+            out = self.add_data("out", None)
+
+            def double(ctx):
+                mid.write((2 * base.read(), base.final))
+                yield 1.0
+
+            def report(ctx):
+                out.write(mid.read())
+                yield 1.0
+
+            self.add_task("double", double, inputs=[base], outputs=[mid])
+            self.add_task("report", report, inputs=[mid], outputs=[out],
+                          start_valves=[DataFinalValve(mid)])
+
+    return with_factory(Lazy(name), make_lazy_region)
+
+
+class TestWorkerInstall:
+    def test_workers_install_regions_without_building_a_graph(
+            self, monkeypatch):
+        """The parent validates each region at launch; a worker declares
+        its tasks and marks its inputs final, and builds no graph."""
+        parent = os.getpid()
+        graphs_in_workers = multiprocessing.Value("i", 0)
+        init = graph.TaskGraph.__init__
+
+        def spy(self, tasks):
+            if os.getpid() != parent:
+                graphs_in_workers.value += 1
+            init(self, tasks)
+
+        # Before the private pool forks, at the executor's first start.
+        monkeypatch.setattr(graph.TaskGraph, "__init__", spy)
+        fan, lazy = make_fan_region(7), make_lazy_region()
+        executor = ProcessExecutor(workers=2, timeout=60)
+        executor.submit(fan)
+        executor.submit(lazy)
+        executor.run()
+        assert graphs_in_workers.value == 0
+        serial_fan, serial_lazy = make_fan_region(7), make_lazy_region()
+        run_serial(serial_fan, serial_lazy)
+        outputs = [fan.output(f"out_{index}") for index in range(FAN_TASKS)]
+        assert outputs == [serial_fan.output(f"out_{index}")
+                           for index in range(FAN_TASKS)]
+        assert outputs == [(3 * (7 + index), True)
+                           for index in range(FAN_TASKS)]
+        assert lazy.output("out") == serial_lazy.output("out") == (10, True)
+
+
 # --------------------------------------------------------- failure modes
 
 def make_error_region(name=None):
@@ -330,6 +527,110 @@ class TestFailureContainment:
     def test_zero_workers_rejected(self):
         with pytest.raises(SchedulerError):
             ProcessExecutor(workers=0)
+
+
+def make_self_killer_region(flag_path, name="self-killer"):
+    """``head`` releases four leaves at once, two per batch on a
+    two-worker pool; ``leaf_0`` SIGKILLs its own worker mid-body once
+    (gated on a flag file), so the retry completes."""
+    region = FluidRegion(name)
+    go = region.add_data("go", None)
+
+    def head(ctx):
+        go.write(1)
+        yield 1.0
+
+    region.add_task("head", head, outputs=[go])
+    for index in range(4):
+        out = region.add_data(f"out_{index}", None)
+
+        def leaf(ctx, index=index, out=out):
+            yield 1.0
+            if index == 0 and not os.path.exists(flag_path):
+                with open(flag_path, "w") as handle:
+                    handle.write("killed")
+                os.kill(os.getpid(), signal.SIGKILL)
+            out.write(go.read() + index)
+            yield 1.0
+
+        region.add_task(f"leaf_{index}", leaf, inputs=[go], outputs=[out],
+                        start_valves=[DataFinalValve(go)])
+    return with_factory(region, make_self_killer_region,
+                        flag_path=flag_path)
+
+
+def make_idle_killer_region(victims, hold, name="idle-killer"):
+    """``hold`` SIGKILLs every pid of ``victims`` but its own worker's,
+    then holds its worker ``hold`` seconds inside one chunk."""
+    region = FluidRegion(name)
+    out = region.add_data("out", None)
+
+    def body(ctx):
+        for pid in victims:
+            if pid != os.getpid():
+                os.kill(pid, signal.SIGKILL)
+        time.sleep(hold)
+        out.write(os.getpid())
+        yield 1.0
+
+    region.add_task("hold", body, outputs=[out])
+    return with_factory(region, make_idle_killer_region, victims=victims,
+                        hold=hold)
+
+
+class LoopCPU(ProcessExecutor):
+    """Measures the parent's CPU time from ``start`` to the lease's
+    reclaim (whose respawns fork, which costs the parent CPU)."""
+
+    def start(self, ctx):
+        self.loop_cpu = time.process_time()
+        super().start(ctx)
+
+    def _release_pool(self):
+        self.loop_cpu = time.process_time() - self.loop_cpu
+        super()._release_pool()
+
+
+class TestLivenessFromSentinels:
+    """A worker's liveness is read when its sentinel fires."""
+
+    def test_a_busy_worker_killed_mid_body_is_respawned(self, tmp_path):
+        telemetry = Telemetry()
+        with PersistentProcessPool(workers=2) as pool:
+            region = make_self_killer_region(str(tmp_path / "killed"))
+            executor = ProcessExecutor(pool=pool, timeout=60,
+                                       telemetry=telemetry)
+            executor.submit(region)
+            executor.run()
+            assert [region.output(f"out_{index}") for index in range(4)] \
+                == [1, 2, 3, 4]
+            assert all(pool.alive())
+        assert telemetry.metrics.counters["process.worker_respawns"] == 1
+
+    def test_an_idle_worker_killed_mid_run_does_not_spin_the_parent(self):
+        """Only busy slots are waited on: an idle dead worker's sentinel,
+        always readable, would turn the wait into a spin.  The slot is
+        respawned when the lease is reclaimed."""
+        hold = 0.5
+        with PersistentProcessPool(workers=2) as pool:
+
+            def run(victims, name):
+                region = make_idle_killer_region(victims, hold, name=name)
+                executor = LoopCPU(pool=pool, timeout=60)
+                executor.submit(region)
+                executor.run()
+                return region, executor.loop_cpu
+
+            run([], "warm-up")
+            _calm, calm_before = run([], "calm-before")
+            pids = [process.pid for process in pool.processes]
+            region, killed_cpu = run(pids, "killed")
+            victim, = set(pids) - {region.output("out")}
+            assert all(pool.alive())
+            assert victim not in {process.pid for process in pool.processes}
+            _calm, calm_after = run([], "calm-after")
+            calm_cpu = max(calm_before, calm_after)
+            assert killed_cpu <= 2 * calm_cpu, (killed_cpu, calm_cpu)
 
 
 # ----------------------------------------------------------- cancellation

@@ -41,6 +41,8 @@ from ..core.task import FluidTask, TaskContext
 #: ready queue may start a body from.
 _RERUNNABLE = (TaskState.WAITING, TaskState.DEP_STALLED)
 _STARTABLE = (TaskState.START_CHECK,) + _RERUNNABLE
+#: Serializes the lazy build of a context's ``finished`` Event.
+_EVENT_LOCK = threading.Lock()
 
 
 class RegionRun:
@@ -121,10 +123,12 @@ class WaitSet:
             gates[count_id] = tuple(entry for entry in gates[count_id]
                                     if entry[0] is not task)
 
-    def opens(self, count: Count) -> bool:
-        """May a publish of ``count`` open any record filed under it?"""
-        for _task, shut in self.gates.get(id(count), ()):
-            if shut is None or not shut():
+    def opens(self, count: Count, queued) -> bool:
+        """May a publish of ``count`` open any record filed under it that
+        is not ``queued`` already?  The gate is read first, so a shut
+        record costs no membership test."""
+        for task, shut in self.gates.get(id(count), ()):
+            if (shut is None or not shut()) and task not in queued:
                 return True
         return False
 
@@ -179,9 +183,11 @@ class RunContext:
         #: running bodies drain and no new work starts.
         self.stopped = False
         #: Set once every region is done, or the context stopped and its
-        #: last running body left its worker.
-        self.finished = threading.Event()
-        #: Called exactly once when ``finished`` is set, from the thread
+        #: last running body left its worker.  A plain flag: the Event a
+        #: thread blocks on (``finished``) is built only when asked for.
+        self.is_finished = False
+        self._finished_event: Optional[threading.Event] = None
+        #: Called exactly once when the context finishes, from the thread
         #: that finished the context (a pool worker on the thread pool).
         #: Must be cheap and non-blocking — the service uses it to hop
         #: back onto the asyncio loop via ``call_soon_threadsafe``.
@@ -408,9 +414,24 @@ class RunContext:
         if self.body_error is None:
             self.body_error = error
 
+    @property
+    def finished(self) -> threading.Event:
+        """An Event set once the context finished, for a thread that
+        blocks on it.  Published before the flag is read, so a racing
+        :meth:`finish` sets it either way."""
+        if self._finished_event is None:
+            with _EVENT_LOCK:
+                if self._finished_event is None:
+                    self._finished_event = threading.Event()
+                    if self.is_finished:
+                        self._finished_event.set()
+        return self._finished_event
+
     def finish(self) -> None:
         """Mark the context finished and fire ``on_finished``."""
-        self.finished.set()
+        self.is_finished = True
+        if self._finished_event is not None:
+            self._finished_event.set()
         if self.on_finished is not None:
             self.on_finished(self)
 

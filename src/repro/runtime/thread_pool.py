@@ -12,7 +12,8 @@ is that pool.  A task has no thread of its own:
   records ``woken`` names (the polled ones for a cell) and pushes the
   runnable ones onto the pool's one ready queue — a ``repro.sched``
   discipline spanning every active context.  A count publish that can
-  open no record takes no lock and checks nothing (``count_updated``);
+  open no record not already queued takes no lock and checks nothing
+  (``count_updated``);
 * ``slots`` long-lived workers pull from that queue and run bodies, so
   at most ``slots`` bodies run at once.  A re-execution is an enqueue,
   early termination a dropped pick, cancellation a cleared wait set.
@@ -68,8 +69,10 @@ class _ContextHost(GuardHost, UpdateSink):
 
     def count_updated(self, count: Count, value) -> None:
         """Re-evaluate the records ``ctx.woken`` names for ``count``; if
-        it opens none and has no subscriber, unlocked: sound for the
-        reason ``cell_updated`` is."""
+        it opens none not already queued and has no subscriber, unlocked:
+        sound for the reason ``cell_updated`` is.  A queued record needs
+        no re-check: the value is written before this runs, and ``take``
+        re-checks its valves after the pick leaves the queue."""
         pool = self.pool
         if pool.policy is not None:
             pool._sleep_jitter("publish")
@@ -77,7 +80,7 @@ class _ContextHost(GuardHost, UpdateSink):
         # a convergence valve's history grows only in its own
         # subscription, which makes ``count._subscribers`` true: its
         # count always takes the locked path, where ``woken`` reads it.
-        if count._subscribers or self.ctx.waiting.opens(count):
+        if count._subscribers or self.ctx.waiting.opens(count, pool.ready):
             with pool._lock:
                 count.dispatch(value)
                 for task in self.ctx.woken((count,)):
@@ -146,6 +149,8 @@ class SharedThreadPool:
         self._stop = threading.Event()
         self._contexts: List[RunContext] = []
         self._workers: List[threading.Thread] = []
+        #: Idle workers on the timed safety-net wait.
+        self._polling = 0
 
     # ------------------------------------------------------------- clock
 
@@ -174,10 +179,6 @@ class SharedThreadPool:
             self._contexts.append(ctx)
             self._try_launches(ctx)
             self._maybe_finish(ctx)
-            if ctx.waiting and not self.ready:
-                # Parked records but nothing runnable: an idle worker
-                # must trade its untimed wait for the timed safety net.
-                self._idle.notify()
 
     def _start_workers(self) -> None:
         """Bring up all ``slots`` workers on the pool's first ``start()``.
@@ -190,6 +191,8 @@ class SharedThreadPool:
         the pool lock, so each worker has parked itself idle before the
         first context launches instead of queueing on the lock.
         """
+        if self._workers:
+            return
         with self._lock:
             if self._workers or self._stop.is_set():
                 return
@@ -214,7 +217,7 @@ class SharedThreadPool:
             while True:
                 if ctx.body_error is not None:
                     raise ctx.body_error
-                if ctx.finished.is_set():
+                if ctx.is_finished:
                     return
                 remaining = deadline - time.perf_counter()
                 if remaining <= 0:
@@ -233,7 +236,7 @@ class SharedThreadPool:
         boundary.
         """
         with self._lock:
-            if ctx.finished.is_set() or ctx.stopped:
+            if ctx.is_finished or ctx.stopped:
                 return
             ctx.stopped = True
             ctx.waiting = WaitSet()
@@ -303,9 +306,16 @@ class SharedThreadPool:
 
     def _admit(self, ctx: RunContext, task: FluidTask) -> None:
         """INIT -> START_CHECK (lock held).  The record is parked
-        *before* its first valve check — see ``cell_updated``."""
+        *before* its first valve check — see ``cell_updated``.  A record
+        only a re-poll can open (a valve over no count, a fault plan, an
+        autotuner moving thresholds) sends an idle worker onto the timed
+        wait unless one is on it already."""
         ctx.admit(task)
-        self._recheck(ctx, task)
+        if self.ready.recheck(ctx, task) or (not self._polling and (
+                id(task) in ctx.waiting.polled
+                or ctx.autotuner is not None
+                or getattr(task.region, "fault_plan", None) is not None)):
+            self._idle.notify()
 
     def _recheck(self, ctx: RunContext, task: FluidTask) -> None:
         """Re-evaluate one parked record (lock held); a satisfied one
@@ -317,7 +327,7 @@ class SharedThreadPool:
         """Finish the context once nothing is left to do (lock held):
         every region done, or stopped with no body still on a worker."""
         idle = not ctx.host.running if ctx.stopped else ctx.all_done
-        if ctx.finished.is_set() or not idle:
+        if ctx.is_finished or not idle:
             return
         self._contexts.remove(ctx)
         # Nothing calls the host of a finished context again: unbinding
@@ -397,7 +407,10 @@ class SharedThreadPool:
             # parked); with none anywhere, sleep until notified.
             parked = not self.ready and \
                 any(ctx.waiting for ctx in self._contexts)
-            if not self._idle.wait(FALLBACK_INTERVAL if parked else None):
+            self._polling += parked
+            woke = self._idle.wait(FALLBACK_INTERVAL if parked else None)
+            self._polling -= parked
+            if not woke:
                 for ctx in tuple(self._contexts):
                     for task in tuple(ctx.waiting.records.values()):
                         self._for_context(self._recheck, ctx, task)

@@ -371,7 +371,7 @@ class FluidService:
             self._maybe_idle()
 
     def _timeout_ctx(self, ctx: RunContext) -> None:
-        if not ctx.finished.is_set():
+        if not ctx.is_finished:
             self.pool.stop_context(ctx)
 
     def _cancel_timer(self, ctx: RunContext) -> None:

@@ -17,9 +17,8 @@ import time
 import numpy as np
 import pytest
 
-from repro import (FluidRegion, NeverValve, PercentValve, PredicateValve,
-                   ProcessExecutor, SchedulerError, TaskBodyError,
-                   make_executor, run_serial)
+from repro import (FluidRegion, NeverValve, PercentValve, ProcessExecutor,
+                   SchedulerError, TaskBodyError, make_executor, run_serial)
 from repro.core import graph
 from repro.core.count import Count, ImmediateSink, RecordingSink
 from repro.core.data import (PAYLOAD_SHM_MIN_BYTES, ArenaSlotPayload,
@@ -30,7 +29,8 @@ from repro.runtime import process_backend
 from repro.runtime.worker_pool import PersistentProcessPool
 from repro.telemetry import Telemetry
 
-from util import make_pipeline, pipeline_expected, shm_names, with_factory
+from util import (make_count_flusher_region, make_pipeline, pipeline_expected,
+                  shm_names, with_factory)
 
 
 # ------------------------------------------------------- payload protocol
@@ -241,39 +241,6 @@ class LoopLog(ProcessExecutor):
     def first(self, kind, name):
         return next(index for index, (k, n, _t) in enumerate(self.log)
                     if (k, n) == (kind, name))
-
-
-def make_count_flusher_region(flushes, quiet, name="count-flusher"):
-    """``produce`` sends ``flushes`` count-only flushes, goes quiet for
-    ``quiet`` seconds inside its last chunk, then writes ``cell``.
-    ``final`` waits for ``cell`` by ``DataFinalValve``; ``opaque`` by a
-    ``PredicateValve`` that reads the count without declaring it."""
-    region = FluidRegion(name)
-    ticks = region.add_count("ticks")
-    cell = region.add_data("cell", None)
-
-    def produce(ctx):
-        for _ in range(flushes):
-            time.sleep(0.002)
-            ticks.add()
-            yield 1.0
-        time.sleep(quiet)
-        cell.write(flushes)
-
-    region.add_task("produce", produce, outputs=[cell])
-    for task, valve in (
-            ("final", DataFinalValve(cell)),
-            ("opaque", PredicateValve(lambda: ticks.value >= flushes))):
-        out = region.add_data(f"{task}_out", None)
-
-        def consume(ctx, out=out):
-            out.write(cell.read())
-            yield 1.0
-
-        region.add_task(task, consume, start_valves=[valve], inputs=[cell],
-                        outputs=[out])
-    return with_factory(region, make_count_flusher_region, flushes=flushes,
-                        quiet=quiet)
 
 
 @pytest.mark.usefixtures("every_chunk_flushes")

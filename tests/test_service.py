@@ -67,6 +67,30 @@ class TestServiceBasics:
 
         asyncio.run(main())
 
+    def test_a_request_context_builds_no_event(self):
+        # The service hears a context finish through ``on_finished``;
+        # nothing blocks on it, so no ``finished`` Event is built.
+        contexts = []
+
+        async def main():
+            async with FluidService(slots=2) as service:
+                start = service.pool.start
+
+                def recording_start(ctx):
+                    contexts.append(ctx)
+                    start(ctx)
+
+                service.pool.start = recording_start
+                for index in range(4):
+                    region = make_pipeline(n=8, exact_quality=True,
+                                           name=f"no-event{index}")
+                    await service.submit(region)
+
+        asyncio.run(main())
+        assert len(contexts) == 4
+        assert all(ctx.is_finished and ctx._finished_event is None
+                   for ctx in contexts)
+
     def test_unknown_backend_rejected(self):
         with pytest.raises(SchedulerError):
             FluidService(backend="quantum")

@@ -2,14 +2,15 @@
 
 import pytest
 
-from repro import (DataFinalValve, FluidRegion, PercentValve, PredicateValve,
-                   SchedulerError, TaskState, ThreadExecutor, submit_all,
-                   submit_chain, sync)
+from repro import (CountValve, DataFinalValve, FluidRegion, PercentValve,
+                   PredicateValve, SchedulerError, TaskState, ThreadExecutor,
+                   submit_all, submit_chain, sync)
 from repro.core.errors import TaskBodyError
 from repro.runtime import RunContext, SharedThreadPool, thread_pool
+from repro.service.loadgen import request_region
 
 from util import (chain_expected, diamond_expected, make_chain, make_diamond,
-                  make_pipeline, pipeline_expected)
+                  make_count_flusher_region, make_pipeline, pipeline_expected)
 
 
 def run_threads(*regions, chain=False, **kwargs):
@@ -477,6 +478,142 @@ class TestParkedRecords:
             assert 0.001 in timeouts
         finally:
             pool.shutdown()
+
+
+    def test_a_record_parked_under_idle_workers_is_repolled(self):
+        # The workers are idle on the untimed wait when ``opaque`` is
+        # parked: its valve reads a count it does not declare, so only
+        # the 0.05 s safety net opens it while ``produce`` sits quiet
+        # for 1 s before it writes ``cell``.
+        region = make_count_flusher_region(10, 1.0)
+        executor = ThreadExecutor(slots=2, timeout=30)
+        executor.submit(region)
+        executor.run()
+        assert region.output("final_out") == 10
+        opaque = region.graph.task("opaque").stats
+        assert opaque.time[TaskState.START_CHECK] < 0.3
+
+
+class TestRequestPath:
+    """What one service-shaped request costs the pool: a producer
+    publishing 16 counts and a consumer gated on 40% of them."""
+
+    REQUESTS = 50
+
+    def _run_requests(self, pool):
+        regions = [request_region(index, 16)
+                   for index in range(self.REQUESTS)]
+        for region in regions:
+            pool.wait(_start_on(pool, region), 30)
+        for region in regions:
+            assert region.output("out") == [2 * k + 1 for k in range(16)]
+        return regions
+
+    def test_a_publish_to_a_queued_consumer_takes_no_lock(self,
+                                                          monkeypatch):
+        # The consumer opens at the 7th publish; the 9 after it find it
+        # queued (one slot: the producer holds it) and re-check nothing.
+        calls = []
+        woken = RunContext.woken
+
+        def counting_woken(ctx, counts):
+            calls.append(ctx)
+            return woken(ctx, counts)
+
+        monkeypatch.setattr(RunContext, "woken", counting_woken)
+        pool = SharedThreadPool(slots=1)
+        try:
+            self._run_requests(pool)
+        finally:
+            pool.shutdown()
+        assert len(calls) == self.REQUESTS
+
+    def test_two_wakes_per_request(self):
+        # One for the producer's admission, one for the consumer's
+        # opening: count-gated records send no worker to the timed wait.
+        pool = SharedThreadPool(slots=2)
+        notifies = []
+        notify = pool._idle.notify
+
+        def counting_notify(n=1):
+            notifies.append(n)
+            notify(n)
+
+        pool._idle.notify = counting_notify
+        try:
+            regions = self._run_requests(pool)
+            reruns = sum(task.stats.reruns for region in regions
+                         for task in region.tasks)
+            assert len(notifies) == 2 * self.REQUESTS + reruns
+        finally:
+            pool.shutdown()
+
+    @pytest.mark.usefixtures("slow_safety_net")
+    def test_a_queued_pick_whose_valve_closes_is_queued_again(self):
+        # ``consume`` is queued at ``level`` 5 and dropped at ``take``
+        # after ``produce`` set ``level`` back to 0; ``reopen``, queued
+        # behind it, sets 5 again: that publish must re-queue it.
+        region = FluidRegion("reclosed")
+        level = region.add_count("level")
+        go = region.add_count("go")
+        edge = region.add_data("edge")
+        out = region.add_data("out")
+
+        def produce(ctx):
+            level.set(5)
+            go.set(1)
+            level.set(0)
+            yield 1.0
+
+        def reopen(ctx):
+            level.set(5)
+            yield 1.0
+
+        def consume(ctx):
+            out.write(level.value)
+            yield 1.0
+
+        region.add_task("produce", produce, outputs=[edge])
+        region.add_task("reopen", reopen, inputs=[edge],
+                        start_valves=[CountValve(go, 1)])
+        region.add_task("consume", consume, inputs=[edge], outputs=[out],
+                        start_valves=[CountValve(level, 5)])
+        pool = SharedThreadPool(slots=1)
+        try:
+            pool.wait(_start_on(pool, region), 5)
+        finally:
+            pool.shutdown()
+        assert region.output("out") == 5
+        consume = region.graph.task("consume").stats
+        assert consume.visits[TaskState.RUNNING] == 1
+
+
+class TestFinishedEvent:
+    def _wait_in_thread(self, ctx):
+        import threading
+
+        result = []
+        waiter = threading.Thread(
+            target=lambda: result.append(ctx.finished.wait(5.0)))
+        waiter.start()
+        return waiter, result
+
+    def test_wait_before_finish(self):
+        import time
+
+        ctx = RunContext()
+        waiter, result = self._wait_in_thread(ctx)
+        time.sleep(0.05)
+        ctx.finish()
+        waiter.join(5.0)
+        assert result == [True]
+
+    def test_wait_after_finish(self):
+        ctx = RunContext()
+        ctx.finish()
+        waiter, result = self._wait_in_thread(ctx)
+        waiter.join(5.0)
+        assert result == [True] and ctx.finished.is_set()
 
 
 @pytest.mark.usefixtures("slow_safety_net")

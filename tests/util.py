@@ -15,9 +15,11 @@ simple integer transformations so tests can assert exact outputs.
 from __future__ import annotations
 
 import os
+import time
 from typing import List, Optional, Sequence
 
-from repro import (FluidRegion, PercentValve, PredicateValve, Valve)
+from repro import (DataFinalValve, FluidRegion, PercentValve, PredicateValve,
+                   Valve)
 
 
 def with_factory(region: FluidRegion, builder, **kwargs) -> FluidRegion:
@@ -25,6 +27,39 @@ def with_factory(region: FluidRegion, builder, **kwargs) -> FluidRegion:
     region's own name; ``builder`` must be a module-level function."""
     region.remote_factory = (builder, (), dict(kwargs, name=region.name))
     return region
+
+
+def make_count_flusher_region(flushes, quiet, name="count-flusher"):
+    """``produce`` sends ``flushes`` count-only flushes, goes quiet for
+    ``quiet`` seconds inside its last chunk, then writes ``cell``.
+    ``final`` waits for ``cell`` by ``DataFinalValve``; ``opaque`` by a
+    ``PredicateValve`` that reads the count without declaring it."""
+    region = FluidRegion(name)
+    ticks = region.add_count("ticks")
+    cell = region.add_data("cell", None)
+
+    def produce(ctx):
+        for _ in range(flushes):
+            time.sleep(0.002)
+            ticks.add()
+            yield 1.0
+        time.sleep(quiet)
+        cell.write(flushes)
+
+    region.add_task("produce", produce, outputs=[cell])
+    for task, valve in (
+            ("final", DataFinalValve(cell)),
+            ("opaque", PredicateValve(lambda: ticks.value >= flushes))):
+        out = region.add_data(f"{task}_out", None)
+
+        def consume(ctx, out=out):
+            out.write(cell.read())
+            yield 1.0
+
+        region.add_task(task, consume, start_valves=[valve], inputs=[cell],
+                        outputs=[out])
+    return with_factory(region, make_count_flusher_region, flushes=flushes,
+                        quiet=quiet)
 
 
 def make_pipeline(n: int = 50, start_fraction: float = 0.4,

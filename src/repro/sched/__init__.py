@@ -1,21 +1,16 @@
 """Pluggable task scheduling for the Fluid runtime.
 
 ``repro.sched`` generalizes the paper's fixed FCFS region/task ordering
-(Section 6.2) into a policy seam shared by all three backends and the
-SchedLab exploration harness, plus a cluster-scale capacity simulator:
+(Section 6.2) into a policy seam shared by all three backends, the
+service's admission queue and the SchedLab exploration harness:
 
 :mod:`repro.sched.schedulers`
     The :class:`Scheduler` interface and the concrete disciplines
     (FCFS, priority, EDF, shortest-expected-work, work-stealing,
     bounded queues with load shedding).
-:mod:`repro.sched.capacity`
-    ``python -m repro.sched.capacity`` — sweeps cores x arrival rate x
-    scheduler over large synthetic open-arrival workloads and emits
-    throughput and p50/p95/p99 latency curves in the bench-baseline
-    schema.
 
-See ``docs/schedulers.md`` for the interface contract, the policy
-catalogue and how to read capacity curves.
+See ``docs/schedulers.md`` for the interface contract and the policy
+catalogue.
 """
 
 from .schedulers import (BoundedScheduler, EdfScheduler, FcfsScheduler,

@@ -5,8 +5,8 @@ The paper runs regions and ready tasks first-come-first-serve
 :class:`Scheduler` seam — ready-queue admission (:meth:`Scheduler.submit`),
 pick-next (:meth:`Scheduler.pick`) and shed/reject hooks — threaded
 through all three backends (simulator core allocation, thread-backend
-body slots, process-backend worker dispatch) and the capacity simulator
-(:mod:`repro.sched.capacity`).
+body slots, process-backend worker dispatch) and the service's
+admission queue (:class:`repro.service.AdmissionQueue`).
 
 Policy catalogue
 ----------------
@@ -78,7 +78,7 @@ __all__ = [
 
 def _spec(task: Any) -> Any:
     """The attribute carrier: ``task.spec`` for FluidTask, else the task
-    itself (the capacity simulator's synthetic tasks are their own spec)."""
+    itself (a service request is its own spec)."""
     spec = getattr(task, "spec", None)
     return spec if spec is not None else task
 
@@ -167,8 +167,8 @@ class Scheduler:
 
         ``sheddable=False`` (what the region executors pass) guarantees
         acceptance — a guard-requested run must eventually happen or its
-        region deadlocks; ``sheddable=True`` (open-arrival capacity
-        experiments) lets bounded queues reject under load.
+        region deadlocks; ``sheddable=True`` (the service's sheddable
+        requests) lets bounded queues reject under load.
         """
         if self._admit(task, now=now, sheddable=sheddable):
             self._enqueued_at[id(task)] = now
@@ -252,8 +252,8 @@ class _KeyedScheduler(Scheduler):
 
     Keys (priority / deadline / cost estimate) are static task
     attributes, so they are evaluated once at admission and the queue is
-    a binary heap — O(log n) per operation, which is what lets the
-    capacity simulator push 10^5-10^6 tasks through an overloaded queue.
+    a binary heap — O(log n) per operation, however long an overloaded
+    queue grows.
     With a SchedLab policy bound, a pick pops every entry tied on the
     minimum key (in admission order), lets the policy choose one and
     pushes the rest back, as ``EventQueue`` does for tied events.

@@ -9,8 +9,7 @@ See ``docs/service.md`` for the architecture and
 ``python -m repro.service.loadgen`` for the load generator.
 """
 
-from .admission import (AdmissionError, AdmissionQueue,
-                        load_capacity_document, pick_concurrency)
+from .admission import AdmissionError, AdmissionQueue
 from .pools import OneShotPool
 from .service import (SERVICE_BACKENDS, FluidService, ServiceRequest,
                       ServiceResult)
@@ -23,6 +22,4 @@ __all__ = [
     "SERVICE_BACKENDS",
     "ServiceRequest",
     "ServiceResult",
-    "load_capacity_document",
-    "pick_concurrency",
 ]

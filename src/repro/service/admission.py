@@ -1,30 +1,20 @@
 """Admission control for the Fluid service frontend.
 
-Two pieces:
-
-* :class:`AdmissionQueue` — the bounded, relaxed request queue.  It is
-  a thin veneer over :func:`repro.sched.make_scheduler` with a
-  ``bounded:capacity=N,inner=DISCIPLINE`` spec, so the service reuses
-  the exact shed-or-park semantics the executors already have: a
-  *sheddable* request that arrives when the queue is full is rejected
-  observably (a ``sched``/``shed`` bus event plus an
-  :class:`AdmissionError` to the caller), while a *must-run* request is
-  parked in FIFO overflow and never dropped.  The inner discipline
-  (fcfs/priority/edf/sew) orders dispatch, keyed off the request's
-  ``priority``/``deadline``/``cost_estimate`` hints — the same
-  ``TaskSpec`` attributes the schedulers read on Fluid tasks.
-
-* :func:`pick_concurrency` — the capacity-curve admission policy.  It
-  consumes a ``python -m repro.sched.capacity`` sweep document
-  (``repro-bench-baseline/1`` schema) and picks the smallest
-  concurrency whose measured latency percentile meets a target SLO
-  (or, with no SLO, the knee of the throughput curve), closing the
-  ROADMAP follow-up "feed capacity curves into an admission autotuner".
+:class:`AdmissionQueue` is the bounded, relaxed request queue.  It is a
+thin veneer over :func:`repro.sched.make_scheduler` with a
+``bounded:capacity=N,inner=DISCIPLINE`` spec, so the service reuses the
+exact shed-or-park semantics the executors already have: a *sheddable*
+request that arrives when the queue is full is rejected observably (a
+``sched``/``shed`` bus event plus an :class:`AdmissionError` to the
+caller), while a *must-run* request is parked in FIFO overflow and
+never dropped.  The inner discipline (fcfs/priority/edf/sew) orders
+dispatch, keyed off the request's ``priority``/``deadline``/
+``cost_estimate`` hints — the same ``TaskSpec`` attributes the
+schedulers read on Fluid tasks.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, Optional
 
 from ..core.errors import FluidError
@@ -76,82 +66,3 @@ class AdmissionQueue:
     def snapshot(self) -> Dict[str, Any]:
         return self.scheduler.snapshot()
 
-
-def _capacity_cells(document: Dict[str, Any],
-                    scheduler: str) -> Dict[int, Dict[float, Dict[str, Any]]]:
-    """Parse ``<sched>/cores<N>/rate<R>`` workload keys into a grid."""
-    workloads = document.get("workloads", document)
-    grid: Dict[int, Dict[float, Dict[str, Any]]] = {}
-    for key, record in workloads.items():
-        parts = str(key).split("/")
-        if len(parts) != 3 or parts[0] != scheduler:
-            continue
-        if not parts[1].startswith("cores") or not parts[2].startswith("rate"):
-            continue
-        try:
-            cores = int(parts[1][len("cores"):])
-            rate = float(parts[2][len("rate"):])
-        except ValueError:
-            continue
-        grid.setdefault(cores, {})[rate] = record
-    return grid
-
-
-def pick_concurrency(document: Dict[str, Any], *,
-                     latency_slo: Optional[float] = None,
-                     rate: Optional[float] = None,
-                     scheduler: str = "fcfs",
-                     percentile: str = "latency_p99",
-                     default: int = 4) -> int:
-    """Pick a concurrency cap from a capacity-sweep document.
-
-    ``document`` is a ``repro-bench-baseline/1`` capacity sweep (the
-    dict, or anything with a ``workloads`` mapping).  The policy reads
-    the ``scheduler`` curves at the requested per-core arrival ``rate``
-    (nearest swept rate; highest swept rate when omitted — the most
-    pessimistic load) and returns:
-
-    * with a ``latency_slo`` — the smallest cores value whose
-      ``percentile`` sojourn latency meets the SLO, falling back to the
-      cores with the lowest such latency when none meets it;
-    * without one — the throughput knee: the smallest cores value
-      within 5% of the best measured throughput.
-
-    Returns ``default`` when the document has no usable cells.
-    """
-    grid = _capacity_cells(document, scheduler)
-    if not grid:
-        return default
-    swept_rates = sorted({r for by_rate in grid.values() for r in by_rate})
-    target_rate = (swept_rates[-1] if rate is None else
-                   min(swept_rates, key=lambda r: abs(r - rate)))
-    candidates = []
-    for cores in sorted(grid):
-        record = grid[cores].get(target_rate)
-        if record is not None:
-            candidates.append((cores, record))
-    if not candidates:
-        return default
-    if latency_slo is not None:
-        for cores, record in candidates:
-            if record.get(percentile, float("inf")) <= latency_slo:
-                return cores
-        return min(candidates,
-                   key=lambda item: item[1].get(percentile,
-                                                float("inf")))[0]
-    best = max(record.get("throughput", 0.0) for _cores, record in candidates)
-    for cores, record in candidates:
-        if record.get("throughput", 0.0) >= 0.95 * best:
-            return cores
-    return candidates[-1][0]  # pragma: no cover - defensive
-
-
-def load_capacity_document(path: str) -> Dict[str, Any]:
-    """Read a capacity-sweep JSON file (baseline-schema envelope)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    if not isinstance(document, dict) or "workloads" not in document:
-        raise AdmissionError(
-            f"{path!r} is not a capacity sweep document "
-            "(expected a 'workloads' mapping)")
-    return document

@@ -2,13 +2,8 @@
 
 ``python -m repro.service.loadgen`` drives a real service instance with
 seeded Poisson arrivals of small synthetic Fluid regions, sweeping the
-offered arrival rate, and reports per-rate throughput and request
-latency percentiles.  Results are written as a capacity document
-(:data:`repro.sched.capacity.SCHEMA`) with ``<discipline>/cores<slots>/
-rate<R>`` workload keys — the same cell format as
-``python -m repro.sched.capacity`` — so a measured service sweep can be
-fed back into :func:`repro.service.pick_concurrency` as the
-``capacity_curves`` admission policy input.
+offered arrival rate, and prints per-rate throughput and request
+latency percentiles.  :func:`run_rate` returns one rate's record.
 
 :func:`check_sweep` states the service invariants a sweep must hold
 (tier-1 tests assert them): every request completes or is observably
@@ -20,13 +15,11 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import random
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
 from .. import FluidRegion, PercentValve, PredicateValve
-from ..sched.capacity import _percentile, envelope
 from .admission import AdmissionError
 from .service import FluidService
 
@@ -80,6 +73,14 @@ def request_region(index: int, n: int) -> FluidRegion:
     region = Request(f"req-{index}")
     region.remote_factory = (request_region, (index, n), {})
     return region
+
+
+def _percentile(sorted_values: List[float], quantile: float) -> float:
+    if not sorted_values:
+        return 0.0
+    index = min(len(sorted_values) - 1,
+                int(round(quantile * (len(sorted_values) - 1))))
+    return sorted_values[index]
 
 
 async def run_rate(rate: float, requests: int, *, slots: int,
@@ -159,24 +160,6 @@ async def run_rate(rate: float, requests: int, *, slots: int,
     return record
 
 
-def sweep_document(workloads: Dict[str, Dict[str, Any]], *,
-                   requests: int, seed: int, slots: int,
-                   discipline: str, rates: Sequence[float],
-                   queue_capacity: int, backend: str) -> Dict[str, Any]:
-    """Wrap a loadgen sweep in the capacity-document envelope."""
-    return envelope({
-        "backend": f"service-{backend}",
-        "quick": requests <= 1000,
-        "app": None,
-        "requests": requests,
-        "seed": seed,
-        "slots": slots,
-        "discipline": discipline,
-        "rates": list(rates),
-        "queue_capacity": queue_capacity,
-    }, workloads)
-
-
 def check_sweep(workloads: Dict[str, Dict[str, Any]],
                 tolerance: float = 0.8) -> List[str]:
     """The service invariants of a sweep; returns violations (empty = pass).
@@ -253,12 +236,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="per-request latency SLO in seconds")
     parser.add_argument("--seed", type=int, default=0,
                         help="arrival/workload seed (default 0)")
-    parser.add_argument("--out", default=None,
-                        help="write the sweep as a capacity JSON document")
     args = parser.parse_args(argv)
 
     if args.requests < 1:
         parser.error("--requests must be >= 1")
+    if args.slots < 1:
+        parser.error("--slots must be >= 1")
+    if args.queue_capacity < 1:
+        parser.error("--queue-capacity must be >= 1")
     try:
         rates = [float(token) for token in args.rates.split(",")
                  if token.strip()]
@@ -273,7 +258,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
           f"{len(rates)} rates, backend={args.backend}, "
           f"slots={args.slots}, queue={args.queue_capacity} "
           f"(seed {args.seed})")
-    workloads: Dict[str, Dict[str, Any]] = {}
     for rate in rates:
         record = asyncio.run(run_rate(
             rate, args.requests, slots=args.slots,
@@ -285,22 +269,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             batch_cost_threshold=args.batch_cost_threshold,
             latency_slo=args.slo))
         key = f"{args.discipline}/cores{args.slots}/rate{rate:g}"
-        workloads[key] = record
         print(f"  {key}: completed={record['tasks_completed']} "
               f"shed={record['tasks_shed']} "
               f"throughput={record['throughput']:.1f}/s "
               f"p50={record['latency_p50'] * 1e3:.1f}ms "
               f"p99={record['latency_p99'] * 1e3:.1f}ms")
-
-    if args.out is not None:
-        document = sweep_document(
-            workloads, requests=args.requests, seed=args.seed,
-            slots=args.slots, discipline=args.discipline, rates=rates,
-            queue_capacity=args.queue_capacity, backend=args.backend)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.out}")
     return 0
 
 

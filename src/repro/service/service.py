@@ -36,8 +36,7 @@ from ..core.errors import SchedulerError
 from ..core.region import FluidRegion
 from ..runtime.context import RunContext
 from ..runtime.thread_pool import SharedThreadPool
-from .admission import (AdmissionError, AdmissionQueue,
-                        load_capacity_document, pick_concurrency)
+from .admission import AdmissionError, AdmissionQueue
 from .pools import OneShotPool
 
 #: Backends a service can host.
@@ -120,13 +119,10 @@ class FluidService:
         The bounded admission queue and its dispatch order.
     max_concurrency:
         Cap on run contexts in flight (dispatched, not finished); a
-        batch of requests occupies one context.  When
-        omitted it is derived from ``capacity_curves`` (a capacity-sweep
-        JSON path or document, see :func:`pick_concurrency`) or defaults
-        to ``4 * slots``.
+        batch of requests occupies one context.  ``None`` (default)
+        means ``4 * slots``; a cap below 1 is refused.
     latency_slo:
-        Default per-request latency SLO in seconds; also the SLO handed
-        to the capacity-curve concurrency policy.
+        Default per-request latency SLO in seconds.
     batch_max / batch_cost_threshold:
         Requests whose ``cost_estimate`` is at or below the threshold
         are coalesced (up to ``batch_max`` per dispatch) into one run
@@ -147,7 +143,6 @@ class FluidService:
                  queue_capacity: int = 64,
                  discipline: str = "fcfs",
                  max_concurrency: Optional[int] = None,
-                 capacity_curves: Optional[object] = None,
                  latency_slo: Optional[float] = None,
                  batch_max: int = 1,
                  batch_cost_threshold: Optional[float] = None,
@@ -161,6 +156,10 @@ class FluidService:
                 f"{', '.join(SERVICE_BACKENDS)}")
         if batch_max < 1:
             raise SchedulerError("batch_max must be >= 1")
+        if max_concurrency is None:
+            max_concurrency = 4 * slots
+        if max_concurrency < 1:
+            raise SchedulerError("max_concurrency must be >= 1")
         self.name = name
         self.backend = backend
         self.telemetry = telemetry
@@ -169,13 +168,7 @@ class FluidService:
         self.request_timeout = request_timeout
         self.batch_max = batch_max
         self.batch_cost_threshold = batch_cost_threshold
-        if max_concurrency is None and capacity_curves is not None:
-            document = (load_capacity_document(capacity_curves)
-                        if isinstance(capacity_curves, str)
-                        else capacity_curves)
-            max_concurrency = pick_concurrency(
-                document, latency_slo=latency_slo, default=4 * slots)
-        self.max_concurrency = max_concurrency or 4 * slots
+        self.max_concurrency = max_concurrency
         # The admission queue is driven only from the event-loop thread,
         # so it may share the service bus; the backend pool publishes
         # from its worker threads and therefore gets no bus (per-request

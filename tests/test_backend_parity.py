@@ -662,8 +662,8 @@ class TestOptionsCensus:
             "PersistentProcessPool": ["workers", "name"],
             "FluidService": [
                 "backend", "slots", "scheduler", "queue_capacity",
-                "discipline", "max_concurrency", "capacity_curves",
-                "latency_slo", "batch_max", "batch_cost_threshold",
+                "discipline", "max_concurrency", "latency_slo",
+                "batch_max", "batch_cost_threshold",
                 "request_timeout", "telemetry", "backend_options", "name"],
         }
 

@@ -8,6 +8,7 @@ fold via Telemetry.record_scheduler.
 
 import json
 import pathlib
+import random
 
 import pytest
 
@@ -20,7 +21,7 @@ from repro.telemetry import Telemetry
 
 
 class Synth:
-    """Minimal task duck: its own spec, like the capacity simulator's."""
+    """Minimal task duck: its own spec, like a service request."""
 
     def __init__(self, name, priority=None, deadline=None,
                  cost_estimate=None):
@@ -298,10 +299,64 @@ KEYED_PICKS_PATH = (pathlib.Path(__file__).parent / "golden"
                     / "keyed_picks.json")
 
 
+def synthesize(tasks, cores, rate, seed):
+    """A deterministic open-arrival stream of hinted tasks: Poisson
+    arrivals at ``rate * cores``, unit-mean exponential service, a
+    random priority and a deadline 2-10 service times after arrival."""
+    rng = random.Random(f"capacity:{seed}:{tasks}:{cores}:{rate!r}")
+    stream = []
+    now = 0.0
+    for index in range(tasks):
+        now += rng.expovariate(rate * cores)
+        service = rng.expovariate(1.0)
+        task = Synth(f"t{index}", priority=rng.random(),
+                     deadline=now + service * rng.uniform(2.0, 10.0),
+                     cost_estimate=service)
+        task.arrival = now
+        stream.append(task)
+    return stream
+
+
+def test_keyed_stream_is_deterministic():
+    """The stream behind the keyed-picks golden depends only on its
+    arguments, so the golden can only move with a scheduler change."""
+    def fields(stream):
+        return [(task.name, task.arrival, task.priority, task.deadline,
+                 task.cost_estimate) for task in stream]
+
+    first = synthesize(200, 4, 0.8, 7)
+    assert fields(first) == fields(synthesize(200, 4, 0.8, 7))
+    assert [task.arrival for task in first] != \
+        [task.arrival for task in synthesize(200, 4, 0.8, 8)]
+    assert all(task.deadline > task.arrival for task in first)
+
+
+def test_bounded_sheds_under_sustained_overload():
+    """Arrivals at twice the pick rate overflow a bounded queue: the
+    sheddable excess is shed, and every offered task is either picked
+    or shed, none lost."""
+    stream = synthesize(2000, 2, 2.0, 0)
+    scheduler = make_scheduler("bounded:capacity=8,inner=fcfs").bind()
+    assert scheduler.describe() == {
+        "scheduler": "bounded", "capacity": 8,
+        "inner": {"scheduler": "fcfs"}}
+    picked = []
+    for index, task in enumerate(stream):
+        scheduler.submit(task, now=task.arrival, sheddable=True)
+        if index % 2 == 1:
+            picked.append(scheduler.pick(now=task.arrival).name)
+    picked.extend(drain(scheduler, now=stream[-1].arrival))
+    counters = scheduler.counters()
+    assert counters["sheds"] > 0
+    assert counters["deferrals"] == 0
+    assert counters["picks"] == len(picked)
+    assert len(picked) + counters["sheds"] == len(stream)
+    assert picked == sorted(picked, key=lambda name: int(name[1:]))
+
+
 def keyed_trace(spec, seed=5):
     """Pick order and policy decisions of ``spec`` over a seeded stream
     whose hints are rounded, so many tasks tie on their key."""
-    from repro.sched.capacity import synthesize
     from repro.schedlab.policy import RecordingPolicy, SeededRandomPolicy
 
     stream = synthesize(120, 2, 1.5, seed)

@@ -1,10 +1,11 @@
 """Tests for repro.service: the async multi-region frontend.
 
 Covers admission/backpressure semantics, request batching, SLO
-accounting on the telemetry bus, the capacity-curve concurrency policy,
-the >= 100 concurrent regions acceptance bar, and the SchedLab-seeded
-isolation fuzz: N overlapping regions on one shared thread pool must
-produce exactly what N isolated single-shot runs produce.
+accounting on the telemetry bus, the concurrency cap, the loadgen
+invariants on every backend, the >= 100 concurrent regions acceptance
+bar, and the SchedLab-seeded isolation fuzz: N overlapping regions on
+one shared thread pool must produce exactly what N isolated single-shot
+runs produce.
 """
 
 import asyncio
@@ -17,7 +18,7 @@ import pytest
 from repro import (FluidRegion, PredicateValve, SchedulerError, TaskBodyError,
                    TaskState)
 from repro.service import (AdmissionError, AdmissionQueue, FluidService,
-                           OneShotPool, pick_concurrency)
+                           OneShotPool)
 from repro.telemetry import Telemetry
 
 from util import (chain_expected, diamond_expected, make_chain, make_diamond,
@@ -426,27 +427,100 @@ class TestFailuresOnOneShotHosts:
 
 
 class TestConcurrencyPolicy:
-    def test_capacity_curves_pick_the_cap(self):
-        document = {"workloads": {
-            "fcfs/cores2/rate100": {"throughput": 150.0,
-                                    "latency_p99": 0.200},
-            "fcfs/cores4/rate100": {"throughput": 290.0,
-                                    "latency_p99": 0.040},
-            "fcfs/cores8/rate100": {"throughput": 300.0,
-                                    "latency_p99": 0.015},
-        }}
-        assert pick_concurrency(document, latency_slo=0.050) == 4
-        assert pick_concurrency(document, latency_slo=0.001) == 8
-        assert pick_concurrency(document) == 4  # throughput knee
-        assert pick_concurrency({"workloads": {}}, default=7) == 7
-        service = FluidService(slots=2, capacity_curves=document,
-                               latency_slo=0.050)
-        assert service.max_concurrency == 4
-        service.pool.shutdown()
+    def test_max_concurrency_defaults_and_floor(self):
+        """``None`` means ``4 * slots``; a cap below 1 could never
+        dispatch a request (its ``close()`` would hang), so it is
+        refused like ``batch_max < 1``."""
+        for cap in (0, -1):
+            with pytest.raises(SchedulerError):
+                FluidService(slots=2, max_concurrency=cap)
+        for cap, expected in ((None, 8), (1, 1), (3, 3)):
+            service = FluidService(slots=2, max_concurrency=cap)
+            assert service.max_concurrency == expected
+            service.pool.shutdown()
+
+    def test_max_concurrency_caps_inflight_contexts(self):
+        """``submit`` dispatches synchronously, so ten requests gathered
+        in one loop iteration all reach ``_dispatch`` before any context
+        finishes: exactly ``max_concurrency`` are in flight at once and
+        the rest wait in the admission queue."""
+        telemetry = Telemetry(chrome=False)
+        dispatches = []
+        telemetry.bus.subscribe(
+            lambda event: dispatches.append(event.data["inflight"])
+            if event.kind == "svc" and event.name == "dispatch" else None)
+        regions = [make_pipeline(n=8, exact_quality=True, name=f"cap{index}")
+                   for index in range(10)]
+
+        async def main():
+            async with FluidService(slots=2, max_concurrency=2,
+                                    telemetry=telemetry) as service:
+                await asyncio.gather(*(service.submit(region)
+                                       for region in regions))
+                assert service.stats()["max_concurrency"] == 2
+
+        asyncio.run(main())
+        assert len(dispatches) == 10
+        assert max(dispatches) == 2
+        for region in regions:
+            assert region.output("out") == pipeline_expected(8)
 
     def test_admission_queue_validates_capacity(self):
         with pytest.raises(AdmissionError):
             AdmissionQueue(capacity=0)
+
+
+class Hinted:
+    """A request duck carrying the hints the admission disciplines read."""
+
+    def __init__(self, name, priority, deadline, cost_estimate):
+        self.name = name
+        self.priority = priority
+        self.deadline = deadline
+        self.cost_estimate = cost_estimate
+
+
+class TestAdmissionQueue:
+    # (name, priority, deadline, cost_estimate), offered in this order.
+    REQUESTS = (("a", 1.0, 30.0, 5.0), ("b", 3.0, 10.0, 9.0),
+                ("c", 2.0, 20.0, 1.0), ("d", 0.0, None, None))
+
+    @pytest.mark.parametrize("discipline, order", [
+        ("fcfs", ["a", "b", "c", "d"]),
+        ("priority", ["b", "c", "a", "d"]),
+        ("edf", ["b", "c", "a", "d"]),
+        ("sew", ["c", "a", "b", "d"]),
+    ])
+    def test_take_follows_the_discipline(self, discipline, order):
+        queue = AdmissionQueue(capacity=8, discipline=discipline)
+        for hints in self.REQUESTS:
+            assert queue.offer(Hinted(*hints), now=0.0, sheddable=True)
+        assert queue.pending() == 4
+        taken = []
+        while (request := queue.take(now=1.0)) is not None:
+            taken.append(request.name)
+        assert taken == order
+        assert queue.counters()["picks"] == 4
+
+    def test_overflow_sheds_sheddable_and_parks_must_run(self):
+        telemetry = Telemetry(chrome=False)
+        events = []
+        telemetry.bus.subscribe(events.append)
+        queue = AdmissionQueue(capacity=1, bus=telemetry.bus)
+        assert queue.offer(Hinted("a", 0.0, None, None), now=0.0,
+                           sheddable=True)
+        assert not queue.offer(Hinted("b", 0.0, None, None), now=0.0,
+                               sheddable=True)
+        assert queue.offer(Hinted("c", 0.0, None, None), now=0.0,
+                           sheddable=False)
+        assert queue.counters()["sheds"] == 1
+        assert queue.counters()["deferrals"] == 1
+        assert [(event.name, event.task) for event in events
+                if event.name in ("shed", "defer")] == [("shed", "b"),
+                                                        ("defer", "c")]
+        assert [queue.take(now=1.0).name, queue.take(now=1.0).name] == \
+            ["a", "c"]
+        assert queue.take(now=1.0) is None
 
 
 @pytest.mark.stress
@@ -594,46 +668,32 @@ class TestServiceThreadHygiene:
 
 
 class TestLoadgen:
-    def test_smoke_sweep_writes_baseline_schema(self, tmp_path):
-        import json
+    def test_run_rate_cells_hold_the_service_invariants(self):
+        """Poisson admission with shed-or-park accounting and exact
+        results: the plain and batched cells on the shared thread pool,
+        and one cell each on the one-shot sim and process hosts.  How
+        much is shed depends on timing, so no shed count is asserted."""
+        from repro.service.loadgen import check_sweep, run_rate
 
-        from repro.sched.capacity import SCHEMA
-        from repro.service.loadgen import check_sweep
-        from repro.service.loadgen import main as loadgen_main
-
-        # The plain shed-or-park sweep, then the batched-dispatch cell.
-        cases = (
-            (["--rates", "150,300", "--seed", "5"],
-             ["fcfs/cores2/rate150", "fcfs/cores2/rate300"]),
-            (["--rates", "200", "--seed", "1", "--batch-max", "4",
-              "--batch-cost-threshold", "32"],
-             ["fcfs/cores2/rate200"]),
+        sweeps = (
+            ("thread", (150.0, 300.0), {"seed": 5}),
+            ("thread", (200.0,), {"seed": 1, "batch_max": 4,
+                                  "batch_cost_threshold": 32.0}),
+            ("sim", (200.0,), {"seed": 1}),
+            ("process", (200.0,), {"seed": 1}),
         )
-        for flags, expected_keys in cases:
-            out = tmp_path / "sweep.json"
-            assert loadgen_main(["--requests", "15", "--slots", "2",
-                                 *flags, "--out", str(out)]) == 0
-            document = json.loads(out.read_text())
-            assert document["schema"] == SCHEMA
-            assert sorted(document["workloads"]) == expected_keys
-            assert check_sweep(document["workloads"]) == []
-            for record in document["workloads"].values():
+        for backend, rates, options in sweeps:
+            workloads = {
+                f"{backend}/rate{rate:g}": asyncio.run(run_rate(
+                    rate, 15, slots=2, queue_capacity=64,
+                    discipline="fcfs", sheddable_fraction=0.5,
+                    backend=backend, **options))
+                for rate in rates}
+            assert check_sweep(workloads) == [], (backend, options)
+            for record in workloads.values():
                 assert record["must_run_shed"] == 0
                 assert (record["tasks_completed"] + record["tasks_shed"]
                         + record["failures"]) == 15
-
-    def test_sweep_feeds_pick_concurrency(self, tmp_path):
-        import json
-
-        from repro.service import load_capacity_document
-        from repro.service.loadgen import main as loadgen_main
-
-        out = tmp_path / "sweep.json"
-        assert loadgen_main(["--requests", "10", "--rates", "200",
-                             "--slots", "2", "--seed", "2",
-                             "--out", str(out)]) == 0
-        document = load_capacity_document(str(out))
-        assert pick_concurrency(document, latency_slo=SLO_GENEROUS) == 2
 
     def test_check_sweep_flags_violations(self):
         from repro.service.loadgen import check_sweep
@@ -657,6 +717,78 @@ class TestLoadgen:
         assert "accounted for" in text
         assert "collapsed" in text
 
+    def test_check_sweep_flags_wrong_results(self):
+        from repro.service.loadgen import check_sweep
+
+        record = {"tasks_offered": 10, "tasks_completed": 10,
+                  "tasks_shed": 0, "failures": 0, "must_run_shed": 0,
+                  "wrong_results": 3, "throughput": 100.0,
+                  "offered_rate": 100.0}
+        (violation,) = check_sweep({"fcfs/cores2/rate100": record})
+        assert "3 completed requests returned wrong results" in violation
+
+    def test_check_sweep_judges_collapse_in_rate_order(self):
+        """Cells are compared in offered-rate order, not key order, and a
+        dip inside ``tolerance`` of the best lower-rate cell passes."""
+        from repro.service.loadgen import check_sweep
+
+        def cell(rate, throughput):
+            return {"tasks_offered": 10, "tasks_completed": 10,
+                    "tasks_shed": 0, "failures": 0, "must_run_shed": 0,
+                    "wrong_results": 0, "throughput": throughput,
+                    "offered_rate": rate}
+
+        # Key order (rate100 < rate50) would judge 50/s after 100/s.
+        assert check_sweep({"rate100": cell(100.0, 90.0),
+                            "rate50": cell(50.0, 50.0)}) == []
+        assert check_sweep({"rate50": cell(50.0, 100.0),
+                            "rate100": cell(100.0, 81.0)}) == []
+        (violation,) = check_sweep({"rate50": cell(50.0, 100.0),
+                                    "rate100": cell(100.0, 79.0)})
+        assert violation.startswith("rate100: throughput 79.0/s collapsed")
+        assert check_sweep({"rate50": cell(50.0, 100.0),
+                            "rate100": cell(100.0, 79.0)},
+                           tolerance=0.5) == []
+
+    def test_percentile_is_nearest_rank(self):
+        from repro.service.loadgen import _percentile
+
+        values = [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert _percentile(values, 0.0) == 1.0
+        assert _percentile(values, 0.5) == 3.0
+        assert _percentile(values, 0.95) == 5.0
+        assert _percentile(values, 1.0) == 5.0
+        assert _percentile([7.0], 0.99) == 7.0
+        assert _percentile([], 0.5) == 0.0
+
+    def test_request_regions_are_seeded_and_exact(self):
+        """The same seed draws the same request sizes, and a request run
+        alone produces the exact answer its end valve demands."""
+        from repro import run_serial
+        from repro.service.loadgen import make_request_region
+
+        first = [make_request_region(index, random.Random("seed"))
+                 for index in range(3)]
+        second = [make_request_region(index, random.Random("seed"))
+                  for index in range(3)]
+        assert [(expected, cost) for _r, expected, cost in first] == \
+            [(expected, cost) for _r, expected, cost in second]
+        for region, expected, cost in first:
+            assert 8 <= cost <= 24 and len(expected) == cost
+            run_serial(region)
+            assert list(region.output("out")) == expected
+
+    def test_cli_prints_one_row_per_rate(self, capsys):
+        from repro.service.loadgen import main as loadgen_main
+
+        assert loadgen_main(["--requests", "4", "--rates", "100,200",
+                             "--slots", "1", "--backend", "sim"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("service loadgen: 4 requests x 2 rates, "
+                                   "backend=sim, slots=1")
+        assert [line.split(":")[0].strip() for line in lines[1:]] == \
+            ["fcfs/cores1/rate100", "fcfs/cores1/rate200"]
+
     def test_bad_cli_args_rejected(self):
         import pytest
 
@@ -668,3 +800,7 @@ class TestLoadgen:
             loadgen_main(["--rates", "-5"])
         with pytest.raises(SystemExit):
             loadgen_main(["--sheddable-fraction", "1.5"])
+        with pytest.raises(SystemExit):
+            loadgen_main(["--slots", "0"])
+        with pytest.raises(SystemExit):
+            loadgen_main(["--queue-capacity", "0"])

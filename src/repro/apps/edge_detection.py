@@ -55,17 +55,41 @@ def conv3x3_rows(image: np.ndarray, start: int, stop: int,
     return out
 
 
-def conv3x3_row(image: np.ndarray, row: int, kernel: np.ndarray) -> np.ndarray:
-    """One output row of a clamped-border 3x3 convolution."""
-    return conv3x3_rows(image, row, row + 1, kernel)[0]
-
-
 def gradient_row(image: np.ndarray, row: int, gradient: str) -> np.ndarray:
+    """Gradient magnitude of one row: ``|Gx| + |Gy|`` (Sobel) or ``|L|``
+    (Laplacian) of the clamped-border convolution.
+
+    Each kernel's non-zero taps are summed in ``conv3x3_rows``' order, so
+    the bytes are its bytes: a skipped ``0 * p`` term can only change the
+    sign of a zero partial sum, which the ``abs`` removes.
+    """
+    height, width = image.shape
+    window = np.empty((3, width + 2))
+    window[:, 1:-1] = image[[max(row - 1, 0), row, min(row + 1, height - 1)]]
+    window[:, 0] = window[:, 1]
+    window[:, -1] = window[:, -2]
+    top, middle, bottom = window
     if gradient == "sobel":
-        gx = conv3x3_row(image, row, SOBEL_X)
-        gy = conv3x3_row(image, row, SOBEL_Y)
-        return np.abs(gx) + np.abs(gy)
-    return np.abs(conv3x3_row(image, row, LAPLACIAN))
+        twice = window * 2.0
+        gx = top[2:] - top[:-2]
+        gx -= twice[1, :-2]
+        gx += twice[1, 2:]
+        gx -= bottom[:-2]
+        gx += bottom[2:]
+        gy = np.negative(top[:-2])
+        gy -= twice[0, 1:-1]
+        gy -= top[2:]
+        gy += bottom[:-2]
+        gy += twice[2, 1:-1]
+        gy += bottom[2:]
+        np.abs(gx, out=gx)
+        gx += np.abs(gy, out=gy)
+        return gx
+    laplacian = top[1:-1] + middle[:-2]
+    laplacian -= 4.0 * middle[1:-1]
+    laplacian += middle[2:]
+    laplacian += bottom[1:-1]
+    return np.abs(laplacian, out=laplacian)
 
 
 class EdgeDetectionRegion(FluidRegion):

@@ -15,6 +15,7 @@ queue behaves exactly as before (FIFO among ties).
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..core.errors import StateError
@@ -37,8 +38,9 @@ class EventQueue:
         names make PCT-style priority policies meaningful); it is unused
         when no policy is attached.
         """
-        if time < 0:
-            raise ValueError(f"event time must be non-negative, got {time}")
+        if not 0.0 <= time < math.inf:
+            raise ValueError(
+                f"event time must be a finite number >= 0, got {time}")
         heapq.heappush(self._heap, (time, self._sequence, key, callback))
         self._sequence += 1
 

@@ -32,6 +32,7 @@ One executor hosts a sequence of contexts, one at a time (``start`` /
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -113,7 +114,12 @@ class SimExecutor(Executor, GuardHost, UpdateSink):
             raise SchedulerError("need at least one core")
         self.cores = cores
         self.overheads = overheads if overheads is not None else Overheads()
-        self.max_active_regions = max_active_regions or cores
+        if max_active_regions is None:
+            max_active_regions = cores
+        if max_active_regions < 1:
+            # A cap below 1 could never launch a region.
+            raise SchedulerError("max_active_regions must be >= 1")
+        self.max_active_regions = max_active_regions
         # Instrumentation: an explicit Telemetry wins; plain trace=True
         # gets a lightweight one (trace only) so Trace keeps working as
         # before through the same bus plumbing.
@@ -338,9 +344,10 @@ class SimExecutor(Executor, GuardHost, UpdateSink):
             raise self._ctx.body_error
         captured = self._pending_updates
         self._pending_updates = None
-        if cost < 0:
+        if not 0.0 <= cost < math.inf:
             raise SchedulerError(
-                f"task {task.name!r} yielded a negative cost {cost}")
+                f"task {task.name!r} yielded a negative or non-finite "
+                f"cost {cost}")
         self._queue.push(self._now + cost,
                          lambda: self._chunk_done(task, captured),
                          key=self._chunk_keys[id(task)])

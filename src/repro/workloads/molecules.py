@@ -94,12 +94,27 @@ def pose_energies(protein: np.ndarray, poses: np.ndarray) -> np.ndarray:
     ``poses`` (shape ``(poses, ligand_atoms, 3)``; lower is better).
 
     Each pose's terms are summed over one contiguous row, so a pose
-    scores the same bytes alone or in any batch.
+    scores the same bytes alone or in any batch.  ``r2`` adds the three
+    squared coordinate deltas left to right, the order of numpy's
+    length-3 add-reduce, into one ``(poses, receptor, ligand)`` array
+    that the rest of the kernel updates in place.
     """
-    deltas = protein[None, :, None, :] - poses[:, None, :, :]
-    r2 = np.maximum((deltas ** 2).sum(axis=-1), 0.25)
-    inv6 = 1.0 / r2 ** 3
-    return (inv6 ** 2 - 2.0 * inv6).reshape(len(poses), -1).sum(axis=1)
+    shape = (len(poses), len(protein), poses.shape[1])
+    r2 = np.empty(shape)
+    delta = np.empty(shape)
+    for axis in range(3):
+        np.subtract(protein[None, :, None, axis], poses[:, None, :, axis],
+                    out=delta)
+        if axis == 0:
+            np.square(delta, out=r2)
+        else:
+            r2 += np.square(delta, out=delta)
+    np.maximum(r2, 0.25, out=r2)
+    inv6 = np.divide(1.0, np.power(r2, 3, out=r2), out=r2)
+    energy = np.square(inv6, out=delta)
+    inv6 *= 2.0
+    energy -= inv6
+    return energy.reshape(len(poses), -1).sum(axis=1)
 
 
 def pose_energy(protein: np.ndarray, pose: np.ndarray) -> float:

@@ -1,9 +1,9 @@
 """Bit identity of the array kernels against the loops they replace.
 
 Graph Coloring's selection and coloring passes, FFT's twiddle tables and
-butterflies, DCT's basis, Edge Detection's smoothing pass and
-MedusaDock's docking scan are array operations, some of them computed
-once per run rather than once per chunk.  The contract
+butterflies, DCT's basis, Edge Detection's smoothing pass and gradient
+rows and MedusaDock's pose scoring are array operations, some of them
+computed once per run rather than once per chunk.  The contract
 (docs/reproduction-notes.md, "Kernel contract") is that they produce the
 same bytes, yield the same virtual costs and make the same ``touch()``
 calls and count publishes, chunk by chunk, as the loops they replaced,
@@ -29,6 +29,7 @@ from repro.apps.fft import (SERIES_TERMS, FFTApp, FFTRegion,
                             bit_reverse_permutation)
 from repro.apps.graph_coloring import ColoringRoundRegion, GraphColoringApp
 from repro.apps.medusadock import MedusaDockApp
+from repro.bench.harness import edge_detection_inputs
 from repro.workloads import synthetic_poses
 from repro.workloads.graphs import (GraphInput, coloring_priority,
                                     greedy_coloring_reference, random_graph)
@@ -539,8 +540,7 @@ class TestOncePerRun:
                                    [got.counts[count]]) == \
                     chunk_steps(oracle, [want.datas[cell]],
                                 [want.counts[count]])
-            # The gradient pass reads the smoothed rows through
-            # conv3x3_row, row 0 of the band kernel.
+            # The gradient pass reads the smoothed rows.
             for index, _band in enumerate(bands):
                 list(body_of(got, f"gradient_{index}"))
             smoothed = want.datas["filtered_0"].read()
@@ -587,10 +587,25 @@ class TestOncePerRun:
 
 
 class TestPoseEnergies:
-    """Mutant: a pose's terms summed per receptor atom first
-    (``.sum(axis=2).sum(axis=1)``).  The precise reference, a block of
-    poses and a single pose all equal the per-pose kernel they
+    """Mutants: a pose's terms summed per receptor atom first
+    (``.sum(axis=2).sum(axis=1)``); ``r2`` summed right to left (``z``
+    first); ``r2 ** 3`` as ``r2 * r2 * r2``.  The precise reference, a
+    block of poses and a single pose all equal the per-pose kernel they
     replaced, byte for byte."""
+
+    def test_length3_add_reduce_sums_left_to_right(self):
+        """What ``pose_energies`` relies on when it adds the squared
+        coordinate deltas one at a time: numpy's add-reduce over a
+        length-3 last axis, the oracle's ``.sum(axis=-1)``, is
+        ``(x + y) + z``.  10^5 triples in the kernel's 4-d layout; a
+        right-to-left sum differs in about a quarter of them, so the
+        two orders are told apart."""
+        squares = np.random.default_rng(3).uniform(
+            -13.0, 13.0, size=(20, 100, 50, 3)) ** 2
+        left = (squares[..., 0] + squares[..., 1]) + squares[..., 2]
+        right = squares[..., 0] + (squares[..., 1] + squares[..., 2])
+        assert same_bytes(squares.sum(axis=-1), left)
+        assert np.mean(left != right) > 0.1
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_reference_and_single_pose_match_per_pose_loop(self, seed):
@@ -605,3 +620,39 @@ class TestPoseEnergies:
                               want[start:start + dock_module.POSE_BLOCK])
         assert [pose_energy(docking.protein, pose)
                 for pose in docking.poses] == want.tolist()
+
+
+class TestGradientRow:
+    """``gradient_row`` sums only each kernel's non-zero taps over one
+    clamped, padded window; its bytes are the full 3x3 convolution's,
+    ``|Gx| + |Gy|`` for Sobel and ``|L|`` for the Laplacian, on every
+    row, the clamped first and last ones included.  Mutants: a dropped
+    non-zero tap; the last row clamped at ``height`` instead of
+    ``height - 1``."""
+
+    @staticmethod
+    def images():
+        rng = np.random.default_rng(11)
+        suite = {name: make().image
+                 for name, make in edge_detection_inputs().items()}
+        return {**suite,
+                "flat": np.full((9, 13), 7.25),
+                "negative": rng.normal(size=(17, 23)) * 40.0 - 200.0,
+                "one_row": rng.normal(size=(1, 6)),
+                "one_column": rng.normal(size=(5, 1))}
+
+    @pytest.mark.parametrize("gradient", ["sobel", "laplacian"])
+    def test_equals_full_convolution_on_every_row(self, gradient):
+        for name, image in self.images().items():
+            for row in range(image.shape[0]):
+                if gradient == "sobel":
+                    want = np.abs(per_row_conv3x3(
+                        image, row, edge_module.SOBEL_X)) + np.abs(
+                        per_row_conv3x3(image, row, edge_module.SOBEL_Y))
+                else:
+                    want = np.abs(per_row_conv3x3(image, row,
+                                                  edge_module.LAPLACIAN))
+                got = edge_module.gradient_row(image, row, gradient)
+                assert same_bytes(got, want), (name, row)
+                if name == "flat":
+                    assert same_bytes(got, np.zeros(image.shape[1]))

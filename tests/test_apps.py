@@ -13,7 +13,7 @@ from repro.apps.base import DEFAULT_OVERHEADS, FluidApp
 from repro.apps.bellman_ford import BellmanFordApp
 from repro.apps.dct import DCTApp, dct2_blocks_reference
 from repro.apps.edge_detection import (EdgeDetectionApp, GAUSSIAN,
-                                       conv3x3_row)
+                                       conv3x3_rows)
 from repro.apps.fft import FFTApp, bit_reverse_permutation
 from repro.apps.graph_coloring import GraphColoringApp
 from repro.apps.kmeans import KMeansApp
@@ -33,7 +33,7 @@ class TestEdgeDetection:
         image = small_image()
         from scipy.ndimage import convolve
         full = convolve(image, GAUSSIAN, mode="nearest")
-        row = conv3x3_row(image, 5, GAUSSIAN)
+        row = conv3x3_rows(image, 5, 6, GAUSSIAN)[0]
         assert np.allclose(row, full[5])
 
     def test_precise_and_fluid_agree_at_full_threshold(self):

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event queue."""
 
+import math
+
 import pytest
 
 from repro.core.errors import StateError
@@ -43,6 +45,13 @@ class TestEventQueue:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             EventQueue().push(-1.0, lambda: None)
+
+    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, time):
+        queue = EventQueue()
+        with pytest.raises(ValueError, match="finite"):
+            queue.push(time, lambda: None)
+        assert len(queue) == 0
 
     def test_interleaved_push_pop(self):
         queue = EventQueue()

@@ -1,5 +1,7 @@
 """Tests for the discrete-event simulator backend."""
 
+import math
+
 import pytest
 
 from repro import (FluidRegion, Overheads, SchedulerError, SimExecutor,
@@ -83,6 +85,32 @@ class TestBasics:
         executor.submit(Bad("bad"))
         with pytest.raises(SchedulerError, match="negative"):
             executor.run()
+
+    @pytest.mark.parametrize("cost", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cost_rejected(self, cost):
+        """A nan cost used to finish the run with ``makespan nan`` and an
+        inf cost with ``makespan inf``."""
+        class Bad(FluidRegion):
+            def build(self):
+                def body(ctx):
+                    yield 1.0
+                    yield cost
+                self.add_task("bad", body)
+
+        executor = fresh_executor()
+        executor.submit(Bad(f"bad_{cost}"))
+        with pytest.raises(SchedulerError, match="non-finite"):
+            executor.run()
+
+    def test_max_active_regions_defaults_and_floor(self):
+        """``None`` means ``cores``; 0 used to turn silently into
+        ``cores`` and a negative cap launched no region at all."""
+        for cap in (0, -1):
+            with pytest.raises(SchedulerError, match="max_active_regions"):
+                SimExecutor(cores=3, max_active_regions=cap)
+        for cap, expected in ((None, 3), (1, 1), (5, 5)):
+            executor = SimExecutor(cores=3, max_active_regions=cap)
+            assert executor.max_active_regions == expected
 
     def test_non_generator_body_rejected(self):
         class Bad(FluidRegion):

@@ -2,11 +2,13 @@
 """A tour of the unified telemetry layer.
 
 One `Telemetry` object bundles the event bus with the standard
-subscribers: the classic `Trace`, a `MetricsRegistry` (valve verdicts,
-re-executions, early terminations, stall time, worker utilization), and
-a Chrome trace-event exporter whose JSON loads directly in
-chrome://tracing or https://ui.perfetto.dev, with one row per task and
-re-execution stretches visible exactly like the paper's Gantt figures.
+subscribers: one `Trace` record of the run's events and a
+`MetricsRegistry` (valve verdicts, re-executions, early terminations,
+stall time, worker utilization).  The structural trace and a Chrome
+trace-event document are views over that one record; the JSON loads
+directly in chrome://tracing or https://ui.perfetto.dev, with one row
+per task and re-execution stretches visible exactly like the paper's
+Gantt figures.
 
 The same object works on every backend; here we run a K-means epoch
 chain on the simulator, print the headline counters, and write both
@@ -46,7 +48,7 @@ def main():
     print(f"  worker utilization         {gauges['worker.utilization']:.3f} "
           f"({gauges['run.workers']:g} virtual cores)\n")
 
-    # The classic Trace rides the same bus (scheduler + guard events).
+    # The structural view of the trace: scheduler + guard events.
     print("first trace lines:")
     print(telemetry.trace.render(limit=6), "\n")
 

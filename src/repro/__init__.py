@@ -49,11 +49,10 @@ from .core import (AlwaysValve, CompileError, ConvergenceValve, Count,
                    TaskState, Valve, ValveError, submit_all,
                    submit_chain, submit_stages, sync)
 from .runtime import (BACKENDS, Overheads, ProcessExecutor, RunResult,
-                      SimExecutor, SimResult, ThreadExecutor, Trace,
+                      SimExecutor, SimResult, ThreadExecutor,
                       make_executor, run_serial)
-from .runtime.gantt import TimelineRecorder
-from .telemetry import (ChromeTraceExporter, MetricsRegistry, Telemetry,
-                        TelemetryBus, TelemetryEvent)
+from .telemetry import (MetricsRegistry, Telemetry, TelemetryBus,
+                        TelemetryEvent, TimelineRecorder, Trace)
 from .tuning import ThresholdTuner, TuningResult, ValveSelector
 
 __version__ = "1.0.0"
@@ -71,7 +70,7 @@ __all__ = [
     "BACKENDS", "Overheads", "ProcessExecutor", "RunResult", "SimExecutor",
     "SimResult", "ThreadExecutor", "Trace", "make_executor", "run_serial",
     "TimelineRecorder", "ThresholdTuner", "TuningResult", "ValveSelector",
-    "ChromeTraceExporter", "MetricsRegistry", "Telemetry", "TelemetryBus",
+    "MetricsRegistry", "Telemetry", "TelemetryBus",
     "TelemetryEvent",
     "__version__",
 ]

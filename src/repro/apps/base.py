@@ -113,7 +113,6 @@ class FluidApp:
                   overheads: Optional[Overheads] = None,
                   modulation: Optional[ModulationPolicy] = None,
                   parallelism: int = 1,
-                  trace: bool = False,
                   backend: str = "sim",
                   telemetry: Optional[Any] = None,
                   backend_options: Optional[Dict[str, Any]] = None,
@@ -163,7 +162,7 @@ class FluidApp:
                                   parallelism=parallelism)
         options = backend_options or {}
         if backend == "sim":
-            options = {"cores": cores, "trace": trace,
+            options = {"cores": cores,
                        "overheads": (overheads if overheads is not None
                                      else DEFAULT_OVERHEADS)}
         executor = make_executor(

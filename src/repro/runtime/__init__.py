@@ -22,7 +22,6 @@ from .process_backend import ProcessExecutor
 from .simulator import Overheads, SimExecutor, SimResult
 from .thread_backend import ThreadExecutor
 from .thread_pool import SharedThreadPool
-from .tracing import Trace, TraceEvent
 from .worker_pool import PersistentProcessPool, pool_blob
 
 __all__ = [
@@ -31,5 +30,5 @@ __all__ = [
     "RunResult", "SharedThreadPool", "make_executor", "pool_blob",
     "run_serial",
     "Overheads", "ProcessExecutor", "SimExecutor", "SimResult",
-    "ThreadExecutor", "Trace", "TraceEvent",
+    "ThreadExecutor",
 ]

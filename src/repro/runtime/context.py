@@ -36,6 +36,7 @@ from ..core.guard import Coordinator, GuardHost
 from ..core.region import FluidRegion
 from ..core.states import TaskState
 from ..core.task import FluidTask, TaskContext
+from ..telemetry import Telemetry
 
 #: States a task awaits a re-run in, and those a task picked from the
 #: ready queue may start a body from.
@@ -146,11 +147,10 @@ class RunContext:
         self.label = label or f"run-{next(self._labels)}"
         #: Optional repro.tuning.ValveAutotuner: ``autotune`` resolved,
         #: bound below to the bus it hears feedback on (a lightweight
-        #: Telemetry if none).  Lazy imports: both reach back into
-        #: repro.runtime at import time.
+        #: Telemetry if none).  Lazy import: repro.tuning reaches back
+        #: into repro.runtime at import time.
         self.autotuner = None
         if autotune is not None:
-            from ..telemetry import Telemetry
             from ..tuning import make_autotuner
 
             self.autotuner = make_autotuner(autotune)
@@ -206,8 +206,8 @@ class RunContext:
         self.host = host
         self.sink = sink
         self.policy = policy
-        if self.telemetry is not None:
-            self.telemetry.bind_clock(host.now, time_scale)
+        if self.bus is not None:
+            self.bus.bind_clock(host.now, time_scale)
 
     # ------------------------------------------------------------ regions
 

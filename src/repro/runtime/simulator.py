@@ -42,10 +42,10 @@ from ..core.guard import GuardHost, ModulationPolicy
 from ..core.region import FluidRegion
 from ..core.states import TaskState
 from ..core.task import FluidTask
+from ..telemetry import Telemetry, Trace
 from .context import ReadyQueue, RegionRun, RunContext
 from .events import EventQueue
 from .executor import Executor, RunResult
-from .tracing import Trace
 
 
 @dataclass
@@ -74,6 +74,17 @@ class Overheads:
     #: ``pool_dispatch``.
     pool_size: int = 0
     pool_dispatch: float = 0.0
+
+    def __post_init__(self) -> None:
+        # A negative cost schedules events before ``now`` and a NaN one
+        # poisons every overhead sum, so refuse both up front.
+        for name, value in vars(self).items():
+            kind, what = ((int, "an int") if name == "pool_size"
+                          else ((int, float), "a finite number"))
+            if not (isinstance(value, kind) and math.isfinite(value)
+                    and value >= 0):
+                raise ValueError(
+                    f"Overheads.{name} must be {what} >= 0, got {value!r}")
 
     @classmethod
     def zero(cls) -> "Overheads":
@@ -120,18 +131,14 @@ class SimExecutor(Executor, GuardHost, UpdateSink):
             # A cap below 1 could never launch a region.
             raise SchedulerError("max_active_regions must be >= 1")
         self.max_active_regions = max_active_regions
-        # Instrumentation: an explicit Telemetry wins; plain trace=True
-        # gets a lightweight one (trace only) so Trace keeps working as
-        # before through the same bus plumbing.
+        # An explicit Telemetry wins; trace=True gets a trace-only one.
         if telemetry is None and trace:
-            from ..telemetry import Telemetry
             telemetry = Telemetry(metrics=False, chrome=False)
         super().__init__("sim-run", telemetry=telemetry, autotune=autotune,
                          modulation=modulation,
                          cancel_first_runs=cancel_first_runs)
-        telemetry = self.context.telemetry
-        self.trace: Optional[Trace] = (
-            telemetry.trace if telemetry is not None else None)
+        #: The run's repro.telemetry.Trace, if it has a telemetry.
+        self.trace = getattr(self.context.telemetry, "trace", None)
         #: SchedLab schedule policy: tie-breaks among simultaneous
         #: events, core allocation among ready tasks, and the wake order
         #: of parked records.  None keeps the deterministic FIFO order.

@@ -285,15 +285,15 @@ def run_scenario(scenario_name: str, *,
                                        scheduler=scheduler,
                                        autotune=autotune)
             run.submit(executor)
-            result = executor.run()
-            outcome.makespan = result.makespan
-            if trace:
-                outcome.trace = telemetry.trace
+            outcome.makespan = executor.run().makespan
         except Exception as error:  # noqa: BLE001 - classified below
             outcome.failure, outcome.message = classify_failure(error)
         finally:
             # A caller's Telemetry outlives the run; the checker must not.
             telemetry.bus.unsubscribe(checker.on_event)
+    if trace:
+        # A failed run keeps its trace too: it is what a replay explains.
+        outcome.trace = telemetry.trace
     outcome.decisions = list(recorder.decisions)
     outcome.divergences = getattr(inner, "divergences", 0)
     if plan is not None:

@@ -183,7 +183,7 @@ class FluidService:
             self.pool = OneShotPool(backend, executor_options=options,
                                     name=name)
         if telemetry is not None:
-            telemetry.bind_clock(self.pool.now, 1e6)
+            telemetry.bus.bind_clock(self.pool.now, 1e6)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._inflight = 0
         self._dispatched_total = 0

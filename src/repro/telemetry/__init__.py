@@ -5,8 +5,8 @@
 ``telemetry=``, and after the run read:
 
 ``telemetry.trace``
-    The familiar :class:`~repro.runtime.tracing.Trace` — now a bus
-    subscriber, same public API as before.
+    The run's one :class:`~repro.telemetry.trace.Trace` record; the
+    structural trace, the Chrome document and the Gantt are its views.
 ``telemetry.metrics``
     A :class:`~repro.telemetry.metrics.MetricsRegistry` with the full
     counter catalogue (valve verdicts, re-executions, early
@@ -17,9 +17,9 @@
     A Chrome trace-event document loadable in ``chrome://tracing`` or
     https://ui.perfetto.dev, plus JSON dumps of either artifact.
 
-The executors own the lifecycle: they bind their clock to the bus at
-run start and call :meth:`Telemetry.run_finished` when the run ends
-(also on failure, so partial traces survive a crash).
+The executors own the lifecycle: they bind their clock to the bus
+(``bus.bind_clock``) at run start and call :meth:`Telemetry.run_finished`
+when the run ends (also on failure, so partial traces survive a crash).
 
 See ``docs/telemetry.md`` for the event schema and counter catalogue,
 and ``python -m repro.telemetry --help`` for the dump summarize/diff
@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import json
 import weakref
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Dict, Optional
 
 from .bus import TelemetryBus, TelemetryEvent
 from .metrics import (METRICS_SCHEMA, Histogram, MetricsRegistry,
                       diff_metrics, load_metrics, render_diff, render_summary)
-from .trace_export import ChromeTraceExporter
-from ..runtime.tracing import Trace
+from .trace import TimelineRecorder, Trace, TraceEvent, chrome_trace
 
 __all__ = [
     "Telemetry",
@@ -44,7 +43,9 @@ __all__ = [
     "TelemetryEvent",
     "MetricsRegistry",
     "Histogram",
-    "ChromeTraceExporter",
+    "Trace",
+    "TraceEvent",
+    "TimelineRecorder",
     "METRICS_SCHEMA",
     "load_metrics",
     "diff_metrics",
@@ -61,17 +62,18 @@ class Telemetry:
     metrics:
         Attach a :class:`MetricsRegistry` (default on).
     chrome:
-        Attach a :class:`ChromeTraceExporter` (default on).
+        Record the kinds the Chrome view reads (default on); off, the
+        trace hears only ``sched`` and ``guard``.
     trace_capacity:
-        Ring-buffer capacity for the attached :class:`Trace`; ``None``
-        (default) keeps it unbounded.
+        Ring-buffer capacity of the :class:`Trace`, bounding every view;
+        ``None`` (default) keeps it unbounded.
     """
 
     def __init__(self, metrics: bool = True, chrome: bool = True,
                  trace_capacity: Optional[int] = None):
         self.bus = TelemetryBus()
-        self.trace = Trace(capacity=trace_capacity)
-        self.trace.connect(self.bus)
+        self.chrome = chrome
+        self.trace = Trace(capacity=trace_capacity).connect(self.bus, chrome)
         self.metrics: Optional[MetricsRegistry] = None
         if metrics:
             self.metrics = MetricsRegistry()
@@ -80,18 +82,13 @@ class Telemetry:
             # ``record_queues``), not heard.
             self.bus.subscribe(self.metrics.on_event, kinds=(
                 "sched", "payload", "worker", "svc", "tune"))
-        self.chrome: Optional[ChromeTraceExporter] = None
-        if chrome:
-            self.chrome = ChromeTraceExporter().connect(self.bus)
-        self.finished = False
+        #: The run-end clock once the run finished: where the Chrome
+        #: view closes the residences still open.
+        self._end: Optional[float] = None
         #: tuner -> windows already folded (a tuner spans a Pipeline).
         self._tuner_windows = weakref.WeakKeyDictionary()
 
     # -- executor-facing lifecycle ----------------------------------------
-
-    def bind_clock(self, clock: Callable[[], float],
-                   time_scale: float) -> None:
-        self.bus.bind_clock(clock, time_scale)
 
     def record_region(self, region: Any,
                       now: Optional[float] = None) -> None:
@@ -135,12 +132,10 @@ class Telemetry:
     def run_finished(self, makespan: float, workers: int,
                      now: Optional[float] = None) -> None:
         """Close open intervals and freeze derived gauges (idempotent)."""
-        if self.finished:
+        if self._end is not None:
             return
-        self.finished = True
         now = makespan if now is None else now
-        if self.chrome is not None:
-            self.chrome.finalize(now)
+        self._end = now
         if self.metrics is not None:
             self.metrics.inc("trace.dropped_events", self.trace.dropped)
             self.metrics.finalize(makespan, workers, now)
@@ -148,14 +143,10 @@ class Telemetry:
     # -- artifacts ---------------------------------------------------------
 
     def chrome_trace(self) -> Dict[str, Any]:
-        if self.chrome is None:
+        if not self.chrome:
             raise ValueError("this Telemetry was built with chrome=False")
-        return self.chrome.to_dict()
-
-    def metrics_dict(self) -> Dict[str, Any]:
-        if self.metrics is None:
-            raise ValueError("this Telemetry was built with metrics=False")
-        return self.metrics.to_dict()
+        return chrome_trace(self.trace.recorded, self.bus.time_scale,
+                            self._end)
 
     def write(self, trace_out: Optional[str] = None,
               metrics_out: Optional[str] = None) -> None:
@@ -165,7 +156,9 @@ class Telemetry:
                 json.dump(self.chrome_trace(), handle, indent=1)
                 handle.write("\n")
         if metrics_out is not None:
+            if self.metrics is None:
+                raise ValueError("this Telemetry was built with metrics=False")
             with open(metrics_out, "w", encoding="utf-8") as handle:
-                json.dump(self.metrics_dict(), handle, indent=2,
+                json.dump(self.metrics.to_dict(), handle, indent=2,
                           sort_keys=True)
                 handle.write("\n")

@@ -5,12 +5,12 @@ guard :class:`~repro.core.guard.Coordinator`,
 :class:`~repro.core.task.FluidTask`, stage queues, the service and the
 autotuner publish :class:`TelemetryEvent` records into a
 :class:`TelemetryBus`; subscribers — the
-:class:`~repro.runtime.tracing.Trace`, the
-:class:`~repro.telemetry.metrics.MetricsRegistry`, the Chrome trace
-exporter, a :class:`~repro.runtime.gantt.TimelineRecorder`, SchedLab's
-:class:`~repro.schedlab.invariants.InvariantChecker` — consume the same
-stream, so the simulator, thread and process backends feed exactly the
-same instrumentation pipeline.
+:class:`~repro.telemetry.trace.Trace` record (whose structural, Chrome
+and Gantt views read one event list), the
+:class:`~repro.telemetry.metrics.MetricsRegistry`, the autotuner,
+SchedLab's :class:`~repro.schedlab.invariants.InvariantChecker` —
+consume the same stream, so the simulator, thread and process backends
+feed exactly the same instrumentation pipeline.
 
 Event kinds
 -----------
@@ -36,7 +36,7 @@ Event kinds
     ``start`` or ``end``; ``data`` carries ``result`` (bool) and
     ``valves`` (set size), plus ``forced`` when a SchedLab fault plan
     chose the verdict.  Built only while a subscriber reads the kind
-    (the Chrome exporter, the autotuner); the verdict tallies behind
+    (a Chrome-enabled trace, the autotuner); the verdict tallies behind
     the ``valve.*`` counters live in the task's ``TaskStats``.
 ``payload``
     Process-backend payload traffic.  ``name`` is ``to-worker`` or
@@ -122,7 +122,7 @@ class TelemetryBus:
         #: The publishing executor's clock (rebound via :meth:`bind_clock`).
         self.clock: Callable[[], float] = time.perf_counter
         #: Multiplier that converts bus timestamps to microseconds for
-        #: the Chrome trace exporter: 1.0 for virtual time (one cost
+        #: the Chrome trace view: 1.0 for virtual time (one cost
         #: unit renders as one microsecond), 1e6 for wall-clock seconds.
         self.time_scale: float = 1e6
         #: Count of events delivered so far, i.e. offered while some

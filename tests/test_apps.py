@@ -265,6 +265,11 @@ class TestProtocol:
         with pytest.raises(NotImplementedError):
             FluidApp().build_regions(0.4, "percent", 1)
 
+    def test_run_fluid_takes_no_trace_flag(self):
+        """``telemetry=`` traces every backend; the sim-only flag went."""
+        import inspect
+        assert "trace" not in inspect.signature(FluidApp.run_fluid).parameters
+
     def test_custom_overheads_respected(self):
         from repro import Overheads
         app = EdgeDetectionApp(small_image())

@@ -640,11 +640,12 @@ class TestOptionsCensus:
 
         from repro.runtime import PersistentProcessPool, SharedThreadPool
         from repro.service import FluidService
+        from repro.telemetry import Telemetry
 
         census = {cls.__name__: list(inspect.signature(cls).parameters)
                   for cls in (SimExecutor, ThreadExecutor, SharedThreadPool,
                               ProcessExecutor, PersistentProcessPool,
-                              FluidService)}
+                              FluidService, Telemetry)}
         assert census == {
             "SimExecutor": [
                 "cores", "overheads", "modulation", "max_active_regions",
@@ -665,6 +666,7 @@ class TestOptionsCensus:
                 "discipline", "max_concurrency", "latency_slo",
                 "batch_max", "batch_cost_threshold",
                 "request_timeout", "telemetry", "backend_options", "name"],
+            "Telemetry": ["metrics", "chrome", "trace_capacity"],
         }
 
     def test_the_bus_is_the_only_observation_path(self):
@@ -675,7 +677,7 @@ class TestOptionsCensus:
 
         import repro.core.states
         import repro.stream
-        from repro.runtime.gantt import TimelineRecorder
+        from repro.telemetry.trace import TimelineRecorder
 
         assert sorted(repro.stream.__all__) == [
             "APPS", "DROPPED", "Pipeline", "PipelineResult", "Stage",

@@ -2,7 +2,7 @@
 
 
 from repro import SimExecutor, Telemetry
-from repro.runtime.gantt import GLYPHS, TimelineRecorder
+from repro.telemetry.trace import GLYPHS, TimelineRecorder
 
 from util import make_pipeline
 
@@ -20,7 +20,7 @@ class TestTimelineRecorder:
     def test_records_every_task(self):
         region = make_pipeline(n=20, name="gantt")
         recorder = record(region)
-        labels = list(recorder._events)
+        labels = list(recorder._rows())
         assert labels == ["gantt/produce", "gantt/consume"]
 
     def test_span_matches_completion(self):

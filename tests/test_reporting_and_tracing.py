@@ -2,7 +2,7 @@
 
 
 from repro.bench.reporting import render_series, render_table
-from repro.runtime.tracing import Trace, TraceEvent
+from repro.telemetry.trace import Trace, TraceEvent
 
 
 class TestTrace:

@@ -186,6 +186,16 @@ class TestFaultPlans:
         assert outcome.failure == "fault-injected"
         assert outcome.fault_kinds == ["raise"]
 
+    @pytest.mark.parametrize("backend", ["sim", "thread"])
+    def test_a_failed_run_keeps_its_trace(self, backend):
+        """The run a replay exists to explain is the failing one."""
+        outcome = run_scenario("pipeline", backend=backend, trace=True,
+                               faults=[{"kind": "raise", "task": "consume",
+                                        "count": 1}])
+        assert outcome.failure == "fault-injected"
+        assert len(outcome.trace) > 0
+        assert outcome.trace.count("failed", task="consume") == 1
+
     def test_delay_fault_stretches_virtual_time(self):
         baseline = run_scenario("pipeline")
         delayed = run_scenario("pipeline", faults=[

@@ -16,6 +16,25 @@ def fresh_executor(**kwargs):
     return SimExecutor(**kwargs)
 
 
+class TestOverheadsValidation:
+    @pytest.mark.parametrize("field", [
+        "task_init", "end_check", "region_setup", "valve_check", "signal",
+        "pool_size", "pool_dispatch"])
+    @pytest.mark.parametrize("bad", [-0.5, -5, math.nan, math.inf, "1"])
+    def test_every_field_refuses_a_bad_value(self, field, bad):
+        with pytest.raises(ValueError, match=f"Overheads.{field} "):
+            Overheads(**{field: bad})
+
+    def test_pool_size_must_be_an_int(self):
+        with pytest.raises(ValueError, match="Overheads.pool_size "):
+            Overheads(pool_size=1.5)
+
+    def test_defaults_and_zero_are_accepted(self):
+        assert Overheads().task_init == 1.0
+        assert Overheads.zero().signal == 0.0
+        assert Overheads(pool_size=2, pool_dispatch=0.1).pool_size == 2
+
+
 class TestBasics:
     def test_fluid_output_matches_serial(self):
         fluid = make_pipeline(n=20)

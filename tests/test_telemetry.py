@@ -19,7 +19,7 @@ from repro import (ProcessExecutor, SimExecutor, Telemetry, TelemetryBus,
 from repro.core.errors import StateError
 from repro.core.states import TaskState
 from repro.core.stats import TaskStats
-from repro.runtime.tracing import Trace
+from repro.telemetry.trace import Trace
 from repro.telemetry import (METRICS_SCHEMA, TelemetryEvent, diff_metrics,
                              load_metrics)
 from repro.telemetry.__main__ import main as telemetry_cli
@@ -376,6 +376,58 @@ class TestTraceRingBuffer:
         assert len(telemetry.trace) == 2
         assert (telemetry.metrics.counters["trace.dropped_events"]
                 == telemetry.trace.dropped > 0)
+
+
+    def test_capacity_bounds_the_chrome_view(self):
+        def run(capacity):
+            telemetry = Telemetry(metrics=False, trace_capacity=capacity)
+            region = make_pipeline(n=10, start_fraction=1.0,
+                                   exact_quality=True)
+            executor = SimExecutor(cores=4, telemetry=telemetry)
+            executor.submit(region)
+            executor.run()
+            return telemetry
+
+        def marks(telemetry):
+            return [e for e in telemetry.chrome_trace()["traceEvents"]
+                    if e["ph"] != "M"]
+
+        full, bounded = run(None), run(4)
+        assert len(bounded.trace.recorded) == 4
+        assert bounded.trace.dropped == len(full.trace.recorded) - 4 > 0
+        # Every slice or instant comes from a retained event.
+        assert 0 < len(marks(bounded)) <= 4 < len(marks(full))
+
+
+class TestTraceKinds:
+    """One recorder, the kinds each configuration always heard: the
+    structural ones without Chrome, the old exporter's with it."""
+
+    def test_chrome_off_hears_only_sched_and_guard(self):
+        bus = Telemetry(metrics=False, chrome=False).bus
+        assert sorted(bus._routes) == ["guard", "sched"]
+        bus = Telemetry(chrome=False).bus
+        assert not bus.wants("transition") and not bus.wants("valve")
+
+    def test_chrome_on_hears_every_kind_but_stream(self):
+        bus = Telemetry(metrics=False).bus
+        assert sorted(bus._routes) == [
+            "guard", "payload", "sched", "svc", "transition", "tune",
+            "valve", "worker"]
+        assert not bus.wants("stream")
+
+    def test_each_event_is_stored_once_as_published(self):
+        telemetry = Telemetry()
+        seen = []
+        telemetry.bus.subscribe(seen.append)
+        region = make_pipeline(n=10, start_fraction=1.0, exact_quality=True)
+        executor = SimExecutor(cores=4, telemetry=telemetry)
+        executor.submit(region)
+        executor.run()
+        recorded = telemetry.trace.recorded
+        assert [e for e in seen if e.kind != "stream"] == recorded
+        assert all(a is b for a, b in zip(
+            [e for e in seen if e.kind != "stream"], recorded))
 
 
 class TestHistogramLookup:

@@ -11,7 +11,8 @@ its own start valve, overlapping the still-running scan.
 Run:  python examples/dynamic_task_graph.py
 """
 
-from repro import FluidRegion, PercentValve, SimExecutor, run_serial
+from repro import (FluidRegion, PercentValve, SimExecutor, Telemetry,
+                   run_serial)
 
 ITEMS = 240
 CATEGORIES = 4
@@ -68,7 +69,8 @@ def main():
     serial = run_serial(serial_region)
 
     fluid_region = AdaptiveAnalysis("fluid")
-    executor = SimExecutor(cores=8, trace=True)
+    executor = SimExecutor(cores=8,
+                           telemetry=Telemetry(metrics=False, chrome=False))
     executor.submit(fluid_region)
     fluid = executor.run()
 

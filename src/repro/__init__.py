@@ -53,7 +53,7 @@ from .runtime import (BACKENDS, Overheads, ProcessExecutor, RunResult,
                       make_executor, run_serial)
 from .telemetry import (MetricsRegistry, Telemetry, TelemetryBus,
                         TelemetryEvent, TimelineRecorder, Trace)
-from .tuning import ThresholdTuner, TuningResult, ValveSelector
+from .tuning import ThresholdTuner, TuningResult
 
 __version__ = "1.0.0"
 
@@ -69,7 +69,7 @@ __all__ = [
     "ValveError", "submit_all", "submit_chain", "submit_stages", "sync",
     "BACKENDS", "Overheads", "ProcessExecutor", "RunResult", "SimExecutor",
     "SimResult", "ThreadExecutor", "Trace", "make_executor", "run_serial",
-    "TimelineRecorder", "ThresholdTuner", "TuningResult", "ValveSelector",
+    "TimelineRecorder", "ThresholdTuner", "TuningResult",
     "MetricsRegistry", "Telemetry", "TelemetryBus",
     "TelemetryEvent",
     "__version__",

@@ -29,25 +29,12 @@ CHUNK_EDGES = 512
 
 
 class BellmanFordRegion(FluidRegion):
-    """seed -> relax_first -> ... -> relax_{last-1} (leaf).
+    """seed -> relax_0 -> ... -> relax_{iterations-1} (leaf)."""
 
-    One segment of the app's relax-iteration budget.  The classic
-    single-region pipeline is ``first=0, last=iterations``; segmented
-    mode (``BellmanFordApp(segments=...)``) chains several of these
-    regions over the shared distance vector, giving each segment its
-    own leaf quality valve — per-segment quality feedback, and a
-    threshold lever that still matters after the first tasks have
-    started (what closed-loop autotuning steers; see
-    docs/autotuning.md).
-    """
-
-    def __init__(self, app: "BellmanFordApp", threshold: float,
-                 first: int = 0, last: int = None, name=None):
+    def __init__(self, app: "BellmanFordApp", threshold: float):
         self.app = app
         self.threshold = threshold
-        self.first = first
-        self.last = app.iterations if last is None else last
-        super().__init__(name)
+        super().__init__()
 
     def build(self):
         app = self.app
@@ -57,7 +44,7 @@ class BellmanFordRegion(FluidRegion):
         dist = app._dist_work
         self._dist = dist
 
-        previous_cell = self.add_data(f"dist_{self.first}")
+        previous_cell = self.add_data("dist_0")
         previous_count = None
 
         def seed(ctx):
@@ -67,7 +54,7 @@ class BellmanFordRegion(FluidRegion):
         self.add_task("seed", seed, inputs=[src_cell],
                       outputs=[previous_cell])
 
-        for iteration in range(self.first, self.last):
+        for iteration in range(app.iterations):
             out_cell = self.add_data(f"dist_{iteration + 1}")
             ct = self.add_count(f"relaxed_{iteration}")
             if previous_count is not None:
@@ -79,7 +66,7 @@ class BellmanFordRegion(FluidRegion):
                 # 100% threshold.
                 start = [DataFinalValve(previous_cell,
                                         name="v_seeded")]
-            is_leaf = iteration == self.last - 1
+            is_leaf = iteration == app.iterations - 1
             end = []
             if is_leaf and previous_count is not None:
                 end = [PercentValve(previous_count, 1.0, m,
@@ -112,28 +99,13 @@ class BellmanFordApp(FluidApp):
     name = "bellman_ford"
 
     def __init__(self, graph: GraphInput, iterations: int = 8,
-                 source: int = 0, segments: int = 1):
+                 source: int = 0):
         super().__init__()
         self.graph = graph
         self.iterations = iterations
         self.source = source
-        #: >1 splits the iteration chain into that many chained regions
-        #: (each needs >= 2 iterations to carry a quality valve); the
-        #: computation is identical, but quality feedback arrives per
-        #: segment instead of once at the end of the run.
-        self.segments = segments
         self.reference = bellman_ford_reference(graph, source)
         self._dist_work = None  # rebuilt per run in build_regions
-
-    def _segment_bounds(self):
-        segments = max(1, min(self.segments, self.iterations // 2))
-        base, extra = divmod(self.iterations, segments)
-        bounds, start = [], 0
-        for index in range(segments):
-            size = base + (1 if index < extra else 0)
-            bounds.append((start, start + size))
-            start += size
-        return bounds
 
     def build_regions(self, threshold: float, valve: str,
                       parallelism: int) -> SubmitPlan:
@@ -141,14 +113,7 @@ class BellmanFordApp(FluidApp):
         dist[self.source] = 0.0
         self._dist_work = dist
         plan = SubmitPlan()
-        bounds = self._segment_bounds()
-        for first, last in bounds:
-            # Single-segment keeps the historical default region name
-            # (golden traces pin it); segmented runs need unique names.
-            name = (None if len(bounds) == 1
-                    else f"bf_seg{first}_{id(dist) % 9973}")
-            plan.add_region(BellmanFordRegion(self, threshold, first, last,
-                                              name=name))
+        plan.add_region(BellmanFordRegion(self, threshold))
         plan.extras["dist"] = dist
         return plan
 

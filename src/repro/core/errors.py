@@ -39,7 +39,7 @@ class SchedulerError(FluidError):
 
 
 class TuningError(FluidError):
-    """A valve autotuner or its controller/SLO spec is mis-configured."""
+    """A valve autotuner or its SLO spec is mis-configured."""
 
 
 class TaskCancelled(FluidError):

@@ -42,7 +42,7 @@ from ..core.guard import GuardHost, ModulationPolicy
 from ..core.region import FluidRegion
 from ..core.states import TaskState
 from ..core.task import FluidTask
-from ..telemetry import Telemetry, Trace
+from ..telemetry import Trace
 from .context import ReadyQueue, RegionRun, RunContext
 from .events import EventQueue
 from .executor import Executor, RunResult
@@ -116,7 +116,6 @@ class SimExecutor(Executor, GuardHost, UpdateSink):
                  modulation: Optional[ModulationPolicy] = None,
                  max_active_regions: Optional[int] = None,
                  cancel_first_runs: bool = False,
-                 trace: bool = False,
                  policy: Optional[Any] = None,
                  telemetry: Optional[Any] = None,
                  scheduler: Optional[Any] = None,
@@ -131,9 +130,6 @@ class SimExecutor(Executor, GuardHost, UpdateSink):
             # A cap below 1 could never launch a region.
             raise SchedulerError("max_active_regions must be >= 1")
         self.max_active_regions = max_active_regions
-        # An explicit Telemetry wins; trace=True gets a trace-only one.
-        if telemetry is None and trace:
-            telemetry = Telemetry(metrics=False, chrome=False)
         super().__init__("sim-run", telemetry=telemetry, autotune=autotune,
                          modulation=modulation,
                          cancel_first_runs=cancel_first_runs)

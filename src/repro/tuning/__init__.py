@@ -3,13 +3,13 @@
 Two generations of the paper's "future work" auto-tuning live here:
 
 * :mod:`repro.tuning.offline` — the original bisection search for the
-  cheapest feasible static threshold (:class:`ThresholdTuner`,
-  :class:`ValveSelector`).  Re-exported at the package root so historic
+  cheapest feasible static threshold (:class:`ThresholdTuner`).
+  Re-exported at the package root so historic
   ``from repro.tuning import ThresholdTuner`` imports keep working.
-* :mod:`repro.tuning.autotune` + :mod:`repro.tuning.controllers` — the
-  closed-loop :class:`ValveAutotuner`, which steers start-valve
-  thresholds at runtime against a declared :class:`SLO` using a
-  pluggable control law (:func:`make_controller`).
+* :mod:`repro.tuning.autotune` — the closed-loop
+  :class:`ValveAutotuner`, which steers start-valve thresholds at
+  runtime against an ``accuracy_floor`` :class:`SLO` with one AIMD
+  control law.
 
 Executors accept ``autotune=`` specs via :func:`make_autotuner`;
 misconfiguration raises :class:`~repro.core.errors.TuningError`.
@@ -18,9 +18,7 @@ misconfiguration raises :class:`~repro.core.errors.TuningError`.
 from ..core.errors import TuningError
 from .autotune import (SLO, SLO_KINDS, TuneDecision, ValveAutotuner,
                        make_autotuner)
-from .controllers import (CONTROLLER_NAMES, CONTROLLERS, AimdController,
-                          Controller, HysteresisController, make_controller)
-from .offline import ThresholdTuner, TuningProbe, TuningResult, ValveSelector
+from .offline import ThresholdTuner, TuningProbe, TuningResult
 
 __all__ = [
     "SLO",
@@ -28,15 +26,8 @@ __all__ = [
     "TuneDecision",
     "ValveAutotuner",
     "make_autotuner",
-    "Controller",
-    "AimdController",
-    "HysteresisController",
-    "CONTROLLERS",
-    "CONTROLLER_NAMES",
-    "make_controller",
     "ThresholdTuner",
     "TuningProbe",
     "TuningResult",
-    "ValveSelector",
     "TuningError",
 ]

@@ -1,33 +1,34 @@
-"""Closed-loop valve autotuning against latency/accuracy SLOs.
+"""Closed-loop valve autotuning against an accuracy-floor SLO.
 
 The paper's threshold modulation (Sections 4.4 and 6.1) tightens valves
 after quality failures; :class:`ValveAutotuner` generalizes it into an
 online feedback controller in the spirit of significance-aware runtimes
 (Vassiliadis et al.): subscribe to the telemetry bus, fold the run's
-own quality/latency signals into an SLO error, and steer start-valve
-thresholds at runtime through a pluggable control law
-(:mod:`repro.tuning.controllers`).
+end-valve verdicts into an SLO error, and steer start-valve thresholds
+at runtime with one AIMD control law.
 
-Two SLOs are supported:
+The SLO is ``accuracy_floor`` (minimize makespan s.t. quality >= floor).
+Feedback is the *end-valve verdict stream*: each evaluated quality check
+in any attached region contributes one pass/fail sample, and every
+``window`` samples the tuner compares the window pass rate against the
+floor.  The cadence is event-count-based, not clock-based, and the pass
+rate is order-invariant within a window, so on a deterministic schedule
+all three backends take *identical* tuning decisions (the parity suite
+pins this).  The window is run-global rather than per-region because
+the SLO is a run property and per-region feedback is sparse: an
+epoch-structured app like K-means emits only one quality verdict per
+epoch region.
 
-``accuracy_floor`` (minimize makespan s.t. quality >= floor)
-    Feedback is the *end-valve verdict stream* — each evaluated quality
-    check in any attached region contributes one pass/fail sample, and
-    every ``window`` samples the controller compares the window pass
-    rate against the floor.  The cadence is event-count-based, not
-    clock-based, and the pass rate is order-invariant within a window,
-    so on a deterministic schedule all three backends take *identical*
-    tuning decisions (the parity suite pins this).  The window is
-    run-global rather than per-region because the SLO is a run
-    property and per-region feedback is sparse: an epoch-structured
-    app like K-means emits only one quality verdict per epoch region.
+Control law
+-----------
 
-``latency_ceiling`` (maximize accuracy s.t. makespan <= ceiling)
-    Feedback is projected run makespan (elapsed time since the first
-    region attach, scaled by the completed-task fraction) against the
-    ceiling, sampled every ``window`` task completions.  Projections
-    read the executor clock, so decisions are deterministic only under
-    the simulator.
+AIMD, TCP style, on the window's signed error ``target - pass rate``
+(positive means tighten).  The *rate* being controlled is relaxation
+(``1 - position``): on a violation beyond :data:`DEADBAND` the tuner
+backs off multiplicatively, jumping :data:`BACKOFF` of the remaining
+distance toward full serialization; while the floor is met with margin
+it relaxes additively by :data:`RELAX_STEP`, probing for concurrency.
+Errors inside the deadband hold the position.
 
 Positions and bounds
 --------------------
@@ -62,14 +63,24 @@ traces bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from ..core.errors import TuningError
 from ..core.valves import ConvergenceValve, CountValve, StabilityValve, Valve
-from .controllers import controller_option_names, make_controller, parse_float
 
-SLO_KINDS = ("accuracy_floor", "latency_ceiling")
+SLO_KINDS = ("accuracy_floor",)
+
+#: Additive relaxation per window that meets the floor with margin.
+RELAX_STEP = 0.05
+#: Share of the remaining distance to serialization taken on a violation.
+BACKOFF = 0.5
+#: Errors within this band of the floor hold the position.
+DEADBAND = 0.02
+
+#: The options an ``accuracy_floor:key=value,...`` spec accepts.
+SPEC_OPTIONS = ("target", "window", "relax_floor")
 
 
 @dataclass(frozen=True)
@@ -84,25 +95,14 @@ class SLO:
             raise TuningError(
                 f"unknown SLO kind {self.kind!r}; expected one of "
                 + ", ".join(SLO_KINDS))
-        if self.kind == "accuracy_floor" and not 0.0 < self.target <= 1.0:
+        if not 0.0 < self.target <= 1.0:
             raise TuningError(
                 f"accuracy_floor target {self.target} outside (0, 1]")
-        if self.kind == "latency_ceiling" and self.target <= 0:
-            raise TuningError(
-                f"latency_ceiling target {self.target} must be positive")
 
     @classmethod
     def accuracy_floor(cls, target: float = 0.9) -> "SLO":
         """Quality floor: window end-valve pass rate must stay >= target."""
         return cls("accuracy_floor", float(target))
-
-    @classmethod
-    def latency_ceiling(cls, target: float) -> "SLO":
-        """Latency ceiling: projected makespan must stay <= target."""
-        return cls("latency_ceiling", float(target))
-
-    def describe(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "target": self.target}
 
 
 @dataclass(frozen=True)
@@ -111,10 +111,20 @@ class TuneDecision:
 
     index: int
     region: str
-    metric: float   # window pass rate / projected makespan
+    metric: float   # window pass rate
     error: float    # signed; positive = tighten
     before: float   # position before
     after: float    # position after
+
+
+def aimd_step(error: float, position: float) -> float:
+    """The signed position delta for a window's ``error`` at
+    ``position`` (see the module doc's control law)."""
+    if error > DEADBAND:
+        return BACKOFF * (1.0 - position)
+    if error < -DEADBAND:
+        return -RELAX_STEP
+    return 0.0
 
 
 class _TunedValve:
@@ -173,20 +183,21 @@ def _tuned_valve(valve: Valve,
     return None   # Always/Never/Predicate/DataFinal: not actuatable
 
 
-class _RegionState:
-    """One attached region: its tunable valves and task count."""
-
-    __slots__ = ("name", "entries", "total_tasks")
-
-    def __init__(self, name: str, entries: List[_TunedValve],
-                 total_tasks: int):
-        self.name = name
-        self.entries = entries
-        self.total_tasks = total_tasks
+def _check_window(window: Any) -> int:
+    """``window`` as a whole number of samples >= 1, or TuningError."""
+    try:
+        whole = float(window).is_integer() and window >= 1
+    except (TypeError, ValueError):
+        whole = False
+    if not whole:
+        raise TuningError(
+            f"autotuner option 'window' needs a whole number >= 1, "
+            f"got {window!r}")
+    return int(window)
 
 
 class ValveAutotuner:
-    """Online per-region valve-threshold controller (see module doc).
+    """Online valve-threshold controller (see module doc).
 
     Like :class:`repro.sched.Scheduler`, a tuner instance is a
     *single-run* object: a run binds it to its telemetry bus and it
@@ -196,22 +207,18 @@ class ValveAutotuner:
     tuner via :func:`make_autotuner`.
     """
 
-    def __init__(self, slo: Any, controller: Any = None, window: int = 8,
+    def __init__(self, slo: SLO, window: int = 8,
                  relax_floor: Optional[float] = None):
-        if isinstance(slo, str):
-            slo = SLO(slo.strip().lower(), 0.9)
         if not isinstance(slo, SLO):
-            raise TuningError(
-                f"slo must be an SLO or kind name, got {slo!r}")
+            raise TuningError(f"slo must be an SLO, got {slo!r}")
         self.slo = slo
-        self.controller = make_controller(controller)
-        self.window = int(window)
-        if self.window < 1:
-            raise TuningError("autotuner window must be >= 1")
+        self.window = _check_window(window)
         if relax_floor is not None and not 0.0 <= relax_floor < 1.0:
             raise TuningError(
-                f"relax_floor {relax_floor} outside [0, 1)")
+                f"autotuner option 'relax_floor' {relax_floor} outside "
+                "[0, 1)")
         self.relax_floor = relax_floor
+        self.floor_position = -1.0 if relax_floor is not None else 0.0
         #: current operating point; regions attached later inherit it.
         self.position = 0.0
         self.decisions: List[TuneDecision] = []
@@ -219,21 +226,16 @@ class ValveAutotuner:
         self.adjustments = 0
         self.tightenings = 0
         self.relaxations = 0
-        self._regions: Dict[str, _RegionState] = {}
-        # Run-global feedback accumulators (see module doc for why the
-        # window is not per-region).
+        #: region name -> its tunable start valves.
+        self._regions: Dict[str, List[_TunedValve]] = {}
+        # Run-global feedback window (see module doc for why it is not
+        # per-region).
         self._samples = 0
         self._passes = 0
-        self._completed = 0
-        self._first_attach_ts: Optional[float] = None
         self._bus: Optional[Any] = None
         self._bound = False
 
     # ------------------------------------------------------ executor API
-
-    @property
-    def floor_position(self) -> float:
-        return -1.0 if self.relax_floor is not None else 0.0
 
     def bind(self, bus: Optional[Any]) -> "ValveAutotuner":
         """Subscribe to a run's bus.  Single-run means one bus: binding
@@ -248,7 +250,7 @@ class ValveAutotuner:
         self._bound = True
         self._bus = bus
         if bus is not None:
-            bus.subscribe(self.on_event, kinds=("valve", "transition"))
+            bus.subscribe(self.on_event, kinds=("valve",))
         return self
 
     def attach_region(self, region: Any) -> None:
@@ -264,12 +266,7 @@ class ValveAutotuner:
                 tuned = _tuned_valve(valve, self.relax_floor)
                 if tuned is not None:
                     entries.append(tuned)
-        state = _RegionState(region.name, entries,
-                             total_tasks=len(region.tasks))
-        self._regions[region.name] = state
-        if self._first_attach_ts is None:
-            self._first_attach_ts = (
-                self._bus.clock() if self._bus is not None else 0.0)
+        self._regions[region.name] = entries
         if self.position != 0.0:
             # Inherit the operating point earlier regions reached.
             for entry in entries:
@@ -280,51 +277,32 @@ class ValveAutotuner:
                 "position": self.position, "valves": len(entries)})
 
     def on_event(self, event: Any) -> None:
-        """Bus subscriber: fold feedback events into window samples."""
-        if event.region not in self._regions:
+        """Bus subscriber: fold end-valve verdicts into window samples."""
+        if event.name != "end" or event.region not in self._regions:
             return
-        if self.slo.kind == "accuracy_floor":
-            if event.kind != "valve" or event.name != "end":
-                return
-            self._samples += 1
-            if event.data.get("result"):
-                self._passes += 1
-            if self._samples >= self.window:
-                metric = self._passes / self._samples
-                self._passes = self._samples = 0
-                self._decide(event.region, metric,
-                             self.slo.target - metric, event.ts)
-        else:  # latency_ceiling
-            if event.kind != "transition" or event.name != "COMPLETE":
-                return
-            self._completed += 1
-            self._samples += 1
-            if self._samples >= self.window:
-                self._samples = 0
-                elapsed = event.ts - (self._first_attach_ts or 0.0)
-                total = sum(state.total_tasks
-                            for state in self._regions.values())
-                if elapsed <= 0 or not total:
-                    return
-                projected = elapsed * total / self._completed
-                error = (self.slo.target - projected) / self.slo.target
-                error = max(-1.0, min(1.0, error))
-                self._decide(event.region, projected, error, event.ts)
+        self._samples += 1
+        if event.data.get("result"):
+            self._passes += 1
+        if self._samples >= self.window:
+            metric = self._passes / self._samples
+            self._passes = self._samples = 0
+            self._decide(event.region, metric, self.slo.target - metric,
+                         event.ts)
 
     # --------------------------------------------------------- decisions
 
     def _decide(self, region: str, metric: float, error: float,
                 ts: float) -> None:
         self.windows += 1
-        delta = self.controller.step(error, self.position)
         before = self.position
-        after = max(self.floor_position, min(1.0, before + delta))
+        after = max(self.floor_position,
+                    min(1.0, before + aimd_step(error, before)))
         if after == before:
             return
         self.position = after
         changed = 0
-        for state in self._regions.values():
-            for entry in state.entries:
+        for entries in self._regions.values():
+            for entry in entries:
                 entry.apply(after)
                 changed += 1
         self.adjustments += 1
@@ -342,17 +320,10 @@ class ValveAutotuner:
 
     # --------------------------------------------------------- reporting
 
-    def describe(self) -> Dict[str, Any]:
-        """Compact spec-shaped record for artifacts and CLIs."""
-        return {"slo": self.slo.kind, "target": self.slo.target,
-                "controller": self.controller.name, "window": self.window,
-                "relax_floor": self.relax_floor}
-
     def snapshot(self) -> Dict[str, Any]:
         """End-of-run summary folded into the metrics
         (:meth:`repro.telemetry.Telemetry.record_autotuner`)."""
-        return {"slo": self.slo.describe(),
-                "controller": self.controller.describe(),
+        return {"slo": self.slo.kind, "target": self.slo.target,
                 "window": self.window, "relax_floor": self.relax_floor,
                 "position": self.position, "windows": self.windows,
                 "adjustments": self.adjustments,
@@ -363,17 +334,17 @@ class ValveAutotuner:
 # ------------------------------------------------------------ spec parsing
 
 
-def _parse_options(text: str) -> Dict[str, str]:
-    options: Dict[str, str] = {}
-    for item in (token.strip() for token in text.split(",")):
-        if not item:
-            continue
-        key, separator, value = item.partition("=")
-        if not separator or not key.strip():
-            raise TuningError(
-                f"autotuner option {item!r} is not key=value")
-        options[key.strip()] = value.strip()
-    return options
+def _number(name: str, value: str) -> float:
+    """A finite spec option value, or TuningError naming the option."""
+    try:
+        number = float(value)
+    except ValueError:
+        number = math.nan
+    if not math.isfinite(number):
+        raise TuningError(
+            f"autotuner option {name!r} needs a finite number, "
+            f"got {value!r}")
+    return number
 
 
 def make_autotuner(spec: Any = None) -> Optional[ValveAutotuner]:
@@ -384,14 +355,11 @@ def make_autotuner(spec: Any = None) -> Optional[ValveAutotuner]:
     ``kind:key=value,...`` options::
 
         make_autotuner("accuracy_floor:target=0.9")
-        make_autotuner("accuracy_floor:target=0.85,controller=hysteresis,"
-                       "gain=0.8,window=4")
-        make_autotuner("latency_ceiling:target=50000,relax_floor=0.1")
+        make_autotuner("accuracy_floor:target=0.85,window=4,"
+                       "relax_floor=0.1")
 
-    Options ``target``, ``controller``, ``window`` and ``relax_floor``
-    configure the tuner; any remaining options are forwarded to the
-    named controller (``relax_step``/``backoff``/``deadband`` for aimd,
-    ``gain``/``deadband``/``max_step``/``reversal`` for hysteresis).
+    The options are :data:`SPEC_OPTIONS`; anything else raises
+    :class:`~repro.core.errors.TuningError` naming it.
     """
     if spec is None:
         return None
@@ -404,28 +372,20 @@ def make_autotuner(spec: Any = None) -> Optional[ValveAutotuner]:
         raise TuningError(
             f"unknown SLO kind {kind!r}; expected one of "
             + ", ".join(SLO_KINDS))
-    options = _parse_options(option_text)
-    target = (parse_float("target", options.pop("target"))
-              if "target" in options else None)
-    controller_name = options.pop("controller", None)
-    window = (int(parse_float("window", options.pop("window")))
-              if "window" in options else 8)
-    relax_floor = (parse_float("relax_floor", options.pop("relax_floor"))
-                   if "relax_floor" in options else None)
-    controller_options = {}
-    for key in controller_option_names(controller_name):
-        if key in options:
-            controller_options[key] = parse_float(key, options.pop(key))
-    if options:
-        raise TuningError(
-            f"unknown autotuner option(s) {sorted(options)} in {text!r}")
-    if kind == "accuracy_floor":
-        slo = SLO.accuracy_floor(0.9 if target is None else target)
-    else:
-        if target is None:
+    options: Dict[str, float] = {}
+    for item in (token.strip() for token in option_text.split(",")):
+        if not item:
+            continue
+        key, separator, value = item.partition("=")
+        key = key.strip()
+        if not separator or not key:
             raise TuningError(
-                "latency_ceiling needs an explicit target= makespan")
-        slo = SLO.latency_ceiling(target)
-    controller = make_controller(controller_name, **controller_options)
-    return ValveAutotuner(slo, controller=controller, window=window,
-                          relax_floor=relax_floor)
+                f"autotuner option {item!r} is not key=value")
+        if key not in SPEC_OPTIONS:
+            raise TuningError(
+                f"unknown autotuner option {key!r} in {text!r}; expected "
+                + ", ".join(SPEC_OPTIONS))
+        options[key] = _number(key, value.strip())
+    return ValveAutotuner(SLO.accuracy_floor(options.get("target", 0.9)),
+                          window=options.get("window", 8),
+                          relax_floor=options.get("relax_floor"))

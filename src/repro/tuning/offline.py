@@ -21,16 +21,12 @@ full serialization is valid"), the error-vs-threshold curve is
 *approximately* monotone and a bisection converges quickly; the tuner
 still verifies the returned operating point by direct measurement, so a
 non-monotone pocket can cost extra probes but never an invalid result.
-
-:class:`ValveSelector` additionally compares valve *types* (the paper's
-Figure 8 axis) and returns the best latency among configurations that
-meet the error budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List
 
 from ..apps.base import FluidApp
 
@@ -136,26 +132,3 @@ class ThresholdTuner:
             best, best_threshold = high_probe, self.high
         return TuningResult(best_threshold, valve,
                             best.normalized_latency, best.error, probes)
-
-
-class ValveSelector:
-    """Pick the best (valve type, threshold) pair for an app.
-
-    The paper's Figure 8 shows that the right valve type is
-    application-specific; this selector tunes each candidate type and
-    returns the fastest feasible configuration.
-    """
-
-    def __init__(self, tuner: Optional[ThresholdTuner] = None,
-                 candidates: Sequence[str] = ("percent",)):
-        self.tuner = tuner or ThresholdTuner()
-        self.candidates = tuple(candidates)
-
-    def select(self, app: FluidApp, **fluid_kwargs) -> TuningResult:
-        results: List[TuningResult] = []
-        for valve in self.candidates:
-            results.append(self.tuner.tune(app, valve=valve,
-                                           **fluid_kwargs))
-        feasible = [r for r in results if r.error <= self.tuner.error_budget]
-        pool = feasible or results
-        return min(pool, key=lambda r: r.normalized_latency)

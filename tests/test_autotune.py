@@ -1,10 +1,9 @@
-"""Closed-loop autotuner: controller conformance + tuner behaviour.
+"""Closed-loop autotuner: control-law properties + tuner behaviour.
 
 Three layers, matching docs/autotuning.md:
 
-* **Controller conformance** (Hypothesis): the control-law contract —
-  deadband errors map to zero steps, AIMD is monotone under sustained
-  violation/margin, hysteresis never reverses inside its band, and the
+* **Control-law properties** (Hypothesis): deadband errors map to zero
+  steps, AIMD is monotone under sustained violation/margin, and the
   clamped position keeps every actuated valve attribute within its
   declared ``[lo, hi]`` bounds for *arbitrary* error streams.
 * **Tuner unit behaviour**: SLO validation, spec parsing, untunable
@@ -12,9 +11,10 @@ Three layers, matching docs/autotuning.md:
   attach, ``tune.*`` metrics folding.
 * **Sim integration**: a strict-quality K-means run where the
   ``accuracy_floor`` tuner must adjust at least once, hold the floor,
-  and beat the static baseline it started from, under both the AIMD
-  and the hysteresis control law.
+  and beat the static baseline it started from.
 """
+
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,9 +28,8 @@ from repro.core.valves import (ConvergenceValve, CountValve, PercentValve,
 from repro.telemetry import Telemetry
 from repro.telemetry.bus import TelemetryBus, TelemetryEvent
 from repro.telemetry.metrics import COUNTER_CATALOGUE, MetricsRegistry
-from repro.tuning import (SLO, AimdController, HysteresisController,
-                          ValveAutotuner, make_autotuner, make_controller)
-from repro.tuning.autotune import _tuned_valve
+from repro.tuning import SLO, ValveAutotuner, make_autotuner
+from repro.tuning.autotune import DEADBAND, _tuned_valve, aimd_step
 from repro.workloads import synthetic_image
 
 # ---------------------------------------------------------------------------
@@ -46,27 +45,23 @@ errors_st = st.lists(
               allow_nan=False, allow_infinity=False),
     min_size=1, max_size=40)
 
-controller_st = st.sampled_from(["aimd", "hysteresis"])
-
 
 # ---------------------------------------------------------------------------
-# controller conformance (Hypothesis)
+# control-law properties (Hypothesis)
 
 
 @settings(max_examples=60, deadline=None)
-@given(errors=errors_st, name=controller_st,
-       relax=st.booleans())
-def test_position_and_thresholds_stay_in_bounds(errors, name, relax):
+@given(errors=errors_st, relax=st.booleans())
+def test_position_and_thresholds_stay_in_bounds(errors, relax):
     """Arbitrary error streams never push an actuated valve outside
     its [lo, hi] bounds, in either the tighten or relax direction."""
-    controller = make_controller(name)
     relax_floor = 0.1 if relax else None
     valve = PercentValve(Count("progress"), 0.4, 100.0, name="gate")
     tuned = _tuned_valve(valve, relax_floor)
     floor = -1.0 if relax else 0.0
     position = 0.0
     for error in errors:
-        position = _clamp(position + controller.step(error, position),
+        position = _clamp(position + aimd_step(error, position),
                           floor, 1.0)
         tuned.apply(position)
         assert floor <= position <= 1.0
@@ -74,32 +69,27 @@ def test_position_and_thresholds_stay_in_bounds(errors, name, relax):
 
 
 @settings(max_examples=60, deadline=None)
-@given(deadband=st.floats(min_value=0.01, max_value=0.2),
-       name=controller_st,
-       scales=st.lists(st.floats(min_value=-1.0, max_value=1.0,
-                                 allow_nan=False), min_size=1, max_size=20))
-def test_deadband_errors_never_step(deadband, name, scales):
+@given(scales=st.lists(st.floats(min_value=-1.0, max_value=1.0,
+                                 allow_nan=False), min_size=1, max_size=20),
+       position=st.floats(min_value=-1.0, max_value=1.0))
+def test_deadband_errors_never_step(scales, position):
     """Errors inside the deadband map to a zero step — the
-    no-oscillation guarantee both laws must honour."""
-    controller = make_controller(name, deadband=deadband)
-    position = 0.0
+    no-oscillation guarantee."""
     for scale in scales:
-        error = scale * deadband        # |error| <= deadband by design
-        assert controller.step(error, position) == 0.0
+        error = scale * DEADBAND        # |error| <= deadband by design
+        assert aimd_step(error, position) == 0.0
 
 
 @settings(max_examples=60, deadline=None)
 @given(errors=st.lists(st.floats(min_value=0.05, max_value=1.0,
                                  allow_nan=False),
-                       min_size=1, max_size=30),
-       backoff=st.floats(min_value=0.1, max_value=1.0))
-def test_aimd_sustained_violation_is_monotone_tightening(errors, backoff):
+                       min_size=1, max_size=30))
+def test_aimd_sustained_violation_is_monotone_tightening(errors):
     """All-fail feedback drives AIMD monotonically toward serialization
     (position nondecreasing, never past 1)."""
-    controller = AimdController(backoff=backoff, deadband=0.02)
     position = 0.0
     for error in errors:
-        step = controller.step(error, position)
+        step = aimd_step(error, position)
         assert step >= 0.0
         new_position = _clamp(position + step, 0.0, 1.0)
         assert new_position >= position
@@ -110,16 +100,14 @@ def test_aimd_sustained_violation_is_monotone_tightening(errors, backoff):
 @settings(max_examples=60, deadline=None)
 @given(errors=st.lists(st.floats(min_value=-1.0, max_value=-0.05,
                                  allow_nan=False),
-                       min_size=1, max_size=30),
-       relax_step=st.floats(min_value=0.01, max_value=0.5))
-def test_aimd_sustained_margin_relaxes_to_floor(errors, relax_step):
+                       min_size=1, max_size=30))
+def test_aimd_sustained_margin_relaxes_to_floor(errors):
     """Pass-with-margin feedback relaxes additively and clamps at the
     floor instead of overshooting it."""
-    controller = AimdController(relax_step=relax_step, deadband=0.02)
     floor = -1.0
     position = 0.0
     for error in errors:
-        step = controller.step(error, position)
+        step = aimd_step(error, position)
         assert step < 0.0
         new_position = _clamp(position + step, floor, 1.0)
         assert new_position <= position
@@ -127,36 +115,10 @@ def test_aimd_sustained_margin_relaxes_to_floor(errors, relax_step):
     assert position >= floor
 
 
-@settings(max_examples=60, deadline=None)
-@given(deadband=st.floats(min_value=0.02, max_value=0.1),
-       reversal=st.floats(min_value=1.5, max_value=4.0),
-       fraction=st.floats(min_value=1.01, max_value=1.49))
-def test_hysteresis_holds_course_inside_reversal_band(deadband, reversal,
-                                                      fraction):
-    """After tightening, an opposing error inside the hysteresis band
-    (deadband < |e| <= reversal * deadband) must not flip direction."""
-    controller = HysteresisController(deadband=deadband, reversal=reversal)
-    assert controller.step(reversal * deadband * 2.0, 0.0) > 0.0
-    # fraction < 1.5 <= reversal, so the opposing error sits strictly
-    # inside the hysteresis band: outside the deadband, but not loud
-    # enough to justify a reversal.
-    opposing = -fraction * deadband
-    assert controller.step(opposing, 0.5) == 0.0
-
-
-@settings(max_examples=60, deadline=None)
-@given(error=st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
-       gain=st.floats(min_value=0.1, max_value=5.0),
-       max_step=st.floats(min_value=0.05, max_value=0.5))
-def test_hysteresis_step_clamped_to_max_step(error, gain, max_step):
-    controller = HysteresisController(gain=gain, max_step=max_step)
-    assert abs(controller.step(error, 0.0)) <= max_step + 1e-12
-
-
 @settings(max_examples=50, deadline=None)
 @given(verdicts=st.lists(st.booleans(), min_size=1, max_size=30))
 def test_tuner_end_to_end_bounds_for_any_verdict_stream(verdicts):
-    """Full tuner loop (bus -> window -> controller -> actuation): any
+    """Full tuner loop (bus -> window -> control law -> actuation): any
     end-valve verdict stream keeps thresholds in bounds and the
     decision log consistent with the counters."""
     bus = TelemetryBus()
@@ -214,7 +176,6 @@ def test_slo_validation():
     with pytest.raises(TuningError):
         SLO("nonsense", 0.5)
     assert SLO.accuracy_floor().target == 0.9
-    assert SLO.latency_ceiling(100.0).kind == "latency_ceiling"
 
 
 def test_spec_parsing():
@@ -223,37 +184,47 @@ def test_spec_parsing():
     assert make_autotuner(tuner) is tuner
 
     parsed = make_autotuner("accuracy_floor:target=0.85,window=4,"
-                            "controller=hysteresis,gain=0.8,relax_floor=0.2")
+                            "relax_floor=0.2")
     assert parsed.slo == SLO("accuracy_floor", 0.85)
     assert parsed.window == 4
     assert parsed.relax_floor == 0.2
-    assert isinstance(parsed.controller, HysteresisController)
-    assert parsed.controller.gain == 0.8
 
     default = make_autotuner("accuracy_floor")
     assert default.slo.target == 0.9
-    assert isinstance(default.controller, AimdController)
-
-    ceiling = make_autotuner("latency_ceiling:target=50000")
-    assert ceiling.slo == SLO("latency_ceiling", 50000.0)
+    assert default.window == 8 and default.relax_floor is None
 
 
-def test_spec_parsing_errors():
-    with pytest.raises(TuningError):
-        make_autotuner("nonsense:target=0.9")
-    with pytest.raises(TuningError):
-        make_autotuner("latency_ceiling")          # needs explicit target
-    with pytest.raises(TuningError):
-        make_autotuner("accuracy_floor:bogus_option=1")
-    with pytest.raises(TuningError):
-        make_autotuner("accuracy_floor:target")    # not key=value
-    with pytest.raises(TuningError):
-        make_autotuner("accuracy_floor:window=0")
-    with pytest.raises(TuningError):
-        make_autotuner("accuracy_floor:target=nope")
-    with pytest.raises(TuningError):
-        # aimd does not take hysteresis options.
-        make_autotuner("accuracy_floor:gain=2.0")
+@pytest.mark.parametrize("spec, named", [
+    ("nonsense:target=0.9", "nonsense"),
+    ("accuracy_floor:bogus_option=1", "bogus_option"),
+    ("accuracy_floor:target", "target"),          # not key=value
+    ("accuracy_floor:window=0", "window"),
+    ("accuracy_floor:target=nope", "target"),
+    ("accuracy_floor:window=2.5", "window"),
+    ("accuracy_floor:window=nan", "window"),
+    ("accuracy_floor:window=inf", "window"),
+    ("accuracy_floor:target=nan", "target"),
+    ("accuracy_floor:relax_floor=inf", "relax_floor"),
+    ("latency_ceiling:target=1", "latency_ceiling"),
+    ("accuracy_floor:controller=hysteresis", "controller"),
+    ("accuracy_floor:controller=aimd", "controller"),
+    ("accuracy_floor:gain=2.0", "gain"),
+    ("accuracy_floor:backoff=0.5", "backoff"),
+    ("accuracy_floor:relax_step=0.1", "relax_step"),
+    ("accuracy_floor:deadband=0.05", "deadband"),
+    (2.5, "window"),
+    (math.nan, "window"),
+    (math.inf, "window"),
+])
+def test_a_bad_spec_raises_tuning_error_naming_it(spec, named):
+    """A spec string is parsed by ``make_autotuner``; a number is the
+    ``window`` given to ``ValveAutotuner`` directly.  Neither truncates
+    a fractional window nor lets a bare ValueError/OverflowError out."""
+    with pytest.raises(TuningError, match=named):
+        if isinstance(spec, str):
+            make_autotuner(spec)
+        else:
+            ValveAutotuner(SLO.accuracy_floor(0.9), window=spec)
 
 
 def test_untunable_valves_are_skipped():
@@ -361,10 +332,13 @@ def _strict_kmeans():
                      num_clusters=5, epochs=5, quality_fraction=1.0)
 
 
-def _assert_tuner_beats_static(spec):
+def test_accuracy_floor_tuner_beats_static_on_strict_kmeans():
+    """The acceptance behaviour: on strict-quality K-means the tuner
+    adjusts at least once, holds the 0.9 floor, and reduces makespan
+    versus the static aggressive baseline."""
     static = _strict_kmeans().run_fluid(threshold=0.2)
     app = _strict_kmeans()
-    tuner = make_autotuner(spec)
+    tuner = make_autotuner("accuracy_floor:target=0.9,window=1")
     telemetry = Telemetry(chrome=False)
     tuned = app.run_fluid(threshold=0.2, autotune=tuner,
                           telemetry=telemetry)
@@ -377,23 +351,6 @@ def _assert_tuner_beats_static(spec):
     assert telemetry.metrics.counters["tune.windows"] >= tuner.windows
     # ...and the decision log matches the counters.
     assert len(tuner.decisions) == tuner.adjustments
-
-
-def test_accuracy_floor_tuner_beats_static_on_strict_kmeans():
-    """The acceptance behaviour: on strict-quality K-means the tuner
-    adjusts at least once, holds the 0.9 floor, and reduces makespan
-    versus the static aggressive baseline."""
-    _assert_tuner_beats_static("accuracy_floor:target=0.9,window=1")
-
-
-def test_hysteresis_tuner_beats_static_on_strict_kmeans():
-    """The same acceptance behaviour under the hysteresis law.  The
-    strict-quality regime needs decisive steps: one failed epoch must
-    tighten enough that the next producer finishes by its consumer's
-    end check."""
-    _assert_tuner_beats_static(
-        "accuracy_floor:target=0.9,window=1,controller=hysteresis,"
-        "gain=2.0,max_step=1.0")
 
 
 def test_autotune_spec_string_builds_fresh_tuner_per_run():

@@ -641,16 +641,17 @@ class TestOptionsCensus:
         from repro.runtime import PersistentProcessPool, SharedThreadPool
         from repro.service import FluidService
         from repro.telemetry import Telemetry
+        from repro.tuning import ValveAutotuner
 
         census = {cls.__name__: list(inspect.signature(cls).parameters)
                   for cls in (SimExecutor, ThreadExecutor, SharedThreadPool,
                               ProcessExecutor, PersistentProcessPool,
-                              FluidService, Telemetry)}
+                              FluidService, Telemetry, ValveAutotuner)}
         assert census == {
             "SimExecutor": [
                 "cores", "overheads", "modulation", "max_active_regions",
-                "cancel_first_runs", "trace", "policy", "telemetry",
-                "scheduler", "autotune"],
+                "cancel_first_runs", "policy", "telemetry", "scheduler",
+                "autotune"],
             "ThreadExecutor": [
                 "modulation", "timeout", "cancel_first_runs", "policy",
                 "telemetry", "scheduler", "slots", "autotune"],
@@ -667,6 +668,7 @@ class TestOptionsCensus:
                 "batch_max", "batch_cost_threshold",
                 "request_timeout", "telemetry", "backend_options", "name"],
             "Telemetry": ["metrics", "chrome", "trace_capacity"],
+            "ValveAutotuner": ["slo", "window", "relax_floor"],
         }
 
     def test_the_bus_is_the_only_observation_path(self):

@@ -68,6 +68,17 @@ class TestDebugFlag:
         assert info.value.code == 2
         assert "bogus-discipline" in capsys.readouterr().err
 
+    def test_removed_autotune_specs_are_cli_errors(self, capsys):
+        import pytest
+
+        for spec, named in (("latency_ceiling:target=1", "latency_ceiling"),
+                            ("accuracy_floor:controller=hysteresis",
+                             "controller")):
+            with pytest.raises(SystemExit) as info:
+                bench_main(["--autotune", spec])
+            assert info.value.code == 2
+            assert named in capsys.readouterr().err
+
     def test_debug_reraises_scheduler_spec_error(self):
         import pytest
 

@@ -10,7 +10,7 @@ of spawned tasks.
 import pytest
 
 from repro import (FluidRegion, GraphError, PercentValve, SimExecutor,
-                   TaskState, ThreadExecutor, run_serial)
+                   TaskState, Telemetry, ThreadExecutor, run_serial)
 
 
 class ScatterRegion(FluidRegion):
@@ -83,7 +83,8 @@ class TestSimulatorDynamic:
 
     def test_trace_records_spawn_events(self):
         region = ScatterRegion(items=9, buckets=3)
-        executor = SimExecutor(cores=4, trace=True)
+        executor = SimExecutor(
+            cores=4, telemetry=Telemetry(metrics=False, chrome=False))
         executor.submit(region)
         result = executor.run()
         assert result.trace.count("spawn") == 3

@@ -8,7 +8,7 @@ the worst-case convergence to precise output.
 
 
 from repro import (FluidRegion, ModulationPolicy, NeverValve, PercentValve,
-                   PredicateValve, SimExecutor, TaskState)
+                   PredicateValve, SimExecutor, TaskState, Telemetry)
 
 from util import (chain_expected, diamond_expected, make_chain, make_diamond,
                   make_pipeline, pipeline_expected)
@@ -24,7 +24,8 @@ def run_sim(region, cores=4, **kwargs):
 class TestCompletionConditions:
     def test_root_completes_via_precise_inputs(self):
         region = make_pipeline(n=10)
-        _, result = run_sim(region, trace=True)
+        _, result = run_sim(
+            region, telemetry=Telemetry(metrics=False, chrome=False))
         assert result.trace.count("complete", "produce") == 1
         events = [e for e in result.trace.events
                   if e.task == "produce" and e.event == "complete"]
@@ -33,14 +34,16 @@ class TestCompletionConditions:
     def test_leaf_without_end_valves_completes_immediately(self):
         region = make_pipeline(n=10, end_fraction=None, start_fraction=0.2,
                                consumer_cost=0.1)
-        _, result = run_sim(region, trace=True)
+        _, result = run_sim(
+            region, telemetry=Telemetry(metrics=False, chrome=False))
         leaf = region.graph.task("consume")
         assert leaf.stats.runs == 1
         assert leaf.stats.quality_failures == 0
 
     def test_leaf_completes_via_quality(self):
         region = make_pipeline(n=10, start_fraction=0.5)
-        _, result = run_sim(region, trace=True)
+        _, result = run_sim(
+            region, telemetry=Telemetry(metrics=False, chrome=False))
         completes = [e for e in result.trace.events
                      if e.task == "consume" and e.event == "complete"]
         assert completes[-1].detail in ("quality-passed", "precise-inputs")
@@ -115,7 +118,8 @@ class TestEarlyTermination:
     def test_pointless_rerun_is_cancelled_or_skipped(self):
         region = make_chain(depth=3, n=20, exact_quality=True,
                             costs=[3.0, 1.0, 0.2])
-        _, result = run_sim(region, trace=True)
+        _, result = run_sim(
+            region, telemetry=Telemetry(metrics=False, chrome=False))
         cancels = result.trace.count("complete") \
             + sum(t.stats.cancelled_runs for t in region.tasks)
         assert region.complete
@@ -168,7 +172,8 @@ class TestDependenceStall:
                                               for i in range(n)))])
 
         region = Stall("stall")
-        _, result = run_sim(region, trace=True)
+        _, result = run_sim(
+            region, telemetry=Telemetry(metrics=False, chrome=False))
         assert region.complete
         assert region.output("c") == [(i + 1) * 10 + 5 for i in range(40)]
         t1 = region.graph.task("t1")

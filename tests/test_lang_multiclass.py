@@ -7,7 +7,7 @@ EdgeDetection objects and runs both regions (inter-region concurrency).
 import textwrap
 
 
-from repro import SimExecutor, submit_all
+from repro import SimExecutor, Telemetry, submit_all
 from repro.lang import load_source, translate_source
 
 PROGRAM = textwrap.dedent('''
@@ -105,7 +105,8 @@ class TestMultiClassProgram:
         namespace = load_source(PROGRAM, "pair.fpy")
         values = list(range(200))
         regions = namespace["build_all"](values)
-        executor = SimExecutor(cores=4, trace=True)
+        executor = SimExecutor(
+            cores=4, telemetry=Telemetry(metrics=False, chrome=False))
         submit_all(executor, regions)
         result = executor.run()
         # Inter-region concurrency: the second region launches before the

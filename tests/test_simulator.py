@@ -5,8 +5,8 @@ import math
 import pytest
 
 from repro import (FluidRegion, Overheads, SchedulerError, SimExecutor,
-                   TaskState, run_serial, submit_all, submit_chain,
-                   submit_stages)
+                   TaskState, Telemetry, run_serial, submit_all,
+                   submit_chain, submit_stages)
 
 from util import make_pipeline
 
@@ -272,8 +272,9 @@ class TestRegionScheduling:
         assert parallel < chained
 
     def test_submit_stages_barrier(self):
-        executor = SimExecutor(cores=16, overheads=Overheads.zero(),
-                               trace=True)
+        executor = SimExecutor(
+            cores=16, overheads=Overheads.zero(),
+            telemetry=Telemetry(metrics=False, chrome=False))
         stage1 = [make_pipeline(n=10, name="s1a"),
                   make_pipeline(n=10, name="s1b")]
         stage2 = [make_pipeline(n=10, name="s2a")]
@@ -293,7 +294,9 @@ class TestRegionScheduling:
             executor.run()
 
     def test_fcfs_order_in_trace(self):
-        executor = SimExecutor(cores=2, max_active_regions=1, trace=True)
+        executor = SimExecutor(
+            cores=2, max_active_regions=1,
+            telemetry=Telemetry(metrics=False, chrome=False))
         regions = [make_pipeline(n=5, name=f"r{i}") for i in range(3)]
         submit_all(executor, regions)
         result = executor.run()
@@ -328,7 +331,8 @@ class TestOverheadAccounting:
 
 class TestTrace:
     def test_trace_records_runs(self):
-        executor = fresh_executor(trace=True)
+        executor = fresh_executor(
+            telemetry=Telemetry(metrics=False, chrome=False))
         region = make_pipeline(n=10)
         executor.submit(region)
         result = executor.run()
@@ -341,7 +345,8 @@ class TestTrace:
         assert executor.run().trace is None
 
     def test_trace_render(self):
-        executor = fresh_executor(trace=True)
+        executor = fresh_executor(
+            telemetry=Telemetry(metrics=False, chrome=False))
         executor.submit(make_pipeline(n=5))
         result = executor.run()
         text = result.trace.render(limit=5)

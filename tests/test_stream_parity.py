@@ -201,7 +201,7 @@ class TestAutotunerActuation:
         build = pipeline.build_window(0, make_log_items(16),
                                       pipeline._initial_states())
         tuner.attach_region(build.region)
-        entries = tuner._regions[build.region.name].entries
+        entries = tuner._regions[build.region.name]
         staleness = [entry for entry in entries
                      if isinstance(entry.valve, StalenessValve)]
         # One tunable staleness valve per stage's input queue.
@@ -216,7 +216,7 @@ class TestAutotunerActuation:
         queue = build.queues[0]
         assert queue.effective_bound() == 4
         entry = next(e for e in
-                     tuner._regions[build.region.name].entries
+                     tuner._regions[build.region.name]
                      if e.valve is queue.valve)
         entry.apply(1.0)   # full tighten: threshold -> expected, k -> 0
         assert queue.valve.k == 0

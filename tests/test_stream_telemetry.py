@@ -172,14 +172,11 @@ class TestOneBusAndOneTunerPerRun:
             self, backend):
         from repro.tuning import make_autotuner
 
-        # Completions are its feedback: they close windows on every
-        # backend, whatever the end verdicts.
-        tuner = make_autotuner("latency_ceiling:target=1,window=2")
+        tuner = make_autotuner("accuracy_floor:target=0.9,window=2")
         pipeline, windows = self._run(backend, autotune=tuner)
         assert tuner._bus is pipeline.telemetry.bus
         assert set(tuner._regions) == set(windows.names)
         # Folded once per window run, counted once.
-        assert tuner.windows > 0
         assert pipeline.telemetry.metrics.counters["tune.windows"] \
             == tuner.windows
 
@@ -191,10 +188,10 @@ def test_a_tuned_position_carries_into_the_next_sim_window():
     telemetry = Telemetry(metrics=True, chrome=False)
     events = []
     telemetry.bus.subscribe(events.append, kinds=("tune",))
-    # A ceiling of one cost unit is always missed: every completion
-    # relaxes the staleness valves further toward the floor.
+    # Every end verdict passes: each one relaxes the staleness valves
+    # further toward the floor.
     app.pipeline(k=2, window=32, telemetry=telemetry,
-                 autotune="latency_ceiling:target=1,window=2,"
+                 autotune="accuracy_floor:target=0.9,window=1,"
                           "relax_floor=0.5").run(app.make_items(96),
                                                  backend="sim")
     attaches = [event for event in events if event.name == "attach"]

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro import (SchedulerError, SimExecutor, ThreadExecutor, sync,
-                   submit_all, submit_chain, submit_stages)
+from repro import (SchedulerError, SimExecutor, Telemetry, ThreadExecutor,
+                   sync, submit_all, submit_chain, submit_stages)
 from repro.runtime.simulator import Overheads
 
 from util import make_pipeline, pipeline_expected
@@ -98,7 +98,9 @@ class TestAdmissionControl:
         assert run_with(1) > run_with(4)
 
     def test_admission_respects_submission_order(self):
-        executor = SimExecutor(cores=2, max_active_regions=1, trace=True)
+        executor = SimExecutor(
+            cores=2, max_active_regions=1,
+            telemetry=Telemetry(metrics=False, chrome=False))
         regions = [make_pipeline(n=5, name=f"fifo{i}") for i in range(4)]
         submit_all(executor, regions)
         result = executor.run()

@@ -1,17 +1,16 @@
 """Tests for the automatic threshold tuner (Section 4.4).
 
 ``repro.tuning`` grew from a module into a package (offline tuner +
-online autotuner + controllers); the offline API these tests exercise
-must stay importable from the package root.
+online autotuner); the offline API these tests exercise must stay
+importable from the package root.
 """
 
 import pytest
 
 from repro.apps.graph_coloring import GraphColoringApp
 from repro.apps.kmeans import KMeansApp
-from repro.apps.medusadock import MedusaDockApp
-from repro.tuning import ThresholdTuner, TuningResult, ValveSelector
-from repro.workloads import random_graph, synthetic_image, synthetic_poses
+from repro.tuning import ThresholdTuner
+from repro.workloads import random_graph, synthetic_image
 
 
 def kmeans_app():
@@ -26,13 +25,11 @@ class TestPackageLayout:
         assert tuning.ThresholdTuner is offline.ThresholdTuner
         assert tuning.TuningResult is offline.TuningResult
         assert tuning.TuningProbe is offline.TuningProbe
-        assert tuning.ValveSelector is offline.ValveSelector
 
     def test_package_root_exports_online_api_too(self):
         import repro.tuning as tuning
         for name in ("ValveAutotuner", "SLO", "make_autotuner",
-                     "AimdController", "HysteresisController",
-                     "make_controller", "TuningError"):
+                     "TuningError"):
             assert hasattr(tuning, name), name
             assert name in tuning.__all__, name
 
@@ -84,24 +81,3 @@ class TestThresholdTuner:
         result = tuner.tune(app)
         assert result.error <= 0.10 + 1e-9
         assert result.threshold <= 1.0
-
-
-class TestValveSelector:
-    def test_selects_convergence_for_early_proteins(self):
-        dockings = [synthetic_poses(num_poses=64, seed=s, placement="early",
-                                    name=f"p{s}") for s in range(4)]
-        app = MedusaDockApp(dockings)
-        selector = ValveSelector(
-            tuner=ThresholdTuner(error_budget=0.15, resolution=0.2),
-            candidates=("percent", "convergence"))
-        result = selector.select(app)
-        assert isinstance(result, TuningResult)
-        # On early-converging proteins the convergence valve dominates.
-        assert result.valve == "convergence"
-
-    def test_single_candidate(self):
-        selector = ValveSelector(
-            tuner=ThresholdTuner(error_budget=0.10, resolution=0.2),
-            candidates=("percent",))
-        result = selector.select(kmeans_app())
-        assert result.valve == "percent"

@@ -20,15 +20,17 @@ selection scan into ``p`` vertex bands.
 
 from __future__ import annotations
 
+import itertools
 
 import numpy as np
 
 from ..core.region import FluidRegion
 from ..core.valves import DataFinalValve, PercentValve
 from ..metrics.error import coloring_error
-from ..workloads.graphs import (GraphInput, coloring_priority,
-                                first_free_color, jones_plassmann,
-                                outranked_edges, select_local_maxima)
+from ..workloads.graphs import (ChunkEdges, GraphInput, chunk_edges,
+                                color_in_order, coloring_priority,
+                                jones_plassmann, neighbour_arrays,
+                                outranked_edges, select_chunk)
 from .base import FluidApp, SubmitPlan
 
 # Per-vertex virtual costs scale with degree: selecting checks every
@@ -56,16 +58,20 @@ class ColoringRoundRegion(FluidRegion):
 
     def build(self):
         app = self.app
-        graph = app.graph
-        n = graph.num_vertices
+        n = app.graph.num_vertices
         colors = self.state["colors"]
-        outranked = app.outranked
-        csr = app.csr
-        degree = csr.degree
+        neighbours = app.neighbours
         ready = self.add_data("ready")
         colored_cell = self.add_data("colored")
         # -1 unknown, 0 not selected, 1 selected this round
         selected = np.full(n, -1, dtype=np.int8)
+        color_chunks = [(lo, min(lo + CHUNK_VERTICES, n))
+                        for lo in range(0, n, CHUNK_VERTICES)]
+        # Per color chunk: may it hold a 1?  A select chunk raises the
+        # flag just before it writes a 1 there, in the same step, so a
+        # chunk whose flag is down holds none: the color pass would find
+        # nothing to color, and skips the reads.
+        maybe_selected = [False] * len(color_chunks)
 
         def header(ctx):
             ready.write(True)
@@ -73,34 +79,32 @@ class ColoringRoundRegion(FluidRegion):
 
         self.add_task("header", header, outputs=[ready])
 
-        bounds = np.linspace(0, n, self.parallelism + 1).astype(int)
-        bands = [(int(bounds[i]), int(bounds[i + 1]))
-                 for i in range(self.parallelism)
-                 if bounds[i + 1] > bounds[i]]
-
         select_cells = []
         start_valves = []
         end_valves = []
-        for band_index, (start, stop) in enumerate(bands):
+        for band_index, (band_size, chunks) in enumerate(
+                app.select_bands(self.parallelism)):
             cell = self.add_array(f"selected_{band_index}", selected)
             ct = self.add_count(f"scanned_{band_index}")
-            band_size = stop - start
 
-            def select_body(ctx, start=start, stop=stop, ct=ct, cell=cell):
-                for chunk in range(start, stop, CHUNK_VERTICES):
-                    hi = min(chunk + CHUNK_VERTICES, stop)
-                    uncolored = colors[chunk:hi] < 0
-                    selected[chunk:hi] = select_local_maxima(
-                        csr, colors, outranked, chunk, hi)
+            def select_body(ctx, chunks=chunks, ct=ct, cell=cell):
+                for edges in chunks:
+                    lo, hi = edges.lo, edges.hi
+                    picks, uncolored = select_chunk(colors, edges)
+                    if np.count_nonzero(picks):
+                        # A band edge may cut a color chunk: flag both.
+                        maybe_selected[lo // CHUNK_VERTICES] = True
+                        maybe_selected[(hi - 1) // CHUNK_VERTICES] = True
+                    selected[lo:hi] = picks
                     # Every term is a multiple of 0.5, so the closed form
                     # equals the per-vertex running sum exactly.
-                    scanned = int(uncolored.sum())
+                    scanned = np.count_nonzero(uncolored)
                     cost = float(
-                        SKIP_COST_PER_VERTEX * (hi - chunk - scanned)
+                        SKIP_COST_PER_VERTEX * (hi - lo - scanned)
                         + SELECT_COST_BASE * scanned
-                        + degree[chunk:hi][uncolored].sum())
+                        + edges.degree[uncolored].sum())
                     cell.touch()
-                    ct.add(hi - chunk)
+                    ct.add(hi - lo)
                     yield cost
 
             self.add_task(f"select_{band_index}", select_body,
@@ -121,16 +125,18 @@ class ColoringRoundRegion(FluidRegion):
 
         def color_body(ctx):
             newly = 0
-            for chunk in range(0, n, CHUNK_VERTICES):
-                hi = min(chunk + CHUNK_VERTICES, n)
-                todo = chunk + np.flatnonzero(
-                    (selected[chunk:hi] == 1) & (colors[chunk:hi] < 0))
-                for vertex in todo.tolist():
-                    colors[vertex] = first_free_color(csr, colors, vertex)
+            for index, (lo, hi) in enumerate(color_chunks):
+                todo = ()
+                degrees = 0
+                if maybe_selected[index]:
+                    todo = (lo + np.flatnonzero(
+                        (selected[lo:hi] == 1)
+                        & (colors[lo:hi] < 0))).tolist()
+                    degrees = color_in_order(colors, neighbours, todo)
                 newly += len(todo)
                 cost = float(
-                    SKIP_COST_PER_VERTEX * (hi - chunk - len(todo))
-                    + COLOR_COST_BASE * len(todo) + degree[todo].sum())
+                    SKIP_COST_PER_VERTEX * (hi - lo - len(todo))
+                    + COLOR_COST_BASE * len(todo) + degrees)
                 colored_cell.touch()
                 yield cost
             self.state["progress"] = newly
@@ -163,6 +169,9 @@ class GraphColoringApp(FluidApp):
         self.csr = graph.csr()
         self.priority = coloring_priority(graph)
         self.outranked = outranked_edges(self.csr, self.priority)
+        self.neighbours = neighbour_arrays(self.csr)
+        self._select_bands: dict = {}
+        self._plans = itertools.count()
         # Budget what the precise algorithm needs (plus slack), capped:
         # Jones-Plassmann has a long tail of near-empty rounds that is
         # pure scheduling overhead, so *both* versions hand the tail to
@@ -174,24 +183,44 @@ class GraphColoringApp(FluidApp):
             rounds = min(reference + round_slack, round_cap)
         self.rounds = rounds
 
+    def select_bands(self, parallelism: int
+                     ) -> list[tuple[int, list[ChunkEdges]]]:
+        """The ``parallelism`` selection bands, each as its size and its
+        64-vertex chunks' :class:`ChunkEdges`, cut once per app and
+        parallelism (the graph never changes)."""
+        bands = self._select_bands.get(parallelism)
+        if bands is None:
+            n = self.graph.num_vertices
+            bounds = np.linspace(0, n, parallelism + 1).astype(int).tolist()
+            bands = self._select_bands[parallelism] = [
+                (stop - start,
+                 [chunk_edges(self.csr, self.outranked, lo,
+                              min(lo + CHUNK_VERTICES, stop))
+                  for lo in range(start, stop, CHUNK_VERTICES)])
+                for start, stop in zip(bounds, bounds[1:]) if stop > start]
+        return bands
+
     def build_regions(self, threshold: float, valve: str,
                       parallelism: int) -> SubmitPlan:
         state = {
             "colors": np.full(self.graph.num_vertices, -1, dtype=np.int64),
         }
         plan = SubmitPlan()
+        # Named by the app's plan count, not by an address, so the same
+        # inputs name the same regions in every process.
+        plan_index = next(self._plans)
         for round_index in range(self.rounds):
             plan.add_region(ColoringRoundRegion(
                 self, round_index, threshold, parallelism, state,
-                name=f"gc_r{round_index}_{id(state) % 9973}"))
+                name=f"gc_r{round_index}_{plan_index}"))
         plan.extras["state"] = state
         return plan
 
     def extract_output(self, plan: SubmitPlan) -> np.ndarray:
         colors = plan.extras["state"]["colors"]
         # Totality sweep: color any vertex the round budget missed.
-        for vertex in np.flatnonzero(colors < 0).tolist():
-            colors[vertex] = first_free_color(self.csr, colors, vertex)
+        color_in_order(colors, self.neighbours,
+                       np.flatnonzero(colors < 0).tolist())
         return colors.copy()
 
     def compute_error(self, output: np.ndarray, precise_output) -> float:

@@ -158,20 +158,32 @@ def chrome_trace(events: List[TelemetryEvent], time_scale: float,
     return {"traceEvents": out, "displayTimeUnit": "ms"}
 
 
-def gantt(events, width: int = 80, until: Optional[float] = None) -> str:
-    """The ASCII Gantt of ``events``' transitions over ``[0, until]``
-    (default: the last transition)."""
+def gantt(events, width: int = 80, until: Optional[float] = None,
+          time_scale: Optional[float] = None) -> str:
+    """The ASCII Gantt of ``events``' transitions up to ``until``
+    (default: the last transition).  Without ``time_scale`` the clock is
+    virtual and the chart starts at 0.  With it (µs per clock unit, as
+    :func:`chrome_trace` takes) the clock is a wall clock: the chart
+    starts at the first transition and its axis reads in µs."""
     rows = {f"{region}/{task}": row
             for (region, task), row in _timelines(events).items()}
+    start = 0.0
     until = until or max((row[-1][0] for row in rows.values()),
-                         default=0.0) or 1.0
+                         default=0.0)
+    if time_scale is None:
+        until = until or 1.0
+        axis = (f"virtual time 0 .. {until:.1f} "
+                f"({until / width:.2f} units/char)")
+    else:
+        start = min((row[0][0] for row in rows.values()), default=0.0)
+        span = (until - start) * time_scale
+        axis = f"wall time 0 .. {span:.1f} µs ({span / width:.2f} µs/char)"
     label_width = max((len(label) for label in rows), default=8) + 1
-    lines = [f"virtual time 0 .. {until:.1f} "
-             f"({until / width:.2f} units/char)"]
+    lines = [axis]
     for label, row in rows.items():
         cells = ""
         for column in range(width):
-            now = (column + 0.5) * until / width
+            now = start + (column + 0.5) * (until - start) / width
             entered = [s for _, s, _ in takewhile(lambda p: p[0] <= now, row)]
             cells += GLYPHS[entered[-1]] if entered else " "
         lines.append(f"{label.ljust(label_width)}|{cells}|")
@@ -199,8 +211,9 @@ class TimelineRecorder:
         return max((row[-1][0] for row in self._rows().values()),
                    default=0.0)
 
-    def render(self, width: int = 80, until: Optional[float] = None) -> str:
-        return gantt(self.trace.recorded, width, until)
+    def render(self, width: int = 80, until: Optional[float] = None,
+               time_scale: Optional[float] = None) -> str:
+        return gantt(self.trace.recorded, width, until, time_scale)
 
     def runs_of(self, label: str) -> int:
         return sum(1 for _, state, _ in self._rows().get(label, ())

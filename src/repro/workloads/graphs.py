@@ -161,44 +161,78 @@ def outranked_edges(csr: CSR, priority: np.ndarray) -> np.ndarray:
     return priority[csr.indices] >= priority[csr.owner]
 
 
-def select_local_maxima(csr: CSR, colors: np.ndarray, outranked: np.ndarray,
-                        lo: int, hi: int) -> np.ndarray:
-    """Which of vertices ``lo..hi-1`` are uncolored and outrank every
-    uncolored neighbour (boolean mask of length ``hi - lo``).
+class ChunkEdges(NamedTuple):
+    """Vertices ``lo..hi-1``'s slice of the CSR, cut once per graph:
+    its :func:`outranked_edges` alone, as each edge's neighbour and its
+    owner minus ``lo``, plus the vertices' degrees."""
 
-    ``outranked`` is :func:`outranked_edges` of the priorities.  They
-    are distinct and there are no self-loops, so a vertex is blocked
-    exactly by an uncolored neighbour of priority ``>=`` its own.
+    lo: int
+    hi: int
+    indices: np.ndarray
+    owner: np.ndarray
+    degree: np.ndarray
+
+
+def chunk_edges(csr: CSR, outranked: np.ndarray, lo: int,
+                hi: int) -> ChunkEdges:
+    edges = slice(int(csr.indptr[lo]), int(csr.indptr[hi]))
+    keep = outranked[edges]
+    return ChunkEdges(lo, hi, csr.indices[edges][keep],
+                      csr.owner[edges][keep] - lo, csr.degree[lo:hi])
+
+
+def select_chunk(colors: np.ndarray,
+                 edges: ChunkEdges) -> tuple[np.ndarray, np.ndarray]:
+    """``(selected, uncolored)`` masks of vertices ``lo..hi-1``:
+    which are uncolored, and which of those outrank every uncolored
+    neighbour.
+
+    The priorities are distinct and there are no self-loops, so a
+    vertex is blocked exactly by an uncolored neighbour along one of
+    its outranked edges (priority ``>=`` its own).
     """
-    edges = slice(csr.indptr[lo], csr.indptr[hi])
-    blocking = (colors[csr.indices[edges]] < 0) & outranked[edges]
-    blockers = np.bincount(csr.owner[edges][blocking] - lo,
+    lo, hi = edges.lo, edges.hi
+    blockers = np.bincount(edges.owner[colors[edges.indices] < 0],
                            minlength=hi - lo)
-    return (colors[lo:hi] < 0) & (blockers == 0)
+    uncolored = colors[lo:hi] < 0
+    return uncolored & (blockers == 0), uncolored
 
 
-def first_free_color(csr: CSR, colors: np.ndarray, vertex: int) -> int:
-    """Smallest color no neighbour of ``vertex`` holds."""
-    used = set(colors[csr.indices[csr.indptr[vertex]:
-                                  csr.indptr[vertex + 1]]].tolist())
-    color = 0
-    while color in used:
-        color += 1
-    return color
+def neighbour_arrays(csr: CSR) -> list[np.ndarray]:
+    """Vertex ``v``'s neighbours as the ``v``-th view of
+    ``csr.indices``."""
+    bounds = csr.indptr.tolist()
+    return [csr.indices[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def color_in_order(colors: np.ndarray, neighbours: list,
+                   vertices) -> int:
+    """Give each of ``vertices``, in order, the smallest color none of
+    its neighbours holds when its turn comes (so it sees the colors
+    given before it); return the sum of their degrees."""
+    degrees = 0
+    for vertex in vertices:
+        around = neighbours[vertex]
+        used = set(colors[around].tolist())
+        color = 0
+        while color in used:
+            color += 1
+        colors[vertex] = color
+        degrees += len(around)
+    return degrees
 
 
 def jones_plassmann(csr: CSR, priority: np.ndarray) -> tuple[np.ndarray, int]:
     """Precise round-based coloring: (colors, number of rounds)."""
     n = len(csr.degree)
-    outranked = outranked_edges(csr, priority)
+    edges = chunk_edges(csr, outranked_edges(csr, priority), 0, n)
+    neighbours = neighbour_arrays(csr)
     colors = np.full(n, -1, dtype=np.int64)
     rounds = 0
     while (colors < 0).any():
         rounds += 1
-        chosen = np.flatnonzero(select_local_maxima(csr, colors, outranked,
-                                                    0, n))
-        for vertex in chosen.tolist():
-            colors[vertex] = first_free_color(csr, colors, vertex)
+        chosen = np.flatnonzero(select_chunk(colors, edges)[0])
+        color_in_order(colors, neighbours, chosen.tolist())
     return colors, rounds
 
 

@@ -131,6 +131,13 @@ def scalar_color(neighbours, colors, selected):
         yield cost
 
 
+def scalar_sweep(neighbours, colors):
+    """The totality sweep: greedy coloring in vertex order."""
+    for vertex in range(len(colors)):
+        if colors[vertex] < 0:
+            colors[vertex] = scalar_first_free(neighbours, colors, vertex)
+
+
 def scalar_reference_coloring(graph):
     priority = coloring_priority(graph)
     neighbours = graph.adjacency_lists()
@@ -260,6 +267,26 @@ def replaced_select(app, colors, cell, count, start, stop):
                     + degree[chunk:hi][uncolored].sum())
 
 
+def replaced_color(app, colors, selected, cell):
+    csr, degree = app.csr, app.csr.degree
+    n = len(colors)
+    for chunk in range(0, n, gc_module.CHUNK_VERTICES):
+        hi = min(chunk + gc_module.CHUNK_VERTICES, n)
+        todo = chunk + np.flatnonzero(
+            (selected[chunk:hi] == 1) & (colors[chunk:hi] < 0))
+        for vertex in todo.tolist():
+            used = set(colors[csr.indices[csr.indptr[vertex]:
+                                          csr.indptr[vertex + 1]]].tolist())
+            color = 0
+            while color in used:
+                color += 1
+            colors[vertex] = color
+        cell.touch()
+        yield float(gc_module.SKIP_COST_PER_VERTEX * (hi - chunk - len(todo))
+                    + gc_module.COLOR_COST_BASE * len(todo)
+                    + degree[todo].sum())
+
+
 # ----------------------------------------------------------------- helpers
 
 
@@ -295,6 +322,19 @@ def twin_regions(app, parallelism):
             region.build()
         pair.append(regions)
     return zip(*pair)
+
+
+def interleaved_steps(bodies, order, cells, counts, arrays):
+    """Advance ``bodies[i]`` one chunk for each ``i`` in ``order`` (an
+    exhausted body steps to ``None``).  Per step: which body, its
+    yield, every cell's touch count, every published count value and
+    the raw bytes of every cell and of ``arrays``."""
+    return [(index, next(bodies[index], None),
+             [cell.version for cell in cells],
+             [count.value for count in counts],
+             [np.asarray(value).tobytes() for value in
+              [cell.read() for cell in cells] + list(arrays)])
+            for index in order]
 
 
 def body_of(region, name):
@@ -430,6 +470,51 @@ class TestGraphColoring:
         assert got == want
         assert same_bytes(colors, want_colors)
         assert state["progress"] == int((want_selected == 1).sum())
+
+    def test_color_chunk_rereads_colors_per_vertex(self):
+        """Mutant: a color chunk reads its vertices' neighbour colors
+        once, before it colors any of them.  No consistent round selects
+        two adjacent uncolored vertices, so the test selects the second
+        one by hand, in a color chunk whose flag the select pass
+        raised."""
+        graph = self.graph()
+        app = GraphColoringApp(graph, rounds=1)
+        state = {"colors": np.full(graph.num_vertices, -1, dtype=np.int64)}
+        region = ColoringRoundRegion(app, 0, 0.5, 1, state)
+        body = bodies(region)
+        list(body["select_0"](None))
+        selected = region.datas["selected_0"].read()
+        neighbours = graph.adjacency_lists()
+        chunk = gc_module.CHUNK_VERTICES
+        first, second = next(
+            (vertex, other)
+            for vertex in np.flatnonzero(selected == 1).tolist()
+            for other in neighbours[vertex]
+            if other // chunk == vertex // chunk and selected[other] == 0)
+        selected[second] = 1
+
+        want_colors = state["colors"].copy()
+        want = list(scalar_color(neighbours, want_colors, selected.copy()))
+        assert list(body["color"](None)) == want
+        assert same_bytes(state["colors"], want_colors)
+        assert state["colors"][first] != state["colors"][second]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_totality_sweep_is_greedy_in_vertex_order(self, seed):
+        """Mutant: the sweep reads neighbour colors from a copy taken
+        before it starts, so adjacent uncolored vertices share a
+        color."""
+        graph = random_graph(300, 1500, seed=seed)
+        app = GraphColoringApp(graph, rounds=1)
+        plan = app.build_regions(0.5, "percent", 1)
+        colors = plan.extras["state"]["colors"]
+        rng = np.random.default_rng(seed)
+        partial = rng.random(graph.num_vertices) < 0.4
+        colors[partial] = rng.integers(0, 6, int(partial.sum()))
+        want = colors.copy()
+        scalar_sweep(graph.adjacency_lists(), want)
+        assert same_bytes(app.extract_output(plan), want)
+        assert same_bytes(colors, want)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_reference_rounds_and_colors(self, seed):
@@ -584,6 +669,52 @@ class TestOncePerRun:
                                    [got.counts[count]]) == \
                     chunk_steps(oracle, [want.datas[cell]],
                                 [want.counts[count]])
+
+
+    @pytest.mark.parametrize("parallelism", [1, 2, 3])
+    def test_graph_coloring_chunk_slices_cut_once(self, parallelism):
+        """Mutants: a select chunk raises only the flag of the color
+        chunk that holds its first vertex; a chunk's owners counted from
+        its band's start instead of its own.  160 vertices, the last 60
+        isolated: bands of 80 and 53/53/54 vertices cut color chunks at
+        parallelism 2 and 3, and every band ends in a ragged chunk.  Each
+        band's first chunk runs, then a whole color pass, then the rest
+        of the bands and a second color pass (a re-execution)."""
+        graph = TestGraphColoring.graph()
+        app = GraphColoringApp(graph, rounds=1)
+        assert app.select_bands(parallelism) is \
+            app.select_bands(parallelism)
+        rng = np.random.default_rng(parallelism)
+        partial = rng.random(graph.num_vertices) < 0.3
+        bounds = np.linspace(0, graph.num_vertices,
+                             parallelism + 1).astype(int).tolist()
+        order = (list(range(parallelism)) + [parallelism] * 4
+                 + list(range(parallelism)) * 3 + [parallelism + 1] * 4)
+        for got, want in twin_regions(app, parallelism):
+            steps = []
+            for region in (got, want):
+                colors = region.state["colors"]
+                colors[partial] = 1
+                cells = [region.datas[f"selected_{band}"]
+                         for band in range(parallelism)]
+                cells.append(region.datas["colored"])
+                counts = [region.counts[f"scanned_{band}"]
+                          for band in range(parallelism)]
+                if region is got:
+                    bodies = [body_of(got, f"select_{band}")
+                              for band in range(parallelism)]
+                    bodies += [body_of(got, "color"), body_of(got, "color")]
+                else:
+                    bodies = [replaced_select(app, colors, cells[band],
+                                              counts[band], bounds[band],
+                                              bounds[band + 1])
+                              for band in range(parallelism)]
+                    bodies += [replaced_color(app, colors, cells[0].read(),
+                                              cells[-1]) for _ in range(2)]
+                steps.append(interleaved_steps(bodies, order, cells, counts,
+                                               [colors]))
+            assert steps[0] == steps[1]
+            assert any(cost is None for _i, cost, *_rest in steps[0])
 
 
 class TestPoseEnergies:

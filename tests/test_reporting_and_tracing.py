@@ -1,8 +1,12 @@
 """Tests for the trace store and the benchmark table renderer."""
 
 
+from repro import Telemetry, ThreadExecutor
 from repro.bench.reporting import render_series, render_table
-from repro.telemetry.trace import Trace, TraceEvent
+from repro.telemetry.bus import TelemetryEvent
+from repro.telemetry.trace import TimelineRecorder, Trace, TraceEvent, gantt
+
+from util import make_pipeline
 
 
 class TestTrace:
@@ -42,6 +46,35 @@ class TestTrace:
         event = self.make_trace().events[0]
         assert isinstance(event, TraceEvent)
         assert event.time == 0.0 and event.event == "run"
+
+
+class TestWallClockGantt:
+    """A wall-clock trace starts at its first transition, in µs."""
+
+    def test_starts_at_first_transition(self):
+        def moved(ts, task, state):
+            return TelemetryEvent(ts, "transition", "r", task, state, {})
+        events = [moved(5.000000, "a", "RUNNING"),
+                  moved(5.000002, "a", "COMPLETE"),
+                  moved(5.000002, "b", "RUNNING"),
+                  moved(5.000004, "b", "COMPLETE")]
+        lines = gantt(events, width=4, time_scale=1e6).splitlines()
+        assert lines[0] == "wall time 0 .. 4.0 µs (1.00 µs/char)"
+        assert lines[1:3] == ["r/a |##  |", "r/b |  ##|"]
+
+    def test_thread_pipeline_draws_every_run(self):
+        telemetry = Telemetry(metrics=False, chrome=False)
+        recorder = TimelineRecorder().connect(telemetry.bus)
+        executor = ThreadExecutor(telemetry=telemetry)
+        executor.submit(make_pipeline(n=20, name="wall"))
+        executor.run()
+        lines = recorder.render(time_scale=1e6).splitlines()
+        assert lines[0].startswith("wall time 0 .. ")
+        assert lines[0].endswith(" µs/char)")
+        rows = [line for line in lines if "|" in line]
+        assert [row.split()[0] for row in rows] == ["wall/produce",
+                                                    "wall/consume"]
+        assert all("#" in row for row in rows)
 
 
 class TestRenderTable:

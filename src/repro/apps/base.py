@@ -116,7 +116,6 @@ class FluidApp:
                   backend: str = "sim",
                   telemetry: Optional[Any] = None,
                   backend_options: Optional[Dict[str, Any]] = None,
-                  scheduler: Optional[Any] = None,
                   autotune: Optional[Any] = None) -> AppRun:
         """Execute the fluidized app on the chosen backend.
 
@@ -137,12 +136,6 @@ class FluidApp:
         forwards extra constructor knobs to the real-time executors
         (e.g. ``{"slots": 2}``); it is ignored on the simulator, whose
         knobs are explicit parameters here.
-
-        ``scheduler`` selects a :mod:`repro.sched` ready-queue
-        discipline — a spec string (``"edf"``,
-        ``"bounded:capacity=8,inner=priority"``), a
-        :class:`~repro.sched.Scheduler` instance, or ``None`` for the
-        paper-faithful FCFS default (see docs/schedulers.md).
 
         ``autotune`` enables closed-loop SLO autotuning
         (:mod:`repro.tuning`) — a spec string such as
@@ -168,7 +161,7 @@ class FluidApp:
         executor = make_executor(
             backend, modulation=modulation,
             cancel_first_runs=self.cancel_first_runs, telemetry=telemetry,
-            scheduler=scheduler, autotune=autotune, **options)
+            autotune=autotune, **options)
         plan.submit_to(executor)
         result = executor.run()
         output = self.extract_output(plan)

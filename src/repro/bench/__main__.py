@@ -29,7 +29,7 @@ _log = logging.getLogger("repro.bench")
 
 
 def collect_figure6_rows(only_app=None, quick=False, telemetry=None,
-                         scheduler=None, autotune=None):
+                         autotune=None):
     """Run the Figure-6 matrix; return the list of BenchRow objects."""
     rows = []
     telemetry_used = False
@@ -38,8 +38,6 @@ def collect_figure6_rows(only_app=None, quick=False, telemetry=None,
             continue
         for input_name, factory in inputs.items():
             extra = {}
-            if scheduler is not None:
-                extra["scheduler"] = scheduler
             if autotune is not None:
                 # A spec string: each run_fluid builds a fresh tuner
                 # (tuners are single-run objects).
@@ -117,7 +115,6 @@ def run_matrix(args, telemetry=None) -> int:
     """The Figure-6 matrix on the simulator."""
     rows = collect_figure6_rows(args.app, quick=args.quick,
                                 telemetry=telemetry,
-                                scheduler=args.scheduler,
                                 autotune=args.autotune)
     if not rows:
         print(f"unknown app {args.app!r}; have: "
@@ -154,11 +151,6 @@ def main(argv=None) -> int:
     parser.add_argument("--tasks", type=int, default=None,
                         help="fan-out width for the real-core backend "
                              "workload (default: max(2, workers))")
-    parser.add_argument("--scheduler", default=None, metavar="SPEC",
-                        help="repro.sched discipline for the matrix's fluid "
-                             "runs (e.g. edf, priority, "
-                             "bounded:capacity=8,inner=sew); default: the "
-                             "paper-faithful fcfs.  Figure-6 matrix only")
     parser.add_argument("--autotune", default=None, metavar="SPEC",
                         help="repro.tuning closed-loop autotune spec for the "
                              "matrix's fluid runs (e.g. "
@@ -178,19 +170,6 @@ def main(argv=None) -> int:
                              "debug level)")
     args = parser.parse_args(argv)
 
-    if args.scheduler is not None:
-        if args.sweep or args.backend in ("thread", "process"):
-            parser.error("--scheduler applies to the Figure-6 matrix only")
-        from ..sched import make_scheduler
-
-        try:
-            make_scheduler(args.scheduler)
-        except Exception as error:  # noqa: BLE001 - surfaced as CLI error
-            _log.debug("bad --scheduler spec %r", args.scheduler,
-                       exc_info=True)
-            if args.debug:
-                raise
-            parser.error(str(error))
     if args.autotune is not None:
         if args.sweep or args.backend in ("thread", "process"):
             parser.error("--autotune applies to the Figure-6 matrix only")

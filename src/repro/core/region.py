@@ -120,23 +120,13 @@ class FluidRegion:
                  start_valves: Sequence[Valve] = (),
                  end_valves: Sequence[Valve] = (),
                  inputs: Sequence[FluidData] = (),
-                 outputs: Sequence[FluidData] = (),
-                 priority: float = 0.0,
-                 deadline: "float | None" = None,
-                 cost_estimate: "float | None" = None) -> FluidTask:
-        """Schedule a task (``#pragma task <<<name, SV, EV, In, Out>>>``).
-
-        ``priority`` / ``deadline`` / ``cost_estimate`` are optional
-        scheduling hints for the non-default :mod:`repro.sched`
-        disciplines; the FCFS default ignores them.
-        """
+                 outputs: Sequence[FluidData] = ()) -> FluidTask:
+        """Schedule a task (``#pragma task <<<name, SV, EV, In, Out>>>``)."""
         if self._finalized:
             raise GraphError(
                 f"region {self.name!r}: cannot add tasks after finalize(); "
                 "dynamic task graphs are future work (Section 8)")
-        spec = TaskSpec(name, body, start_valves, end_valves, inputs, outputs,
-                        priority=priority, deadline=deadline,
-                        cost_estimate=cost_estimate)
+        spec = TaskSpec(name, body, start_valves, end_valves, inputs, outputs)
         task = FluidTask(spec, region=self)
         self.tasks.append(task)
         for valve in tuple(start_valves) + tuple(end_valves):

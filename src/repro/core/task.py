@@ -71,23 +71,13 @@ class TaskContext:
 
 
 class TaskSpec:
-    """Static description of one Fluid task.
-
-    ``priority``, ``deadline`` and ``cost_estimate`` are optional
-    scheduling hints consumed by the non-default disciplines in
-    :mod:`repro.sched` (priority / EDF / shortest-expected-work); the
-    paper-faithful FCFS default ignores them, so they change nothing
-    unless a scheduler that reads them is selected.
-    """
+    """Static description of one Fluid task."""
 
     def __init__(self, name: str, body: TaskBody,
                  start_valves: Sequence[Valve] = (),
                  end_valves: Sequence[Valve] = (),
                  inputs: Sequence[FluidData] = (),
-                 outputs: Sequence[FluidData] = (),
-                 priority: float = 0.0,
-                 deadline: "float | None" = None,
-                 cost_estimate: "float | None" = None):
+                 outputs: Sequence[FluidData] = ()):
         if not name:
             raise GraphError("tasks must be named")
         self.name = name
@@ -96,9 +86,6 @@ class TaskSpec:
         self.end_valves = tuple(end_valves)
         self.inputs = tuple(inputs)
         self.outputs = tuple(outputs)
-        self.priority = priority
-        self.deadline = deadline
-        self.cost_estimate = cost_estimate
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"TaskSpec({self.name}, in={[d.name for d in self.inputs]}, "

@@ -478,29 +478,25 @@ class RunContext:
 
 class ReadyQueue:
     """A driver's one ready queue: startable tasks with their contexts,
-    in a :mod:`repro.sched` discipline's order (``spec`` as for
-    :func:`repro.sched.make_scheduler`; the SchedLab ``policy``
-    tie-breaks through it at ``point``).
+    first come first served (PAPER.md §6.2), through the package's
+    :class:`~repro.sched.FcfsScheduler` (the SchedLab ``policy`` picks
+    among the whole queue at ``point``).
 
     It queues a task at most once, keeps a pick queued until
     :meth:`take` (a publish while the pick waits for its worker cannot
     queue it twice) and drops a pick that went stale while queued
-    (:meth:`RunContext.may_start`).  Submissions are never sheddable:
-    dropping a Fluid task would deadlock its region, so a bounded
-    discipline parks overflow instead.
+    (:meth:`RunContext.may_start`).
     """
 
     __slots__ = ("scheduler", "_clock", "_owners")
 
-    def __init__(self, spec: Optional[object], *, policy: Optional[object],
-                 bus: Optional[object], point: str, workers: int,
+    def __init__(self, *, policy: Optional[object], point: str,
                  clock: Callable[[], float]):
         # Imported lazily: repro.sched pulls in repro.telemetry, which
         # reaches back into repro.runtime at import time.
-        from ..sched import make_scheduler
+        from ..sched import FcfsScheduler
 
-        self.scheduler = make_scheduler(spec).bind(
-            policy=policy, bus=bus, point=point, workers=workers)
+        self.scheduler = FcfsScheduler().bind(policy=policy, point=point)
         self._clock = clock
         #: id(task) -> its context, for every task queued and not taken.
         self._owners: Dict[int, RunContext] = {}
@@ -525,9 +521,9 @@ class ReadyQueue:
         return id(task) not in self._owners and \
             task.start_valves_satisfied() and self.push(ctx, task)
 
-    def pick(self, worker: int) -> Optional[Tuple[FluidTask, RunContext]]:
-        """The next pick for ``worker`` and its context, still queued."""
-        task = self.scheduler.pick(now=self._clock(), worker=worker)
+    def pick(self) -> Optional[Tuple[FluidTask, RunContext]]:
+        """The next pick and its context, still queued."""
+        task = self.scheduler.pick(now=self._clock())
         return None if task is None else (task, self._owners[id(task)])
 
     def take(self, task: FluidTask) -> bool:
@@ -535,13 +531,11 @@ class ReadyQueue:
         ctx = self._owners.pop(id(task))
         return not ctx.stopped and ctx.may_start(task)
 
-    def next(self, worker: int) -> Optional[FluidTask]:
+    def next(self) -> Optional[FluidTask]:
         """Pick and take the next pick that may still start; None once
-        the queue is empty or the discipline declines."""
+        the queue is empty."""
         while self.scheduler.pending():
-            picked = self.pick(worker)
-            if picked is None:
-                return None
-            if self.take(picked[0]):
-                return picked[0]
+            task = self.pick()[0]
+            if self.take(task):
+                return task
         return None

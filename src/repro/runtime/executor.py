@@ -39,8 +39,9 @@ class Executor:
     The host protocol (``SharedThreadPool`` speaks it too):
     ``start(ctx)`` binds a context and admits its work, ``wait(ctx,
     timeout)`` returns once it finished (raising its first error),
-    ``now()`` is the host clock, ``scheduler`` its ready-queue
-    discipline, ``shutdown()`` releases what the host holds.  A caller
+    ``now()`` is the host clock, ``scheduler`` its FCFS ready queue
+    (whose snapshot feeds ``sched.*``), ``shutdown()`` releases what
+    the host holds.  A caller
     driving contexts through a host closes that run itself
     (``RunContext.record_run``); :meth:`run` closes its own.
     """

@@ -42,8 +42,8 @@ Batched dispatch
 When more tasks are ready than workers are idle, the parent coalesces
 up to ``batch_size`` ready bodies into one worker round-trip (one
 ``("runs", ...)`` message), amortizing the pipe/pickle cost that
-dominates small-body workloads.  Scheduler-pick order is preserved —
-batch items are exactly the next picks the scheduler would have made —
+dominates small-body workloads.  Pick order is preserved — batch
+items are exactly the next picks the ready queue would have made —
 and per-task events (``sched``/``run``, ``worker``/``dispatch``,
 ``payload``/``to-worker``) are still emitted individually, so golden
 traces and SchedLab replay are unaffected.  Each dispatch carries an
@@ -342,7 +342,6 @@ class ProcessExecutor(Executor, GuardHost):
                  cancel_first_runs: bool = False,
                  policy: Optional[object] = None,
                  telemetry: Optional[object] = None,
-                 scheduler: Optional[object] = None,
                  autotune: Optional[object] = None,
                  batch_size: int = 8,
                  pool: Optional[PersistentProcessPool] = None):
@@ -372,9 +371,8 @@ class ProcessExecutor(Executor, GuardHost):
         #: signal fan-out (all in the parent's control loop, so these
         #: decisions are deterministic even though body timing is not).
         self.policy = policy
-        self._ready = ReadyQueue(scheduler, policy=policy,
-                                 bus=self.context.bus, point="dispatch",
-                                 workers=self.workers, clock=self.now)
+        self._ready = ReadyQueue(policy=policy, point="dispatch",
+                                 clock=self.now)
         self.scheduler = self._ready.scheduler
         #: The context driven and the pool leased for it, from ``start``
         #: to the end of ``wait``.
@@ -602,8 +600,6 @@ class ProcessExecutor(Executor, GuardHost):
 
     def _dispatch_ready(self) -> None:
         while self._idle and self._ready:
-            # _send_batch takes the *last* idle slot, so that is the
-            # worker hint a work-stealing discipline should see.
             slot = self._idle[-1]
             # Batch only when more work is queued than workers are idle:
             # ceil(queued / idle) keeps dispatch breadth-first, so
@@ -614,14 +610,14 @@ class ProcessExecutor(Executor, GuardHost):
             batch: List[FluidTask] = []
             task = None
             while len(batch) < cap:
-                task = self._ready.next(slot)
+                task = self._ready.next()
                 if task is None:
                     break
                 batch.append(task)
             if batch:
                 self._send_batch(slot, batch)
             if task is None:
-                break  # queue drained, or the discipline declined
+                break  # queue drained
 
     def _send_batch(self, slot: int, tasks: List[FluidTask],
                     fresh: bool = True) -> None:

@@ -118,7 +118,6 @@ class SimExecutor(Executor, GuardHost, UpdateSink):
                  cancel_first_runs: bool = False,
                  policy: Optional[Any] = None,
                  telemetry: Optional[Any] = None,
-                 scheduler: Optional[Any] = None,
                  autotune: Optional[Any] = None):
         if cores < 1:
             raise SchedulerError("need at least one core")
@@ -139,9 +138,7 @@ class SimExecutor(Executor, GuardHost, UpdateSink):
         #: events, core allocation among ready tasks, and the wake order
         #: of parked records.  None keeps the deterministic FIFO order.
         self.policy = policy
-        self._ready = ReadyQueue(scheduler, policy=policy,
-                                 bus=self.context.bus, point="core",
-                                 workers=cores, clock=self.now)
+        self._ready = ReadyQueue(policy=policy, point="core", clock=self.now)
         self.scheduler = self._ready.scheduler
         self.parallelism = cores
         #: The virtual clock: it runs on across the contexts this host
@@ -158,10 +155,7 @@ class SimExecutor(Executor, GuardHost, UpdateSink):
         self._ctx = ctx
         ctx.bind(self, time_scale=1.0, sink=self, policy=self.policy)
         self._queue = EventQueue(self.policy)
-        # Core identities: a LIFO free pool so the scheduler's worker
-        # hints (work-stealing) name the core about to be assigned.
-        self._free_core_ids: List[int] = list(range(self.cores))
-        self._task_core: Dict[int, int] = {}
+        self._free_cores = self.cores
         self._pending_updates: Optional[List[Tuple[Count, Any]]] = None
         self._active_regions = 0
         self._final_wired: Set[int] = set()  # cells whose mark_final we hear
@@ -303,15 +297,15 @@ class SimExecutor(Executor, GuardHost, UpdateSink):
         ctx = self._ctx
         if task in self._ready or ctx.skip_pointless_rerun(task):
             return
-        if self._free_core_ids:
+        if self._free_cores:
             self._begin_run(task)
         else:
             self._ready.push(ctx, task)
 
-    def _release_core(self, finished: FluidTask) -> None:
-        self._free_core_ids.append(self._task_core.pop(id(finished)))
-        while self._free_core_ids:
-            task = self._ready.next(self._free_core_ids[-1])
+    def _release_core(self) -> None:
+        self._free_cores += 1
+        while self._free_cores:
+            task = self._ready.next()
             if task is None:
                 break
             self._begin_run(task)
@@ -320,7 +314,7 @@ class SimExecutor(Executor, GuardHost, UpdateSink):
 
     def _begin_run(self, task: FluidTask) -> None:
         key = id(task)
-        self._task_core[key] = self._free_core_ids.pop()
+        self._free_cores -= 1
         self._generators[key] = task.make_generator(self._ctx.begin(task))
         if key not in self._chunk_keys:
             self._chunk_keys[key] = f"chunk:{task.name}"
@@ -365,7 +359,7 @@ class SimExecutor(Executor, GuardHost, UpdateSink):
         """Free the core, then let the context judge the leaving; the
         END_CHECK verdict comes after the modelled end-check cost."""
         self._generators.pop(id(task), None)
-        self._release_core(task)
+        self._release_core()
         ctx = self._ctx
         if not ctx.body_left(task):
             return

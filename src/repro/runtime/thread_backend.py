@@ -35,7 +35,6 @@ class ThreadExecutor(Executor):
                  cancel_first_runs: bool = False,
                  policy: Optional[object] = None,
                  telemetry: Optional[object] = None,
-                 scheduler: Optional[object] = None,
                  slots: Optional[int] = None,
                  autotune: Optional[object] = None):
         # The autotuner's callback and every telemetry publish point run
@@ -51,10 +50,9 @@ class ThreadExecutor(Executor):
         # fan-out order inside the Coordinator (which runs under the
         # lock).
         self._pool = SharedThreadPool(
-            slots=4 if slots is None else slots, scheduler=scheduler,
-            policy=policy, bus=self.context.bus, name="thread-backend")
-        #: The repro.sched discipline ordering the ready queue the
-        #: ``slots`` workers drain (``scheduler=None`` is FCFS).
+            slots=4 if slots is None else slots, policy=policy,
+            name="thread-backend")
+        #: The FCFS queue the ``slots`` workers drain.
         self.scheduler = self._pool.scheduler
         #: Pool-wide stop event; also interrupts injected jitter sleeps
         #: (SchedLab relies on setting this directly in tests).

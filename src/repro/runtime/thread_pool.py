@@ -10,8 +10,8 @@ is that pool.  A task has no thread of its own:
 * this driver's publisher is the pool thread itself: the thread that
   publishes a count, or bumps / finalises a data cell, re-evaluates the
   records ``woken`` names (the polled ones for a cell) and pushes the
-  runnable ones onto the pool's one ready queue — a ``repro.sched``
-  discipline spanning every active context.  A count publish that can
+  runnable ones onto the pool's one FCFS ready queue, spanning every
+  active context.  A count publish that can
   open no record not already queued takes no lock and checks nothing
   (``count_updated``);
 * ``slots`` long-lived workers pull from that queue and run bodies, so
@@ -116,7 +116,7 @@ class _ContextHost(GuardHost, UpdateSink):
 
 class SharedThreadPool:
     """Hosts concurrent :class:`RunContext` runs: ``slots`` workers
-    drain one ``scheduler``-ordered :class:`ReadyQueue` merged across
+    drain one first-come-first-serve :class:`ReadyQueue` merged across
     every active context, which is what makes the pool a genuinely
     *shared* backend rather than N private executors.
     """
@@ -125,9 +125,7 @@ class SharedThreadPool:
     parallelism = 1
 
     def __init__(self, slots: int = 4,
-                 scheduler: Optional[object] = None,
                  policy: Optional[object] = None,
-                 bus: Optional[object] = None,
                  name: str = "pool"):
         if slots < 1:
             raise SchedulerError("thread pool needs at least one slot")
@@ -135,8 +133,7 @@ class SharedThreadPool:
         self.slots = slots
         self.policy = policy
         self._epoch = time.perf_counter()
-        self.ready = ReadyQueue(scheduler, policy=policy, bus=bus,
-                                point="core", workers=slots, clock=self.now)
+        self.ready = ReadyQueue(policy=policy, point="core", clock=self.now)
         self.scheduler = self.ready.scheduler
         self._lock = threading.RLock()
         #: Workers with nothing to pick wait on ``_idle`` (one notify
@@ -197,7 +194,7 @@ class SharedThreadPool:
             if self._workers or self._stop.is_set():
                 return
             workers = self._workers = [threading.Thread(
-                target=self._worker_main, args=(index,),
+                target=self._worker_main,
                 name=f"{self.name}-worker-{index}", daemon=True)
                 for index in range(self.slots)]
         for worker in workers:
@@ -344,7 +341,7 @@ class SharedThreadPool:
 
     # ------------------------------------------------------------ workers
 
-    def _worker_main(self, index: int) -> None:
+    def _worker_main(self) -> None:
         """One of the pool's ``slots`` long-lived workers: one critical
         section per body — the leaving of the body that just left and
         the start of the next — then the body itself, unlocked."""
@@ -354,7 +351,7 @@ class SharedThreadPool:
                 if left is not None:
                     self._for_context(self._body_left, *left)
                     left = None
-                started = self._next(index)
+                started = self._next()
             if started is None:
                 return
             ctx, task, run_ctx = started
@@ -382,13 +379,12 @@ class SharedThreadPool:
         self._done.notify_all()
         self.stop_context(ctx)
 
-    def _next(self, worker: int) \
-            -> Optional[Tuple[RunContext, FluidTask, TaskContext]]:
+    def _next(self) -> Optional[Tuple[RunContext, FluidTask, TaskContext]]:
         """Start the ready queue's next startable pick, waiting while
         the queue is empty (lock held, released while idle); None once
         the pool shuts down."""
         while not self._stop.is_set():
-            picked = self.ready.pick(worker)
+            picked = self.ready.pick()
             if picked is not None:
                 task, ctx = picked
                 if self.policy is not None:

@@ -1,13 +1,10 @@
-"""Pluggable task scheduling for the Fluid runtime.
+"""Request-queue disciplines for the Fluid service.
 
-``repro.sched`` generalizes the paper's fixed FCFS region/task ordering
-(Section 6.2) into a policy seam shared by all three backends, the
-service's admission queue and the SchedLab exploration harness:
-
-:mod:`repro.sched.schedulers`
-    The :class:`Scheduler` interface and the concrete disciplines
-    (FCFS, priority, EDF, shortest-expected-work, work-stealing,
-    bounded queues with load shedding).
+Every driver runs its ready queue first-come-first-serve, as the paper
+does (Section 6.2); :mod:`repro.sched.schedulers` holds that FCFS queue
+and the disciplines the service's admission queue may order requests
+by (priority, EDF, shortest-expected-work, bounded queues with load
+shedding).
 
 See ``docs/schedulers.md`` for the interface contract and the policy
 catalogue.
@@ -15,8 +12,7 @@ catalogue.
 
 from .schedulers import (BoundedScheduler, EdfScheduler, FcfsScheduler,
                          PriorityScheduler, Scheduler, SCHEDULER_NAMES,
-                         SCHEDULERS, ShortestWorkScheduler,
-                         WorkStealingScheduler, make_scheduler)
+                         SCHEDULERS, ShortestWorkScheduler, make_scheduler)
 
 __all__ = [
     "Scheduler",
@@ -24,7 +20,6 @@ __all__ = [
     "PriorityScheduler",
     "EdfScheduler",
     "ShortestWorkScheduler",
-    "WorkStealingScheduler",
     "BoundedScheduler",
     "SCHEDULERS",
     "SCHEDULER_NAMES",

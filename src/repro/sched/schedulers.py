@@ -1,55 +1,44 @@
-"""Pluggable ready-queue schedulers for the Fluid runtime.
+"""Request-queue disciplines for the service's admission queue.
 
 The paper runs regions and ready tasks first-come-first-serve
-(Section 6.2).  This module generalizes that fixed discipline into a
-:class:`Scheduler` seam — ready-queue admission (:meth:`Scheduler.submit`),
-pick-next (:meth:`Scheduler.pick`) and shed/reject hooks — threaded
-through all three backends (simulator core allocation, thread-backend
-body slots, process-backend worker dispatch) and the service's
-admission queue (:class:`repro.service.AdmissionQueue`).
+(Section 6.2), and so do the drivers: every driver's
+:class:`~repro.runtime.context.ReadyQueue` is an :class:`FcfsScheduler`.
+The other disciplines order :class:`repro.service.AdmissionQueue`, keyed
+off each request's own ``priority`` / ``deadline`` / ``cost_estimate``
+(:meth:`repro.service.FluidService.submit`).
 
 Policy catalogue
 ----------------
 
 ``fcfs``
-    First-come-first-serve, the paper-faithful default.  Bit-for-bit
-    identical to the pre-scheduler runtime, including how a SchedLab
-    :class:`~repro.schedlab.policy.SchedulePolicy` tie-breaks the queue.
+    First-come-first-serve, the paper-faithful default.
 ``priority``
-    Highest ``TaskSpec.priority`` first, FIFO among equals.
+    Highest ``priority`` first, FIFO among equals.
 ``edf``
-    Earliest ``TaskSpec.deadline`` first; tasks without deadlines run
-    after every deadlined task.
+    Earliest ``deadline`` first; requests without deadlines run after
+    every deadlined request.
 ``sew`` (alias ``shortest-work``)
-    Smallest ``TaskSpec.cost_estimate`` first — shortest-expected-work,
-    a quality/latency knob in the spirit of significance-aware runtimes.
-``work-stealing``
-    Per-worker deques with round-robin admission; an idle worker steals
-    from the longest victim queue (steals are counted and published).
+    Smallest ``cost_estimate`` first — shortest-expected-work.
 ``bounded``
     Admission control around an inner scheduler: at most ``capacity``
-    tasks queue; overflow is *shed* (rejected, counted, published as a
-    ``sched``/``shed`` telemetry event) for sheddable submissions and
-    *parked* for must-run ones — the runtime's guard protocol cannot
-    lose a run request without deadlocking its region, so executor
-    submissions are never dropped, only deferred.
+    requests queue; overflow is *shed* (rejected, counted, published as
+    a ``sched``/``shed`` telemetry event) for sheddable submissions and
+    *parked* for must-run ones.
 
 Composition with SchedLab
 -------------------------
 
 A bound :class:`~repro.schedlab.policy.SchedulePolicy` resolves exactly
 the nondeterminism each discipline leaves open: FCFS consults
-``policy.choose(point, names)`` over the whole queue (the historical
-executor behaviour, which is what keeps the golden structural traces
-stable), while the keyed disciplines consult it only among equal-key
-candidates.  Exploration therefore perturbs scheduling freedom, never
-the discipline itself.
+``policy.choose(point, names)`` over the whole queue (what keeps the
+golden structural traces stable), while the keyed disciplines consult it
+only among equal-key candidates.  Exploration therefore perturbs
+scheduling freedom, never the discipline itself.
 
 Schedulers are single-run objects, like executors: counters and queue
 state accumulate until the run ends and
 :meth:`repro.telemetry.Telemetry.record_scheduler` folds them into the
-``sched.*`` metrics.  Pass scheduler *names* (not instances) to
-harnesses that execute many runs.
+``sched.*`` metrics.
 """
 
 from __future__ import annotations
@@ -68,7 +57,6 @@ __all__ = [
     "PriorityScheduler",
     "EdfScheduler",
     "ShortestWorkScheduler",
-    "WorkStealingScheduler",
     "BoundedScheduler",
     "SCHEDULERS",
     "SCHEDULER_NAMES",
@@ -76,27 +64,20 @@ __all__ = [
 ]
 
 
-def _spec(task: Any) -> Any:
-    """The attribute carrier: ``task.spec`` for FluidTask, else the task
-    itself (a service request is its own spec)."""
-    spec = getattr(task, "spec", None)
-    return spec if spec is not None else task
-
-
 def task_priority(task: Any) -> float:
-    value = getattr(_spec(task), "priority", 0.0)
+    value = getattr(task, "priority", 0.0)
     return 0.0 if value is None else float(value)
 
 
 def task_deadline(task: Any) -> float:
-    """Absolute deadline; tasks without one sort after all deadlines."""
-    value = getattr(_spec(task), "deadline", None)
+    """Absolute deadline; requests without one sort after all deadlines."""
+    value = getattr(task, "deadline", None)
     return math.inf if value is None else float(value)
 
 
 def task_cost_estimate(task: Any) -> float:
-    """Expected work; tasks without an estimate sort last."""
-    value = getattr(_spec(task), "cost_estimate", None)
+    """Expected work; requests without an estimate sort last."""
+    value = getattr(task, "cost_estimate", None)
     return math.inf if value is None else float(value)
 
 
@@ -106,15 +87,12 @@ def _label(task: Any) -> str:
 
 
 class Scheduler:
-    """Ready-queue admission and pick-next for one executor run.
+    """Queue admission and pick-next for one run.
 
     Lifecycle: the host calls :meth:`bind` once at run start (wiring the
-    SchedLab policy, the telemetry bus, the policy *point* name used for
-    choose calls, and the worker count), then :meth:`submit` whenever a
-    task becomes runnable and :meth:`pick` whenever a core / body slot /
-    worker frees up.  ``worker`` hints identify which worker is asking
-    (the simulator passes core ids, the process backend slot ids); only
-    worker-aware disciplines use them.
+    SchedLab policy, the telemetry bus and the policy *point* name used
+    for choose calls), then :meth:`submit` whenever a task or request
+    becomes runnable and :meth:`pick` whenever a worker frees up.
 
     Subclasses implement ``_admit`` / ``_select`` / ``pending``; the
     base class owns the decision counters and the queue-residence
@@ -125,26 +103,24 @@ class Scheduler:
 
     def __init__(self):
         self.picks = 0
-        self.steals = 0
         self.sheds = 0
         self.deferrals = 0
         self.residence = Histogram(RESIDENCE_BOUNDS)
         self._policy: Optional[Any] = None
         self._bus: Optional[Any] = None
         self._point = "core"
-        self._workers = 1
         self._enqueued_at: Dict[int, float] = {}
 
     # -- host wiring -------------------------------------------------------
 
     def bind(self, *, policy: Optional[Any] = None, bus: Optional[Any] = None,
              point: str = "core", workers: Optional[int] = None) -> "Scheduler":
-        """Wire the scheduler to its host executor (idempotent)."""
+        """Wire the scheduler to its host (idempotent).  ``workers`` is
+        ignored: no discipline is worker-aware, and it stays only
+        because ``benchmarks/perf/probes.py`` binds with it."""
         self._policy = policy
         self._bus = bus
         self._point = point
-        if workers:
-            self._workers = int(workers)
         return self
 
     # -- queue discipline (subclasses override) ----------------------------
@@ -152,7 +128,7 @@ class Scheduler:
     def _admit(self, task: Any, *, now: float, sheddable: bool) -> bool:
         raise NotImplementedError
 
-    def _select(self, *, now: float, worker: Optional[int]) -> Optional[Any]:
+    def _select(self, *, now: float) -> Optional[Any]:
         raise NotImplementedError
 
     def pending(self) -> int:
@@ -165,20 +141,18 @@ class Scheduler:
                sheddable: bool = False) -> bool:
         """Admit a runnable task; False means it was shed (dropped).
 
-        ``sheddable=False`` (what the region executors pass) guarantees
-        acceptance — a guard-requested run must eventually happen or its
-        region deadlocks; ``sheddable=True`` (the service's sheddable
-        requests) lets bounded queues reject under load.
+        ``sheddable=False`` guarantees acceptance (a must-run request is
+        parked, never dropped); ``sheddable=True`` (the service's
+        sheddable requests) lets bounded queues reject under load.
         """
         if self._admit(task, now=now, sheddable=sheddable):
             self._enqueued_at[id(task)] = now
             return True
         return False
 
-    def pick(self, *, now: float = 0.0,
-             worker: Optional[int] = None) -> Optional[Any]:
+    def pick(self, *, now: float = 0.0) -> Optional[Any]:
         """Next task for a freed worker, or None if nothing is queued."""
-        task = self._select(now=now, worker=worker)
+        task = self._select(now=now)
         if task is None:
             return None
         self.picks += 1
@@ -190,8 +164,8 @@ class Scheduler:
     # -- introspection -----------------------------------------------------
 
     def counters(self) -> Dict[str, int]:
-        return {"picks": self.picks, "steals": self.steals,
-                "sheds": self.sheds, "deferrals": self.deferrals}
+        return {"picks": self.picks, "sheds": self.sheds,
+                "deferrals": self.deferrals}
 
     def snapshot(self) -> Dict[str, Any]:
         """End-of-run record for ``Telemetry.record_scheduler``."""
@@ -214,12 +188,12 @@ class Scheduler:
 
 
 class FcfsScheduler(Scheduler):
-    """First-come-first-serve — the paper-faithful default (Section 6.2).
+    """First-come-first-serve — the paper-faithful order (Section 6.2)
+    and every driver's ready queue.
 
     With a SchedLab policy bound, the pick consults
-    ``policy.choose(point, [task names...])`` over the *whole* queue —
-    exactly what the executors did before this subsystem existed, so the
-    golden structural traces are reproduced bit-for-bit.
+    ``policy.choose(point, [task names...])`` over the *whole* queue,
+    which is what the golden structural traces pin.
     """
 
     name = "fcfs"
@@ -232,7 +206,7 @@ class FcfsScheduler(Scheduler):
         self._queue.append(task)
         return True
 
-    def _select(self, *, now, worker):
+    def _select(self, *, now):
         if not self._queue:
             return None
         if self._policy is not None and len(self._queue) > 1:
@@ -250,7 +224,7 @@ class FcfsScheduler(Scheduler):
 class _KeyedScheduler(Scheduler):
     """Minimum-key discipline, FIFO among ties.
 
-    Keys (priority / deadline / cost estimate) are static task
+    Keys (priority / deadline / cost estimate) are static request
     attributes, so they are evaluated once at admission and the queue is
     a binary heap — O(log n) per operation, however long an overloaded
     queue grows.
@@ -273,7 +247,7 @@ class _KeyedScheduler(Scheduler):
         self._admitted += 1
         return True
 
-    def _select(self, *, now, worker):
+    def _select(self, *, now):
         heap = self._heap
         if not heap:
             return None
@@ -296,7 +270,7 @@ class _KeyedScheduler(Scheduler):
 
 
 class PriorityScheduler(_KeyedScheduler):
-    """Highest ``TaskSpec.priority`` first (default priority 0.0)."""
+    """Highest ``priority`` first (default priority 0.0)."""
 
     name = "priority"
 
@@ -305,7 +279,7 @@ class PriorityScheduler(_KeyedScheduler):
 
 
 class EdfScheduler(_KeyedScheduler):
-    """Earliest-deadline-first over ``TaskSpec.deadline``."""
+    """Earliest-deadline-first over ``deadline``."""
 
     name = "edf"
 
@@ -314,69 +288,12 @@ class EdfScheduler(_KeyedScheduler):
 
 
 class ShortestWorkScheduler(_KeyedScheduler):
-    """Shortest-expected-work first over ``TaskSpec.cost_estimate``."""
+    """Shortest-expected-work first over ``cost_estimate``."""
 
     name = "sew"
 
     def _key(self, task, now):
         return task_cost_estimate(task)
-
-
-class WorkStealingScheduler(Scheduler):
-    """Per-worker deques with round-robin admission and idle stealing.
-
-    A worker with an empty home deque steals from the longest victim
-    (lowest index among equals); each steal increments
-    :attr:`Scheduler.steals` and publishes a ``sched``/``steal`` event.
-    Hosts without worker identity (the thread backend's body slots)
-    drain the deques in index order without counting steals.
-    """
-
-    name = "work-stealing"
-
-    def __init__(self, workers: Optional[int] = None):
-        super().__init__()
-        if workers is not None and workers < 1:
-            raise SchedulerError("work-stealing needs at least one worker")
-        self._configured = workers
-        self._queues: List[Deque[Any]] = [deque()]
-        self._next = 0
-
-    def bind(self, **kwargs):
-        super().bind(**kwargs)
-        count = int(self._configured or self._workers or 1)
-        self._queues = [deque() for _ in range(max(1, count))]
-        self._next = 0
-        return self
-
-    def _admit(self, task, *, now, sheddable):
-        self._queues[self._next % len(self._queues)].append(task)
-        self._next += 1
-        return True
-
-    def _select(self, *, now, worker):
-        queues = self._queues
-        if isinstance(worker, int) and 0 <= worker < len(queues):
-            if queues[worker]:
-                return queues[worker].popleft()
-            victim = max(range(len(queues)), key=lambda i: len(queues[i]))
-            if not queues[victim]:
-                return None
-            task = queues[victim].popleft()
-            self.steals += 1
-            self._emit("steal", task, {"victim": victim, "thief": worker},
-                       ts=now)
-            return task
-        for queue in queues:
-            if queue:
-                return queue.popleft()
-        return None
-
-    def pending(self):
-        return sum(len(queue) for queue in self._queues)
-
-    def describe(self):
-        return {"scheduler": self.name, "queues": len(self._queues)}
 
 
 class BoundedScheduler(Scheduler):
@@ -385,11 +302,10 @@ class BoundedScheduler(Scheduler):
     At most ``capacity`` tasks queue in ``inner``.  An overflowing
     submit is **shed** — rejected with a ``sched``/``shed`` telemetry
     event and a ``sheds`` counter bump, never silently dropped — when
-    the caller marked the task sheddable, and **parked** in a FIFO
-    overflow buffer otherwise: region executors may not lose a
-    guard-requested run (the region would deadlock), so their overflow
-    is deferred (counted, published as ``sched``/``defer``) and promoted
-    into the inner queue as soon as it drains below capacity.
+    the caller marked the request sheddable, and **parked** in a FIFO
+    overflow buffer otherwise: a must-run request is deferred (counted,
+    published as ``sched``/``defer``) and promoted into the inner queue
+    as soon as it drains below capacity.
     """
 
     name = "bounded"
@@ -424,21 +340,21 @@ class BoundedScheduler(Scheduler):
             return True
         return self.inner.submit(task, now=now, sheddable=sheddable)
 
-    def pick(self, *, now=0.0, worker=None):
+    def pick(self, *, now=0.0):
         # Promote parked tasks first so a drained inner queue can never
         # starve the overflow; residence is measured from park time.
         while self._overflow and self.inner.pending() < self.capacity:
             parked = self._overflow.popleft()
             self.inner.submit(parked,
                               now=self._parked_at.pop(id(parked), now))
-        return self.inner.pick(now=now, worker=worker)
+        return self.inner.pick(now=now)
 
     def pending(self):
         return self.inner.pending() + len(self._overflow)
 
     def counters(self):
         inner = self.inner.counters()
-        return {"picks": inner["picks"], "steals": inner["steals"],
+        return {"picks": inner["picks"],
                 "sheds": self.sheds + inner["sheds"],
                 "deferrals": self.deferrals + inner["deferrals"]}
 
@@ -461,13 +377,11 @@ SCHEDULERS = {
     "edf": EdfScheduler,
     "sew": ShortestWorkScheduler,
     "shortest-work": ShortestWorkScheduler,
-    "work-stealing": WorkStealingScheduler,
     "bounded": BoundedScheduler,
 }
 
 #: Canonical names (aliases folded), for help strings.
-SCHEDULER_NAMES = ("fcfs", "priority", "edf", "sew", "work-stealing",
-                   "bounded")
+SCHEDULER_NAMES = ("fcfs", "priority", "edf", "sew", "bounded")
 
 
 def _parse_options(text: str) -> Dict[str, str]:
@@ -483,21 +397,17 @@ def _parse_options(text: str) -> Dict[str, str]:
     return options
 
 
-def make_scheduler(spec: Any = None) -> Scheduler:
+def make_scheduler(spec: Optional[str] = None) -> Scheduler:
     """Build a scheduler from a spec.
 
-    ``None`` gives a fresh FCFS (the default discipline); a
-    :class:`Scheduler` instance passes through; a string names a
-    discipline with optional ``name:key=value,...`` options::
+    ``None`` gives a fresh FCFS (the default discipline); a string
+    names a discipline with optional ``name:key=value,...`` options::
 
         make_scheduler("edf")
-        make_scheduler("work-stealing:workers=4")
         make_scheduler("bounded:capacity=8,inner=edf")
     """
     if spec is None:
         return FcfsScheduler()
-    if isinstance(spec, Scheduler):
-        return spec
     text = str(spec).strip()
     name, _, option_text = text.partition(":")
     name = name.strip().lower()
@@ -515,14 +425,6 @@ def make_scheduler(spec: Any = None) -> Scheduler:
                     f"bounded scheduler got unknown options "
                     f"{sorted(options)}")
             return BoundedScheduler(inner, capacity)
-        if name == "work-stealing":
-            workers = options.pop("workers", None)
-            if options:
-                raise SchedulerError(
-                    f"work-stealing scheduler got unknown options "
-                    f"{sorted(options)}")
-            return WorkStealingScheduler(
-                int(workers) if workers is not None else None)
     except ValueError as error:
         raise SchedulerError(
             f"bad option value in scheduler spec {text!r}: {error}") from None

@@ -111,11 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="real-backend wall-clock deadline per run")
     sweep_cmd.add_argument("--workers", type=int, default=2,
                            help="process-backend pool size")
-    sweep_cmd.add_argument("--scheduler", default=None,
-                           metavar="SPEC",
-                           help="repro.sched discipline for every run "
-                                "(e.g. edf, bounded:capacity=4,inner="
-                                "priority); default: fcfs")
 
     replay_cmd = commands.add_parser(
         "replay", help="re-run one artifact's schedule on the simulator")
@@ -143,8 +138,7 @@ def _cmd_sweep(options) -> int:
         depth=options.depth, jitter_scale=options.jitter,
         artifact_dir=options.artifact_dir, shrink=not options.no_shrink,
         stop_first=options.stop_first, cores=options.cores,
-        timeout=options.timeout, workers=options.workers,
-        scheduler=options.scheduler, log=print)
+        timeout=options.timeout, workers=options.workers, log=print)
     print(f"sweep: {report.runs} runs, {len(report.failures)} failures"
           + (f", {report.shrink_checks} shrink checks"
              if report.shrink_checks else ""))
@@ -195,9 +189,6 @@ def _cmd_list() -> int:
     print("policies: fifo, random, pct, exhaustive")
     print("mutations: " + ", ".join(sorted(MUTATIONS)))
     print("fault kinds: " + ", ".join(KINDS))
-    from ..sched import SCHEDULER_NAMES
-
-    print("schedulers: " + ", ".join(SCHEDULER_NAMES))
     return 0
 
 

@@ -82,8 +82,6 @@ class Outcome:
     strict: bool = False
     mutation: Optional[str] = None
     seed: Optional[int] = None
-    #: repro.sched discipline spec the run used (None = default FCFS).
-    scheduler: Optional[str] = None
     #: repro.tuning autotune spec the run used (None = static valves).
     autotune: Optional[str] = None
     policy: Dict = field(default_factory=dict)
@@ -113,7 +111,6 @@ class Outcome:
             "strict": self.strict,
             "mutation": self.mutation,
             "seed": self.seed,
-            "scheduler": self.scheduler,
             "autotune": self.autotune,
             "policy": self.policy,
             "failure": self.failure,
@@ -129,8 +126,6 @@ class Outcome:
             extras.append(f"seed={self.seed}")
         if self.mutation:
             extras.append(f"mutation={self.mutation}")
-        if self.scheduler:
-            extras.append(f"scheduler={self.scheduler}")
         if self.autotune:
             extras.append(f"autotune={self.autotune}")
         if self.strict:
@@ -172,13 +167,12 @@ def _normalize_faults(faults) -> List[dict]:
 
 def _build_executor(backend: str, policy: SchedulePolicy, *, cores: int,
                     timeout: float, workers: int, telemetry,
-                    scheduler=None, autotune=None):
+                    autotune=None):
     options = {"sim": {"cores": cores, "overheads": Overheads.zero()},
                "thread": {"timeout": timeout},
                "process": {"workers": workers, "timeout": timeout}}
     return make_executor(backend, policy=policy, telemetry=telemetry,
-                         scheduler=scheduler, autotune=autotune,
-                         **options.get(backend, {}))
+                         autotune=autotune, **options.get(backend, {}))
 
 
 #: This process's last scenario build for :func:`rebuild`: its key and
@@ -215,7 +209,6 @@ def run_scenario(scenario_name: str, *,
                  timeout: float = 15.0,
                  workers: int = 2,
                  telemetry=None,
-                 scheduler: Optional[str] = None,
                  autotune: Optional[str] = None) -> Outcome:
     """Execute one scenario under full SchedLab control.
 
@@ -227,17 +220,11 @@ def run_scenario(scenario_name: str, *,
     invariant checker audits the run's own event stream, so a run given
     none gets a lightweight one (bus and trace only).
 
-    ``scheduler`` (a :mod:`repro.sched` spec string such as ``"edf"`` or
-    ``"bounded:capacity=4"``) selects the ready-queue discipline the
-    backend runs under; SchedLab policies compose with it — the policy
-    resolves whatever tie-break freedom the discipline leaves open.  It
-    is recorded in the outcome and its replay artifact.
-
     ``autotune`` (a :mod:`repro.tuning` spec string such as
     ``"accuracy_floor:target=0.9"``) enables closed-loop valve
     autotuning for the run; its ``tune.*`` adjustment events ride the
     same bus as everything else, so adjustments are visible in replays.
-    Recorded in the outcome and its replay artifact like ``scheduler``.
+    Recorded in the outcome and its replay artifact.
     """
     try:
         scenario = SCENARIOS[scenario_name]
@@ -263,8 +250,6 @@ def run_scenario(scenario_name: str, *,
 
     outcome = Outcome(scenario=scenario_name, backend=backend, strict=strict,
                       mutation=mutation, seed=seed,
-                      scheduler=(scheduler if scheduler is None
-                                 else str(scheduler)),
                       autotune=(autotune if autotune is None
                                 else str(autotune)),
                       policy=inner.describe(), faults=fault_records)
@@ -282,7 +267,6 @@ def run_scenario(scenario_name: str, *,
             executor = _build_executor(backend, recorder, cores=cores,
                                        timeout=timeout, workers=workers,
                                        telemetry=telemetry,
-                                       scheduler=scheduler,
                                        autotune=autotune)
             run.submit(executor)
             outcome.makespan = executor.run().makespan
@@ -354,9 +338,16 @@ def replay_artifact(artifact, *, trace: bool = False,
     Replay always targets ``sim`` regardless of the backend that found
     the failure: decision lists are only deterministic under virtual
     time (real backends contribute seeded jitter, not a total order).
+    An artifact recorded under another ready-queue discipline than
+    FCFS (its ``scheduler`` field) is refused: its decisions chose
+    among another queue order.
     """
     if isinstance(artifact, str):
         artifact = load_artifact(artifact)
+    if artifact.get("scheduler") not in (None, "fcfs"):
+        raise SchedulerError(
+            f"artifact field 'scheduler' is {artifact['scheduler']!r}; "
+            "the drivers run FCFS only, so its schedule cannot replay")
     return run_scenario(
         artifact["scenario"], backend="sim",
         policy=ReplayPolicy([tuple(d) for d in artifact["decisions"]]),
@@ -364,7 +355,6 @@ def replay_artifact(artifact, *, trace: bool = False,
         faults=artifact.get("faults") or None,
         strict=bool(artifact.get("strict")),
         mutation=artifact.get("mutation"),
-        scheduler=artifact.get("scheduler"),
         trace=trace, cores=cores, telemetry=telemetry)
 
 
@@ -398,8 +388,7 @@ def shrink_outcome(outcome: Outcome, *, cores: int = 4,
         replayed = run_scenario(
             outcome.scenario, backend="sim",
             policy=ReplayPolicy(decisions), faults=outcome.faults or None,
-            strict=outcome.strict, mutation=outcome.mutation,
-            scheduler=outcome.scheduler, cores=cores)
+            strict=outcome.strict, mutation=outcome.mutation, cores=cores)
         return replayed.failure == target
 
     return shrink_schedule(outcome.decisions, still_fails, budget=budget)
@@ -420,7 +409,6 @@ def sweep(scenario_names: Optional[Sequence[str]] = None, *,
           cores: int = 4,
           timeout: float = 15.0,
           workers: int = 2,
-          scheduler: Optional[str] = None,
           log: Optional[Callable[[str], None]] = None) -> SweepReport:
     """Run many controlled schedules and harvest failures.
 
@@ -465,8 +453,7 @@ def sweep(scenario_names: Optional[Sequence[str]] = None, *,
         effective_strict = strict and scenario.supports_strict
         common = dict(backend=backend, faults=fault_records or None,
                       strict=effective_strict, mutation=mutation,
-                      cores=cores, timeout=timeout, workers=workers,
-                      scheduler=scheduler)
+                      cores=cores, timeout=timeout, workers=workers)
         if policy_name == "exhaustive":
             policy = ExhaustivePolicy(depth=depth)
             while policy.schedules_run < seeds:

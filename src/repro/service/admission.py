@@ -2,15 +2,14 @@
 
 :class:`AdmissionQueue` is the bounded, relaxed request queue.  It is a
 thin veneer over :func:`repro.sched.make_scheduler` with a
-``bounded:capacity=N,inner=DISCIPLINE`` spec, so the service reuses the
-exact shed-or-park semantics the executors already have: a *sheddable*
-request that arrives when the queue is full is rejected observably (a
+``bounded:capacity=N,inner=DISCIPLINE`` spec: a *sheddable* request that
+arrives when the queue is full is rejected observably (a
 ``sched``/``shed`` bus event plus an :class:`AdmissionError` to the
 caller), while a *must-run* request is parked in FIFO overflow and
 never dropped.  The inner discipline (fcfs/priority/edf/sew) orders
-dispatch, keyed off the request's ``priority``/``deadline``/
-``cost_estimate`` hints — the same ``TaskSpec`` attributes the
-schedulers read on Fluid tasks.
+dispatch, keyed off the request's own ``priority``/``deadline``/
+``cost_estimate`` hints.  An unknown discipline raises
+:class:`~repro.core.errors.SchedulerError` naming the known ones.
 """
 
 from __future__ import annotations
@@ -48,8 +47,7 @@ class AdmissionQueue:
         """Admit a request; False means it was shed (bounded overflow).
 
         Must-run requests (``sheddable=False``) are parked, never
-        dropped — the same guarantee guard-requested runs get from
-        :class:`repro.sched.BoundedScheduler`.
+        dropped (:class:`repro.sched.BoundedScheduler`).
         """
         return self.scheduler.submit(request, now=now, sheddable=sheddable)
 

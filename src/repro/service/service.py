@@ -47,8 +47,8 @@ class ServiceRequest:
     """One admitted region-execution request (internal bookkeeping).
 
     The ``priority`` / ``deadline`` / ``cost_estimate`` attributes are
-    read by the admission queue's discipline, exactly like ``TaskSpec``
-    hints on Fluid tasks.
+    read by the admission queue's discipline; they are the only
+    scheduling hints in the system (a driver's ready queue is FCFS).
     """
 
     __slots__ = ("region", "future", "sheddable", "latency_slo", "timeout",
@@ -109,12 +109,11 @@ class FluidService:
     backend:
         ``thread`` (shared pool, default), ``sim`` or ``process``
         (one-shot pools).
-    slots / scheduler:
-        The thread pool's workers and ready queue: at most ``slots``
-        bodies run concurrently, picked in ``scheduler`` discipline
-        order (``None`` is FCFS) across *all* in-flight requests.  The
-        sim and process backends run one context at a time on one host
-        executor.
+    slots:
+        The thread pool's workers: at most ``slots`` bodies run
+        concurrently, picked first-come-first-serve across *all*
+        in-flight requests.  The sim and process backends run one
+        context at a time on one host executor.
     queue_capacity / discipline:
         The bounded admission queue and its dispatch order.
     max_concurrency:
@@ -139,7 +138,6 @@ class FluidService:
 
     def __init__(self, *, backend: str = "thread",
                  slots: int = 4,
-                 scheduler: Optional[object] = None,
                  queue_capacity: int = 64,
                  discipline: str = "fcfs",
                  max_concurrency: Optional[int] = None,
@@ -178,7 +176,7 @@ class FluidService:
         options = dict(backend_options or {})
         if backend == "thread":
             self.pool = SharedThreadPool(
-                slots=slots, scheduler=scheduler, name=name, **options)
+                slots=slots, name=name, **options)
         else:
             self.pool = OneShotPool(backend, executor_options=options,
                                     name=name)

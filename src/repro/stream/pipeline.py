@@ -255,8 +255,7 @@ class Pipeline:
                 source_queue.put(seq, value, task="source")
 
         region.add_task("source", source, inputs=[items_cell],
-                        outputs=[source_queue.slots],
-                        cost_estimate=interarrival * count)
+                        outputs=[source_queue.slots])
 
         last = len(self.stages) - 1
         for position, stage in enumerate(self.stages):
@@ -298,8 +297,7 @@ class Pipeline:
                             start_valves=start_valves,
                             end_valves=end_valves,
                             inputs=[qin.slots, state_in],
-                            outputs=[qout.slots, state_out],
-                            cost_estimate=stage.cost * count)
+                            outputs=[qout.slots, state_out])
         self._arm(build, index, items, states)
         return build
 
@@ -458,8 +456,7 @@ class Pipeline:
         if backend == "sim":
             return SimExecutor(cores=cores, telemetry=self.telemetry)
         if backend == "thread":
-            return SharedThreadPool(slots=slots, bus=self.telemetry.bus,
-                                    name=f"{self.name}-pool")
+            return SharedThreadPool(slots=slots, name=f"{self.name}-pool")
         # One private pool for every window; each window is rebuilt
         # inside the workers from the factory ``build_window`` attaches.
         return ProcessExecutor(workers=workers, telemetry=self.telemetry)

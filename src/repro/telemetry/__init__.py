@@ -103,7 +103,8 @@ class Telemetry:
         """Fold a scheduler's end-of-run snapshot into the metrics.
 
         Executors call this (before :meth:`run_finished`) with their
-        bound :class:`repro.sched.Scheduler`; pick counts and the
+        ready queue's FCFS :class:`repro.sched.Scheduler`, the service
+        with its admission queue's; pick counts and the
         queue-residence histogram land in the ``sched.*`` metrics
         without publishing any bus events, so structural traces are
         unaffected.  No-op without a metrics registry or scheduler.

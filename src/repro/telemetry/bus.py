@@ -25,12 +25,11 @@ Event kinds
 ``sched``
     A backend scheduling event: ``launch``, ``run``, ``spawn``,
     ``region-done`` (``data["detail"]`` carries free-form detail), plus
-    the :mod:`repro.sched` decision events ``steal`` (work-stealing
-    migration, ``data`` has ``victim``/``thief``), ``shed`` (bounded
-    admission rejected a sheddable task) and ``defer`` (bounded
-    admission parked a must-run task).  None of the decision events can
-    occur under the default FCFS discipline, which is what keeps the
-    golden structural traces stable.
+    the service admission queue's decision events ``shed`` (bounded
+    admission rejected a sheddable request) and ``defer`` (bounded
+    admission parked a must-run request).  A driver's FCFS ready queue
+    publishes neither, which is what keeps the golden structural traces
+    stable.
 ``valve``
     One evaluation of a task's start or end valve set.  ``name`` is
     ``start`` or ``end``; ``data`` carries ``result`` (bool) and

@@ -15,7 +15,7 @@ a region's :class:`~repro.core.stats.TaskStats` (the ``valve.start.*``,
 aside) and its valves' check tallies (``valve.checks.evaluated``) when
 the region is done, or at run end for a region that never finished.  The
 registry subscribes to the bus only for live decisions: ``sched``
-(spawn/shed/steal/defer), ``payload``, ``worker``, ``svc`` and ``tune``.
+(spawn/shed/defer), ``payload``, ``worker``, ``svc`` and ``tune``.
 
 Counter catalogue
 -----------------
@@ -46,7 +46,6 @@ Counter catalogue
 ``process.worker_respawns``               pooled workers respawned after a crash
 ``trace.dropped_events``                  ring-buffer drops in the Trace
 ``sched.picks``                           scheduler pick-next decisions
-``sched.steals``                          work-stealing queue raids
 ``sched.tasks_shed``                      bounded-queue rejections (dropped)
 ``sched.tasks_deferred``                  bounded-queue overflow parks
 ``tune.adjustments``                      autotuner threshold adjustments
@@ -109,8 +108,7 @@ COUNTER_CATALOGUE = (
     "process.payload_cells_skipped", "process.payload_rebinds",
     "process.dispatch_batches", "process.worker_respawns",
     "trace.dropped_events",
-    "sched.picks", "sched.steals", "sched.tasks_shed",
-    "sched.tasks_deferred",
+    "sched.picks", "sched.tasks_shed", "sched.tasks_deferred",
     "tune.adjustments", "tune.tightenings", "tune.relaxations",
     "tune.windows",
     "svc.requests", "svc.admitted", "svc.shed", "svc.dispatched",
@@ -249,8 +247,6 @@ class MetricsRegistry:
                 self.inc("sched.tasks_shed")
             elif event.name == "defer":
                 self.inc("sched.tasks_deferred")
-            elif event.name == "steal":
-                self.inc("sched.steals")
         elif kind == "payload":
             if event.name == "rebound":
                 # apply_payload rebound an aliasable container instead of
@@ -373,7 +369,7 @@ class MetricsRegistry:
         Pick decisions and queue residence are recorded here, directly,
         at end of run — not as per-pick bus events — so the default FCFS
         scheduler adds zero events to structural traces (the golden
-        traces stay byte-identical).  Shed/steal/defer decisions *are*
+        traces stay byte-identical).  Shed/defer decisions *are*
         bus events and arrive through :meth:`on_event`; they are
         deliberately not re-counted from the snapshot.
         """
@@ -388,7 +384,7 @@ class MetricsRegistry:
         Only the decision-window count and final position come from the
         snapshot; adjustments are live ``tune``-kind bus events and are
         deliberately not re-counted here (same split as
-        :meth:`record_scheduler` vs the shed/steal events).
+        :meth:`record_scheduler` vs the shed/defer events).
         """
         self.inc("tune.windows", snapshot.get("windows", 0))
         self.set_gauge("tune.position", snapshot.get("position", 0.0))

@@ -208,8 +208,13 @@ class TimelineRecorder:
                 in _timelines(self.trace.recorded).items()}
 
     def span(self) -> float:
-        return max((row[-1][0] for row in self._rows().values()),
-                   default=0.0)
+        """Clock time from the first transition to the last (0.0 with
+        none): a wall clock does not start at 0."""
+        rows = self._rows().values()
+        if not rows:
+            return 0.0
+        return max(row[-1][0] for row in rows) - \
+            min(row[0][0] for row in rows)
 
     def render(self, width: int = 80, until: Optional[float] = None,
                time_scale: Optional[float] = None) -> str:

@@ -650,20 +650,17 @@ class TestOptionsCensus:
         assert census == {
             "SimExecutor": [
                 "cores", "overheads", "modulation", "max_active_regions",
-                "cancel_first_runs", "policy", "telemetry", "scheduler",
-                "autotune"],
+                "cancel_first_runs", "policy", "telemetry", "autotune"],
             "ThreadExecutor": [
                 "modulation", "timeout", "cancel_first_runs", "policy",
-                "telemetry", "scheduler", "slots", "autotune"],
-            "SharedThreadPool": [
-                "slots", "scheduler", "policy", "bus", "name"],
+                "telemetry", "slots", "autotune"],
+            "SharedThreadPool": ["slots", "policy", "name"],
             "ProcessExecutor": [
                 "workers", "modulation", "timeout", "cancel_first_runs",
-                "policy", "telemetry", "scheduler", "autotune",
-                "batch_size", "pool"],
+                "policy", "telemetry", "autotune", "batch_size", "pool"],
             "PersistentProcessPool": ["workers", "name"],
             "FluidService": [
-                "backend", "slots", "scheduler", "queue_capacity",
+                "backend", "slots", "queue_capacity",
                 "discipline", "max_concurrency", "latency_slo",
                 "batch_max", "batch_cost_threshold",
                 "request_timeout", "telemetry", "backend_options", "name"],

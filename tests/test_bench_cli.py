@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.bench.__main__ import main as bench_main
 from repro.telemetry import load_metrics
 
@@ -60,14 +62,6 @@ class TestDebugFlag:
     # Satellite regression: spec errors were flattened to str(error)
     # with the traceback swallowed; --debug must re-raise the original.
 
-    def test_bad_scheduler_spec_is_a_cli_error(self, capsys):
-        import pytest
-
-        with pytest.raises(SystemExit) as info:
-            bench_main(["--scheduler", "bogus-discipline"])
-        assert info.value.code == 2
-        assert "bogus-discipline" in capsys.readouterr().err
-
     def test_removed_autotune_specs_are_cli_errors(self, capsys):
         import pytest
 
@@ -78,14 +72,6 @@ class TestDebugFlag:
                 bench_main(["--autotune", spec])
             assert info.value.code == 2
             assert named in capsys.readouterr().err
-
-    def test_debug_reraises_scheduler_spec_error(self):
-        import pytest
-
-        from repro import SchedulerError
-
-        with pytest.raises(SchedulerError):
-            bench_main(["--scheduler", "bogus-discipline", "--debug"])
 
     def test_debug_reraises_autotune_spec_error(self):
         import pytest
@@ -102,11 +88,50 @@ class TestDebugFlag:
 
         with caplog.at_level(logging.DEBUG, logger="repro.bench"):
             with pytest.raises(SystemExit):
-                bench_main(["--scheduler", "bogus-discipline"])
+                bench_main(["--autotune", "bogus-controller"])
         debug_records = [record for record in caplog.records
                          if record.levelno == logging.DEBUG
                          and record.exc_info]
         assert debug_records, "spec failure must log its traceback"
+
+
+def _bench_scheduler_flag():
+    bench_main(["--scheduler", "edf"])
+
+
+def _schedlab_scheduler_flag():
+    from repro.schedlab.__main__ import main as schedlab_main
+
+    schedlab_main(["sweep", "--scheduler", "edf"])
+
+
+def _admission_work_stealing():
+    from repro.service.admission import AdmissionQueue
+
+    AdmissionQueue(discipline="work-stealing")
+
+
+@pytest.mark.parametrize("call", [_bench_scheduler_flag,
+                                  _schedlab_scheduler_flag,
+                                  _admission_work_stealing],
+                         ids=lambda call: call.__name__.strip("_"))
+def test_removed_scheduler_options_are_errors(call, capsys):
+    """The drivers run FCFS only: the CLIs' ``--scheduler`` is gone (an
+    argparse error, exit 2), and the admission queue names the
+    disciplines it knows when asked for a removed one."""
+    from repro import SchedulerError
+
+    if call is _admission_work_stealing:
+        with pytest.raises(SchedulerError) as info:
+            call()
+        message = str(info.value)
+        assert "work-stealing" in message
+        assert "fcfs, priority, edf, sew, bounded" in message
+        return
+    with pytest.raises(SystemExit) as info:
+        call()
+    assert info.value.code == 2
+    assert "--scheduler" in capsys.readouterr().err
 
 
 class TestSchedlabDebugFlag:

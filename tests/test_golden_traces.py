@@ -70,21 +70,6 @@ class TestGoldenTraces:
             _signature(_run(scenario).trace)
 
     @pytest.mark.parametrize("scenario", sorted(CASES))
-    def test_explicit_fcfs_scheduler_preserves_golden(self, scenario):
-        """An explicit FCFS scheduler must reproduce the golden traces
-        bit-for-bit: the default discipline is the paper's Section-6.2
-        FCFS admission, so selecting it by name may not perturb a single
-        decision or publish a single extra bus event."""
-        golden = json.loads(
-            (GOLDEN_DIR / CASES[scenario]).read_text(encoding="utf-8"))
-        outcome = run_scenario(scenario, backend="sim",
-                               policy=SeededRandomPolicy(GOLDEN_SEED),
-                               seed=GOLDEN_SEED, trace=True,
-                               scheduler="fcfs")
-        assert outcome.ok, outcome.message
-        assert _signature(outcome.trace) == golden["events"]
-
-    @pytest.mark.parametrize("scenario", sorted(CASES))
     def test_autotune_none_preserves_golden(self, scenario):
         """``autotune=None`` is the default everywhere; threading the
         parameter through the harness must not perturb a single

@@ -12,8 +12,7 @@ from util import make_pipeline
 
 
 def _queue():
-    return ReadyQueue(None, policy=None, bus=None, point="core", workers=1,
-                      clock=lambda: 0.0)
+    return ReadyQueue(policy=None, point="core", clock=lambda: 0.0)
 
 
 def _tasks():
@@ -25,7 +24,7 @@ def _tasks():
 
 def test_a_task_is_queued_at_most_once():
     """Mutant killed: ``push`` without its queued check, which hands the
-    discipline a second copy of the task."""
+    FCFS queue a second copy of the task."""
     ready, ctx = _queue(), RunContext()
     _produce, consume = _tasks()
     assert ready.push(ctx, consume)
@@ -41,7 +40,7 @@ def test_a_pick_stays_queued_until_take():
     ready, ctx = _queue(), RunContext()
     _produce, consume = _tasks()
     ready.push(ctx, consume)
-    assert ready.pick(0) == (consume, ctx)
+    assert ready.pick() == (consume, ctx)
     assert consume in ready
     assert not ready.push(ctx, consume)
     assert ready.scheduler.pending() == 0
@@ -60,9 +59,9 @@ def test_next_drops_a_stale_pick():
     ready.push(ctx, consume)
     produce.state = TaskState.COMPLETE
     consume.state = TaskState.WAITING
-    assert ready.next(0) is consume
+    assert ready.next() is consume
     assert not ready
-    assert ready.next(0) is None
+    assert ready.next() is None
 
 
 def test_a_stopped_context_s_pick_is_stale():
@@ -71,5 +70,5 @@ def test_a_stopped_context_s_pick_is_stale():
     consume.state = TaskState.WAITING
     ready.push(ctx, consume)
     ctx.stopped = True
-    assert ready.next(0) is None
+    assert ready.next() is None
     assert not ready

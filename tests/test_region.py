@@ -51,6 +51,16 @@ class TestDeclaration:
     def test_auto_generated_names_unique(self):
         assert FluidRegion().name != FluidRegion().name
 
+    @pytest.mark.parametrize("hint", ["priority", "deadline",
+                                      "cost_estimate"])
+    def test_add_task_takes_no_scheduling_hint(self, hint):
+        """Every driver's ready queue is FCFS, so a task carries no
+        scheduling hint (a service request does)."""
+        region = FluidRegion("r")
+        with pytest.raises(TypeError, match=hint):
+            region.add_task("t", _noop, **{hint: 1.0})
+        assert region.tasks == []
+
 
 class TestFinalize:
     def test_finalize_builds_graph(self):

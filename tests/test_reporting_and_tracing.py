@@ -1,5 +1,6 @@
 """Tests for the trace store and the benchmark table renderer."""
 
+import pytest
 
 from repro import Telemetry, ThreadExecutor
 from repro.bench.reporting import render_series, render_table
@@ -51,16 +52,53 @@ class TestTrace:
 class TestWallClockGantt:
     """A wall-clock trace starts at its first transition, in µs."""
 
-    def test_starts_at_first_transition(self):
+    @staticmethod
+    def events():
         def moved(ts, task, state):
             return TelemetryEvent(ts, "transition", "r", task, state, {})
-        events = [moved(5.000000, "a", "RUNNING"),
-                  moved(5.000002, "a", "COMPLETE"),
-                  moved(5.000002, "b", "RUNNING"),
-                  moved(5.000004, "b", "COMPLETE")]
-        lines = gantt(events, width=4, time_scale=1e6).splitlines()
+        return [moved(5.000000, "a", "RUNNING"),
+                moved(5.000002, "a", "COMPLETE"),
+                moved(5.000002, "b", "RUNNING"),
+                moved(5.000004, "b", "COMPLETE")]
+
+    def test_starts_at_first_transition(self):
+        lines = gantt(self.events(), width=4, time_scale=1e6).splitlines()
         assert lines[0] == "wall time 0 .. 4.0 µs (1.00 µs/char)"
         assert lines[1:3] == ["r/a |##  |", "r/b |  ##|"]
+
+    def test_span_is_first_to_last_transition(self):
+        recorder = TimelineRecorder()
+        for event in self.events():
+            recorder.trace.append(event)
+        assert recorder.span() == pytest.approx(4e-6, abs=1e-12)
+        assert TimelineRecorder().span() == 0.0
+
+    @pytest.mark.parametrize("backend", ["sim", "thread", "process"])
+    def test_span_of_a_run_is_its_transitions_extent(self, backend):
+        """On every driver ``span()`` covers the run's transitions and
+        no more: the clock's reading before the first one (a pool's
+        start-up, the simulator's launch overhead) is not in it."""
+        import time
+
+        from repro import ProcessExecutor, SimExecutor
+
+        telemetry = Telemetry(metrics=False, chrome=False)
+        recorder = TimelineRecorder().connect(telemetry.bus)
+        executor = {"sim": lambda: SimExecutor(cores=2,
+                                               telemetry=telemetry),
+                    "thread": lambda: ThreadExecutor(telemetry=telemetry),
+                    "process": lambda: ProcessExecutor(
+                        workers=2, timeout=60, telemetry=telemetry),
+                    }[backend]()
+        executor.submit(make_pipeline(n=20, name="span"))
+        started = time.perf_counter()
+        result = executor.run()
+        elapsed = time.perf_counter() - started
+        stamps = [event.ts for event in recorder.trace.recorded]
+        assert recorder.span() == max(stamps) - min(stamps) > 0.0
+        assert min(stamps) > 0.0
+        bound = result.makespan if backend == "sim" else elapsed
+        assert recorder.span() <= bound
 
     def test_thread_pipeline_draws_every_run(self):
         telemetry = Telemetry(metrics=False, chrome=False)

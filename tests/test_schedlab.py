@@ -546,7 +546,33 @@ class TestSweepAndArtifacts:
         assert record["scenario"] == "racy"
         assert record["backend"] == "sim"
         assert record["seed"] == 1
+        assert "scheduler" not in record
         assert all(len(decision) == 3 for decision in record["decisions"])
+
+    @pytest.mark.parametrize("scheduler", [None, "fcfs", "edf",
+                                           "work-stealing"])
+    def test_replay_refuses_an_artifact_of_another_discipline(
+            self, tmp_path, capsys, scheduler):
+        """An artifact written when the drivers could run other
+        disciplines replays only if it ran FCFS; any other ``scheduler``
+        is a one-line error naming the field, not a silent FCFS run."""
+        from repro.schedlab.__main__ import main
+
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({
+            "version": 1, "scenario": "pipeline", "backend": "sim",
+            "strict": False, "mutation": None, "seed": 0,
+            "scheduler": scheduler, "autotune": None,
+            "policy": {"policy": "fifo"}, "failure": None, "message": "",
+            "faults": [], "decisions": []}), encoding="utf-8")
+        code = main(["replay", str(path)])
+        out, err = capsys.readouterr()
+        if scheduler in (None, "fcfs"):
+            assert code == 0 and "reproduced: clean run" in out
+            return
+        assert code == 3
+        assert err.count("\n") == 1
+        assert "'scheduler'" in err and repr(scheduler) in err
 
     def test_thread_backend_sweep_smoke(self):
         report = sweep(["pipeline", "diamond"], seeds=2,

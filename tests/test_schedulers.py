@@ -1,7 +1,7 @@
-"""Unit tests for the pluggable scheduler seam (repro.sched).
+"""Unit tests for the request-queue disciplines (repro.sched).
 
 Covers spec parsing, every discipline's ordering contract, the
-work-stealing and bounded-admission decision telemetry (including the
+bounded-admission decision telemetry (including the
 shed-must-be-observable regression test), and the end-of-run metrics
 fold via Telemetry.record_scheduler.
 """
@@ -15,13 +15,13 @@ import pytest
 from repro.core.errors import SchedulerError
 from repro.sched import (BoundedScheduler, EdfScheduler, FcfsScheduler,
                          PriorityScheduler, SCHEDULER_NAMES,
-                         ShortestWorkScheduler, WorkStealingScheduler,
-                         make_scheduler)
+                         ShortestWorkScheduler, make_scheduler)
 from repro.telemetry import Telemetry
 
 
 class Synth:
-    """Minimal task duck: its own spec, like a service request."""
+    """Minimal request duck: carries its own hints, like a service
+    request."""
 
     def __init__(self, name, priority=None, deadline=None,
                  cost_estimate=None):
@@ -59,18 +59,12 @@ def test_make_scheduler_default_is_fcfs():
     assert isinstance(make_scheduler(None), FcfsScheduler)
 
 
-def test_make_scheduler_passes_instances_through():
-    scheduler = EdfScheduler()
-    assert make_scheduler(scheduler) is scheduler
-
-
 def test_make_scheduler_by_name():
     assert isinstance(make_scheduler("fcfs"), FcfsScheduler)
     assert isinstance(make_scheduler("priority"), PriorityScheduler)
     assert isinstance(make_scheduler("edf"), EdfScheduler)
     assert isinstance(make_scheduler("sew"), ShortestWorkScheduler)
     assert isinstance(make_scheduler("shortest-work"), ShortestWorkScheduler)
-    assert isinstance(make_scheduler("work-stealing"), WorkStealingScheduler)
     assert isinstance(make_scheduler("bounded"), BoundedScheduler)
 
 
@@ -78,8 +72,6 @@ def test_make_scheduler_options():
     bounded = make_scheduler("bounded:capacity=3,inner=edf")
     assert bounded.capacity == 3
     assert isinstance(bounded.inner, EdfScheduler)
-    stealing = make_scheduler("work-stealing:workers=5").bind()
-    assert len(stealing._queues) == 5
 
 
 def test_make_scheduler_rejects_unknown():
@@ -139,56 +131,6 @@ def test_sew_shortest_estimate_first():
     scheduler.submit(Synth("unknown"))
     scheduler.submit(Synth("mid", cost_estimate=10.0))
     assert drain(scheduler) == ["tiny", "mid", "big", "unknown"]
-
-
-def test_fluid_task_specs_carry_hints():
-    from repro.core.region import FluidRegion
-
-    region = FluidRegion("hints")
-
-    def body(ctx):
-        yield 1.0
-
-    task = region.add_task("t", body, priority=2.0, deadline=7.5,
-                           cost_estimate=3.0)
-    assert task.spec.priority == 2.0
-    scheduler = EdfScheduler().bind()
-    scheduler.submit(task)
-    scheduler.submit(Synth("later", deadline=9.0))
-    assert drain(scheduler) == ["t", "later"]
-
-
-# ------------------------------------------------------------- work stealing
-
-
-def test_work_stealing_home_queue_then_steal():
-    telemetry, events = instrumented()
-    scheduler = WorkStealingScheduler().bind(workers=2, bus=telemetry.bus)
-    # Round-robin admission: a,c -> worker 0; b,d -> worker 1.
-    for name in "abcd":
-        scheduler.submit(Synth(name))
-    assert scheduler.pick(worker=0).name == "a"
-    assert scheduler.pick(worker=1).name == "b"
-    assert scheduler.pick(worker=1).name == "d"
-    # Worker 1's deque is empty: it must steal worker 0's "c".
-    stolen = scheduler.pick(worker=1)
-    assert stolen.name == "c"
-    assert scheduler.steals == 1
-    steal_events = [e for e in events if e.name == "steal"]
-    assert len(steal_events) == 1
-    assert steal_events[0].task == "c"
-    assert steal_events[0].data == {"victim": 0, "thief": 1}
-    assert telemetry.metrics.counters["sched.steals"] == 1
-    assert scheduler.pick(worker=0) is None
-
-
-def test_work_stealing_anonymous_drain_counts_no_steals():
-    scheduler = WorkStealingScheduler().bind(workers=3)
-    for name in "abcde":
-        scheduler.submit(Synth(name))
-    drained = drain(scheduler)
-    assert sorted(drained) == list("abcde")
-    assert scheduler.steals == 0
 
 
 # ---------------------------------------------------------- bounded admission
@@ -390,39 +332,13 @@ def test_policy_bound_keyed_picks_are_pinned(spec):
 # ----------------------------------------------------------- end-to-end runs
 
 
-@pytest.mark.parametrize("spec", ["fcfs", "priority", "edf", "sew",
-                                  "work-stealing", "bounded:capacity=2"])
-def test_sim_backend_correct_under_every_discipline(spec):
-    from repro.runtime.simulator import SimExecutor
-    from util import make_pipeline, pipeline_expected
-
-    region = make_pipeline(n=24, exact_quality=True)
-    executor = SimExecutor(cores=2, scheduler=spec)
-    executor.submit(region)
-    executor.run()
-    assert region.output("out") == pipeline_expected(24)
-    assert executor.scheduler.counters()["sheds"] == 0
-
-
 def test_thread_backend_slot_gating_serializes_bodies():
     from repro.runtime.thread_backend import ThreadExecutor
     from util import make_diamond, diamond_expected
 
     region = make_diamond(n=16, exact_quality=True)
-    executor = ThreadExecutor(timeout=30, scheduler="fcfs", slots=1)
+    executor = ThreadExecutor(timeout=30, slots=1)
     executor.submit(region)
     executor.run()
     assert region.output("out") == diamond_expected(16)
     assert executor.scheduler.picks >= 4  # every body entry was a pick
-
-
-def test_run_fluid_scheduler_flag():
-    from repro.apps.edge_detection import EdgeDetectionApp
-    from repro.workloads import synthetic_image
-
-    app = EdgeDetectionApp(synthetic_image(24, 24, noise=8.0, seed=1))
-    telemetry = Telemetry(chrome=False)
-    # One core forces queueing, so the discipline actually decides.
-    run = app.run_fluid(scheduler="edf", cores=1, telemetry=telemetry)
-    assert run.error >= 0.0
-    assert telemetry.metrics.counters["sched.picks"] > 0

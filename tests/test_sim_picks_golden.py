@@ -2,15 +2,16 @@
 
 One core and four concurrent regions (two each of ``tests/util``'s
 diamond and pipeline), so most task starts go through the ready queue:
-queued while the core is busy, picked when it frees.  Every task
-carries a priority, deadline and cost estimate with ties, so the keyed
-disciplines order the queue differently and a policy breaks their
-ties.  Each row pins, for one discipline with and without a seeded
-SchedLab policy, the order tasks entered RUNNING (task, attempt,
-virtual time), the scheduler's end-of-run counters (picks, steals,
-sheds, deferrals, queue-residence count and sum) and every policy
-decision.  A change to how a driver queues, picks or drops a task must
-leave this file passing unchanged.
+queued while the core is busy, picked when it frees.  Each row pins,
+with and without a seeded SchedLab policy, the order tasks entered
+RUNNING (task, attempt, virtual time), the FCFS queue's end-of-run
+counters (picks, sheds, deferrals, queue-residence count and sum) and
+every policy decision.  A change to how a driver queues, picks or drops
+a task must leave this file passing unchanged.
+
+The rows are keyed ``fcfs/<policy>`` and keep a ``steals`` counter of
+0: they were recorded when the drivers could run other disciplines, and
+are kept byte for byte.
 
 Regenerate after an *intentional* behaviour change with::
 
@@ -31,13 +32,11 @@ from repro.telemetry import Telemetry
 from util import make_diamond, make_pipeline
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "sim_picks.json"
-SCHEDULERS = ("fcfs", "priority", "edf", "sew", "work-stealing",
-              "bounded:capacity=2")
 POLICIES = ("none", "seeded:3")
 N = 16
 
 
-def _record(spec: str, policy_name: str) -> dict:
+def _record(policy_name: str) -> dict:
     policy = None if policy_name == "none" \
         else RecordingPolicy(SeededRandomPolicy(3))
     telemetry = Telemetry(metrics=False, chrome=False)
@@ -51,25 +50,19 @@ def _record(spec: str, policy_name: str) -> dict:
     regions = [make_diamond(n=N, name="d0"), make_pipeline(n=N, name="p0"),
                make_diamond(n=N, name="d1"), make_pipeline(n=N, name="p1")]
     executor = SimExecutor(cores=1, max_active_regions=len(regions),
-                           policy=policy, telemetry=telemetry,
-                           scheduler=spec)
-    index = 0
+                           policy=policy, telemetry=telemetry)
     for region in regions:
-        for task in region.finalize():
-            task.spec.priority = float(index * 7 % 3)
-            task.spec.deadline = float(index * 5 % 4)
-            task.spec.cost_estimate = index * 3 % 5 / 2
-            index += 1
         executor.submit(region)
     result = executor.run()
     assert all(region.complete for region in regions)
     snapshot = executor.scheduler.snapshot()
     record = {
-        "key": f"{spec}/{policy_name}",
+        "key": f"fcfs/{policy_name}",
         "running": started,
         "makespan": result.makespan,
-        "scheduler": {field: snapshot[field] for field in
-                      ("picks", "steals", "sheds", "deferrals")},
+        "scheduler": {"picks": snapshot["picks"], "steals": 0,
+                      "sheds": snapshot["sheds"],
+                      "deferrals": snapshot["deferrals"]},
         "residence": [snapshot["residence"]["count"],
                       snapshot["residence"]["sum"]],
         "decisions": [] if policy is None else
@@ -80,8 +73,7 @@ def _record(spec: str, policy_name: str) -> dict:
 
 
 def _rows():
-    return [_record(spec, policy) for spec in SCHEDULERS
-            for policy in POLICIES]
+    return [_record(policy) for policy in POLICIES]
 
 
 def _golden_rows():
@@ -89,11 +81,10 @@ def _golden_rows():
 
 
 @pytest.mark.parametrize("policy", POLICIES)
-@pytest.mark.parametrize("spec", SCHEDULERS)
-def test_sim_picks_match_golden(spec, policy):
-    key = f"{spec}/{policy}"
+def test_sim_picks_match_golden(policy):
+    key = f"fcfs/{policy}"
     want = {row["key"]: row for row in _golden_rows()}[key]
-    got = _record(spec, policy)
+    got = _record(policy)
     for field in want:
         assert got[field] == want[field], (
             f"{key}: {field} diverged from {GOLDEN_PATH.name}; if the "
